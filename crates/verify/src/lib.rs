@@ -544,7 +544,12 @@ pub fn serving_smoke_digest() -> String {
     for t in &r.per_tenant {
         doc.push_str(&format!(
             "tenant {} w={} offered={} shed={} sessions={} frames={} contended={}\n",
-            t.name, t.weight, t.offered, t.shed, t.completed_sessions, t.frames_completed,
+            t.name,
+            t.weight,
+            t.offered,
+            t.shed,
+            t.completed_sessions,
+            t.frames_completed,
             t.contended_frames
         ));
     }
@@ -554,6 +559,102 @@ pub fn serving_smoke_digest() -> String {
         r.virtual_secs.to_bits()
     ));
     doc
+}
+
+/// The two pinned workload-plane configurations (`workload-chain`,
+/// `workload-wavefront`), each in its static-default power form; the
+/// digest adds the governed-default variant and both backends.
+pub fn workload_goldens() -> Vec<GoldenCase> {
+    use scc_core::{GenericChainSpec, GenericStageSpec, WavefrontSpec, Workload};
+    let chain = RunConfig::builder()
+        .seed(11)
+        .verify(true)
+        .workload(Workload::Generic(GenericChainSpec {
+            stages: vec![
+                GenericStageSpec::compute("parse", 12.0),
+                GenericStageSpec {
+                    read_factor: 1.0,
+                    out_factor: 1.0 / 3.0,
+                    ..GenericStageSpec::compute("compress", 90.0)
+                },
+                GenericStageSpec::compute("encrypt", 25.0),
+                GenericStageSpec::compute("checksum", 4.0),
+            ],
+            items: 64,
+            source_bytes: 64 * 1024,
+        }))
+        .build()
+        .expect("valid chain config");
+    let wavefront = RunConfig::builder()
+        .seed(11)
+        .verify(true)
+        .workload(Workload::Wavefront(WavefrontSpec::default()))
+        .build()
+        .expect("valid wavefront config");
+    vec![
+        GoldenCase {
+            name: "workload-chain".into(),
+            cfg: chain,
+        },
+        GoldenCase {
+            name: "workload-wavefront".into(),
+            cfg: wavefront,
+        },
+    ]
+}
+
+/// Digest of one workload-plane case on both virtual-time backends under
+/// the static-default and governed-default power planes: times and
+/// energy as IEEE-754 bits, the per-stage ledgers, the output digest and
+/// the governor's full decision trace. There is no film to hash, so this
+/// is the workload plane's only byte-exact pin.
+pub fn workload_digest(case: &GoldenCase) -> String {
+    use scc_core::{Backend, BackendReport, GovernorTuning, PowerConfig};
+    let mut out = format!("== {}\n", case.name);
+    for backend in [Backend::Sim, Backend::Des] {
+        for power in [
+            PowerConfig::default(),
+            PowerConfig::Governed(GovernorTuning::default()),
+        ] {
+            let mut cfg = case.cfg.clone();
+            cfg.power = power;
+            let BackendReport::Generic(r) = scc_core::run(&cfg, backend).report else {
+                panic!("{}: workload runs produce a generic report", case.name);
+            };
+            out.push_str(&format!(
+                "-- {} {} items={} total_secs={:016x} energy={:016x} idle_w={:016x} output={:016x}\n",
+                backend.name(),
+                cfg.power.name(),
+                r.items,
+                r.total_secs.to_bits(),
+                r.energy_joules.to_bits(),
+                r.scc_idle_power.to_bits(),
+                r.output_digest
+            ));
+            for s in &r.stages {
+                let idle = s.idle_ms.map_or("none".to_string(), |q| {
+                    format!(
+                        "{:016x}/{:016x}/{:016x}/{:016x}/{:016x}",
+                        q.min.to_bits(),
+                        q.q1.to_bits(),
+                        q.median.to_bits(),
+                        q.q3.to_bits(),
+                        q.max.to_bits()
+                    )
+                });
+                out.push_str(&format!(
+                    "stage {} core={} busy={:016x} idle_ms={idle}\n",
+                    s.name,
+                    s.core_id,
+                    s.busy_secs.to_bits()
+                ));
+            }
+            for d in &r.dvfs_decisions {
+                out.push_str(&format!("decision {} {:?}\n", d.epoch, d.action));
+            }
+        }
+    }
+    out
 }
 
 fn film_hash(frames: &[scc_filters::Image]) -> u64 {

@@ -63,6 +63,9 @@ fn cmd_golden(update: bool) -> i32 {
         scc_verify::autoplace_decision_fused_digest(),
     ));
     blocks.push(("serving-smoke".into(), scc_verify::serving_smoke_digest()));
+    for case in scc_verify::workload_goldens() {
+        blocks.push((case.name.clone(), scc_verify::workload_digest(&case)));
+    }
     blocks.push(("bench-schema".into(), scc_verify::bench_schema_digest()));
     if update {
         std::fs::create_dir_all(&dir).expect("create golden dir");

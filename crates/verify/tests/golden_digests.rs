@@ -9,7 +9,7 @@
 
 use scc_verify::{
     autoplace_decision_digest, autoplace_decision_fused_digest, bench_schema_digest, digest_case,
-    golden_matrix, native_tuning_digest, serving_smoke_digest,
+    golden_matrix, native_tuning_digest, serving_smoke_digest, workload_digest, workload_goldens,
 };
 use std::path::PathBuf;
 
@@ -72,6 +72,17 @@ fn serving_smoke_digest_matches_the_pinned_file() {
     if let Err(e) = check_or_update("serving-smoke", &serving_smoke_digest()) {
         panic!("{e}");
     }
+}
+
+#[test]
+fn workload_digests_match_the_pinned_files() {
+    let mut drift = Vec::new();
+    for case in workload_goldens() {
+        if let Err(e) = check_or_update(&case.name, &workload_digest(&case)) {
+            drift.push(e);
+        }
+    }
+    assert!(drift.is_empty(), "{}", drift.join("\n"));
 }
 
 #[test]
