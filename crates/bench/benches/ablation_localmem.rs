@@ -3,7 +3,6 @@
 //! banks (Cell-style direct messaging).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use scc_core::runner::sim::DvfsPlan;
 use scc_core::{place, Arrangement, CostModel, Fidelity, RendererMode, RunConfig, SimRunner};
 use scc_render::{CityConfig, Scene};
 use scc_sim::{SccConfig, SccPlatform};
@@ -36,7 +35,6 @@ fn bench(c: &mut Criterion) {
                         placement,
                         SccPlatform::new(scc),
                         CostModel::default(),
-                        DvfsPlan::default(),
                     )
                     .run()
                     .total_secs,

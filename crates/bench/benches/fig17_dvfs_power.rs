@@ -2,9 +2,9 @@
 //! variants (§VI-D), using the island-aware placement of Figure 18.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use scc_core::runner::sim::DvfsPlan;
 use scc_core::{
-    place_dvfs_single_pipeline, CostModel, Fidelity, RendererMode, RunConfig, SimRunner,
+    place_dvfs_single_pipeline, CostModel, Fidelity, PowerConfig, RendererMode, RunConfig,
+    SimRunner,
 };
 use scc_render::{CityConfig, Scene};
 use scc_sim::{CoreId, FreqMHz, IslandId, SccConfig, SccPlatform};
@@ -40,6 +40,7 @@ fn bench(c: &mut Criterion) {
                 fidelity: Fidelity::TimingOnly,
                 trace: false,
                 fault: None,
+                power: PowerConfig::Static(settings(v)),
                 ..RunConfig::default()
             };
             b.iter(|| {
@@ -49,9 +50,6 @@ fn bench(c: &mut Criterion) {
                     place_dvfs_single_pipeline(RendererMode::McpcRenderer),
                     SccPlatform::new(SccConfig::default()),
                     CostModel::default(),
-                    DvfsPlan {
-                        settings: settings(v),
-                    },
                 )
                 .run();
                 black_box((r.power_trace.len(), r.mean_power()))

@@ -43,36 +43,261 @@ fn parse_flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let recovery_mode = args.first().map(|a| a == "recovery").unwrap_or(false);
-    let autoplace_mode = args.first().map(|a| a == "autoplace").unwrap_or(false);
-    let kernels_mode = args.first().map(|a| a == "kernels").unwrap_or(false);
-    let tasks_mode = args.first().map(|a| a == "tasks").unwrap_or(false);
-    let serving_mode = args.first().map(|a| a == "serving").unwrap_or(false);
-    let dvfs_mode = args.first().map(|a| a == "dvfs").unwrap_or(false);
-    if recovery_mode || autoplace_mode || kernels_mode || tasks_mode || serving_mode || dvfs_mode {
-        args.remove(0);
+/// Comma-separated numeric list flag, e.g. `--threads 1,2,4`.
+fn parse_list<T: std::str::FromStr>(args: &[String], name: &str) -> Option<Vec<T>> {
+    parse_flag(args, name).map(|v| {
+        v.split(',')
+            .map(|t| t.trim().parse().unwrap_or_else(|_| panic!("{name} a,b,c")))
+            .collect()
+    })
+}
+
+/// The flags every mode shares, parsed once.
+struct Opts {
+    args: Vec<String>,
+    smoke: bool,
+    /// `" (smoke)"` on the progress line of a smoke run.
+    smoke_tag: &'static str,
+    width: u32,
+    height: u32,
+    frames: u64,
+    pipelines: u32,
+}
+
+impl Opts {
+    fn cfg(&self) -> RunConfig {
+        RunConfig::builder()
+            .pipelines(self.pipelines)
+            .size(self.width, self.height)
+            .frames(self.frames)
+            .seed(0x51CC_F11F)
+            .fidelity(Fidelity::Full)
+            .build()
+            .expect("bench configuration")
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = parse_flag(&args, "--out").unwrap_or_else(|| {
-        if recovery_mode {
-            "BENCH_recovery.json".into()
-        } else if autoplace_mode {
-            "BENCH_autoplace.json".into()
-        } else if kernels_mode {
-            "BENCH_kernels.json".into()
-        } else if tasks_mode {
-            "BENCH_tasks.json".into()
-        } else if serving_mode {
-            "BENCH_serving.json".into()
-        } else if dvfs_mode {
-            "BENCH_dvfs.json".into()
+
+    fn threads(&self) -> Vec<u32> {
+        parse_list(&self.args, "--threads").unwrap_or_else(|| {
+            if self.smoke {
+                vec![1, 2]
+            } else {
+                vec![1, 2, 4]
+            }
+        })
+    }
+}
+
+/// What a mode hands back: the table to print, the JSON to write, and
+/// its hard gates in check order as `(passed, FATAL message)`.
+struct Measured {
+    text: String,
+    json: String,
+    gates: Vec<(bool, String)>,
+}
+
+fn gate(passed: bool, fatal: &str) -> (bool, String) {
+    (passed, fatal.to_string())
+}
+
+fn native(o: &Opts) -> Measured {
+    let threads = o.threads();
+    eprintln!(
+        "measuring native throughput: {}x{} f={} p={} threads={threads:?}{}",
+        o.width, o.height, o.frames, o.pipelines, o.smoke_tag,
+    );
+    let report = measure_native_throughput(&o.cfg(), &standard_scene(), &threads);
+    Measured {
+        text: report.render_text(),
+        json: report.to_json(),
+        gates: vec![gate(
+            report.output_consistent,
+            "tuning variants produced different pixels",
+        )],
+    }
+}
+
+fn recovery(o: &Opts) -> Measured {
+    let kills: Vec<u64> = parse_list(&o.args, "--kills").unwrap_or_else(|| {
+        if o.smoke {
+            vec![1, 5]
         } else {
-            "BENCH_native_pipeline.json".into()
+            vec![10, 50, 150]
         }
     });
+    eprintln!(
+        "measuring supervised recovery: {}x{} f={} p={} kills={kills:?} ms{}",
+        o.width, o.height, o.frames, o.pipelines, o.smoke_tag,
+    );
+    let report = measure_recovery(&o.cfg(), &standard_scene(), &kills);
+    Measured {
+        text: report.render_text(),
+        json: report.to_json(),
+        gates: vec![gate(
+            report.points.iter().all(|p| p.bit_identical),
+            "recovery damaged a frame",
+        )],
+    }
+}
 
+fn autoplace(o: &Opts) -> Measured {
+    eprintln!(
+        "measuring auto-placement vs fixed arrangements: {}x{} f={} p={}{}",
+        o.width, o.height, o.frames, o.pipelines, o.smoke_tag,
+    );
+    let report = measure_autoplace(&o.cfg(), &standard_scene());
+    Measured {
+        text: report.render_text(),
+        json: report.to_json(),
+        gates: vec![
+            gate(
+                report.output_consistent,
+                "the scheduler placement changed a pixel",
+            ),
+            (
+                report.speedup_vs_best_fixed >= 0.99,
+                format!(
+                    "auto placement lost to a fixed arrangement \
+                     ({:.3}x)",
+                    report.speedup_vs_best_fixed
+                ),
+            ),
+        ],
+    }
+}
+
+fn kernels(o: &Opts) -> Measured {
+    let threads = o.threads();
+    eprintln!(
+        "measuring filter kernels: {}x{} f={} threads={threads:?}{}",
+        o.width, o.height, o.frames, o.smoke_tag,
+    );
+    let report = measure_kernels(o.width, o.height, o.frames, 0x51CC_F11F, &threads);
+    Measured {
+        text: report.render_text(),
+        json: report.to_json(),
+        gates: vec![gate(
+            report.output_consistent,
+            "a kernel variant changed pixels",
+        )],
+    }
+}
+
+fn tasks(o: &Opts) -> Measured {
+    eprintln!(
+        "measuring task runtime vs static pipeline: {}x{} f={} p={}{}",
+        o.width, o.height, o.frames, o.pipelines, o.smoke_tag,
+    );
+    let report = measure_tasks(&o.cfg(), &standard_scene());
+    Measured {
+        text: report.render_text(),
+        json: report.to_json(),
+        gates: vec![
+            gate(
+                report.output_consistent(),
+                "the task runtime changed a pixel",
+            ),
+            gate(
+                report.no_lost_tasks(),
+                "the task ledger does not balance (lost tasks)",
+            ),
+            gate(
+                report.spread_reduced(),
+                "idle-quartile spread not reduced vs static",
+            ),
+        ],
+    }
+}
+
+fn serving(o: &Opts) -> Measured {
+    let session_counts: Vec<u32> = parse_list(&o.args, "--sessions").unwrap_or_else(|| {
+        if o.smoke {
+            vec![4, 8]
+        } else {
+            vec![16, 32, 64]
+        }
+    });
+    eprintln!(
+        "measuring serving layer: {}x{} p={} sessions={session_counts:?}{}",
+        o.width, o.height, o.pipelines, o.smoke_tag,
+    );
+    let report = measure_serving(&o.cfg(), &standard_scene(), &session_counts);
+    Measured {
+        text: report.render_text(),
+        json: report.to_json(),
+        gates: vec![
+            gate(
+                report.cache_transparent(),
+                "the strip cache changed a pixel",
+            ),
+            gate(
+                report.cache_speeds_up(),
+                "sessions/s not strictly higher with the cache on",
+            ),
+            gate(
+                report.ledger_balanced(),
+                "the session ledger does not balance (silent shed)",
+            ),
+        ],
+    }
+}
+
+fn dvfs(o: &Opts) -> Measured {
+    eprintln!(
+        "measuring dvfs power plane: film {}x{} f={} + wavefront{}",
+        o.width, o.height, o.frames, o.smoke_tag,
+    );
+    let report = measure_dvfs(&o.cfg(), &standard_scene());
+    Measured {
+        text: report.render_text(),
+        json: report.to_json(),
+        gates: vec![
+            gate(
+                report.film_output_consistent,
+                "a power plan changed a film pixel",
+            ),
+            gate(
+                report.wavefront_digest_consistent,
+                "a power plan or backend drifted the wavefront digest",
+            ),
+            gate(
+                report.decision_parity,
+                "governed decision traces split between sim and des",
+            ),
+            gate(
+                report.governed_not_dominated,
+                "the governor lost to every static split on time and energy",
+            ),
+        ],
+    }
+}
+
+/// One row per mode: subcommand, default output file, measurement.
+type Mode = (&'static str, &'static str, fn(&Opts) -> Measured);
+
+const MODES: [Mode; 6] = [
+    ("recovery", "BENCH_recovery.json", recovery),
+    ("autoplace", "BENCH_autoplace.json", autoplace),
+    ("kernels", "BENCH_kernels.json", kernels),
+    ("tasks", "BENCH_tasks.json", tasks),
+    ("serving", "BENCH_serving.json", serving),
+    ("dvfs", "BENCH_dvfs.json", dvfs),
+];
+
+/// No subcommand: host-native pipeline throughput.
+const NATIVE: Mode = ("native", "BENCH_native_pipeline.json", native);
+
+fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let named = MODES
+        .iter()
+        .find(|(name, _, _)| args.first().is_some_and(|a| a == name));
+    if named.is_some() {
+        args.remove(0);
+    }
+    let (name, default_out, measure) = *named.unwrap_or(&NATIVE);
+
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out_path = parse_flag(&args, "--out").unwrap_or_else(|| default_out.into());
     let (mut width, mut height) = if smoke { (64, 64) } else { (400, 400) };
     if let Some(size) = parse_flag(&args, "--size") {
         let (w, h) = size.split_once('x').expect("--size WxH");
@@ -84,212 +309,22 @@ fn main() {
         .unwrap_or(if smoke { 4 } else { 48 });
     let pipelines: u32 = parse_flag(&args, "--pipelines")
         .map(|v| v.parse().expect("--pipelines P"))
-        .unwrap_or(if recovery_mode { 3 } else { 2 });
-    let threads: Vec<u32> = parse_flag(&args, "--threads")
-        .map(|v| {
-            v.split(',')
-                .map(|t| t.trim().parse().expect("--threads a,b,c"))
-                .collect()
-        })
-        .unwrap_or_else(|| if smoke { vec![1, 2] } else { vec![1, 2, 4] });
+        .unwrap_or(if name == "recovery" { 3 } else { 2 });
 
-    if kernels_mode {
-        eprintln!(
-            "measuring filter kernels: {}x{} f={} threads={threads:?}{}",
-            width,
-            height,
-            frames,
-            if smoke { " (smoke)" } else { "" },
-        );
-        let report = measure_kernels(width, height, frames, 0x51CC_F11F, &threads);
-        print!("{}", report.render_text());
-        std::fs::write(&out_path, report.to_json()).expect("write bench json");
-        println!("wrote {out_path}");
-        if !report.output_consistent {
-            eprintln!("FATAL: a kernel variant changed pixels");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    let cfg = RunConfig::builder()
-        .pipelines(pipelines)
-        .size(width, height)
-        .frames(frames)
-        .seed(0x51CC_F11F)
-        .fidelity(Fidelity::Full)
-        .build()
-        .expect("bench configuration");
-
-    if serving_mode {
-        let session_counts: Vec<u32> = parse_flag(&args, "--sessions")
-            .map(|v| {
-                v.split(',')
-                    .map(|t| t.trim().parse().expect("--sessions a,b,c"))
-                    .collect()
-            })
-            .unwrap_or_else(|| if smoke { vec![4, 8] } else { vec![16, 32, 64] });
-        eprintln!(
-            "measuring serving layer: {}x{} p={} sessions={session_counts:?}{}",
-            width,
-            height,
-            pipelines,
-            if smoke { " (smoke)" } else { "" },
-        );
-        let scene = standard_scene();
-        let report = measure_serving(&cfg, &scene, &session_counts);
-        print!("{}", report.render_text());
-        std::fs::write(&out_path, report.to_json()).expect("write bench json");
-        println!("wrote {out_path}");
-        if !report.cache_transparent() {
-            eprintln!("FATAL: the strip cache changed a pixel");
-            std::process::exit(1);
-        }
-        if !report.cache_speeds_up() {
-            eprintln!("FATAL: sessions/s not strictly higher with the cache on");
-            std::process::exit(1);
-        }
-        if !report.ledger_balanced() {
-            eprintln!("FATAL: the session ledger does not balance (silent shed)");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if dvfs_mode {
-        eprintln!(
-            "measuring dvfs power plane: film {}x{} f={} + wavefront{}",
-            width,
-            height,
-            frames,
-            if smoke { " (smoke)" } else { "" },
-        );
-        let scene = standard_scene();
-        let report = measure_dvfs(&cfg, &scene);
-        print!("{}", report.render_text());
-        std::fs::write(&out_path, report.to_json()).expect("write bench json");
-        println!("wrote {out_path}");
-        if !report.film_output_consistent {
-            eprintln!("FATAL: a power plan changed a film pixel");
-            std::process::exit(1);
-        }
-        if !report.wavefront_digest_consistent {
-            eprintln!("FATAL: a power plan or backend drifted the wavefront digest");
-            std::process::exit(1);
-        }
-        if !report.decision_parity {
-            eprintln!("FATAL: governed decision traces split between sim and des");
-            std::process::exit(1);
-        }
-        if !report.governed_not_dominated {
-            eprintln!("FATAL: the governor lost to every static split on time and energy");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if tasks_mode {
-        eprintln!(
-            "measuring task runtime vs static pipeline: {}x{} f={} p={}{}",
-            width,
-            height,
-            frames,
-            pipelines,
-            if smoke { " (smoke)" } else { "" },
-        );
-        let scene = standard_scene();
-        let report = measure_tasks(&cfg, &scene);
-        print!("{}", report.render_text());
-        std::fs::write(&out_path, report.to_json()).expect("write bench json");
-        println!("wrote {out_path}");
-        if !report.output_consistent() {
-            eprintln!("FATAL: the task runtime changed a pixel");
-            std::process::exit(1);
-        }
-        if !report.no_lost_tasks() {
-            eprintln!("FATAL: the task ledger does not balance (lost tasks)");
-            std::process::exit(1);
-        }
-        if !report.spread_reduced() {
-            eprintln!("FATAL: idle-quartile spread not reduced vs static");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if autoplace_mode {
-        eprintln!(
-            "measuring auto-placement vs fixed arrangements: {}x{} f={} p={}{}",
-            width,
-            height,
-            frames,
-            pipelines,
-            if smoke { " (smoke)" } else { "" },
-        );
-        let scene = standard_scene();
-        let report = measure_autoplace(&cfg, &scene);
-        print!("{}", report.render_text());
-        std::fs::write(&out_path, report.to_json()).expect("write bench json");
-        println!("wrote {out_path}");
-        if !report.output_consistent {
-            eprintln!("FATAL: the scheduler placement changed a pixel");
-            std::process::exit(1);
-        }
-        if report.speedup_vs_best_fixed < 0.99 {
-            eprintln!(
-                "FATAL: auto placement lost to a fixed arrangement \
-                 ({:.3}x)",
-                report.speedup_vs_best_fixed
-            );
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if recovery_mode {
-        let kills: Vec<u64> = parse_flag(&args, "--kills")
-            .map(|v| {
-                v.split(',')
-                    .map(|t| t.trim().parse().expect("--kills a,b,c"))
-                    .collect()
-            })
-            .unwrap_or_else(|| if smoke { vec![1, 5] } else { vec![10, 50, 150] });
-        eprintln!(
-            "measuring supervised recovery: {}x{} f={} p={} kills={kills:?} ms{}",
-            width,
-            height,
-            frames,
-            pipelines,
-            if smoke { " (smoke)" } else { "" },
-        );
-        let scene = standard_scene();
-        let report = measure_recovery(&cfg, &scene, &kills);
-        print!("{}", report.render_text());
-        std::fs::write(&out_path, report.to_json()).expect("write bench json");
-        println!("wrote {out_path}");
-        if report.points.iter().any(|p| !p.bit_identical) {
-            eprintln!("FATAL: recovery damaged a frame");
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    eprintln!(
-        "measuring native throughput: {}x{} f={} p={} threads={threads:?}{}",
+    let measured = measure(&Opts {
+        args,
+        smoke,
+        smoke_tag: if smoke { " (smoke)" } else { "" },
         width,
         height,
         frames,
         pipelines,
-        if smoke { " (smoke)" } else { "" },
-    );
-    let scene = standard_scene();
-    let report = measure_native_throughput(&cfg, &scene, &threads);
-    print!("{}", report.render_text());
-
-    std::fs::write(&out_path, report.to_json()).expect("write bench json");
+    });
+    print!("{}", measured.text);
+    std::fs::write(&out_path, measured.json).expect("write bench json");
     println!("wrote {out_path}");
-    if !report.output_consistent {
-        eprintln!("FATAL: tuning variants produced different pixels");
+    if let Some((_, fatal)) = measured.gates.iter().find(|(passed, _)| !passed) {
+        eprintln!("FATAL: {fatal}");
         std::process::exit(1);
     }
 }

@@ -1,9 +1,8 @@
 //! One entry point per paper table/figure.
 
-use scc_core::runner::sim::DvfsPlan;
 use scc_core::{
     place, place_dvfs_single_pipeline, run_baseline, Arrangement, BaselineReport, CostModel,
-    RendererMode, RunConfig, SimRunner, StageKind, WalkthroughReport,
+    PowerConfig, RendererMode, RunConfig, SimRunner, StageKind, WalkthroughReport,
 };
 use scc_render::{CityConfig, Scene};
 use scc_sim::power::McpcPower;
@@ -292,7 +291,7 @@ impl DvfsVariant {
 /// Run the single-pipeline MCPC-rendered walkthrough under a DVFS variant
 /// using the island-aware placement of Figure 18.
 pub fn dvfs_run(variant: DvfsVariant, scene: &Arc<Scene>) -> WalkthroughReport {
-    let config = cfg(RendererMode::McpcRenderer, Arrangement::Ordered, 1);
+    let mut config = cfg(RendererMode::McpcRenderer, Arrangement::Ordered, 1);
     let placement = place_dvfs_single_pipeline(RendererMode::McpcRenderer);
     let blur = placement.pipelines[0][1];
     let downstream = [
@@ -317,13 +316,13 @@ pub fn dvfs_run(variant: DvfsVariant, scene: &Arc<Scene>) -> WalkthroughReport {
             }
         }
     }
+    config.power = PowerConfig::Static(settings);
     SimRunner::with_parts(
         config,
         Arc::clone(scene),
         placement,
         SccPlatform::new(SccConfig::default()),
         CostModel::default(),
-        DvfsPlan { settings },
     )
     .run()
 }
@@ -497,7 +496,6 @@ pub fn whatif(scene: &Arc<Scene>) -> Vec<WhatIfRow> {
             placement,
             SccPlatform::new(scc_cfg),
             CostModel::default(),
-            scc_core::runner::sim::DvfsPlan::default(),
         )
         .run()
         .total_secs
@@ -596,7 +594,6 @@ pub fn sensitivity(scene: &Arc<Scene>) -> Vec<SensitivityRow> {
             placement,
             SccPlatform::new(scc_cfg),
             CostModel::default(),
-            scc_core::runner::sim::DvfsPlan::default(),
         )
         .run()
         .total_secs
@@ -655,18 +652,10 @@ pub fn freq_sweep(scene: &Arc<Scene>) -> Vec<FreqRow> {
     [FreqMHz::F400, FreqMHz::F533, FreqMHz::F800]
         .into_iter()
         .map(|freq| {
-            let config = cfg(RendererMode::McpcRenderer, Arrangement::Ordered, 5);
-            let placement = place(config.renderer, config.arrangement, config.pipelines);
-            let settings = TileId::all().map(|t| (t.cores()[0], freq)).collect();
-            let r = SimRunner::with_parts(
-                config,
-                Arc::clone(scene),
-                placement,
-                SccPlatform::new(SccConfig::default()),
-                CostModel::default(),
-                scc_core::runner::sim::DvfsPlan { settings },
-            )
-            .run();
+            let mut config = cfg(RendererMode::McpcRenderer, Arrangement::Ordered, 5);
+            config.power =
+                PowerConfig::Static(TileId::all().map(|t| (t.cores()[0], freq)).collect());
+            let r = SimRunner::new(config, Arc::clone(scene)).run();
             FreqRow {
                 freq,
                 secs: r.total_secs,

@@ -1,7 +1,8 @@
 //! Single-core baseline: the whole pipeline executed serially on one SCC
 //! core (Figure 8 and the 382 s reference of §VI-A).
 
-use crate::cost::{CostModel, RenderWork};
+use crate::cost::CostModel;
+use crate::runner::source::{book_render, render_work};
 use crate::spec::{RunConfig, StageKind};
 use scc_filters::{Blur, Flicker, Image, ImageFilter, Scratch, Sepia, VSwap};
 use scc_render::{Renderer, Scene, Walkthrough};
@@ -75,16 +76,10 @@ pub fn run_baseline(cfg: &RunConfig, scene: Arc<Scene>) -> BaselineReport {
     for f in 0..cfg.frames {
         let cam = walkthrough.camera(f);
         // Render: same cost path as the pipelined runs.
-        let (_, cull, coverage) = renderer.cull_strip(&cam, cfg.width, cfg.height, 0, cfg.height);
-        let work = RenderWork {
-            nodes_visited: cull.nodes_visited,
-            triangles_out: cull.triangles_out,
-            est_coverage: coverage,
-        };
+        let work = render_work(&renderer, &cam, cfg.width, cfg.height, 0, cfg.height);
+        let cycles = cost.render_cycles(&work, false);
         let t0 = t;
-        t = platform.mem_raw(core, t, MemOp::Read, cost.render_scene_bytes(&work));
-        t = platform.compute(core, t, cost.render_cycles(&work, false) as u64);
-        t = platform.mem_stream(core, t, MemOp::Write, full_bytes);
+        t = book_render(&mut platform, &cost, core, t, &work, cycles, full_bytes);
         add(&mut acc, StageKind::Render, t - t0);
         render_total += t - t0;
 

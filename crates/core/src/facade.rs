@@ -10,11 +10,11 @@
 //! the telemetry snapshot) next to the untouched backend-specific report.
 //!
 //! The old entry points remain as thin wrappers and are the right tool
-//! when backend-specific knobs are needed (placement overrides, DVFS
-//! plans, alternative platforms); new code that just wants "run this
+//! when backend-specific knobs are needed (placement overrides,
+//! alternative platforms); new code that just wants "run this
 //! config and look at the numbers" should come through here.
 
-use crate::generic::{run_workload_des, run_workload_sim, GenericReport};
+use crate::generic::{run_workload, EventOrder, GenericReport};
 use crate::metrics::{DegradationEvent, HostTiming, RecoveryEvent, StageReport, WalkthroughReport};
 use crate::runner::des::{run_des, DesReport};
 use crate::runner::native::{run_native, NativeReport};
@@ -126,16 +126,18 @@ pub fn run_with_scene(cfg: &RunConfig, backend: Backend, scene: Arc<Scene>) -> R
     cfg.validate().expect("invalid run configuration");
     if !cfg.workload.is_film() {
         // The workload plane: spec-defined chains (no scene, no frames)
-        // through the generic executors. `frames` reports items.
-        let report = match backend {
-            Backend::Sim => run_workload_sim(cfg),
-            Backend::Des => run_workload_des(cfg),
+        // through the one workload engine; the backend picks its event
+        // order. `frames` reports items.
+        let order = match backend {
+            Backend::Sim => EventOrder::ItemMajor,
+            Backend::Des => EventOrder::EarliestStart,
             Backend::Native => panic!(
                 "the native backend runs the film workload only; \
                  run {} on sim or des",
                 cfg.workload.name()
             ),
         };
+        let report = run_workload(cfg, order);
         return RunOutcome {
             backend,
             total_secs: report.total_secs,

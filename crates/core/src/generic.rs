@@ -12,29 +12,26 @@
 //! stream-processing pipeline reproducing the paper's qualitative story
 //! on a non-graphics workload.
 //!
-//! Two entry styles coexist:
-//!
-//! * **The workload plane** (preferred): put a [`crate::spec::Workload`]
-//!   into [`RunConfig`] and call [`crate::run`]. The spec-driven
-//!   executors here ([`run_workload_sim`], [`run_workload_des`]) run the
-//!   chain on either virtual-time backend with the full run machinery —
-//!   telemetry, the power plane (static plans *and* the closed-loop DVFS
-//!   governor), chain-merge auto-placement, invariant checking, and an
-//!   output digest that gates drift.
-//! * [`run_generic_chain`] — the original trait-object side door. Soft
-//!   deprecated: it still works for imperative closure-defined stages,
-//!   but it bypasses the power plane, telemetry, and verification, and
-//!   new code should declare a [`crate::spec::GenericChainSpec`] instead.
+//! There is one way in: put a [`crate::spec::Workload`] into
+//! [`RunConfig`] and call [`crate::run`]. The spec resolves to a pure
+//! per-(stage, item) work table, and one dependency-counted engine
+//! ([`run_workload`]) executes it on either virtual-time backend — the
+//! backends differ only in the order they pop ready events
+//! ([`EventOrder`]) — with the full run machinery attached once:
+//! telemetry, the power plane (static plans *and* the closed-loop DVFS
+//! governor), chain-merge auto-placement, invariant checking, and an
+//! output digest that gates drift.
 
-use crate::governor::{Governor, GovernorDecision, StationSample};
-use crate::spec::{Arrangement, PowerConfig, RunConfig, Workload};
+use crate::governor::GovernorDecision;
+use crate::power_plane::PowerPlane;
+use crate::spec::{RunConfig, Workload};
 use scc_sim::platform::MemOp;
 use scc_sim::stats::Quartiles;
-use scc_sim::{CoreId, DvfsState, IslandId, SccConfig, SccPlatform, SimTime};
+use scc_sim::{CoreId, IslandId, SccConfig, SccPlatform, SimTime};
 use scc_telemetry::{names, TelemetrySink, IDLE_MS_BUCKETS};
 use serde::Serialize;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// What one stage does to one work item.
@@ -48,31 +45,6 @@ pub struct StageWork {
     pub write_bytes: u64,
     /// Payload handed to the next stage.
     pub out_bytes: u64,
-}
-
-/// A user-defined macro pipeline stage.
-pub trait MacroStage: Send {
-    /// Stage name for reports.
-    fn name(&self) -> String;
-
-    /// Workload of item `item` given `in_bytes` of input payload.
-    fn work(&mut self, item: u64, in_bytes: u64) -> StageWork;
-}
-
-/// A closure-backed stage, for quick definitions.
-pub struct FnStage<F: FnMut(u64, u64) -> StageWork + Send> {
-    pub label: String,
-    pub f: F,
-}
-
-impl<F: FnMut(u64, u64) -> StageWork + Send> MacroStage for FnStage<F> {
-    fn name(&self) -> String {
-        self.label.clone()
-    }
-
-    fn work(&mut self, item: u64, in_bytes: u64) -> StageWork {
-        (self.f)(item, in_bytes)
-    }
 }
 
 /// Per-stage outcome of a generic run.
@@ -95,8 +67,7 @@ pub struct GenericReport {
     pub energy_joules: f64,
     /// FNV-1a fingerprint of the workload's output (the reconstructed
     /// grid for wavefront runs, the payload-flow profile for declarative
-    /// chains). Zero for the legacy [`run_generic_chain`] side door,
-    /// whose closures the executor cannot fingerprint.
+    /// chains); equal across backends and power plans.
     pub output_digest: u64,
     /// Idle floor (watts) of the cheapest DVFS state the run visited —
     /// the same floor the energy-identity invariant checks against.
@@ -119,128 +90,6 @@ impl GenericReport {
         self.stages.iter().find(|s| s.name == name)
     }
 }
-
-/// Run a linear chain of stages over `items` work items of
-/// `source_bytes` initial payload each, on consecutive SCC cores chosen
-/// by `arrangement`, using the same rendezvous semantics as the paper's
-/// rendering pipeline. The last stage's output is delivered off-chip.
-///
-/// Soft deprecated: this side door predates the workload plane and skips
-/// the power plane, telemetry, auto-placement, and invariant checking.
-/// Declare the chain as a [`crate::spec::GenericChainSpec`] in
-/// [`RunConfig::workload`](crate::spec::RunConfig) and call
-/// [`crate::run`] instead; this entry remains for closure-defined
-/// stages whose work cannot be written as an affine spec.
-pub fn run_generic_chain(
-    mut platform: SccPlatform,
-    stages: &mut [Box<dyn MacroStage>],
-    arrangement: Arrangement,
-    items: u64,
-    source_bytes: u64,
-) -> GenericReport {
-    assert!(!stages.is_empty(), "empty pipeline");
-    assert!(
-        stages.len() <= 48,
-        "more stages ({}) than SCC cores",
-        stages.len()
-    );
-    assert!(items >= 1);
-
-    // Stage -> core mapping: sequential ids (unordered) or one core per
-    // tile along rows (ordered / flipped).
-    let cores: Vec<CoreId> = match arrangement {
-        Arrangement::Unordered => (0..stages.len() as u8).map(CoreId::new).collect(),
-        Arrangement::Ordered | Arrangement::Flipped => {
-            let mut v = Vec::with_capacity(stages.len());
-            for (k, _) in stages.iter().enumerate() {
-                let row = (k / 6) as u8;
-                let col_raw = (k % 6) as u8;
-                let col = if arrangement == Arrangement::Flipped && row % 2 == 1 {
-                    5 - col_raw
-                } else {
-                    col_raw
-                };
-                let slot = row / 4;
-                v.push(CoreId::new(
-                    scc_sim::TileId::from_xy(col, row % 4).raw() * 2 + slot,
-                ));
-            }
-            v
-        }
-    };
-    platform.set_spinning(cores.clone());
-
-    let n = stages.len();
-    let mut free = vec![SimTime::ZERO; n];
-    let mut busy = vec![SimTime::ZERO; n];
-    let mut idle: Vec<Vec<SimTime>> = vec![Vec::new(); n];
-    let mut finish = SimTime::ZERO;
-
-    for item in 0..items {
-        // Arrival of the item's payload at stage 0: items appear at the
-        // source as fast as stage 0 can take them.
-        let mut avail = free[0];
-        let mut in_bytes = source_bytes;
-        for (j, stage) in stages.iter_mut().enumerate() {
-            let core = cores[j];
-            idle[j].push(avail.saturating_sub(free[j]));
-            let start = avail.max(free[j]);
-            // Fetch input from this core's partition (stage 0 reads its
-            // source data from its own partition too).
-            let mut t = platform.fetch_from_partition(core, start, in_bytes);
-            let w = stage.work(item, in_bytes);
-            t = platform.compute(core, t, w.cycles as u64);
-            t = platform.mem_stream(core, t, MemOp::Read, w.read_bytes);
-            t = platform.mem_stream(core, t, MemOp::Write, w.write_bytes);
-            platform.record_busy(core, start, t);
-            // Hand over (rendezvous with the next stage's previous item).
-            let resident = if j + 1 < n {
-                let send_start = t.max(free[j + 1]);
-                let r = platform.send_to_partition(core, cores[j + 1], send_start, w.out_bytes);
-                platform.record_busy(core, send_start, r);
-                r
-            } else {
-                let r = platform.chip_to_host(core, t, w.out_bytes);
-                platform.record_busy(core, t, r);
-                r
-            };
-            busy[j] += resident - start;
-            free[j] = resident;
-            avail = resident;
-            in_bytes = w.out_bytes;
-        }
-        finish = avail;
-    }
-
-    let energy = platform.energy_joules(finish);
-    GenericReport {
-        total_secs: finish.as_secs_f64(),
-        items,
-        stages: stages
-            .iter()
-            .enumerate()
-            .map(|(j, s)| GenericStageReport {
-                name: s.name(),
-                core_id: cores[j].raw(),
-                busy_secs: busy[j].as_secs_f64(),
-                idle_ms: Quartiles::from_times(&idle[j]),
-                utilisation: busy[j].as_secs_f64() / finish.as_secs_f64().max(1e-12),
-            })
-            .collect(),
-        mean_power: energy / finish.as_secs_f64().max(1e-12),
-        energy_joules: energy,
-        output_digest: 0,
-        scc_idle_power: platform.idle_power_for(platform.dvfs()),
-        dvfs_decisions: Vec::new(),
-        telemetry: None,
-    }
-}
-
-// ---------------------------------------------------------------------
-// The spec-driven workload plane: `RunConfig::workload` resolved to a
-// pure per-(stage, item) work table and executed by either virtual-time
-// backend with the full run machinery.
-// ---------------------------------------------------------------------
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -443,166 +292,39 @@ pub(crate) fn island_major_core(k: usize) -> CoreId {
     CoreId::new(tile.raw() * 2 + (k / 24) as u8)
 }
 
-/// Apply the static power plan (if any) and arm the governor (if any).
-/// Returns the governor and the epoch length in items (`u64::MAX` under
-/// a static plan, so the epoch branch never fires).
-fn arm_power_plane(cfg: &RunConfig, platform: &mut SccPlatform) -> (Option<Governor>, u64) {
-    match &cfg.power {
-        PowerConfig::Static(pairs) => {
-            if !pairs.is_empty() {
-                let mut state = platform.dvfs().clone();
-                for (core, freq) in pairs {
-                    state.set_core_tile(*core, *freq);
-                }
-                platform.apply_dvfs(&state);
-            }
-            (None, u64::MAX)
-        }
-        PowerConfig::Governed(tuning) => {
-            let gov = Governor::new(
-                tuning.clone(),
-                platform.power_calibration().clone(),
-                platform.dvfs().clone(),
-            );
-            // Every chain stage is a station; there is no render core to
-            // protect.
-            (Some(gov), tuning.epoch_frames as u64)
-        }
-    }
-}
-
-/// The frame-major flavor of the workload plane: items stream through
-/// the stage groups in item-major order, exactly like the legacy chain
-/// loop, plus the power plane, epoch-sampled governor, telemetry, and
-/// invariant checking.
-pub(crate) fn run_workload_sim(cfg: &RunConfig) -> GenericReport {
-    let chain = ResolvedChain::resolve(cfg);
-    let groups = plan_groups(&chain, cfg.auto_place);
-    let mut platform = SccPlatform::new(SccConfig::default());
-    let tel = TelemetrySink::from_enabled(cfg.telemetry);
-    let (mut governor, epoch_items) = arm_power_plane(cfg, &mut platform);
-    let cores: Vec<CoreId> = (0..groups.len()).map(island_major_core).collect();
-    platform.set_spinning(cores.clone());
-
-    let n = groups.len();
-    let mut free = vec![SimTime::ZERO; n];
-    let mut busy = vec![SimTime::ZERO; n];
-    let mut idle: Vec<Vec<SimTime>> = vec![Vec::new(); n];
-    let mut finish = SimTime::ZERO;
-    let mut dvfs_schedule: Vec<(SimTime, DvfsState)> =
-        vec![(SimTime::ZERO, platform.dvfs().clone())];
-    let mut pending_dvfs: VecDeque<(u64, DvfsState)> = VecDeque::new();
-    let mut epoch_mark = SimTime::ZERO;
-    let mut epoch_idle = vec![SimTime::ZERO; n];
-
-    for item in 0..chain.items {
-        if let Some((at, _)) = pending_dvfs.front() {
-            if *at == item {
-                let (_, state) = pending_dvfs.pop_front().expect("front checked");
-                platform.apply_dvfs(&state);
-                // The boundary on the virtual timeline is the previous
-                // item's off-chip delivery, the same instant the epoch
-                // accounting closed on.
-                dvfs_schedule.push((finish, state));
-            }
-        }
-        let mut avail = free[0];
-        for (g, range) in groups.iter().enumerate() {
-            let core = cores[g];
-            let wait = avail.saturating_sub(free[g]);
-            idle[g].push(wait);
-            epoch_idle[g] += wait;
-            let start = avail.max(free[g]);
-            let mut t =
-                platform.fetch_from_partition(core, start, chain.in_bytes(range.start, item));
-            let mut out = 0u64;
-            for j in range.clone() {
-                let w = chain.work(j, item);
-                t = platform.compute(core, t, w.cycles as u64);
-                if w.read_bytes > 0 {
-                    t = platform.mem_stream(core, t, MemOp::Read, w.read_bytes);
-                }
-                if w.write_bytes > 0 {
-                    t = platform.mem_stream(core, t, MemOp::Write, w.write_bytes);
-                }
-                out = w.out_bytes;
-            }
-            platform.record_busy(core, start, t);
-            let resident = if g + 1 < n {
-                let send_start = t.max(free[g + 1]);
-                let r = platform.send_to_partition(core, cores[g + 1], send_start, out);
-                platform.record_busy(core, send_start, r);
-                r
-            } else {
-                let r = platform.chip_to_host(core, t, out);
-                platform.record_busy(core, t, r);
-                r
-            };
-            busy[g] += resident - start;
-            free[g] = resident;
-            avail = resident;
-        }
-        finish = avail;
-
-        if let Some(gov) = governor.as_mut() {
-            if (item + 1) % epoch_items == 0 {
-                let dur = (finish.saturating_sub(epoch_mark)).as_secs_f64();
-                let stations: Vec<StationSample> = (0..n)
-                    .map(|g| {
-                        let frac = if dur > 0.0 {
-                            epoch_idle[g].as_secs_f64() / dur
-                        } else {
-                            0.0
-                        };
-                        StationSample::new(cores[g], frac)
-                    })
-                    .collect();
-                if let Some(state) = gov.observe_epoch(&stations) {
-                    pending_dvfs.push_back((item + 1 + epoch_items, state));
-                }
-                epoch_idle.iter_mut().for_each(|t| *t = SimTime::ZERO);
-                epoch_mark = finish;
-            }
-        }
-    }
-
-    finish_workload_report(
-        cfg,
-        &chain,
-        &groups,
-        &cores,
-        &platform,
-        &tel,
-        &busy,
-        &idle,
-        finish,
-        governor.as_ref(),
-        &dvfs_schedule,
-    )
-}
-
-/// DES event kinds per (group, item) node: the compute half (fetch +
-/// cycles + auxiliary traffic) and the send half (rendezvous handover or
-/// off-chip delivery). Splitting the two keeps the recurrence identical
-/// to the item-major loop — a sender computes as soon as its input and
-/// core are free, then blocks in the send until the receiver drains the
-/// previous item — while the event queue books platform contention in
-/// global time order instead of item-major order.
+/// Event kinds per (group, item) node: the compute half (fetch, cycles,
+/// auxiliary traffic) and the send half (rendezvous handover or
+/// off-chip delivery). A sender computes as soon as its input and core
+/// are free, then blocks in the send until the receiver drains the
+/// previous item.
 const EV_COMPUTE: u8 = 0;
 const EV_SEND: u8 = 1;
 
-/// The event-driven flavor of the workload plane: the same resolved
-/// chain executed as a dependency-counted DES, cross-validating the
-/// frame-major executor. Work, placement, epochs, and the governor's
-/// item-to-frequency mapping are identical by construction; only the
-/// platform booking order differs, so totals agree to contention noise
-/// and the output digest is bit-identical.
-pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
+/// The order the engine pops ready events in — the only thing the two
+/// virtual-time backends disagree on. Work, placement, epochs and the
+/// governor's item-to-frequency mapping are identical by construction;
+/// the platform books contention in pop order, so totals agree to
+/// contention noise while the output digest and the decision trace are
+/// bit-identical.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EventOrder {
+    /// `(item, group, kind)`: every item clears the whole chain before
+    /// the next one starts — the frame-major simulator's order.
+    ItemMajor,
+    /// `(earliest start, item, group, kind)`: global virtual-time order —
+    /// the discrete-event validator's.
+    EarliestStart,
+}
+
+/// Execute `cfg`'s workload: the resolved chain as a dependency-counted
+/// event engine, popping ready events in `order`.
+pub(crate) fn run_workload(cfg: &RunConfig, order: EventOrder) -> GenericReport {
     let chain = ResolvedChain::resolve(cfg);
     let groups = plan_groups(&chain, cfg.auto_place);
     let mut platform = SccPlatform::new(SccConfig::default());
     let tel = TelemetrySink::from_enabled(cfg.telemetry);
-    let (mut governor, epoch_items) = arm_power_plane(cfg, &mut platform);
+    // Every chain stage is a station; there is no render core to shield.
+    let mut power = PowerPlane::arm(cfg, &mut platform, chain.items, []);
     let cores: Vec<CoreId> = (0..groups.len()).map(island_major_core).collect();
     platform.set_spinning(cores.clone());
 
@@ -620,77 +342,54 @@ pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
     let mut indeg = vec![0u8; 2 * n * items];
     for k in 0..items {
         for g in 0..n {
-            indeg[2 * idx(g, k) + EV_COMPUTE as usize] =
-                u8::from(k > 0) + u8::from(g > 0);
-            indeg[2 * idx(g, k) + EV_SEND as usize] =
-                1 + u8::from(g + 1 < n && k > 0);
+            indeg[2 * idx(g, k) + EV_COMPUTE as usize] = u8::from(k > 0) + u8::from(g > 0);
+            indeg[2 * idx(g, k) + EV_SEND as usize] = 1 + u8::from(g + 1 < n && k > 0);
         }
     }
 
     let mut busy = vec![SimTime::ZERO; n];
     let mut idle: Vec<Vec<SimTime>> = vec![Vec::new(); n];
-    // Per-epoch idle accumulators: nodes of epoch e + 1 legally run
-    // before epoch e closes (pipelined lookahead), so idle is bucketed
-    // by the item's epoch rather than accumulated in a single window.
-    let n_epochs = if epoch_items == u64::MAX {
-        0
-    } else {
-        items / epoch_items as usize + 1
-    };
-    let mut epoch_idle: Vec<Vec<SimTime>> = vec![vec![SimTime::ZERO; n]; n_epochs];
-    // Decided DVFS state per epoch; two seed entries cover the control
-    // lag (a decision at the end of epoch e takes effect in e + 2).
-    let mut epoch_states: Vec<DvfsState> = if governor.is_some() {
-        vec![platform.dvfs().clone(), platform.dvfs().clone()]
-    } else {
-        Vec::new()
-    };
-    let mut dvfs_schedule: Vec<(SimTime, DvfsState)> =
-        vec![(SimTime::ZERO, platform.dvfs().clone())];
-    let mut epoch_mark = SimTime::ZERO;
     let mut finish = SimTime::ZERO;
 
-    // Ready events keyed by earliest-start estimate (max of dependency
-    // completion times), tie-broken by (item, group, kind) so the pop
-    // order is total and deterministic.
-    let mut heap: BinaryHeap<Reverse<(SimTime, usize, usize, u8)>> = BinaryHeap::new();
-    heap.push(Reverse((SimTime::ZERO, 0, 0, EV_COMPUTE)));
-
-    let apply_epoch_state = |platform: &mut SccPlatform, epoch_states: &[DvfsState], k: usize| {
-        if epoch_states.is_empty() {
-            return;
-        }
-        let e = k / epoch_items as usize;
-        // Chains deeper than epoch + lag can outrun the decided prefix;
-        // clamping to the newest decision keeps the run legal (and the
-        // convergence suite pins the exact-parity regime).
-        let state = epoch_states.get(e).unwrap_or_else(|| {
-            epoch_states.last().expect("seeded with two entries")
-        });
-        if platform.dvfs() != state {
-            let state = state.clone();
-            platform.apply_dvfs(&state);
-        }
+    // Ready events keyed by `order`'s notion of urgency — the
+    // earliest-start estimate (max of dependency completion times), or
+    // nothing — tie-broken by (item, group, kind) so the pop order is
+    // total and deterministic.
+    let key = |est: SimTime, k: usize, g: usize, kind: u8| {
+        let urgency = match order {
+            EventOrder::ItemMajor => SimTime::ZERO,
+            EventOrder::EarliestStart => est,
+        };
+        Reverse((urgency, k, g, kind))
     };
+    let mut heap: BinaryHeap<Reverse<(SimTime, usize, usize, u8)>> = BinaryHeap::new();
+    heap.push(key(SimTime::ZERO, 0, 0, EV_COMPUTE));
 
     let mut processed = 0usize;
     while let Some(Reverse((_, k, g, kind))) = heap.pop() {
         processed += 1;
         let i = idx(g, k);
         let core = cores[g];
-        apply_epoch_state(&mut platform, &epoch_states, k);
+        power.apply_for_item(&mut platform, k as u64);
         if kind == EV_COMPUTE {
-            let arrival = if g > 0 { send_done[idx(g - 1, k)] } else { SimTime::ZERO };
-            let own_free = if k > 0 { send_done[idx(g, k - 1)] } else { SimTime::ZERO };
+            let arrival = if g > 0 {
+                send_done[idx(g - 1, k)]
+            } else {
+                SimTime::ZERO
+            };
+            let own_free = if k > 0 {
+                send_done[idx(g, k - 1)]
+            } else {
+                SimTime::ZERO
+            };
+            // Items appear at the source as fast as stage 0 takes them.
             let wait = if g > 0 {
                 arrival.saturating_sub(own_free)
             } else {
                 SimTime::ZERO
             };
             idle[g].push(wait);
-            if n_epochs > 0 {
-                epoch_idle[k / epoch_items as usize][g] += wait;
-            }
+            power.note_idle(core, k as u64, wait);
             let range = &groups[g];
             let start = arrival.max(own_free);
             let mut t =
@@ -720,12 +419,16 @@ pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
                 } else {
                     SimTime::ZERO
                 };
-                heap.push(Reverse((t.max(rendezvous), k, g, EV_SEND)));
+                heap.push(key(t.max(rendezvous), k, g, EV_SEND));
             }
         } else {
             let t = comp_done[i];
             let r = if g + 1 < n {
-                let rendezvous = if k > 0 { send_done[idx(g + 1, k - 1)] } else { SimTime::ZERO };
+                let rendezvous = if k > 0 {
+                    send_done[idx(g + 1, k - 1)]
+                } else {
+                    SimTime::ZERO
+                };
                 let send_start = t.max(rendezvous);
                 let r = platform.send_to_partition(core, cores[g + 1], send_start, out_bytes[i]);
                 platform.record_busy(core, send_start, r);
@@ -740,40 +443,7 @@ pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
 
             if g + 1 == n {
                 finish = finish.max(r);
-                // Epoch close: the last group's send of item (e+1)E - 1
-                // transitively depends on every node of epoch e, so the
-                // idle buckets are complete here.
-                if n_epochs > 0 && (k as u64 + 1) % epoch_items == 0 {
-                    let gov = governor.as_mut().expect("epochs imply a governor");
-                    let e = k / epoch_items as usize;
-                    let dur = (r.saturating_sub(epoch_mark)).as_secs_f64();
-                    let stations: Vec<StationSample> = (0..n)
-                        .map(|g| {
-                            let frac = if dur > 0.0 {
-                                epoch_idle[e][g].as_secs_f64() / dur
-                            } else {
-                                0.0
-                            };
-                            StationSample::new(cores[g], frac)
-                        })
-                        .collect();
-                    gov.observe_epoch(&stations);
-                    epoch_states.push(gov.state().clone());
-                    epoch_mark = r;
-                }
-                // Piecewise-energy boundary: record the state the next
-                // item runs under, stamped at this item's delivery (the
-                // same boundary instant the frame-major flavor uses).
-                if !epoch_states.is_empty() && k + 1 < items {
-                    let e_next = (k + 1) / epoch_items as usize;
-                    let next = epoch_states
-                        .get(e_next)
-                        .unwrap_or_else(|| epoch_states.last().expect("seeded"));
-                    let last = &dvfs_schedule.last().expect("seeded").1;
-                    if next != last {
-                        dvfs_schedule.push((r, next.clone()));
-                    }
-                }
+                power.delivered(k as u64, r);
             }
 
             // Enable dependents: own next compute, downstream compute,
@@ -783,8 +453,16 @@ pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
                 indeg[j] -= 1;
                 if indeg[j] == 0 {
                     let est = if kind2 == EV_COMPUTE {
-                        let a = if g2 > 0 { send_done[idx(g2 - 1, k2)] } else { SimTime::ZERO };
-                        let f = if k2 > 0 { send_done[idx(g2, k2 - 1)] } else { SimTime::ZERO };
+                        let a = if g2 > 0 {
+                            send_done[idx(g2 - 1, k2)]
+                        } else {
+                            SimTime::ZERO
+                        };
+                        let f = if k2 > 0 {
+                            send_done[idx(g2, k2 - 1)]
+                        } else {
+                            SimTime::ZERO
+                        };
                         a.max(f)
                     } else {
                         let rv = if g2 + 1 < n && k2 > 0 {
@@ -794,7 +472,7 @@ pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
                         };
                         comp_done[idx(g2, k2)].max(rv)
                     };
-                    heap.push(Reverse((est, k2, g2, kind2)));
+                    heap.push(key(est, k2, g2, kind2));
                 }
             };
             if k + 1 < items {
@@ -808,26 +486,16 @@ pub(crate) fn run_workload_des(cfg: &RunConfig) -> GenericReport {
             }
         }
     }
-    assert_eq!(processed, 2 * n * items, "DES drained every event");
+    assert_eq!(processed, 2 * n * items, "the engine drained every event");
 
     finish_workload_report(
-        cfg,
-        &chain,
-        &groups,
-        &cores,
-        &platform,
-        &tel,
-        &busy,
-        &idle,
-        finish,
-        governor.as_ref(),
-        &dvfs_schedule,
+        cfg, &chain, &groups, &cores, &platform, &tel, &busy, &idle, finish, &power,
     )
 }
 
-/// Shared tail of both workload executors: energy accounting (piecewise
-/// when the governor moved a frequency), telemetry rollups, the report,
-/// and — behind `cfg.verify` — the invariant checker.
+/// The engine's tail: energy accounting (piecewise when the governor
+/// moved a frequency), telemetry rollups, the report, and — behind
+/// `cfg.verify` — the invariant checker.
 #[allow(clippy::too_many_arguments)]
 fn finish_workload_report(
     cfg: &RunConfig,
@@ -839,24 +507,10 @@ fn finish_workload_report(
     busy: &[SimTime],
     idle: &[Vec<SimTime>],
     finish: SimTime,
-    governor: Option<&Governor>,
-    dvfs_schedule: &[(SimTime, DvfsState)],
+    power: &PowerPlane,
 ) -> GenericReport {
     let total = finish.as_secs_f64();
-    let (energy, idle_floor) = if dvfs_schedule.len() > 1 {
-        (
-            platform.energy_joules_piecewise(dvfs_schedule, finish),
-            dvfs_schedule
-                .iter()
-                .map(|(_, s)| platform.idle_power_for(s))
-                .fold(f64::INFINITY, f64::min),
-        )
-    } else {
-        (
-            platform.energy_joules(finish),
-            platform.idle_power_for(platform.dvfs()),
-        )
-    };
+    let totals = power.finish(platform, finish, tel);
     let group_names: Vec<String> = groups
         .iter()
         .map(|r| chain.names[r.clone()].join("+"))
@@ -886,39 +540,20 @@ fn finish_workload_report(
         }
         tel.count(names::FRAMES_TOTAL, &[], chain.items);
         tel.gauge(names::WALKTHROUGH_SECONDS, &[], total);
-        tel.gauge(names::ENERGY_JOULES, &[], energy);
         let stats = platform.stats();
         tel.count(names::NOC_MESSAGES_TOTAL, &[], stats.noc_messages);
         tel.count(names::NOC_BYTES_TOTAL, &[], stats.noc_bytes);
-        if let Some(gov) = governor {
-            tel.count(names::DVFS_EPOCHS_TOTAL, &[], gov.epochs() as u64);
-            tel.count(names::DVFS_RAISES_TOTAL, &[], gov.raises() as u64);
-            tel.count(names::DVFS_THROTTLES_TOTAL, &[], gov.throttles() as u64);
-            tel.count(names::DVFS_CAP_BLOCKS_TOTAL, &[], gov.cap_blocks() as u64);
-            let last = &dvfs_schedule.last().expect("seeded").1;
-            for tile in scc_sim::TileId::all() {
-                let freq = last.tile_freq(tile);
-                if freq != scc_sim::FreqMHz::F533 {
-                    let label = tile.raw().to_string();
-                    tel.gauge(
-                        names::DVFS_TILE_FREQ_MHZ,
-                        &[("tile", &label)],
-                        freq.mhz() as f64,
-                    );
-                }
-            }
-        }
     }
 
     let report = GenericReport {
         total_secs: total,
         items: chain.items,
         stages,
-        mean_power: energy / total.max(1e-12),
-        energy_joules: energy,
+        mean_power: totals.energy_joules / total.max(1e-12),
+        energy_joules: totals.energy_joules,
         output_digest: chain.output_digest,
-        scc_idle_power: idle_floor,
-        dvfs_decisions: governor.map(|g| g.decisions().to_vec()).unwrap_or_default(),
+        scc_idle_power: totals.idle_floor_watts,
+        dvfs_decisions: power.decisions(),
         telemetry: tel.snapshot(),
     };
     if cfg.verify {
@@ -934,41 +569,48 @@ fn finish_workload_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scc_sim::SccConfig;
+    use crate::spec::{
+        GenericChainSpec, GenericStageSpec, GovernorTuning, PowerConfig, WavefrontSpec,
+    };
 
     /// A stage doing `mcycles` million cycles per item, passing payload
     /// through unchanged.
-    fn fixed(label: &str, mcycles: f64, bytes: u64) -> Box<dyn MacroStage> {
-        Box::new(FnStage {
-            label: label.to_string(),
-            f: move |_, _| StageWork {
-                cycles: mcycles * 1e6,
-                read_bytes: 0,
-                write_bytes: 0,
-                out_bytes: bytes,
-            },
+    fn fixed(label: &str, mcycles: f64) -> GenericStageSpec {
+        GenericStageSpec {
+            fixed_cycles: mcycles * 1e6,
+            ..GenericStageSpec::compute(label, 0.0)
+        }
+    }
+
+    fn chain_of(stages: Vec<GenericStageSpec>, items: u64, source_bytes: u64) -> Workload {
+        Workload::Generic(GenericChainSpec {
+            stages,
+            items,
+            source_bytes,
         })
     }
 
-    fn run(stages: &mut [Box<dyn MacroStage>], items: u64) -> GenericReport {
-        run_generic_chain(
-            SccPlatform::new(SccConfig::default()),
-            stages,
-            Arrangement::Ordered,
-            items,
-            64 * 1024,
-        )
+    /// Through the one front door, on the frame-major backend.
+    fn run(workload: Workload) -> GenericReport {
+        let cfg = RunConfig::builder()
+            .workload(workload)
+            .build()
+            .expect("valid chain config");
+        match crate::run(&cfg, crate::Backend::Sim).report {
+            crate::BackendReport::Generic(r) => r,
+            _ => unreachable!("workload runs produce a generic report"),
+        }
     }
 
     #[test]
     fn throughput_is_set_by_the_bottleneck() {
         // Stages of 10/50/10 Mcycles at 533 MHz: bottleneck ≈ 93.8 ms.
-        let mut stages = vec![
-            fixed("light-a", 10.0, 64 * 1024),
-            fixed("heavy", 50.0, 64 * 1024),
-            fixed("light-b", 10.0, 64 * 1024),
+        let stages = vec![
+            fixed("light-a", 10.0),
+            fixed("heavy", 50.0),
+            fixed("light-b", 10.0),
         ];
-        let r = run(&mut stages, 100);
+        let r = run(chain_of(stages, 100, 64 * 1024));
         let per_item = r.total_secs / 100.0;
         let bottleneck = 50.0e6 / 533.0e6;
         assert!(
@@ -992,13 +634,8 @@ mod tests {
 
     #[test]
     fn pipelining_beats_serial_execution() {
-        let mk = || -> Vec<Box<dyn MacroStage>> {
-            (0..6)
-                .map(|i| fixed(&format!("s{i}"), 20.0, 32 * 1024))
-                .collect()
-        };
-        let mut chain = mk();
-        let pipelined = run(&mut chain, 50).total_secs;
+        let stages = (0..6).map(|i| fixed(&format!("s{i}"), 20.0)).collect();
+        let pipelined = run(chain_of(stages, 50, 32 * 1024)).total_secs;
         // Serial: one item through all 6 stages before the next starts =
         // 6 × 20 Mcycles per item.
         let serial = 50.0 * 6.0 * 20.0e6 / 533.0e6;
@@ -1009,73 +646,34 @@ mod tests {
     }
 
     #[test]
-    fn arrangement_does_not_matter_here_either() {
-        // The paper's finding generalises: handovers go through DRAM, so
-        // physical placement is irrelevant for a generic chain too.
-        let mut results = Vec::new();
-        for arr in Arrangement::all() {
-            let mut stages: Vec<Box<dyn MacroStage>> = (0..8)
-                .map(|i| fixed(&format!("s{i}"), 15.0, 128 * 1024))
-                .collect();
-            let r = run_generic_chain(
-                SccPlatform::new(SccConfig::default()),
-                &mut stages,
-                arr,
-                40,
-                128 * 1024,
-            );
-            results.push(r.total_secs);
-        }
-        let min = results.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = results.iter().cloned().fold(0.0, f64::max);
-        assert!(
-            (max - min) / min < 0.06,
-            "arrangement spread too large: {results:?}"
-        );
-    }
-
-    #[test]
     fn payload_size_flows_through_the_chain() {
         // A compressor stage shrinks the payload; downstream fetches get
         // cheaper, so a shrinking chain beats an identity chain.
-        let mut shrink: Vec<Box<dyn MacroStage>> = vec![
-            fixed("produce", 5.0, 512 * 1024),
-            Box::new(FnStage {
-                label: "compress".into(),
-                f: |_, inb| StageWork {
-                    cycles: 8.0e6,
-                    read_bytes: 0,
-                    write_bytes: 0,
-                    out_bytes: inb / 8,
+        let chain = |compress_out: f64| {
+            let stages = vec![
+                fixed("produce", 5.0),
+                GenericStageSpec {
+                    out_factor: compress_out,
+                    ..fixed("compress", 8.0)
                 },
-            }),
-            Box::new(FnStage {
-                label: "sink".into(),
-                f: |_, inb| StageWork {
-                    cycles: 2.0e6,
-                    read_bytes: 0,
-                    write_bytes: 0,
-                    out_bytes: inb,
-                },
-            }),
-        ];
-        let mut identity: Vec<Box<dyn MacroStage>> = vec![
-            fixed("produce", 5.0, 512 * 1024),
-            fixed("compress", 8.0, 512 * 1024),
-            fixed("sink", 2.0, 512 * 1024),
-        ];
-        let a = run(&mut shrink, 60).total_secs;
-        let b = run(&mut identity, 60).total_secs;
+                fixed("sink", 2.0),
+            ];
+            run(chain_of(stages, 60, 512 * 1024))
+        };
+        let shrink = chain(1.0 / 8.0);
+        let identity = chain(1.0);
+        assert_ne!(shrink.output_digest, identity.output_digest);
         assert!(
-            a < b,
-            "shrinking payload ({a:.2}s) must beat identity ({b:.2}s)"
+            shrink.total_secs < identity.total_secs,
+            "shrinking payload ({:.2}s) must beat identity ({:.2}s)",
+            shrink.total_secs,
+            identity.total_secs
         );
     }
 
     #[test]
     fn reports_are_complete_and_positive() {
-        let mut stages = vec![fixed("only", 30.0, 1024)];
-        let r = run(&mut stages, 10);
+        let r = run(chain_of(vec![fixed("only", 30.0)], 10, 1024));
         assert_eq!(r.items, 10);
         assert_eq!(r.stages.len(), 1);
         assert!(r.throughput() > 0.0);
@@ -1084,14 +682,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty pipeline")]
+    #[should_panic(expected = "generic chain has no stages")]
     fn rejects_empty_chain() {
-        run(&mut [], 1);
+        let empty = GenericChainSpec {
+            stages: Vec::new(),
+            items: 1,
+            source_bytes: 1024,
+        };
+        assert!(empty.validate().is_err());
+        // The front door refuses it too (it validates before running).
+        let cfg = RunConfig {
+            workload: Workload::Generic(empty),
+            ..RunConfig::default()
+        };
+        crate::run(&cfg, crate::Backend::Sim);
     }
 
-    // --- the spec-driven workload plane ------------------------------
-
-    use crate::spec::{GenericChainSpec, GenericStageSpec, GovernorTuning, WavefrontSpec};
+    // --- the workload engine ------------------------------------------
 
     fn chain_cfg() -> RunConfig {
         RunConfig::builder()
@@ -1203,8 +810,8 @@ mod tests {
     #[test]
     fn workload_backends_agree_on_output_and_disagree_only_in_noise() {
         for cfg in [chain_cfg(), wavefront_cfg(false)] {
-            let sim = run_workload_sim(&cfg);
-            let des = run_workload_des(&cfg);
+            let sim = run_workload(&cfg, EventOrder::ItemMajor);
+            let des = run_workload(&cfg, EventOrder::EarliestStart);
             assert_eq!(sim.output_digest, des.output_digest);
             assert_eq!(sim.items, des.items);
             assert!(sim.dvfs_decisions.is_empty());
@@ -1223,28 +830,50 @@ mod tests {
     #[test]
     fn governed_wavefront_matches_across_backends() {
         let cfg = wavefront_cfg(true);
-        let sim = run_workload_sim(&cfg);
-        let des = run_workload_des(&cfg);
+        let sim = run_workload(&cfg, EventOrder::ItemMajor);
+        let des = run_workload(&cfg, EventOrder::EarliestStart);
         // The governor must act, identically under both schedules, and
         // the workload output must not notice the frequency moves.
         assert!(!sim.dvfs_decisions.is_empty(), "governor never acted");
         assert_eq!(sim.dvfs_decisions, des.dvfs_decisions);
         assert_eq!(sim.output_digest, des.output_digest);
-        let stat = run_workload_sim(&wavefront_cfg(false));
+        let stat = run_workload(&wavefront_cfg(false), EventOrder::ItemMajor);
         assert_eq!(sim.output_digest, stat.output_digest);
         assert!(crate::invariant::check_generic_report(&sim).is_empty());
         assert!(crate::invariant::check_generic_report(&des).is_empty());
     }
 
     #[test]
+    fn both_event_orders_agree_on_digest_decisions_and_time() {
+        // One engine, two pop orders: the governed chain and the governed
+        // wavefront must not notice which one ran them, beyond the
+        // platform's booking-order contention noise.
+        let mut chain = chain_cfg();
+        chain.power = PowerConfig::Governed(GovernorTuning::default());
+        for cfg in [chain, wavefront_cfg(true)] {
+            let a = run_workload(&cfg, EventOrder::ItemMajor);
+            let b = run_workload(&cfg, EventOrder::EarliestStart);
+            assert_eq!(a.output_digest, b.output_digest);
+            assert_eq!(a.dvfs_decisions, b.dvfs_decisions);
+            assert!(!a.dvfs_decisions.is_empty());
+            let diff = (a.total_secs - b.total_secs).abs() / a.total_secs;
+            assert!(
+                diff < 0.03,
+                "{}: {:.2}% apart",
+                cfg.workload.name(),
+                diff * 100.0
+            );
+        }
+    }
+
+    #[test]
     fn static_power_plan_changes_the_workload_timeline() {
-        let base = run_workload_sim(&chain_cfg());
+        let base = run_workload(&chain_cfg(), EventOrder::ItemMajor);
         let mut throttled = chain_cfg();
         // Slow the bottleneck group's core (group 1 -> island 1).
         let core = island_major_core(1);
-        throttled.power =
-            PowerConfig::Static(vec![(core, scc_sim::FreqMHz::F400)]);
-        let slow = run_workload_sim(&throttled);
+        throttled.power = PowerConfig::Static(vec![(core, scc_sim::FreqMHz::F400)]);
+        let slow = run_workload(&throttled, EventOrder::ItemMajor);
         assert!(slow.total_secs > base.total_secs * 1.05);
         assert_eq!(slow.output_digest, base.output_digest);
     }

@@ -44,6 +44,7 @@ pub mod metrics;
 pub mod partition;
 pub mod placement;
 pub mod pool;
+pub(crate) mod power_plane;
 pub mod reference;
 pub mod runner;
 pub mod spec;
@@ -58,10 +59,7 @@ pub use baseline::{run_baseline, BaselineReport};
 pub use cost::CostModel;
 pub use facade::{default_scene, run, run_with_scene, Backend, BackendReport, RunOutcome};
 pub use frame::Frame;
-pub use generic::{
-    run_generic_chain, FnStage, GenericReport, GenericStageReport, MacroStage, StageWork,
-    WAVEFRONT_STAGES,
-};
+pub use generic::{GenericReport, GenericStageReport, StageWork, WAVEFRONT_STAGES};
 pub use governor::{
     adjacent_steps, replay_decisions, Governor, GovernorAction, GovernorDecision, StationSample,
 };
@@ -80,7 +78,7 @@ pub use placement::{place, place_dvfs_single_pipeline, Placement, ReplicaSlot};
 pub use pool::{BufferPool, PoolStats};
 pub use runner::des::{run_des, DesReport};
 pub use runner::native::{run_native, NativeReport};
-pub use runner::sim::{DvfsPlan, SimRunner};
+pub use runner::sim::SimRunner;
 pub use spec::{
     Arrangement, FaultSpec, Fidelity, FuseChoice, GenericChainSpec, GenericStageSpec,
     GovernorTuning, KernelChoice, KillSpec, NativeTuning, PowerConfig, RendererMode, RunConfig,

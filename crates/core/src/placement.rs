@@ -77,6 +77,12 @@ impl Placement {
         v
     }
 
+    /// The cores that feed the pipelines (renderers, the MCPC connector):
+    /// placed and working, but never idle-sampled as stations.
+    pub(crate) fn source_cores(&self) -> impl Iterator<Item = CoreId> + '_ {
+        self.renderers.iter().copied().chain(self.connector)
+    }
+
     /// Replica cores of stage `j` in lane `lane` beyond the primary
     /// (empty for fixed placements).
     pub fn replica_extras(&self, lane: u32, stage: usize) -> &[CoreId] {

@@ -16,10 +16,12 @@
 //! bugs. (Single-renderer configurations only — enough to exercise every
 //! rendezvous pattern: fan-out, chains, fan-in.)
 
-use crate::cost::{CostModel, RenderWork};
+use super::source::FilmSource;
+use crate::cost::CostModel;
 use crate::metrics::RecoveryEvent;
 use crate::partition::StagePlan;
 use crate::placement::Placement;
+use crate::power_plane::PowerPlane;
 use crate::spec::{Fidelity, RendererMode, RunConfig, StageKind};
 use crate::supervise::{resolve_kills, Supervisor, STAGE_PROVISION_BYTES};
 use scc_filters::{Blur, Flicker, Image, ImageFilter, Scratch, Sepia, VSwap};
@@ -113,48 +115,11 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
     let plan: StagePlan = crate::partition::plan_for(cfg);
     let mut spinning = placement.all_cores();
     platform.set_spinning(spinning.clone());
-    // ---- power plane ----
-    // Static pairs pin the operating point up front; the governed plane
-    // closes the loop on the event timeline with the same control law and
-    // epoch mapping as the frame-major executor: epoch `e` covers frames
-    // [eE, (e+1)E), is observed when its last transfer completes, and its
-    // decision takes effect at epoch `e + 2` — always already decided by
-    // the time the pipelined lookahead reaches those frames.
-    if let crate::spec::PowerConfig::Static(pairs) = &cfg.power {
-        for (core, freq) in pairs {
-            platform.set_core_frequency(*core, *freq);
-        }
-    }
-    let epoch_frames = match &cfg.power {
-        crate::spec::PowerConfig::Governed(t) => t.epoch_frames as u64,
-        crate::spec::PowerConfig::Static(_) => u64::MAX,
-    };
-    let mut governor = match &cfg.power {
-        crate::spec::PowerConfig::Governed(t) => Some(
-            crate::governor::Governor::new(
-                t.clone(),
-                platform.power_calibration().clone(),
-                platform.dvfs().clone(),
-            )
-            .protect(placement.renderers.iter().copied().chain(placement.connector)),
-        ),
-        crate::spec::PowerConfig::Static(_) => None,
-    };
-    // epoch_states[e] = the DVFS state in force for epoch e's frames;
-    // epochs 0 and 1 run on the initial state, observation of epoch e
-    // appends the state for epoch e + 2. Frames past the last decided
-    // epoch clamp to the newest state.
-    let mut epoch_states: Vec<scc_sim::DvfsState> = if governor.is_some() {
-        vec![platform.dvfs().clone(), platform.dvfs().clone()]
-    } else {
-        Vec::new()
-    };
-    let mut dvfs_schedule: Vec<(SimTime, scc_sim::DvfsState)> =
-        vec![(SimTime::ZERO, platform.dvfs().clone())];
-    let mut epoch_mark = SimTime::ZERO;
-    // Per-epoch, per-station idle seconds — filled by filter and transfer
-    // nodes as they execute (out of frame order), read at epoch close.
-    let mut idle_by_epoch: HashMap<u64, HashMap<u8, f64>> = HashMap::new();
+    // The governed plane closes the loop on the event timeline with the
+    // frame-major executor's control law and epoch mapping (one shared
+    // power plane): a frame's state is always already decided by the
+    // time the pipelined lookahead reaches it.
+    let mut power = PowerPlane::arm(cfg, &mut platform, cfg.frames, placement.source_cores());
     // Supervision: the DES validator models *supervised fail-stop kills*
     // only — message-level faults, stalls, and the spare-exhausted
     // degradation fallback are the frame-major executor's domain.
@@ -203,6 +168,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
     // and the DES timeline is bit-identical to pre-telemetry builds.
     let tel = TelemetrySink::from_enabled(cfg.telemetry);
     let renderer = Renderer::new(scene);
+    let mut source = FilmSource::new(cfg, &placement);
     let walkthrough = Walkthrough::standard(cfg.width as f32 / cfg.height as f32);
     let impls: [Box<dyn ImageFilter>; 5] = [
         Box::new(Sepia),
@@ -349,48 +315,22 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
     let mut finish = SimTime::ZERO;
     let mut executed = 0usize;
     while let Some((_, node)) = queue.pop() {
-        // Governed runs look the frequency up per node: the platform
-        // reads the DVFS state at call time, so setting the node's epoch
-        // state here gives every (stage, frame) the same work-to-frequency
-        // mapping the frame-major executor applies at epoch boundaries.
-        if !epoch_states.is_empty() {
-            let f = match node {
-                Node::Render(f) | Node::Filter(_, _, f) | Node::Transfer(f) => f,
-            };
-            let e = (f / epoch_frames) as usize;
-            let s = epoch_states
-                .get(e)
-                .unwrap_or_else(|| epoch_states.last().expect("seeded with two epochs"));
-            platform.apply_dvfs(s);
-        }
+        // The platform reads the DVFS state at call time, so every
+        // (stage, frame) gets the work-to-frequency mapping the
+        // frame-major executor applies at epoch boundaries.
+        let (Node::Render(f) | Node::Filter(_, _, f) | Node::Transfer(f)) = node;
+        power.apply_for_item(&mut platform, f);
         match node {
             Node::Render(f) => {
+                // The source ledger's clock is `start_of` this node: it
+                // was left at the previous frame's last send.
                 let cam = walkthrough.camera(f);
-                let core = placement.renderers[0];
-                let (_, cull, coverage) =
-                    renderer.cull_strip(&cam, cfg.width, cfg.height, 0, cfg.height);
-                let work = RenderWork {
-                    nodes_visited: cull.nodes_visited,
-                    triangles_out: cull.triangles_out,
-                    est_coverage: coverage,
-                };
-                let mut t = start_of(node, &facts, &arrivals);
-                let t0 = t;
-                t = platform.mem_raw(core, t, MemOp::Read, cost.render_scene_bytes(&work));
-                let cycles =
-                    cost.render_cycles(&work, false) + cost.split_cycles(full_px, cfg.pipelines);
-                t = platform.compute(core, t, cycles as u64);
-                t = platform.mem_stream(core, t, MemOp::Write, full_bytes);
-                platform.record_busy(core, t0, t);
-                if full_fidelity {
-                    let (img, _) = renderer.render_full(&cam, cfg.width, cfg.height);
-                    for (info, strip) in img.split_strips(cfg.pipelines) {
-                        strip_images.insert((info.index as usize, f), strip);
-                    }
-                }
+                let lowered = source.lower(&cost, &renderer, &cam, &mut platform, f, 0);
+                let core = lowered.core;
+                let mut t = lowered.ready;
                 let r0 = u64::from(plan.replicas_of(0));
-                for (i, (_, h)) in bounds.iter().enumerate() {
-                    let bytes = cfg.width as u64 * *h as u64 * 4;
+                for frame in lowered.strips {
+                    let i = frame.strip.index as usize;
                     let dst = reps[i][0][(f % r0) as usize];
                     let recv_free = if f < r0 {
                         SimTime::ZERO
@@ -398,11 +338,16 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                         facts[&Node::Filter(i, 0, f - r0)].free
                     };
                     let send_start = t.max(recv_free);
-                    let resident = platform.send_to_partition(core, dst, send_start, bytes);
+                    let resident =
+                        platform.send_to_partition(core, dst, send_start, frame.byte_len());
                     platform.record_busy(core, send_start, resident);
                     arrivals.insert(Node::Filter(i, 0, f), resident);
+                    if let Some(strip) = frame.image {
+                        strip_images.insert((i, f), strip);
+                    }
                     t = resident;
                 }
+                source.commit(0, t);
                 facts.insert(node, Facts { free: t, _done: t });
             }
             Node::Filter(i, j, f) => {
@@ -414,34 +359,26 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                 let (_, h) = bounds[i];
                 let bytes = cfg.width as u64 * h as u64 * 4;
                 let mut start = start_of(node, &facts, &arrivals);
-                if tel.is_enabled() || governor.is_some() {
-                    let own_free = if merged_prev {
-                        // Same-core input: the stage was never idle, it
-                        // picked the strip up the instant it appeared.
-                        start
-                    } else if f < r {
-                        SimTime::ZERO
-                    } else {
-                        facts[&Node::Filter(i, plan.last_of_group(j), f - r)].free
-                    };
-                    let idle = start.saturating_sub(own_free);
-                    if tel.is_enabled() {
-                        let pl = i.to_string();
-                        tel.observe(
-                            names::STAGE_IDLE_MS,
-                            &[("pipeline", pl.as_str()), ("stage", kind.name())],
-                            IDLE_MS_BUCKETS,
-                            idle.as_secs_f64() * 1e3,
-                        );
-                    }
-                    if governor.is_some() {
-                        *idle_by_epoch
-                            .entry(f / epoch_frames)
-                            .or_default()
-                            .entry(core.raw())
-                            .or_insert(0.0) += idle.as_secs_f64();
-                    }
+                let own_free = if merged_prev {
+                    // Same-core input: the stage was never idle, it
+                    // picked the strip up the instant it appeared.
+                    start
+                } else if f < r {
+                    SimTime::ZERO
+                } else {
+                    facts[&Node::Filter(i, plan.last_of_group(j), f - r)].free
+                };
+                let idle = start.saturating_sub(own_free);
+                if tel.is_enabled() {
+                    let pl = i.to_string();
+                    tel.observe(
+                        names::STAGE_IDLE_MS,
+                        &[("pipeline", pl.as_str()), ("stage", kind.name())],
+                        IDLE_MS_BUCKETS,
+                        idle.as_secs_f64() * 1e3,
+                    );
                 }
+                power.note_idle(core, f, idle);
                 if let Some(kill_at) = kill_time(&kills, core).filter(|&k| k <= start) {
                     // Fail-stop observed with the strip already resident:
                     // detect via the heartbeat path, provision the next
@@ -600,13 +537,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                         cycle_start.saturating_sub(own_free).as_secs_f64() * 1e3,
                     );
                 }
-                if governor.is_some() {
-                    *idle_by_epoch
-                        .entry(f / epoch_frames)
-                        .or_default()
-                        .entry(core.raw())
-                        .or_insert(0.0) += cycle_start.saturating_sub(own_free).as_secs_f64();
-                }
+                power.note_idle(core, f, cycle_start.saturating_sub(own_free));
                 let mut t = own_free;
                 for (i, &a) in arr.iter().enumerate() {
                     let strip_bytes = cfg.width as u64 * bounds[i].1 as u64 * 4;
@@ -643,44 +574,9 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                     },
                 );
                 finish = t_out;
-
-                // ---- governed power plane: end-of-epoch observation ----
                 // The epoch's last transfer is its close: every filter
-                // node of its frames has already executed (they are all
-                // transitive dependencies), so the idle bucket is full.
-                if let Some(gov) = governor.as_mut() {
-                    if (f + 1) % epoch_frames == 0 {
-                        let e = f / epoch_frames;
-                        let dur = (t_out - epoch_mark).as_secs_f64();
-                        let bucket = idle_by_epoch.remove(&e).unwrap_or_default();
-                        let mut by_core: Vec<(u8, f64)> = bucket.into_iter().collect();
-                        by_core.sort_by_key(|(c, _)| *c);
-                        let stations: Vec<crate::governor::StationSample> = if dur > 0.0 {
-                            by_core
-                                .into_iter()
-                                .map(|(c, idle)| {
-                                    crate::governor::StationSample::new(CoreId::new(c), idle / dur)
-                                })
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        gov.observe_epoch(&stations);
-                        // The decision from epoch e governs epoch e + 2.
-                        epoch_states.push(gov.state().clone());
-                        // Epoch e + 1's (already decided) state takes
-                        // force at this boundary on the virtual timeline.
-                        let e_next = ((f + 1) / epoch_frames) as usize;
-                        let active = epoch_states
-                            .get(e_next)
-                            .unwrap_or_else(|| epoch_states.last().expect("just pushed"))
-                            .clone();
-                        if active != dvfs_schedule.last().expect("seeded at zero").1 {
-                            dvfs_schedule.push((t_out, active));
-                        }
-                        epoch_mark = t_out;
-                    }
-                }
+                // node of its frames is a transitive dependency.
+                power.delivered(f, t_out);
             }
         }
         executed += 1;
@@ -690,11 +586,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                 let c = pending.get_mut(&d).expect("known node");
                 *c -= 1;
                 if *c == 0 {
-                    let at = match d {
-                        // Filters need their arrival before start_of works.
-                        Node::Filter(..) => start_of(d, &facts, &arrivals),
-                        _ => start_of(d, &facts, &arrivals),
-                    };
+                    let at = start_of(d, &facts, &arrivals);
                     queue.schedule(at.max(queue.now()), d);
                 }
             }
@@ -789,33 +681,10 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
     if tel.is_enabled() {
         tel.count(names::FRAMES_TOTAL, &[], frames);
         tel.gauge(names::WALKTHROUGH_SECONDS, &[], finish.as_secs_f64());
-        let energy = if dvfs_schedule.len() > 1 {
-            platform.energy_joules_piecewise(&dvfs_schedule, finish)
-        } else {
-            platform.energy_joules(finish)
-        };
-        tel.gauge(names::ENERGY_JOULES, &[], energy);
+        power.finish(&platform, finish, &tel);
         let stats = platform.stats();
         tel.count(names::NOC_MESSAGES_TOTAL, &[], stats.noc_messages);
         tel.count(names::NOC_BYTES_TOTAL, &[], stats.noc_bytes);
-        if let Some(gov) = governor.as_ref() {
-            tel.count(names::DVFS_EPOCHS_TOTAL, &[], gov.epochs() as u64);
-            tel.count(names::DVFS_RAISES_TOTAL, &[], gov.raises() as u64);
-            tel.count(names::DVFS_THROTTLES_TOTAL, &[], gov.throttles() as u64);
-            tel.count(names::DVFS_CAP_BLOCKS_TOTAL, &[], gov.cap_blocks() as u64);
-            let last = dvfs_schedule.last().expect("seeded at zero");
-            for tile in scc_sim::TileId::all() {
-                let freq = last.1.tile_freq(tile);
-                if freq != scc_sim::FreqMHz::F533 {
-                    let label = tile.raw().to_string();
-                    tel.gauge(
-                        names::DVFS_TILE_FREQ_MHZ,
-                        &[("tile", &label)],
-                        freq.mhz() as f64,
-                    );
-                }
-            }
-        }
     }
 
     let ordered = full_fidelity.then(|| {
@@ -828,10 +697,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
         frames: ordered,
         recoveries,
         telemetry: tel.snapshot(),
-        dvfs_decisions: governor
-            .as_ref()
-            .map(|g| g.decisions().to_vec())
-            .unwrap_or_default(),
+        dvfs_decisions: power.decisions(),
     }
 }
 

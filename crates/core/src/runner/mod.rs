@@ -4,3 +4,4 @@
 pub mod des;
 pub mod native;
 pub mod sim;
+pub(crate) mod source;

@@ -16,19 +16,21 @@
 //! processing (`SccPlatform::{send_to_partition, fetch_from_partition}`) —
 //! the overhead the paper identifies as the platform's key weakness.
 
-use crate::cost::{CostModel, RenderWork};
+use super::source::FilmSource;
+use crate::cost::CostModel;
 use crate::frame::Frame;
-use crate::metrics::{DegradationEvent, RecoveryEvent, StageReport, WalkthroughReport};
+use crate::metrics::{DegradationEvent, RecoveryEvent, StageReport, TaskStats, WalkthroughReport};
 use crate::partition::StagePlan;
 use crate::placement::Placement;
-use crate::spec::{FaultSpec, Fidelity, RendererMode, RunConfig, StageKind};
+use crate::power_plane::PowerPlane;
+use crate::spec::{FaultSpec, Fidelity, RunConfig, StageKind};
 use crate::supervise::{resolve_kills, CheckpointRing, Supervisor, STAGE_PROVISION_BYTES};
 use crate::trace::{Phase, TraceLog};
 use scc_filters::{Blur, Flicker, Image, ImageFilter, Scratch, Sepia, StripInfo, VSwap};
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_sim::fault::{CoreStall, FaultConfig, FaultPlan, MessageOutcome};
 use scc_sim::platform::MemOp;
-use scc_sim::{CoreId, FreqMHz, SccConfig, SccPlatform, SimTime, HEARTBEAT_BYTES};
+use scc_sim::{CoreId, SccConfig, SccPlatform, SimTime, HEARTBEAT_BYTES};
 use scc_telemetry::{names, EventKind, TelemetrySink, IDLE_MS_BUCKETS, SECONDS_BUCKETS};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -76,13 +78,6 @@ impl StageState {
             frames: self.frames,
         }
     }
-}
-
-/// DVFS directives applied before the run.
-#[derive(Debug, Clone, Default)]
-pub struct DvfsPlan {
-    /// (core, frequency) pairs; each sets the core's whole tile.
-    pub settings: Vec<(CoreId, FreqMHz)>,
 }
 
 /// Resolved fault-injection context for a run: the schedule plus the
@@ -162,7 +157,6 @@ pub struct SimRunner {
     pub(crate) platform: SccPlatform,
     pub(crate) renderer: Arc<Renderer>,
     pub(crate) walkthrough: Walkthrough,
-    pub(crate) dvfs: DvfsPlan,
     pub(crate) fault: Option<FaultCtx>,
     pub(crate) tel: TelemetrySink,
 }
@@ -179,7 +173,6 @@ impl SimRunner {
             placement,
             SccPlatform::new(SccConfig::default()),
             CostModel::default(),
-            DvfsPlan::default(),
         )
     }
 
@@ -191,7 +184,6 @@ impl SimRunner {
         placement: Placement,
         platform: SccPlatform,
         cost: CostModel,
-        dvfs: DvfsPlan,
     ) -> SimRunner {
         cfg.validate().expect("invalid run configuration");
         let plan = crate::partition::plan_for(&cfg);
@@ -216,7 +208,6 @@ impl SimRunner {
             plan,
             platform,
             walkthrough,
-            dvfs,
             fault,
             tel,
         }
@@ -232,22 +223,17 @@ impl SimRunner {
     /// with [`crate::Backend::Sim`], which constructs the runner and
     /// returns the backend-independent [`crate::RunOutcome`] view.
     /// Constructing a `SimRunner` directly remains the right move for
-    /// sim-only knobs such as [`SimRunner::with_parts`] DVFS plans.
+    /// sim-only knobs such as [`SimRunner::with_parts`] placements.
     pub fn run(mut self) -> WalkthroughReport {
-        // Static operating point, set before the runtime dispatch so the
-        // task executor shares it. The deprecated `DvfsPlan` alias goes
-        // first; the `RunConfig` power plane wins where they overlap.
-        for (core, freq) in &self.dvfs.settings {
-            self.platform.set_core_frequency(*core, *freq);
-        }
-        if let crate::spec::PowerConfig::Static(pairs) = &self.cfg.power {
-            for (core, freq) in pairs {
-                self.platform.set_core_frequency(*core, *freq);
-            }
-        }
         if self.cfg.runtime == crate::spec::Runtime::Tasks {
             return crate::taskrt::run_tasks(self, crate::taskrt::ScheduleFlavor::Sim);
         }
+        let mut power = PowerPlane::arm(
+            &self.cfg,
+            &mut self.platform,
+            self.cfg.frames,
+            self.placement.source_cores(),
+        );
         // Every placed stage spin-waits on its RCCE flags when idle.
         self.platform.set_spinning(self.placement.all_cores());
         // The invariant checker walks the span log even when the caller
@@ -260,58 +246,14 @@ impl SimRunner {
             (self.cfg.trace || self.cfg.verify || self.tel.is_enabled()).then(TraceLog::new);
 
         let p = self.cfg.pipelines as usize;
-        let full = self.cfg.renderer != RendererMode::PerPipelineRenderer;
-        let strip_bounds = Image::strip_bounds(self.cfg.height, self.cfg.pipelines);
-
-        // Stage states.
-        let mut renderers: Vec<StageState> = self
-            .placement
-            .renderers
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let pl = (!full).then_some(i as u32);
-                StageState::new(StageKind::Render, *c, pl)
-            })
-            .collect();
-        let mut connector = self
-            .placement
-            .connector
-            .map(|c| StageState::new(StageKind::Connect, c, None));
-        let mut filters: Vec<[StageState; 5]> = self
-            .placement
-            .pipelines
-            .iter()
-            .enumerate()
-            .map(|(i, cores)| {
-                let mk = |j: usize| {
-                    StageState::new(StageKind::PIPELINE_FILTERS[j], cores[j], Some(i as u32))
-                };
-                [mk(0), mk(1), mk(2), mk(3), mk(4)]
-            })
-            .collect();
-        // Replica stage states beyond each primary (scheduler placements
-        // only): `extras[lane][j]` holds replicas `1..r` of stage `j`.
-        // Frame `f` runs on replica `f mod r`, swapped into the primary
-        // slot for the duration of the frame — the frame-major loop then
-        // executes the replicated pipeline without further changes, and
-        // strip ordering is preserved by construction.
+        // Replica stage states sit beyond each primary (scheduler
+        // placements only): frame `f` runs on replica `f mod r`, swapped
+        // into the primary slot for the duration of the frame — the
+        // frame-major loop then executes the replicated pipeline without
+        // further changes, and strip ordering is preserved by
+        // construction.
+        let mut ledgers = StageLedgers::new(&self.cfg, &self.placement);
         let plan = self.plan.clone();
-        let mut extras: Vec<[Vec<StageState>; 5]> = (0..p)
-            .map(|i| {
-                let mk = |j: usize| -> Vec<StageState> {
-                    self.placement
-                        .replica_extras(i as u32, j)
-                        .iter()
-                        .map(|&c| {
-                            StageState::new(StageKind::PIPELINE_FILTERS[j], c, Some(i as u32))
-                        })
-                        .collect()
-                };
-                [mk(0), mk(1), mk(2), mk(3), mk(4)]
-            })
-            .collect();
-        let mut transfer = StageState::new(StageKind::Transfer, self.placement.transfer, None);
 
         // Filter implementations in stage order.
         let impls: [Box<dyn ImageFilter>; 5] = [
@@ -329,8 +271,6 @@ impl SimRunner {
         // frame); virtual-time accounting is oblivious to it.
         let pool = crate::pool::BufferPool::from_enabled(self.cfg.tuning.buffer_pool);
 
-        let mut mcpc_free = SimTime::ZERO;
-        let mut mcpc_busy = SimTime::ZERO;
         let mut outputs: Vec<Image> = Vec::new();
         let mut finish = SimTime::ZERO;
 
@@ -367,56 +307,10 @@ impl SimRunner {
             None => Vec::new(),
         };
 
-        // ---- closed-loop DVFS (governed power plane) ----
-        // Epoch e covers frames [eE, (e+1)E); its samples are observed at
-        // the end of frame (e+1)E - 1 and the decision takes effect at
-        // the top of frame (e+2)E — the one-epoch lag keeps the DES
-        // backend's pipelined lookahead on an already-decided state, and
-        // both backends inherit the identical frame-to-epoch mapping.
-        let epoch_frames = match &self.cfg.power {
-            crate::spec::PowerConfig::Governed(t) => t.epoch_frames as u64,
-            crate::spec::PowerConfig::Static(_) => u64::MAX,
-        };
-        let mut governor = match &self.cfg.power {
-            crate::spec::PowerConfig::Governed(t) => Some(
-                crate::governor::Governor::new(
-                    t.clone(),
-                    self.platform.power_calibration().clone(),
-                    self.platform.dvfs().clone(),
-                )
-                .protect(
-                    self.placement
-                        .renderers
-                        .iter()
-                        .copied()
-                        .chain(self.placement.connector),
-                ),
-            ),
-            crate::spec::PowerConfig::Static(_) => None,
-        };
-        // Piecewise-energy boundaries: the DVFS state in force from each
-        // instant. A single entry (ungoverned, or governed with no moves)
-        // reduces to the legacy whole-run accounting.
-        let mut dvfs_schedule: Vec<(SimTime, scc_sim::DvfsState)> =
-            vec![(SimTime::ZERO, self.platform.dvfs().clone())];
-        let mut pending_dvfs: std::collections::VecDeque<(u64, scc_sim::DvfsState)> =
-            std::collections::VecDeque::new();
-        let mut epoch_mark = SimTime::ZERO;
-        let mut idle_seen: HashMap<u8, SimTime> = HashMap::new();
-
         for f in 0..self.cfg.frames {
             let cam = self.walkthrough.camera(f);
-            if let Some((at, _)) = pending_dvfs.front() {
-                if *at == f {
-                    let (_, state) = pending_dvfs.pop_front().expect("front checked");
-                    self.platform.apply_dvfs(&state);
-                    // The epoch boundary on the virtual timeline is the
-                    // previous frame's transfer-out — the same instant
-                    // the epoch-duration accounting uses.
-                    dvfs_schedule.push((transfer.free, state));
-                }
-            }
-            route_replicas(&plan, &mut filters, &mut extras, f);
+            power.apply_for_item(&mut self.platform, f);
+            route_replicas(&plan, &mut ledgers.filters, &mut ledgers.extras, f);
 
             // ---- source: produce the P strips of frame f ----
             // For each pipeline: the time its strip is resident in the
@@ -425,251 +319,48 @@ impl SimRunner {
             let mut strip_frames: Vec<Frame> = Vec::with_capacity(p);
             // Who produced each strip — the failover path re-sends from here.
             let mut strip_sources: Vec<CoreId> = Vec::with_capacity(p);
-
-            match self.cfg.renderer {
-                RendererMode::SingleRenderer => {
-                    let r = &mut renderers[0];
-                    let (visible, cull, coverage) = self.renderer.cull_strip(
-                        &cam,
-                        self.cfg.width,
-                        self.cfg.height,
-                        0,
-                        self.cfg.height,
-                    );
-                    let work = RenderWork {
-                        nodes_visited: cull.nodes_visited,
-                        triangles_out: cull.triangles_out,
-                        est_coverage: coverage,
-                    };
-                    let mut t = r.free;
-                    // Pull the visible scene data through the mesh.
-                    let scene_bytes = self.cost.render_scene_bytes(&work);
-                    let t0 = t;
-                    t = self.platform.mem_raw(r.core, t, MemOp::Read, scene_bytes);
-                    let cycles = self.cost.render_cycles(&work, false)
-                        + self.cost.split_cycles(full_px, self.cfg.pipelines);
-                    t = self.platform.compute(r.core, t, cycles as u64);
-                    // Frame buffer writeback if it exceeds the L2.
-                    t = self
-                        .platform
-                        .mem_stream(r.core, t, MemOp::Write, full_bytes);
-                    self.platform.record_busy(r.core, t0, t);
-
-                    let image = (fidelity == Fidelity::Full).then(|| {
-                        let (img, _) =
-                            self.renderer
-                                .render_full(&cam, self.cfg.width, self.cfg.height);
-                        img
-                    });
-                    let strips = make_strips(f, &strip_bounds, self.cfg.width, image);
-
-                    // Fan the strips out, serialised on the render core.
-                    for (i, frame) in strips.into_iter().enumerate() {
-                        if let Some(ring) = checkpoints.get_mut(i) {
-                            ring.push(f, frame.clone());
-                        }
-                        let in_flight = checkpoints.get(i).map_or(1, |r| r.unacked() as u32);
-                        let (start, resident) = send_strip(
-                            &mut self.platform,
-                            &plan,
-                            self.fault.as_ref(),
-                            &mut send_seqs,
-                            &mut filters,
-                            &mut failed,
-                            &mut owner,
-                            &mut degradations,
-                            &mut healer,
-                            &mut trace,
-                            i,
-                            f,
-                            r.core,
-                            t,
-                            frame.byte_len(),
-                            in_flight,
-                        );
-                        self.platform.record_busy(r.core, start, resident);
-                        strip_arrivals[i] = resident;
-                        strip_frames.push(frame);
-                        strip_sources.push(r.core);
-                        t = resident;
+            for unit in 0..ledgers.source.units() {
+                let lowered = ledgers.source.lower(
+                    &self.cost,
+                    &self.renderer,
+                    &cam,
+                    &mut self.platform,
+                    f,
+                    unit,
+                );
+                // Fan the strips out, serialised on the producing core.
+                let mut t = lowered.ready;
+                for frame in lowered.strips {
+                    let i = frame.strip.index as usize;
+                    if let Some(ring) = checkpoints.get_mut(i) {
+                        ring.push(f, frame.clone());
                     }
-                    r.busy += t - r.free;
-                    r.free = t;
-                    r.frames += 1;
-                    let _ = visible;
-                }
-                RendererMode::PerPipelineRenderer => {
-                    // Fill work per renderer: the full frame's coverage
-                    // split evenly. The paper's sort-first renderers share
-                    // the fill load almost perfectly (Figure 10 scales
-                    // ~1/P up to 3 pipelines); charging each renderer its
-                    // strip's raw coverage would instead import this
-                    // scene's horizon-heavy imbalance. Culling and
-                    // triangle-setup costs stay per-strip (they genuinely
-                    // do not shrink with strip height).
-                    let (_, _, full_coverage) = self.renderer.cull_strip(
-                        &cam,
-                        self.cfg.width,
-                        self.cfg.height,
-                        0,
-                        self.cfg.height,
+                    let in_flight = checkpoints.get(i).map_or(1, |r| r.unacked() as u32);
+                    let (start, resident) = send_strip(
+                        &mut self.platform,
+                        &plan,
+                        self.fault.as_ref(),
+                        &mut send_seqs,
+                        &mut ledgers.filters,
+                        &mut failed,
+                        &mut owner,
+                        &mut degradations,
+                        &mut healer,
+                        &mut trace,
+                        i,
+                        f,
+                        lowered.core,
+                        t,
+                        frame.byte_len(),
+                        in_flight,
                     );
-                    for i in 0..p {
-                        let (y0, h) = strip_bounds[i];
-                        let r = &mut renderers[i];
-                        let (_, cull, _) =
-                            self.renderer
-                                .cull_strip(&cam, self.cfg.width, self.cfg.height, y0, h);
-                        let work = RenderWork {
-                            nodes_visited: cull.nodes_visited,
-                            triangles_out: cull.triangles_out,
-                            est_coverage: full_coverage / p as u64,
-                        };
-                        let mut t = r.free;
-                        let t0 = t;
-                        let scene_bytes = self.cost.render_scene_bytes(&work);
-                        t = self.platform.mem_raw(r.core, t, MemOp::Read, scene_bytes);
-                        let cycles = self.cost.render_cycles(&work, true);
-                        t = self.platform.compute(r.core, t, cycles as u64);
-                        let strip_bytes = self.cfg.width as u64 * h as u64 * 4;
-                        t = self
-                            .platform
-                            .mem_stream(r.core, t, MemOp::Write, strip_bytes);
-                        self.platform.record_busy(r.core, t0, t);
-
-                        let image = (fidelity == Fidelity::Full).then(|| {
-                            let (img, _) = self.renderer.render_strip(
-                                &cam,
-                                self.cfg.width,
-                                self.cfg.height,
-                                y0,
-                                h,
-                            );
-                            img
-                        });
-                        let frame = Frame {
-                            id: f,
-                            strip: strip_info(i, &strip_bounds, self.cfg.height),
-                            full_width: self.cfg.width,
-                            image,
-                        };
-
-                        if let Some(ring) = checkpoints.get_mut(i) {
-                            ring.push(f, frame.clone());
-                        }
-                        let in_flight = checkpoints.get(i).map_or(1, |r| r.unacked() as u32);
-                        let (start, resident) = send_strip(
-                            &mut self.platform,
-                            &plan,
-                            self.fault.as_ref(),
-                            &mut send_seqs,
-                            &mut filters,
-                            &mut failed,
-                            &mut owner,
-                            &mut degradations,
-                            &mut healer,
-                            &mut trace,
-                            i,
-                            f,
-                            r.core,
-                            t,
-                            frame.byte_len(),
-                            in_flight,
-                        );
-                        self.platform.record_busy(r.core, start, resident);
-                        strip_arrivals[i] = resident;
-                        strip_frames.push(frame);
-                        strip_sources.push(r.core);
-                        r.busy += resident - r.free;
-                        r.free = resident;
-                        r.frames += 1;
-                    }
+                    self.platform.record_busy(lowered.core, start, resident);
+                    strip_arrivals[i] = resident;
+                    strip_frames.push(frame);
+                    strip_sources.push(lowered.core);
+                    t = resident;
                 }
-                RendererMode::McpcRenderer => {
-                    // The MCPC renders on its own timeline.
-                    let (_, cull, coverage) = self.renderer.cull_strip(
-                        &cam,
-                        self.cfg.width,
-                        self.cfg.height,
-                        0,
-                        self.cfg.height,
-                    );
-                    let work = RenderWork {
-                        nodes_visited: cull.nodes_visited,
-                        triangles_out: cull.triangles_out,
-                        est_coverage: coverage,
-                    };
-                    let p54c_cycles = self.cost.render_cycles(&work, false);
-                    let render_dur =
-                        SimTime::from_secs_f64(self.cost.mcpc_render_seconds(p54c_cycles));
-                    let render_done = mcpc_free + render_dur;
-                    mcpc_busy += render_dur;
-
-                    let conn = connector.as_mut().expect("MCPC mode has a connector");
-                    // UDP into the connector's partition, paced by the
-                    // connector being ready (receive window).
-                    let send_start = render_done.max(conn.free);
-                    let resident = self
-                        .platform
-                        .host_to_chip(conn.core, send_start, full_bytes);
-                    mcpc_free = resident;
-
-                    // Connector: fetch the frame, run the UDP/IP stack,
-                    // split, fan out.
-                    let idle = resident.saturating_sub(conn.free);
-                    conn.idle_samples.push(idle);
-                    let start = resident.max(conn.free);
-                    let mut t = self
-                        .platform
-                        .fetch_from_partition(conn.core, start, full_bytes);
-                    let cycles = self.cost.connector_cycles(full_bytes, self.cfg.pipelines)
-                        + self.cost.split_cycles(full_px, self.cfg.pipelines);
-                    t = self.platform.compute(conn.core, t, cycles as u64);
-                    t = self
-                        .platform
-                        .mem_stream(conn.core, t, MemOp::Write, full_bytes);
-                    self.platform.record_busy(conn.core, start, t);
-
-                    let image = (fidelity == Fidelity::Full).then(|| {
-                        let (img, _) =
-                            self.renderer
-                                .render_full(&cam, self.cfg.width, self.cfg.height);
-                        img
-                    });
-                    let strips = make_strips(f, &strip_bounds, self.cfg.width, image);
-                    for (i, frame) in strips.into_iter().enumerate() {
-                        if let Some(ring) = checkpoints.get_mut(i) {
-                            ring.push(f, frame.clone());
-                        }
-                        let in_flight = checkpoints.get(i).map_or(1, |r| r.unacked() as u32);
-                        let (send_at, resident) = send_strip(
-                            &mut self.platform,
-                            &plan,
-                            self.fault.as_ref(),
-                            &mut send_seqs,
-                            &mut filters,
-                            &mut failed,
-                            &mut owner,
-                            &mut degradations,
-                            &mut healer,
-                            &mut trace,
-                            i,
-                            f,
-                            conn.core,
-                            t,
-                            frame.byte_len(),
-                            in_flight,
-                        );
-                        self.platform.record_busy(conn.core, send_at, resident);
-                        strip_arrivals[i] = resident;
-                        strip_frames.push(frame);
-                        strip_sources.push(conn.core);
-                        t = resident;
-                    }
-                    conn.busy += t - start;
-                    conn.free = t;
-                    conn.frames += 1;
-                }
+                ledgers.source.commit(unit, t);
             }
 
             // ---- the five filter stages of each pipeline ----
@@ -680,16 +371,16 @@ impl SimRunner {
                 let in_flight = checkpoints.get(i).map_or(1, |r| r.unacked() as u32);
                 loop {
                     let lane = owner[i];
-                    match run_strip_on_lane(
+                    let walked = run_strip_on_lane(
                         &mut self.platform,
                         &plan,
                         &self.cost,
                         &impls,
-                        &mut filters[lane],
+                        &mut ledgers.filters[lane],
                         lane as u32,
                         strip_sources[i],
-                        transfer.core,
-                        transfer.free,
+                        ledgers.transfer.core,
+                        ledgers.transfer.free,
                         &mut trace,
                         self.cfg.seed,
                         self.cfg.width,
@@ -702,7 +393,19 @@ impl SimRunner {
                         in_flight,
                         &pool,
                         self.cfg.tuning.kernel.resolve(),
-                    ) {
+                    );
+                    // The walk pushed one idle sample per stage it
+                    // entered: all five, or those before the stage it
+                    // aborted at.
+                    let entered = match walked {
+                        Ok(_) => 5,
+                        Err((j, _)) => j.min(5),
+                    };
+                    for s in &ledgers.filters[lane][..entered] {
+                        let wait = *s.idle_samples.last().expect("entered stages sampled idle");
+                        power.note_idle(s.core, f, wait);
+                    }
+                    match walked {
                         Ok(done) => {
                             swap_arrivals[i] = done;
                             break;
@@ -717,7 +420,7 @@ impl SimRunner {
                                 &mut failed,
                                 &mut degradations,
                                 &mut trace,
-                                &filters,
+                                &ledgers.filters,
                                 lane,
                                 f,
                                 at,
@@ -739,7 +442,7 @@ impl SimRunner {
                                 &plan,
                                 self.fault.as_ref(),
                                 &mut send_seqs,
-                                &mut filters,
+                                &mut ledgers.filters,
                                 &mut failed,
                                 &mut owner,
                                 &mut degradations,
@@ -760,10 +463,11 @@ impl SimRunner {
 
             // ---- transfer: collect strips, assemble, ship to the client ----
             {
+                let transfer = &mut ledgers.transfer;
                 let first_avail = swap_arrivals.iter().copied().min().unwrap();
-                transfer
-                    .idle_samples
-                    .push(first_avail.saturating_sub(transfer.free));
+                let wait = first_avail.saturating_sub(transfer.free);
+                transfer.idle_samples.push(wait);
+                power.note_idle(transfer.core, f, wait);
                 let cycle_start = transfer.free.max(first_avail);
                 let mut t = transfer.free;
                 for (i, &arr) in swap_arrivals.iter().enumerate() {
@@ -844,153 +548,16 @@ impl SimRunner {
             }
             // Return the frame's replicas to their pool slots (swap is an
             // involution), so frame f + 1 routes from a clean layout.
-            route_replicas(&plan, &mut filters, &mut extras, f);
-
-            // ---- governed power plane: end-of-epoch observation ----
-            if let Some(gov) = governor.as_mut() {
-                if (f + 1) % epoch_frames == 0 {
-                    let epoch_end = transfer.free;
-                    let dur = (epoch_end - epoch_mark).as_secs_f64();
-                    if dur > 0.0 {
-                        // Stations are the placed filter stages (primaries
-                        // and replicas) plus the transfer stage: the cores
-                        // whose idle histogram Figure 15 plots and whose
-                        // tiles the paper's §VI-D split moves.
-                        let mut stations: Vec<crate::governor::StationSample> = Vec::new();
-                        {
-                            let mut sample = |s: &StageState| {
-                                let total: SimTime = s.idle_samples.iter().copied().sum();
-                                let prev = idle_seen
-                                    .insert(s.core.raw(), total)
-                                    .unwrap_or(SimTime::ZERO);
-                                let idle = (total.saturating_sub(prev)).as_secs_f64();
-                                stations.push(crate::governor::StationSample::new(
-                                    s.core,
-                                    idle / dur,
-                                ));
-                            };
-                            for pipe in &filters {
-                                for s in pipe {
-                                    sample(s);
-                                }
-                            }
-                            for lane in &extras {
-                                for states in lane {
-                                    for s in states {
-                                        sample(s);
-                                    }
-                                }
-                            }
-                            sample(&transfer);
-                        }
-                        if let Some(state) = gov.observe_epoch(&stations) {
-                            pending_dvfs.push_back((f + 1 + epoch_frames, state));
-                        }
-                    }
-                    epoch_mark = epoch_end;
-                }
-            }
+            route_replicas(&plan, &mut ledgers.filters, &mut ledgers.extras, f);
+            power.delivered(f, finish);
         }
         // Release the healer's borrows on the supervision state before
         // the report is assembled.
         let _ = healer.take();
 
-        // The supervised run's liveness traffic: every placed core
-        // heartbeats the MCPC once per period for the whole walkthrough
-        // (killed cores go silent at their fail-stop). Booked after the
-        // frame loop so the charges appear in the ledgers as real NoC and
-        // host-link messages without re-timing completed stage work.
-        if let Some(spec) = self.cfg.fault.as_ref().filter(|s| s.supervised()) {
-            let fc = self
-                .fault
-                .as_ref()
-                .expect("fault ctx exists when spec does");
-            let booked = crate::supervise::book_heartbeats(
-                &mut self.platform,
-                &self.placement,
-                &fc.plan,
-                SimTime::from_us(spec.heartbeat_period_us),
-                finish,
-            );
-            self.tel.count(names::HEARTBEATS_TOTAL, &[], booked);
-        }
-
-        // ---- reports ----
-        let mut stage_reports: Vec<StageReport> = Vec::new();
-        for r in &renderers {
-            stage_reports.push(r.report());
-        }
-        if let Some(c) = &connector {
-            stage_reports.push(c.report());
-        }
-        for pipe in &filters {
-            for s in pipe {
-                stage_reports.push(s.report());
-            }
-        }
-        // Replica clones report alongside their primaries, so the frame
-        // ledger still sums to pipelines x frames per stage position.
-        for lane in &extras {
-            for states in lane {
-                for s in states {
-                    stage_reports.push(s.report());
-                }
-            }
-        }
-        stage_reports.push(transfer.report());
-
-        // Governed runs with applied moves integrate energy piecewise
-        // over the schedule; everything else keeps the byte-identical
-        // whole-run path.
-        let (power_trace, energy, idle_floor) = if dvfs_schedule.len() > 1 {
-            (
-                self.platform
-                    .power_trace_piecewise(&dvfs_schedule, finish, SimTime::from_secs(1)),
-                self.platform.energy_joules_piecewise(&dvfs_schedule, finish),
-                dvfs_schedule
-                    .iter()
-                    .map(|(_, s)| self.platform.idle_power_for(s))
-                    .fold(f64::INFINITY, f64::min),
-            )
-        } else {
-            (
-                self.platform.power_trace(finish, SimTime::from_secs(1)),
-                self.platform.energy_joules(finish),
-                self.platform.idle_power(),
-            )
-        };
-
-        // ---- telemetry: fold the run's ledgers into the sink ----
         // Pure observation of state the report already carries, recorded
         // after the frame loop so nothing here can perturb the timeline.
         if self.tel.is_enabled() {
-            for r in &renderers {
-                record_stage_telemetry(&self.tel, r);
-            }
-            if let Some(c) = &connector {
-                record_stage_telemetry(&self.tel, c);
-            }
-            for pipe in &filters {
-                for s in pipe {
-                    record_stage_telemetry(&self.tel, s);
-                }
-            }
-            for lane in &extras {
-                for states in lane {
-                    for s in states {
-                        record_stage_telemetry(&self.tel, s);
-                    }
-                }
-            }
-            record_stage_telemetry(&self.tel, &transfer);
-            self.tel.count(names::FRAMES_TOTAL, &[], transfer.frames);
-            self.tel
-                .gauge(names::WALKTHROUGH_SECONDS, &[], finish.as_secs_f64());
-            self.tel.gauge(names::ENERGY_JOULES, &[], energy);
-            let stats = self.platform.stats();
-            self.tel
-                .count(names::NOC_MESSAGES_TOTAL, &[], stats.noc_messages);
-            self.tel.count(names::NOC_BYTES_TOTAL, &[], stats.noc_bytes);
             let pool_stats = pool.stats();
             self.tel
                 .count(names::POOL_RECYCLED_TOTAL, &[], pool_stats.recycled);
@@ -1010,71 +577,158 @@ impl SimRunner {
                     },
                 );
             }
-            if let Some(gov) = governor.as_ref() {
-                self.tel
-                    .count(names::DVFS_EPOCHS_TOTAL, &[], gov.epochs() as u64);
-                self.tel
-                    .count(names::DVFS_RAISES_TOTAL, &[], gov.raises() as u64);
-                self.tel
-                    .count(names::DVFS_THROTTLES_TOTAL, &[], gov.throttles() as u64);
-                self.tel
-                    .count(names::DVFS_CAP_BLOCKS_TOTAL, &[], gov.cap_blocks() as u64);
-                for tile in scc_sim::TileId::all() {
-                    let freq = self.platform.dvfs().tile_freq(tile);
-                    if freq != FreqMHz::F533 {
-                        let label = tile.raw().to_string();
-                        self.tel.gauge(
-                            names::DVFS_TILE_FREQ_MHZ,
-                            &[("tile", &label)],
-                            freq.mhz() as f64,
-                        );
-                    }
-                }
-            }
             if let Some(log) = trace.as_ref() {
                 log.record_into(&self.tel);
             }
         }
-
-        let mut report = WalkthroughReport {
-            config: self.cfg.clone(),
-            total_secs: finish.as_secs_f64(),
-            stage_reports,
-            power_trace,
-            scc_energy_joules: energy,
-            scc_idle_power: idle_floor,
-            dvfs_decisions: governor
-                .as_ref()
-                .map(|g| g.decisions().to_vec())
-                .unwrap_or_default(),
-            mcpc_busy_secs: mcpc_busy.as_secs_f64(),
-            platform: self.platform.stats(),
+        finish_film_run(
+            self,
+            &ledgers,
+            &power,
+            finish,
             degradations,
             recoveries,
-            task_stats: None,
-            outputs: (fidelity == Fidelity::Full).then_some(outputs),
+            None,
+            outputs,
             trace,
-            telemetry: self.tel.snapshot(),
-        };
-        if self.cfg.verify {
-            let mut violations = crate::invariant::check_report(&report);
-            if let Err(e) = self.platform.audit_noc() {
-                violations.push(crate::invariant::Violation::new("noc-conservation", e));
-            }
-            crate::invariant::enforce(&report.config, &violations);
-        }
-        if !self.cfg.trace {
-            report.trace = None;
-        }
-        report
+        )
     }
+}
+
+/// Every stage ledger of a film run, in the one shape the static
+/// executor and the task runtime both report from: `extras[lane][j]`
+/// holds replicas `1..r` of stage `j` (scheduler placements only).
+pub(crate) struct StageLedgers {
+    pub(crate) source: FilmSource,
+    pub(crate) filters: Vec<[StageState; 5]>,
+    pub(crate) extras: Vec<[Vec<StageState>; 5]>,
+    pub(crate) transfer: StageState,
+}
+
+impl StageLedgers {
+    pub(crate) fn new(cfg: &RunConfig, placement: &Placement) -> StageLedgers {
+        let filter = |i: usize, j: usize, core: CoreId| {
+            StageState::new(StageKind::PIPELINE_FILTERS[j], core, Some(i as u32))
+        };
+        StageLedgers {
+            source: FilmSource::new(cfg, placement),
+            filters: placement
+                .pipelines
+                .iter()
+                .enumerate()
+                .map(|(i, cores)| std::array::from_fn(|j| filter(i, j, cores[j])))
+                .collect(),
+            extras: (0..placement.pipelines.len())
+                .map(|i| {
+                    std::array::from_fn(|j| {
+                        placement
+                            .replica_extras(i as u32, j)
+                            .iter()
+                            .map(|&c| filter(i, j, c))
+                            .collect()
+                    })
+                })
+                .collect(),
+            transfer: StageState::new(StageKind::Transfer, placement.transfer, None),
+        }
+    }
+
+    /// Every ledger in report order. Replica clones report alongside
+    /// their primaries, so the frame ledger still sums to pipelines x
+    /// frames per stage position.
+    fn all(&self) -> impl Iterator<Item = &StageState> {
+        self.source
+            .renderers
+            .iter()
+            .chain(&self.source.connector)
+            .chain(self.filters.iter().flatten())
+            .chain(self.extras.iter().flatten().flatten())
+            .chain(std::iter::once(&self.transfer))
+    }
+}
+
+/// The tail the static executor and the task runtime share once the
+/// last frame is out: the supervised run's heartbeat traffic, the stage
+/// reports, energy, the run-level telemetry rollup, and — behind
+/// `cfg.verify` — the invariant checker.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn finish_film_run(
+    mut runner: SimRunner,
+    ledgers: &StageLedgers,
+    power: &PowerPlane,
+    finish: SimTime,
+    degradations: Vec<DegradationEvent>,
+    recoveries: Vec<RecoveryEvent>,
+    task_stats: Option<TaskStats>,
+    outputs: Vec<Image>,
+    trace: Option<TraceLog>,
+) -> WalkthroughReport {
+    // Every placed core heartbeats the MCPC once per period for the
+    // whole walkthrough (killed cores go silent at their fail-stop).
+    // Booked after the run so the charges appear in the ledgers as real
+    // NoC and host-link messages without re-timing completed stage work.
+    if let Some(spec) = runner.cfg.fault.as_ref().filter(|s| s.supervised()) {
+        let fc = runner
+            .fault
+            .as_ref()
+            .expect("fault ctx exists when spec does");
+        let booked = crate::supervise::book_heartbeats(
+            &mut runner.platform,
+            &runner.placement,
+            &fc.plan,
+            SimTime::from_us(spec.heartbeat_period_us),
+            finish,
+        );
+        runner.tel.count(names::HEARTBEATS_TOTAL, &[], booked);
+    }
+    let tel = &runner.tel;
+    let totals = power.finish(&runner.platform, finish, tel);
+    if tel.is_enabled() {
+        for s in ledgers.all() {
+            record_stage_telemetry(tel, s);
+        }
+        tel.count(names::FRAMES_TOTAL, &[], ledgers.transfer.frames);
+        tel.gauge(names::WALKTHROUGH_SECONDS, &[], finish.as_secs_f64());
+        let stats = runner.platform.stats();
+        tel.count(names::NOC_MESSAGES_TOTAL, &[], stats.noc_messages);
+        tel.count(names::NOC_BYTES_TOTAL, &[], stats.noc_bytes);
+    }
+
+    let mut report = WalkthroughReport {
+        config: runner.cfg.clone(),
+        total_secs: finish.as_secs_f64(),
+        stage_reports: ledgers.all().map(StageState::report).collect(),
+        power_trace: power.power_trace(&runner.platform, finish),
+        scc_energy_joules: totals.energy_joules,
+        scc_idle_power: totals.idle_floor_watts,
+        dvfs_decisions: power.decisions(),
+        mcpc_busy_secs: ledgers.source.mcpc_busy.as_secs_f64(),
+        platform: runner.platform.stats(),
+        degradations,
+        recoveries,
+        task_stats,
+        outputs: (runner.cfg.fidelity == Fidelity::Full).then_some(outputs),
+        trace,
+        telemetry: tel.snapshot(),
+    };
+    if runner.cfg.verify {
+        let mut violations = crate::invariant::check_report(&report);
+        if let Err(e) = runner.platform.audit_noc() {
+            violations.push(crate::invariant::Violation::new("noc-conservation", e));
+        }
+        crate::invariant::enforce(&report.config, &violations);
+    }
+    if !runner.cfg.trace {
+        report.trace = None;
+    }
+    report
 }
 
 /// Record one stage's per-run ledgers — the Figure 15 idle distribution,
 /// busy time, frame count — into the sink under `{stage, pipeline}`
 /// labels (`pipeline="-"` for unpipelined stages, keeping one label set
 /// per metric family).
-pub(crate) fn record_stage_telemetry(tel: &TelemetrySink, s: &StageState) {
+fn record_stage_telemetry(tel: &TelemetrySink, s: &StageState) {
     let pl = s.pipeline.map(|i| i.to_string());
     let labels = [
         ("pipeline", pl.as_deref().unwrap_or("-")),
@@ -1820,53 +1474,13 @@ fn route_replicas(
     }
 }
 
-pub(crate) fn strip_info(i: usize, bounds: &[(u32, u32)], full_height: u32) -> StripInfo {
-    let (y0, h) = bounds[i];
-    StripInfo {
-        index: i as u32,
-        count: bounds.len() as u32,
-        y0,
-        height: h,
-        full_height,
-    }
-}
-
-/// Split an (optional) full frame into per-pipeline strip frames.
-pub(crate) fn make_strips(
-    frame_id: u64,
-    bounds: &[(u32, u32)],
-    width: u32,
-    image: Option<Image>,
-) -> Vec<Frame> {
-    let full_height: u32 = bounds.iter().map(|(_, h)| h).sum();
-    match image {
-        Some(img) => img
-            .split_strips(bounds.len() as u32)
-            .into_iter()
-            .map(|(info, strip)| Frame {
-                id: frame_id,
-                strip: info,
-                full_width: width,
-                image: Some(strip),
-            })
-            .collect(),
-        None => (0..bounds.len())
-            .map(|i| Frame {
-                id: frame_id,
-                strip: strip_info(i, bounds, full_height),
-                full_width: width,
-                image: None,
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::placement::place;
-    use crate::spec::Arrangement;
+    use crate::spec::{Arrangement, PowerConfig, RendererMode};
     use scc_render::CityConfig;
+    use scc_sim::FreqMHz;
 
     fn tiny_scene() -> Arc<Scene> {
         Arc::new(Scene::city(CityConfig {
@@ -1969,21 +1583,12 @@ mod tests {
     #[test]
     fn dvfs_plan_speeds_up_blur_bound_pipeline() {
         let scene = tiny_scene();
-        let cfg = quick_cfg(RendererMode::McpcRenderer, 1);
+        let mut cfg = quick_cfg(RendererMode::McpcRenderer, 1);
         let base = SimRunner::new(cfg.clone(), Arc::clone(&scene)).run();
         let placement = place(cfg.renderer, cfg.arrangement, cfg.pipelines);
         let blur_core = placement.pipelines[0][1];
-        let fast = SimRunner::with_parts(
-            cfg,
-            scene,
-            placement,
-            SccPlatform::new(SccConfig::default()),
-            CostModel::default(),
-            DvfsPlan {
-                settings: vec![(blur_core, FreqMHz::F800)],
-            },
-        )
-        .run();
+        cfg.power = PowerConfig::Static(vec![(blur_core, FreqMHz::F800)]);
+        let fast = SimRunner::new(cfg, scene).run();
         assert!(
             fast.total_secs < base.total_secs * 0.9,
             "blur at 800 MHz should cut the walkthrough markedly \
@@ -2290,7 +1895,7 @@ mod tests {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
-    use crate::spec::Arrangement;
+    use crate::spec::{Arrangement, RendererMode};
     use crate::trace::Phase;
     use scc_render::CityConfig;
 

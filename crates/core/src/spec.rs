@@ -550,8 +550,8 @@ impl GovernorTuning {
 
 /// The power plane of a run: how per-tile frequencies are chosen.
 ///
-/// This lifts the sim-runner-private `DvfsPlan` into [`RunConfig`], so
-/// both virtual-time backends honor the same plan. `Static` is the
+/// It lives in [`RunConfig`], so every virtual-time executor honors the
+/// same plan through one shared power plane. `Static` is the
 /// paper's open-loop experiment (a fixed frequency per listed core's
 /// tile, everything else at the 533 MHz default); `Governed` closes the
 /// loop with the [`GovernorTuning`] controller.
@@ -678,8 +678,7 @@ impl GenericStageSpec {
     }
 }
 
-/// A declarative generic chain (the spec form of the old
-/// `run_generic_chain` side door, routable through `scc_core::run`).
+/// A declarative generic chain, routable through `scc_core::run`.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GenericChainSpec {
     pub stages: Vec<GenericStageSpec>,

@@ -47,11 +47,10 @@
 //! assembly is order-independent.
 
 use crate::frame::Frame;
-use crate::metrics::{RecoveryEvent, StageReport, TaskStats, WalkthroughReport};
+use crate::metrics::{RecoveryEvent, TaskStats, WalkthroughReport};
 use crate::partition::StagePlan;
-use crate::runner::sim::{
-    faulted_send, make_strips, record_stage_telemetry, strip_info, SimRunner, StageState,
-};
+use crate::power_plane::PowerPlane;
+use crate::runner::sim::{faulted_send, finish_film_run, SimRunner, StageLedgers};
 use crate::spec::{Fidelity, RendererMode, StageKind};
 use crate::supervise::Supervisor;
 use scc_filters::{Blur, Flicker, Image, ImageFilter, Scratch, Sepia, StripInfo, VSwap};
@@ -143,19 +142,12 @@ struct Engine {
     plan: StagePlan,
     impls: [Box<dyn ImageFilter>; 5],
     pool: crate::pool::BufferPool,
-    strip_bounds: Vec<(u32, u32)>,
 
     workers: Vec<Worker>,
     worker_of: HashMap<u8, usize>,
 
     // Stage-report ledgers, shaped exactly like the static executor's.
-    renderers: Vec<StageState>,
-    connector: Option<StageState>,
-    filters: Vec<[StageState; 5]>,
-    extras: Vec<[Vec<StageState>; 5]>,
-    transfer: StageState,
-    mcpc_free: SimTime,
-    mcpc_busy: SimTime,
+    ledgers: StageLedgers,
 
     rings: Vec<crate::supervise::CheckpointRing>,
     window: u32,
@@ -183,49 +175,8 @@ impl Engine {
     fn new(runner: SimRunner, flavor: ScheduleFlavor) -> Engine {
         let cfg = &runner.cfg;
         let p = cfg.pipelines as usize;
-        let full = cfg.renderer != RendererMode::PerPipelineRenderer;
         let plan = runner.plan.clone();
-        let strip_bounds = Image::strip_bounds(cfg.height, cfg.pipelines);
-
-        let renderers: Vec<StageState> = runner
-            .placement
-            .renderers
-            .iter()
-            .enumerate()
-            .map(|(i, c)| StageState::new(StageKind::Render, *c, (!full).then_some(i as u32)))
-            .collect();
-        let connector = runner
-            .placement
-            .connector
-            .map(|c| StageState::new(StageKind::Connect, c, None));
-        let filters: Vec<[StageState; 5]> = runner
-            .placement
-            .pipelines
-            .iter()
-            .enumerate()
-            .map(|(i, cores)| {
-                let mk = |j: usize| {
-                    StageState::new(StageKind::PIPELINE_FILTERS[j], cores[j], Some(i as u32))
-                };
-                [mk(0), mk(1), mk(2), mk(3), mk(4)]
-            })
-            .collect();
-        let extras: Vec<[Vec<StageState>; 5]> = (0..p)
-            .map(|i| {
-                let mk = |j: usize| -> Vec<StageState> {
-                    runner
-                        .placement
-                        .replica_extras(i as u32, j)
-                        .iter()
-                        .map(|&c| {
-                            StageState::new(StageKind::PIPELINE_FILTERS[j], c, Some(i as u32))
-                        })
-                        .collect()
-                };
-                [mk(0), mk(1), mk(2), mk(3), mk(4)]
-            })
-            .collect();
-        let transfer = StageState::new(StageKind::Transfer, runner.placement.transfer, None);
+        let ledgers = StageLedgers::new(cfg, &runner.placement);
 
         // Workers: one per distinct core hosting a stage group (primary or
         // replica). The slot maps the worker's busy/idle ledgers back to
@@ -306,16 +257,9 @@ impl Engine {
                 Box::new(VSwap),
             ],
             pool,
-            strip_bounds,
             workers,
             worker_of,
-            renderers,
-            connector,
-            filters,
-            extras,
-            transfer,
-            mcpc_free: SimTime::ZERO,
-            mcpc_busy: SimTime::ZERO,
+            ledgers,
             rings,
             window: depth,
             cap,
@@ -400,12 +344,11 @@ impl Engine {
     /// The core that produced (and checkpointed) strip `i` — re-queues
     /// replay from here.
     fn source_core(&self, strip: usize) -> CoreId {
+        let source = &self.ledgers.source;
         match self.r.cfg.renderer {
-            RendererMode::SingleRenderer => self.renderers[0].core,
-            RendererMode::PerPipelineRenderer => self.renderers[strip].core,
-            RendererMode::McpcRenderer => {
-                self.connector.as_ref().expect("MCPC has a connector").core
-            }
+            RendererMode::SingleRenderer => source.renderers[0].core,
+            RendererMode::PerPipelineRenderer => source.renderers[strip].core,
+            RendererMode::McpcRenderer => source.connector.as_ref().expect("MCPC connector").core,
         }
     }
 
@@ -505,8 +448,9 @@ impl Engine {
     // ---- source --------------------------------------------------------
 
     /// Produce frame `f_src` when the checkpoint window has room. The
-    /// render/split booking mirrors the static executor exactly; strips
-    /// are injected at the home worker of the first stage group.
+    /// render/split booking is the static executor's (one shared
+    /// lowering); strips are injected at the home worker of the first
+    /// stage group.
     fn produce_source(&mut self) -> bool {
         let frames = self.r.cfg.frames;
         if self.f_src >= frames || self.f_src - self.next_out >= u64::from(self.window) {
@@ -515,145 +459,23 @@ impl Engine {
         let f = self.f_src;
         self.f_src += 1;
         let cam = self.r.walkthrough.camera(f);
-        let p = self.r.cfg.pipelines as usize;
-        let fidelity = self.r.cfg.fidelity;
-        let full_px = self.r.cfg.width as u64 * self.r.cfg.height as u64;
-        let full_bytes = self.r.cfg.frame_bytes();
-        let width = self.r.cfg.width;
-        let height = self.r.cfg.height;
-        let bounds = self.strip_bounds.clone();
-
-        match self.r.cfg.renderer {
-            RendererMode::SingleRenderer => {
-                let (_, cull, coverage) =
-                    self.r.renderer.cull_strip(&cam, width, height, 0, height);
-                let work = crate::cost::RenderWork {
-                    nodes_visited: cull.nodes_visited,
-                    triangles_out: cull.triangles_out,
-                    est_coverage: coverage,
-                };
-                let core = self.renderers[0].core;
-                let mut t = self.renderers[0].free;
-                let t0 = t;
-                let scene_bytes = self.r.cost.render_scene_bytes(&work);
-                t = self.r.platform.mem_raw(core, t, MemOp::Read, scene_bytes);
-                let cycles = self.r.cost.render_cycles(&work, false)
-                    + self.r.cost.split_cycles(full_px, self.r.cfg.pipelines);
-                t = self.r.platform.compute(core, t, cycles as u64);
-                t = self
-                    .r
-                    .platform
-                    .mem_stream(core, t, MemOp::Write, full_bytes);
-                self.r.platform.record_busy(core, t0, t);
-                let image = (fidelity == Fidelity::Full).then(|| {
-                    let (img, _) = self.r.renderer.render_full(&cam, width, height);
-                    img
-                });
-                let strips = make_strips(f, &bounds, width, image);
-                for (i, frame) in strips.into_iter().enumerate() {
-                    self.rings[i].push(f, frame.clone());
-                    self.inject_strip(i, f, frame, core, t);
-                }
-                let r = &mut self.renderers[0];
-                r.busy += t - r.free;
-                r.free = t;
-                r.frames += 1;
+        for unit in 0..self.ledgers.source.units() {
+            let lowered = self.ledgers.source.lower(
+                &self.r.cost,
+                &self.r.renderer,
+                &cam,
+                &mut self.r.platform,
+                f,
+                unit,
+            );
+            for frame in lowered.strips {
+                let i = frame.strip.index as usize;
+                self.rings[i].push(f, frame.clone());
+                self.inject_strip(i, f, frame, lowered.core, lowered.ready);
             }
-            RendererMode::PerPipelineRenderer => {
-                let (_, _, full_coverage) =
-                    self.r.renderer.cull_strip(&cam, width, height, 0, height);
-                for i in 0..p {
-                    let (y0, h) = bounds[i];
-                    let core = self.renderers[i].core;
-                    let (_, cull, _) = self.r.renderer.cull_strip(&cam, width, height, y0, h);
-                    let work = crate::cost::RenderWork {
-                        nodes_visited: cull.nodes_visited,
-                        triangles_out: cull.triangles_out,
-                        est_coverage: full_coverage / p as u64,
-                    };
-                    let mut t = self.renderers[i].free;
-                    let t0 = t;
-                    let scene_bytes = self.r.cost.render_scene_bytes(&work);
-                    t = self.r.platform.mem_raw(core, t, MemOp::Read, scene_bytes);
-                    let cycles = self.r.cost.render_cycles(&work, true);
-                    t = self.r.platform.compute(core, t, cycles as u64);
-                    let strip_bytes = width as u64 * h as u64 * 4;
-                    t = self
-                        .r
-                        .platform
-                        .mem_stream(core, t, MemOp::Write, strip_bytes);
-                    self.r.platform.record_busy(core, t0, t);
-                    let image = (fidelity == Fidelity::Full).then(|| {
-                        let (img, _) = self.r.renderer.render_strip(&cam, width, height, y0, h);
-                        img
-                    });
-                    let frame = Frame {
-                        id: f,
-                        strip: strip_info(i, &bounds, height),
-                        full_width: width,
-                        image,
-                    };
-                    self.rings[i].push(f, frame.clone());
-                    self.inject_strip(i, f, frame, core, t);
-                    let r = &mut self.renderers[i];
-                    r.busy += t - r.free;
-                    r.free = t;
-                    r.frames += 1;
-                }
-            }
-            RendererMode::McpcRenderer => {
-                let (_, cull, coverage) =
-                    self.r.renderer.cull_strip(&cam, width, height, 0, height);
-                let work = crate::cost::RenderWork {
-                    nodes_visited: cull.nodes_visited,
-                    triangles_out: cull.triangles_out,
-                    est_coverage: coverage,
-                };
-                let p54c_cycles = self.r.cost.render_cycles(&work, false);
-                let render_dur =
-                    SimTime::from_secs_f64(self.r.cost.mcpc_render_seconds(p54c_cycles));
-                let render_done = self.mcpc_free + render_dur;
-                self.mcpc_busy += render_dur;
-                let conn_core = self.connector.as_ref().expect("MCPC connector").core;
-                let conn_free = self.connector.as_ref().expect("MCPC connector").free;
-                let send_start = render_done.max(conn_free);
-                let resident = self
-                    .r
-                    .platform
-                    .host_to_chip(conn_core, send_start, full_bytes);
-                self.mcpc_free = resident;
-                let idle = resident.saturating_sub(conn_free);
-                let start = resident.max(conn_free);
-                let mut t = self
-                    .r
-                    .platform
-                    .fetch_from_partition(conn_core, start, full_bytes);
-                let cycles = self
-                    .r
-                    .cost
-                    .connector_cycles(full_bytes, self.r.cfg.pipelines)
-                    + self.r.cost.split_cycles(full_px, self.r.cfg.pipelines);
-                t = self.r.platform.compute(conn_core, t, cycles as u64);
-                t = self
-                    .r
-                    .platform
-                    .mem_stream(conn_core, t, MemOp::Write, full_bytes);
-                self.r.platform.record_busy(conn_core, start, t);
-                let image = (fidelity == Fidelity::Full).then(|| {
-                    let (img, _) = self.r.renderer.render_full(&cam, width, height);
-                    img
-                });
-                let strips = make_strips(f, &bounds, width, image);
-                for (i, frame) in strips.into_iter().enumerate() {
-                    self.rings[i].push(f, frame.clone());
-                    self.inject_strip(i, f, frame, conn_core, t);
-                }
-                let conn = self.connector.as_mut().expect("MCPC connector");
-                conn.idle_samples.push(idle);
-                conn.busy += t - start;
-                conn.free = t;
-                conn.frames += 1;
-            }
+            // Injection is asynchronous: the payload send is booked when
+            // the deque admits the task, not on the producing core.
+            self.ledgers.source.commit(unit, lowered.ready);
         }
         true
     }
@@ -778,11 +600,11 @@ impl Engine {
         {
             let (busy_ref, idle_ref) = match self.workers[widx].slot {
                 Slot::Primary(i, j) => {
-                    let s = &mut self.filters[i][j];
+                    let s = &mut self.ledgers.filters[i][j];
                     (&mut s.busy, &mut s.idle_samples)
                 }
                 Slot::Extra(i, j, k) => {
-                    let s = &mut self.extras[i][j][k];
+                    let s = &mut self.ledgers.extras[i][j][k];
                     (&mut s.busy, &mut s.idle_samples)
                 }
             };
@@ -807,7 +629,7 @@ impl Engine {
             self.stats.completed += 1;
             for j in group.stages() {
                 if self.completed_stage.insert((task.frame, task.strip, j)) {
-                    self.filters[task.strip][j].frames += 1;
+                    self.ledgers.filters[task.strip][j].frames += 1;
                 }
             }
         }
@@ -830,7 +652,7 @@ impl Engine {
             );
         } else {
             // Final group: ship the finished strip to the transfer stage.
-            let tcore = self.transfer.core;
+            let tcore = self.ledgers.transfer.core;
             let resident = match self.r.fault.clone() {
                 Some(fc) => {
                     faulted_send(
@@ -1252,6 +1074,7 @@ impl Engine {
         let p = self.r.cfg.pipelines as usize;
         let full_px = self.r.cfg.width as u64 * self.r.cfg.height as u64;
         let full_bytes = self.r.cfg.frame_bytes();
+        let transfer = &mut self.ledgers.transfer;
         let mut any = false;
         while self.next_out < self.r.cfg.frames {
             let f = self.next_out;
@@ -1262,38 +1085,34 @@ impl Engine {
                 .map(|i| self.delivered.remove(&(f, i)).expect("checked"))
                 .collect();
             let first_avail = strips.iter().map(|(t, _)| *t).min().expect("p >= 1");
-            self.transfer
+            transfer
                 .idle_samples
-                .push(first_avail.saturating_sub(self.transfer.free));
-            let cycle_start = self.transfer.free.max(first_avail);
-            let mut t = self.transfer.free;
+                .push(first_avail.saturating_sub(transfer.free));
+            let cycle_start = transfer.free.max(first_avail);
+            let mut t = transfer.free;
             for (arr, frame) in &strips {
                 let start = (*arr).max(t);
-                t = self.r.platform.fetch_from_partition(
-                    self.transfer.core,
-                    start,
-                    frame.byte_len(),
-                );
+                t = self
+                    .r
+                    .platform
+                    .fetch_from_partition(transfer.core, start, frame.byte_len());
             }
             t = self.r.platform.compute(
-                self.transfer.core,
+                transfer.core,
                 t,
                 self.r.cost.assemble_cycles(full_px) as u64,
             );
             t = self
                 .r
                 .platform
-                .mem_stream(self.transfer.core, t, MemOp::Write, full_bytes);
-            let t_out = self
-                .r
-                .platform
-                .chip_to_host(self.transfer.core, t, full_bytes);
+                .mem_stream(transfer.core, t, MemOp::Write, full_bytes);
+            let t_out = self.r.platform.chip_to_host(transfer.core, t, full_bytes);
             self.r
                 .platform
-                .record_busy(self.transfer.core, cycle_start, t_out);
-            self.transfer.busy += t_out - cycle_start;
-            self.transfer.free = t_out;
-            self.transfer.frames += 1;
+                .record_busy(transfer.core, cycle_start, t_out);
+            transfer.busy += t_out - cycle_start;
+            transfer.free = t_out;
+            transfer.frames += 1;
             self.finish = self.finish.max(t_out);
             if self.r.cfg.fidelity == Fidelity::Full {
                 let parts: Vec<(StripInfo, Image)> = strips
@@ -1319,10 +1138,7 @@ impl Engine {
     // ---- the run -------------------------------------------------------
 
     fn run(mut self) -> WalkthroughReport {
-        let dvfs = self.r.dvfs.settings.clone();
-        for (core, freq) in dvfs {
-            self.r.platform.set_core_frequency(core, freq);
-        }
+        let power = PowerPlane::arm(&self.r.cfg, &mut self.r.platform, self.r.cfg.frames, []);
         self.r.platform.set_spinning(self.r.placement.all_cores());
 
         while self.next_out < self.r.cfg.frames {
@@ -1349,119 +1165,28 @@ impl Engine {
             }
         }
 
-        // Liveness traffic, as in the static executor.
-        if let Some(spec) = self.r.cfg.fault.clone().filter(|s| s.supervised()) {
-            let fc = self.r.fault.as_ref().expect("fault ctx exists");
-            let booked = crate::supervise::book_heartbeats(
-                &mut self.r.platform,
-                &self.r.placement,
-                &fc.plan,
-                SimTime::from_us(spec.heartbeat_period_us),
-                self.finish,
-            );
-            self.r.tel.count(names::HEARTBEATS_TOTAL, &[], booked);
-        }
-
-        // ---- reports ----
-        let mut stage_reports: Vec<StageReport> = Vec::new();
-        for r in &self.renderers {
-            stage_reports.push(r.report());
-        }
-        if let Some(c) = &self.connector {
-            stage_reports.push(c.report());
-        }
-        for lane in &self.filters {
-            for s in lane {
-                stage_reports.push(s.report());
-            }
-        }
-        for lane in &self.extras {
-            for states in lane {
-                for s in states {
-                    stage_reports.push(s.report());
-                }
-            }
-        }
-        stage_reports.push(self.transfer.report());
-
-        let power_trace = self
-            .r
-            .platform
-            .power_trace(self.finish, SimTime::from_secs(1));
-        let energy = self.r.platform.energy_joules(self.finish);
-
-        if self.r.tel.is_enabled() {
-            for r in &self.renderers {
-                record_stage_telemetry(&self.r.tel, r);
-            }
-            if let Some(c) = &self.connector {
-                record_stage_telemetry(&self.r.tel, c);
-            }
-            for lane in &self.filters {
-                for s in lane {
-                    record_stage_telemetry(&self.r.tel, s);
-                }
-            }
-            for lane in &self.extras {
-                for states in lane {
-                    for s in states {
-                        record_stage_telemetry(&self.r.tel, s);
-                    }
-                }
-            }
-            record_stage_telemetry(&self.r.tel, &self.transfer);
-            self.r
-                .tel
-                .count(names::FRAMES_TOTAL, &[], self.transfer.frames);
-            self.r
-                .tel
-                .gauge(names::WALKTHROUGH_SECONDS, &[], self.finish.as_secs_f64());
-            self.r.tel.gauge(names::ENERGY_JOULES, &[], energy);
-            let stats = self.r.platform.stats();
-            self.r
-                .tel
-                .count(names::NOC_MESSAGES_TOTAL, &[], stats.noc_messages);
-            self.r
-                .tel
-                .count(names::NOC_BYTES_TOTAL, &[], stats.noc_bytes);
-            self.r
-                .tel
-                .count(names::TASK_SPAWNED_TOTAL, &[], self.stats.spawned);
-            self.r.tel.gauge(
-                names::TASK_QUEUE_DEPTH_MAX,
-                &[],
-                self.stats.max_queue_depth as f64,
-            );
-        }
-
-        let report = WalkthroughReport {
-            config: self.r.cfg.clone(),
-            total_secs: self.finish.as_secs_f64(),
-            stage_reports,
-            power_trace,
-            scc_energy_joules: energy,
-            scc_idle_power: self.r.platform.idle_power(),
-            mcpc_busy_secs: self.mcpc_busy.as_secs_f64(),
-            platform: self.r.platform.stats(),
-            degradations: Vec::new(),
-            recoveries: self.recoveries,
-            task_stats: Some(self.stats),
-            dvfs_decisions: Vec::new(),
-            outputs: (self.r.cfg.fidelity == Fidelity::Full).then_some(self.outputs),
-            // The steal scheduler interleaves strips across cores, so the
-            // static trace invariants (per-stage frame monotonicity) do
-            // not apply; the task ledger is the runtime's audit trail.
-            trace: None,
-            telemetry: self.r.tel.snapshot(),
-        };
-        if self.r.cfg.verify {
-            let mut violations = crate::invariant::check_report(&report);
-            if let Err(e) = self.r.platform.audit_noc() {
-                violations.push(crate::invariant::Violation::new("noc-conservation", e));
-            }
-            crate::invariant::enforce(&report.config, &violations);
-        }
-        report
+        self.r
+            .tel
+            .count(names::TASK_SPAWNED_TOTAL, &[], self.stats.spawned);
+        self.r.tel.gauge(
+            names::TASK_QUEUE_DEPTH_MAX,
+            &[],
+            self.stats.max_queue_depth as f64,
+        );
+        // The steal scheduler interleaves strips across cores, so the
+        // static trace invariants (per-stage frame monotonicity) do not
+        // apply: no trace, the task ledger is the runtime's audit trail.
+        finish_film_run(
+            self.r,
+            &self.ledgers,
+            &power,
+            self.finish,
+            Vec::new(),
+            self.recoveries,
+            Some(self.stats),
+            self.outputs,
+            None,
+        )
     }
 }
 

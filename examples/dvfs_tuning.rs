@@ -6,16 +6,18 @@
 //! cargo run --release -p scc-core --example dvfs_tuning
 //! ```
 
-use scc_core::runner::sim::DvfsPlan;
 use scc_core::{
-    default_scene, place_dvfs_single_pipeline, CostModel, RendererMode, RunConfig, SimRunner,
+    default_scene, place_dvfs_single_pipeline, CostModel, PowerConfig, RendererMode, RunConfig,
+    SimRunner,
 };
 use scc_sim::{FreqMHz, IslandId, SccConfig, SccPlatform};
 use std::sync::Arc;
 
 fn main() {
-    // DVFS plans are a sim-backend-specific knob, so this example stays
-    // on `SimRunner::with_parts` rather than the `scc_core::run` facade.
+    // The island-aware placement is a sim-backend-specific knob, so this
+    // example stays on `SimRunner::with_parts` rather than the
+    // `scc_core::run` facade; the frequency plan itself is plain
+    // `RunConfig::power`.
     let scene = default_scene();
     let config = RunConfig::builder()
         .renderer(RendererMode::McpcRenderer)
@@ -45,13 +47,14 @@ fn main() {
         "variant", "time", "power", "energy"
     );
     for (label, settings) in variants {
+        let mut config = config.clone();
+        config.power = PowerConfig::Static(settings);
         let r = SimRunner::with_parts(
-            config.clone(),
+            config,
             Arc::clone(&scene),
             placement.clone(),
             SccPlatform::new(SccConfig::default()),
             CostModel::default(),
-            DvfsPlan { settings },
         )
         .run();
         println!(

@@ -1,8 +1,8 @@
 //! §VI-B (power/energy) and §VI-D (DVFS) invariants.
 
-use scc_core::runner::sim::DvfsPlan;
 use scc_core::{
-    place_dvfs_single_pipeline, CostModel, RendererMode, RunConfig, SimRunner, WalkthroughReport,
+    place_dvfs_single_pipeline, CostModel, PowerConfig, RendererMode, RunConfig, SimRunner,
+    WalkthroughReport,
 };
 use scc_render::{CityConfig, Scene};
 use scc_sim::power::McpcPower;
@@ -24,13 +24,14 @@ fn cfg(mode: RendererMode, pipelines: u32) -> RunConfig {
 
 fn dvfs_run(settings: Vec<(CoreId, FreqMHz)>, scene: &Arc<Scene>) -> WalkthroughReport {
     let placement = place_dvfs_single_pipeline(RendererMode::McpcRenderer);
+    let mut config = cfg(RendererMode::McpcRenderer, 1);
+    config.power = PowerConfig::Static(settings);
     SimRunner::with_parts(
-        cfg(RendererMode::McpcRenderer, 1),
+        config,
         Arc::clone(scene),
         placement,
         SccPlatform::new(SccConfig::default()),
         CostModel::default(),
-        DvfsPlan { settings },
     )
     .run()
 }

@@ -4,7 +4,6 @@
 //! analytic bounds that hold for any pipeline schedule.
 
 use scc_core::cost::{CostModel, RenderWork};
-use scc_core::runner::sim::DvfsPlan;
 use scc_core::{place, RendererMode, RunConfig, SimRunner, StageKind};
 use scc_render::{CityConfig, Renderer, Scene, Walkthrough};
 use scc_sim::{SccConfig, SccPlatform, SimTime};
@@ -35,7 +34,6 @@ fn run_with_bucket(config: RunConfig, bucket: SimTime, scene: &Arc<Scene>) -> f6
         placement,
         SccPlatform::new(scc),
         CostModel::default(),
-        DvfsPlan::default(),
     )
     .run()
     .total_secs
