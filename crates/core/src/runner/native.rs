@@ -751,6 +751,85 @@ mod tests {
         assert_eq!(decoded.image.unwrap(), img);
     }
 
+    /// FNV-1a 64, as `tests/filter_golden.rs` hashes pixels.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
+        for &b in bytes {
+            acc ^= b as u64;
+            acc = acc.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        acc
+    }
+
+    /// A strip filled with a seeded integer pattern (no renderer, no
+    /// filters: the wire bytes depend on the codec alone).
+    fn patterned_frame(id: u64, strip: StripInfo, full_width: u32, seed: u64) -> Frame {
+        let mut img = Image::new(full_width, strip.height);
+        for y in 0..strip.height {
+            for x in 0..full_width {
+                let v = seed
+                    .wrapping_add((x as u64).wrapping_mul(31))
+                    .wrapping_add(((strip.y0 + y) as u64).wrapping_mul(97));
+                img.set(
+                    x,
+                    y,
+                    [
+                        (v % 251) as u8,
+                        ((v >> 3) % 241) as u8,
+                        ((v >> 5) % 239) as u8,
+                        255,
+                    ],
+                );
+            }
+        }
+        Frame {
+            id,
+            strip,
+            full_width,
+            image: Some(img),
+        }
+    }
+
+    /// The exact bytes `encode_frame` puts on the wire, pinned by length
+    /// and FNV-1a hash for three fixed frames: a 2x2 single strip, strip 1
+    /// of 2 of a 400x400 frame, and a 1-pixel-wide strip whose 28-byte
+    /// payload is not a multiple of 16.
+    #[test]
+    fn encode_frame_wire_bytes_are_pinned() {
+        let whole = |h: u32| StripInfo {
+            index: 0,
+            count: 1,
+            y0: 0,
+            height: h,
+            full_height: h,
+        };
+        let lower_half = StripInfo {
+            index: 1,
+            count: 2,
+            y0: 200,
+            height: 200,
+            full_height: 400,
+        };
+        let frames = [
+            patterned_frame(1, whole(2), 2, 0xF11A),
+            patterned_frame(0x0123_4567_89AB_CDEF, lower_half, 400, 0xD00D_FEED),
+            patterned_frame(u64::MAX, whole(7), 1, 7),
+        ];
+        let got: Vec<(usize, u64)> = frames
+            .iter()
+            .map(|f| {
+                let wire = encode_frame(f);
+                (wire.len(), fnv1a(&wire))
+            })
+            .collect();
+        let want = [
+            (52, 0xae7f_56f6_8e0f_8e02),
+            (320_036, 0x77b4_2b5f_13cd_a639),
+            (64, 0xbf78_aa23_0277_ba2e),
+        ];
+        assert_eq!(got, want);
+    }
+
     #[test]
     #[should_panic(expected = "payload size mismatch")]
     fn codec_rejects_bad_payload() {
