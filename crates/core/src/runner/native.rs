@@ -138,24 +138,31 @@ fn exec_segments(stages: &[usize], backend: KernelBackend, fuse: bool) -> Vec<Ex
     segs
 }
 
+/// Bytes before the pixels: the CRC field plus the 32-byte header.
+const FRAME_HEADER: usize = 36;
+
 /// Wire format: `crc32(rest) || header || RGBA payload`. The checksum
 /// covers everything after itself, so a flipped bit anywhere — header or
 /// pixels — is detected (a flip inside the CRC field itself simply makes
 /// the stored value wrong).
+///
+/// The message is built once, in its final buffer: the CRC field is
+/// reserved up front and patched after header and pixels are in place,
+/// so the pixels are copied exactly once per hop.
 pub fn encode_frame(frame: &Frame) -> Bytes {
     let img = frame.image.as_ref().expect("native frames carry pixels");
-    let mut content = BytesMut::with_capacity(32 + img.as_bytes().len());
-    content.put_u64(frame.id);
-    content.put_u32(frame.strip.index);
-    content.put_u32(frame.strip.count);
-    content.put_u32(frame.strip.y0);
-    content.put_u32(frame.strip.height);
-    content.put_u32(frame.strip.full_height);
-    content.put_u32(frame.full_width);
-    content.put_slice(img.as_bytes());
-    let mut buf = BytesMut::with_capacity(4 + content.len());
-    buf.put_u32(crc32(&content));
-    buf.put_slice(&content);
+    let mut buf = BytesMut::with_capacity(FRAME_HEADER + img.as_bytes().len());
+    buf.put_u32(0);
+    buf.put_u64(frame.id);
+    buf.put_u32(frame.strip.index);
+    buf.put_u32(frame.strip.count);
+    buf.put_u32(frame.strip.y0);
+    buf.put_u32(frame.strip.height);
+    buf.put_u32(frame.strip.full_height);
+    buf.put_u32(frame.full_width);
+    buf.put_slice(img.as_bytes());
+    let crc = crc32(&buf[4..]);
+    buf[..4].copy_from_slice(&crc.to_be_bytes());
     buf.freeze()
 }
 
@@ -166,7 +173,7 @@ enum DecodeFailure {
 }
 
 fn try_decode_pooled(mut b: Bytes, pool: &BufferPool) -> Result<Frame, DecodeFailure> {
-    if b.len() < 36 {
+    if b.len() < FRAME_HEADER {
         return Err(DecodeFailure::Truncated);
     }
     let crc = b.get_u32();
@@ -199,25 +206,11 @@ fn try_decode_pooled(mut b: Bytes, pool: &BufferPool) -> Result<Frame, DecodeFai
     })
 }
 
-fn try_decode(b: Bytes) -> Result<Frame, DecodeFailure> {
-    try_decode_pooled(b, &BufferPool::disabled())
-}
-
-/// Inverse of [`encode_frame`]; panics on malformed input.
-pub fn decode_frame(b: Bytes) -> Frame {
-    match try_decode(b) {
-        Ok(frame) => frame,
-        Err(DecodeFailure::Truncated) => panic!("truncated frame header"),
-        Err(DecodeFailure::SizeMismatch) => panic!("payload size mismatch"),
-        Err(DecodeFailure::Crc) => panic!("frame payload CRC mismatch"),
-    }
-}
-
 /// Non-panicking decode for transports that may hand over damaged bytes:
 /// any malformation — truncation, a size lie, or a CRC mismatch — comes
 /// back as [`RcceError::Corrupt`] attributed to `src`.
 pub fn decode_frame_checked(b: Bytes, src: usize) -> Result<Frame, RcceError> {
-    try_decode(b).map_err(|_| RcceError::Corrupt { rank: src })
+    decode_frame_pooled(b, src, &BufferPool::disabled())
 }
 
 /// [`decode_frame_checked`] drawing the frame's pixel buffer from a
@@ -745,7 +738,7 @@ mod tests {
             full_width: 8,
             image: Some(img.clone()),
         };
-        let decoded = decode_frame(encode_frame(&frame));
+        let decoded = decode_frame_checked(encode_frame(&frame), 0).expect("clean decode");
         assert_eq!(decoded.id, 42);
         assert_eq!(decoded.strip, frame.strip);
         assert_eq!(decoded.image.unwrap(), img);
@@ -831,7 +824,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "payload size mismatch")]
     fn codec_rejects_bad_payload() {
         // A correctly-checksummed message whose payload length lies about
         // the geometry: the CRC passes, the size check must still fire.
@@ -845,11 +837,13 @@ mod tests {
         let mut b = BytesMut::new();
         b.put_u32(crc32(&content));
         b.put_slice(&content);
-        decode_frame(b.freeze());
+        assert!(matches!(
+            try_decode_pooled(b.freeze(), &BufferPool::disabled()),
+            Err(DecodeFailure::SizeMismatch)
+        ));
     }
 
     #[test]
-    #[should_panic(expected = "frame payload CRC mismatch")]
     fn codec_rejects_flipped_pixel_bit() {
         let frame = Frame {
             id: 1,
@@ -866,7 +860,10 @@ mod tests {
         let mut raw = encode_frame(&frame).to_vec();
         let last = raw.len() - 1;
         raw[last] ^= 0x40;
-        decode_frame(Bytes::from(raw));
+        assert!(matches!(
+            try_decode_pooled(Bytes::from(raw), &BufferPool::disabled()),
+            Err(DecodeFailure::Crc)
+        ));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use crate::crc::crc32;
 use crate::error::RcceError;
 use crate::mpb::MpbConfig;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use scc_sim::fault::{FaultPlan, MessageOutcome};
@@ -554,17 +554,17 @@ fn encode_envelope(seq: u64, payload: &Bytes) -> Bytes {
 }
 
 fn decode_envelope(envelope: &Bytes) -> Option<(u64, Bytes)> {
-    let raw: &[u8] = envelope;
-    if raw.len() < ENVELOPE_HEADER {
+    if envelope.len() < ENVELOPE_HEADER {
         return None;
     }
-    let seq = u64::from_be_bytes(raw[0..8].try_into().expect("sized slice"));
-    let crc = u32::from_be_bytes(raw[8..12].try_into().expect("sized slice"));
-    let payload = &raw[ENVELOPE_HEADER..];
-    if crc32(payload) != crc {
+    // A clone shares the storage; consuming the header leaves the payload.
+    let mut payload = envelope.clone();
+    let seq = payload.get_u64();
+    let crc = payload.get_u32();
+    if crc32(&payload) != crc {
         return None;
     }
-    Some((seq, Bytes::copy_from_slice(payload)))
+    Some((seq, payload))
 }
 
 /// Apply an injected single-byte corruption to a copy of `envelope`.

@@ -85,12 +85,18 @@ proptest! {
 
     #[test]
     fn codec_catches_every_single_byte_mutation(
-        w in 1u32..8,
-        h in 1u32..6,
+        // Tiny strips (a few 16-byte CRC blocks, mostly header) and wide
+        // odd-area ones: w*h odd leaves 4 or 12 bytes past the last whole
+        // block, after dozens of whole blocks.
+        dims in prop_oneof![
+            (1u32..8, 1u32..6),
+            (33u32..72).prop_map(|w| (w | 1, 3u32)),
+        ],
         fill in proptest::collection::vec(any::<u8>(), 1..64),
         victim in any::<u64>(),
         xor in 1u8..=255,
     ) {
+        let (w, h) = dims;
         let mut raw = vec![0u8; (w * h * 4) as usize];
         for (i, b) in raw.iter_mut().enumerate() {
             *b = fill[i % fill.len()];
