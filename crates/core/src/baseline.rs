@@ -4,7 +4,7 @@
 use crate::cost::CostModel;
 use crate::runner::source::{book_render, render_work};
 use crate::spec::{RunConfig, StageKind};
-use scc_filters::{Blur, Flicker, Image, ImageFilter, Scratch, Sepia, VSwap};
+use scc_filters::{standard_chain, Image};
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_sim::platform::MemOp;
 use scc_sim::{CoreId, SccConfig, SccPlatform, SimTime};
@@ -46,13 +46,7 @@ pub fn run_baseline(cfg: &RunConfig, scene: Arc<Scene>) -> BaselineReport {
     let full_px = cfg.width as u64 * cfg.height as u64;
     let full_bytes = cfg.frame_bytes();
 
-    let filters: [Box<dyn ImageFilter>; 5] = [
-        Box::new(Sepia),
-        Box::new(Blur::default()),
-        Box::new(Scratch::default()),
-        Box::new(Flicker::default()),
-        Box::new(VSwap),
-    ];
+    let filters = standard_chain();
     let kinds = StageKind::PIPELINE_FILTERS;
 
     let mut t = SimTime::ZERO;

@@ -86,12 +86,13 @@ impl BufferPool {
         self.inner.is_some()
     }
 
+    /// A buffer of `len` bytes whose contents the caller overwrites in
+    /// full: a recycled one keeps whatever bytes it held.
     fn take_buffer(&self, len: usize) -> Vec<u8> {
         if let Some(inner) = &self.inner {
             let mut inner = inner.lock();
             if let Some(mut buf) = inner.free.pop() {
                 inner.stats.recycled += 1;
-                buf.clear();
                 buf.resize(len, 0);
                 return buf;
             }
@@ -106,7 +107,7 @@ impl BufferPool {
         let len = width as usize * height as usize * BYTES_PER_PIXEL;
         let mut data = self.take_buffer(len);
         for px in data.chunks_exact_mut(BYTES_PER_PIXEL) {
-            px[3] = 255;
+            px.copy_from_slice(&[0, 0, 0, 255]);
         }
         Image::from_raw(width, height, data)
     }

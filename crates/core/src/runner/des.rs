@@ -10,24 +10,28 @@
 //! nondecreasing start-time order — so platform bookings happen almost
 //! exactly in virtual-time order.
 //!
-//! The two executors share only the platform and cost models; the pipeline
-//! logic is written twice on purpose. `tests/` asserts they agree within a
-//! small tolerance, which guards both implementations against scheduling
-//! bugs. (Single-renderer configurations only — enough to exercise every
-//! rendezvous pattern: fan-out, chains, fan-in.)
+//! The two executors share the platform, the cost model and what one
+//! stage books on them ([`super::source`], [`super::stage`]); the
+//! scheduling — when a stage may start, and in what order the platform
+//! sees the bookings — is written twice on purpose. `tests/` asserts they
+//! agree within a small tolerance, which guards both implementations
+//! against scheduling bugs. (Single-renderer configurations only — enough
+//! to exercise every rendezvous pattern: fan-out, chains, fan-in.)
 
+use super::sim::StageState;
 use super::source::FilmSource;
+use super::stage::FilmStages;
 use crate::cost::CostModel;
+use crate::frame::Frame;
 use crate::metrics::RecoveryEvent;
 use crate::partition::StagePlan;
 use crate::placement::Placement;
 use crate::power_plane::PowerPlane;
 use crate::spec::{Fidelity, RendererMode, RunConfig, StageKind};
 use crate::supervise::{resolve_kills, Supervisor, STAGE_PROVISION_BYTES};
-use scc_filters::{Blur, Flicker, Image, ImageFilter, Scratch, Sepia, VSwap};
+use scc_filters::Image;
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_sim::fault::{CoreKill, FaultConfig, FaultPlan};
-use scc_sim::platform::MemOp;
 use scc_sim::{CoreId, EventQueue, SccConfig, SccPlatform, SimTime, HEARTBEAT_BYTES};
 use scc_telemetry::{names, EventKind, TelemetrySink, IDLE_MS_BUCKETS, SECONDS_BUCKETS};
 use std::collections::HashMap;
@@ -170,22 +174,14 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
     let renderer = Renderer::new(scene);
     let mut source = FilmSource::new(cfg, &placement);
     let walkthrough = Walkthrough::standard(cfg.width as f32 / cfg.height as f32);
-    let impls: [Box<dyn ImageFilter>; 5] = [
-        Box::new(Sepia),
-        Box::new(Blur::default()),
-        Box::new(Scratch::default()),
-        Box::new(Flicker::default()),
-        Box::new(VSwap),
-    ];
+    let stages = FilmStages::new(cfg);
+    let mut transfer = StageState::new(StageKind::Transfer, placement.transfer, None);
     let p = cfg.pipelines as usize;
     let frames = cfg.frames;
-    let bounds = Image::strip_bounds(cfg.height, cfg.pipelines);
-    let full_px = cfg.width as u64 * cfg.height as u64;
-    let full_bytes = cfg.frame_bytes();
-    // Full fidelity carries real pixels alongside the timing facts.
-    let full_fidelity = cfg.fidelity == Fidelity::Full;
-    let mut strip_images: HashMap<(usize, u64), Image> = HashMap::new();
-    let mut outputs: HashMap<u64, Image> = HashMap::new();
+    // The strip each (pipeline, frame) chain is working on; in full
+    // fidelity it carries real pixels alongside the timing facts.
+    let mut strip_frames: HashMap<(usize, u64), Frame> = HashMap::new();
+    let mut outputs: Vec<Image> = Vec::new();
 
     // Scheduler-plan strides: a replicated stage advances its own clock
     // once every `r` frames (replica `f % r`), and a merged stage
@@ -271,8 +267,8 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
     let mut facts: HashMap<Node, Facts> = HashMap::new();
     // Arrival time of each filter/transfer input (per node).
     let mut arrivals: HashMap<Node, SimTime> = HashMap::new();
-    // Transfer collects one arrival per pipeline.
-    let mut transfer_arrivals: HashMap<u64, Vec<SimTime>> = HashMap::new();
+    // Transfer collects one (arrival, strip) per pipeline.
+    let mut transfer_arrivals: HashMap<u64, Vec<(SimTime, usize)>> = HashMap::new();
 
     // Earliest-start of a node once schedulable.
     let start_of =
@@ -342,9 +338,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                         platform.send_to_partition(core, dst, send_start, frame.byte_len());
                     platform.record_busy(core, send_start, resident);
                     arrivals.insert(Node::Filter(i, 0, f), resident);
-                    if let Some(strip) = frame.image {
-                        strip_images.insert((i, f), strip);
-                    }
+                    strip_frames.insert((i, f), frame);
                     t = resident;
                 }
                 source.commit(0, t);
@@ -356,8 +350,8 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                 let merged_prev = plan.merged_with_prev(j);
                 let mut core = reps[i][j][rep];
                 let kind = StageKind::PIPELINE_FILTERS[j];
-                let (_, h) = bounds[i];
-                let bytes = cfg.width as u64 * h as u64 * 4;
+                let strip = strip_frames.get_mut(&(i, f)).expect("strip rendered");
+                let bytes = strip.byte_len();
                 let mut start = start_of(node, &facts, &arrivals);
                 let own_free = if merged_prev {
                     // Same-core input: the stage was never idle, it
@@ -448,37 +442,18 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                     core = spare;
                     start = resident;
                 }
-                let mut t = if merged_prev {
-                    // Same-core input: already resident, no MPB fetch.
-                    start
-                } else {
-                    platform.fetch_from_partition(core, start, bytes)
-                };
-                let proxy = Image::new(cfg.width, h);
-                let ctx = scc_filters::FrameCtx {
-                    frame_id: f,
-                    run_seed: cfg.seed,
-                    strip: scc_filters::StripInfo {
-                        index: i as u32,
-                        count: cfg.pipelines,
-                        y0: bounds[i].0,
-                        height: h,
-                        full_height: cfg.height,
-                    },
-                    full_width: cfg.width,
-                };
-                let cycles = cost.filter_cycles(impls[j].as_ref(), &proxy, &ctx);
-                if full_fidelity {
-                    // Backend-dispatched but bit-identical to scalar; the
-                    // cycle charge above is backend-independent.
-                    let img = strip_images.get_mut(&(i, f)).expect("strip rendered");
-                    impls[j].apply_vectored(img, &ctx, cfg.tuning.kernel.resolve(), 1);
-                }
-                t = platform.compute(core, t, cycles as u64);
-                let traffic = cost.stage_traffic(kind, bytes);
-                t = platform.mem_stream(core, t, MemOp::Read, traffic.read_bytes);
-                t = platform.mem_stream(core, t, MemOp::Write, traffic.write_bytes);
-                platform.record_busy(core, start, t);
+                // A same-core input is already resident: no MPB fetch.
+                let t = stages
+                    .filter(
+                        &mut platform,
+                        &cost,
+                        core,
+                        j..j + 1,
+                        strip,
+                        start,
+                        !merged_prev,
+                    )
+                    .done;
                 let resident = if same_core_hop(j) {
                     // Next stage shares this core: the strip stays put,
                     // there is no send and no rendezvous.
@@ -512,7 +487,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                 if j + 1 < 5 {
                     arrivals.insert(Node::Filter(i, j + 1, f), resident);
                 } else {
-                    transfer_arrivals.entry(f).or_default().push(resident);
+                    transfer_arrivals.entry(f).or_default().push((resident, i));
                 }
                 facts.insert(
                     node,
@@ -523,49 +498,28 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                 );
             }
             Node::Transfer(f) => {
-                let core = placement.transfer;
-                // Collect strips in pipeline order, mirroring SimRunner.
+                // Collect strips as they arrive, each with its own size.
                 let mut arr = transfer_arrivals.remove(&f).expect("all strips arrived");
                 arr.sort();
-                let own_free = start_of(node, &facts, &arrivals);
-                let cycle_start = own_free.max(arr[0]);
+                let out = stages.transfer(
+                    &mut platform,
+                    &cost,
+                    &mut transfer,
+                    arr.into_iter()
+                        .map(|(at, i)| (at, strip_frames.remove(&(i, f)).expect("strip processed")))
+                        .collect(),
+                );
                 if tel.is_enabled() {
                     tel.observe(
                         names::STAGE_IDLE_MS,
                         &[("pipeline", "-"), ("stage", StageKind::Transfer.name())],
                         IDLE_MS_BUCKETS,
-                        cycle_start.saturating_sub(own_free).as_secs_f64() * 1e3,
+                        out.idle.as_secs_f64() * 1e3,
                     );
                 }
-                power.note_idle(core, f, cycle_start.saturating_sub(own_free));
-                let mut t = own_free;
-                for (i, &a) in arr.iter().enumerate() {
-                    let strip_bytes = cfg.width as u64 * bounds[i].1 as u64 * 4;
-                    let s = a.max(t);
-                    t = platform.fetch_from_partition(core, s, strip_bytes);
-                }
-                t = platform.compute(core, t, cost.assemble_cycles(full_px) as u64);
-                t = platform.mem_stream(core, t, MemOp::Write, full_bytes);
-                let t_out = platform.chip_to_host(core, t, full_bytes);
-                platform.record_busy(core, cycle_start, t_out);
-                if full_fidelity {
-                    let strips: Vec<(scc_filters::StripInfo, Image)> = (0..p)
-                        .map(|i| {
-                            let info = scc_filters::StripInfo {
-                                index: i as u32,
-                                count: cfg.pipelines,
-                                y0: bounds[i].0,
-                                height: bounds[i].1,
-                                full_height: cfg.height,
-                            };
-                            (
-                                scc_filters::vswap::mirrored_info(info),
-                                strip_images.remove(&(i, f)).expect("strip processed"),
-                            )
-                        })
-                        .collect();
-                    outputs.insert(f, Image::assemble(&strips));
-                }
+                power.note_idle(transfer.core, f, out.idle);
+                outputs.extend(out.image);
+                let t_out = out.done;
                 facts.insert(
                     node,
                     Facts {
@@ -687,14 +641,9 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
         tel.count(names::NOC_BYTES_TOTAL, &[], stats.noc_bytes);
     }
 
-    let ordered = full_fidelity.then(|| {
-        (0..frames)
-            .map(|f| outputs.remove(&f).expect("frame assembled"))
-            .collect()
-    });
     DesReport {
         total_secs: finish.as_secs_f64(),
-        frames: ordered,
+        frames: (cfg.fidelity == Fidelity::Full).then_some(outputs),
         recoveries,
         telemetry: tel.snapshot(),
         dvfs_decisions: power.decisions(),
@@ -760,14 +709,17 @@ mod tests {
         // Two independent implementations of the same pipeline semantics
         // must agree closely (small differences come from resource-ledger
         // booking order).
-        for p in [1u32, 3, 5] {
-            let c = cfg(p, 20);
+        // The last case has strips of unequal height (17, 17, 16 rows).
+        for (p, w, h) in [(1u32, 120, 120), (3, 120, 120), (5, 120, 120), (3, 64, 50)] {
+            let mut c = cfg(p, 20);
+            c.width = w;
+            c.height = h;
             let des = run_des(&c, scene()).total_secs;
             let fm = SimRunner::new(c, scene()).run().total_secs;
             let dev = (des - fm).abs() / fm;
             assert!(
                 dev < 0.03,
-                "{p} pipelines: DES {des:.3}s vs frame-major {fm:.3}s ({:.1}% apart)",
+                "{p} pipelines {w}x{h}: DES {des:.3}s vs frame-major {fm:.3}s ({:.1}% apart)",
                 dev * 100.0
             );
         }
@@ -775,13 +727,16 @@ mod tests {
 
     #[test]
     fn des_full_fidelity_matches_reference_data_path() {
-        let mut c = cfg(2, 3);
-        c.width = 64;
-        c.height = 64;
-        c.fidelity = Fidelity::Full;
-        let des = run_des(&c, scene());
-        let reference = crate::reference::reference_frames(&c, scene());
-        assert_eq!(des.frames.expect("full fidelity keeps frames"), reference);
+        // The second case has strips of unequal height (17, 17, 16 rows).
+        for (p, h) in [(2u32, 64), (3, 50)] {
+            let mut c = cfg(p, 3);
+            c.width = 64;
+            c.height = h;
+            c.fidelity = Fidelity::Full;
+            let des = run_des(&c, scene());
+            let reference = crate::reference::reference_frames(&c, scene());
+            assert_eq!(des.frames.expect("full fidelity keeps frames"), reference);
+        }
     }
 
     #[test]

@@ -5,3 +5,4 @@ pub mod des;
 pub mod native;
 pub mod sim;
 pub(crate) mod source;
+pub(crate) mod stage;

@@ -8,6 +8,7 @@
 //! genuine pipeline parallelism on the host, and per-stage receive-wait
 //! statistics mirror the paper's Figure 15 measurement methodology.
 
+use super::stage::assemble_mirrored;
 use crate::frame::Frame;
 use crate::metrics::HostTiming;
 use crate::partition::StagePlan;
@@ -15,9 +16,7 @@ use crate::pool::{BufferPool, PoolStats};
 use crate::spec::{RendererMode, RunConfig, StageKind};
 use crate::trace::{Phase, TraceLog};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use scc_filters::{
-    standard_chain, vswap, FusedPass, Image, KernelBackend, StripInfo, STANDARD_POINTWISE,
-};
+use scc_filters::{standard_chain, FusedPass, Image, KernelBackend, StripInfo, STANDARD_POINTWISE};
 use scc_rcce::{communicator, crc32, Endpoint, MpbConfig, RcceError, Reliability};
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_sim::fault::{FaultConfig, FaultPlan};
@@ -591,15 +590,12 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                         let r = lane[(f % lane.len() as u64) as usize];
                         let frame = decode_frame_pooled(recv_bytes(&ep, reliable, r), r, &pool)
                             .expect("frame survived transport");
-                        strips.push((
-                            vswap::mirrored_info(frame.strip),
-                            frame.image.expect("pixels"),
-                        ));
+                        strips.push((frame.strip, frame.image.expect("pixels")));
                     }
                     let c0 = Instant::now();
                     // The assembled frame leaves with the report, so it
                     // cannot be pooled — but the strips can.
-                    out.push(Image::assemble(&strips));
+                    out.push(assemble_mirrored(&mut strips));
                     rec.span(f, Phase::Wait, w0, c0);
                     rec.span(f, Phase::Compute, c0, Instant::now());
                     for (_, strip) in strips {

@@ -17,6 +17,7 @@
 //! the overhead the paper identifies as the platform's key weakness.
 
 use super::source::FilmSource;
+use super::stage::FilmStages;
 use crate::cost::CostModel;
 use crate::frame::Frame;
 use crate::metrics::{DegradationEvent, RecoveryEvent, StageReport, TaskStats, WalkthroughReport};
@@ -26,10 +27,9 @@ use crate::power_plane::PowerPlane;
 use crate::spec::{FaultSpec, Fidelity, RunConfig, StageKind};
 use crate::supervise::{resolve_kills, CheckpointRing, Supervisor, STAGE_PROVISION_BYTES};
 use crate::trace::{Phase, TraceLog};
-use scc_filters::{Blur, Flicker, Image, ImageFilter, Scratch, Sepia, StripInfo, VSwap};
+use scc_filters::Image;
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_sim::fault::{CoreStall, FaultConfig, FaultPlan, MessageOutcome};
-use scc_sim::platform::MemOp;
 use scc_sim::{CoreId, SccConfig, SccPlatform, SimTime, HEARTBEAT_BYTES};
 use scc_telemetry::{names, EventKind, TelemetrySink, IDLE_MS_BUCKETS, SECONDS_BUCKETS};
 use std::collections::HashMap;
@@ -255,21 +255,7 @@ impl SimRunner {
         let mut ledgers = StageLedgers::new(&self.cfg, &self.placement);
         let plan = self.plan.clone();
 
-        // Filter implementations in stage order.
-        let impls: [Box<dyn ImageFilter>; 5] = [
-            Box::new(Sepia),
-            Box::new(Blur::default()),
-            Box::new(Scratch::default()),
-            Box::new(Flicker::default()),
-            Box::new(VSwap),
-        ];
-
-        let full_px = self.cfg.width as u64 * self.cfg.height as u64;
-        let full_bytes = self.cfg.frame_bytes();
-        let fidelity = self.cfg.fidelity;
-        // Recycles the timing-only proxy allocations (one per stage per
-        // frame); virtual-time accounting is oblivious to it.
-        let pool = crate::pool::BufferPool::from_enabled(self.cfg.tuning.buffer_pool);
+        let stages = FilmStages::new(&self.cfg);
 
         let mut outputs: Vec<Image> = Vec::new();
         let mut finish = SimTime::ZERO;
@@ -375,15 +361,13 @@ impl SimRunner {
                         &mut self.platform,
                         &plan,
                         &self.cost,
-                        &impls,
+                        &stages,
                         &mut ledgers.filters[lane],
                         lane as u32,
                         strip_sources[i],
                         ledgers.transfer.core,
                         ledgers.transfer.free,
                         &mut trace,
-                        self.cfg.seed,
-                        self.cfg.width,
                         f,
                         frame,
                         avail,
@@ -391,8 +375,6 @@ impl SimRunner {
                         &mut send_seqs,
                         &mut healer,
                         in_flight,
-                        &pool,
-                        self.cfg.tuning.kernel.resolve(),
                     );
                     // The walk pushed one idle sample per stage it
                     // entered: all five, or those before the stage it
@@ -464,29 +446,14 @@ impl SimRunner {
             // ---- transfer: collect strips, assemble, ship to the client ----
             {
                 let transfer = &mut ledgers.transfer;
-                let first_avail = swap_arrivals.iter().copied().min().unwrap();
-                let wait = first_avail.saturating_sub(transfer.free);
-                transfer.idle_samples.push(wait);
-                power.note_idle(transfer.core, f, wait);
-                let cycle_start = transfer.free.max(first_avail);
-                let mut t = transfer.free;
-                for (i, &arr) in swap_arrivals.iter().enumerate() {
-                    let start = arr.max(t);
-                    let strip_bytes = strip_frames[i].byte_len();
-                    t = self
-                        .platform
-                        .fetch_from_partition(transfer.core, start, strip_bytes);
-                }
-                t = self.platform.compute(
-                    transfer.core,
-                    t,
-                    self.cost.assemble_cycles(full_px) as u64,
+                let was_free = transfer.free;
+                let out = stages.transfer(
+                    &mut self.platform,
+                    &self.cost,
+                    transfer,
+                    swap_arrivals.into_iter().zip(strip_frames).collect(),
                 );
-                t = self
-                    .platform
-                    .mem_stream(transfer.core, t, MemOp::Write, full_bytes);
-                let t_out = self.platform.chip_to_host(transfer.core, t, full_bytes);
-                self.platform.record_busy(transfer.core, cycle_start, t_out);
+                power.note_idle(transfer.core, f, out.idle);
                 if let Some(log) = trace.as_mut() {
                     log.span(
                         transfer.core,
@@ -494,8 +461,8 @@ impl SimRunner {
                         None,
                         f,
                         Phase::Wait,
-                        transfer.free,
-                        cycle_start,
+                        was_free,
+                        out.start,
                     );
                     log.span(
                         transfer.core,
@@ -503,36 +470,18 @@ impl SimRunner {
                         None,
                         f,
                         Phase::Compute,
-                        cycle_start,
-                        t_out,
+                        out.start,
+                        out.done,
                     );
                 }
-                transfer.busy += t_out - cycle_start;
-                transfer.free = t_out;
-                transfer.frames += 1;
                 // Mutation smoke test: a planted off-by-one in the
                 // transfer frame ledger the invariant checker must catch.
                 #[cfg(feature = "verify-selftest")]
                 if f == 0 {
                     transfer.frames -= 1;
                 }
-                finish = t_out;
-
-                if fidelity == Fidelity::Full {
-                    // The swap stage flipped each strip locally; the
-                    // transfer stage places strips at mirrored positions
-                    // so the client sees the globally flipped frame.
-                    let strips: Vec<(StripInfo, Image)> = strip_frames
-                        .iter()
-                        .map(|fr| {
-                            (
-                                scc_filters::vswap::mirrored_info(fr.strip),
-                                fr.image.clone().expect("image present"),
-                            )
-                        })
-                        .collect();
-                    outputs.push(Image::assemble(&strips));
-                }
+                finish = out.done;
+                outputs.extend(out.image);
             }
 
             // Frame f delivered end-to-end: release its checkpoints.
@@ -558,7 +507,7 @@ impl SimRunner {
         // Pure observation of state the report already carries, recorded
         // after the frame loop so nothing here can perturb the timeline.
         if self.tel.is_enabled() {
-            let pool_stats = pool.stats();
+            let pool_stats = stages.pool_stats();
             self.tel
                 .count(names::POOL_RECYCLED_TOTAL, &[], pool_stats.recycled);
             self.tel
@@ -1111,15 +1060,13 @@ fn run_strip_on_lane(
     platform: &mut SccPlatform,
     plan: &StagePlan,
     cost: &CostModel,
-    impls: &[Box<dyn ImageFilter>; 5],
+    stages: &FilmStages,
     lane_states: &mut [StageState; 5],
     lane: u32,
     source: CoreId,
     transfer_core: CoreId,
     transfer_free: SimTime,
     trace: &mut Option<TraceLog>,
-    run_seed: u64,
-    width: u32,
     f: u64,
     frame: &mut Frame,
     avail_in: SimTime,
@@ -1127,10 +1074,7 @@ fn run_strip_on_lane(
     seqs: &mut HashMap<(u8, u8), u64>,
     healer: &mut Option<Healer>,
     in_flight: u32,
-    pool: &crate::pool::BufferPool,
-    backend: scc_filters::KernelBackend,
 ) -> Result<SimTime, (usize, SimTime)> {
-    let ctx = frame.ctx(run_seed);
     let bytes = frame.byte_len();
     let mut avail = avail_in;
     let mut j = 0;
@@ -1198,88 +1142,27 @@ fn run_strip_on_lane(
         });
         // Fetch the strip out of this core's DRAM partition (a merged
         // stage's input is already resident from its in-group
-        // predecessor).
-        let t_fetch = if merged_prev {
-            start
-        } else {
-            platform.fetch_from_partition(stage_core, start, bytes)
-        };
+        // predecessor), apply the stage, charge compute and its traffic.
+        let run = stages.filter(
+            platform,
+            cost,
+            stage_core,
+            j..j + 1,
+            frame,
+            start,
+            !merged_prev,
+        );
+        let t = run.done;
         if let Some(log) = trace.as_mut() {
+            let mut span = |phase, from, to| {
+                log.span(stage_core, stage_kind, Some(lane), f, phase, from, to);
+            };
             if !merged_prev {
-                log.span(
-                    stage_core,
-                    stage_kind,
-                    Some(lane),
-                    f,
-                    Phase::Wait,
-                    stage_free,
-                    start,
-                );
-                log.span(
-                    stage_core,
-                    stage_kind,
-                    Some(lane),
-                    f,
-                    Phase::Fetch,
-                    start,
-                    t_fetch,
-                );
+                span(Phase::Wait, stage_free, start);
+                span(Phase::Fetch, start, run.fetched);
             }
-        }
-        let mut t = t_fetch;
-        // Apply (really, in full fidelity) and charge compute.
-        let cycles = match &frame.image {
-            Some(img) => {
-                let c = cost.filter_cycles(impls[j].as_ref(), img, &ctx);
-                // Mutate the pixels through the configured kernel backend
-                // (bit-identical to scalar; the charge above is unchanged —
-                // the cost model prices P54C cycles, not host instructions).
-                impls[j].apply_vectored(
-                    frame.image.as_mut().expect("image present"),
-                    &ctx,
-                    backend,
-                    1,
-                );
-                c
-            }
-            None => {
-                // Timing-only: identical cost from a synthetic image
-                // descriptor of the same geometry, drawn from (and
-                // immediately returned to) the buffer pool.
-                let proxy = pool.acquire(width, frame.strip.height);
-                let c = cost.filter_cycles(impls[j].as_ref(), &proxy, &ctx);
-                pool.release(proxy);
-                c
-            }
-        };
-        t = platform.compute(stage_core, t, cycles as u64);
-        if let Some(log) = trace.as_mut() {
-            log.span(
-                stage_core,
-                stage_kind,
-                Some(lane),
-                f,
-                Phase::Compute,
-                t_fetch,
-                t,
-            );
-        }
-        let t_compute = t;
-        // Stage-specific extra traffic through the cache model.
-        let traffic = cost.stage_traffic(stage_kind, bytes);
-        t = platform.mem_stream(stage_core, t, MemOp::Read, traffic.read_bytes);
-        t = platform.mem_stream(stage_core, t, MemOp::Write, traffic.write_bytes);
-        platform.record_busy(stage_core, start, t);
-        if let Some(log) = trace.as_mut() {
-            log.span(
-                stage_core,
-                stage_kind,
-                Some(lane),
-                f,
-                Phase::Memory,
-                t_compute,
-                t,
-            );
+            span(Phase::Compute, run.fetched, run.computed);
+            span(Phase::Memory, run.computed, t);
         }
 
         // Hand over to the next stage (or the transfer stage),

@@ -292,10 +292,10 @@ impl FaultSpec {
 
 /// Which filter-kernel backend the runners execute. `Auto` (the
 /// default, and the only value the golden configs use) resolves to the
-/// build's default backend: vectorized when `scc-filters` was compiled
-/// with the `simd` feature, scalar otherwise. Both backends are always
-/// compiled and bit-identical, so this knob — like the rest of
-/// [`NativeTuning`] — can never move a pixel.
+/// lane-vectorized kernels; `Scalar` forces the reference loops they
+/// are tested against. Both backends are always compiled and
+/// bit-identical, so this knob — like the rest of [`NativeTuning`] —
+/// can never move a pixel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
 pub enum KernelChoice {
     #[default]
@@ -446,7 +446,7 @@ pub struct NativeTuning {
     /// instead of hitting the allocator every hop.
     pub buffer_pool: bool,
     /// Filter-kernel backend (scalar reference loops vs lane-vectorized
-    /// kernels; `Auto` follows the build's `simd` feature).
+    /// kernels; `Auto` is vectorized).
     pub kernel: KernelChoice,
     /// Pointwise stage fusion in the native executor (`Auto` = on).
     pub fuse: FuseChoice,
@@ -1105,8 +1105,8 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Pick the filter-kernel backend (default `Auto`, which follows
-    /// the build's `simd` feature).
+    /// Pick the filter-kernel backend (default `Auto`, the vectorized
+    /// kernels).
     pub fn kernel(mut self, kernel: KernelChoice) -> Self {
         self.cfg.tuning.kernel = kernel;
         self
@@ -1378,7 +1378,7 @@ mod tests {
         assert_eq!(t.fuse, FuseChoice::Auto);
         assert_eq!(
             KernelChoice::Auto.resolve(),
-            scc_filters::KernelBackend::default_backend()
+            scc_filters::KernelBackend::Simd
         );
         assert_eq!(
             KernelChoice::Scalar.resolve(),

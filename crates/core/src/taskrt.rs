@@ -51,16 +51,16 @@ use crate::metrics::{RecoveryEvent, TaskStats, WalkthroughReport};
 use crate::partition::StagePlan;
 use crate::power_plane::PowerPlane;
 use crate::runner::sim::{faulted_send, finish_film_run, SimRunner, StageLedgers};
-use crate::spec::{Fidelity, RendererMode, StageKind};
+use crate::runner::stage::FilmStages;
+use crate::spec::{RendererMode, StageKind};
 use crate::supervise::Supervisor;
-use scc_filters::{Blur, Flicker, Image, ImageFilter, Scratch, Sepia, StripInfo, VSwap};
+use scc_filters::Image;
 use scc_rcce::{
     decode_claim_ack, decode_steal_grant, decode_steal_request, decode_task_claim,
     encode_claim_ack, encode_steal_grant, encode_steal_request, encode_task_claim, ClaimAck,
     ClaimTable, ClaimVerdict, StealGrant, StealRequest, TaskClaim, TaskId,
 };
 use scc_sim::fault::MessageOutcome;
-use scc_sim::platform::MemOp;
 use scc_sim::{CoreId, SimTime, HEARTBEAT_BYTES};
 use scc_telemetry::{names, EventKind, SECONDS_BUCKETS};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -140,8 +140,7 @@ struct Engine {
     r: SimRunner,
     flavor: ScheduleFlavor,
     plan: StagePlan,
-    impls: [Box<dyn ImageFilter>; 5],
-    pool: crate::pool::BufferPool,
+    stages: FilmStages,
 
     workers: Vec<Worker>,
     worker_of: HashMap<u8, usize>,
@@ -244,19 +243,11 @@ impl Engine {
             ScheduleFlavor::Des => 0x7461_736b_7274_0002u64,
         };
         let cap = cfg.task_tuning.queue_capacity.max(1) as usize;
-        let pool = crate::pool::BufferPool::from_enabled(cfg.tuning.buffer_pool);
 
         Engine {
             flavor,
             plan,
-            impls: [
-                Box::new(Sepia),
-                Box::new(Blur::default()),
-                Box::new(Scratch::default()),
-                Box::new(Flicker::default()),
-                Box::new(VSwap),
-            ],
-            pool,
+            stages: FilmStages::new(cfg),
             workers,
             worker_of,
             ledgers,
@@ -553,46 +544,19 @@ impl Engine {
         // static lane walk: one fetch at group entry, then per stage
         // compute + cache-model traffic; merged siblings stay on-core.
         let bytes = task.data.byte_len();
-        let ctx = task.data.ctx(self.r.cfg.seed);
-        let mut t = self.r.platform.fetch_from_partition(core, start, bytes);
         let group = self.plan.groups[task.group].clone();
-        for j in group.stages() {
-            let cycles = match &task.data.image {
-                Some(img) => {
-                    let c = self.r.cost.filter_cycles(self.impls[j].as_ref(), img, &ctx);
-                    self.impls[j].apply_vectored(
-                        task.data.image.as_mut().expect("image present"),
-                        &ctx,
-                        self.r.cfg.tuning.kernel.resolve(),
-                        1,
-                    );
-                    c
-                }
-                None => {
-                    let proxy = self.pool.acquire(self.r.cfg.width, task.data.strip.height);
-                    let c = self
-                        .r
-                        .cost
-                        .filter_cycles(self.impls[j].as_ref(), &proxy, &ctx);
-                    self.pool.release(proxy);
-                    c
-                }
-            };
-            t = self.r.platform.compute(core, t, cycles as u64);
-            let traffic = self
-                .r
-                .cost
-                .stage_traffic(StageKind::PIPELINE_FILTERS[j], bytes);
-            t = self
-                .r
-                .platform
-                .mem_stream(core, t, MemOp::Read, traffic.read_bytes);
-            t = self
-                .r
-                .platform
-                .mem_stream(core, t, MemOp::Write, traffic.write_bytes);
-        }
-        self.r.platform.record_busy(core, start, t);
+        let t = self
+            .stages
+            .filter(
+                &mut self.r.platform,
+                &self.r.cost,
+                core,
+                group.stages(),
+                &mut task.data,
+                start,
+                true,
+            )
+            .done;
         self.workers[widx].free = t;
         self.stats.executed += 1;
 
@@ -1072,60 +1036,22 @@ impl Engine {
     /// the chip (which re-opens the source window).
     fn drain_transfer(&mut self) -> bool {
         let p = self.r.cfg.pipelines as usize;
-        let full_px = self.r.cfg.width as u64 * self.r.cfg.height as u64;
-        let full_bytes = self.r.cfg.frame_bytes();
-        let transfer = &mut self.ledgers.transfer;
         let mut any = false;
         while self.next_out < self.r.cfg.frames {
             let f = self.next_out;
             if !(0..p).all(|i| self.delivered.contains_key(&(f, i))) {
                 break;
             }
-            let strips: Vec<(SimTime, Frame)> = (0..p)
-                .map(|i| self.delivered.remove(&(f, i)).expect("checked"))
-                .collect();
-            let first_avail = strips.iter().map(|(t, _)| *t).min().expect("p >= 1");
-            transfer
-                .idle_samples
-                .push(first_avail.saturating_sub(transfer.free));
-            let cycle_start = transfer.free.max(first_avail);
-            let mut t = transfer.free;
-            for (arr, frame) in &strips {
-                let start = (*arr).max(t);
-                t = self
-                    .r
-                    .platform
-                    .fetch_from_partition(transfer.core, start, frame.byte_len());
-            }
-            t = self.r.platform.compute(
-                transfer.core,
-                t,
-                self.r.cost.assemble_cycles(full_px) as u64,
+            let out = self.stages.transfer(
+                &mut self.r.platform,
+                &self.r.cost,
+                &mut self.ledgers.transfer,
+                (0..p)
+                    .map(|i| self.delivered.remove(&(f, i)).expect("checked"))
+                    .collect(),
             );
-            t = self
-                .r
-                .platform
-                .mem_stream(transfer.core, t, MemOp::Write, full_bytes);
-            let t_out = self.r.platform.chip_to_host(transfer.core, t, full_bytes);
-            self.r
-                .platform
-                .record_busy(transfer.core, cycle_start, t_out);
-            transfer.busy += t_out - cycle_start;
-            transfer.free = t_out;
-            transfer.frames += 1;
-            self.finish = self.finish.max(t_out);
-            if self.r.cfg.fidelity == Fidelity::Full {
-                let parts: Vec<(StripInfo, Image)> = strips
-                    .iter()
-                    .map(|(_, fr)| {
-                        (
-                            scc_filters::vswap::mirrored_info(fr.strip),
-                            fr.image.clone().expect("image present"),
-                        )
-                    })
-                    .collect();
-                self.outputs.push(Image::assemble(&parts));
-            }
+            self.finish = self.finish.max(out.done);
+            self.outputs.extend(out.image);
             for ring in &mut self.rings {
                 ring.ack(f);
             }
@@ -1193,7 +1119,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Arrangement, FaultSpec, KillSpec, RunConfig, Runtime};
+    use crate::spec::{Arrangement, FaultSpec, Fidelity, KillSpec, RunConfig, Runtime};
     use scc_render::{CityConfig, Scene};
     use std::sync::Arc;
 

@@ -1,10 +1,12 @@
 //! Kernel backend selection: scalar reference loops vs the lane-
 //! vectorized kernels of [`crate::lanes`].
 //!
-//! Both backends are always compiled; the `simd` cargo feature only
-//! flips which one [`KernelBackend::default_backend`] resolves to, so a
-//! build with the feature off can still run (and test) the vectorized
-//! path explicitly, and vice versa. Every vectorized kernel is
+//! There is one build and both backends are in it. The vectorized
+//! kernels are what runs unless a caller asks otherwise
+//! ([`KernelBackend::default_backend`]): their lanes are plain
+//! `[f32; 8]` arrays, so there is no platform they cannot run on. The
+//! scalar loops are the reference the vectorized kernels are tested
+//! against, and stay selectable for that. Every vectorized kernel is
 //! bit-identical to its scalar twin — the backend is a *speed* knob,
 //! never a *pixels* knob (DESIGN.md §15).
 
@@ -22,14 +24,10 @@ pub enum KernelBackend {
 }
 
 impl KernelBackend {
-    /// The backend a build runs when nothing is requested explicitly:
-    /// vectorized when the `simd` feature is on, scalar otherwise.
+    /// The backend that runs when nothing is requested explicitly: the
+    /// vectorized kernels.
     pub fn default_backend() -> KernelBackend {
-        if cfg!(feature = "simd") {
-            KernelBackend::Simd
-        } else {
-            KernelBackend::Scalar
-        }
+        KernelBackend::Simd
     }
 
     /// Short name for digests, bench JSON and fuzz-repro lines.
@@ -46,13 +44,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_backend_follows_the_feature_gate() {
-        let d = KernelBackend::default_backend();
-        if cfg!(feature = "simd") {
-            assert_eq!(d, KernelBackend::Simd);
-        } else {
-            assert_eq!(d, KernelBackend::Scalar);
-        }
+    fn default_backend_is_vectorized() {
+        assert_eq!(KernelBackend::default_backend(), KernelBackend::Simd);
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! unpooled buffers must deliver byte-identical final frames, identical
 //! frame counts, and still match the sequential reference. A tuning knob
 //! that changes a pixel is a correctness bug dressed up as a speedup.
+//! The kernel backend gets the same treatment on every executor: there
+//! is one build, so this suite is where the vectorized default and the
+//! scalar reference meet.
 
 use scc_core::{
-    reference::reference_frames, run_native, Fidelity, FuseChoice, KernelChoice, NativeTuning,
-    RendererMode, RunConfig,
+    reference::reference_frames, run_native, run_with_scene, Backend, BackendReport, Fidelity,
+    FuseChoice, KernelChoice, NativeTuning, RendererMode, RunConfig,
 };
-use scc_filters::Image;
+use scc_filters::{Image, KernelBackend};
 use scc_render::{CityConfig, Scene};
 use std::sync::Arc;
 
@@ -118,6 +121,35 @@ fn threaded_pooled_native_matches_sequential_reference() {
             raw_frames(&want),
             "{mode:?}: threaded+pooled native diverged from reference"
         );
+    }
+}
+
+#[test]
+fn kernel_choice_is_invisible_on_every_backend() {
+    // `Auto` is the vectorized kernels and `Scalar` the reference loops:
+    // the film through `run()` is the reference film under both, on
+    // every executor, in this one build.
+    assert_eq!(KernelChoice::Auto.resolve(), KernelBackend::Simd);
+    assert_eq!(KernelChoice::Scalar.resolve(), KernelBackend::Scalar);
+    let want = reference_frames(&cfg(RendererMode::SingleRenderer, baseline()), scene());
+    for backend in [Backend::Sim, Backend::Des, Backend::Native] {
+        for kernel in [KernelChoice::Auto, KernelChoice::Scalar] {
+            let c = cfg(
+                RendererMode::SingleRenderer,
+                tune_kernel(1, kernel, FuseChoice::Auto),
+            );
+            let film = match run_with_scene(&c, backend, scene()).report {
+                BackendReport::Sim(r) => r.outputs.expect("full fidelity keeps frames"),
+                BackendReport::Des(r) => r.frames.expect("full fidelity keeps frames"),
+                BackendReport::Native(r) => r.frames,
+                BackendReport::Generic(_) => unreachable!("a film run"),
+            };
+            assert_eq!(
+                raw_frames(&film),
+                raw_frames(&want),
+                "{backend:?}/{kernel:?}: film diverged from the reference"
+            );
+        }
     }
 }
 
