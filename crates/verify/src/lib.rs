@@ -657,6 +657,81 @@ pub fn workload_digest(case: &GoldenCase) -> String {
     out
 }
 
+/// Digest of supervised fail-stop kills on the event-driven executor —
+/// the only byte-exact pin of a DES kill run (`fault-recovered`,
+/// `auto-recovered` and `tasks-recovered` run the frame-major executor
+/// or the task runtime; `tests/recovery_equivalence.rs` compares within
+/// a tolerance). Two cases, telemetry on: the fixed placement with a
+/// kill of pipeline 0's blur core, and the scheduler's placement with a
+/// kill inside its merged scratch+flicker+swap group. Each pins the
+/// run time and every [`scc_core::RecoveryEvent`] field as IEEE-754
+/// bits, the film hash, the four supervision counters and the event
+/// stream.
+pub fn des_recovered_digest() -> String {
+    use scc_core::spec::{FaultSpec, KillSpec};
+    use scc_telemetry::names;
+    let mut out = String::from("== des-recovered\n");
+    for (tag, auto_place, stage) in [("fixed", false, 1u32), ("auto-merged", true, 3)] {
+        let mut cfg = base_cfg();
+        cfg.trace = false;
+        cfg.telemetry = true;
+        cfg.auto_place = auto_place;
+        cfg.fault = Some(FaultSpec {
+            kills: vec![KillSpec {
+                pipeline: 0,
+                stage,
+                at_ms: 1,
+            }],
+            heartbeat_period_us: 2_000,
+            phi_dead: 2.0,
+            ..FaultSpec::default()
+        });
+        let r = scc_core::run_des(&cfg, verify_scene());
+        out.push_str(&format!(
+            "-- {tag} config={}\ntotal_secs={:016x} film={:016x} frames={}\n",
+            config_line(&cfg),
+            r.total_secs.to_bits(),
+            film_hash(r.frames.as_deref().expect("full fidelity keeps the film")),
+            r.frames.as_ref().map_or(0, Vec::len)
+        ));
+        for e in &r.recoveries {
+            out.push_str(&format!(
+                "recovery frame={} pipeline={} stage={} failed_core={} target={} \
+                 killed={:016x} detected={:016x} resumed={:016x} replayed={} mttr={:016x}\n",
+                e.frame,
+                e.pipeline,
+                e.stage.name(),
+                e.failed_core,
+                e.migration_target,
+                e.killed_at_secs.to_bits(),
+                e.detected_at_secs.to_bits(),
+                e.resumed_at_secs.to_bits(),
+                e.frames_replayed,
+                e.mttr_secs.to_bits()
+            ));
+        }
+        let snap = r.telemetry.as_ref().expect("telemetry was on");
+        let counter = |name: &str| snap.counter(name, &[]).map_or(0, |c| c.value);
+        out.push_str(&format!(
+            "counters heartbeats={} misses={} migrations={} replayed={}\n",
+            counter(names::HEARTBEATS_TOTAL),
+            counter(names::HEARTBEAT_MISSES_TOTAL),
+            counter(names::MIGRATIONS_TOTAL),
+            counter(names::FRAMES_REPLAYED_TOTAL)
+        ));
+        let mut stream = String::new();
+        for e in &snap.events {
+            stream.push_str(&format!("event {} {:?}\n", e.at_ns, e.kind));
+        }
+        out.push_str(&format!(
+            "{stream}events={} digest={:016x}\n",
+            snap.events.len(),
+            fnv1a_str(&stream)
+        ));
+    }
+    out
+}
+
 fn film_hash(frames: &[scc_filters::Image]) -> u64 {
     let mut h = FNV_OFFSET;
     for f in frames {

@@ -8,8 +8,9 @@
 #![cfg(not(feature = "verify-selftest"))]
 
 use scc_verify::{
-    autoplace_decision_digest, autoplace_decision_fused_digest, bench_schema_digest, digest_case,
-    golden_matrix, native_tuning_digest, serving_smoke_digest, workload_digest, workload_goldens,
+    autoplace_decision_digest, autoplace_decision_fused_digest, bench_schema_digest,
+    des_recovered_digest, digest_case, golden_matrix, native_tuning_digest, serving_smoke_digest,
+    workload_digest, workload_goldens,
 };
 use std::path::PathBuf;
 
@@ -86,6 +87,13 @@ fn workload_digests_match_the_pinned_files() {
 }
 
 #[test]
+fn des_recovered_digest_matches_the_pinned_file() {
+    if let Err(e) = check_or_update("des-recovered", &des_recovered_digest()) {
+        panic!("{e}");
+    }
+}
+
+#[test]
 fn autoplace_decision_digest_matches_the_pinned_file() {
     if let Err(e) = check_or_update("autoplace-decision", &autoplace_decision_digest()) {
         panic!("{e}");
@@ -121,5 +129,6 @@ fn consecutive_matrix_runs_are_byte_identical() {
         autoplace_decision_fused_digest()
     );
     assert_eq!(serving_smoke_digest(), serving_smoke_digest());
+    assert_eq!(des_recovered_digest(), des_recovered_digest());
     assert_eq!(bench_schema_digest(), bench_schema_digest());
 }
