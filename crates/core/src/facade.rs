@@ -216,7 +216,7 @@ pub fn run_with_scene(cfg: &RunConfig, backend: Backend, scene: Arc<Scene>) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::Fidelity;
+    use crate::spec::{FaultSpec, Fidelity, Runtime};
 
     fn tiny() -> RunConfig {
         RunConfig::builder()
@@ -226,6 +226,56 @@ mod tests {
             .fidelity(Fidelity::TimingOnly)
             .build()
             .expect("valid config")
+    }
+
+    fn lossy(fault: FaultSpec) -> RunConfig {
+        let mut cfg = tiny();
+        cfg.fault = Some(FaultSpec {
+            drop_rate: 0.1,
+            ..fault
+        });
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint_depth must be at least 1")]
+    fn zero_checkpoint_depth_is_refused_by_validation_not_by_the_ring() {
+        run(
+            &lossy(FaultSpec {
+                checkpoint_depth: 0,
+                ..Default::default()
+            }),
+            Backend::Sim,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "retry_budget 63 overflows the virtual clock")]
+    fn unrepresentable_retry_patience_is_refused_by_validation_not_by_a_shift() {
+        run(
+            &lossy(FaultSpec {
+                retry_budget: 63,
+                ..Default::default()
+            }),
+            Backend::Sim,
+        );
+    }
+
+    #[test]
+    fn smallest_ring_and_largest_budget_run_to_completion() {
+        let cfg = lossy(FaultSpec {
+            checkpoint_depth: 1,
+            retry_budget: 30,
+            ..Default::default()
+        });
+        cfg.validate().expect("at the bounds, still valid");
+        for runtime in [Runtime::Static, Runtime::Tasks] {
+            let cfg = RunConfig {
+                runtime,
+                ..cfg.clone()
+            };
+            assert_eq!(run(&cfg, Backend::Sim).frames, 3);
+        }
     }
 
     #[test]

@@ -27,8 +27,10 @@
 //!   from (no per-frame heap churn);
 //! * [`generic`] — user-defined macro pipelines on the same substrate
 //!   (the §I claim that the results translate to other domains);
-//! * [`supervise`] — the MCPC supervision control plane: heartbeat-based
-//!   failure detection, spare-core migration, checkpointed frame replay;
+//! * [`supervise`] — the recovery plane every virtual-time executor
+//!   attaches once (crate-internal): the reliable send, heartbeat-based
+//!   failure detection, spare-core migration, checkpointed frame replay,
+//!   lane failover;
 //! * [`trace`] — per-stage phase spans with a Chrome-trace exporter;
 //! * [`viz`] — the visualisation-client endpoint: checksums, the flicker
 //!   series, scratch detection, delivery statistics.
@@ -85,7 +87,6 @@ pub use spec::{
     RunConfigBuilder, Runtime, StageKind, StallSpec, TaskTuning, WavefrontSpec, Workload,
 };
 pub use stage_graph::{StageClass, StageGraph, StageNode, StageWeights, WeightSource};
-pub use supervise::{resolve_kills, CheckpointRing, Supervisor, STAGE_PROVISION_BYTES};
 pub use trace::{Phase, TraceEvent, TraceLog};
 pub use viz::{VizClient, VizReport};
 pub use wavefront::{propagate, WavefrontTrace};

@@ -10,8 +10,11 @@
 //! nondecreasing start-time order — so platform bookings happen almost
 //! exactly in virtual-time order.
 //!
-//! The two executors share the platform, the cost model and what one
-//! stage books on them ([`super::source`], [`super::stage`]); the
+//! The two executors share the platform, the cost model, what one
+//! stage books on them ([`super::source`], [`super::stage`]) and the
+//! supervised recovery episode ([`crate::supervise::RecoveryPlane`] —
+//! this executor observes a kill at a filter node's start, re-homes
+//! `reps`, and does not install the schedule on the platform); the
 //! scheduling — when a stage may start, and in what order the platform
 //! sees the bookings — is written twice on purpose. `tests/` asserts they
 //! agree within a small tolerance, which guards both implementations
@@ -28,12 +31,12 @@ use crate::partition::StagePlan;
 use crate::placement::Placement;
 use crate::power_plane::PowerPlane;
 use crate::spec::{Fidelity, RendererMode, RunConfig, StageKind};
-use crate::supervise::{resolve_kills, Supervisor, STAGE_PROVISION_BYTES};
+use crate::supervise::{Episode, RecoveryPlane};
 use scc_filters::Image;
 use scc_render::{Renderer, Scene, Walkthrough};
-use scc_sim::fault::{CoreKill, FaultConfig, FaultPlan};
-use scc_sim::{CoreId, EventQueue, SccConfig, SccPlatform, SimTime, HEARTBEAT_BYTES};
-use scc_telemetry::{names, EventKind, TelemetrySink, IDLE_MS_BUCKETS, SECONDS_BUCKETS};
+use scc_sim::fault::CoreKill;
+use scc_sim::{CoreId, EventQueue, SccConfig, SccPlatform, SimTime};
+use scc_telemetry::{names, TelemetrySink, IDLE_MS_BUCKETS};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -49,11 +52,10 @@ enum Node {
 /// Resolved timing facts other nodes consume.
 #[derive(Debug, Default, Clone, Copy)]
 struct Facts {
-    /// When the stage finished its cycle (ready for the next frame).
+    /// When the stage finished its cycle (ready for the next frame) —
+    /// also the instant its output became resident downstream (for the
+    /// renderer, per target: folded into `arrivals`).
     free: SimTime,
-    /// When this node's output became resident downstream (per-target for
-    /// the renderer this is folded into `arrivals`).
-    _done: SimTime,
 }
 
 /// Minimal result of a DES run.
@@ -77,7 +79,10 @@ pub struct DesReport {
     pub dvfs_decisions: Vec<crate::governor::GovernorDecision>,
 }
 
-/// The kill schedule entry for `core`, if any.
+/// The kill schedule entry for `core`, if any: the *first listed* one,
+/// where the frame-major executor takes the earliest. Part of this
+/// executor's own observation — `tests/regressions/kill-window-boundary.txt`
+/// (two kills of one core, later one first) pins the difference.
 fn kill_time(kills: &[CoreKill], core: CoreId) -> Option<SimTime> {
     kills.iter().find(|k| k.core == core.raw()).map(|k| k.at)
 }
@@ -117,36 +122,29 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
     let mut platform = SccPlatform::new(SccConfig::default());
     let placement: Placement = crate::partition::placement_for(cfg);
     let plan: StagePlan = crate::partition::plan_for(cfg);
-    let mut spinning = placement.all_cores();
-    platform.set_spinning(spinning.clone());
+    // Shared observation sink; disabled (the default) it records nothing
+    // and the DES timeline is bit-identical to pre-telemetry builds.
+    let tel = TelemetrySink::from_enabled(cfg.telemetry);
+    // Supervision: the DES validator models *supervised fail-stop kills*
+    // only — message-level faults, stalls, and the spare-exhausted
+    // degradation fallback are the frame-major executor's domain — and
+    // it does not install the schedule on the platform.
+    if let Some(s) = &cfg.fault {
+        assert!(
+            s.stall.is_none()
+                && s.drop_rate == 0.0
+                && s.corrupt_rate == 0.0
+                && s.delay_rate == 0.0
+                && s.degraded_links == 0,
+            "the DES validator models supervised fail-stop kills only"
+        );
+    }
+    let mut recovery = RecoveryPlane::arm(cfg, &placement, &mut platform, tel.clone());
     // The governed plane closes the loop on the event timeline with the
     // frame-major executor's control law and epoch mapping (one shared
     // power plane): a frame's state is always already decided by the
     // time the pipelined lookahead reaches it.
     let mut power = PowerPlane::arm(cfg, &mut platform, cfg.frames, placement.source_cores());
-    // Supervision: the DES validator models *supervised fail-stop kills*
-    // only — message-level faults, stalls, and the spare-exhausted
-    // degradation fallback are the frame-major executor's domain.
-    let kills: Vec<CoreKill> = cfg
-        .fault
-        .as_ref()
-        .map(|s| {
-            assert!(
-                s.stall.is_none()
-                    && s.drop_rate == 0.0
-                    && s.corrupt_rate == 0.0
-                    && s.delay_rate == 0.0
-                    && s.degraded_links == 0,
-                "the DES validator models supervised fail-stop kills only"
-            );
-            resolve_kills(s, &placement)
-        })
-        .unwrap_or_default();
-    let mut supervisor = cfg
-        .fault
-        .as_ref()
-        .filter(|s| s.supervised())
-        .map(|s| Supervisor::new(&placement, s));
     // Stage-to-core mapping, mutable so a migration can re-home a stage
     // onto a spare; every node indexes this instead of the placement.
     // `reps[i][j]` lists the cores serving stage `j` of lane `i`: the
@@ -167,10 +165,6 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                 .collect()
         })
         .collect();
-    let mut recoveries: Vec<RecoveryEvent> = Vec::new();
-    // Shared observation sink; disabled (the default) it records nothing
-    // and the DES timeline is bit-identical to pre-telemetry builds.
-    let tel = TelemetrySink::from_enabled(cfg.telemetry);
     let renderer = Renderer::new(scene);
     let mut source = FilmSource::new(cfg, &placement);
     let walkthrough = Walkthrough::standard(cfg.width as f32 / cfg.height as f32);
@@ -342,7 +336,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                     t = resident;
                 }
                 source.commit(0, t);
-                facts.insert(node, Facts { free: t, _done: t });
+                facts.insert(node, Facts { free: t });
             }
             Node::Filter(i, j, f) => {
                 let r = u64::from(plan.replicas_of(j));
@@ -373,74 +367,43 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                     );
                 }
                 power.note_idle(core, f, idle);
-                if let Some(kill_at) = kill_time(&kills, core).filter(|&k| k <= start) {
+                if let Some(kill_at) = kill_time(recovery.kills(), core).filter(|&k| k <= start) {
                     // Fail-stop observed with the strip already resident:
-                    // detect via the heartbeat path, provision the next
-                    // spare over the host link, and replay the upstream's
-                    // unacknowledged strip — the same detect → migrate →
-                    // replay timeline as the frame-major executor.
-                    let sup = supervisor
-                        .as_mut()
-                        .expect("a DES kill run must arm the supervisor");
-                    let spare = sup
-                        .take_spare()
-                        .expect("the DES validator requires a spare for every kill");
-                    let hb_latency = platform.host_path_latency(core, HEARTBEAT_BYTES);
-                    let detected = sup.detect_time(kill_at, hb_latency);
-                    let ready = platform.host_to_chip(spare, detected, STAGE_PROVISION_BYTES);
-                    // Replay comes from the merged group's *external*
-                    // upstream — internal inputs died with the core.
+                    // the same detect → migrate → replay episode as the
+                    // frame-major executor, replayed from the merged
+                    // group's *external* upstream — internal inputs died
+                    // with the core.
                     let g0 = plan.groups[plan.group_of(j)].start;
                     let upstream = if g0 == 0 {
                         placement.renderers[0]
                     } else {
                         reps[i][g0 - 1][(f % r_of(g0 - 1)) as usize]
                     };
-                    let resend_at = ready.max(start);
-                    let resident = platform.send_to_partition(upstream, spare, resend_at, bytes);
+                    let m = recovery
+                        .migrate(
+                            &mut platform,
+                            Episode {
+                                frame: f,
+                                pipeline: i as u32,
+                                stage: kind,
+                                failed_core: core,
+                                kill_at,
+                                observed: start,
+                                upstream,
+                                bytes,
+                                // No checkpoint ring here: exactly the
+                                // one resident strip is replayed.
+                                frames_replayed: 1,
+                            },
+                        )
+                        .expect("the DES validator requires a spare for every kill");
                     // A merged group lives and dies with its one core:
                     // every sibling stage re-homes to the spare with it.
                     for sib in plan.groups[plan.group_of(j)].stages() {
-                        reps[i][sib][rep] = spare;
+                        reps[i][sib][rep] = m.spare;
                     }
-                    spinning.push(spare);
-                    platform.set_spinning(spinning.clone());
-                    let mttr = resident.saturating_sub(kill_at).as_secs_f64();
-                    recoveries.push(RecoveryEvent {
-                        frame: f,
-                        pipeline: i as u32,
-                        stage: kind,
-                        failed_core: core.raw(),
-                        migration_target: spare.raw(),
-                        killed_at_secs: kill_at.as_secs_f64(),
-                        detected_at_secs: detected.as_secs_f64(),
-                        resumed_at_secs: resident.as_secs_f64(),
-                        frames_replayed: 1,
-                        mttr_secs: mttr,
-                    });
-                    tel.event(
-                        detected.as_ps() / 1_000,
-                        EventKind::HeartbeatMiss {
-                            core: u32::from(core.raw()),
-                            suspicion: sup.phi_dead(),
-                        },
-                    );
-                    tel.event(
-                        resident.as_ps() / 1_000,
-                        EventKind::Migration {
-                            stage: kind.name(),
-                            pipeline: i as u32,
-                            from_core: u32::from(core.raw()),
-                            to_core: u32::from(spare.raw()),
-                            frames_replayed: 1,
-                        },
-                    );
-                    tel.count(names::HEARTBEAT_MISSES_TOTAL, &[], 1);
-                    tel.count(names::MIGRATIONS_TOTAL, &[], 1);
-                    tel.count(names::FRAMES_REPLAYED_TOTAL, &[], 1);
-                    tel.observe(names::MTTR_SECONDS, &[], SECONDS_BUCKETS, mttr);
-                    core = spare;
-                    start = resident;
+                    core = m.spare;
+                    start = m.resident;
                 }
                 // A same-core input is already resident: no MPB fetch.
                 let t = stages
@@ -489,13 +452,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                 } else {
                     transfer_arrivals.entry(f).or_default().push((resident, i));
                 }
-                facts.insert(
-                    node,
-                    Facts {
-                        free: resident,
-                        _done: resident,
-                    },
-                );
+                facts.insert(node, Facts { free: resident });
             }
             Node::Transfer(f) => {
                 // Collect strips as they arrive, each with its own size.
@@ -520,13 +477,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                 power.note_idle(transfer.core, f, out.idle);
                 outputs.extend(out.image);
                 let t_out = out.done;
-                facts.insert(
-                    node,
-                    Facts {
-                        free: t_out,
-                        _done: t_out,
-                    },
-                );
+                facts.insert(node, Facts { free: t_out });
                 finish = t_out;
                 // The epoch's last transfer is its close: every filter
                 // node of its frames is a transitive dependency.
@@ -536,7 +487,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
         executed += 1;
         // Release dependents.
         if let Some(deps) = dependents.get(&node) {
-            for &d in deps.clone().iter() {
+            for &d in deps {
                 let c = pending.get_mut(&d).expect("known node");
                 *c -= 1;
                 if *c == 0 {
@@ -551,20 +502,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
     // Book the heartbeat traffic every placed core emitted while alive —
     // real mesh + host-link messages, charged after the timeline so the
     // computed stage times match the frame-major executor's.
-    if let Some(spec) = cfg.fault.as_ref().filter(|s| s.supervised()) {
-        let plan = FaultPlan::new(FaultConfig {
-            kills: kills.clone(),
-            ..FaultConfig::default()
-        });
-        let booked = crate::supervise::book_heartbeats(
-            &mut platform,
-            &placement,
-            &plan,
-            SimTime::from_us(spec.heartbeat_period_us),
-            finish,
-        );
-        tel.count(names::HEARTBEATS_TOTAL, &[], booked);
-    }
+    recovery.finish(&mut platform, &placement, finish);
 
     // Behind `RunConfig::verify`: the DES-side invariants — monotone
     // virtual clocks per stage, recovery-timeline legality, NoC flit
@@ -612,18 +550,13 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                 prev = free;
             }
         }
-        for e in &recoveries {
-            if !(e.killed_at_secs <= e.detected_at_secs && e.detected_at_secs <= e.resumed_at_secs)
-            {
-                violations.push(Violation::new(
-                    "recovery-legality",
-                    format!(
-                        "recovery timeline disordered: killed {} detected {} resumed {}",
-                        e.killed_at_secs, e.detected_at_secs, e.resumed_at_secs
-                    ),
-                ));
-            }
-        }
+        let depth = cfg.fault.as_ref().map_or(0, |f| f.checkpoint_depth);
+        crate::invariant::check_recoveries(
+            &recovery.recoveries,
+            depth,
+            cfg.pipelines,
+            &mut violations,
+        );
         if let Err(err) = platform.audit_noc() {
             violations.push(Violation::new("noc-conservation", err));
         }
@@ -644,7 +577,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
     DesReport {
         total_secs: finish.as_secs_f64(),
         frames: (cfg.fidelity == Fidelity::Full).then_some(outputs),
-        recoveries,
+        recoveries: recovery.recoveries,
         telemetry: tel.snapshot(),
         dvfs_decisions: power.decisions(),
     }

@@ -15,24 +15,29 @@
 //! the **receiver's DRAM partition** and are fetched back out before
 //! processing (`SccPlatform::{send_to_partition, fetch_from_partition}`) —
 //! the overhead the paper identifies as the platform's key weakness.
+//!
+//! Everything a run does about faults goes through the one
+//! [`RecoveryPlane`] the runner holds (reliable send, supervisor, rings,
+//! the migrate episode, failover state). This file keeps what is the
+//! frame-major executor's own: where a failed send or a dead stage is
+//! observed, which `lane_states` slots a migration re-homes, the
+//! failover + re-send policy, the span log.
 
 use super::source::FilmSource;
 use super::stage::FilmStages;
 use crate::cost::CostModel;
 use crate::frame::Frame;
-use crate::metrics::{DegradationEvent, RecoveryEvent, StageReport, TaskStats, WalkthroughReport};
+use crate::metrics::{StageReport, TaskStats, WalkthroughReport};
 use crate::partition::StagePlan;
 use crate::placement::Placement;
 use crate::power_plane::PowerPlane;
-use crate::spec::{FaultSpec, Fidelity, RunConfig, StageKind};
-use crate::supervise::{resolve_kills, CheckpointRing, Supervisor, STAGE_PROVISION_BYTES};
+use crate::spec::{Fidelity, RunConfig, StageKind};
+use crate::supervise::{Episode, RecoveryPlane};
 use crate::trace::{Phase, TraceLog};
 use scc_filters::Image;
 use scc_render::{Renderer, Scene, Walkthrough};
-use scc_sim::fault::{CoreStall, FaultConfig, FaultPlan, MessageOutcome};
-use scc_sim::{CoreId, SccConfig, SccPlatform, SimTime, HEARTBEAT_BYTES};
-use scc_telemetry::{names, EventKind, TelemetrySink, IDLE_MS_BUCKETS, SECONDS_BUCKETS};
-use std::collections::HashMap;
+use scc_sim::{CoreId, SccConfig, SccPlatform, SimTime};
+use scc_telemetry::{names, EventKind, TelemetrySink, IDLE_MS_BUCKETS};
 use std::sync::Arc;
 
 /// Per-stage runtime state. Shared with the task runtime
@@ -80,74 +85,6 @@ impl StageState {
     }
 }
 
-/// Resolved fault-injection context for a run: the schedule plus the
-/// retry protocol's virtual-time parameters.
-#[derive(Clone)]
-pub(crate) struct FaultCtx {
-    pub(crate) plan: Arc<FaultPlan>,
-    /// First-attempt acknowledgement window; attempt `n` waits `2^n` times
-    /// as long.
-    pub(crate) timeout: SimTime,
-    /// Retransmissions after the first attempt.
-    pub(crate) budget: u32,
-    /// The run's shared telemetry sink (disabled unless
-    /// `RunConfig::telemetry`); lets the ARQ and recovery paths record
-    /// retries, misses, and migrations as they happen.
-    pub(crate) tel: TelemetrySink,
-}
-
-impl FaultCtx {
-    /// Worst-case wait across every attempt starting from `attempt`:
-    /// `timeout * (2^(budget+1) - 2^attempt)`.
-    pub(crate) fn patience_from(&self, attempt: u32) -> SimTime {
-        self.timeout * ((1u64 << (self.budget + 1)) - (1u64 << attempt))
-    }
-
-    /// Total patience of the full retry schedule — beyond this, a silent
-    /// peer is declared dead.
-    pub(crate) fn horizon(&self) -> SimTime {
-        self.patience_from(0)
-    }
-
-    /// Build the simulator-facing plan from a [`FaultSpec`], resolving the
-    /// stall's (pipeline, stage) address to a physical core.
-    pub(crate) fn from_spec(
-        spec: &FaultSpec,
-        placement: &Placement,
-        tel: TelemetrySink,
-    ) -> FaultCtx {
-        let stalls = spec
-            .stall
-            .iter()
-            .map(|s| CoreStall {
-                core: placement.pipelines[s.pipeline as usize][s.stage as usize].raw(),
-                at: SimTime::from_ms(s.at_ms),
-                duration: if s.for_ms == u64::MAX {
-                    SimTime::MAX
-                } else {
-                    SimTime::from_ms(s.for_ms)
-                },
-            })
-            .collect();
-        FaultCtx {
-            plan: Arc::new(FaultPlan::new(FaultConfig {
-                seed: spec.seed,
-                drop_rate: spec.drop_rate,
-                corrupt_rate: spec.corrupt_rate,
-                delay_rate: spec.delay_rate,
-                max_delay: SimTime::from_us(spec.max_delay_us),
-                degraded_links: spec.degraded_links,
-                degrade_factor: spec.degrade_factor,
-                stalls,
-                kills: resolve_kills(spec, placement),
-            })),
-            timeout: SimTime::from_us(spec.timeout_us),
-            budget: spec.retry_budget,
-            tel,
-        }
-    }
-}
-
 /// The simulated-SCC pipeline runner.
 pub struct SimRunner {
     pub(crate) cfg: RunConfig,
@@ -157,7 +94,7 @@ pub struct SimRunner {
     pub(crate) platform: SccPlatform,
     pub(crate) renderer: Arc<Renderer>,
     pub(crate) walkthrough: Walkthrough,
-    pub(crate) fault: Option<FaultCtx>,
+    pub(crate) recovery: RecoveryPlane,
     pub(crate) tel: TelemetrySink,
 }
 
@@ -192,13 +129,12 @@ impl SimRunner {
         // path, and the supervisor all record into it. Disabled (the
         // default) it is a no-op and cannot perturb anything.
         let tel = TelemetrySink::from_enabled(cfg.telemetry);
-        let fault = cfg
-            .fault
-            .as_ref()
-            .map(|s| FaultCtx::from_spec(s, &placement, tel.clone()));
         let mut platform = platform;
-        if let Some(ctx) = &fault {
-            platform.set_fault_plan(Arc::clone(&ctx.plan));
+        let recovery = RecoveryPlane::arm(&cfg, &placement, &mut platform, tel.clone());
+        // This executor lets the platform apply the schedule too (stall
+        // windows, degraded links, flit delays).
+        if let Some(plan) = recovery.fault_plan() {
+            platform.set_fault_plan(plan);
         }
         SimRunner {
             renderer: Arc::new(Renderer::new(scene)),
@@ -208,7 +144,7 @@ impl SimRunner {
             plan,
             platform,
             walkthrough,
-            fault,
+            recovery,
             tel,
         }
     }
@@ -234,8 +170,6 @@ impl SimRunner {
             self.cfg.frames,
             self.placement.source_cores(),
         );
-        // Every placed stage spin-waits on its RCCE flags when idle.
-        self.platform.set_spinning(self.placement.all_cores());
         // The invariant checker walks the span log even when the caller
         // did not ask for a trace: collect internally and strip it from
         // the report afterwards. Span collection never feeds back into
@@ -259,39 +193,6 @@ impl SimRunner {
 
         let mut outputs: Vec<Image> = Vec::new();
         let mut finish = SimTime::ZERO;
-
-        // Graceful-degradation state (only exercised under injected
-        // faults): which lanes have been declared dead, which lane owns
-        // each strip, and the stop-and-wait sequence counters per
-        // (sender, receiver) core pair.
-        let mut failed: Vec<bool> = vec![false; p];
-        let mut owner: Vec<usize> = (0..p).collect();
-        let mut degradations: Vec<DegradationEvent> = Vec::new();
-        let mut send_seqs: HashMap<(u8, u8), u64> = HashMap::new();
-
-        // Self-healing state: the MCPC supervisor with its spare pool
-        // (armed only when the fault spec schedules kills), the recovery
-        // log, the spin-wait roster (migrations enroll the spare), and a
-        // bounded ARQ checkpoint ring per strip for replay/restore.
-        let mut recoveries: Vec<RecoveryEvent> = Vec::new();
-        let mut spinning: Vec<CoreId> = self.placement.all_cores();
-        let mut supervisor = self
-            .cfg
-            .fault
-            .as_ref()
-            .filter(|s| s.supervised())
-            .map(|s| Supervisor::new(&self.placement, s));
-        let mut healer = supervisor.as_mut().map(|sup| Healer {
-            sup,
-            recoveries: &mut recoveries,
-            spinning: &mut spinning,
-        });
-        let mut checkpoints: Vec<CheckpointRing> = match &self.cfg.fault {
-            Some(spec) => (0..p)
-                .map(|_| CheckpointRing::new(spec.checkpoint_depth))
-                .collect(),
-            None => Vec::new(),
-        };
 
         for f in 0..self.cfg.frames {
             let cam = self.walkthrough.camera(f);
@@ -318,27 +219,18 @@ impl SimRunner {
                 let mut t = lowered.ready;
                 for frame in lowered.strips {
                     let i = frame.strip.index as usize;
-                    if let Some(ring) = checkpoints.get_mut(i) {
-                        ring.push(f, frame.clone());
-                    }
-                    let in_flight = checkpoints.get(i).map_or(1, |r| r.unacked() as u32);
+                    self.recovery.checkpoint(i, f, &frame);
                     let (start, resident) = send_strip(
                         &mut self.platform,
                         &plan,
-                        self.fault.as_ref(),
-                        &mut send_seqs,
+                        &mut self.recovery,
                         &mut ledgers.filters,
-                        &mut failed,
-                        &mut owner,
-                        &mut degradations,
-                        &mut healer,
                         &mut trace,
                         i,
                         f,
                         lowered.core,
                         t,
                         frame.byte_len(),
-                        in_flight,
                     );
                     self.platform.record_busy(lowered.core, start, resident);
                     strip_arrivals[i] = resident;
@@ -354,14 +246,15 @@ impl SimRunner {
             for i in 0..p {
                 let mut avail = strip_arrivals[i];
                 let frame = &mut strip_frames[i];
-                let in_flight = checkpoints.get(i).map_or(1, |r| r.unacked() as u32);
+                let in_flight = self.recovery.in_flight(i);
                 loop {
-                    let lane = owner[i];
+                    let lane = self.recovery.owner(i);
                     let walked = run_strip_on_lane(
                         &mut self.platform,
                         &plan,
                         &self.cost,
                         &stages,
+                        &mut self.recovery,
                         &mut ledgers.filters[lane],
                         lane as u32,
                         strip_sources[i],
@@ -371,9 +264,6 @@ impl SimRunner {
                         f,
                         frame,
                         avail,
-                        self.fault.as_ref(),
-                        &mut send_seqs,
-                        &mut healer,
                         in_flight,
                     );
                     // The walk pushed one idle sample per stage it
@@ -393,49 +283,32 @@ impl SimRunner {
                             break;
                         }
                         Err((j, at)) => {
-                            let culprit = if j < 5 {
-                                StageKind::PIPELINE_FILTERS[j].name()
-                            } else {
-                                StageKind::Transfer.name()
-                            };
-                            let adopter = mark_failed(
-                                &mut failed,
-                                &mut degradations,
+                            mark_failed(
+                                &mut self.recovery,
                                 &mut trace,
                                 &ledgers.filters,
-                                lane,
+                                i,
                                 f,
                                 at,
-                                j as u32,
-                                format!("{culprit} unresponsive beyond retry budget"),
+                                j,
                             );
-                            owner[i] = adopter;
                             // The source re-sends the checkpointed strip
                             // to the adopting lane and processing restarts
                             // there from scratch (the filters are
                             // deterministic in the strip's identity, so
                             // the pixels come out bit-identical).
-                            *frame = checkpoints[i]
-                                .get(f)
-                                .expect("in-flight strip still checkpointed")
-                                .clone();
+                            *frame = self.recovery.restore(i, f);
                             let (_, resident) = send_strip(
                                 &mut self.platform,
                                 &plan,
-                                self.fault.as_ref(),
-                                &mut send_seqs,
+                                &mut self.recovery,
                                 &mut ledgers.filters,
-                                &mut failed,
-                                &mut owner,
-                                &mut degradations,
-                                &mut healer,
                                 &mut trace,
                                 i,
                                 f,
                                 strip_sources[i],
                                 at,
                                 frame.byte_len(),
-                                in_flight,
                             );
                             avail = resident;
                         }
@@ -492,18 +365,12 @@ impl SimRunner {
             // replay ledger drifts from the DES executor's.
             #[cfg(feature = "verify-selftest")]
             let acked = f.saturating_sub(1);
-            for ring in &mut checkpoints {
-                ring.ack(acked);
-            }
+            self.recovery.ack(acked);
             // Return the frame's replicas to their pool slots (swap is an
             // involution), so frame f + 1 routes from a clean layout.
             route_replicas(&plan, &mut ledgers.filters, &mut ledgers.extras, f);
             power.delivered(f, finish);
         }
-        // Release the healer's borrows on the supervision state before
-        // the report is assembled.
-        let _ = healer.take();
-
         // Pure observation of state the report already carries, recorded
         // after the frame loop so nothing here can perturb the timeline.
         if self.tel.is_enabled() {
@@ -512,6 +379,7 @@ impl SimRunner {
                 .count(names::POOL_RECYCLED_TOTAL, &[], pool_stats.recycled);
             self.tel
                 .count(names::POOL_FRESH_TOTAL, &[], pool_stats.fresh);
+            let degradations = &self.recovery.degradations;
             self.tel
                 .count(names::DEGRADATIONS_TOTAL, &[], degradations.len() as u64);
             // Degradations retire lanes one at a time, so the k-th event
@@ -530,17 +398,7 @@ impl SimRunner {
                 log.record_into(&self.tel);
             }
         }
-        finish_film_run(
-            self,
-            &ledgers,
-            &power,
-            finish,
-            degradations,
-            recoveries,
-            None,
-            outputs,
-            trace,
-        )
+        finish_film_run(self, &ledgers, &power, finish, None, outputs, trace)
     }
 }
 
@@ -600,14 +458,11 @@ impl StageLedgers {
 /// last frame is out: the supervised run's heartbeat traffic, the stage
 /// reports, energy, the run-level telemetry rollup, and — behind
 /// `cfg.verify` — the invariant checker.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_film_run(
     mut runner: SimRunner,
     ledgers: &StageLedgers,
     power: &PowerPlane,
     finish: SimTime,
-    degradations: Vec<DegradationEvent>,
-    recoveries: Vec<RecoveryEvent>,
     task_stats: Option<TaskStats>,
     outputs: Vec<Image>,
     trace: Option<TraceLog>,
@@ -616,20 +471,9 @@ pub(crate) fn finish_film_run(
     // whole walkthrough (killed cores go silent at their fail-stop).
     // Booked after the run so the charges appear in the ledgers as real
     // NoC and host-link messages without re-timing completed stage work.
-    if let Some(spec) = runner.cfg.fault.as_ref().filter(|s| s.supervised()) {
-        let fc = runner
-            .fault
-            .as_ref()
-            .expect("fault ctx exists when spec does");
-        let booked = crate::supervise::book_heartbeats(
-            &mut runner.platform,
-            &runner.placement,
-            &fc.plan,
-            SimTime::from_us(spec.heartbeat_period_us),
-            finish,
-        );
-        runner.tel.count(names::HEARTBEATS_TOTAL, &[], booked);
-    }
+    runner
+        .recovery
+        .finish(&mut runner.platform, &runner.placement, finish);
     let tel = &runner.tel;
     let totals = power.finish(&runner.platform, finish, tel);
     if tel.is_enabled() {
@@ -653,8 +497,8 @@ pub(crate) fn finish_film_run(
         dvfs_decisions: power.decisions(),
         mcpc_busy_secs: ledgers.source.mcpc_busy.as_secs_f64(),
         platform: runner.platform.stats(),
-        degradations,
-        recoveries,
+        degradations: std::mem::take(&mut runner.recovery.degradations),
+        recoveries: std::mem::take(&mut runner.recovery.recoveries),
         task_stats,
         outputs: (runner.cfg.fidelity == Fidelity::Full).then_some(outputs),
         trace,
@@ -692,227 +536,62 @@ fn record_stage_telemetry(tel: &TelemetrySink, s: &StageState) {
     tel.count(names::STAGE_FRAMES_TOTAL, &labels, s.frames);
 }
 
-/// One virtual-time reliable send: each attempt rolls its own fate from
-/// the fault plan; lost or corrupted attempts burn an exponentially
-/// growing ack window before the retransmission. Fails (returning the
-/// detection time) when the receiver is stalled beyond everything the
-/// sender is still willing to wait, or when every attempt is lost.
-pub(crate) fn faulted_send(
-    platform: &mut SccPlatform,
-    ctx: &FaultCtx,
-    seqs: &mut HashMap<(u8, u8), u64>,
-    from: CoreId,
-    to: CoreId,
-    start: SimTime,
-    bytes: u64,
-) -> Result<SimTime, SimTime> {
-    let seq = {
-        let counter = seqs.entry((from.raw(), to.raw())).or_insert(0);
-        let s = *counter;
-        *counter += 1;
-        s
-    };
-    let mut t = start;
-    for attempt in 0..=ctx.budget {
-        if ctx.plan.dead_at(to.raw(), t) {
-            // Fail-stop: a killed receiver acknowledges nothing, ever —
-            // timing-wise indistinguishable from a permanent stall (the
-            // sender burns the same retry schedule before giving up).
-            ctx.tel.count(names::ARQ_TIMEOUTS_TOTAL, &[], 1);
-            return Err(t + ctx.patience_from(attempt));
-        }
-        if ctx.plan.stall_remaining(to.raw(), t) > ctx.patience_from(attempt) {
-            // The receiver cannot wake before the last retry window
-            // closes; no ack will ever arrive.
-            ctx.tel.count(names::ARQ_TIMEOUTS_TOTAL, &[], 1);
-            return Err(t + ctx.patience_from(attempt));
-        }
-        match ctx
-            .plan
-            .message_outcome(from.raw() as u64, to.raw() as u64, seq, attempt)
-        {
-            MessageOutcome::Deliver => {
-                return Ok(platform.send_to_partition(from, to, t, bytes));
-            }
-            MessageOutcome::Delay(d) => {
-                return Ok(platform.send_to_partition(from, to, t + d, bytes));
-            }
-            outcome @ (MessageOutcome::Drop | MessageOutcome::Corrupt { .. }) => {
-                // Lost outright, or delivered mangled and rejected by the
-                // receiver's CRC check: either way no ack arrives and the
-                // sender backs off.
-                if matches!(outcome, MessageOutcome::Corrupt { .. }) {
-                    ctx.tel.count(names::ARQ_CORRUPT_DROPS_TOTAL, &[], 1);
-                }
-                t += ctx.timeout * (1u64 << attempt);
-                if attempt < ctx.budget {
-                    ctx.tel.count(names::ARQ_RETRIES_TOTAL, &[], 1);
-                    ctx.tel.event(
-                        t.as_ps() / 1_000,
-                        EventKind::ArqRetry {
-                            from: u32::from(from.raw()),
-                            to: u32::from(to.raw()),
-                            attempt: attempt + 1,
-                        },
-                    );
-                }
-            }
-        }
-    }
-    ctx.tel.count(names::ARQ_TIMEOUTS_TOTAL, &[], 1);
-    Err(t)
-}
-
-/// Mutable supervision state threaded through the executor: the spare
-/// pool, the recovery log, and the spin-wait roster (a migration enrolls
-/// the spare core in it).
-struct Healer<'a> {
-    sup: &'a mut Supervisor,
-    recoveries: &'a mut Vec<RecoveryEvent>,
-    spinning: &'a mut Vec<CoreId>,
-}
-
-/// One supervised recovery episode for stage `j` of `lane`, whose core
-/// fail-stopped at `kill_at` and tripped the data path at `observed`:
-///
-/// 1. *detect* — the phi detector fires once the core's heartbeat stream
-///    (which travels the real mesh + host-link path) has been silent for
-///    `phi_dead` periods;
-/// 2. *migrate* — the MCPC provisions the next spare core over the host
-///    link, concurrently with whatever the pipeline is doing;
-/// 3. *replay* — `upstream` re-sends its unacknowledged strip from the
-///    ARQ checkpoint once the spare is ready.
+/// One supervised recovery episode for stage `j` of a lane, as observed
+/// by this executor: run the plane's detect → migrate → replay
+/// ([`RecoveryPlane::migrate`]), then re-home the lane's ledger slots
+/// onto the spare and log the `Migrate` span.
 ///
 /// Returns the replayed strip's residency time on the migrated core, or
 /// `None` when no supervisor is armed, the spare pool is exhausted, or
 /// the replay itself dies — the caller then falls back to PR-1 graceful
 /// degradation with its exact timing.
-#[allow(clippy::too_many_arguments)]
 fn try_recover(
     platform: &mut SccPlatform,
     plan: &StagePlan,
-    fc: &FaultCtx,
-    seqs: &mut HashMap<(u8, u8), u64>,
-    healer: &mut Option<Healer>,
+    rec: &mut RecoveryPlane,
     lane_states: &mut [StageState; 5],
-    lane: u32,
     j: usize,
-    upstream: CoreId,
-    kill_at: SimTime,
-    observed: SimTime,
-    f: u64,
-    bytes: u64,
-    in_flight: u32,
+    ep: Episode,
     trace: &mut Option<TraceLog>,
 ) -> Option<SimTime> {
-    let h = healer.as_mut()?;
-    let spare = h.sup.take_spare()?;
-    let failed_core = lane_states[j].core;
-    let hb_latency = platform.host_path_latency(failed_core, HEARTBEAT_BYTES);
-    let detected = h.sup.detect_time(kill_at, hb_latency);
-    let ready = platform.host_to_chip(spare, detected, STAGE_PROVISION_BYTES);
-    // Replay cannot start before the spare is provisioned *and* the data
-    // path has actually hit the dead core (the frame-major executor
-    // observes the kill at `observed`).
-    let resend_at = ready.max(observed);
-    let resident = faulted_send(platform, fc, seqs, upstream, spare, resend_at, bytes).ok()?;
+    let (failed_core, lane, f) = (ep.failed_core, ep.pipeline, ep.frame);
+    let m = rec.migrate(platform, ep)?;
     // A merged group lives and dies with its one core: every sibling
     // stage it hosted migrates to the spare alongside stage `j`.
     for sib in plan.groups[plan.group_of(j)].stages() {
         if lane_states[sib].core == failed_core {
-            lane_states[sib].core = spare;
-            lane_states[sib].free = ready;
+            lane_states[sib].core = m.spare;
+            lane_states[sib].free = m.ready;
         }
     }
-    lane_states[j].core = spare;
-    lane_states[j].free = ready;
-    h.spinning.push(spare);
-    platform.set_spinning(h.spinning.clone());
-    let mttr = resident.saturating_sub(kill_at).as_secs_f64();
-    h.recoveries.push(RecoveryEvent {
-        frame: f,
-        pipeline: lane,
-        stage: lane_states[j].kind,
-        failed_core: failed_core.raw(),
-        migration_target: spare.raw(),
-        killed_at_secs: kill_at.as_secs_f64(),
-        detected_at_secs: detected.as_secs_f64(),
-        resumed_at_secs: resident.as_secs_f64(),
-        frames_replayed: in_flight,
-        mttr_secs: mttr,
-    });
-    fc.tel.event(
-        detected.as_ps() / 1_000,
-        EventKind::HeartbeatMiss {
-            core: u32::from(failed_core.raw()),
-            suspicion: h.sup.phi_dead(),
-        },
-    );
-    fc.tel.event(
-        resident.as_ps() / 1_000,
-        EventKind::Migration {
-            stage: lane_states[j].kind.name(),
-            pipeline: lane,
-            from_core: u32::from(failed_core.raw()),
-            to_core: u32::from(spare.raw()),
-            frames_replayed: in_flight,
-        },
-    );
-    fc.tel.count(names::HEARTBEAT_MISSES_TOTAL, &[], 1);
-    fc.tel.count(names::MIGRATIONS_TOTAL, &[], 1);
-    fc.tel
-        .count(names::FRAMES_REPLAYED_TOTAL, &[], u64::from(in_flight));
-    fc.tel
-        .observe(names::MTTR_SECONDS, &[], SECONDS_BUCKETS, mttr);
+    lane_states[j].core = m.spare;
+    lane_states[j].free = m.ready;
     if let Some(log) = trace.as_mut() {
         log.span(
-            spare,
+            m.spare,
             lane_states[j].kind,
             Some(lane),
             f,
             Phase::Migrate,
-            detected,
-            resident,
+            m.detected,
+            m.resident,
         );
     }
-    Some(resident)
+    Some(m.resident)
 }
 
-/// The next pipeline after `from` (wrapping) that has not failed.
-/// Panics when none survives: with every lane dead the walkthrough
-/// genuinely cannot be delivered.
-fn next_healthy(failed: &[bool], from: usize) -> usize {
-    let p = failed.len();
-    (1..p)
-        .map(|k| (from + k) % p)
-        .find(|&k| !failed[k])
-        .expect("no surviving pipeline to adopt the strip")
-}
-
-/// Declare `lane` failed, record the degradation decision, and return the
-/// adopting lane.
-#[allow(clippy::too_many_arguments)]
+/// Declare `strip`'s lane failed at stage position `failed_stage` and
+/// hand the strip to the adopting lane, logging the `Degrade` marker.
 fn mark_failed(
-    failed: &mut [bool],
-    degradations: &mut Vec<DegradationEvent>,
+    rec: &mut RecoveryPlane,
     trace: &mut Option<TraceLog>,
     filters: &[[StageState; 5]],
-    lane: usize,
+    strip: usize,
     frame: u64,
     at: SimTime,
-    failed_stage: u32,
-    reason: String,
-) -> usize {
-    failed[lane] = true;
-    let adopter = next_healthy(failed, lane);
-    degradations.push(DegradationEvent {
-        frame,
-        pipeline: lane as u32,
-        reassigned_to: adopter as u32,
-        at_secs: at.as_secs_f64(),
-        failed_stage,
-        reason,
-    });
+    failed_stage: usize,
+) {
+    let lane = rec.owner(strip);
     if let Some(log) = trace.as_mut() {
         log.span(
             filters[lane][0].core,
@@ -924,7 +603,7 @@ fn mark_failed(
             at + SimTime::from_us(1),
         );
     }
-    adopter
+    rec.fail_lane(strip, frame, at, failed_stage);
 }
 
 /// Route strip `strip` of frame `f` from `src` into its owner lane's
@@ -937,77 +616,47 @@ fn mark_failed(
 fn send_strip(
     platform: &mut SccPlatform,
     plan: &StagePlan,
-    fault: Option<&FaultCtx>,
-    seqs: &mut HashMap<(u8, u8), u64>,
+    rec: &mut RecoveryPlane,
     filters: &mut [[StageState; 5]],
-    failed: &mut [bool],
-    owner: &mut [usize],
-    degradations: &mut Vec<DegradationEvent>,
-    healer: &mut Option<Healer>,
     trace: &mut Option<TraceLog>,
     strip: usize,
     f: u64,
     src: CoreId,
     t: SimTime,
     bytes: u64,
-    in_flight: u32,
 ) -> (SimTime, SimTime) {
-    let Some(fc) = fault else {
-        let start = t.max(filters[strip][0].free);
-        let resident = platform.send_to_partition(src, filters[strip][0].core, start, bytes);
-        return (start, resident);
-    };
     let mut t = t;
     loop {
-        let lane = owner[strip];
-        let start = t.max(filters[lane][0].free);
-        match faulted_send(platform, fc, seqs, src, filters[lane][0].core, start, bytes) {
+        let lane = rec.owner(strip);
+        let first = &filters[lane][0];
+        let (core, stage) = (first.core, first.kind);
+        let start = t.max(first.free);
+        match rec.send(platform, src, core, start, bytes) {
             Ok(resident) => return (start, resident),
             Err(at) => {
-                if let Some(kill_at) = fc
-                    .plan
-                    .kill_time(filters[lane][0].core.raw())
-                    .filter(|&k| k <= at)
-                {
+                if let Some(kill_at) = rec.kill_seen(core, at) {
                     // The supervisor's redirect pre-empts the sender's
                     // remaining retry patience: the replay is gated on
                     // detection + provisioning, not on ARQ exhaustion —
                     // so the observation point is the send's start.
-                    if let Some(resident) = try_recover(
-                        platform,
-                        plan,
-                        fc,
-                        seqs,
-                        healer,
-                        &mut filters[lane],
-                        lane as u32,
-                        0,
-                        src,
+                    let ep = Episode {
+                        frame: f,
+                        pipeline: lane as u32,
+                        stage,
+                        failed_core: core,
                         kill_at,
-                        start,
-                        f,
+                        observed: start,
+                        upstream: src,
                         bytes,
-                        in_flight,
-                        trace,
-                    ) {
+                        frames_replayed: rec.in_flight(strip),
+                    };
+                    if let Some(resident) =
+                        try_recover(platform, plan, rec, &mut filters[lane], 0, ep, trace)
+                    {
                         return (start, resident);
                     }
                 }
-                let adopter = mark_failed(
-                    failed,
-                    degradations,
-                    trace,
-                    filters,
-                    lane,
-                    f,
-                    at,
-                    0,
-                    format!(
-                        "{} unresponsive beyond retry budget",
-                        StageKind::PIPELINE_FILTERS[0].name()
-                    ),
-                );
-                owner[strip] = adopter;
+                mark_failed(rec, trace, filters, strip, f, at, 0);
                 t = at;
             }
         }
@@ -1061,6 +710,7 @@ fn run_strip_on_lane(
     plan: &StagePlan,
     cost: &CostModel,
     stages: &FilmStages,
+    rec: &mut RecoveryPlane,
     lane_states: &mut [StageState; 5],
     lane: u32,
     source: CoreId,
@@ -1070,9 +720,6 @@ fn run_strip_on_lane(
     f: u64,
     frame: &mut Frame,
     avail_in: SimTime,
-    fault: Option<&FaultCtx>,
-    seqs: &mut HashMap<(u8, u8), u64>,
-    healer: &mut Option<Healer>,
     in_flight: u32,
 ) -> Result<SimTime, (usize, SimTime)> {
     let bytes = frame.byte_len();
@@ -1089,51 +736,37 @@ fn run_strip_on_lane(
         // wait, no fetch, and (below) no send for the handoff.
         let merged_prev = plan.merged_with_prev(j);
         let start = avail.max(stage_free);
-        if let Some(fc) = fault {
-            // A fail-stopped stage with a strip already resident: migrate
-            // and re-enter this stage index on the spare core.
-            if let Some(kill_at) = fc.plan.kill_time(stage_core.raw()).filter(|&k| k <= start) {
-                let upstream = if j == 0 {
+        // A fail-stopped stage with a strip already resident: migrate
+        // and re-enter this stage index on the spare core.
+        if let Some(kill_at) = rec.kill_seen(stage_core, start) {
+            let ep = Episode {
+                frame: f,
+                pipeline: lane,
+                stage: stage_kind,
+                failed_core: stage_core,
+                kill_at,
+                observed: start,
+                upstream: if j == 0 {
                     source
                 } else {
                     lane_states[j - 1].core
-                };
-                match try_recover(
-                    platform,
-                    plan,
-                    fc,
-                    seqs,
-                    healer,
-                    lane_states,
-                    lane,
-                    j,
-                    upstream,
-                    kill_at,
-                    start,
-                    f,
-                    bytes,
-                    in_flight,
-                    trace,
-                ) {
-                    Some(resident) => {
-                        avail = resident;
-                        continue;
-                    }
-                    None => {
-                        let at = start + fc.horizon();
-                        sync_group_clocks_on_abort(plan, lane_states, j, at);
-                        return Err((j, at));
-                    }
-                }
+                },
+                bytes,
+                frames_replayed: in_flight,
+            };
+            if let Some(resident) = try_recover(platform, plan, rec, lane_states, j, ep, trace) {
+                avail = resident;
+                continue;
             }
-            // The upstream sender's retransmissions go unanswered while
-            // this core is stalled; past the full horizon it is declared
-            // dead before any more virtual time is sunk into it.
-            if fc.plan.stall_remaining(stage_core.raw(), start) > fc.horizon() {
-                let at = start + fc.horizon();
-                sync_group_clocks_on_abort(plan, lane_states, j, at);
-                return Err((j, at));
-            }
+        }
+        // The upstream sender's retransmissions go unanswered while this
+        // core is dead (no spare took over) or stalled; past the full
+        // horizon it is given up on before any more virtual time is sunk
+        // into it.
+        if rec.dead_equivalent(stage_core, start) {
+            let at = start + rec.horizon();
+            sync_group_clocks_on_abort(plan, lane_states, j, at);
+            return Err((j, at));
         }
         lane_states[j].idle_samples.push(if merged_prev {
             SimTime::ZERO
@@ -1174,6 +807,7 @@ fn run_strip_on_lane(
         } else {
             match run_strip_handoff(
                 platform,
+                rec,
                 lane_states,
                 lane,
                 transfer_core,
@@ -1181,9 +815,6 @@ fn run_strip_on_lane(
                 trace,
                 f,
                 bytes,
-                fault,
-                seqs,
-                healer,
                 plan,
                 in_flight,
                 j,
@@ -1231,6 +862,7 @@ fn run_strip_on_lane(
 #[allow(clippy::too_many_arguments)]
 fn run_strip_handoff(
     platform: &mut SccPlatform,
+    rec: &mut RecoveryPlane,
     lane_states: &mut [StageState; 5],
     lane: u32,
     transfer_core: CoreId,
@@ -1238,9 +870,6 @@ fn run_strip_handoff(
     trace: &mut Option<TraceLog>,
     f: u64,
     bytes: u64,
-    fault: Option<&FaultCtx>,
-    seqs: &mut HashMap<(u8, u8), u64>,
-    healer: &mut Option<Healer>,
     plan: &StagePlan,
     in_flight: u32,
     j: usize,
@@ -1255,70 +884,52 @@ fn run_strip_handoff(
         (transfer_core, transfer_free)
     };
     let send_start = t.max(next_free);
-    let resident = match fault {
-        Some(fc) => {
-            match faulted_send(platform, fc, seqs, stage_core, next_core, send_start, bytes) {
-                Ok(r) => r,
-                Err(at) => {
-                    // A fail-stopped downstream filter stage: migrate
-                    // it and land the replayed strip on the spare.
-                    // (The transfer stage, j+1 == 5, is never a kill
-                    // target.) Otherwise blame the receiving stage —
-                    // it is the one not acking.
-                    let kill = if j + 1 < 5 {
-                        fc.plan.kill_time(next_core.raw()).filter(|&k| k <= at)
-                    } else {
-                        None
-                    };
-                    // As in `send_strip`: the redirect pre-empts
-                    // the remaining ARQ patience, so the replay is
-                    // observed from the send's start.
-                    let recovered = kill.and_then(|kill_at| {
-                        try_recover(
-                            platform,
-                            plan,
-                            fc,
-                            seqs,
-                            healer,
-                            lane_states,
-                            lane,
-                            j + 1,
-                            stage_core,
-                            kill_at,
-                            send_start,
-                            f,
-                            bytes,
-                            in_flight,
-                            trace,
-                        )
-                    });
-                    match recovered {
-                        Some(r) => r,
-                        None => {
-                            // This stage finished its pass — only the
-                            // handoff failed — so it books the strip,
-                            // and it stays occupied through the futile
-                            // retransmission window: `free` must reach
-                            // the ARQ's give-up time or the lane's next
-                            // strip would overlap this one on the same
-                            // core. `failed_stage` is j+1 and the
-                            // ledger stays uniform across both
-                            // detection sites.
-                            let stage = &mut lane_states[j];
-                            stage.frames += 1;
-                            stage.busy += at.saturating_sub(start);
-                            stage.free = at;
-                            platform.record_busy(stage_core, send_start, at);
-                            if let Some(log) = trace.as_mut() {
-                                log.span(stage_core, stage_kind, Some(lane), f, Phase::Send, t, at);
-                            }
-                            return Err((j + 1, at));
-                        }
+    let resident = match rec.send(platform, stage_core, next_core, send_start, bytes) {
+        Ok(r) => r,
+        Err(at) => {
+            // A fail-stopped downstream filter stage: migrate it and
+            // land the replayed strip on the spare. (The transfer stage,
+            // j+1 == 5, is never a kill target.) Otherwise blame the
+            // receiving stage — it is the one not acking. As in
+            // `send_strip`, the redirect pre-empts the remaining ARQ
+            // patience, so the replay is observed from the send's start.
+            let kill = rec.kill_seen(next_core, at).filter(|_| j + 1 < 5);
+            let recovered = kill.and_then(|kill_at| {
+                let ep = Episode {
+                    frame: f,
+                    pipeline: lane,
+                    stage: lane_states[j + 1].kind,
+                    failed_core: next_core,
+                    kill_at,
+                    observed: send_start,
+                    upstream: stage_core,
+                    bytes,
+                    frames_replayed: in_flight,
+                };
+                try_recover(platform, plan, rec, lane_states, j + 1, ep, trace)
+            });
+            match recovered {
+                Some(r) => r,
+                None => {
+                    // This stage finished its pass — only the handoff
+                    // failed — so it books the strip, and it stays
+                    // occupied through the futile retransmission window:
+                    // `free` must reach the ARQ's give-up time or the
+                    // lane's next strip would overlap this one on the
+                    // same core. `failed_stage` is j+1 and the ledger
+                    // stays uniform across both detection sites.
+                    let stage = &mut lane_states[j];
+                    stage.frames += 1;
+                    stage.busy += at.saturating_sub(start);
+                    stage.free = at;
+                    platform.record_busy(stage_core, send_start, at);
+                    if let Some(log) = trace.as_mut() {
+                        log.span(stage_core, stage_kind, Some(lane), f, Phase::Send, t, at);
                     }
+                    return Err((j + 1, at));
                 }
             }
         }
-        None => platform.send_to_partition(stage_core, next_core, send_start, bytes),
     };
     platform.record_busy(stage_core, send_start, resident);
     if let Some(log) = trace.as_mut() {
@@ -1361,7 +972,7 @@ fn route_replicas(
 mod tests {
     use super::*;
     use crate::placement::place;
-    use crate::spec::{Arrangement, PowerConfig, RendererMode};
+    use crate::spec::{Arrangement, FaultSpec, PowerConfig, RendererMode};
     use scc_render::CityConfig;
     use scc_sim::FreqMHz;
 

@@ -277,9 +277,25 @@ impl FaultSpec {
             if !(self.phi_dead >= 2.0 && self.phi_dead.is_finite()) {
                 return Err(format!("phi_dead {} below 2", self.phi_dead));
             }
-            if self.checkpoint_depth == 0 {
-                return Err("checkpoint_depth must be at least 1".into());
-            }
+        }
+        // Every fault spec gets a checkpoint ring per strip, kills or not.
+        if self.checkpoint_depth == 0 {
+            return Err("checkpoint_depth must be at least 1".into());
+        }
+        // The ARQ's total patience, timeout * 2^(budget + 1), must be a
+        // representable virtual time (picoseconds in a u64).
+        let patience_ps = self
+            .retry_budget
+            .checked_add(1)
+            .and_then(|n| 1u64.checked_shl(n))
+            .and_then(|windows| windows.checked_mul(self.timeout_us))
+            .and_then(|us| us.checked_mul(1_000_000));
+        if patience_ps.is_none() {
+            return Err(format!(
+                "retry_budget {} overflows the virtual clock: timeout_us {} * 2^(budget + 1) \
+                 exceeds u64 picoseconds",
+                self.retry_budget, self.timeout_us
+            ));
         }
         Ok(())
     }
@@ -577,8 +593,7 @@ impl PowerConfig {
     ) -> Result<PowerConfig, String> {
         let mut settings = Vec::new();
         for (raw, freq) in pairs {
-            let core =
-                CoreId::try_new(raw).ok_or_else(|| format!("unknown core {raw} (0..48)"))?;
+            let core = CoreId::try_new(raw).ok_or_else(|| format!("unknown core {raw} (0..48)"))?;
             settings.push((core, freq));
         }
         Ok(PowerConfig::Static(settings))
@@ -1355,6 +1370,54 @@ mod tests {
         });
         assert!(!cfg.fault.as_ref().unwrap().supervised());
         assert!(cfg.validate().is_ok());
+    }
+
+    #[test]
+    fn checkpoint_depth_is_policed_without_kills() {
+        // Every fault spec builds a checkpoint ring per strip, so a zero
+        // depth is an error whether or not the supervisor is armed.
+        let err = RunConfig::builder()
+            .fault(FaultSpec {
+                checkpoint_depth: 0,
+                drop_rate: 0.1,
+                ..FaultSpec::default()
+            })
+            .build()
+            .unwrap_err();
+        assert!(err.contains("checkpoint_depth"), "{err}");
+    }
+
+    #[test]
+    fn retry_budget_is_bounded_by_the_virtual_clock() {
+        let with_budget = |retry_budget| {
+            RunConfig::builder()
+                .fault(FaultSpec {
+                    retry_budget,
+                    ..FaultSpec::default()
+                })
+                .build()
+        };
+        // Default timeout 5 ms = 5e9 ps: 2^31 windows still fit a u64 of
+        // picoseconds, 2^32 do not.
+        assert!(with_budget(30).is_ok(), "patience at the bound fits");
+        for past in [31, 63, u32::MAX] {
+            let err = with_budget(past).unwrap_err();
+            assert!(err.contains("retry_budget"), "{err}");
+        }
+        // The bound moves with the timeout.
+        let tiny = FaultSpec {
+            timeout_us: 1,
+            retry_budget: 43,
+            ..FaultSpec::default()
+        };
+        assert!(tiny.validate(1).is_ok());
+        let err = FaultSpec {
+            retry_budget: 44,
+            ..tiny
+        }
+        .validate(1)
+        .unwrap_err();
+        assert!(err.contains("retry_budget"), "{err}");
     }
 
     #[test]

@@ -50,10 +50,9 @@ use crate::frame::Frame;
 use crate::metrics::{RecoveryEvent, TaskStats, WalkthroughReport};
 use crate::partition::StagePlan;
 use crate::power_plane::PowerPlane;
-use crate::runner::sim::{faulted_send, finish_film_run, SimRunner, StageLedgers};
+use crate::runner::sim::{finish_film_run, SimRunner, StageLedgers};
 use crate::runner::stage::FilmStages;
 use crate::spec::{RendererMode, StageKind};
-use crate::supervise::Supervisor;
 use scc_filters::Image;
 use scc_rcce::{
     decode_claim_ack, decode_steal_grant, decode_steal_request, decode_task_claim,
@@ -61,8 +60,8 @@ use scc_rcce::{
     ClaimTable, ClaimVerdict, StealGrant, StealRequest, TaskClaim, TaskId,
 };
 use scc_sim::fault::MessageOutcome;
-use scc_sim::{CoreId, SimTime, HEARTBEAT_BYTES};
-use scc_telemetry::{names, EventKind, SECONDS_BUCKETS};
+use scc_sim::{CoreId, SimTime};
+use scc_telemetry::names;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Which backend drives the engine. Both flavors execute the identical
@@ -148,7 +147,6 @@ struct Engine {
     // Stage-report ledgers, shaped exactly like the static executor's.
     ledgers: StageLedgers,
 
-    rings: Vec<crate::supervise::CheckpointRing>,
     window: u32,
     cap: usize,
 
@@ -158,12 +156,9 @@ struct Engine {
     delivered: HashMap<(u64, usize), (SimTime, Frame)>,
 
     stats: TaskStats,
-    recoveries: Vec<RecoveryEvent>,
     outputs: Vec<Image>,
-    seqs: HashMap<(u8, u8), u64>,
     rng: u64,
     nonce: u64,
-    supervisor: Option<Supervisor>,
 
     next_out: u64,
     f_src: u64,
@@ -221,18 +216,10 @@ impl Engine {
             }
         }
 
-        let depth = cfg
+        let window = cfg
             .fault
             .as_ref()
-            .map_or(DEFAULT_WINDOW, |s| s.checkpoint_depth.max(1));
-        let rings = (0..p)
-            .map(|_| crate::supervise::CheckpointRing::new(depth))
-            .collect();
-        let supervisor = cfg
-            .fault
-            .as_ref()
-            .filter(|s| s.supervised())
-            .map(|s| Supervisor::new(&runner.placement, s));
+            .map_or(DEFAULT_WINDOW, |s| s.checkpoint_depth);
 
         let stats = TaskStats {
             spawned: cfg.frames * p as u64 * plan.groups.len() as u64,
@@ -251,20 +238,16 @@ impl Engine {
             workers,
             worker_of,
             ledgers,
-            rings,
-            window: depth,
+            window,
             cap,
             chain_epoch: HashMap::new(),
             completed_task: HashSet::new(),
             completed_stage: HashSet::new(),
             delivered: HashMap::new(),
             stats,
-            recoveries: Vec::new(),
             outputs: Vec::new(),
-            seqs: HashMap::new(),
             rng: runner.cfg.seed ^ salt,
             nonce: 0,
-            supervisor,
             next_out: 0,
             f_src: 0,
             finish: SimTime::ZERO,
@@ -283,13 +266,6 @@ impl Engine {
         z ^ (z >> 31)
     }
 
-    fn next_seq(&mut self, from: CoreId, to: CoreId) -> u64 {
-        let c = self.seqs.entry((from.raw(), to.raw())).or_insert(0);
-        let s = *c;
-        *c += 1;
-        s
-    }
-
     fn groups(&self) -> usize {
         self.plan.groups.len()
     }
@@ -306,18 +282,6 @@ impl Engine {
             self.r.placement.replica_extras(strip as u32, g.start)[k - 1]
         };
         self.worker_of[&core.raw()]
-    }
-
-    /// Fail-stop-equivalent at `at`: the core is killed, or stalled past
-    /// the full ARQ horizon (no peer waits that long — the fence path
-    /// owns it). Every engine-issued platform op on such a core would be
-    /// pushed past the stall window by the platform's stall model, so the
-    /// engine must never book work there.
-    fn dead_equivalent(&self, core: CoreId, at: SimTime) -> bool {
-        self.r.fault.as_ref().is_some_and(|fc| {
-            fc.plan.kill_time(core.raw()).is_some_and(|k| k <= at)
-                || fc.plan.stall_remaining(core.raw(), at) > fc.horizon()
-        })
     }
 
     /// Earliest-free surviving worker, or the static executor's terminal
@@ -362,18 +326,9 @@ impl Engine {
             // Continuation hand-off: the strip is already resident.
             return Ok(t);
         }
-        match self.r.fault.clone() {
-            Some(fc) => faulted_send(
-                &mut self.r.platform,
-                &fc,
-                &mut self.seqs,
-                from,
-                to,
-                t,
-                bytes,
-            ),
-            None => Ok(self.r.platform.send_to_partition(from, to, t, bytes)),
-        }
+        self.r
+            .recovery
+            .send(&mut self.r.platform, from, to, t, bytes)
     }
 
     /// Enqueue a task at worker `widx` (push to the deque, or park on a
@@ -461,7 +416,7 @@ impl Engine {
             );
             for frame in lowered.strips {
                 let i = frame.strip.index as usize;
-                self.rings[i].push(f, frame.clone());
+                self.r.recovery.checkpoint(i, f, &frame);
                 self.inject_strip(i, f, frame, lowered.core, lowered.ready);
             }
             // Injection is asynchronous: the payload send is booked when
@@ -529,7 +484,11 @@ impl Engine {
         };
         // A worker that is dead (or stalled beyond the whole ARQ horizon)
         // by the time it would run: fence it instead of executing.
-        if self.dead_equivalent(self.workers[widx].core, start) {
+        if self
+            .r
+            .recovery
+            .dead_equivalent(self.workers[widx].core, start)
+        {
             self.fence(widx, start);
             return true;
         }
@@ -617,25 +576,15 @@ impl Engine {
         } else {
             // Final group: ship the finished strip to the transfer stage.
             let tcore = self.ledgers.transfer.core;
-            let resident = match self.r.fault.clone() {
-                Some(fc) => {
-                    faulted_send(
-                        &mut self.r.platform,
-                        &fc,
-                        &mut self.seqs,
-                        core,
-                        tcore,
-                        t,
-                        bytes,
-                    )
-                    .unwrap_or_else(|at| {
-                        // The transfer core is never a kill target;
-                        // worst case the ARQ burned its horizon.
-                        self.r.platform.send_to_partition(core, tcore, at, bytes)
-                    })
-                }
-                None => self.r.platform.send_to_partition(core, tcore, t, bytes),
-            };
+            let resident = self
+                .r
+                .recovery
+                .send(&mut self.r.platform, core, tcore, t, bytes)
+                .unwrap_or_else(|at| {
+                    // The transfer core is never a kill target; worst
+                    // case the ARQ burned its horizon.
+                    self.r.platform.send_to_partition(core, tcore, at, bytes)
+                });
             self.delivered
                 .insert((task.frame, task.strip), (resident, task.data));
         }
@@ -663,7 +612,7 @@ impl Engine {
             // handshake: the platform would push its legs past the stall
             // window (forever, for a permanent stall) and the "steal"
             // would book unbounded time. Fence it — its chains re-queue.
-            if self.dead_equivalent(w.core, w.free) {
+            if self.r.recovery.dead_equivalent(w.core, w.free) {
                 let at = self.workers[widx].free;
                 self.fence(widx, at);
                 continue;
@@ -684,7 +633,7 @@ impl Engine {
                     // chains instead.
                     v != widx
                         && !w.dead
-                        && !self.dead_equivalent(w.core, w.free)
+                        && !self.r.recovery.dead_equivalent(w.core, w.free)
                         && w.deque.back().is_some_and(|t| w.free > t.avail)
                         && w.free > thief_free
                 })
@@ -746,7 +695,7 @@ impl Engine {
         let Some(t1) = self.leg(tcore, vcore, t0, wire.len() as u64) else {
             return fail(self, false, true);
         };
-        if self.victim_died(victim, t1) {
+        if self.r.recovery.kill_seen(vcore, t1).is_some() {
             self.stats.midsteal_kills += 1;
             return fail(self, false, false);
         }
@@ -785,7 +734,7 @@ impl Engine {
         let Some(t3) = self.leg(tcore, vcore, t2, wire.len() as u64) else {
             return fail(self, true, true);
         };
-        if self.victim_died(victim, t3) {
+        if self.r.recovery.kill_seen(vcore, t3).is_some() {
             // The victim fail-stopped between grant and claim: fence it
             // (bumping its claim epoch) and watch the straggling claim be
             // rejected — the task went back with the fence's re-queue.
@@ -856,14 +805,7 @@ impl Engine {
     /// corrupted (a corrupted leg is round-tripped through the codec to
     /// prove the CRC rejects it).
     fn leg(&mut self, from: CoreId, to: CoreId, t: SimTime, bytes: u64) -> Option<SimTime> {
-        let Some(fc) = self.r.fault.clone() else {
-            return Some(self.r.platform.message(from, to, t, bytes));
-        };
-        let seq = self.next_seq(from, to);
-        match fc
-            .plan
-            .message_outcome(u64::from(from.raw()), u64::from(to.raw()), seq, 0)
-        {
+        match self.r.recovery.roll(from, to) {
             MessageOutcome::Deliver => Some(self.r.platform.message(from, to, t, bytes)),
             MessageOutcome::Delay(d) => Some(self.r.platform.message(from, to, t + d, bytes)),
             MessageOutcome::Corrupt { .. } => {
@@ -872,7 +814,7 @@ impl Engine {
                 let mut mangled = encode_steal_request(StealRequest {
                     thief: u32::from(from.raw()),
                     epoch: 0,
-                    nonce: seq,
+                    nonce: self.nonce,
                 })
                 .to_vec();
                 mangled[4] ^= 0x5A;
@@ -882,15 +824,6 @@ impl Engine {
             }
             MessageOutcome::Drop => None,
         }
-    }
-
-    fn victim_died(&self, victim: usize, at: SimTime) -> bool {
-        let core = self.workers[victim].core;
-        self.r
-            .fault
-            .as_ref()
-            .and_then(|fc| fc.plan.kill_time(core.raw()))
-            .is_some_and(|k| k <= at)
     }
 
     // ---- fence + re-queue recovery -------------------------------------
@@ -906,16 +839,9 @@ impl Engine {
             return;
         }
         let core = self.workers[widx].core;
-        let fc = self.r.fault.clone().expect("fences require a fault plan");
-        let killed_at = fc.plan.kill_time(core.raw()).unwrap_or(observed);
-        let hb_latency = self.r.platform.host_path_latency(core, HEARTBEAT_BYTES);
-        let detected = match &self.supervisor {
-            Some(sup) => sup.detect_time(killed_at, hb_latency),
-            // Unsupervised: peers only learn of the silence through the
-            // ARQ's full retry horizon.
-            None => killed_at + fc.horizon(),
-        };
-        let detected = detected.max(killed_at);
+        let rec = &self.r.recovery;
+        let killed_at = rec.kill_seen(core, SimTime::MAX).unwrap_or(observed);
+        let detected = rec.detect(&self.r.platform, core, killed_at);
         self.workers[widx].dead = true;
         let epoch = self.workers[widx].claims.epoch();
         self.workers[widx].claims.fence(epoch + 1);
@@ -954,10 +880,7 @@ impl Engine {
             *self.chain_epoch.entry((f, i)).or_insert(0) += 1;
             self.stats.requeued += 1;
             self.r.tel.count(names::TASK_REQUEUES_TOTAL, &[], 1);
-            let data = self.rings[i]
-                .get(f)
-                .expect("in-flight strip still checkpointed")
-                .clone();
+            let data = self.r.recovery.restore(i, f);
             let src = self.source_core(i);
             let target = {
                 let home = self.home(i, 0, f);
@@ -998,34 +921,23 @@ impl Engine {
         let kind = match self.workers[widx].slot {
             Slot::Primary(_, j) | Slot::Extra(_, j, _) => StageKind::PIPELINE_FILTERS[j],
         };
-        let mttr = first_resident.saturating_sub(killed_at).as_secs_f64();
-        self.recoveries.push(RecoveryEvent {
-            frame: first_f,
-            pipeline: first_i as u32,
-            stage: kind,
-            failed_core: core.raw(),
-            migration_target: first_target.raw(),
-            killed_at_secs: killed_at.as_secs_f64(),
-            detected_at_secs: detected.as_secs_f64(),
-            resumed_at_secs: first_resident.as_secs_f64(),
-            frames_replayed,
-            mttr_secs: mttr,
-        });
-        self.r.tel.count(names::HEARTBEAT_MISSES_TOTAL, &[], 1);
-        self.r.tel.count(
-            names::FRAMES_REPLAYED_TOTAL,
-            &[],
-            u64::from(frames_replayed),
-        );
-        self.r
-            .tel
-            .observe(names::MTTR_SECONDS, &[], SECONDS_BUCKETS, mttr);
-        self.r.tel.event(
-            detected.as_ps() / 1_000,
-            EventKind::HeartbeatMiss {
-                core: u32::from(core.raw()),
-                suspicion: self.supervisor.as_ref().map_or(0.0, |s| s.phi_dead()),
+        // Re-queued on a survivor, not migrated to a spare: the plane logs
+        // the episode without a `Migration`.
+        self.r.recovery.record(
+            RecoveryEvent {
+                frame: first_f,
+                pipeline: first_i as u32,
+                stage: kind,
+                failed_core: core.raw(),
+                migration_target: first_target.raw(),
+                killed_at_secs: killed_at.as_secs_f64(),
+                detected_at_secs: detected.as_secs_f64(),
+                resumed_at_secs: first_resident.as_secs_f64(),
+                frames_replayed,
+                mttr_secs: first_resident.saturating_sub(killed_at).as_secs_f64(),
             },
+            detected,
+            None,
         );
     }
 
@@ -1052,9 +964,7 @@ impl Engine {
             );
             self.finish = self.finish.max(out.done);
             self.outputs.extend(out.image);
-            for ring in &mut self.rings {
-                ring.ack(f);
-            }
+            self.r.recovery.ack(f);
             self.next_out += 1;
             any = true;
         }
@@ -1065,7 +975,6 @@ impl Engine {
 
     fn run(mut self) -> WalkthroughReport {
         let power = PowerPlane::arm(&self.r.cfg, &mut self.r.platform, self.r.cfg.frames, []);
-        self.r.platform.set_spinning(self.r.placement.all_cores());
 
         while self.next_out < self.r.cfg.frames {
             self.admit_parked();
@@ -1107,8 +1016,6 @@ impl Engine {
             &self.ledgers,
             &power,
             self.finish,
-            Vec::new(),
-            self.recoveries,
             Some(self.stats),
             self.outputs,
             None,
