@@ -17,6 +17,8 @@ pub mod mesh;
 pub mod obj;
 pub mod octree;
 pub mod raster;
+#[cfg(test)]
+mod raster_pins;
 pub mod renderer;
 pub mod scene;
 
