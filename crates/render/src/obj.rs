@@ -16,7 +16,8 @@ use std::fmt;
 /// Errors from OBJ parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ObjError {
-    /// A malformed numeric literal at the given line (1-based).
+    /// A malformed or non-finite numeric literal at the given line
+    /// (1-based).
     BadNumber { line: usize },
     /// A vertex index out of range or zero.
     BadIndex { line: usize },
@@ -68,9 +69,14 @@ pub fn parse_obj(text: &str) -> Result<Vec<Triangle>, ObjError> {
                 let mut coord = [0.0f32; 3];
                 for c in &mut coord {
                     let tok = parts.next().ok_or(ObjError::BadNumber { line: line_no })?;
+                    // `parse` accepts "nan", "inf" and overflows to infinity;
+                    // none of them is a position the octree or rasteriser
+                    // can use.
                     *c = tok
                         .parse()
-                        .map_err(|_| ObjError::BadNumber { line: line_no })?;
+                        .ok()
+                        .filter(|v: &f32| v.is_finite())
+                        .ok_or(ObjError::BadNumber { line: line_no })?;
                 }
                 vertices.push(vec3(coord[0], coord[1], coord[2]));
             }
@@ -199,6 +205,19 @@ f 2 6 7 3
             parse_obj("v 0 0 0\nf 0 0 0\n"),
             Err(ObjError::BadIndex { line: 2 })
         );
+    }
+
+    #[test]
+    fn non_finite_vertices_are_rejected() {
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity", "1e39"] {
+            let text = format!("v 0 0 0\nv {bad} 1 0\n");
+            assert_eq!(
+                parse_obj(&text),
+                Err(ObjError::BadNumber { line: 2 }),
+                "`{bad}` must not become a vertex"
+            );
+        }
+        assert!(parse_obj("v 3e38 -3e38 1e-45\n").is_ok());
     }
 
     #[test]

@@ -3,8 +3,22 @@
 //! Stands in for the os-mesa renderer the paper uses: triangles are
 //! transformed by a model-view-projection matrix, clipped (conservatively)
 //! against the near plane, perspective-divided, and filled with an edge
-//! function walk over their screen bounding box. Each renderer owns its
-//! frame buffer (4 bytes per pixel) and a z-buffer, as described in §IV.
+//! function test. Each renderer owns its frame buffer (4 bytes per pixel)
+//! and a z-buffer, as described in §IV.
+//!
+//! One `TriSetup` per triangle (clip → near test → screen → area →
+//! clipped box) feeds both [`rasterize`] and [`estimate_coverage`]. The
+//! fill evaluates the same f32 barycentric expression, in the same order,
+//! as a plain walk over the clipped bounding box would — so images,
+//! z-buffers and [`RasterStats`] are bit-identical to that walk, which is
+//! kept as the test oracle — but on fewer pixels and without a branch:
+//! per scanline a `SpanBound` brackets the covered columns from the
+//! three edge equations in f64, relaxed by `SPAN_RELAX` times the f32
+//! rounding scale so it can only over-include, and inside it the exact
+//! test, the depth test and both stores are selects over a row slice, a
+//! loop the compiler vectorises at whatever width the target has. Every
+//! lane is the scalar expression, so the width never shows in the output
+//! (the `scc_filters::lanes` discipline). DESIGN.md §19 has the argument.
 
 use crate::math::{vec3, Mat4, Vec3};
 use crate::mesh::Triangle;
@@ -29,6 +43,269 @@ pub const LIGHT_DIR: Vec3 = vec3(0.45, 0.8, 0.35);
 /// Ambient / diffuse mix for flat shading.
 const AMBIENT: f32 = 0.35;
 
+/// A triangle that survived the near-plane, degeneracy and viewport tests:
+/// screen-space vertices, reciprocal doubled area and the pixel box it may
+/// touch (inclusive, inside the viewport).
+struct TriSetup {
+    x: [f32; 3],
+    y: [f32; 3],
+    z: [f32; 3],
+    inv_area: f32,
+    min_x: usize,
+    max_x: usize,
+    min_y: usize,
+    max_y: usize,
+}
+
+impl TriSetup {
+    /// Transform `tri` onto a `w`×`h` viewport; `None` if nothing of it can
+    /// be drawn.
+    fn new(tri: &Triangle, mvp: &Mat4, w: i64, h: i64) -> Option<TriSetup> {
+        // Transform to clip space.
+        let clip = [
+            mvp.transform_point(tri.v[0]),
+            mvp.transform_point(tri.v[1]),
+            mvp.transform_point(tri.v[2]),
+        ];
+        // Conservative near-plane handling: drop triangles that cross or
+        // sit behind the near plane (w ≤ ε). The walkthrough keeps
+        // geometry away from the eye so this loses almost nothing, and it
+        // keeps strip renders bit-consistent with full-frame renders.
+        if clip.iter().any(|c| c.w < 1e-4) {
+            return None;
+        }
+        let ndc = [clip[0].project(), clip[1].project(), clip[2].project()];
+        // Viewport transform (row 0 = top of the image).
+        let to_screen = |p: Vec3| -> (f32, f32, f32) {
+            (
+                (p.x + 1.0) * 0.5 * w as f32,
+                (1.0 - p.y) * 0.5 * h as f32,
+                p.z,
+            )
+        };
+        let (x0, y0, z0) = to_screen(ndc[0]);
+        let (x1, y1, z1) = to_screen(ndc[1]);
+        let (x2, y2, z2) = to_screen(ndc[2]);
+
+        // Signed doubled area; skip degenerate triangles. Render
+        // double-sided (the city boxes are closed, but the ground plane
+        // may be seen from grazing angles).
+        let area = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0);
+        if area.abs() < 1e-6 {
+            return None;
+        }
+
+        // Screen bounding box clipped to the viewport.
+        let min_x = x0.min(x1).min(x2).floor().max(0.0) as i64;
+        let max_x = (x0.max(x1).max(x2).ceil() as i64).min(w - 1);
+        let min_y = y0.min(y1).min(y2).floor().max(0.0) as i64;
+        let max_y = (y0.max(y1).max(y2).ceil() as i64).min(h - 1);
+        if min_x > max_x || min_y > max_y {
+            return None;
+        }
+        Some(TriSetup {
+            x: [x0, x1, x2],
+            y: [y0, y1, y2],
+            z: [z0, z1, z2],
+            inv_area: 1.0 / area,
+            min_x: min_x as usize,
+            max_x: max_x as usize,
+            min_y: min_y as usize,
+            max_y: max_y as usize,
+        })
+    }
+}
+
+/// Flat shading from the world-space normal.
+fn flat_shade(tri: &Triangle, light: Vec3) -> [u8; 4] {
+    // `normalized()` without its debug assertion: a triangle whose normal
+    // underflows or is not finite shades to black in every build.
+    let n = tri.normal_raw();
+    let n = n / n.length();
+    let diff = n.dot(light).abs();
+    let shade = AMBIENT + (1.0 - AMBIENT) * diff;
+    [
+        (tri.color[0] as f32 * shade) as u8,
+        (tri.color[1] as f32 * shade) as u8,
+        (tri.color[2] as f32 * shade) as u8,
+        255,
+    ]
+}
+
+/// How far the span bound relaxes each edge test, in units of
+/// `f32::EPSILON · (1 + |inv_area|·m)`, where `m` bounds the magnitude of
+/// the two edge products `|x_i − cx|·|y_j − cy|` summed over `w0` and `w1`
+/// anywhere in the triangle's box.
+///
+/// With u = `EPSILON`/2 the unit roundoff: the four subtractions, two
+/// products, their difference and the scale by `inv_area` put the computed
+/// `w0` and `w1` within 5.01·u·|inv_area|·m of the real-number values `W0`,
+/// `W1` of the same expressions over the f32 inputs, and the two
+/// subtractions of `1.0 - w0 - w1` put `w2` within 7.01·u·(1 + |inv_area|·m)
+/// of `1 − W0 − W1` (underflow adds < 1e-38). 8·`EPSILON` = 16·u is more
+/// than twice that; the surplus covers the f64 rounding of the bound
+/// itself, which is 2⁻²⁹ of the same scale.
+const SPAN_RELAX: f64 = 8.0;
+
+/// Boxes narrower than this take whole rows: there is little to save, and
+/// the surplus in [`SPAN_RELAX`] is sized for boxes at least 3 wide.
+const SPAN_MIN_BOX: usize = 8;
+
+/// Row-span solver for one triangle: for each row of its box, an interval
+/// of columns outside which the fill's `w0/w1/w2` test provably fails.
+///
+/// In real arithmetic over the f32 vertices each `Wi` is affine in the
+/// column `t` and row `s` (both counted from the box's first pixel
+/// centre): `Wi = a_i + da_i·s + slope_i·t`. A pixel can only pass the f32
+/// test if every `Wi ≥ −relax`, i.e. `slope_i·t ≥ need_i(s)` with `need_i`
+/// affine in `s` — so the covered columns of a row lie between the largest
+/// root of the rising edges and the smallest root of the falling ones.
+/// Everything but one multiply-add and one multiply per edge is per
+/// triangle.
+struct SpanBound {
+    need: [f64; 3],
+    need_step: [f64; 3],
+    slope: [f64; 3],
+    inv_slope: [f64; 3],
+    /// `max_x − min_x`.
+    last: f64,
+}
+
+impl SpanBound {
+    /// `None` when the bound does not apply: a non-finite vertex or area,
+    /// or edge products that can overflow (the f32 test then passes NaN
+    /// pixels the real-number model cannot see), pixel centres past f32's
+    /// exact range, or a box under [`SPAN_MIN_BOX`] columns. The fill then
+    /// takes whole box rows.
+    fn new(t: &TriSetup) -> Option<SpanBound> {
+        let finite = |v: &[f32; 3]| v.iter().all(|c| c.is_finite());
+        if t.max_x - t.min_x < SPAN_MIN_BOX
+            || t.max_x >= 1 << 22
+            || !finite(&t.x)
+            || !finite(&t.y)
+            || !t.inv_area.is_finite()
+        {
+            return None;
+        }
+        let last = (t.max_x - t.min_x) as f64;
+        let rows = (t.max_y - t.min_y) as f64;
+        let [x0, x1, x2] = t.x.map(|x| x as f64 - (t.min_x as f64 + 0.5));
+        let [y0, y1, y2] = t.y.map(|y| y as f64 - (t.min_y as f64 + 0.5));
+        let inv_area = t.inv_area as f64;
+
+        let reach = |v: f64, len: f64| v.abs().max((v - len).abs());
+        let [rx0, rx1, rx2] = [x0, x1, x2].map(|x| reach(x, last));
+        let [ry0, ry1, ry2] = [y0, y1, y2].map(|y| reach(y, rows));
+        let m = (rx1 + rx0) * ry2 + rx2 * (ry1 + ry0);
+        // Finite inputs: `m` can overflow to infinity but not to NaN.
+        if m >= 1e30 {
+            return None;
+        }
+        let relax = SPAN_RELAX * f32::EPSILON as f64 * (1.0 + inv_area.abs() * m);
+
+        let a0 = inv_area * (x1 * y2 - y1 * x2);
+        let a1 = inv_area * (x2 * y0 - y2 * x0);
+        let slope = [
+            inv_area * (y1 - y2),
+            inv_area * (y2 - y0),
+            inv_area * (y0 - y1),
+        ];
+        Some(SpanBound {
+            need: [a0, a1, 1.0 - a0 - a1].map(|a| -relax - a),
+            need_step: [x1 - x2, x2 - x0, x0 - x1].map(|dx| inv_area * dx),
+            slope,
+            inv_slope: slope.map(|s| 1.0 / s),
+            last,
+        })
+    }
+
+    /// Columns `lo..=hi` (counted from `min_x`) that may be covered on row
+    /// `s` (counted from `min_y`); `None` if none can be.
+    #[inline]
+    fn row(&self, s: f64) -> Option<(usize, usize)> {
+        let (mut lo, mut hi) = (0.0, self.last);
+        for i in 0..3 {
+            // slope · t ≥ need
+            let need = self.need[i] + s * self.need_step[i];
+            if self.slope[i] > 0.0 {
+                let q = need * self.inv_slope[i];
+                if q > lo {
+                    lo = q;
+                }
+            } else if self.slope[i] < 0.0 {
+                let q = need * self.inv_slope[i];
+                if q < hi {
+                    hi = q;
+                }
+            } else if need > 0.0 {
+                return None;
+            }
+        }
+        // Neither is NaN: a NaN root fails both comparisons above.
+        if lo > hi {
+            return None;
+        }
+        // ceil(lo) and floor(hi) by truncation: both are in 0..=last.
+        let mut first = lo as u32;
+        if (first as f64) < lo {
+            first += 1;
+        }
+        let end = hi as u32;
+        (first <= end).then_some((first as usize, end as usize))
+    }
+}
+
+/// Fill one triangle into the pixel (`pix`, RGBA bytes) and depth (`zbuf`)
+/// arrays of a `w`-wide target; `centres[px]` is the centre of column `px`.
+fn fill(
+    t: &TriSetup,
+    color: [u8; 4],
+    w: usize,
+    centres: &[f32],
+    pix: &mut [u8],
+    zbuf: &mut [f32],
+    stats: &mut RasterStats,
+) {
+    let ([x0, x1, x2], [y0, y1, y2], [z0, z1, z2]) = (t.x, t.y, t.z);
+    let inv_area = t.inv_area;
+    let color = u32::from_ne_bytes(color);
+    let spans = SpanBound::new(t);
+
+    for py in t.min_y..=t.max_y {
+        let (lo, hi) = match &spans {
+            Some(s) => match s.row((py - t.min_y) as u32 as f64) {
+                Some((lo, hi)) => (t.min_x + lo, t.min_x + hi),
+                None => continue,
+            },
+            None => (t.min_x, t.max_x),
+        };
+        let cy = py as f32 + 0.5;
+        let (y0c, y1c, y2c) = (y0 - cy, y1 - cy, y2 - cy);
+        let row = py * w;
+        let zrow = &mut zbuf[row + lo..=row + hi];
+        let prow = pix[4 * (row + lo)..4 * (row + hi + 1)].chunks_exact_mut(4);
+        let (mut covered, mut written) = (0u32, 0u32);
+        // No branch and nothing carried between pixels but the two counts:
+        // this is the loop the compiler vectorises.
+        for ((zb, p), &cx) in zrow.iter_mut().zip(prow).zip(&centres[lo..=hi]) {
+            // Barycentric via edge functions (sign matched to `area`).
+            let w0 = ((x1 - cx) * y2c - y1c * (x2 - cx)) * inv_area;
+            let w1 = ((x2 - cx) * y0c - y2c * (x0 - cx)) * inv_area;
+            let w2 = 1.0 - w0 - w1;
+            let inside = !((w0 < 0.0) | (w1 < 0.0) | (w2 < 0.0));
+            let z = w0 * z0 + w1 * z1 + w2 * z2;
+            let win = inside & (z < *zb);
+            *zb = if win { z } else { *zb };
+            let old = u32::from_ne_bytes([p[0], p[1], p[2], p[3]]);
+            p.copy_from_slice(&(if win { color } else { old }).to_ne_bytes());
+            covered += inside as u32;
+            written += win as u32;
+        }
+        stats.pixels_covered += covered as u64;
+        stats.pixels_written += written as u64;
+    }
+}
+
 /// Rasterise `indices` of `tris` through `mvp` into `img` (with its
 /// z-buffer), accumulating statistics.
 ///
@@ -49,88 +326,32 @@ pub fn rasterize(
         ..Default::default()
     };
     let light = LIGHT_DIR.normalized();
+    let centres = pixel_centres(w);
 
     for &ti in indices {
         let tri = &tris[ti as usize];
-        // Transform to clip space.
-        let clip = [
-            mvp.transform_point(tri.v[0]),
-            mvp.transform_point(tri.v[1]),
-            mvp.transform_point(tri.v[2]),
-        ];
-        // Conservative near-plane handling: drop triangles that cross or
-        // sit behind the near plane (w ≤ ε). The walkthrough keeps
-        // geometry away from the eye so this loses almost nothing, and it
-        // keeps strip renders bit-consistent with full-frame renders.
-        if clip.iter().any(|c| c.w < 1e-4) {
+        let Some(setup) = TriSetup::new(tri, mvp, w, h) else {
             continue;
-        }
-        let ndc = [clip[0].project(), clip[1].project(), clip[2].project()];
-        // Viewport transform (row 0 = top of the image).
-        let to_screen = |p: Vec3| -> (f32, f32, f32) {
-            (
-                (p.x + 1.0) * 0.5 * w as f32,
-                (1.0 - p.y) * 0.5 * h as f32,
-                p.z,
-            )
         };
-        let (x0, y0, z0) = to_screen(ndc[0]);
-        let (x1, y1, z1) = to_screen(ndc[1]);
-        let (x2, y2, z2) = to_screen(ndc[2]);
-
-        // Signed doubled area; skip degenerate triangles. Render
-        // double-sided (the city boxes are closed, but the ground plane
-        // may be seen from grazing angles).
-        let area = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0);
-        if area.abs() < 1e-6 {
-            continue;
-        }
-
-        // Screen bounding box clipped to the viewport.
-        let min_x = x0.min(x1).min(x2).floor().max(0.0) as i64;
-        let max_x = (x0.max(x1).max(x2).ceil() as i64).min(w - 1);
-        let min_y = y0.min(y1).min(y2).floor().max(0.0) as i64;
-        let max_y = (y0.max(y1).max(y2).ceil() as i64).min(h - 1);
-        if min_x > max_x || min_y > max_y {
-            continue;
-        }
         stats.triangles_filled += 1;
-
-        // Flat shading from the world-space normal.
-        let n = tri.normal_raw().normalized();
-        let diff = n.dot(light).abs();
-        let shade = AMBIENT + (1.0 - AMBIENT) * diff;
-        let color = [
-            (tri.color[0] as f32 * shade) as u8,
-            (tri.color[1] as f32 * shade) as u8,
-            (tri.color[2] as f32 * shade) as u8,
-            255,
-        ];
-
-        let inv_area = 1.0 / area;
-        for py in min_y..=max_y {
-            for px in min_x..=max_x {
-                let cx = px as f32 + 0.5;
-                let cy = py as f32 + 0.5;
-                // Barycentric via edge functions (sign matched to `area`).
-                let w0 = ((x1 - cx) * (y2 - cy) - (y1 - cy) * (x2 - cx)) * inv_area;
-                let w1 = ((x2 - cx) * (y0 - cy) - (y2 - cy) * (x0 - cx)) * inv_area;
-                let w2 = 1.0 - w0 - w1;
-                if w0 < 0.0 || w1 < 0.0 || w2 < 0.0 {
-                    continue;
-                }
-                stats.pixels_covered += 1;
-                let z = w0 * z0 + w1 * z1 + w2 * z2;
-                let zi = (py * w + px) as usize;
-                if z < zbuf[zi] {
-                    zbuf[zi] = z;
-                    img.set(px as u32, py as u32, color);
-                    stats.pixels_written += 1;
-                }
-            }
-        }
+        let color = flat_shade(tri, light);
+        fill(
+            &setup,
+            color,
+            w as usize,
+            &centres,
+            img.as_bytes_mut(),
+            zbuf,
+            &mut stats,
+        );
     }
     stats
+}
+
+/// `px as f32 + 0.5` for every column, computed once per pass so the row
+/// loops load it and stay free of integer conversions.
+fn pixel_centres(w: i64) -> Vec<f32> {
+    (0..w).map(|px| px as f32 + 0.5).collect()
 }
 
 /// Fresh z-buffer for a `w`×`h` target.
@@ -151,46 +372,27 @@ pub fn estimate_coverage(tris: &[Triangle], indices: &[u32], mvp: &Mat4, w: u32,
     let sw = (w / COVERAGE_SCALE).max(1) as i64;
     let sh = (h / COVERAGE_SCALE).max(1) as i64;
     let mut covered = 0u64;
+    let centres = pixel_centres(sw);
     for &ti in indices {
-        let tri = &tris[ti as usize];
-        let clip = [
-            mvp.transform_point(tri.v[0]),
-            mvp.transform_point(tri.v[1]),
-            mvp.transform_point(tri.v[2]),
-        ];
-        if clip.iter().any(|c| c.w < 1e-4) {
+        let Some(t) = TriSetup::new(&tris[ti as usize], mvp, sw, sh) else {
             continue;
-        }
-        let ndc = [clip[0].project(), clip[1].project(), clip[2].project()];
-        let to_screen = |p: Vec3| -> (f32, f32) {
-            ((p.x + 1.0) * 0.5 * sw as f32, (1.0 - p.y) * 0.5 * sh as f32)
         };
-        let (x0, y0) = to_screen(ndc[0]);
-        let (x1, y1) = to_screen(ndc[1]);
-        let (x2, y2) = to_screen(ndc[2]);
-        let area = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0);
-        if area.abs() < 1e-6 {
-            continue;
-        }
-        let min_x = x0.min(x1).min(x2).floor().max(0.0) as i64;
-        let max_x = (x0.max(x1).max(x2).ceil() as i64).min(sw - 1);
-        let min_y = y0.min(y1).min(y2).floor().max(0.0) as i64;
-        let max_y = (y0.max(y1).max(y2).ceil() as i64).min(sh - 1);
-        if min_x > max_x || min_y > max_y {
-            continue;
-        }
-        let inv_area = 1.0 / area;
-        for py in min_y..=max_y {
-            for px in min_x..=max_x {
-                let cx = px as f32 + 0.5;
-                let cy = py as f32 + 0.5;
-                let w0 = ((x1 - cx) * (y2 - cy) - (y1 - cy) * (x2 - cx)) * inv_area;
-                let w1 = ((x2 - cx) * (y0 - cy) - (y2 - cy) * (x0 - cx)) * inv_area;
+        let [x0, x1, x2] = t.x;
+        let [y0, y1, y2] = t.y;
+        let inv_area = t.inv_area;
+        // At this resolution rows are a handful of pixels: bounding them
+        // costs more than walking the box.
+        for py in t.min_y..=t.max_y {
+            let cy = py as f32 + 0.5;
+            let (y0c, y1c, y2c) = (y0 - cy, y1 - cy, y2 - cy);
+            let mut n = 0u32;
+            for &cx in &centres[t.min_x..=t.max_x] {
+                let w0 = ((x1 - cx) * y2c - y1c * (x2 - cx)) * inv_area;
+                let w1 = ((x2 - cx) * y0c - y2c * (x0 - cx)) * inv_area;
                 let w2 = 1.0 - w0 - w1;
-                if w0 >= 0.0 && w1 >= 0.0 && w2 >= 0.0 {
-                    covered += 1;
-                }
+                n += ((w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)) as u32;
             }
+            covered += n as u64;
         }
     }
     covered * (COVERAGE_SCALE as u64 * COVERAGE_SCALE as u64)
@@ -200,6 +402,303 @@ pub fn estimate_coverage(tris: &[Triangle], indices: &[u32], mvp: &Mat4, w: u32,
 mod tests {
     use super::*;
     use crate::math::vec3;
+    use crate::raster_pins::{city_cases, hand_cases, Case};
+    use proptest::prelude::*;
+
+    /// The bounding-box walk [`rasterize`] replaced, kept as the oracle with
+    /// its own transform and box code: every pixel of every triangle's
+    /// clipped box, one at a time.
+    fn rasterize_reference(
+        tris: &[Triangle],
+        indices: &[u32],
+        mvp: &Mat4,
+        img: &mut Image,
+        zbuf: &mut [f32],
+    ) -> RasterStats {
+        let w = img.width() as i64;
+        let h = img.height() as i64;
+        assert_eq!(zbuf.len(), (w * h) as usize, "z-buffer size mismatch");
+        let mut stats = RasterStats {
+            triangles_in: indices.len() as u64,
+            ..Default::default()
+        };
+        let light = LIGHT_DIR.normalized();
+
+        for &ti in indices {
+            let tri = &tris[ti as usize];
+            // Transform to clip space.
+            let clip = [
+                mvp.transform_point(tri.v[0]),
+                mvp.transform_point(tri.v[1]),
+                mvp.transform_point(tri.v[2]),
+            ];
+            // Conservative near-plane handling: drop triangles that cross or
+            // sit behind the near plane (w ≤ ε). The walkthrough keeps
+            // geometry away from the eye so this loses almost nothing, and it
+            // keeps strip renders bit-consistent with full-frame renders.
+            if clip.iter().any(|c| c.w < 1e-4) {
+                continue;
+            }
+            let ndc = [clip[0].project(), clip[1].project(), clip[2].project()];
+            // Viewport transform (row 0 = top of the image).
+            let to_screen = |p: Vec3| -> (f32, f32, f32) {
+                (
+                    (p.x + 1.0) * 0.5 * w as f32,
+                    (1.0 - p.y) * 0.5 * h as f32,
+                    p.z,
+                )
+            };
+            let (x0, y0, z0) = to_screen(ndc[0]);
+            let (x1, y1, z1) = to_screen(ndc[1]);
+            let (x2, y2, z2) = to_screen(ndc[2]);
+
+            // Signed doubled area; skip degenerate triangles. Render
+            // double-sided (the city boxes are closed, but the ground plane
+            // may be seen from grazing angles).
+            let area = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0);
+            if area.abs() < 1e-6 {
+                continue;
+            }
+
+            // Screen bounding box clipped to the viewport.
+            let min_x = x0.min(x1).min(x2).floor().max(0.0) as i64;
+            let max_x = (x0.max(x1).max(x2).ceil() as i64).min(w - 1);
+            let min_y = y0.min(y1).min(y2).floor().max(0.0) as i64;
+            let max_y = (y0.max(y1).max(y2).ceil() as i64).min(h - 1);
+            if min_x > max_x || min_y > max_y {
+                continue;
+            }
+            stats.triangles_filled += 1;
+
+            let color = flat_shade(tri, light);
+
+            let inv_area = 1.0 / area;
+            for py in min_y..=max_y {
+                for px in min_x..=max_x {
+                    let cx = px as f32 + 0.5;
+                    let cy = py as f32 + 0.5;
+                    // Barycentric via edge functions (sign matched to `area`).
+                    let w0 = ((x1 - cx) * (y2 - cy) - (y1 - cy) * (x2 - cx)) * inv_area;
+                    let w1 = ((x2 - cx) * (y0 - cy) - (y2 - cy) * (x0 - cx)) * inv_area;
+                    let w2 = 1.0 - w0 - w1;
+                    if w0 < 0.0 || w1 < 0.0 || w2 < 0.0 {
+                        continue;
+                    }
+                    stats.pixels_covered += 1;
+                    let z = w0 * z0 + w1 * z1 + w2 * z2;
+                    let zi = (py * w + px) as usize;
+                    if z < zbuf[zi] {
+                        zbuf[zi] = z;
+                        img.set(px as u32, py as u32, color);
+                        stats.pixels_written += 1;
+                    }
+                }
+            }
+        }
+        stats
+    }
+
+    /// Run the fill and the oracle on the same target (cleared first
+    /// unless `dirty`, so a second soup meets a used z-buffer) and demand
+    /// identical image bytes, z-buffer bits and stats.
+    fn assert_matches_reference(
+        tris: &[Triangle],
+        indices: &[u32],
+        mvp: &Mat4,
+        got: &mut (Image, Vec<f32>),
+        want: &mut (Image, Vec<f32>),
+        what: &str,
+    ) {
+        let s_got = rasterize(tris, indices, mvp, &mut got.0, &mut got.1);
+        let s_want = rasterize_reference(tris, indices, mvp, &mut want.0, &mut want.1);
+        assert_eq!(s_got, s_want, "{what}: stats");
+        assert!(got.0 == want.0, "{what}: image bytes differ");
+        let bits = |z: &[f32]| z.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits(&got.1) == bits(&want.1),
+            "{what}: z-buffer bits differ"
+        );
+    }
+
+    fn fresh(w: u32, h: u32) -> (Image, Vec<f32>) {
+        (Image::new(w, h), new_zbuf(w, h))
+    }
+
+    fn pinned_cases() -> Vec<Case> {
+        let mut cases = hand_cases();
+        cases.extend(city_cases());
+        cases
+    }
+
+    #[test]
+    fn pinned_cases_match_the_reference_walk() {
+        for c in pinned_cases() {
+            let (mut got, mut want) = (fresh(c.w, c.h), fresh(c.w, c.h));
+            assert_matches_reference(&c.tris, &c.indices, &c.mvp, &mut got, &mut want, &c.name);
+        }
+    }
+
+    /// The fill's per-pixel test, one pixel at a time.
+    fn passes(t: &TriSetup, px: usize, py: usize) -> bool {
+        let ([x0, x1, x2], [y0, y1, y2]) = (t.x, t.y);
+        let cx = px as f32 + 0.5;
+        let cy = py as f32 + 0.5;
+        let w0 = ((x1 - cx) * (y2 - cy) - (y1 - cy) * (x2 - cx)) * t.inv_area;
+        let w1 = ((x2 - cx) * (y0 - cy) - (y2 - cy) * (x0 - cx)) * t.inv_area;
+        let w2 = 1.0 - w0 - w1;
+        !(w0 < 0.0 || w1 < 0.0 || w2 < 0.0)
+    }
+
+    /// Every pixel of `t`'s box that passes the exact test lies inside the
+    /// row's span. Returns [box pixels, span pixels, passing pixels].
+    fn check_spans(t: &TriSetup, what: &str) -> [u64; 3] {
+        let spans = SpanBound::new(t);
+        let mut n = [0u64; 3];
+        for py in t.min_y..=t.max_y {
+            let span = match &spans {
+                Some(s) => s
+                    .row((py - t.min_y) as f64)
+                    .map(|(lo, hi)| (t.min_x + lo, t.min_x + hi)),
+                None => Some((t.min_x, t.max_x)),
+            };
+            if let Some((lo, hi)) = span {
+                assert!(
+                    t.min_x <= lo && lo <= hi && hi <= t.max_x,
+                    "{what}: span leaves box"
+                );
+                n[1] += (hi - lo + 1) as u64;
+            }
+            for px in t.min_x..=t.max_x {
+                n[0] += 1;
+                if passes(t, px, py) {
+                    n[2] += 1;
+                    assert!(
+                        span.is_some_and(|(lo, hi)| lo <= px && px <= hi),
+                        "{what}: row {py} span {span:?} excludes covered pixel {px}"
+                    );
+                }
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn span_bound_never_excludes_a_covered_pixel_of_the_pinned_cases() {
+        for c in pinned_cases() {
+            let mut passes = 0;
+            for &ti in &c.indices {
+                if let Some(t) = TriSetup::new(&c.tris[ti as usize], &c.mvp, c.w as i64, c.h as i64)
+                {
+                    passes += check_spans(&t, &c.name)[2];
+                }
+            }
+            // The same count the fill reports: the row-by-row check saw
+            // every covered pixel.
+            let (mut img, mut z) = fresh(c.w, c.h);
+            let stats = rasterize(&c.tris, &c.indices, &c.mvp, &mut img, &mut z);
+            assert_eq!(passes, stats.pixels_covered, "{}", c.name);
+        }
+    }
+
+    /// The bound has to be tight as well as safe: a fill that fell back to
+    /// whole box rows would pass every bit-identity test and lose the
+    /// speed-up silently.
+    #[test]
+    fn span_bound_halves_the_pixels_tested_on_a_city_frame() {
+        let c = &city_cases()[0];
+        let mut n = [0u64; 3];
+        for &ti in &c.indices {
+            if let Some(t) = TriSetup::new(&c.tris[ti as usize], &c.mvp, c.w as i64, c.h as i64) {
+                let m = check_spans(&t, &c.name);
+                for (a, b) in n.iter_mut().zip(m) {
+                    *a += b;
+                }
+            }
+        }
+        let [boxed, spanned, covered] = n;
+        println!("{}: box {boxed} span {spanned} covered {covered}", c.name);
+        assert!(covered <= spanned);
+        assert!(
+            2 * spanned <= boxed + covered,
+            "span {spanned} of box {boxed}, {covered} covered"
+        );
+    }
+
+    /// A coordinate from one of the regimes the fill has to survive:
+    /// on-screen, a few screens out, magnitudes up to 1e7 pixels, values
+    /// that differ in the last bits, and non-finite.
+    fn arb_coord() -> impl Strategy<Value = f32> {
+        (0u32..20, -1f32..1.0, any::<u32>()).prop_map(|(class, v, bits)| match class {
+            0..=8 => v * 1.1,
+            9..=11 => v * 6.0,
+            12 | 13 => v * 1e3,
+            14 => v * 1e5,
+            15 => (v * 8.0).round() / 8.0,
+            16 => f32::from_bits(0.5f32.to_bits() + bits % 4),
+            17 => v * 1e-30,
+            18 => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][bits as usize % 3],
+            _ => 0.0,
+        })
+    }
+
+    fn arb_soup() -> impl Strategy<Value = Vec<Triangle>> {
+        let vertex = || (arb_coord(), arb_coord(), -1f32..1.0).prop_map(|(x, y, z)| vec3(x, y, z));
+        // Half the triangles are a vertex plus two short edges: slivers
+        // and small boxes rather than screen-filling soup.
+        let tri = (vertex(), vertex(), vertex(), any::<bool>(), any::<u32>()).prop_map(
+            |(a, b, c, local, rgb)| {
+                let [r, g, b_, _] = rgb.to_le_bytes();
+                let color = [r, g, b_];
+                if local {
+                    Triangle::new(a, a + b * 0.05, a + c * 0.05, color)
+                } else {
+                    Triangle::new(a, b, c, color)
+                }
+            },
+        );
+        prop::collection::vec(tri, 1..24)
+    }
+
+    fn arb_mvp() -> impl Strategy<Value = Mat4> {
+        // Identity passes NDC through, so x = ±1e5 is ~1e7 pixels out at
+        // width 400; the perspective puts some vertices near and behind
+        // the w = 1e-4 reject.
+        (0u32..4, -3f32..0.5).prop_map(|(kind, dz)| match kind {
+            0 => Mat4::perspective(1.0, 1.0, 0.5, 50.0)
+                .mul_mat(&Mat4::translation(vec3(0.0, 0.0, dz))),
+            _ => Mat4::IDENTITY,
+        })
+    }
+
+    proptest! {
+        // `PROPTEST_CASES` can only raise the count (CI does).
+        #![proptest_config(ProptestConfig {
+            cases: ProptestConfig::default().cases.max(96),
+            ..ProptestConfig::default()
+        })]
+
+        #[test]
+        fn oracle_random_soups_match_the_reference_walk(
+            soup in arb_soup(),
+            second in arb_soup(),
+            mvp in arb_mvp(),
+            wi in 0usize..8,
+            h in 1u32..40,
+        ) {
+            let w = [1u32, 3, 7, 8, 9, 61, 400, 401][wi];
+            let (mut got, mut want) = (fresh(w, h), fresh(w, h));
+            for (pass, tris) in [soup, second].iter().enumerate() {
+                let indices: Vec<u32> = (0..tris.len() as u32).collect();
+                let what = format!("{w}x{h} pass {pass}");
+                assert_matches_reference(tris, &indices, &mvp, &mut got, &mut want, &what);
+                for (i, tri) in tris.iter().enumerate() {
+                    if let Some(t) = TriSetup::new(tri, &mvp, w as i64, h as i64) {
+                        check_spans(&t, &format!("{what} triangle {i}"));
+                    }
+                }
+            }
+        }
+    }
 
     fn full_screen_tri(z: f32, color: [u8; 3]) -> Triangle {
         // Covers the whole NDC square generously at depth `z` (view space
