@@ -657,6 +657,59 @@ mod tests {
         assert!(a.contains("stencil") && a.contains("pointwise"));
     }
 
+    /// Pin for the removal of `GroupCosting`: on every film geometry the
+    /// static cost model can produce (3 modes x every legal p x 5 sizes
+    /// = 125) and on the two pinned repros that carry explicit weights,
+    /// the plan under `Sum` equals the plan under `Fused`.
+    #[test]
+    fn film_plans_do_not_depend_on_group_costing() {
+        use crate::spec::FuseChoice;
+        let plans = |mut cfg: RunConfig| {
+            cfg.auto_place = true;
+            cfg.tuning.fuse = FuseChoice::Off;
+            let sum = auto_place(&cfg);
+            cfg.tuning.fuse = FuseChoice::On;
+            let fused = auto_place(&cfg);
+            assert_eq!((sum.costing, fused.costing), ("sum", "fused"));
+            (sum.plan, fused.plan)
+        };
+        let mut geometries = 0;
+        for mode in [
+            RendererMode::SingleRenderer,
+            RendererMode::PerPipelineRenderer,
+            RendererMode::McpcRenderer,
+        ] {
+            for p in 1..=mode.max_pipelines() {
+                for (w, h) in [(48, 32), (100, 100), (128, 96), (400, 400), (800, 608)] {
+                    let cfg = RunConfig::builder()
+                        .renderer(mode)
+                        .pipelines(p)
+                        .size(w, h)
+                        .build()
+                        .expect("valid config");
+                    let (sum, fused) = plans(cfg);
+                    assert_eq!(sum, fused, "{mode:?} p={p} {w}x{h}");
+                    geometries += 1;
+                }
+            }
+        }
+        assert_eq!(geometries, 125);
+        // governed-autoplace-parity.txt and merged-abort-overlap.txt.
+        for (p, weights) in [
+            (1, vec![1.0, 250.0, 0.0, 0.0, 0.0]),
+            (3, vec![1.0, 0.0, 1.0, 0.0, 4.0]),
+        ] {
+            let cfg = RunConfig::builder()
+                .pipelines(p)
+                .size(48, 32)
+                .stage_weights(weights.clone())
+                .build()
+                .expect("valid config");
+            let (sum, fused) = plans(cfg);
+            assert_eq!(sum, fused, "p={p} weights={weights:?}");
+        }
+    }
+
     #[test]
     fn fixed_plan_is_the_identity() {
         let plan = plan_for(&RunConfig::default());
