@@ -11,8 +11,6 @@
 //!                  [--pipelines P] [--kills 10,50,150]
 //!   bench autoplace [--smoke] [--out PATH] [--frames N] [--size WxH]
 //!                   [--pipelines P]
-//!   bench kernels [--smoke] [--out PATH] [--frames N] [--size WxH]
-//!                 [--threads 1,2,4]
 //!   bench tasks [--smoke] [--out PATH] [--frames N] [--size WxH]
 //!               [--pipelines P]
 //!   bench serving [--smoke] [--out PATH] [--size WxH] [--pipelines P]
@@ -23,13 +21,10 @@
 //! the defaults measure the paper's 400×400 silent-film geometry.
 //! `autoplace` sweeps the stage-graph scheduler's placement against the
 //! three fixed arrangements in virtual time and writes
-//! `BENCH_autoplace.json`. `kernels` isolates the filter kernels
-//! (scalar/simd × fused/unfused × threads, no render or transport) and
-//! writes `BENCH_kernels.json`.
+//! `BENCH_autoplace.json`.
 
 use scc_bench::autoplace::measure_autoplace;
 use scc_bench::dvfs::measure_dvfs;
-use scc_bench::kernels::measure_kernels;
 use scc_bench::native_throughput::measure_native_throughput;
 use scc_bench::recovery::measure_recovery;
 use scc_bench::serving::measure_serving;
@@ -75,16 +70,6 @@ impl Opts {
             .build()
             .expect("bench configuration")
     }
-
-    fn threads(&self) -> Vec<u32> {
-        parse_list(&self.args, "--threads").unwrap_or_else(|| {
-            if self.smoke {
-                vec![1, 2]
-            } else {
-                vec![1, 2, 4]
-            }
-        })
-    }
 }
 
 /// What a mode hands back: the table to print, the JSON to write, and
@@ -100,7 +85,13 @@ fn gate(passed: bool, fatal: &str) -> (bool, String) {
 }
 
 fn native(o: &Opts) -> Measured {
-    let threads = o.threads();
+    let threads: Vec<u32> = parse_list(&o.args, "--threads").unwrap_or_else(|| {
+        if o.smoke {
+            vec![1, 2]
+        } else {
+            vec![1, 2, 4]
+        }
+    });
     eprintln!(
         "measuring native throughput: {}x{} f={} p={} threads={threads:?}{}",
         o.width, o.height, o.frames, o.pipelines, o.smoke_tag,
@@ -162,23 +153,6 @@ fn autoplace(o: &Opts) -> Measured {
                 ),
             ),
         ],
-    }
-}
-
-fn kernels(o: &Opts) -> Measured {
-    let threads = o.threads();
-    eprintln!(
-        "measuring filter kernels: {}x{} f={} threads={threads:?}{}",
-        o.width, o.height, o.frames, o.smoke_tag,
-    );
-    let report = measure_kernels(o.width, o.height, o.frames, 0x51CC_F11F, &threads);
-    Measured {
-        text: report.render_text(),
-        json: report.to_json(),
-        gates: vec![gate(
-            report.output_consistent,
-            "a kernel variant changed pixels",
-        )],
     }
 }
 
@@ -274,10 +248,9 @@ fn dvfs(o: &Opts) -> Measured {
 /// One row per mode: subcommand, default output file, measurement.
 type Mode = (&'static str, &'static str, fn(&Opts) -> Measured);
 
-const MODES: [Mode; 6] = [
+const MODES: [Mode; 5] = [
     ("recovery", "BENCH_recovery.json", recovery),
     ("autoplace", "BENCH_autoplace.json", autoplace),
-    ("kernels", "BENCH_kernels.json", kernels),
     ("tasks", "BENCH_tasks.json", tasks),
     ("serving", "BENCH_serving.json", serving),
     ("dvfs", "BENCH_dvfs.json", dvfs),

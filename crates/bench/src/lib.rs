@@ -8,7 +8,6 @@
 pub mod autoplace;
 pub mod dvfs;
 pub mod experiments;
-pub mod kernels;
 pub mod native_throughput;
 pub mod recovery;
 pub mod report;

@@ -67,19 +67,6 @@ pub struct CostModel {
     /// (clock ratio ≈ 4.7 × micro-architecture ≈ 6). Calibrated so the
     /// 400-frame walkthrough renders in ≈3.3 s on the MCPC (§VI-B).
     pub mcpc_speedup: f64,
-
-    // ---- stage fusion ----
-    /// Fraction of a pointwise filter's cycle estimate attributable to
-    /// streaming the strip through memory (the read-modify-write
-    /// traversal), rather than to per-pixel arithmetic. When a pointwise
-    /// pass is *fused* onto a predecessor's traversal it skips exactly
-    /// that share — the pixels are already resident in the row chunk —
-    /// so the partitioner discounts every group member after the first
-    /// by this fraction. Calibrated against the native `kernels` sweep,
-    /// where fusing the four-pass pointwise run (sepia → scratch →
-    /// flicker → swap) into one traversal recovers roughly a third of
-    /// the follower passes' standalone cost.
-    pub fused_traversal_fraction: f64,
 }
 
 impl Default for CostModel {
@@ -100,7 +87,6 @@ impl Default for CostModel {
             udp_cycles_per_byte: 60.0,
             fanout_cycles: 0.4e6,
             mcpc_speedup: 28.5,
-            fused_traversal_fraction: 0.35,
         }
     }
 }
@@ -130,25 +116,6 @@ impl CostModel {
             1.0
         };
         filter.work_units(img, ctx) * self.cycles_per_unit * mult
-    }
-
-    /// Effective cycles for a group of stage weights executed as one
-    /// *fused* pass: full cost for the first member (it pays the memory
-    /// traversal), every later member discounted by
-    /// [`CostModel::fused_traversal_fraction`] — its pixels ride the
-    /// leader's traversal. Order-independence caveat: callers pass
-    /// weights in chain order and the leader is simply `weights[0]`;
-    /// since the discount is a uniform fraction, which member leads only
-    /// matters by `max − min` of the inputs, well inside the model's
-    /// calibration slack.
-    pub fn fused_group_cycles(&self, member_weights: &[f64]) -> f64 {
-        match member_weights.split_first() {
-            Some((first, rest)) => {
-                let keep = 1.0 - self.fused_traversal_fraction;
-                first + rest.iter().map(|w| w * keep).sum::<f64>()
-            }
-            None => 0.0,
-        }
     }
 
     /// Cycles for rendering one strip.

@@ -72,19 +72,16 @@ pub use invariant::{
 pub use metrics::{
     DegradationEvent, HostTiming, RecoveryEvent, StageReport, TaskStats, WalkthroughReport,
 };
-pub use partition::{
-    auto_place, partition, partition_with, placement_for, plan_for, AutoPlacement, GroupCosting,
-    StagePlan,
-};
+pub use partition::{auto_place, partition, placement_for, plan_for, AutoPlacement, StagePlan};
 pub use placement::{place, place_dvfs_single_pipeline, Placement, ReplicaSlot};
 pub use pool::{BufferPool, PoolStats};
 pub use runner::des::{run_des, DesReport};
 pub use runner::native::{run_native, NativeReport};
 pub use runner::sim::SimRunner;
 pub use spec::{
-    Arrangement, FaultSpec, Fidelity, FuseChoice, GenericChainSpec, GenericStageSpec,
-    GovernorTuning, KernelChoice, KillSpec, NativeTuning, PowerConfig, RendererMode, RunConfig,
-    RunConfigBuilder, Runtime, StageKind, StallSpec, TaskTuning, WavefrontSpec, Workload,
+    Arrangement, FaultSpec, Fidelity, GenericChainSpec, GenericStageSpec, GovernorTuning,
+    KernelChoice, KillSpec, NativeTuning, PowerConfig, RendererMode, RunConfig, RunConfigBuilder,
+    Runtime, StageKind, StallSpec, TaskTuning, WavefrontSpec, Workload,
 };
 pub use stage_graph::{StageClass, StageGraph, StageNode, StageWeights, WeightSource};
 pub use trace::{Phase, TraceEvent, TraceLog};

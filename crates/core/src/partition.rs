@@ -18,10 +18,9 @@
 //! property suite (`tests/partition_props.rs`) and the golden decision
 //! tables rely on.
 
-use crate::cost::CostModel;
 use crate::placement::{Placement, ReplicaSlot};
 use crate::spec::{RendererMode, RunConfig, StageKind};
-use crate::stage_graph::{StageClass, StageGraph, StageNode, StageWeights};
+use crate::stage_graph::{StageGraph, StageNode, StageWeights};
 use scc_sim::topology::{CoreId, TileId, CORES_PER_TILE, MESH_H, MESH_W, NUM_CORES};
 use serde::Serialize;
 
@@ -111,47 +110,16 @@ impl StagePlan {
     }
 }
 
-/// How the partitioner prices a multi-stage group.
-#[derive(Debug, Clone, Copy)]
-pub enum GroupCosting<'a> {
-    /// Plain sum of member weights — every pass pays its own memory
-    /// traversal (the pre-fusion executor).
-    Sum,
-    /// Maximal pointwise runs inside a group execute as one fused
-    /// traversal (the native runner's `FusedPass`): the run's followers
-    /// are discounted via [`CostModel::fused_group_cycles`]. Stencil
-    /// members (blur) still pay full price — they never fuse.
-    Fused(&'a CostModel),
-}
-
-/// Effective weight of the contiguous stage slice `range` under
-/// `costing`: plain sum, or the fused price where each maximal
-/// pointwise run collapses onto a single traversal.
-fn slice_weight(nodes: &[StageNode], range: std::ops::Range<usize>, costing: GroupCosting) -> f64 {
-    match costing {
-        GroupCosting::Sum => range.map(|j| nodes[j].weight).sum(),
-        GroupCosting::Fused(cost) => {
-            let mut total = 0.0;
-            let mut run: Vec<f64> = Vec::new();
-            for j in range {
-                if nodes[j].class == StageClass::Pointwise {
-                    run.push(nodes[j].weight);
-                } else {
-                    total += cost.fused_group_cycles(&run);
-                    run.clear();
-                    total += nodes[j].weight;
-                }
-            }
-            total + cost.fused_group_cycles(&run)
-        }
-    }
+/// Weight of a contiguous stage slice sharing one core: the sum of its
+/// members' weights, which is what every executor charges a merged group.
+fn slice_weight(nodes: &[StageNode]) -> f64 {
+    nodes.iter().map(|n| n.weight).sum()
 }
 
 /// Partition `nodes` (the interior stage chain of one lane) for `lanes`
 /// identical lanes sharing `interior_budget` cores, keeping
-/// [`SPARE_RESERVE`] cores free for the supervisor. Groups are priced
-/// as plain weight sums; see [`partition_with`] for fusion-aware
-/// costing.
+/// [`SPARE_RESERVE`] cores free for the supervisor. A merged group costs
+/// the sum of its stages' weights.
 ///
 /// Guarantees (enforced by `tests/partition_props.rs`):
 /// * every stage lands in exactly one group, order preserved;
@@ -163,20 +131,6 @@ pub fn partition(
     nodes: &[StageNode],
     lanes: u32,
     interior_budget: u32,
-) -> Result<StagePlan, String> {
-    partition_with(nodes, lanes, interior_budget, GroupCosting::Sum)
-}
-
-/// [`partition`] with an explicit group-costing policy. Fused costing
-/// changes *prices*, never *legality*: the merge rules (mergeable
-/// classes only, cadence bound, budget fit) and the replication rules
-/// are identical — so every `partition_props` guarantee holds for both
-/// policies.
-pub fn partition_with(
-    nodes: &[StageNode],
-    lanes: u32,
-    interior_budget: u32,
-    costing: GroupCosting,
 ) -> Result<StagePlan, String> {
     if nodes.is_empty() {
         return Err("cannot partition an empty stage chain".into());
@@ -192,14 +146,13 @@ pub fn partition_with(
     let bottleneck_w = nodes.iter().map(|n| n.weight).fold(0.0f64, f64::max);
 
     // Pass 1 — greedy adjacent merge: extend the open group while the
-    // merged weight (fusion-discounted under fused costing) stays
-    // within the bottleneck's service time (the cadence, so merging is
-    // free) and both sides are mergeable.
+    // merged weight stays within the bottleneck's service time (the
+    // cadence, so merging is free) and both sides are mergeable.
     let mut groups: Vec<StageGroup> = Vec::new();
     let mut start = 0usize;
     for j in 1..nodes.len() {
         let open_mergeable = nodes[start..j].iter().all(|n| n.class.mergeable());
-        let fits = slice_weight(nodes, start..j + 1, costing) <= bottleneck_w;
+        let fits = slice_weight(&nodes[start..=j]) <= bottleneck_w;
         if !(open_mergeable && nodes[j].class.mergeable() && fits) {
             groups.push(StageGroup {
                 start,
@@ -217,12 +170,9 @@ pub fn partition_with(
 
     // Pass 2 — force-fit: if the budget cannot seat one core per group
     // per lane, keep merging the cheapest mergeable adjacent pair.
-    let group_w = |g: &StageGroup| -> f64 { slice_weight(nodes, g.stages(), costing) };
-    // The merged pair is one contiguous slice — priced as such, so a
-    // fused run spanning the old group boundary gets its discount.
-    let pair_w = |a: &StageGroup, b: &StageGroup| -> f64 {
-        slice_weight(nodes, a.start..b.start + b.len, costing)
-    };
+    let group_w = |g: &StageGroup| -> f64 { slice_weight(&nodes[g.stages()]) };
+    let pair_w =
+        |a: &StageGroup, b: &StageGroup| -> f64 { slice_weight(&nodes[a.start..b.start + b.len]) };
     while lanes as u64 * groups.len() as u64 > interior_budget as u64 {
         let mergeable_pair = (0..groups.len().saturating_sub(1))
             .filter(|&i| {
@@ -295,10 +245,6 @@ pub struct AutoPlacement {
     pub weights: StageWeights,
     pub plan: StagePlan,
     pub placement: Placement,
-    /// Whether groups were priced with the fused-traversal discount
-    /// ("fused") or as plain weight sums ("sum") — pinned in the
-    /// decision table so the goldens distinguish the two schedules.
-    pub costing: &'static str,
 }
 
 impl AutoPlacement {
@@ -331,11 +277,10 @@ impl AutoPlacement {
             ));
         }
         out.push_str(&format!(
-            "plan groups={} cores_per_lane={} source={} costing={}\n",
+            "plan groups={} cores_per_lane={} source={}\n",
             self.plan.groups.len(),
             self.plan.cores_per_lane(),
             self.weights.source.name(),
-            self.costing,
         ));
         out
     }
@@ -359,24 +304,13 @@ pub fn auto_place(cfg: &RunConfig) -> AutoPlacement {
         RendererMode::McpcRenderer => 2, // connector + transfer
     };
     let interior_budget = NUM_CORES as u32 - endpoint_cores;
-    // Price merged groups the way the native executor will run them:
-    // fused pointwise runs cross memory once, so with fusion enabled a
-    // merged pointwise group is cheaper than the sum of its passes.
-    let cost = CostModel::default();
-    let (costing, tag) = if cfg.tuning.fuse.enabled() {
-        (GroupCosting::Fused(&cost), "fused")
-    } else {
-        (GroupCosting::Sum, "sum")
-    };
-    let plan =
-        partition_with(&interior, p, interior_budget, costing).expect("validated config fits");
+    let plan = partition(&interior, p, interior_budget).expect("validated config fits");
     let placement = realize(cfg, &plan);
     AutoPlacement {
         graph,
         weights,
         plan,
         placement,
-        costing: tag,
     }
 }
 
@@ -655,59 +589,6 @@ mod tests {
             assert!(a.contains(name), "missing {name} in:\n{a}");
         }
         assert!(a.contains("stencil") && a.contains("pointwise"));
-    }
-
-    /// Pin for the removal of `GroupCosting`: on every film geometry the
-    /// static cost model can produce (3 modes x every legal p x 5 sizes
-    /// = 125) and on the two pinned repros that carry explicit weights,
-    /// the plan under `Sum` equals the plan under `Fused`.
-    #[test]
-    fn film_plans_do_not_depend_on_group_costing() {
-        use crate::spec::FuseChoice;
-        let plans = |mut cfg: RunConfig| {
-            cfg.auto_place = true;
-            cfg.tuning.fuse = FuseChoice::Off;
-            let sum = auto_place(&cfg);
-            cfg.tuning.fuse = FuseChoice::On;
-            let fused = auto_place(&cfg);
-            assert_eq!((sum.costing, fused.costing), ("sum", "fused"));
-            (sum.plan, fused.plan)
-        };
-        let mut geometries = 0;
-        for mode in [
-            RendererMode::SingleRenderer,
-            RendererMode::PerPipelineRenderer,
-            RendererMode::McpcRenderer,
-        ] {
-            for p in 1..=mode.max_pipelines() {
-                for (w, h) in [(48, 32), (100, 100), (128, 96), (400, 400), (800, 608)] {
-                    let cfg = RunConfig::builder()
-                        .renderer(mode)
-                        .pipelines(p)
-                        .size(w, h)
-                        .build()
-                        .expect("valid config");
-                    let (sum, fused) = plans(cfg);
-                    assert_eq!(sum, fused, "{mode:?} p={p} {w}x{h}");
-                    geometries += 1;
-                }
-            }
-        }
-        assert_eq!(geometries, 125);
-        // governed-autoplace-parity.txt and merged-abort-overlap.txt.
-        for (p, weights) in [
-            (1, vec![1.0, 250.0, 0.0, 0.0, 0.0]),
-            (3, vec![1.0, 0.0, 1.0, 0.0, 4.0]),
-        ] {
-            let cfg = RunConfig::builder()
-                .pipelines(p)
-                .size(48, 32)
-                .stage_weights(weights.clone())
-                .build()
-                .expect("valid config");
-            let (sum, fused) = plans(cfg);
-            assert_eq!(sum, fused, "p={p} weights={weights:?}");
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::pool::{BufferPool, PoolStats};
 use crate::spec::{RendererMode, RunConfig, StageKind};
 use crate::trace::{Phase, TraceLog};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use scc_filters::{standard_chain, FusedPass, Image, KernelBackend, StripInfo, STANDARD_POINTWISE};
+use scc_filters::{standard_chain, Image, StripInfo};
 use scc_rcce::{communicator, crc32, Endpoint, MpbConfig, RcceError, Reliability};
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_sim::fault::{FaultConfig, FaultPlan};
@@ -95,46 +95,6 @@ impl SpanRecorder {
     fn into_log(self) -> TraceLog {
         self.log
     }
-}
-
-/// One executable unit of a merged group's stage list: a standalone
-/// stage (stencils, or everything when fusion is off) or a maximal
-/// pointwise run fused into a single memory traversal per row pair.
-enum ExecSegment {
-    Single(usize),
-    Fused(FusedPass, Vec<usize>),
-}
-
-/// Split a merged group's stage list into execution segments. Fusion
-/// applies only to runs of ≥ 2 consecutive pointwise stages — a lone
-/// pointwise stage gains nothing from the fused program and keeps its
-/// (backend-dispatched) standalone kernel. Blur is a stencil and always
-/// stays standalone, so the legality envelope of the stage graph
-/// (`StageClass::Pointwise` ⇔ `STANDARD_POINTWISE`) is what licenses
-/// every fused segment.
-fn exec_segments(stages: &[usize], backend: KernelBackend, fuse: bool) -> Vec<ExecSegment> {
-    let pointwise = |j: usize| STANDARD_POINTWISE.get(j).copied().unwrap_or(false);
-    let mut segs = Vec::new();
-    let mut i = 0;
-    while i < stages.len() {
-        if fuse && pointwise(stages[i]) {
-            let mut end = i + 1;
-            while end < stages.len() && pointwise(stages[end]) {
-                end += 1;
-            }
-            if end - i >= 2 {
-                let idxs = stages[i..end].to_vec();
-                let pass = FusedPass::from_standard_indices(&idxs, backend)
-                    .expect("maximal pointwise run is fusable");
-                segs.push(ExecSegment::Fused(pass, idxs));
-                i = end;
-                continue;
-            }
-        }
-        segs.push(ExecSegment::Single(stages[i]));
-        i += 1;
-    }
-    segs
 }
 
 /// Bytes before the pixels: the CRC field plus the 32-byte header.
@@ -474,7 +434,6 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                         let mut rec = SpanRecorder::new(tracing, start, rank, kind, Some(i as u32));
                         let chain = standard_chain();
                         let backend = cfg.tuning.kernel.resolve();
-                        let segments = exec_segments(&stages, backend, cfg.tuning.fuse.enabled());
                         let mut handled = 0u64;
                         // Replica k owns frames f ≡ k (mod r) — the
                         // strip order within the lane never changes.
@@ -489,61 +448,26 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                             let ctx = frame.ctx(cfg.seed);
                             rec.span(frame.id, Phase::Wait, w0, r0);
                             // A merged group's stages run back-to-back on
-                            // this thread: internal hops are plain
-                            // function calls, no message, no copy — and a
-                            // fused pointwise run collapses further into
-                            // one traversal of the strip.
+                            // this thread, in plan order: internal hops
+                            // are plain function calls, no message, no
+                            // copy, and each stage's span is measured.
                             let mut prev = r0;
-                            for seg in &segments {
-                                let img = frame.image.as_mut().expect("pixels");
-                                match seg {
-                                    ExecSegment::Single(j) => {
-                                        chain[*j].apply_vectored(
-                                            img,
-                                            &ctx,
-                                            backend,
-                                            kernel_threads,
-                                        );
-                                        let now = Instant::now();
-                                        rec.span_kind(
-                                            StageKind::PIPELINE_FILTERS[*j],
-                                            frame.id,
-                                            Phase::Compute,
-                                            prev,
-                                            now,
-                                        );
-                                        prev = now;
-                                    }
-                                    ExecSegment::Fused(pass, idxs) => {
-                                        pass.apply_chunked(img, &ctx, kernel_threads);
-                                        let now = Instant::now();
-                                        // One traversal served the whole
-                                        // run: attribute an equal share of
-                                        // the interval to each stage so
-                                        // per-stage span totals stay
-                                        // meaningful. Degenerate (empty)
-                                        // sub-spans are skipped.
-                                        let step = (now - prev) / idxs.len() as u32;
-                                        for (n, &j) in idxs.iter().enumerate() {
-                                            let t0 = prev + step * n as u32;
-                                            let t1 = if n + 1 == idxs.len() {
-                                                now
-                                            } else {
-                                                prev + step * (n as u32 + 1)
-                                            };
-                                            if t1 > t0 {
-                                                rec.span_kind(
-                                                    StageKind::PIPELINE_FILTERS[j],
-                                                    frame.id,
-                                                    Phase::Compute,
-                                                    t0,
-                                                    t1,
-                                                );
-                                            }
-                                        }
-                                        prev = now;
-                                    }
-                                }
+                            for &j in &stages {
+                                chain[j].apply_vectored(
+                                    frame.image.as_mut().expect("pixels"),
+                                    &ctx,
+                                    backend,
+                                    kernel_threads,
+                                );
+                                let now = Instant::now();
+                                rec.span_kind(
+                                    StageKind::PIPELINE_FILTERS[j],
+                                    frame.id,
+                                    Phase::Compute,
+                                    prev,
+                                    now,
+                                );
+                                prev = now;
                             }
                             let dst = dst_ranks[(f % dst_ranks.len() as u64) as usize];
                             send_bytes(&ep, reliable, dst, encode_frame(&frame));
@@ -1044,6 +968,49 @@ mod tests {
 
         let untraced = run_native(&cfg(RendererMode::SingleRenderer, 2, 3), scene());
         assert!(untraced.trace.is_none(), "no trace unless requested");
+    }
+
+    #[test]
+    fn merged_group_spans_are_measured_per_stage() {
+        // A merged group's thread times every stage it runs: one Compute
+        // span per (stage, lane, frame), back-to-back on the thread's own
+        // clock — never an apportioned share of a longer interval.
+        let (p, frames) = (2u32, 4u64);
+        let mut c = cfg(RendererMode::SingleRenderer, p, frames);
+        c.auto_place = true;
+        c.trace = true;
+        assert!(
+            crate::partition::plan_for(&c)
+                .groups
+                .iter()
+                .any(|g| g.len > 1),
+            "the plan must merge something for this test to bind"
+        );
+        let log = run_native(&c, scene()).trace.expect("trace requested");
+        for kind in StageKind::PIPELINE_FILTERS {
+            let spans = log
+                .events()
+                .iter()
+                .filter(|e| e.kind == kind && e.phase == Phase::Compute)
+                .count() as u64;
+            assert_eq!(spans, p as u64 * frames, "{} compute spans", kind.name());
+        }
+        let mut by_rank: std::collections::BTreeMap<u8, Vec<(SimTime, SimTime)>> =
+            Default::default();
+        for e in log.events() {
+            by_rank.entry(e.core).or_default().push((e.t0, e.t1));
+        }
+        for (rank, mut spans) in by_rank {
+            spans.sort();
+            for w in spans.windows(2) {
+                assert!(
+                    w[0].1 <= w[1].0,
+                    "rank {rank}: {:?} overlaps {:?}",
+                    w[0],
+                    w[1]
+                );
+            }
+        }
     }
 
     #[test]

@@ -342,38 +342,6 @@ impl KernelChoice {
     }
 }
 
-/// Whether the native runner fuses maximal pointwise stage runs into a
-/// single memory traversal per row pair (see `scc_filters::FusedPass`).
-/// `Auto` resolves to on. Fusion only ever applies inside a merged
-/// placement group, so fixed arrangements (singleton groups) are
-/// unaffected by construction; auto-placed runs additionally feed the
-/// fused group weights to the partitioner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
-pub enum FuseChoice {
-    #[default]
-    Auto,
-    /// Run every stage as its own pass (the pre-fusion executor).
-    Off,
-    /// Fuse maximal pointwise runs.
-    On,
-}
-
-impl FuseChoice {
-    /// Resolve to a concrete on/off decision.
-    pub fn enabled(&self) -> bool {
-        !matches!(self, FuseChoice::Off)
-    }
-
-    /// Short name for digests and fuzz-repro lines.
-    pub fn name(&self) -> &'static str {
-        match self {
-            FuseChoice::Auto => "auto",
-            FuseChoice::Off => "off",
-            FuseChoice::On => "on",
-        }
-    }
-}
-
 /// How strips are scheduled onto cores.
 ///
 /// `Static` is the paper's model: every stage owns a core for the whole
@@ -464,8 +432,6 @@ pub struct NativeTuning {
     /// Filter-kernel backend (scalar reference loops vs lane-vectorized
     /// kernels; `Auto` is vectorized).
     pub kernel: KernelChoice,
-    /// Pointwise stage fusion in the native executor (`Auto` = on).
-    pub fuse: FuseChoice,
 }
 
 impl Default for NativeTuning {
@@ -474,7 +440,6 @@ impl Default for NativeTuning {
             kernel_threads: 1,
             buffer_pool: true,
             kernel: KernelChoice::Auto,
-            fuse: FuseChoice::Auto,
         }
     }
 }
@@ -1127,13 +1092,6 @@ impl RunConfigBuilder {
         self
     }
 
-    /// Toggle pointwise stage fusion in the native executor (default
-    /// `Auto` = on).
-    pub fn fuse(mut self, fuse: FuseChoice) -> Self {
-        self.cfg.tuning.fuse = fuse;
-        self
-    }
-
     /// Pick the execution model (default [`Runtime::Static`]).
     pub fn runtime(mut self, runtime: Runtime) -> Self {
         self.cfg.runtime = runtime;
@@ -1435,10 +1393,8 @@ mod tests {
     }
 
     #[test]
-    fn kernel_and_fuse_choices_resolve_and_default_to_auto() {
-        let t = NativeTuning::default();
-        assert_eq!(t.kernel, KernelChoice::Auto);
-        assert_eq!(t.fuse, FuseChoice::Auto);
+    fn kernel_choice_resolves_and_defaults_to_auto() {
+        assert_eq!(NativeTuning::default().kernel, KernelChoice::Auto);
         assert_eq!(
             KernelChoice::Auto.resolve(),
             scc_filters::KernelBackend::Simd
@@ -1451,9 +1407,6 @@ mod tests {
             KernelChoice::Simd.resolve(),
             scc_filters::KernelBackend::Simd
         );
-        assert!(FuseChoice::Auto.enabled());
-        assert!(FuseChoice::On.enabled());
-        assert!(!FuseChoice::Off.enabled());
     }
 
     #[test]

@@ -36,7 +36,7 @@ impl Flicker {
 }
 
 /// The shared kernel: add the frame's brightness offset to every RGB byte.
-pub(crate) fn shift_bytes(bytes: &mut [u8], d: f32) {
+fn shift_bytes(bytes: &mut [u8], d: f32) {
     for px in bytes.chunks_exact_mut(BYTES_PER_PIXEL) {
         for c in px.iter_mut().take(3) {
             *c = from_unit(to_unit(*c) + d);
@@ -50,7 +50,7 @@ pub(crate) fn shift_bytes(bytes: &mut [u8], d: f32) {
 /// table built once per frame with the *scalar* formula — the per-pixel
 /// work becomes three table loads, bit-identical to [`shift_bytes`] by
 /// construction.
-pub(crate) fn shift_lut(d: f32) -> [u8; 256] {
+fn shift_lut(d: f32) -> [u8; 256] {
     let mut lut = [0u8; 256];
     for (c, out) in lut.iter_mut().enumerate() {
         *out = from_unit(to_unit(c as u8) + d);
@@ -59,7 +59,7 @@ pub(crate) fn shift_lut(d: f32) -> [u8; 256] {
 }
 
 /// Apply a prebuilt per-frame shift table to every RGB byte.
-pub(crate) fn shift_bytes_lut(bytes: &mut [u8], lut: &[u8; 256]) {
+fn shift_bytes_lut(bytes: &mut [u8], lut: &[u8; 256]) {
     for px in bytes.chunks_exact_mut(BYTES_PER_PIXEL) {
         px[0] = lut[px[0] as usize];
         px[1] = lut[px[1] as usize];

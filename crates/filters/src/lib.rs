@@ -23,7 +23,6 @@ pub mod chunk;
 pub mod filter;
 pub mod flicker;
 pub mod frame_rng;
-pub mod fuse;
 pub mod image;
 pub mod lanes;
 pub mod oriented_scratch;
@@ -36,7 +35,6 @@ pub use blur::Blur;
 pub use chunk::{chunk_rows, par_row_chunks};
 pub use filter::{FrameCtx, ImageFilter, Traffic};
 pub use flicker::Flicker;
-pub use fuse::{FusedPass, STANDARD_POINTWISE};
 pub use image::{Image, StripInfo, BYTES_PER_PIXEL};
 pub use oriented_scratch::OrientedScratch;
 pub use scratch::Scratch;

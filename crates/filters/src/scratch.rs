@@ -12,7 +12,7 @@
 
 use crate::filter::{FrameCtx, ImageFilter, Traffic};
 use crate::frame_rng::frame_rng;
-use crate::image::{Image, BYTES_PER_PIXEL};
+use crate::image::Image;
 use rand::Rng;
 
 /// Scratch filter parameters.
@@ -48,18 +48,6 @@ impl Scratch {
         ScratchPlan {
             color: [shade, shade, shade],
             columns,
-        }
-    }
-}
-
-/// Paint the frame's scratch columns into one row: the row-local core
-/// of [`Scratch::apply`] (same skip for columns beyond the row width,
-/// same alpha preservation), shared with the fused pass.
-pub(crate) fn paint_row(row: &mut [u8], color: &[u8; 3], columns: &[u32]) {
-    for &x in columns {
-        let o = x as usize * BYTES_PER_PIXEL;
-        if o + BYTES_PER_PIXEL <= row.len() {
-            row[o..o + 3].copy_from_slice(color);
         }
     }
 }

@@ -40,7 +40,7 @@ pub struct Sepia;
 
 /// The shared kernel: sepia is strictly per-pixel, so the same byte loop
 /// serves the sequential path and any row chunk of the parallel one.
-pub(crate) fn sepia_bytes(bytes: &mut [u8]) {
+fn sepia_bytes(bytes: &mut [u8]) {
     for px in bytes.chunks_exact_mut(BYTES_PER_PIXEL) {
         let [r, g, b] = sepia_pixel(to_unit(px[0]), to_unit(px[1]), to_unit(px[2]));
         px[0] = from_unit(r);
@@ -54,7 +54,7 @@ pub(crate) fn sepia_bytes(bytes: &mut [u8]) {
 /// (same multiplies, same adds, same clamps, in the same order), with
 /// the `< 8`-pixel row tail handed to the scalar loop — bit-identical
 /// to [`sepia_bytes`] on every input.
-pub(crate) fn sepia_bytes_lanes(bytes: &mut [u8]) {
+fn sepia_bytes_lanes(bytes: &mut [u8]) {
     const BLOCK: usize = BYTES_PER_PIXEL * LANES;
     let mut blocks = bytes.chunks_exact_mut(BLOCK);
     for px in &mut blocks {
@@ -82,7 +82,7 @@ pub(crate) fn sepia_bytes_lanes(bytes: &mut [u8]) {
 
 /// Backend dispatch for one row (or any pixel-aligned byte run).
 #[inline]
-pub(crate) fn sepia_row(bytes: &mut [u8], backend: KernelBackend) {
+fn sepia_row(bytes: &mut [u8], backend: KernelBackend) {
     match backend {
         KernelBackend::Scalar => sepia_bytes(bytes),
         KernelBackend::Simd => sepia_bytes_lanes(bytes),

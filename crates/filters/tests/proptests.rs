@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use scc_filters::{
-    sepia::sepia_pixel, vswap, Blur, Flicker, FrameCtx, Image, ImageFilter, Scratch, Sepia,
-    StripInfo, VSwap,
+    sepia::sepia_pixel, standard_chain, vswap, Blur, Flicker, FrameCtx, Image, ImageFilter,
+    KernelBackend, Scratch, Sepia, StripInfo, VSwap,
 };
 
 /// An arbitrary small image with arbitrary pixels.
@@ -185,6 +185,40 @@ proptest! {
             full_width: 128,
         };
         prop_assert_eq!(s.plan(&whole_ctx), s.plan(&strip_ctx));
+    }
+
+    /// The vectored kernels equal the plain chunked kernels, per stage,
+    /// for every stage of the chain (blur's stencil included), on any
+    /// strip of any frame: the backend choice never changes a byte.
+    #[test]
+    fn vectored_equals_chunked_per_stage(
+        stage in 0usize..5,
+        img in arb_image(47, 23),
+        n in 1u32..5,
+        strip_index in 0u32..4,
+        frame in 0u64..1000,
+        seed in any::<u64>(),
+        workers in 1usize..9,
+        simd in any::<bool>(),
+    ) {
+        let backend = if simd { KernelBackend::Simd } else { KernelBackend::Scalar };
+        let n = n.min(img.height());
+        let (info, strip) = img.split_strips(n).swap_remove((strip_index % n) as usize);
+        let ctx = FrameCtx {
+            frame_id: frame,
+            run_seed: seed,
+            strip: info,
+            full_width: img.width(),
+        };
+        let filter = &standard_chain()[stage];
+        let mut want = strip.clone();
+        filter.apply_chunked(&mut want, &ctx, workers);
+        let mut got = strip;
+        filter.apply_vectored(&mut got, &ctx, backend, workers);
+        prop_assert_eq!(
+            got, want,
+            "{} strip {}/{} {:?} workers={}", filter.name(), info.index, n, backend, workers
+        );
     }
 
     #[test]

@@ -12,14 +12,15 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use scc_core::runner::sim::SimRunner;
 use scc_core::spec::{
-    Arrangement, FaultSpec, Fidelity, FuseChoice, GovernorTuning, KernelChoice, KillSpec,
-    PowerConfig, RendererMode, RunConfig, Runtime, StallSpec, TaskTuning, WavefrontSpec, Workload,
+    Arrangement, FaultSpec, Fidelity, GovernorTuning, KernelChoice, KillSpec, PowerConfig,
+    RendererMode, RunConfig, Runtime, StallSpec, TaskTuning, WavefrontSpec, Workload,
 };
 use scc_core::viz::frame_checksum;
 use scc_core::{Backend, BackendReport, GovernorAction};
 use scc_serve::{serve, ServeConfig, TenantSpec};
 use scc_sim::fault::{FaultConfig, FaultPlan, MessageOutcome};
 use scc_sim::{CoreId, FreqMHz, SimTime};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 /// How far apart the frame-major simulator and the DES executor are
@@ -121,6 +122,78 @@ fn arr_from_tag(s: &str) -> Result<Arrangement, String> {
     }
 }
 
+/// One `directive key=value ...` line of a repro. Every accessor marks
+/// the key it reads, so [`ReproLine::finish`] can reject whatever the
+/// directive did not read — there is no second table of known keys to
+/// keep in step with the parser.
+struct ReproLine<'a> {
+    no: usize,
+    directive: &'a str,
+    kvs: Vec<(&'a str, &'a str, Cell<bool>)>,
+}
+
+impl<'a> ReproLine<'a> {
+    fn parse(no: usize, line: &'a str) -> Result<Self, String> {
+        let mut words = line.split_whitespace();
+        let directive = words.next().unwrap_or("");
+        let kvs = words
+            .map(|kv| {
+                kv.split_once('=')
+                    .map(|(k, v)| (k, v, Cell::new(false)))
+                    .ok_or_else(|| format!("line {no}: malformed field `{kv}`"))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(ReproLine { no, directive, kvs })
+    }
+
+    fn err(&self, msg: impl std::fmt::Display) -> String {
+        format!("line {}: {msg}", self.no)
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.kvs.iter().any(|(k, _, _)| *k == key)
+    }
+
+    fn get(&self, key: &str) -> Result<&'a str, String> {
+        let (_, v, read) = self
+            .kvs
+            .iter()
+            .find(|(k, _, _)| *k == key)
+            .ok_or_else(|| self.err(format!("missing field `{key}`")))?;
+        read.set(true);
+        Ok(v)
+    }
+
+    /// An integer (decimal or `0x` hex) that must fit the field it is
+    /// assigned to.
+    fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        let v = self.get(key)?;
+        let (src, radix) = match v.strip_prefix("0x") {
+            Some(hex) => (hex, 16),
+            None => (v, 10),
+        };
+        let n = u64::from_str_radix(src, radix).map_err(|e| self.err(format!("{key}={v}: {e}")))?;
+        T::try_from(n).map_err(|_| self.err(format!("{key}={v} is out of range")))
+    }
+
+    fn float(&self, key: &str) -> Result<f64, String> {
+        let v = self.get(key)?;
+        v.parse().map_err(|e| self.err(format!("{key}={v}: {e}")))
+    }
+
+    /// Reject the first key nothing read: unknown to this directive (or
+    /// to this `kind=` of it), or a duplicate of one already read.
+    fn finish(&self) -> Result<(), String> {
+        match self.kvs.iter().find(|(_, _, read)| !read.get()) {
+            Some((k, _, _)) => Err(self.err(format!(
+                "`{}` does not take `{k}` here (unknown or repeated key)",
+                self.directive
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
 impl FuzzCase {
     /// A small, clean starting point (the fuzzer's corpus seed).
     pub fn base(seed: u64) -> FuzzCase {
@@ -170,8 +243,8 @@ impl FuzzCase {
     /// Serialise to the ≤ 10-line repro format. Floats use Rust's
     /// shortest round-trip `Display`, so `from_text` is lossless. The
     /// scheduler fields (`auto=1` on the run line, a `weights` line)
-    /// and the kernel/fusion choices are emitted only when set / away
-    /// from `Auto`, so older repros stay valid.
+    /// and the kernel choice are emitted only when set / away from
+    /// `Auto`, so older repros stay valid.
     pub fn to_text(&self) -> String {
         let c = &self.cfg;
         let mut extras = String::new();
@@ -180,9 +253,6 @@ impl FuzzCase {
         }
         if c.tuning.kernel != KernelChoice::Auto {
             extras.push_str(&format!(" kernel={}", c.tuning.kernel.name()));
-        }
-        if c.tuning.fuse != FuseChoice::Auto {
-            extras.push_str(&format!(" fuse={}", c.tuning.fuse.name()));
         }
         // The task runtime and its knobs ride the run line only when the
         // case left the static pipeline, so pre-runtime repros parse
@@ -285,148 +355,118 @@ impl FuzzCase {
         out
     }
 
-    /// Parse the repro format back into a case.
+    /// Parse the repro format back into a case. A key the directive
+    /// does not read, a duplicate key and an integer that does not fit
+    /// its field are errors naming the key and the line — a misspelt or
+    /// stale token must not parse to a different case that then passes.
     pub fn from_text(text: &str) -> Result<FuzzCase, String> {
-        fn fields(line: &str) -> Result<Vec<(&str, &str)>, String> {
-            line.split_whitespace()
-                .skip(1)
-                .map(|kv| {
-                    kv.split_once('=')
-                        .ok_or_else(|| format!("malformed field `{kv}`"))
-                })
-                .collect()
-        }
-        fn get<'a>(kvs: &[(&str, &'a str)], key: &str) -> Result<&'a str, String> {
-            kvs.iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| format!("missing field `{key}`"))
-        }
-        fn int(kvs: &[(&str, &str)], key: &str) -> Result<u64, String> {
-            let v = get(kvs, key)?;
-            let (src, radix) = match v.strip_prefix("0x") {
-                Some(hex) => (hex, 16),
-                None => (v, 10),
-            };
-            u64::from_str_radix(src, radix).map_err(|e| format!("{key}={v}: {e}"))
-        }
-        fn float(kvs: &[(&str, &str)], key: &str) -> Result<f64, String> {
-            get(kvs, key)?.parse().map_err(|e| format!("{key}: {e}"))
-        }
-
         let mut case = FuzzCase::base(0);
         let mut saw_run = false;
-        for line in text.lines() {
+        for (no, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let kvs = fields(line)?;
-            match line.split_whitespace().next().unwrap_or("") {
+            let l = ReproLine::parse(no + 1, line)?;
+            match l.directive {
                 "run" => {
                     saw_run = true;
                     let c = &mut case.cfg;
-                    c.renderer = mode_from_tag(get(&kvs, "mode")?)?;
-                    c.arrangement = arr_from_tag(get(&kvs, "arr")?)?;
-                    c.pipelines = int(&kvs, "p")? as u32;
-                    c.width = int(&kvs, "w")? as u32;
-                    c.height = int(&kvs, "h")? as u32;
-                    c.frames = int(&kvs, "f")?;
-                    c.seed = int(&kvs, "seed")?;
-                    c.fidelity = match get(&kvs, "fid")? {
+                    c.renderer = mode_from_tag(l.get("mode")?).map_err(|e| l.err(e))?;
+                    c.arrangement = arr_from_tag(l.get("arr")?).map_err(|e| l.err(e))?;
+                    c.pipelines = l.int("p")?;
+                    c.width = l.int("w")?;
+                    c.height = l.int("h")?;
+                    c.frames = l.int("f")?;
+                    c.seed = l.int("seed")?;
+                    c.fidelity = match l.get("fid")? {
                         "full" => Fidelity::Full,
                         "timing" => Fidelity::TimingOnly,
-                        other => return Err(format!("unknown fidelity `{other}`")),
+                        other => return Err(l.err(format!("unknown fidelity `{other}`"))),
                     };
-                    c.tuning.kernel_threads = int(&kvs, "threads")? as u32;
-                    c.tuning.buffer_pool = int(&kvs, "pool")? != 0;
+                    c.tuning.kernel_threads = l.int("threads")?;
+                    c.tuning.buffer_pool = l.int::<u64>("pool")? != 0;
                     // Optional: absent in pre-scheduler repros.
-                    c.auto_place = kvs.iter().any(|(k, _)| *k == "auto") && int(&kvs, "auto")? != 0;
+                    c.auto_place = l.has("auto") && l.int::<u64>("auto")? != 0;
                     // Optional: absent in pre-kernel-backend repros.
-                    if kvs.iter().any(|(k, _)| *k == "kernel") {
-                        c.tuning.kernel = match get(&kvs, "kernel")? {
+                    if l.has("kernel") {
+                        c.tuning.kernel = match l.get("kernel")? {
                             "auto" => KernelChoice::Auto,
                             "scalar" => KernelChoice::Scalar,
                             "simd" => KernelChoice::Simd,
-                            other => return Err(format!("unknown kernel `{other}`")),
-                        };
-                    }
-                    if kvs.iter().any(|(k, _)| *k == "fuse") {
-                        c.tuning.fuse = match get(&kvs, "fuse")? {
-                            "auto" => FuseChoice::Auto,
-                            "off" => FuseChoice::Off,
-                            "on" => FuseChoice::On,
-                            other => return Err(format!("unknown fuse `{other}`")),
+                            other => return Err(l.err(format!("unknown kernel `{other}`"))),
                         };
                     }
                     // Optional: absent in pre-task-runtime repros.
-                    if kvs.iter().any(|(k, _)| *k == "runtime") {
-                        c.runtime = match get(&kvs, "runtime")? {
+                    if l.has("runtime") {
+                        c.runtime = match l.get("runtime")? {
                             "static" => Runtime::Static,
                             "tasks" => Runtime::Tasks,
-                            other => return Err(format!("unknown runtime `{other}`")),
+                            other => return Err(l.err(format!("unknown runtime `{other}`"))),
                         };
                         c.task_tuning = TaskTuning {
-                            queue_capacity: int(&kvs, "qcap")? as u32,
-                            steal_timeout_us: int(&kvs, "steal_us")?,
-                            steal_retries: int(&kvs, "steal_retries")? as u32,
+                            queue_capacity: l.int("qcap")?,
+                            steal_timeout_us: l.int("steal_us")?,
+                            steal_retries: l.int("steal_retries")?,
                         };
                     }
                 }
                 "weights" => {
-                    let list = get(&kvs, "w")?;
-                    let w: Result<Vec<f64>, String> = list
+                    let w: Result<Vec<f64>, String> = l
+                        .get("w")?
                         .split(',')
-                        .map(|v| v.parse().map_err(|e| format!("weights {v}: {e}")))
+                        .map(|v| v.parse().map_err(|e| l.err(format!("weights {v}: {e}"))))
                         .collect();
                     case.cfg.stage_weights = Some(w?);
                 }
                 "fault" => {
                     let f = case.cfg.fault.get_or_insert_with(FaultSpec::default);
-                    f.seed = int(&kvs, "seed")?;
-                    f.drop_rate = float(&kvs, "drop")?;
-                    f.corrupt_rate = float(&kvs, "corrupt")?;
-                    f.delay_rate = float(&kvs, "delay")?;
-                    f.max_delay_us = int(&kvs, "max_delay_us")?;
-                    f.degraded_links = int(&kvs, "links")? as u32;
-                    f.degrade_factor = float(&kvs, "factor")?;
-                    f.timeout_us = int(&kvs, "timeout_us")?;
-                    f.retry_budget = int(&kvs, "retries")? as u32;
+                    f.seed = l.int("seed")?;
+                    f.drop_rate = l.float("drop")?;
+                    f.corrupt_rate = l.float("corrupt")?;
+                    f.delay_rate = l.float("delay")?;
+                    f.max_delay_us = l.int("max_delay_us")?;
+                    f.degraded_links = l.int("links")?;
+                    f.degrade_factor = l.float("factor")?;
+                    f.timeout_us = l.int("timeout_us")?;
+                    f.retry_budget = l.int("retries")?;
                 }
                 "sup" => {
                     let f = case.cfg.fault.get_or_insert_with(FaultSpec::default);
-                    f.heartbeat_period_us = int(&kvs, "hb_us")?;
-                    f.phi_dead = float(&kvs, "phi")?;
-                    f.max_spares = int(&kvs, "spares")? as u32;
-                    f.checkpoint_depth = int(&kvs, "depth")? as u32;
+                    f.heartbeat_period_us = l.int("hb_us")?;
+                    f.phi_dead = l.float("phi")?;
+                    f.max_spares = l.int("spares")?;
+                    f.checkpoint_depth = l.int("depth")?;
                 }
                 "kill" => {
                     let f = case.cfg.fault.get_or_insert_with(FaultSpec::default);
                     f.kills.push(KillSpec {
-                        pipeline: int(&kvs, "p")? as u32,
-                        stage: int(&kvs, "s")? as u32,
-                        at_ms: int(&kvs, "at_ms")?,
+                        pipeline: l.int("p")?,
+                        stage: l.int("s")?,
+                        at_ms: l.int("at_ms")?,
                     });
                 }
                 "stall" => {
                     let f = case.cfg.fault.get_or_insert_with(FaultSpec::default);
                     f.stall = Some(StallSpec {
-                        pipeline: int(&kvs, "p")? as u32,
-                        stage: int(&kvs, "s")? as u32,
-                        at_ms: int(&kvs, "at_ms")?,
-                        for_ms: int(&kvs, "for_ms")?,
+                        pipeline: l.int("p")?,
+                        stage: l.int("s")?,
+                        at_ms: l.int("at_ms")?,
+                        for_ms: l.int("for_ms")?,
                     });
                 }
-                "power" => match get(&kvs, "kind")? {
+                "power" => match l.get("kind")? {
                     "static" => {
-                        let pairs: Result<Vec<(CoreId, FreqMHz)>, String> = get(&kvs, "pairs")?
+                        let pairs: Result<Vec<(CoreId, FreqMHz)>, String> = l
+                            .get("pairs")?
                             .split(',')
                             .map(|kv| {
                                 let (core, mhz) = kv
                                     .split_once(':')
                                     .ok_or_else(|| format!("malformed power pair `{kv}`"))?;
-                                let core: u8 =
-                                    core.parse().map_err(|e| format!("power core {core}: {e}"))?;
+                                let core: u8 = core
+                                    .parse()
+                                    .map_err(|e| format!("power core {core}: {e}"))?;
                                 let core = CoreId::try_new(core)
                                     .ok_or_else(|| format!("power core {core} out of range"))?;
                                 let f = match mhz {
@@ -438,46 +478,47 @@ impl FuzzCase {
                                 Ok((core, f))
                             })
                             .collect();
-                        case.cfg.power = PowerConfig::Static(pairs?);
+                        case.cfg.power = PowerConfig::Static(pairs.map_err(|e| l.err(e))?);
                     }
                     "governed" => {
                         case.cfg.power = PowerConfig::Governed(GovernorTuning {
-                            epoch_frames: int(&kvs, "epoch")? as u32,
-                            hysteresis_epochs: int(&kvs, "hyst")? as u32,
-                            bottleneck_idle_frac: float(&kvs, "bneck")?,
-                            throttle_idle_frac: float(&kvs, "thr")?,
-                            power_cap_watts: float(&kvs, "cap_w")?,
+                            epoch_frames: l.int("epoch")?,
+                            hysteresis_epochs: l.int("hyst")?,
+                            bottleneck_idle_frac: l.float("bneck")?,
+                            throttle_idle_frac: l.float("thr")?,
+                            power_cap_watts: l.float("cap_w")?,
                         });
                     }
-                    other => return Err(format!("unknown power kind `{other}`")),
+                    other => return Err(l.err(format!("unknown power kind `{other}`"))),
                 },
-                "workload" => match get(&kvs, "kind")? {
+                "workload" => match l.get("kind")? {
                     "wavefront" => {
                         case.cfg.workload = Workload::Wavefront(WavefrontSpec {
-                            width: int(&kvs, "w")? as u32,
-                            height: int(&kvs, "h")? as u32,
-                            seeds: int(&kvs, "seeds")? as u32,
-                            max_waves: int(&kvs, "waves")? as u32,
+                            width: l.int("w")?,
+                            height: l.int("h")?,
+                            seeds: l.int("seeds")?,
+                            max_waves: l.int("waves")?,
                         });
                     }
-                    other => return Err(format!("unknown workload kind `{other}`")),
+                    other => return Err(l.err(format!("unknown workload kind `{other}`"))),
                 },
                 "serve" => {
                     case.serve = Some(ServeFuzz {
-                        sessions_a: int(&kvs, "sa")? as u32,
-                        sessions_b: int(&kvs, "sb")? as u32,
-                        weight_a: int(&kvs, "wa")? as u32,
-                        weight_b: int(&kvs, "wb")? as u32,
-                        frames: int(&kvs, "f")? as u32,
-                        cache_capacity: int(&kvs, "cache")? as u32,
-                        cache_buckets: int(&kvs, "buckets")? as u32,
-                        pool: int(&kvs, "pool")? as u32,
-                        queue_depth: int(&kvs, "qd")? as u32,
-                        max_sessions: int(&kvs, "cap")? as u32,
+                        sessions_a: l.int("sa")?,
+                        sessions_b: l.int("sb")?,
+                        weight_a: l.int("wa")?,
+                        weight_b: l.int("wb")?,
+                        frames: l.int("f")?,
+                        cache_capacity: l.int("cache")?,
+                        cache_buckets: l.int("buckets")?,
+                        pool: l.int("pool")?,
+                        queue_depth: l.int("qd")?,
+                        max_sessions: l.int("cap")?,
                     });
                 }
-                other => return Err(format!("unknown directive `{other}`")),
+                other => return Err(l.err(format!("unknown directive `{other}`"))),
             }
+            l.finish()?;
         }
         if !saw_run {
             return Err("repro has no `run` line".into());
@@ -508,7 +549,7 @@ impl FuzzCase {
 
     fn mutate_once(&mut self, rng: &mut StdRng) {
         let c = &mut self.cfg;
-        match rng.gen_range(0u32..32) {
+        match rng.gen_range(0u32..31) {
             0 => {
                 c.renderer = [
                     RendererMode::SingleRenderer,
@@ -607,10 +648,6 @@ impl FuzzCase {
             19 => {
                 c.tuning.kernel = [KernelChoice::Auto, KernelChoice::Scalar, KernelChoice::Simd]
                     [rng.gen_range(0usize..3)]
-            }
-            20 => {
-                c.tuning.fuse =
-                    [FuseChoice::Auto, FuseChoice::Off, FuseChoice::On][rng.gen_range(0usize..3)]
             }
             17 => {
                 // Explicit scheduler weights from a palette spanning the
@@ -719,7 +756,7 @@ impl FuzzCase {
                 }
                 c.power = PowerConfig::Static(pairs);
             }
-            31 => {
+            20 => {
                 // The wavefront workload excludes the fault plane and the
                 // task runtime (validate enforces it), so this arm clears
                 // both rather than burning its mutation on a rollback.
@@ -776,9 +813,6 @@ pub fn coverage(case: &FuzzCase, outcome_events: &CoverageEvents) -> BTreeSet<St
     }
     if c.tuning.kernel != KernelChoice::Auto {
         set.insert(format!("kernel:{}", c.tuning.kernel.name()));
-    }
-    if c.tuning.fuse != FuseChoice::Auto {
-        set.insert(format!("fuse:{}", c.tuning.fuse.name()));
     }
     if c.auto_place {
         set.insert("place:auto".into());
@@ -1493,7 +1527,7 @@ fn cost(case: &FuzzCase) -> u64 {
     if c.tuning.kernel_threads != 1 || !c.tuning.buffer_pool {
         k += 5;
     }
-    if c.tuning.kernel != KernelChoice::Auto || c.tuning.fuse != FuseChoice::Auto {
+    if c.tuning.kernel != KernelChoice::Auto {
         k += 5;
     }
     if c.auto_place {
@@ -1636,6 +1670,45 @@ mod tests {
             );
             let back = FuzzCase::from_text(&text).expect("parse own output");
             assert_eq!(back.to_text(), text, "round trip changed the case");
+        }
+    }
+
+    #[test]
+    fn repro_reader_rejects_unknown_keys_and_out_of_range_integers() {
+        let good = FuzzCase::base(7).to_text();
+        assert!(good.starts_with("run ") && FuzzCase::from_text(&good).is_ok());
+        let run_with = |extra: &str| format!("# comment\n{} {extra}\n", good.trim_end());
+        // A misspelt key, a key of a removed knob, a repeated key and a
+        // key on the wrong directive must not parse to a different case.
+        for (text, key) in [
+            (run_with("auot=1"), "auot"),
+            (run_with("fuse=on"), "fuse"),
+            (run_with("auto=0 auto=1"), "auto"),
+            (run_with("qcap=4"), "qcap"),
+            (format!("{good}weights w=1,1,1,1,1 p=2\n"), "p"),
+            (
+                format!("{good}power kind=static pairs=0:800 epoch=2\n"),
+                "epoch",
+            ),
+        ] {
+            let e = FuzzCase::from_text(&text).expect_err(&text);
+            let line = text.lines().count();
+            assert!(
+                e.contains(&format!("line {line}:")) && e.contains(&format!("`{key}`")),
+                "{text:?} -> {e}"
+            );
+        }
+        // 2^32 + 1 must not wrap to 1.
+        for (from, to) in [
+            (" p=2", " p=4294967297"),
+            (" threads=1", " threads=4294967297"),
+        ] {
+            assert!(good.contains(from), "{good}");
+            let e = FuzzCase::from_text(&good.replacen(from, to, 1)).expect_err(to);
+            assert!(
+                e.contains("line 1:") && e.contains(to.trim()),
+                "{to} -> {e}"
+            );
         }
     }
 
@@ -1849,7 +1922,9 @@ stall p=0 s=4 at_ms=0 for_ms=18446744073709551615
         });
         let text = case.to_text();
         assert!(text.lines().any(|l| l.starts_with("power kind=governed")));
-        assert!(text.lines().any(|l| l.starts_with("workload kind=wavefront")));
+        assert!(text
+            .lines()
+            .any(|l| l.starts_with("workload kind=wavefront")));
         let back = FuzzCase::from_text(&text).expect("parse own output");
         assert_eq!(back.to_text(), text);
 

@@ -321,8 +321,8 @@ pub fn digest_case(case: &GoldenCase) -> String {
 /// One-line canonical config rendering for digest headers. The
 /// scheduler suffix (`auto=1`, explicit weights) only appears when the
 /// case opts in, so the fixed-arrangement digests are byte-stable
-/// across the scheduler's introduction; likewise the kernel/fusion
-/// suffix appears only when a case departs from the `Auto` defaults.
+/// across the scheduler's introduction; likewise the kernel suffix
+/// appears only when a case departs from the `Auto` default.
 pub fn config_line(cfg: &RunConfig) -> String {
     let mut auto = if cfg.auto_place {
         match &cfg.stage_weights {
@@ -334,9 +334,6 @@ pub fn config_line(cfg: &RunConfig) -> String {
     };
     if cfg.tuning.kernel != scc_core::KernelChoice::Auto {
         auto.push_str(&format!(" kernel={}", cfg.tuning.kernel.name()));
-    }
-    if cfg.tuning.fuse != scc_core::FuseChoice::Auto {
-        auto.push_str(&format!(" fuse={}", cfg.tuning.fuse.name()));
     }
     // Like the scheduler suffix: only non-default runtimes print, so the
     // pre-task-runtime digests stay byte-stable.
@@ -449,35 +446,6 @@ pub fn autoplace_decision_digest() -> String {
             "-- {tag} digest={:016x}\n{table}",
             fnv1a_str(&table)
         ));
-    }
-    out
-}
-
-/// Digest of the scheduler's decision tables under *explicit* fusion
-/// costing — `fuse=off` (plain weight sums) next to `fuse=on` (fused
-/// pointwise runs discounted) for every renderer mode. Pinned alongside
-/// `autoplace-decision` so the repartitioning effect of fused-group
-/// weights is itself a reviewed, byte-stable artefact.
-pub fn autoplace_decision_fused_digest() -> String {
-    use scc_core::spec::RendererMode;
-    use scc_core::FuseChoice;
-    let mut out = String::from("== autoplace-decision-fused\n");
-    for (tag, mode) in [
-        ("single", RendererMode::SingleRenderer),
-        ("perpipe", RendererMode::PerPipelineRenderer),
-        ("mcpc", RendererMode::McpcRenderer),
-    ] {
-        for (fuse_tag, fuse) in [("off", FuseChoice::Off), ("on", FuseChoice::On)] {
-            let mut cfg = base_cfg();
-            cfg.renderer = mode;
-            cfg.auto_place = true;
-            cfg.tuning.fuse = fuse;
-            let table = scc_core::auto_place(&cfg).decision_table();
-            out.push_str(&format!(
-                "-- {tag} fuse={fuse_tag} digest={:016x}\n{table}",
-                fnv1a_str(&table)
-            ));
-        }
     }
     out
 }
@@ -761,7 +729,6 @@ pub fn bench_schema_digest() -> String {
     let throughput = measure_native_throughput(&cfg, &scene, &[1]);
     let recovery = measure_recovery(&cfg, &scene, &[1]);
     let autoplace = measure_autoplace(&cfg, &scene);
-    let kernels = scc_bench::kernels::measure_kernels(48, 32, 2, cfg.seed, &[1]);
     let tasks = scc_bench::tasks::measure_tasks(&cfg, &scene);
     let serving = scc_bench::serving::measure_serving(&cfg, &scene, &[2]);
     let dvfs = scc_bench::dvfs::measure_dvfs(&cfg, &scene);
@@ -770,7 +737,6 @@ pub fn bench_schema_digest() -> String {
         ("native_pipeline", throughput.to_json()),
         ("recovery", recovery.to_json()),
         ("autoplace", autoplace.to_json()),
-        ("kernels", kernels.to_json()),
         ("tasks", tasks.to_json()),
         ("serving", serving.to_json()),
         ("dvfs", dvfs.to_json()),

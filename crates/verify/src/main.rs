@@ -58,10 +58,6 @@ fn cmd_golden(update: bool) -> i32 {
         "autoplace-decision".into(),
         scc_verify::autoplace_decision_digest(),
     ));
-    blocks.push((
-        "autoplace-decision-fused".into(),
-        scc_verify::autoplace_decision_fused_digest(),
-    ));
     blocks.push(("serving-smoke".into(), scc_verify::serving_smoke_digest()));
     for case in scc_verify::workload_goldens() {
         blocks.push((case.name.clone(), scc_verify::workload_digest(&case)));

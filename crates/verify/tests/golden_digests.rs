@@ -8,9 +8,8 @@
 #![cfg(not(feature = "verify-selftest"))]
 
 use scc_verify::{
-    autoplace_decision_digest, autoplace_decision_fused_digest, bench_schema_digest,
-    des_recovered_digest, digest_case, golden_matrix, native_tuning_digest, serving_smoke_digest,
-    workload_digest, workload_goldens,
+    autoplace_decision_digest, bench_schema_digest, des_recovered_digest, digest_case,
+    golden_matrix, native_tuning_digest, serving_smoke_digest, workload_digest, workload_goldens,
 };
 use std::path::PathBuf;
 
@@ -100,16 +99,6 @@ fn autoplace_decision_digest_matches_the_pinned_file() {
     }
 }
 
-#[test]
-fn autoplace_decision_fused_digest_matches_the_pinned_file() {
-    if let Err(e) = check_or_update(
-        "autoplace-decision-fused",
-        &autoplace_decision_fused_digest(),
-    ) {
-        panic!("{e}");
-    }
-}
-
 /// The acceptance bar: two consecutive runs of the whole matrix must be
 /// byte-identical — no wall-clock, allocator or iteration-order leak.
 #[test]
@@ -124,10 +113,6 @@ fn consecutive_matrix_runs_are_byte_identical() {
     }
     assert_eq!(native_tuning_digest(), native_tuning_digest());
     assert_eq!(autoplace_decision_digest(), autoplace_decision_digest());
-    assert_eq!(
-        autoplace_decision_fused_digest(),
-        autoplace_decision_fused_digest()
-    );
     assert_eq!(serving_smoke_digest(), serving_smoke_digest());
     assert_eq!(des_recovered_digest(), des_recovered_digest());
     assert_eq!(bench_schema_digest(), bench_schema_digest());

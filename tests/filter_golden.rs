@@ -8,7 +8,7 @@
 //! constants with `UPDATE_GOLDEN=1 cargo test -p scc-bench --test
 //! filter_golden -- --nocapture` and paste the printed table).
 
-use scc_filters::{standard_chain, FrameCtx, FusedPass, Image, KernelBackend, StripInfo};
+use scc_filters::{standard_chain, FrameCtx, Image, KernelBackend, StripInfo};
 
 const W: u32 = 64;
 const H: u32 = 48;
@@ -163,17 +163,16 @@ fn golden_hashes_chunked() {
     }
 }
 
-/// Pinned hashes for the vectorized/fused kernel paths at the widths
-/// that exercise every lane-handling branch of the SIMD backend:
+/// Pinned hashes for the vectorized kernel paths at the widths that
+/// exercise every lane-handling branch of the SIMD backend:
 /// 64 px = 8 full 8-lane blocks, 37 px = 4 blocks + a 5-px scalar
-/// remainder, 1 px = pure-remainder rows. Height 11 keeps an odd,
-/// self-pairing middle row in the fused traversal. Each row is
-/// (width, [per-filter hash; 5], fused-[0,2,3,4] hash); every hash must
-/// come out of BOTH backends and (per filter) the unfused vectored
-/// path — bit-identity across kernels is the acceptance bar, so one
-/// constant per cell pins all paths at once.
+/// remainder, 1 px = pure-remainder rows. Height 11 keeps an odd
+/// middle row under swap. Each row is (width, [per-filter hash; 5]);
+/// every hash must come out of BOTH backends — bit-identity across
+/// kernels is the acceptance bar, so one constant per cell pins all
+/// paths at once.
 const LANE_H: u32 = 11;
-const GOLDEN_LANES: &[(u32, [u64; 5], u64)] = &[
+const GOLDEN_LANES: &[(u32, [u64; 5])] = &[
     (
         64,
         [
@@ -183,7 +182,6 @@ const GOLDEN_LANES: &[(u32, [u64; 5], u64)] = &[
             0xe612eddbd6bacace,
             0xad8509df7b3191ba,
         ],
-        0xc2298e6b9d7a8926,
     ),
     (
         37,
@@ -194,7 +192,6 @@ const GOLDEN_LANES: &[(u32, [u64; 5], u64)] = &[
             0xa3ef4f3ad66a2a99,
             0xf9660124d50bfd9d,
         ],
-        0xfadc67c6d44c95bb,
     ),
     (
         1,
@@ -205,7 +202,6 @@ const GOLDEN_LANES: &[(u32, [u64; 5], u64)] = &[
             0x66880e8bc8a31b63,
             0x4076d87a93096243,
         ],
-        0xc6a02c36098ef98e,
     ),
 ];
 
@@ -231,10 +227,10 @@ fn lane_frame(w: u32) -> Image {
     img
 }
 
-fn lane_table() -> Vec<(u32, [u64; 5], u64)> {
+fn lane_table() -> Vec<(u32, [u64; 5])> {
     GOLDEN_LANES
         .iter()
-        .map(|&(w, _, _)| {
+        .map(|&(w, _)| {
             let ctx = FrameCtx::whole_frame(FRAME_ID, RUN_SEED, w, LANE_H);
             let per_filter: Vec<u64> = standard_chain()
                 .iter()
@@ -244,15 +240,7 @@ fn lane_table() -> Vec<(u32, [u64; 5], u64)> {
                     fnv1a(img.as_bytes())
                 })
                 .collect();
-            let mut fused = lane_frame(w);
-            FusedPass::from_standard_indices(&[0, 2, 3, 4], KernelBackend::Scalar)
-                .unwrap()
-                .apply(&mut fused, &ctx);
-            (
-                w,
-                per_filter.try_into().expect("5 filters"),
-                fnv1a(fused.as_bytes()),
-            )
+            (w, per_filter.try_into().expect("5 filters"))
         })
         .collect()
 }
@@ -260,8 +248,8 @@ fn lane_table() -> Vec<(u32, [u64; 5], u64)> {
 #[test]
 fn golden_hashes_lane_widths() {
     if std::env::var("UPDATE_GOLDEN").is_ok() {
-        println!("const GOLDEN_LANES: &[(u32, [u64; 5], u64)] = &[");
-        for (w, filters, fused) in lane_table() {
+        println!("const GOLDEN_LANES: &[(u32, [u64; 5])] = &[");
+        for (w, filters) in lane_table() {
             println!("    (");
             println!("        {w},");
             println!("        [");
@@ -269,7 +257,6 @@ fn golden_hashes_lane_widths() {
                 println!("            {h:#018x},");
             }
             println!("        ],");
-            println!("        {fused:#018x},");
             println!("    ),");
         }
         println!("];");
@@ -279,7 +266,7 @@ fn golden_hashes_lane_widths() {
     // and every worker fan-out must land on the same bytes.
     for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
         for workers in [1usize, 3] {
-            for &(w, ref filters, fused) in GOLDEN_LANES {
+            for &(w, ref filters) in GOLDEN_LANES {
                 let ctx = FrameCtx::whole_frame(FRAME_ID, RUN_SEED, w, LANE_H);
                 for (f, &want) in standard_chain().iter().zip(filters.iter()) {
                     let mut img = lane_frame(w);
@@ -291,15 +278,6 @@ fn golden_hashes_lane_widths() {
                         f.name()
                     );
                 }
-                let mut img = lane_frame(w);
-                FusedPass::from_standard_indices(&[0, 2, 3, 4], backend)
-                    .unwrap()
-                    .apply_chunked(&mut img, &ctx, workers);
-                assert_eq!(
-                    fnv1a(img.as_bytes()),
-                    fused,
-                    "fused run w={w} {backend:?} workers={workers} drifted"
-                );
             }
         }
     }

@@ -9,7 +9,7 @@
 
 use scc_core::{
     reference::reference_frames, run_native, run_with_scene, Backend, BackendReport, Fidelity,
-    FuseChoice, KernelChoice, NativeTuning, RendererMode, RunConfig,
+    KernelChoice, NativeTuning, RendererMode, RunConfig,
 };
 use scc_filters::{Image, KernelBackend};
 use scc_render::{CityConfig, Scene};
@@ -47,32 +47,30 @@ const fn tune(kernel_threads: u32, buffer_pool: bool) -> NativeTuning {
         kernel_threads,
         buffer_pool,
         kernel: KernelChoice::Auto,
-        fuse: FuseChoice::Auto,
     }
 }
 
-const fn tune_kernel(kernel_threads: u32, kernel: KernelChoice, fuse: FuseChoice) -> NativeTuning {
+const fn tune_kernel(kernel_threads: u32, kernel: KernelChoice) -> NativeTuning {
     NativeTuning {
         kernel_threads,
         buffer_pool: true,
         kernel,
-        fuse,
     }
 }
 
-/// Every (kernel_threads, buffer_pool, kernel backend, fusion) point we
-/// sweep against baseline — the backend and fusion knobs must be just
-/// as invisible in the pixels as the thread count.
+/// Every (kernel_threads, buffer_pool, kernel backend) point we sweep
+/// against baseline — the backend knob must be just as invisible in
+/// the pixels as the thread count.
 const TUNINGS: [NativeTuning; 9] = [
     tune(1, false),
     tune(2, true),
     tune(4, true),
     tune(4, false),
     tune(7, true),
-    tune_kernel(1, KernelChoice::Simd, FuseChoice::Off),
-    tune_kernel(1, KernelChoice::Scalar, FuseChoice::On),
-    tune_kernel(4, KernelChoice::Simd, FuseChoice::On),
-    tune_kernel(4, KernelChoice::Scalar, FuseChoice::Off),
+    tune_kernel(1, KernelChoice::Simd),
+    tune_kernel(1, KernelChoice::Scalar),
+    tune_kernel(4, KernelChoice::Simd),
+    tune_kernel(4, KernelChoice::Scalar),
 ];
 
 fn baseline() -> NativeTuning {
@@ -134,10 +132,7 @@ fn kernel_choice_is_invisible_on_every_backend() {
     let want = reference_frames(&cfg(RendererMode::SingleRenderer, baseline()), scene());
     for backend in [Backend::Sim, Backend::Des, Backend::Native] {
         for kernel in [KernelChoice::Auto, KernelChoice::Scalar] {
-            let c = cfg(
-                RendererMode::SingleRenderer,
-                tune_kernel(1, kernel, FuseChoice::Auto),
-            );
+            let c = cfg(RendererMode::SingleRenderer, tune_kernel(1, kernel));
             let film = match run_with_scene(&c, backend, scene()).report {
                 BackendReport::Sim(r) => r.outputs.expect("full fidelity keeps frames"),
                 BackendReport::Des(r) => r.frames.expect("full fidelity keeps frames"),

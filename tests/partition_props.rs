@@ -13,10 +13,7 @@
 //! failure reproduces exactly.
 
 use proptest::prelude::*;
-use scc_core::{
-    auto_place, partition, partition_with, CostModel, FuseChoice, GroupCosting, RunConfig,
-    StageClass, StageKind, StageNode,
-};
+use scc_core::{auto_place, partition, RunConfig, StageClass, StageKind, StageNode};
 
 /// Interior stage classes the partitioner can encounter (sources and
 /// sinks are stripped before partitioning).
@@ -151,142 +148,5 @@ proptest! {
         let again = auto_place(&cfg);
         prop_assert_eq!(auto.decision_table(), again.decision_table());
         prop_assert_eq!(auto.plan, again.plan);
-    }
-
-    /// Fused costing changes *prices*, never *legality*: every plan the
-    /// fusion-aware partitioner emits satisfies the exact invariants of
-    /// `plans_are_always_legal`, it refuses in exactly the same cases as
-    /// sum costing, and — since the fused discount can only help a merge
-    /// fit under the cadence bound — it never ends up with more groups
-    /// than the sum-priced plan.
-    #[test]
-    fn fused_plans_are_always_legal(
-        nodes in arb_chain(),
-        lanes in 1u32..7,
-        budget in 1u32..49,
-    ) {
-        let cost = CostModel::default();
-        match partition_with(&nodes, lanes, budget, GroupCosting::Fused(&cost)) {
-            Ok(plan) => {
-                prop_assert_eq!(plan.stage_count(), nodes.len());
-                let mut next = 0usize;
-                for g in &plan.groups {
-                    prop_assert_eq!(g.start, next, "groups out of order");
-                    prop_assert!(g.len >= 1);
-                    next += g.len;
-                    if g.len > 1 {
-                        for j in g.stages() {
-                            prop_assert!(
-                                nodes[j].class.mergeable(),
-                                "stage {} ({}) merged illegally",
-                                j,
-                                nodes[j].class.name()
-                            );
-                        }
-                    }
-                    prop_assert!(g.replicas >= 1);
-                    if g.replicas > 1 {
-                        prop_assert_eq!(g.len, 1, "replicated group must be a singleton");
-                        prop_assert!(
-                            nodes[g.start].class.replicable(),
-                            "stage {} ({}) replicated illegally",
-                            g.start,
-                            nodes[g.start].class.name()
-                        );
-                    }
-                }
-                prop_assert_eq!(next, nodes.len());
-                prop_assert!(
-                    u64::from(lanes) * u64::from(plan.cores_per_lane()) <= u64::from(budget),
-                    "{} lanes x {} cores/lane > {} budget",
-                    lanes,
-                    plan.cores_per_lane(),
-                    budget
-                );
-                // Determinism under the same costing.
-                prop_assert_eq!(
-                    &plan,
-                    &partition_with(&nodes, lanes, budget, GroupCosting::Fused(&cost)).unwrap()
-                );
-                // Dominance over sum costing (which must also succeed:
-                // feasibility only depends on mergeability, not prices).
-                let sum_plan = partition(&nodes, lanes, budget).unwrap();
-                prop_assert!(
-                    plan.groups.len() <= sum_plan.groups.len(),
-                    "fused plan has {} groups, sum plan {}",
-                    plan.groups.len(),
-                    sum_plan.groups.len()
-                );
-            }
-            Err(_) => {
-                prop_assert!(
-                    u64::from(lanes) * minimal_groups(&nodes) > u64::from(budget),
-                    "fused partitioner gave up although {} lanes x {} minimal groups fit {}",
-                    lanes,
-                    minimal_groups(&nodes),
-                    budget
-                );
-                prop_assert!(
-                    partition(&nodes, lanes, budget).is_err(),
-                    "refusal must be costing-independent"
-                );
-            }
-        }
-    }
-
-    /// The fused price of a group: exactly the plain weight for a
-    /// singleton, never above the plain sum (followers are discounted,
-    /// not surcharged), never below its first member's full price.
-    #[test]
-    fn fused_group_price_brackets(
-        weights in proptest::collection::vec(0.0f64..1e9, 1..9),
-    ) {
-        let cost = CostModel::default();
-        let fused = cost.fused_group_cycles(&weights);
-        let sum: f64 = weights.iter().sum();
-        prop_assert!(fused <= sum, "fused {} exceeds sum {}", fused, sum);
-        prop_assert!(fused >= weights[0], "fused {} below first member {}", fused, weights[0]);
-        prop_assert_eq!(cost.fused_group_cycles(&weights[..1]), weights[0]);
-    }
-
-    /// The full scheduler path with fusion on vs off, arbitrary explicit
-    /// weights: both schedules are legal and deterministic, the decision
-    /// tables carry their costing tag, and the fused schedule never
-    /// needs more groups.
-    #[test]
-    fn film_auto_placement_is_legal_under_fused_costing(
-        weights in proptest::collection::vec(0.1f64..1e6, 5),
-        p in 1u32..7,
-    ) {
-        let mut cfg = RunConfig::builder()
-            .pipelines(p)
-            .size(64, 64)
-            .frames(2)
-            .build()
-            .expect("valid config");
-        cfg.auto_place = true;
-        cfg.stage_weights = Some(weights);
-        cfg.tuning.fuse = FuseChoice::Off;
-        let sum = auto_place(&cfg);
-        cfg.tuning.fuse = FuseChoice::On;
-        let fused = auto_place(&cfg);
-        prop_assert_eq!(sum.costing, "sum");
-        prop_assert_eq!(fused.costing, "fused");
-        for auto in [&sum, &fused] {
-            prop_assert_eq!(auto.plan.stage_count(), 5);
-            prop_assert!(
-                auto.placement.spare_pool().len() >= scc_core::partition::SPARE_RESERVE as usize
-            );
-        }
-        prop_assert!(
-            fused.plan.groups.len() <= sum.plan.groups.len(),
-            "fused schedule has {} groups, sum schedule {}",
-            fused.plan.groups.len(),
-            sum.plan.groups.len()
-        );
-        let again = auto_place(&cfg);
-        prop_assert_eq!(fused.decision_table(), again.decision_table());
-        prop_assert!(fused.decision_table().contains("costing=fused"));
-        prop_assert!(sum.decision_table().contains("costing=sum"));
     }
 }
