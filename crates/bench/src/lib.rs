@@ -2,8 +2,7 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (§VI) from
 //! the simulated platform. Each `figN` function returns plain data the
-//! `experiments` binary prints; the Criterion benches in `benches/` wrap
-//! the same entry points.
+//! `experiments` binary prints.
 
 pub mod autoplace;
 pub mod dvfs;
