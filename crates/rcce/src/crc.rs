@@ -138,14 +138,40 @@ mod tests {
 
     /// Values recorded from the one-table byte-at-a-time kernel; lengths
     /// straddle every 16-byte boundary case plus one film strip's wire
-    /// size (400x200 RGBA + 32-byte header).
+    /// size (400x200 RGBA + 32-byte header). The second group was
+    /// recorded from the sliced kernel and straddles every 64-byte
+    /// boundary case up to three blocks, plus 64 blocks + 63 bytes and
+    /// 1 MiB + 37.
     #[test]
     fn pinned_values() {
-        let data = pattern(0x5CC_C2C, 320_032);
-        let got: Vec<(usize, u32)> = [0, 1, 15, 16, 17, 31, 32, 33, 255, 4096, 320_032]
-            .iter()
-            .map(|&n| (n, crc32(&data[..n])))
-            .collect();
+        let data = pattern(0x5CC_C2C, (1 << 20) + 37);
+        let got: Vec<(usize, u32)> = [
+            0,
+            1,
+            15,
+            16,
+            17,
+            31,
+            32,
+            33,
+            255,
+            4096,
+            320_032,
+            63,
+            64,
+            65,
+            127,
+            128,
+            129,
+            191,
+            192,
+            193,
+            4159,
+            (1 << 20) + 37,
+        ]
+        .iter()
+        .map(|&n| (n, crc32(&data[..n])))
+        .collect();
         let want = [
             (0, 0x0000_0000),
             (1, 0x10D5_102A),
@@ -158,17 +184,29 @@ mod tests {
             (255, 0xD107_1A8F),
             (4096, 0xEF7E_DEAF),
             (320_032, 0x6D31_A440),
+            (63, 0x0465_E51D),
+            (64, 0x1E0A_FDFD),
+            (65, 0x48A3_56C6),
+            (127, 0xAD05_AD75),
+            (128, 0x2E16_625C),
+            (129, 0x8CF2_00E1),
+            (191, 0x836E_A30B),
+            (192, 0xC75B_AC67),
+            (193, 0x2FA7_4D5B),
+            (4159, 0x7AA0_17C8),
+            ((1 << 20) + 37, 0x6EA7_5784),
         ];
         assert_eq!(got, want);
     }
 
-    /// Every length 0..=257 at every start offset 0..16 of one buffer:
-    /// unaligned heads, every tail length, zero to sixteen whole blocks.
+    /// Every length 0..=1100 at every start offset 0..16 of one buffer:
+    /// unaligned heads, every tail length, zero to sixty-eight whole
+    /// 16-byte blocks (seventeen 64-byte ones).
     #[test]
     fn sliced_matches_bytewise_at_every_offset_and_length() {
-        let data = pattern(0xC0DE_C0DE, 16 + 257);
+        let data = pattern(0xC0DE_C0DE, 16 + 1100);
         for offset in 0..16 {
-            for len in 0..=257 {
+            for len in 0..=1100 {
                 let window = &data[offset..offset + len];
                 assert_eq!(
                     crc32(window),
