@@ -115,9 +115,11 @@ impl BufferPool {
     /// An image whose every byte comes from `payload` (which must match
     /// the geometry), reusing a pooled allocation when one is free.
     pub fn acquire_filled(&self, width: u32, height: u32, payload: &[u8]) -> Image {
-        let len = width as usize * height as usize * BYTES_PER_PIXEL;
-        assert_eq!(payload.len(), len, "payload size mismatch");
-        let mut data = self.take_buffer(len);
+        let len = (width as usize)
+            .checked_mul(height as usize)
+            .and_then(|px| px.checked_mul(BYTES_PER_PIXEL));
+        assert_eq!(Some(payload.len()), len, "payload size mismatch");
+        let mut data = self.take_buffer(payload.len());
         data.copy_from_slice(payload);
         Image::from_raw(width, height, data)
     }

@@ -16,7 +16,7 @@ use crate::pool::{BufferPool, PoolStats};
 use crate::spec::{RendererMode, RunConfig, StageKind};
 use crate::trace::{Phase, TraceLog};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use scc_filters::{standard_chain, Image, StripInfo};
+use scc_filters::{standard_chain, Image, StripInfo, BYTES_PER_PIXEL};
 use scc_rcce::{communicator, crc32, Endpoint, MpbConfig, RcceError, Reliability};
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_sim::fault::{FaultConfig, FaultPlan};
@@ -153,8 +153,13 @@ fn try_decode_pooled(mut b: Bytes, pool: &BufferPool) -> Result<Frame, DecodeFai
         height,
         full_height,
     };
-    let expect = full_width as usize * height as usize * 4;
-    if b.len() != expect {
+    // The header is outside input: an empty strip or a geometry whose
+    // byte count does not fit `usize` cannot match any payload.
+    let expect = (full_width as usize)
+        .checked_mul(height as usize)
+        .and_then(|px| px.checked_mul(BYTES_PER_PIXEL))
+        .filter(|&bytes| bytes > 0);
+    if expect != Some(b.len()) {
         return Err(DecodeFailure::SizeMismatch);
     }
     Ok(Frame {
@@ -743,24 +748,56 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    #[test]
-    fn codec_rejects_bad_payload() {
-        // A correctly-checksummed message whose payload length lies about
-        // the geometry: the CRC passes, the size check must still fire.
+    /// A correctly-checksummed message of frame 0, strip 0 of 1 at row 0,
+    /// claiming `full_width` x `height` pixels over `payload`.
+    fn checksummed(full_width: u32, height: u32, payload: &[u8]) -> Bytes {
         let mut content = BytesMut::new();
         content.put_u64(0);
         // index, count, y0, height, full_height, full_width.
-        for v in [0u32, 1, 0, 4, 4, 8] {
+        for v in [0u32, 1, 0, height, height, full_width] {
             content.put_u32(v);
         }
-        content.put_slice(&[0u8; 3]);
+        content.put_slice(payload);
         let mut b = BytesMut::new();
         b.put_u32(crc32(&content));
         b.put_slice(&content);
+        b.freeze()
+    }
+
+    #[test]
+    fn codec_rejects_bad_payload() {
+        // The payload length lies about the geometry: the CRC passes, the
+        // size check must still fire.
         assert!(matches!(
-            try_decode_pooled(b.freeze(), &BufferPool::disabled()),
+            try_decode_pooled(checksummed(8, 4, &[0u8; 3]), &BufferPool::disabled()),
             Err(DecodeFailure::SizeMismatch)
         ));
+    }
+
+    #[test]
+    fn codec_rejects_hostile_header_geometry() {
+        // Geometries whose byte count wraps to the payload's length when
+        // multiplied unchecked (2^31 x 2^31 x 4 = 2^64 = 0 over no pixels;
+        // u32::MAX^2 x 4 = 2^64 - 2^35 + 4 = 4 mod 2^64 over one pixel)
+        // and empty strips. Each used to panic in debug builds and decode
+        // to an `Image` over the wrong buffer in release builds.
+        let pixel = [0u8; 4];
+        for (full_width, height, payload) in [
+            (1u32 << 31, 1u32 << 31, &pixel[..0]),
+            (u32::MAX, u32::MAX, &pixel[..]),
+            (0, 7, &pixel[..0]),
+            (7, 0, &pixel[..0]),
+            (0, 0, &pixel[..0]),
+        ] {
+            assert!(
+                matches!(
+                    decode_frame_checked(checksummed(full_width, height, payload), 2),
+                    Err(RcceError::Corrupt { rank: 2 })
+                ),
+                "{full_width} x {height} over {} bytes",
+                payload.len()
+            );
+        }
     }
 
     #[test]
