@@ -23,6 +23,8 @@
 //! three fixed arrangements in virtual time and writes
 //! `BENCH_autoplace.json`.
 
+#![forbid(unsafe_code)]
+
 use scc_bench::autoplace::measure_autoplace;
 use scc_bench::dvfs::measure_dvfs;
 use scc_bench::native_throughput::measure_native_throughput;

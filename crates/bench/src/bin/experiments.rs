@@ -3,6 +3,8 @@
 //! Usage: `experiments [fig8|fig9|fig10|fig11|fig12|fig13|fig14|fig15|
 //! fig16|fig17|table1|energy|speedups|all]`
 
+#![forbid(unsafe_code)]
+
 use scc_bench::report;
 use scc_bench::*;
 

@@ -4,6 +4,8 @@
 //! the simulated platform. Each `figN` function returns plain data the
 //! `experiments` binary prints.
 
+#![forbid(unsafe_code)]
+
 pub mod autoplace;
 pub mod dvfs;
 pub mod experiments;

@@ -10,6 +10,8 @@
 //! a bandwidth-limited external link for the off-node renderer and the
 //! viewer.
 
+#![forbid(unsafe_code)]
+
 pub mod platform;
 pub mod runner;
 

@@ -35,6 +35,8 @@
 //! * [`viz`] — the visualisation-client endpoint: checksums, the flicker
 //!   series, scratch detection, delivery statistics.
 
+#![forbid(unsafe_code)]
+
 pub mod baseline;
 pub mod cost;
 pub mod facade;

@@ -223,7 +223,7 @@ impl Image {
 
 /// Convert one channel to the [0, 1] float range the filter formulas use.
 #[inline]
-pub fn to_unit(c: u8) -> f32 {
+pub const fn to_unit(c: u8) -> f32 {
     c as f32 / 255.0
 }
 

@@ -17,6 +17,8 @@
 //! and the [`chunk`] row-chunk decomposition that lets a single stage
 //! spread its kernel over spare cores without changing a pixel.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod blur;
 pub mod chunk;
@@ -24,7 +26,6 @@ pub mod filter;
 pub mod flicker;
 pub mod frame_rng;
 pub mod image;
-pub mod lanes;
 pub mod oriented_scratch;
 pub mod scratch;
 pub mod sepia;

@@ -13,7 +13,6 @@ use crate::backend::KernelBackend;
 use crate::chunk::par_row_chunks;
 use crate::filter::{FrameCtx, ImageFilter};
 use crate::image::{from_unit, to_unit, Image, BYTES_PER_PIXEL};
-use crate::lanes::{F32x8, LANES};
 
 /// The darkest sepia tone.
 pub const S1: [f32; 3] = [0.2, 0.05, 0.0];
@@ -49,32 +48,63 @@ fn sepia_bytes(bytes: &mut [u8]) {
     }
 }
 
-/// The lane-vectorized kernel: 8 pixels per block through [`F32x8`],
-/// running the exact per-lane operation sequence of [`sepia_pixel`]
-/// (same multiplies, same adds, same clamps, in the same order), with
-/// the `< 8`-pixel row tail handed to the scalar loop — bit-identical
-/// to [`sepia_bytes`] on every input.
-fn sepia_bytes_lanes(bytes: &mut [u8]) {
-    const BLOCK: usize = BYTES_PER_PIXEL * LANES;
-    let mut blocks = bytes.chunks_exact_mut(BLOCK);
-    for px in &mut blocks {
-        let r = F32x8::gather_unit(px, 0, BYTES_PER_PIXEL);
-        let g = F32x8::gather_unit(px, 1, BYTES_PER_PIXEL);
-        let b = F32x8::gather_unit(px, 2, BYTES_PER_PIXEL);
-        // mix = clamp(0.3·r + 0.59·g + 0.11·b), left-associated like
-        // the scalar formula.
-        let mix = F32x8::splat(LUMA[0])
-            .mul(r)
-            .add(F32x8::splat(LUMA[1]).mul(g))
-            .add(F32x8::splat(LUMA[2]).mul(b))
-            .clamp01();
-        let inv = F32x8::splat(1.0).sub(mix);
-        for c in 0..3 {
-            F32x8::splat(S1[c])
-                .mul(inv)
-                .add(F32x8::splat(S2[c]).mul(mix))
-                .clamp01()
-                .scatter_unit(px, c, BYTES_PER_PIXEL);
+/// `LUMA[c] * to_unit(v)` for every channel byte: the three products of
+/// `mix`, evaluated at compile time by the same two IEEE operations
+/// [`sepia_pixel`] performs at run time.
+static LUMA_PRODUCTS: [[f32; 256]; 3] = {
+    let mut table = [[0.0f32; 256]; 3];
+    let mut c = 0;
+    while c < 3 {
+        let mut v = 0;
+        while v < 256 {
+            table[c][v] = LUMA[c] * to_unit(v as u8);
+            v += 1;
+        }
+        c += 1;
+    }
+    table
+};
+
+/// [`from_unit`] without `round` (a libm call on baseline x86-64) and
+/// without the saturating cast, neither of which vectorises. `x` lies in
+/// [0, 255], so `x + 2^23` is 2^23 plus `x` rounded to the nearest
+/// integer, ties to even, and that integer is the sum's low mantissa
+/// bits; `round` sends ties away from zero instead, which differs exactly
+/// where `x` sits half above the (even) integer it was rounded to.
+#[inline(always)]
+fn quantize(v: f32) -> u32 {
+    const TWO_POW_23: f32 = 8_388_608.0;
+    let x = v.clamp(0.0, 1.0) * 255.0;
+    let shifted = x + TWO_POW_23;
+    let nearest_even = shifted - TWO_POW_23;
+    (shifted.to_bits() & 0x1FF) + u32::from(x - nearest_even == 0.5)
+}
+
+/// Pixels per block of the vectorized kernel.
+const BLOCK_PIXELS: usize = 8;
+
+/// The vectorized kernel, bit-identical to [`sepia_bytes`] on every
+/// input: per pixel the same three products (from [`LUMA_PRODUCTS`])
+/// summed left to right, the same clamps, the same six multiplies and
+/// three adds, then [`quantize`]. Eight pixels are computed into plain
+/// arrays and written back as whole little-endian words (alpha carried
+/// through), a shape the compiler turns into vector arithmetic with only
+/// the table loads left scalar; the `< 8`-pixel row tail goes to the
+/// scalar loop.
+fn sepia_bytes_blocks(bytes: &mut [u8]) {
+    let mut blocks = bytes.chunks_exact_mut(BYTES_PER_PIXEL * BLOCK_PIXELS);
+    for block in &mut blocks {
+        let mut words = [0u32; BLOCK_PIXELS];
+        for (px, word) in block.chunks_exact(BYTES_PER_PIXEL).zip(&mut words) {
+            let mix = (LUMA_PRODUCTS[0][px[0] as usize]
+                + LUMA_PRODUCTS[1][px[1] as usize]
+                + LUMA_PRODUCTS[2][px[2] as usize])
+                .clamp(0.0, 1.0);
+            let tone = |c: usize| quantize((S1[c] * (1.0 - mix) + S2[c] * mix).clamp(0.0, 1.0));
+            *word = tone(0) | tone(1) << 8 | tone(2) << 16 | u32::from(px[3]) << 24;
+        }
+        for (px, word) in block.chunks_exact_mut(BYTES_PER_PIXEL).zip(words) {
+            px.copy_from_slice(&word.to_le_bytes());
         }
     }
     sepia_bytes(blocks.into_remainder());
@@ -85,7 +115,7 @@ fn sepia_bytes_lanes(bytes: &mut [u8]) {
 fn sepia_row(bytes: &mut [u8], backend: KernelBackend) {
     match backend {
         KernelBackend::Scalar => sepia_bytes(bytes),
-        KernelBackend::Simd => sepia_bytes_lanes(bytes),
+        KernelBackend::Simd => sepia_bytes_blocks(bytes),
     }
 }
 
@@ -171,16 +201,62 @@ mod tests {
 
     #[test]
     fn lane_kernel_is_bit_identical_to_scalar() {
-        // Widths straddling the 8-pixel block size: full blocks only,
-        // block + remainder, and a single pixel.
-        for n_px in [1usize, 7, 8, 9, 16, 23, 64, 257] {
+        // Every width around the 8-pixel block size - pure tail, full
+        // blocks only, blocks + each tail length - and two long rows.
+        for n_px in (1usize..=40).chain([64, 257]) {
             let mut scalar: Vec<u8> = (0..n_px * BYTES_PER_PIXEL)
                 .map(|i| (i.wrapping_mul(37) ^ (i >> 3)) as u8)
                 .collect();
-            let mut lanes = scalar.clone();
+            let mut blocks = scalar.clone();
             sepia_bytes(&mut scalar);
-            sepia_bytes_lanes(&mut lanes);
-            assert_eq!(scalar, lanes, "diverged at {n_px} pixels");
+            sepia_bytes_blocks(&mut blocks);
+            assert_eq!(scalar, blocks, "diverged at {n_px} pixels");
+        }
+    }
+
+    #[test]
+    fn vector_kernel_equals_scalar_on_every_rgb() {
+        // All 2^24 colours, one red plane (256 x 256 pixels) at a time.
+        let mut plane = vec![0u8; 256 * 256 * BYTES_PER_PIXEL];
+        for r in 0..=255u8 {
+            for (gb, px) in plane.chunks_exact_mut(BYTES_PER_PIXEL).enumerate() {
+                px.copy_from_slice(&[r, (gb >> 8) as u8, gb as u8, 77]);
+            }
+            let mut scalar = plane.clone();
+            sepia_bytes(&mut scalar);
+            sepia_bytes_blocks(&mut plane);
+            assert!(scalar == plane, "diverged in red plane {r}");
+        }
+    }
+
+    #[test]
+    fn quantize_equals_from_unit_around_every_tie() {
+        // The only inputs where ties-to-even and ties-away disagree are
+        // the 255 half-way points (k + 0.5) / 255; walk 4096 floats to
+        // either side of each, then every seventh float of [0, 1.125]
+        // (past the upper clamp).
+        let check = |bits: u32| {
+            let v = f32::from_bits(bits);
+            assert_eq!(quantize(v), u32::from(from_unit(v)), "at {v:e} ({bits:#x})");
+        };
+        for k in 0..=254u32 {
+            let tie = ((k as f32 + 0.5) / 255.0).to_bits();
+            (tie - 4096..=tie + 4096).for_each(check);
+        }
+        (0..=1.125f32.to_bits()).step_by(7).for_each(check);
+    }
+
+    #[test]
+    fn luma_table_is_the_run_time_product() {
+        for c in 0..3 {
+            for v in 0..=255u8 {
+                let at_run_time = std::hint::black_box(LUMA[c]) * to_unit(std::hint::black_box(v));
+                assert_eq!(
+                    LUMA_PRODUCTS[c][v as usize].to_bits(),
+                    at_run_time.to_bits(),
+                    "channel {c}, byte {v}"
+                );
+            }
         }
     }
 

@@ -26,6 +26,8 @@
 //! receiver's DRAM partition) lives in `scc-sim::platform`; this crate is
 //! the functional/parallel counterpart.
 
+#![deny(unsafe_code)]
+
 pub mod collective;
 pub mod comm;
 pub mod crc;

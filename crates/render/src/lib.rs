@@ -10,6 +10,8 @@
 //! (octree nodes visited, triangles rasterised, pixels filled) that drive
 //! the render-stage cost model in `scc-core`.
 
+#![forbid(unsafe_code)]
+
 pub mod camera;
 pub mod frustum;
 pub mod math;

@@ -27,6 +27,8 @@
 //! suites (`tests/serve_cache.rs`, `tests/serve_conformance.rs`) and the
 //! `scc-verify` fuzzer hold that line.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod config;
 pub mod engine;

@@ -21,6 +21,8 @@
 //! Nothing in this crate measures host time: identical inputs produce
 //! identical virtual-time results on any machine.
 
+#![forbid(unsafe_code)]
+
 pub mod bucket;
 pub mod cache;
 pub mod des;

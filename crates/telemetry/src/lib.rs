@@ -29,6 +29,8 @@
 //! workspace — including `scc-rcce` underneath `scc-core` — can record
 //! into the same sink without dependency cycles.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod event;
 pub mod json;

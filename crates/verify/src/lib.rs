@@ -22,6 +22,8 @@
 //!   exporter schema checks against `scc_telemetry::names::ALL`, and
 //!   the Figure 15 idle-quartile reproduction from live histograms.
 
+#![forbid(unsafe_code)]
+
 use scc_core::runner::sim::SimRunner;
 use scc_core::spec::{Fidelity, RunConfig};
 use scc_core::viz::frame_checksum;

@@ -7,6 +7,8 @@
 //! scc-verify replay <repro.txt>      run the oracle on one repro file
 //! ```
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scc_verify::fuzz::{run_oracle, shrink, FuzzCase};
