@@ -30,9 +30,8 @@ use scc_bench::dvfs::measure_dvfs;
 use scc_bench::native_throughput::measure_native_throughput;
 use scc_bench::recovery::measure_recovery;
 use scc_bench::serving::measure_serving;
-use scc_bench::standard_scene;
 use scc_bench::tasks::measure_tasks;
-use scc_core::{Fidelity, RunConfig};
+use scc_core::{default_scene, Fidelity, RunConfig};
 
 fn parse_flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -98,7 +97,7 @@ fn native(o: &Opts) -> Measured {
         "measuring native throughput: {}x{} f={} p={} threads={threads:?}{}",
         o.width, o.height, o.frames, o.pipelines, o.smoke_tag,
     );
-    let report = measure_native_throughput(&o.cfg(), &standard_scene(), &threads);
+    let report = measure_native_throughput(&o.cfg(), &default_scene(), &threads);
     Measured {
         text: report.render_text(),
         json: report.to_json(),
@@ -121,7 +120,7 @@ fn recovery(o: &Opts) -> Measured {
         "measuring supervised recovery: {}x{} f={} p={} kills={kills:?} ms{}",
         o.width, o.height, o.frames, o.pipelines, o.smoke_tag,
     );
-    let report = measure_recovery(&o.cfg(), &standard_scene(), &kills);
+    let report = measure_recovery(&o.cfg(), &default_scene(), &kills);
     Measured {
         text: report.render_text(),
         json: report.to_json(),
@@ -137,7 +136,7 @@ fn autoplace(o: &Opts) -> Measured {
         "measuring auto-placement vs fixed arrangements: {}x{} f={} p={}{}",
         o.width, o.height, o.frames, o.pipelines, o.smoke_tag,
     );
-    let report = measure_autoplace(&o.cfg(), &standard_scene());
+    let report = measure_autoplace(&o.cfg(), &default_scene());
     Measured {
         text: report.render_text(),
         json: report.to_json(),
@@ -163,7 +162,7 @@ fn tasks(o: &Opts) -> Measured {
         "measuring task runtime vs static pipeline: {}x{} f={} p={}{}",
         o.width, o.height, o.frames, o.pipelines, o.smoke_tag,
     );
-    let report = measure_tasks(&o.cfg(), &standard_scene());
+    let report = measure_tasks(&o.cfg(), &default_scene());
     Measured {
         text: report.render_text(),
         json: report.to_json(),
@@ -196,7 +195,7 @@ fn serving(o: &Opts) -> Measured {
         "measuring serving layer: {}x{} p={} sessions={session_counts:?}{}",
         o.width, o.height, o.pipelines, o.smoke_tag,
     );
-    let report = measure_serving(&o.cfg(), &standard_scene(), &session_counts);
+    let report = measure_serving(&o.cfg(), &default_scene(), &session_counts);
     Measured {
         text: report.render_text(),
         json: report.to_json(),
@@ -222,7 +221,7 @@ fn dvfs(o: &Opts) -> Measured {
         "measuring dvfs power plane: film {}x{} f={} + wavefront{}",
         o.width, o.height, o.frames, o.smoke_tag,
     );
-    let report = measure_dvfs(&o.cfg(), &standard_scene());
+    let report = measure_dvfs(&o.cfg(), &default_scene());
     Measured {
         text: report.render_text(),
         json: report.to_json(),

@@ -11,7 +11,7 @@ use scc_bench::*;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().map(String::as_str).unwrap_or("all");
-    let scene = standard_scene();
+    let scene = scc_core::default_scene();
 
     // `experiments csv <dir>`: write machine-readable series for every
     // plot (consumed by docs/plots/paper_figures.gp).

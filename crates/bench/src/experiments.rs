@@ -4,16 +4,11 @@ use scc_core::{
     place, place_dvfs_single_pipeline, run_baseline, Arrangement, BaselineReport, CostModel,
     PowerConfig, RendererMode, RunConfig, SimRunner, StageKind, WalkthroughReport,
 };
-use scc_render::{CityConfig, Scene};
+use scc_render::Scene;
 use scc_sim::power::McpcPower;
 use scc_sim::stats::Quartiles;
 use scc_sim::{FreqMHz, SccConfig, SccPlatform};
 use std::sync::Arc;
-
-/// The standard evaluation scene.
-pub fn standard_scene() -> Arc<Scene> {
-    Arc::new(Scene::city(CityConfig::default()))
-}
 
 /// The paper's standard walkthrough configuration.
 pub fn standard_config() -> RunConfig {

@@ -112,13 +112,7 @@ pub fn cluster_walkthrough_with(
         match mode {
             ClusterMode::SingleRenderer | ClusterMode::ExternalRenderer => {
                 let r = &mut renderers[0];
-                let (_, cull, coverage) =
-                    renderer.cull_strip(&cam, cfg.width, cfg.height, 0, cfg.height);
-                let work = RenderWork {
-                    nodes_visited: cull.nodes_visited,
-                    triangles_out: cull.triangles_out,
-                    est_coverage: coverage,
-                };
+                let work = RenderWork::full_frame(&renderer, &cam, cfg.width, cfg.height);
                 let cycles =
                     cost.render_cycles(&work, false) + cost.split_cycles(full_px, pipelines);
                 let dur = SimTime::from_secs_f64(cluster.stage_seconds(cycles, true));
@@ -139,18 +133,13 @@ pub fn cluster_walkthrough_with(
                 r.free = t;
             }
             ClusterMode::ParallelRenderer => {
-                // Balanced fill, as in the SCC runner (see runner::sim).
-                let (_, _, full_coverage) =
-                    renderer.cull_strip(&cam, cfg.width, cfg.height, 0, cfg.height);
                 for i in 0..p {
-                    let (y0, h) = bounds[i];
+                    let (_, h) = bounds[i];
                     let r = &mut renderers[i];
-                    let (_, cull, _) = renderer.cull_strip(&cam, cfg.width, cfg.height, y0, h);
-                    let work = RenderWork {
-                        nodes_visited: cull.nodes_visited,
-                        triangles_out: cull.triangles_out,
-                        est_coverage: full_coverage / p as u64,
-                    };
+                    // Balanced fill, as on the SCC.
+                    let work = RenderWork::strip_share(
+                        &renderer, &cam, cfg.width, cfg.height, bounds[i], pipelines,
+                    );
                     // Strip-mode rendering pays the frustum adjust, as on
                     // the SCC.
                     let cycles = cost.render_cycles(&work, true);
@@ -170,7 +159,6 @@ pub fn cluster_walkthrough_with(
         for i in 0..p {
             let (_, h) = bounds[i];
             let strip_bytes = cfg.width as u64 * h as u64 * 4;
-            let proxy = Image::new(cfg.width, h);
             let ctx = scc_filters::FrameCtx {
                 frame_id: f,
                 run_seed: cfg.seed,
@@ -186,7 +174,7 @@ pub fn cluster_walkthrough_with(
             let mut avail = arrivals[i];
             for j in 0..5 {
                 let start = avail.max(filters[i][j].free);
-                let cycles = cost.filter_cycles(impls[j].as_ref(), &proxy, &ctx);
+                let cycles = cost.filter_cycles(impls[j].as_ref(), &ctx);
                 let dur = SimTime::from_secs_f64(cluster.stage_seconds(cycles, false));
                 let t = start + dur;
                 let next_free = if j + 1 < 5 {

@@ -1,10 +1,10 @@
 //! Single-core baseline: the whole pipeline executed serially on one SCC
 //! core (Figure 8 and the 382 s reference of §VI-A).
 
-use crate::cost::CostModel;
-use crate::runner::source::{book_render, render_work};
+use crate::cost::{CostModel, RenderWork};
+use crate::runner::source::book_render;
 use crate::spec::{RunConfig, StageKind};
-use scc_filters::{standard_chain, Image};
+use scc_filters::standard_chain;
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_sim::platform::MemOp;
 use scc_sim::{CoreId, SccConfig, SccPlatform, SimTime};
@@ -63,14 +63,13 @@ pub fn run_baseline(cfg: &RunConfig, scene: Arc<Scene>) -> BaselineReport {
         acc.iter_mut().find(|(k, _)| *k == kind).unwrap().1 += dur;
     };
 
-    let proxy = Image::new(cfg.width, cfg.height);
     let mut render_total = SimTime::ZERO;
     let mut transfer_total = SimTime::ZERO;
 
     for f in 0..cfg.frames {
         let cam = walkthrough.camera(f);
         // Render: same cost path as the pipelined runs.
-        let work = render_work(&renderer, &cam, cfg.width, cfg.height, 0, cfg.height);
+        let work = RenderWork::full_frame(&renderer, &cam, cfg.width, cfg.height);
         let cycles = cost.render_cycles(&work, false);
         let t0 = t;
         t = book_render(&mut platform, &cost, core, t, &work, cycles, full_bytes);
@@ -81,11 +80,7 @@ pub fn run_baseline(cfg: &RunConfig, scene: Arc<Scene>) -> BaselineReport {
         let ctx = scc_filters::FrameCtx::whole_frame(f, cfg.seed, cfg.width, cfg.height);
         for (j, filter) in filters.iter().enumerate() {
             let t0 = t;
-            t = platform.compute(
-                core,
-                t,
-                cost.filter_cycles(filter.as_ref(), &proxy, &ctx) as u64,
-            );
+            t = platform.compute(core, t, cost.filter_cycles(filter.as_ref(), &ctx) as u64);
             let traffic = cost.stage_traffic(kinds[j], full_bytes);
             t = platform.mem_stream(core, t, MemOp::Read, traffic.read_bytes);
             t = platform.mem_stream(core, t, MemOp::Write, traffic.write_bytes);

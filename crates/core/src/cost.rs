@@ -17,7 +17,8 @@
 //! calibration.
 
 use crate::spec::StageKind;
-use scc_filters::{FrameCtx, Image, ImageFilter};
+use scc_filters::{FrameCtx, ImageFilter};
+use scc_render::{Camera, Renderer};
 use serde::Serialize;
 
 /// Cycle and traffic coefficients (see module docs for provenance).
@@ -99,6 +100,45 @@ pub struct RenderWork {
     pub est_coverage: u64,
 }
 
+impl RenderWork {
+    /// One renderer drawing the whole `width`×`height` frame: its cull and
+    /// its fill coverage — the one strip of `p = 1`.
+    pub fn full_frame(renderer: &Renderer, cam: &Camera, width: u32, height: u32) -> RenderWork {
+        RenderWork::strip_share(renderer, cam, width, height, (0, height), 1)
+    }
+
+    /// One of `p` sort-first renderers drawing rows `y0..y0+h`. Every
+    /// virtual-time executor — SCC or cluster — derives its render work
+    /// here, through the scene's probe memo (DESIGN.md §20).
+    ///
+    /// Fill work per renderer is the full frame's coverage split evenly.
+    /// The paper's sort-first renderers share the fill load almost
+    /// perfectly (Figure 10 scales ~1/P up to 3 pipelines); charging each
+    /// renderer its strip's raw coverage would instead import this
+    /// scene's horizon-heavy imbalance. Culling and triangle-setup costs
+    /// stay per-strip (they genuinely do not shrink with strip height),
+    /// so the strip itself is only culled, never estimated.
+    pub fn strip_share(
+        renderer: &Renderer,
+        cam: &Camera,
+        width: u32,
+        height: u32,
+        (y0, h): (u32, u32),
+        p: u32,
+    ) -> RenderWork {
+        // Coverage first: estimating it runs the full frame's cull, whose
+        // stats the memo keeps, so when the strip is the full frame the
+        // second question is already answered.
+        let full_coverage = renderer.coverage(cam, width, height, 0, height);
+        let cull = renderer.cull_stats(cam, width, height, y0, h);
+        RenderWork {
+            nodes_visited: cull.nodes_visited,
+            triangles_out: cull.triangles_out,
+            est_coverage: full_coverage / p as u64,
+        }
+    }
+}
+
 /// Memory traffic of a stage application (bytes to stream through the
 /// cache model, beyond the message fetch/send the runner charges).
 #[derive(Debug, Clone, Copy, Default)]
@@ -108,14 +148,14 @@ pub struct StageTraffic {
 }
 
 impl CostModel {
-    /// Cycles for one filter application on a `width`×`height` strip.
-    pub fn filter_cycles(&self, filter: &dyn ImageFilter, img: &Image, ctx: &FrameCtx) -> f64 {
+    /// Cycles for one filter application on the strip `ctx` describes.
+    pub fn filter_cycles(&self, filter: &dyn ImageFilter, ctx: &FrameCtx) -> f64 {
         let mult = if filter.name() == "blur" {
             self.blur_multiplier
         } else {
             1.0
         };
-        filter.work_units(img, ctx) * self.cycles_per_unit * mult
+        filter.work_units(ctx) * self.cycles_per_unit * mult
     }
 
     /// Cycles for rendering one strip.
@@ -217,9 +257,8 @@ mod tests {
 
     fn full_frame_secs(filter: &dyn ImageFilter) -> f64 {
         let m = CostModel::default();
-        let img = Image::new(400, 400);
         let ctx = FrameCtx::whole_frame(3, 7, 400, 400);
-        m.filter_cycles(filter, &img, &ctx) / F533
+        m.filter_cycles(filter, &ctx) / F533
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::runner::sim::SimRunner;
 use crate::spec::{RendererMode, RunConfig};
 use crate::trace::TraceLog;
 use scc_render::{CityConfig, Scene};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which executor carries the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,9 +92,14 @@ pub struct RunOutcome {
 }
 
 /// The standard scene every entry point defaults to: the procedural city
-/// the paper's silent-film walkthrough flies through.
+/// the paper's silent-film walkthrough flies through. One per process:
+/// every caller gets a clone of the same `Arc`, so all runs on it share
+/// one octree and one probe memo.
 pub fn default_scene() -> Arc<Scene> {
-    Arc::new(Scene::city(CityConfig::default()))
+    static SCENE: OnceLock<Arc<Scene>> = OnceLock::new();
+    SCENE
+        .get_or_init(|| Arc::new(Scene::city(CityConfig::default())))
+        .clone()
 }
 
 /// Run `cfg` on `backend` against the [`default_scene`].

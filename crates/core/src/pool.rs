@@ -1,20 +1,20 @@
 //! Recycled frame/strip buffer pool.
 //!
 //! Every hop of the native pipeline used to allocate a fresh RGBA buffer
-//! (decode, filter output, assembly), and the sim runner's timing-only
-//! path allocated a proxy image per stage per frame — hundreds of
-//! megabytes of churn per walkthrough. The pool keeps released buffers on
-//! a bounded free list and hands their allocations back out, independent
-//! of geometry (a `Vec` is re-sized to whatever the next acquire needs).
+//! (decode, filter output, assembly) — hundreds of megabytes of churn per
+//! walkthrough. The pool keeps released buffers on a bounded free list and
+//! hands their allocations back out, independent of geometry (a `Vec` is
+//! re-sized to whatever the next acquire needs). Only the native runner
+//! has pixels to pool: a timing-only run prices its filters from strip
+//! geometry and allocates no image at all.
 //!
 //! Invariants (property-tested in `tests/pool_props.rs`):
 //!
 //! * **No aliasing** — an acquired [`Image`] owns its buffer exclusively;
 //!   the pool never hands the same live allocation to two callers.
-//! * **No stale pixels** — [`BufferPool::acquire`] returns an image
-//!   byte-identical to a fresh [`Image::new`] (black, fully opaque), and
-//!   [`BufferPool::acquire_filled`] overwrites every byte from the given
-//!   payload. Pooled and unpooled runs therefore produce identical output.
+//! * **No stale pixels** — [`BufferPool::acquire_filled`] overwrites every
+//!   byte from the given payload. Pooled and unpooled runs therefore
+//!   produce identical output.
 //! * **Bounded** — at most `max_free` buffers are retained; extra
 //!   releases simply drop their allocation.
 
@@ -101,17 +101,6 @@ impl BufferPool {
         vec![0u8; len]
     }
 
-    /// An image byte-identical to `Image::new(width, height)` — black,
-    /// fully opaque — reusing a pooled allocation when one is free.
-    pub fn acquire(&self, width: u32, height: u32) -> Image {
-        let len = width as usize * height as usize * BYTES_PER_PIXEL;
-        let mut data = self.take_buffer(len);
-        for px in data.chunks_exact_mut(BYTES_PER_PIXEL) {
-            px.copy_from_slice(&[0, 0, 0, 255]);
-        }
-        Image::from_raw(width, height, data)
-    }
-
     /// An image whose every byte comes from `payload` (which must match
     /// the geometry), reusing a pooled allocation when one is free.
     pub fn acquire_filled(&self, width: u32, height: u32, payload: &[u8]) -> Image {
@@ -160,41 +149,30 @@ impl BufferPool {
 mod tests {
     use super::*;
 
-    #[test]
-    fn acquire_matches_fresh_image_exactly() {
-        let pool = BufferPool::new(8);
-        for (w, h) in [(1u32, 1u32), (7, 3), (64, 64)] {
-            assert_eq!(pool.acquire(w, h), Image::new(w, h), "{w}x{h}");
-        }
-    }
-
-    #[test]
-    fn recycled_buffer_is_scrubbed() {
-        let pool = BufferPool::new(8);
-        let mut img = pool.acquire(4, 4);
-        img.fill([200, 100, 50, 25]);
-        pool.release(img);
-        // Same geometry: must come back black-opaque, not with the old art.
-        let again = pool.acquire(4, 4);
-        assert_eq!(again, Image::new(4, 4));
-        assert_eq!(pool.stats().recycled, 1);
+    /// A blank `width`×`height` image through the pool.
+    fn blank(pool: &BufferPool, width: u32, height: u32) -> Image {
+        pool.acquire_filled(width, height, Image::new(width, height).as_bytes())
     }
 
     #[test]
     fn recycling_works_across_geometries() {
         let pool = BufferPool::new(8);
-        let big = pool.acquire(16, 16);
+        let mut big = blank(&pool, 16, 16);
+        big.fill([200, 100, 50, 25]);
         pool.release(big);
-        let small = pool.acquire(2, 3);
+        let small = blank(&pool, 2, 3);
         assert_eq!(small, Image::new(2, 3));
-        let large = pool.acquire(20, 20);
+        assert_eq!(pool.stats().recycled, 1);
+        pool.release(small);
+        let large = blank(&pool, 20, 20);
         assert_eq!(large, Image::new(20, 20));
+        assert_eq!(pool.stats().recycled, 2);
     }
 
     #[test]
     fn acquire_filled_copies_payload() {
         let pool = BufferPool::new(4);
-        let mut stale = pool.acquire(2, 2);
+        let mut stale = Image::new(2, 2);
         stale.fill([9, 9, 9, 9]);
         pool.release(stale);
         let payload: Vec<u8> = (0u8..16).collect();
@@ -219,7 +197,7 @@ mod tests {
     fn disabled_pool_is_transparent() {
         let pool = BufferPool::disabled();
         assert!(!pool.is_enabled());
-        let img = pool.acquire(3, 3);
+        let img = blank(&pool, 3, 3);
         assert_eq!(img, Image::new(3, 3));
         pool.release(img);
         assert_eq!(pool.free_len(), 0);
@@ -234,7 +212,7 @@ mod tests {
         let b = a.clone();
         b.release(Image::new(4, 4));
         assert_eq!(a.free_len(), 1);
-        let _ = a.acquire(4, 4);
+        let _ = blank(&a, 4, 4);
         assert_eq!(b.stats().recycled, 1);
     }
 }

@@ -374,11 +374,6 @@ impl SimRunner {
         // Pure observation of state the report already carries, recorded
         // after the frame loop so nothing here can perturb the timeline.
         if self.tel.is_enabled() {
-            let pool_stats = stages.pool_stats();
-            self.tel
-                .count(names::POOL_RECYCLED_TOTAL, &[], pool_stats.recycled);
-            self.tel
-                .count(names::POOL_FRESH_TOTAL, &[], pool_stats.fresh);
             let degradations = &self.recovery.degradations;
             self.tel
                 .count(names::DEGRADATIONS_TOTAL, &[], degradations.len() as u64);

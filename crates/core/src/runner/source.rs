@@ -3,9 +3,9 @@
 //!
 //! Every virtual-time executor — the frame-major simulator, the task
 //! runtime, the DES validator — starts a frame the same way: derive the
-//! [`RenderWork`] from the octree cull, book the render (and, with the
-//! MCPC renderer, the host link and the connector's UDP/split work) on
-//! the platform, and cut the frame into per-pipeline strips. That is
+//! [`RenderWork`] from the scene's probe memo, book the render (and, with
+//! the MCPC renderer, the host link and the connector's UDP/split work)
+//! on the platform, and cut the frame into per-pipeline strips. That is
 //! [`FilmSource::lower`]. What happens to a strip next — a rendezvous
 //! send with failover, a deque injection, a DES arrival fact — is the
 //! executor's own business, so it stays in the executor, between `lower`
@@ -35,9 +35,6 @@ pub(crate) struct FilmSource {
     width: u32,
     height: u32,
     bounds: Vec<(u32, u32)>,
-    /// Full-frame coverage of the frame being lowered (per-pipeline
-    /// renderers only; probed once at unit 0 and shared by every unit).
-    full_coverage: u64,
 }
 
 /// The strips one source unit produced, ready to leave `core` at `ready`.
@@ -45,23 +42,6 @@ pub(crate) struct SourceStrips {
     pub(crate) strips: Vec<Frame>,
     pub(crate) core: CoreId,
     pub(crate) ready: SimTime,
-}
-
-/// The cull-derived workload of rendering rows `y0..y0+h`.
-pub(crate) fn render_work(
-    renderer: &Renderer,
-    cam: &Camera,
-    width: u32,
-    height: u32,
-    y0: u32,
-    h: u32,
-) -> RenderWork {
-    let (_, cull, coverage) = renderer.cull_strip(cam, width, height, y0, h);
-    RenderWork {
-        nodes_visited: cull.nodes_visited,
-        triangles_out: cull.triangles_out,
-        est_coverage: coverage,
-    }
 }
 
 /// Book one on-chip render on `core` from `t`: pull the visible scene
@@ -103,7 +83,6 @@ impl FilmSource {
             width: cfg.width,
             height: cfg.height,
             bounds: Image::strip_bounds(cfg.height, cfg.pipelines),
-            full_coverage: 0,
         }
     }
 
@@ -144,7 +123,7 @@ impl FilmSource {
         let full = self.fidelity == Fidelity::Full;
         match self.mode {
             RendererMode::SingleRenderer => {
-                let work = render_work(renderer, cam, width, height, 0, height);
+                let work = RenderWork::full_frame(renderer, cam, width, height);
                 let cycles = cost.render_cycles(&work, false) + cost.split_cycles(full_px, p);
                 let r = &mut self.renderers[0];
                 let t = book_render(platform, cost, r.core, r.free, &work, cycles, full_bytes);
@@ -159,23 +138,8 @@ impl FilmSource {
                 }
             }
             RendererMode::PerPipelineRenderer => {
-                // Fill work per renderer: the full frame's coverage
-                // split evenly. The paper's sort-first renderers share
-                // the fill load almost perfectly (Figure 10 scales
-                // ~1/P up to 3 pipelines); charging each renderer its
-                // strip's raw coverage would instead import this
-                // scene's horizon-heavy imbalance. Culling and
-                // triangle-setup costs stay per-strip (they genuinely
-                // do not shrink with strip height).
-                if unit == 0 {
-                    self.full_coverage =
-                        render_work(renderer, cam, width, height, 0, height).est_coverage;
-                }
                 let (y0, h) = self.bounds[unit];
-                let work = RenderWork {
-                    est_coverage: self.full_coverage / p as u64,
-                    ..render_work(renderer, cam, width, height, y0, h)
-                };
+                let work = RenderWork::strip_share(renderer, cam, width, height, (y0, h), p);
                 let cycles = cost.render_cycles(&work, true);
                 let strip_bytes = width as u64 * h as u64 * 4;
                 let r = &mut self.renderers[unit];
@@ -197,7 +161,7 @@ impl FilmSource {
             }
             RendererMode::McpcRenderer => {
                 // The MCPC renders on its own timeline.
-                let work = render_work(renderer, cam, width, height, 0, height);
+                let work = RenderWork::full_frame(renderer, cam, width, height);
                 let p54c_cycles = cost.render_cycles(&work, false);
                 let render_dur = SimTime::from_secs_f64(cost.mcpc_render_seconds(p54c_cycles));
                 let render_done = self.mcpc_free + render_dur;

@@ -8,15 +8,14 @@
 //! strip unless it is already on the core, the cost model's cycles,
 //! the stage's cache-model traffic) and a delivered frame the same way
 //! (one fetch per strip, assemble, write, host link). [`FilmStages`]
-//! writes both down once, with the one filter chain, the one resolved
-//! kernel backend and the proxy pool they need. *When* a stage may
-//! start, who it hands the strip to and what happens when that core is
-//! dead stay with the executor.
+//! writes both down once, with the one filter chain and the one resolved
+//! kernel backend they need. *When* a stage may start, who it hands the
+//! strip to and what happens when that core is dead stay with the
+//! executor.
 
 use super::sim::StageState;
 use crate::cost::CostModel;
 use crate::frame::Frame;
-use crate::pool::{BufferPool, PoolStats};
 use crate::spec::{RunConfig, StageKind};
 use scc_filters::{standard_chain, vswap, Image, ImageFilter, KernelBackend, StripInfo};
 use scc_sim::platform::MemOp;
@@ -27,9 +26,6 @@ use std::ops::Range;
 pub(crate) struct FilmStages {
     chain: Vec<Box<dyn ImageFilter>>,
     backend: KernelBackend,
-    /// Recycles the timing-only proxy allocations (one per stage per
-    /// strip); virtual-time accounting is oblivious to it.
-    pool: BufferPool,
     seed: u64,
     full_px: u64,
 }
@@ -68,14 +64,9 @@ impl FilmStages {
         FilmStages {
             chain: standard_chain(),
             backend: cfg.tuning.kernel.resolve(),
-            pool: BufferPool::from_enabled(cfg.tuning.buffer_pool),
             seed: cfg.seed,
             full_px: cfg.width as u64 * cfg.height as u64,
         }
-    }
-
-    pub(crate) fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 
     /// Run chain stages `stages` back to back over `strip` on `core`
@@ -83,7 +74,7 @@ impl FilmStages {
     /// is already on the core (the previous stage of a merged group left
     /// it there). Pixels, when present, go through the kernel backend;
     /// the charge is the cost model's either way — it prices P54C
-    /// cycles, not host instructions.
+    /// cycles from the strip's geometry, not host instructions.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn filter(
         &self,
@@ -105,21 +96,10 @@ impl FilmStages {
         let (mut computed, mut done) = (fetched, fetched);
         for j in stages {
             let filter = self.chain[j].as_ref();
-            let cycles = match strip.image.as_mut() {
-                Some(img) => {
-                    let c = cost.filter_cycles(filter, img, &ctx);
-                    filter.apply_vectored(img, &ctx, self.backend, 1);
-                    c
-                }
-                None => {
-                    // Timing-only: the cost depends on geometry alone,
-                    // so a blank strip of the same shape prices it.
-                    let proxy = self.pool.acquire(strip.full_width, strip.strip.height);
-                    let c = cost.filter_cycles(filter, &proxy, &ctx);
-                    self.pool.release(proxy);
-                    c
-                }
-            };
+            let cycles = cost.filter_cycles(filter, &ctx);
+            if let Some(img) = strip.image.as_mut() {
+                filter.apply_vectored(img, &ctx, self.backend, 1);
+            }
             computed = platform.compute(core, done, cycles as u64);
             let traffic = cost.stage_traffic(StageKind::PIPELINE_FILTERS[j], bytes);
             let t = platform.mem_stream(core, computed, MemOp::Read, traffic.read_bytes);

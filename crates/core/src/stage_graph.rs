@@ -16,7 +16,7 @@
 
 use crate::cost::CostModel;
 use crate::spec::{RunConfig, StageKind};
-use scc_filters::{standard_chain, FrameCtx, Image};
+use scc_filters::{standard_chain, FrameCtx};
 use serde::Serialize;
 
 /// Parallelism class of a stage — what the partitioner may legally do
@@ -195,12 +195,11 @@ impl StageWeights {
     /// finite and positive.
     pub fn from_cost_model(cfg: &RunConfig, cost: &CostModel) -> StageWeights {
         let strip_h = (cfg.height / cfg.pipelines).max(1);
-        let img = Image::new(cfg.width, strip_h);
         let ctx = FrameCtx::whole_frame(0, cfg.seed, cfg.width, strip_h);
         let chain = standard_chain();
         let mut per_stage = [0.0f64; 5];
         for (j, filter) in chain.iter().enumerate() {
-            per_stage[j] = cost.filter_cycles(filter.as_ref(), &img, &ctx);
+            per_stage[j] = cost.filter_cycles(filter.as_ref(), &ctx);
         }
         StageWeights {
             per_stage,

@@ -102,10 +102,10 @@ impl ImageFilter for Flicker {
         }
     }
 
-    fn work_units(&self, img: &Image, _ctx: &FrameCtx) -> f64 {
+    fn work_units(&self, ctx: &FrameCtx) -> f64 {
         // "Each pixel is accessed in sequential order but with a minor
         // operation" — lighter than sepia.
-        img.pixel_count() as f64 * 0.55
+        ctx.pixel_count() as f64 * 0.55
     }
 }
 

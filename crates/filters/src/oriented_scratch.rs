@@ -109,7 +109,7 @@ impl ImageFilter for OrientedScratch {
         }
     }
 
-    fn work_units(&self, img: &Image, ctx: &FrameCtx) -> f64 {
+    fn work_units(&self, ctx: &FrameCtx) -> f64 {
         // Work ∝ total segment length clipped to the strip, ~1.5 units per
         // touched pixel like the vertical scratch.
         let plan = self.plan(ctx);
@@ -118,12 +118,12 @@ impl ImageFilter for OrientedScratch {
             .iter()
             .map(|s| ((s.x1 - s.x0).powi(2) + (s.y1 - s.y0).powi(2)).sqrt())
             .sum();
-        let strip_share = img.height() as f64 / ctx.strip.full_height as f64;
+        let strip_share = ctx.strip.height as f64 / ctx.strip.full_height as f64;
         total as f64 * strip_share * 1.5
     }
 
-    fn traffic(&self, img: &Image, ctx: &FrameCtx) -> Traffic {
-        let bytes = (self.work_units(img, ctx) / 1.5 * 4.0) as u64;
+    fn traffic(&self, _img: &Image, ctx: &FrameCtx) -> Traffic {
+        let bytes = (self.work_units(ctx) / 1.5 * 4.0) as u64;
         Traffic {
             read_bytes: bytes,
             write_bytes: bytes,
@@ -245,9 +245,7 @@ mod tests {
     fn work_scales_with_strip_share() {
         let s = OrientedScratch::default();
         let (frame, _) = frame_with_scratches(&s, 64, 64);
-        let whole_img = Image::new(64, 64);
-        let whole_work = s.work_units(&whole_img, &ctx(frame, 64, 64));
-        let strip_img = Image::new(64, 16);
+        let whole_work = s.work_units(&ctx(frame, 64, 64));
         let strip_ctx = FrameCtx {
             frame_id: frame,
             run_seed: 31,
@@ -260,7 +258,7 @@ mod tests {
             },
             full_width: 64,
         };
-        let strip_work = s.work_units(&strip_img, &strip_ctx);
+        let strip_work = s.work_units(&strip_ctx);
         assert!((strip_work - whole_work / 4.0).abs() < 1e-6);
     }
 }

@@ -70,12 +70,12 @@ impl ImageFilter for Scratch {
         }
     }
 
-    fn work_units(&self, img: &Image, ctx: &FrameCtx) -> f64 {
+    fn work_units(&self, ctx: &FrameCtx) -> f64 {
         // Only the scratch columns are touched: work is rows × columns,
         // tiny compared to the per-pixel filters (hence the cheapest stage
         // in Figure 8).
         let plan = self.plan(ctx);
-        (img.height() as u64 * plan.columns.len() as u64) as f64 * 1.5
+        (ctx.strip.height as u64 * plan.columns.len() as u64) as f64 * 1.5
     }
 
     fn traffic(&self, img: &Image, ctx: &FrameCtx) -> Traffic {
@@ -178,11 +178,8 @@ mod tests {
     #[test]
     fn work_scales_with_scratch_count() {
         let s = Scratch { max_scratches: 8 };
-        let img = Image::new(64, 64);
         // Find two frames with different scratch counts.
-        let mut works: Vec<f64> = (0..64)
-            .map(|f| s.work_units(&img, &ctx(f, 64, 64)))
-            .collect();
+        let mut works: Vec<f64> = (0..64).map(|f| s.work_units(&ctx(f, 64, 64))).collect();
         works.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!(works[0] < works[works.len() - 1]);
     }

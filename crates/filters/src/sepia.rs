@@ -142,9 +142,9 @@ impl ImageFilter for Sepia {
         par_row_chunks(img, workers, |_, rows| sepia_row(rows, backend));
     }
 
-    fn work_units(&self, img: &Image, _ctx: &FrameCtx) -> f64 {
+    fn work_units(&self, ctx: &FrameCtx) -> f64 {
         // Reference weight: 1 unit per pixel.
-        img.pixel_count() as f64
+        ctx.pixel_count() as f64
     }
 }
 

@@ -90,11 +90,11 @@ impl ImageFilter for VSwap {
         });
     }
 
-    fn work_units(&self, img: &Image, _ctx: &FrameCtx) -> f64 {
+    fn work_units(&self, ctx: &FrameCtx) -> f64 {
         // Three row copies per swapped pair ≈ 1.5 touches per pixel, but
         // each touch is a plain copy (no arithmetic): weight it below
         // sepia.
-        img.pixel_count() as f64 * 0.45
+        ctx.pixel_count() as f64 * 0.45
     }
 }
 
@@ -155,10 +155,9 @@ mod tests {
 
     #[test]
     fn work_is_linear_in_pixels() {
-        let small = Image::new(10, 10);
-        let large = Image::new(20, 20);
-        let c = ctx();
-        assert!((VSwap.work_units(&large, &c) / VSwap.work_units(&small, &c) - 4.0).abs() < 1e-9);
+        let small = FrameCtx::whole_frame(0, 0, 10, 10);
+        let large = FrameCtx::whole_frame(0, 0, 20, 20);
+        assert!((VSwap.work_units(&large) / VSwap.work_units(&small) - 4.0).abs() < 1e-9);
     }
 }
 

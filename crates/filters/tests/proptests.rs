@@ -235,7 +235,7 @@ proptest! {
             Box::new(VSwap),
         ];
         for f in &filters {
-            let w = f.work_units(&img, &ctx);
+            let w = f.work_units(&ctx);
             prop_assert!(w.is_finite() && w >= 0.0, "{}: {w}", f.name());
             let t = f.traffic(&img, &ctx);
             // Scratch can revisit columns (plans may repeat an x), so the

@@ -45,10 +45,13 @@ impl Camera {
     /// is the "additional computation to adjust the viewing frustum of the
     /// camera" of the sort-first configuration (§VI-A).
     pub fn strip_view_projection(&self, full_height: u32, strip_y0: u32, strip_h: u32) -> Mat4 {
-        assert!(strip_y0 + strip_h <= full_height, "strip beyond image");
+        let strip_end = strip_y0
+            .checked_add(strip_h)
+            .filter(|&end| end <= full_height)
+            .expect("strip beyond image");
         // Image row 0 is the top => NDC y = +1.
         let y_hi = 1.0 - 2.0 * strip_y0 as f32 / full_height as f32;
-        let y_lo = 1.0 - 2.0 * (strip_y0 + strip_h) as f32 / full_height as f32;
+        let y_lo = 1.0 - 2.0 * strip_end as f32 / full_height as f32;
         let band = Mat4::perspective_band(self.fovy, self.aspect, self.near, self.far, y_lo, y_hi);
         band.mul_mat(&self.view())
     }
@@ -171,5 +174,14 @@ mod tests {
     fn strip_bounds_checked() {
         let cam = Walkthrough::standard(1.0).camera(0);
         cam.strip_view_projection(100, 90, 20);
+    }
+
+    /// `u32::MAX + 2` wraps to 1 in a release build, which the old
+    /// `y0 + h <= full_height` guard let through.
+    #[test]
+    #[should_panic(expected = "strip beyond image")]
+    fn strip_bounds_check_does_not_wrap() {
+        let cam = Walkthrough::standard(1.0).camera(0);
+        cam.strip_view_projection(100, u32::MAX, 2);
     }
 }

@@ -18,6 +18,7 @@ pub mod math;
 pub mod mesh;
 pub mod obj;
 pub mod octree;
+mod probe;
 pub mod raster;
 #[cfg(test)]
 mod raster_pins;

@@ -9,7 +9,7 @@
 //! untextured models still render readably.
 
 use crate::math::{vec3, Vec3};
-use crate::mesh::{Aabb, Triangle};
+use crate::mesh::Triangle;
 use crate::scene::Scene;
 use std::fmt;
 
@@ -132,12 +132,7 @@ pub fn parse_obj(text: &str) -> Result<Vec<Triangle>, ObjError> {
 impl Scene {
     /// Build a scene from OBJ text.
     pub fn from_obj(text: &str) -> Result<Scene, ObjError> {
-        let triangles = parse_obj(text)?;
-        let mut bounds = Aabb::EMPTY;
-        for t in &triangles {
-            bounds = bounds.union(&t.aabb());
-        }
-        Ok(Scene { triangles, bounds })
+        Ok(Scene::from_triangles(parse_obj(text)?))
     }
 }
 

@@ -6,8 +6,10 @@
 //! needs.
 
 use crate::camera::Camera;
-use crate::octree::{CullStats, Octree, OctreeConfig};
-use crate::raster::{new_zbuf, rasterize, RasterStats};
+use crate::frustum::Frustum;
+use crate::octree::{CullStats, Octree};
+use crate::probe::ProbeKey;
+use crate::raster::{estimate_coverage, new_zbuf, rasterize, RasterStats};
 use crate::scene::Scene;
 use scc_filters::Image;
 use std::sync::Arc;
@@ -19,16 +21,24 @@ pub struct RenderStats {
     pub raster: RasterStats,
 }
 
-/// A renderer bound to one scene (shared, read-only).
+/// A renderer bound to one scene (shared, read-only). The octree and the
+/// probe memo live with the scene, so every renderer on one `Arc<Scene>`
+/// shares them.
 pub struct Renderer {
     scene: Arc<Scene>,
-    octree: Arc<Octree>,
 }
 
 impl Renderer {
+    /// Bind to `scene`, building its octree if no renderer has yet. From
+    /// here on the scene must not change (see [`Scene`]).
     pub fn new(scene: Arc<Scene>) -> Renderer {
-        let octree = Arc::new(Octree::build(&scene.triangles, OctreeConfig::default()));
-        Renderer { scene, octree }
+        let octree = scene.octree();
+        debug_assert_eq!(
+            octree.triangle_count(),
+            scene.triangles.len(),
+            "scene edited after its octree was built"
+        );
+        Renderer { scene }
     }
 
     /// Share the same scene/octree with another pipeline's renderer —
@@ -37,7 +47,6 @@ impl Renderer {
     pub fn clone_shared(&self) -> Renderer {
         Renderer {
             scene: Arc::clone(&self.scene),
-            octree: Arc::clone(&self.octree),
         }
     }
 
@@ -46,13 +55,14 @@ impl Renderer {
     }
 
     pub fn octree(&self) -> &Octree {
-        &self.octree
+        self.scene.octree()
     }
 
     /// Frustum-cull the strip's view without rasterising: visible triangle
-    /// indices, traversal stats and an analytic fill-coverage estimate.
-    /// This is the workload probe the timing-only simulation uses — both
-    /// fidelity modes charge render cost from these numbers.
+    /// indices, traversal stats and an analytic fill-coverage estimate,
+    /// computed afresh. The timing-only simulation asks
+    /// [`Renderer::cull_stats`] and [`Renderer::coverage`] instead, which
+    /// return exactly these numbers and remember them.
     pub fn cull_strip(
         &self,
         camera: &Camera,
@@ -62,12 +72,50 @@ impl Renderer {
         h: u32,
     ) -> (Vec<u32>, CullStats, u64) {
         let mvp = camera.strip_view_projection(full_height, y0, h);
-        let frustum = crate::frustum::Frustum::from_matrix(&mvp);
         let mut visible = Vec::new();
-        let cull = self.octree.cull(&frustum, &mut visible);
-        let coverage =
-            crate::raster::estimate_coverage(&self.scene.triangles, &visible, &mvp, width, h);
+        let cull = self
+            .octree()
+            .cull(&Frustum::from_matrix(&mvp), &mut visible);
+        let coverage = estimate_coverage(&self.scene.triangles, &visible, &mvp, width, h);
         (visible, cull, coverage)
+    }
+
+    /// What culling rows `y0..y0+h` costs: the octree traversal's stats,
+    /// without the coverage estimate (a hundred times the cull's price).
+    /// Both fidelity modes charge render cost from these numbers. `width`
+    /// does not change the cull; it names the strip, so that one memo
+    /// entry serves this question and [`Renderer::coverage`].
+    pub fn cull_stats(
+        &self,
+        camera: &Camera,
+        width: u32,
+        full_height: u32,
+        y0: u32,
+        h: u32,
+    ) -> CullStats {
+        let mvp = camera.strip_view_projection(full_height, y0, h);
+        let key = ProbeKey::new(&mvp, width, h);
+        if let Some(cull) = self.scene.probes.cull(&key) {
+            return cull;
+        }
+        let cull = self
+            .octree()
+            .cull(&Frustum::from_matrix(&mvp), &mut Vec::new());
+        self.scene.probes.record(key, cull, None);
+        cull
+    }
+
+    /// The analytic fill-coverage estimate of rows `y0..y0+h`, in pixels.
+    /// Computing it runs the cull, whose stats are remembered alongside.
+    pub fn coverage(&self, camera: &Camera, width: u32, full_height: u32, y0: u32, h: u32) -> u64 {
+        let mvp = camera.strip_view_projection(full_height, y0, h);
+        let key = ProbeKey::new(&mvp, width, h);
+        if let Some(coverage) = self.scene.probes.coverage(&key) {
+            return coverage;
+        }
+        let (_, cull, coverage) = self.cull_strip(camera, width, full_height, y0, h);
+        self.scene.probes.record(key, cull, Some(coverage));
+        coverage
     }
 
     /// Render image rows `y0..y0+h` of a `width`×`full_height` frame seen
@@ -81,9 +129,10 @@ impl Renderer {
         h: u32,
     ) -> (Image, RenderStats) {
         let mvp = camera.strip_view_projection(full_height, y0, h);
-        let frustum = crate::frustum::Frustum::from_matrix(&mvp);
         let mut visible = Vec::new();
-        let cull = self.octree.cull(&frustum, &mut visible);
+        let cull = self
+            .octree()
+            .cull(&Frustum::from_matrix(&mvp), &mut visible);
         let mut img = Image::new(width, h);
         // Sky gradient background so the silent film has something to
         // flicker over even where no geometry lands.
@@ -194,8 +243,10 @@ mod tests {
     fn shared_clone_uses_same_octree() {
         let r = small_renderer();
         let r2 = r.clone_shared();
-        assert_eq!(r.octree().node_count(), r2.octree().node_count());
-        assert!(Arc::ptr_eq(&r.octree, &r2.octree));
+        assert!(std::ptr::eq(r.octree(), r2.octree()));
+        // So does a renderer built separately on the same scene.
+        let r3 = Renderer::new(Arc::clone(&r.scene));
+        assert!(std::ptr::eq(r.octree(), r3.octree()));
     }
 
     #[test]

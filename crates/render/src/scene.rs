@@ -7,8 +7,11 @@
 
 use crate::math::vec3;
 use crate::mesh::{push_box, Aabb, Triangle};
+use crate::octree::{Octree, OctreeConfig};
+use crate::probe::ProbeMemo;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// City generation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -31,14 +34,55 @@ impl Default for CityConfig {
     }
 }
 
-/// The generated scene.
+/// The generated scene, with the state derived from its triangles: the
+/// octree (built on first use, then shared by every
+/// [`Renderer`](crate::Renderer) on the scene) and the memo of workload
+/// probe results (DESIGN.md §20).
+///
+/// A `Scene` is immutable once a `Renderer` has been built on it:
+/// `triangles` stays a `pub` field for readers, but the octree indexes it
+/// and the memo holds answers computed from it, so editing it afterwards
+/// would leave both describing geometry that is gone. Build a new `Scene`
+/// instead.
 #[derive(Debug)]
 pub struct Scene {
     pub triangles: Vec<Triangle>,
     pub bounds: Aabb,
+    octree: OnceLock<Octree>,
+    pub(crate) probes: ProbeMemo,
 }
 
 impl Scene {
+    /// A scene over `triangles`; nothing derived is built yet (and nothing
+    /// is allocated for it).
+    pub(crate) fn from_triangles(triangles: Vec<Triangle>) -> Scene {
+        let mut bounds = Aabb::EMPTY;
+        for t in &triangles {
+            bounds = bounds.union(&t.aabb());
+        }
+        Scene {
+            triangles,
+            bounds,
+            octree: OnceLock::new(),
+            probes: ProbeMemo::default(),
+        }
+    }
+
+    /// The octree over `triangles`, built by the first caller.
+    pub fn octree(&self) -> &Octree {
+        self.octree
+            .get_or_init(|| Octree::build(&self.triangles, OctreeConfig::default()))
+    }
+
+    /// Entries in the probe memo (what [`Renderer::cull_stats`] and
+    /// [`Renderer::coverage`] have answered on this scene so far).
+    ///
+    /// [`Renderer::cull_stats`]: crate::Renderer::cull_stats
+    /// [`Renderer::coverage`]: crate::Renderer::coverage
+    pub fn probe_memo_len(&self) -> usize {
+        self.probes.len()
+    }
+
     /// Generate the procedural city.
     pub fn city(cfg: CityConfig) -> Scene {
         assert!(cfg.side >= 1);
@@ -90,14 +134,7 @@ impl Scene {
             }
         }
 
-        let mut bounds = Aabb::EMPTY;
-        for t in &tris {
-            bounds = bounds.union(&t.aabb());
-        }
-        Scene {
-            triangles: tris,
-            bounds,
-        }
+        Scene::from_triangles(tris)
     }
 
     pub fn triangle_count(&self) -> usize {
@@ -256,14 +293,7 @@ impl Scene {
             }
         }
 
-        let mut bounds = Aabb::EMPTY;
-        for t in &tris {
-            bounds = bounds.union(&t.aabb());
-        }
-        Scene {
-            triangles: tris,
-            bounds,
-        }
+        Scene::from_triangles(tris)
     }
 }
 

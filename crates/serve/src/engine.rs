@@ -467,7 +467,7 @@ pub fn serve(cfg: &ServeConfig, scene: &Arc<Scene>) -> ServeOutcome {
                 cycles_to_secs(render_cycles, P54C_HZ)
             };
             let mut filter_cycles = 0.0;
-            for (_, info, img) in strips {
+            for (_, info, _) in strips {
                 let ctx = FrameCtx {
                     frame_id: pose,
                     run_seed: run.seed,
@@ -475,7 +475,7 @@ pub fn serve(cfg: &ServeConfig, scene: &Arc<Scene>) -> ServeOutcome {
                     full_width: run.width,
                 };
                 for f in &chain {
-                    filter_cycles += model.filter_cycles(f.as_ref(), img, &ctx);
+                    filter_cycles += model.filter_cycles(f.as_ref(), &ctx);
                 }
             }
             busy[*j % cfg.pool as usize] += render_secs + cycles_to_secs(filter_cycles, P54C_HZ);

@@ -29,7 +29,7 @@ use scc_core::spec::{Fidelity, RunConfig};
 use scc_core::viz::frame_checksum;
 use scc_core::WalkthroughReport;
 use scc_render::{CityConfig, Scene};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub mod fuzz;
 pub mod telemetry;
@@ -56,13 +56,19 @@ pub fn fnv1a_str(s: &str) -> u64 {
 }
 
 /// The fixed scene every conformance run renders: small enough for CI,
-/// rich enough that every filter has real work.
+/// rich enough that every filter has real work. One per process, so the
+/// golden matrix and a fuzz campaign share its octree and probe memo.
 pub fn verify_scene() -> Arc<Scene> {
-    Arc::new(Scene::city(CityConfig {
-        side: 8,
-        spacing: 8.0,
-        seed: 3,
-    }))
+    static SCENE: OnceLock<Arc<Scene>> = OnceLock::new();
+    SCENE
+        .get_or_init(|| {
+            Arc::new(Scene::city(CityConfig {
+                side: 8,
+                spacing: 8.0,
+                seed: 3,
+            }))
+        })
+        .clone()
 }
 
 /// One golden configuration: a stable name (the golden file's stem) and

@@ -87,7 +87,6 @@ fn bottleneck_lower_bound(config: &RunConfig, scene: &Arc<Scene>) -> f64 {
     let mut render = 0.0f64;
     for f in 0..config.frames {
         let cam = walkthrough.camera(f);
-        let proxy = Image::new(config.width, h);
         let ctx = scc_filters::FrameCtx {
             frame_id: f,
             run_seed: config.seed,
@@ -101,16 +100,10 @@ fn bottleneck_lower_bound(config: &RunConfig, scene: &Arc<Scene>) -> f64 {
             full_width: config.width,
         };
         for (j, filter) in filters.iter().enumerate() {
-            per_stage[j] += cost.filter_cycles(filter.as_ref(), &proxy, &ctx) / 533.0e6;
+            per_stage[j] += cost.filter_cycles(filter.as_ref(), &ctx) / 533.0e6;
         }
         if config.renderer == RendererMode::SingleRenderer {
-            let (_, cull, cov) =
-                renderer.cull_strip(&cam, config.width, config.height, 0, config.height);
-            let work = RenderWork {
-                nodes_visited: cull.nodes_visited,
-                triangles_out: cull.triangles_out,
-                est_coverage: cov,
-            };
+            let work = RenderWork::full_frame(&renderer, &cam, config.width, config.height);
             render += cost.render_cycles(&work, false) / 533.0e6;
         }
     }

@@ -12,6 +12,11 @@ fn arb_geometry() -> impl Strategy<Value = (u32, u32)> {
     (1u32..20, 1u32..20)
 }
 
+/// A blank `w`×`h` image through the pool.
+fn blank(pool: &BufferPool, w: u32, h: u32) -> Image {
+    pool.acquire_filled(w, h, Image::new(w, h).as_bytes())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 64,
@@ -29,7 +34,7 @@ proptest! {
         let pool = BufferPool::new(max_free);
         let mut live: Vec<Image> = Vec::new();
         for (i, &(w, h)) in geoms.iter().enumerate() {
-            live.push(pool.acquire(w, h));
+            live.push(blank(&pool, w, h));
             if i % release_every == release_every - 1 {
                 let img = live.remove(0);
                 pool.release(img);
@@ -45,8 +50,8 @@ proptest! {
     }
 
     /// A recycled buffer is fully overwritten: whatever junk the previous
-    /// holder left behind, `acquire` equals a fresh `Image::new` and
-    /// `acquire_filled` equals its payload — byte for byte.
+    /// holder left behind, at whatever size, `acquire_filled` equals its
+    /// payload — byte for byte.
     #[test]
     fn recycled_buffers_leak_no_stale_pixels(
         junk_geom in arb_geometry(),
@@ -57,13 +62,9 @@ proptest! {
         let (jw, jh) = junk_geom;
         let (w, h) = geom;
         let pool = BufferPool::new(4);
-        let mut dirty = pool.acquire(jw, jh);
+        let mut dirty = Image::new(jw, jh);
         dirty.fill(junk.to_le_bytes());
         pool.release(dirty);
-
-        let clean = pool.acquire(w, h);
-        prop_assert_eq!(&clean, &Image::new(w, h), "stale pixels leaked into acquire");
-        pool.release(clean);
 
         let len = w as usize * h as usize * BYTES_PER_PIXEL;
         let payload: Vec<u8> = (0..len)
@@ -75,6 +76,7 @@ proptest! {
             &payload[..],
             "stale pixels leaked into acquire_filled"
         );
+        prop_assert_eq!(pool.stats().recycled, 1);
     }
 
     /// Stats accounting holds for any interleaving: every acquire is
@@ -89,8 +91,8 @@ proptest! {
         let mut acquires = 0u64;
         let mut releases = 0u64;
         for &(w, h) in &geoms {
-            let a = pool.acquire(w, h);
-            let b = pool.acquire(w, h);
+            let a = blank(&pool, w, h);
+            let b = blank(&pool, w, h);
             acquires += 2;
             pool.release(a);
             releases += 1;
@@ -113,7 +115,7 @@ proptest! {
     ) {
         let pool = BufferPool::disabled();
         for &(w, h) in &geoms {
-            let img = pool.acquire(w, h);
+            let img = blank(&pool, w, h);
             prop_assert_eq!(&img, &Image::new(w, h));
             pool.release(img);
             prop_assert_eq!(pool.free_len(), 0);
