@@ -402,7 +402,7 @@ pub fn estimate_coverage(tris: &[Triangle], indices: &[u32], mvp: &Mat4, w: u32,
 mod tests {
     use super::*;
     use crate::math::vec3;
-    use crate::raster_pins::{city_cases, hand_cases, Case};
+    use crate::raster_pins::{city_cases, hand_cases, serving_cases, Case};
     use proptest::prelude::*;
 
     /// The bounding-box walk [`rasterize`] replaced, kept as the oracle with
@@ -527,6 +527,7 @@ mod tests {
     fn pinned_cases() -> Vec<Case> {
         let mut cases = hand_cases();
         cases.extend(city_cases());
+        cases.extend(serving_cases());
         cases
     }
 

@@ -6,7 +6,9 @@
 //! [`estimate_coverage`] value for the same input — the coverage numbers
 //! feed `CostModel`, so every virtual-time golden moves if they drift.
 //! The cases are shared with the oracle tests in `raster.rs`, which check
-//! the span bound row by row over exactly these inputs.
+//! the span bound row by row over exactly these inputs. The serving-size
+//! cases were recorded later, from the triangle set-up as it stood before
+//! its clip-space reject and truncating box bounds.
 
 use crate::camera::Walkthrough;
 use crate::frustum::Frustum;
@@ -104,6 +106,44 @@ pub(crate) fn city_cases() -> Vec<Case> {
                 indices,
                 mvp,
                 w: CITY_SIDE,
+                h,
+            }
+        })
+        .collect()
+}
+
+/// (frame, width, full height, pipelines, strip) of the standard city at
+/// the sizes `scc-serve` renders: small frames, where per-triangle set-up
+/// outweighs the fill.
+const SERVING_STRIPS: [(u64, u32, u32, u32, u32); 5] = [
+    (0, 64, 64, 1, 0),
+    (133, 64, 64, 1, 0),
+    (266, 64, 64, 1, 0),
+    (57, 64, 64, 2, 1),
+    (200, 32, 24, 1, 0),
+];
+
+/// The standard city at the serving sizes, fed as [`city_cases`] feeds it.
+pub(crate) fn serving_cases() -> Vec<Case> {
+    let renderer = city_renderer();
+    let tris = Arc::new(renderer.scene().triangles.clone());
+    SERVING_STRIPS
+        .iter()
+        .map(|&(frame, w, full_h, pipelines, strip)| {
+            let (y0, h) = Image::strip_bounds(full_h, pipelines)[strip as usize];
+            let mvp = Walkthrough::standard(w as f32 / full_h as f32)
+                .camera(frame)
+                .strip_view_projection(full_h, y0, h);
+            let mut indices = Vec::new();
+            renderer
+                .octree()
+                .cull(&Frustum::from_matrix(&mvp), &mut indices);
+            Case {
+                name: format!("city {w}x{full_h} f{frame} p{pipelines} s{strip}"),
+                tris: Arc::clone(&tris),
+                indices,
+                mvp,
+                w,
                 h,
             }
         })
@@ -312,6 +352,11 @@ fn standard_city_strips_are_pinned() {
     check(&city_cases(), &CITY_PINS);
 }
 
+#[test]
+fn serving_size_city_strips_are_pinned() {
+    check(&serving_cases(), &SERVING_PINS);
+}
+
 fn check(cases: &[Case], pins: &[Pin]) {
     assert_eq!(cases.len(), pins.len());
     let got: Vec<Pin> = cases.iter().map(observe).collect();
@@ -474,6 +519,15 @@ const CITY_PINS: [Pin; 8] = [
     pin(4118, 51, 90982, 42581, 0xaa6b665e1eda9380, 0xa2bcc2a09acc5385, 90144),
     pin(4882, 1158, 192610, 32471, 0xfccb3a2b18e1f486, 0x1de5d4aa0cf7f226, 188512),
     pin(4058, 11, 31070, 15535, 0x09c804313fcda753, 0x31697aa09ae1ccd9, 30528),
+];
+
+#[rustfmt::skip]
+const SERVING_PINS: [Pin; 5] = [
+    pin(5500, 2006, 32738, 19917, 0xa3ffac3949d390e7, 0x77a09db3c682e63e, 32864),
+    pin(5550, 1908, 35834, 13023, 0x3925266184360325, 0x87127ca4cdbb87f0, 36608),
+    pin(5470, 1960, 30037, 4007, 0xa80bbe81fc72e3e5, 0xe38354ca78530b22, 30864),
+    pin(4642, 538, 6842, 4973, 0xa08c501274860c85, 0xa474a6c582b451a1, 6912),
+    pin(5664, 2404, 6062, 956, 0x4b8d72ea2a627063, 0x317a75b62b7cb726, 5568),
 ];
 
 const STRIP_HASHES: [u64; 8] = [

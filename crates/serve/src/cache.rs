@@ -232,6 +232,33 @@ mod tests {
         )
     }
 
+    /// The bucket a key lands in — and so the `collisions` counter of
+    /// every pinned serving run — is this value modulo the bucket count.
+    #[test]
+    fn key_hashes_are_pinned() {
+        let churn = StripKey {
+            mode: 2,
+            width: 64,
+            height: 64,
+            pipelines: 2,
+            run_seed: 0x9E37_79B9_7F4A_7C15,
+            pose: 999_999,
+            strip: 1,
+        };
+        let all_ones = StripKey {
+            mode: u8::MAX,
+            width: u32::MAX,
+            height: u32::MAX,
+            pipelines: u32::MAX,
+            run_seed: u64::MAX,
+            pose: u64::MAX,
+            strip: u32::MAX,
+        };
+        assert_eq!(key(0, 0).hash(), 0x1686_a2c0_cd21_510a);
+        assert_eq!(churn.hash(), 0xcc5e_35da_61cb_01fd);
+        assert_eq!(all_ones.hash(), 0xfb7d_053f_2952_dc4e);
+    }
+
     #[test]
     fn hit_returns_exact_bytes() {
         let mut c = StripCache::new(4, 4);

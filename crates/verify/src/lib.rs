@@ -487,9 +487,53 @@ pub fn serving_smoke_digest() -> String {
         seed: 0x5EC5_E55,
         keep_films: false,
     };
-    let out = serve(&cfg, &verify_scene());
-    let r = &out.report;
-    let mut doc = String::from("== serving-smoke\n");
+    serving_doc("serving-smoke", &cfg, &serve(&cfg, &verify_scene()).report)
+}
+
+/// The `benchmark/` crate's churn shape scaled down: 64x64 frames over a
+/// million start poses and a 16-strip cache, so nothing hits, every
+/// frame is a render, and rounds carry up to eight render jobs for a
+/// pool of four — the engine's burst runs on more than one host thread
+/// wherever the host has them. Pins what `serving-smoke` pins plus the
+/// frame latencies as bits; host thread count must never show here.
+pub fn serving_burst_digest() -> String {
+    use scc_serve::{serve, ServeConfig, TenantSpec};
+    let mut run = base_cfg();
+    run.width = 64;
+    run.height = 64;
+    run.trace = false;
+    let cfg = ServeConfig {
+        run,
+        tenants: vec![
+            TenantSpec::new("bulk", 1, 16, 4),
+            TenantSpec::new("vip", 3, 8, 4),
+        ],
+        shards: 2,
+        pool: 4,
+        cache_capacity: 16,
+        cache_buckets: 8,
+        queue_depth: 16,
+        max_sessions: 24,
+        batch_frames: 4,
+        pose_span: 1_000_000,
+        arrival_burst: 8,
+        seed: 0x5EC5_E55,
+        keep_films: false,
+    };
+    let r = serve(&cfg, &verify_scene()).report;
+    let mut doc = serving_doc("serving-burst", &cfg, &r);
+    doc.push_str(&format!(
+        "latency count={} p50={:016x} p99={:016x} max={:016x}\n",
+        r.latency.count,
+        r.latency.p50.to_bits(),
+        r.latency.p99.to_bits(),
+        r.latency.max.to_bits()
+    ));
+    doc
+}
+
+fn serving_doc(name: &str, cfg: &scc_serve::ServeConfig, r: &scc_serve::ServeReport) -> String {
+    let mut doc = format!("== {name}\n");
     doc.push_str(&format!(
         "config shards={} pool={} cache={}x{} qd={} cap={} batch={} span={} seed={:#x}\n",
         cfg.shards,

@@ -61,6 +61,7 @@ fn cmd_golden(update: bool) -> i32 {
         scc_verify::autoplace_decision_digest(),
     ));
     blocks.push(("serving-smoke".into(), scc_verify::serving_smoke_digest()));
+    blocks.push(("serving-burst".into(), scc_verify::serving_burst_digest()));
     for case in scc_verify::workload_goldens() {
         blocks.push((case.name.clone(), scc_verify::workload_digest(&case)));
     }

@@ -9,7 +9,8 @@
 
 use scc_verify::{
     autoplace_decision_digest, bench_schema_digest, des_recovered_digest, digest_case,
-    golden_matrix, native_tuning_digest, serving_smoke_digest, workload_digest, workload_goldens,
+    golden_matrix, native_tuning_digest, serving_burst_digest, serving_smoke_digest,
+    workload_digest, workload_goldens,
 };
 use std::path::PathBuf;
 
@@ -75,6 +76,13 @@ fn serving_smoke_digest_matches_the_pinned_file() {
 }
 
 #[test]
+fn serving_burst_digest_matches_the_pinned_file() {
+    if let Err(e) = check_or_update("serving-burst", &serving_burst_digest()) {
+        panic!("{e}");
+    }
+}
+
+#[test]
 fn workload_digests_match_the_pinned_files() {
     let mut drift = Vec::new();
     for case in workload_goldens() {
@@ -114,6 +122,7 @@ fn consecutive_matrix_runs_are_byte_identical() {
     assert_eq!(native_tuning_digest(), native_tuning_digest());
     assert_eq!(autoplace_decision_digest(), autoplace_decision_digest());
     assert_eq!(serving_smoke_digest(), serving_smoke_digest());
+    assert_eq!(serving_burst_digest(), serving_burst_digest());
     assert_eq!(des_recovered_digest(), des_recovered_digest());
     assert_eq!(bench_schema_digest(), bench_schema_digest());
 }
