@@ -6,10 +6,11 @@
 //! function test. Each renderer owns its frame buffer (4 bytes per pixel)
 //! and a z-buffer, as described in §IV.
 //!
-//! One `TriSetup` per triangle (clip → near test → screen → area →
-//! clipped box) feeds both [`rasterize`] and [`estimate_coverage`]. The
-//! fill evaluates the same f32 barycentric expression, in the same order,
-//! as a plain walk over the clipped bounding box would — so images,
+//! One `TriSetup` per triangle (clip → near test → clip-space reject →
+//! screen → area → clipped box) feeds both [`rasterize`] and
+//! [`estimate_coverage`]. The fill evaluates the same f32 barycentric
+//! expression, in the same order, as a plain walk over the clipped
+//! bounding box would — so images,
 //! z-buffers and [`RasterStats`] are bit-identical to that walk, which is
 //! kept as the test oracle — but on fewer pixels and without a branch:
 //! per scanline a `SpanBound` brackets the covered columns from the
@@ -20,7 +21,7 @@
 //! lane is the scalar expression, so the width never shows in the output
 //! (the `scc_filters::lanes` discipline). DESIGN.md §19 has the argument.
 
-use crate::math::{vec3, Mat4, Vec3};
+use crate::math::{vec3, Mat4, Vec3, Vec4};
 use crate::mesh::Triangle;
 use scc_filters::Image;
 
@@ -60,6 +61,12 @@ struct TriSetup {
 impl TriSetup {
     /// Transform `tri` onto a `w`×`h` viewport; `None` if nothing of it can
     /// be drawn.
+    ///
+    /// Inlined into the two triangle loops by force: as a call, handing
+    /// back the `Option` through memory costs a 64×64 city frame ~25 µs
+    /// of its ~200 µs of set-up, and inlined the two reject slopes are
+    /// loop constants.
+    #[inline(always)]
     fn new(tri: &Triangle, mvp: &Mat4, w: i64, h: i64) -> Option<TriSetup> {
         // Transform to clip space.
         let clip = [
@@ -72,6 +79,11 @@ impl TriSetup {
         // geometry away from the eye so this loses almost nothing, and it
         // keeps strip renders bit-consistent with full-frame renders.
         if clip.iter().any(|c| c.w < 1e-4) {
+            return None;
+        }
+        // Most of what is left lies wholly to one side of the viewport:
+        // drop it before the divides.
+        if beyond_one_edge(&clip, reject_slope(w), reject_slope(h)) {
             return None;
         }
         let ndc = [clip[0].project(), clip[1].project(), clip[2].project()];
@@ -96,10 +108,10 @@ impl TriSetup {
         }
 
         // Screen bounding box clipped to the viewport.
-        let min_x = x0.min(x1).min(x2).floor().max(0.0) as i64;
-        let max_x = (x0.max(x1).max(x2).ceil() as i64).min(w - 1);
-        let min_y = y0.min(y1).min(y2).floor().max(0.0) as i64;
-        let max_y = (y0.max(y1).max(y2).ceil() as i64).min(h - 1);
+        let min_x = floor_from_zero(x0.min(x1).min(x2));
+        let max_x = ceil_up_to(x0.max(x1).max(x2), w - 1);
+        let min_y = floor_from_zero(y0.min(y1).min(y2));
+        let max_y = ceil_up_to(y0.max(y1).max(y2), h - 1);
         if min_x > max_x || min_y > max_y {
             return None;
         }
@@ -113,6 +125,63 @@ impl TriSetup {
             min_y: min_y as usize,
             max_y: max_y as usize,
         })
+    }
+}
+
+/// How far past "a pixel outside the viewport", in NDC units, a triangle
+/// must lie before [`beyond_one_edge`] rejects it. The divide, the add and
+/// the two viewport multiplies of the exact path are each good to 2⁻²⁴
+/// relative, about 10⁻⁶ in these units all told at the worst; this is a
+/// thousand times that and still takes nine rejects in ten.
+const REJECT_MARGIN: f32 = 1e-3;
+
+/// `k` such that a clip-space vertex with `c.x < −k·c.w` (or `c.y`, for a
+/// vertical `extent`) lands more than a pixel plus [`REJECT_MARGIN`]
+/// outside a viewport `extent` pixels across: NDC −(1 + 2/extent) is
+/// pixel −1.
+#[inline]
+fn reject_slope(extent: i64) -> f32 {
+    1.0 + 2.0 / extent as f32 + REJECT_MARGIN
+}
+
+/// Conservative clip-space reject: all three vertices (`c.w > 0`) beyond
+/// the same viewport edge by the [`reject_slope`] margins. The exact box
+/// test drops every such triangle too — DESIGN.md §19 has the rounding
+/// argument — and the margin is symmetric although the far edges reject a
+/// pixel earlier. A NaN, or a product that overflows, fails its
+/// comparison, so those triangles take the exact path.
+#[inline]
+fn beyond_one_edge(clip: &[Vec4; 3], kx: f32, ky: f32) -> bool {
+    clip.iter().all(|c| c.x < -kx * c.w)
+        || clip.iter().all(|c| c.x > kx * c.w)
+        || clip.iter().all(|c| c.y < -ky * c.w)
+        || clip.iter().all(|c| c.y > ky * c.w)
+}
+
+/// `v.floor().max(0.0) as i64` for every `v` — NaN and everything at or
+/// below zero give 0, +∞ saturates — without the call into libm: above
+/// zero, truncation is the floor.
+#[inline]
+fn floor_from_zero(v: f32) -> i64 {
+    if v > 0.0 {
+        v as i64
+    } else {
+        0
+    }
+}
+
+/// `(v.ceil() as i64).min(limit)` for every `v` and `limit`, likewise by
+/// truncation: `t` is the ceiling unless it fell short of a positive
+/// fraction (an f32 that large in magnitude has none, and NaN compares
+/// false), and `t ≥ limit` settles the minimum before `t + 1` can
+/// overflow.
+#[inline]
+fn ceil_up_to(v: f32, limit: i64) -> i64 {
+    let t = v as i64;
+    if t >= limit {
+        limit
+    } else {
+        t + ((t as f32) < v) as i64
     }
 }
 
@@ -625,6 +694,85 @@ mod tests {
         );
     }
 
+    /// The clip-space reject has to fire as well as be safe: a margin that
+    /// stopped taking triangles would pass every bit-identity test and
+    /// lose the set-up saving silently. (That it takes nothing the exact
+    /// path keeps is `pinned_cases_match_the_reference_walk` over these
+    /// same frames: `triangles_filled` and every pixel are the oracle's.)
+    #[test]
+    fn clip_reject_takes_nine_in_ten_of_the_rejects_on_small_city_frames() {
+        for c in serving_cases().iter().filter(|c| (c.w, c.h) == (64, 64)) {
+            let (mut rejected, mut early) = (0u32, 0u32);
+            for &ti in &c.indices {
+                let tri = &c.tris[ti as usize];
+                let clip = tri.v.map(|v| c.mvp.transform_point(v));
+                if clip.iter().any(|v| v.w < 1e-4)
+                    || TriSetup::new(tri, &c.mvp, c.w as i64, c.h as i64).is_some()
+                {
+                    continue;
+                }
+                rejected += 1;
+                early += beyond_one_edge(&clip, reject_slope(64), reject_slope(64)) as u32;
+            }
+            println!("{}: {early} of {rejected} rejects taken early", c.name);
+            assert!(rejected > 1000, "{}: {rejected} rejects", c.name);
+            assert!(
+                10 * early >= 9 * rejected,
+                "{}: {early} of {rejected} rejects taken early",
+                c.name
+            );
+        }
+    }
+
+    #[test]
+    fn truncating_box_bounds_equal_floor_and_ceil_on_every_kind_of_value() {
+        let nudge = |v: f32, ulps: i32| f32::from_bits((v.to_bits() as i32 + ulps) as u32);
+        let mut values = vec![
+            f32::NAN,
+            f32::INFINITY,
+            f32::MIN_POSITIVE,
+            1e-30,
+            0.0,
+            0.25,
+            0.5,
+            1.0,
+            1.5,
+            2.0,
+            8388607.5,
+            8388608.0,
+            1e10,
+            9.223372e18,
+            9.223373e18,
+            3.4e38,
+            f32::MAX,
+        ];
+        let limits: Vec<i64> = [1i64, 3, 7, 8, 9, 61, 400, 401, 1 << 31, 1 << 32]
+            .iter()
+            .flat_map(|&w| [w - 1, w])
+            .chain([-1, i64::MAX - 1, i64::MAX, i64::MIN])
+            .collect();
+        // Every viewport extent, and the values an ulp to either side.
+        for &l in &limits {
+            let v = l as f32;
+            values.extend([v, nudge(v, 1), nudge(v, -1), v + 0.5, v - 0.5]);
+        }
+        let signed: Vec<f32> = values.iter().flat_map(|&v| [v, -v]).collect();
+        for &v in &signed {
+            assert_eq!(
+                floor_from_zero(v),
+                v.floor().max(0.0) as i64,
+                "floor of {v:e}"
+            );
+            for &limit in &limits {
+                assert_eq!(
+                    ceil_up_to(v, limit),
+                    (v.ceil() as i64).min(limit),
+                    "ceil of {v:e} up to {limit}"
+                );
+            }
+        }
+    }
+
     /// A coordinate from one of the regimes the fill has to survive:
     /// on-screen, a few screens out, magnitudes up to 1e7 pixels, values
     /// that differ in the last bits, and non-finite.
@@ -698,6 +846,145 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// A screen coordinate aimed at one of the thresholds the clip-space
+    /// reject and the exact box test turn on, resolved against the viewport
+    /// extent once that is known.
+    #[derive(Debug, Clone, Copy)]
+    struct Hug {
+        base: u32,
+        neg: bool,
+        ulps: i32,
+        free: f32,
+    }
+
+    impl Hug {
+        /// NDC for a viewport `extent` pixels across: pixel −1 or the
+        /// reject threshold past it, the far-side equivalents at 1 and
+        /// 1 + margin, each a few ulps off and on either side; or an
+        /// ordinary coordinate.
+        fn ndc(self, extent: u32) -> f32 {
+            let edge = 1.0 + 2.0 / extent as f32;
+            let v = match self.base {
+                0 => edge,
+                1 => edge + REJECT_MARGIN,
+                2 => 1.0,
+                3 => 1.0 + REJECT_MARGIN,
+                _ => return self.free,
+            };
+            let v = f32::from_bits((v.to_bits() as i32 + self.ulps) as u32);
+            if self.neg {
+                -v
+            } else {
+                v
+            }
+        }
+    }
+
+    fn arb_hug() -> impl Strategy<Value = Hug> {
+        (0u32..6, any::<bool>(), -4i32..5, -1.2f32..1.2).prop_map(|(base, neg, ulps, free)| Hug {
+            base,
+            neg,
+            ulps,
+            free,
+        })
+    }
+
+    /// Three vertices of [`Hug`] coordinates. `side` 0 and 1 put all three
+    /// x (resp. y) at a threshold on one side of the viewport, the only
+    /// way the reject can fire; 2 and 3 leave them as drawn.
+    #[derive(Debug, Clone)]
+    struct EdgeTri {
+        side: u32,
+        neg: bool,
+        x: [Hug; 3],
+        y: [Hug; 3],
+        z: [f32; 3],
+        color: [u8; 3],
+    }
+
+    impl EdgeTri {
+        /// The triangle whose NDC comes out at the aimed coordinates on a
+        /// `w`×`h` viewport: directly under the identity, and under
+        /// [`edge_perspective`]`(dz)` scaled by each vertex's clip `w`, so
+        /// that the divide lands within rounding of them.
+        fn build(&self, w: u32, h: u32, persp: Option<f32>) -> Triangle {
+            let aim = |hugs: &[Hug; 3], axis: u32, extent: u32| {
+                hugs.map(|mut hug| {
+                    if self.side == axis {
+                        hug.base %= 4;
+                        hug.neg = self.neg;
+                    }
+                    hug.ndc(extent)
+                })
+            };
+            let (x, y) = (aim(&self.x, 0, w), aim(&self.y, 1, h));
+            let v = |i: usize| match persp {
+                None => vec3(x[i], y[i], self.z[i]),
+                Some(dz) => {
+                    let f = edge_perspective(0.0).cols[0].x;
+                    let cw = -(self.z[i] + dz);
+                    vec3(x[i] * cw / f, y[i] * cw / f, self.z[i])
+                }
+            };
+            Triangle::new(v(0), v(1), v(2), self.color)
+        }
+    }
+
+    /// [`arb_mvp`]'s perspective: clip `w` is `−(z + dz)`, clip x and y are
+    /// view x and y times `cols[0].x`.
+    fn edge_perspective(dz: f32) -> Mat4 {
+        Mat4::perspective(1.0, 1.0, 0.5, 50.0).mul_mat(&Mat4::translation(vec3(0.0, 0.0, dz)))
+    }
+
+    fn arb_edge_tri() -> impl Strategy<Value = EdgeTri> {
+        let hugs = || (arb_hug(), arb_hug(), arb_hug()).prop_map(|(a, b, c)| [a, b, c]);
+        let zs = (-1f32..1.0, -1f32..1.0, -1f32..1.0).prop_map(|(a, b, c)| [a, b, c]);
+        (0u32..4, any::<bool>(), hugs(), hugs(), zs, any::<u32>()).prop_map(
+            |(side, neg, x, y, z, rgb)| {
+                let [r, g, b, _] = rgb.to_le_bytes();
+                EdgeTri {
+                    side,
+                    neg,
+                    x,
+                    y,
+                    z,
+                    color: [r, g, b],
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: ProptestConfig::default().cases.max(96),
+            ..ProptestConfig::default()
+        })]
+
+        /// The oracle again, on soups that sit where the clip-space reject
+        /// decides: pixel −1, the margin past it, and their far-side
+        /// counterparts, a few ulps either way.
+        #[test]
+        fn oracle_reject_boundary_soups_match_the_reference_walk(
+            soup in prop::collection::vec(arb_edge_tri(), 1..24),
+            persp in any::<bool>(),
+            dz in -3f32..0.5,
+            wi in 0usize..8,
+            h in 1u32..40,
+        ) {
+            let w = [1u32, 3, 7, 8, 9, 61, 400, 401][wi];
+            let (persp, mvp) = if persp {
+                (Some(dz), edge_perspective(dz))
+            } else {
+                (None, Mat4::IDENTITY)
+            };
+            let tris: Vec<Triangle> = soup.iter().map(|t| t.build(w, h, persp)).collect();
+            let indices: Vec<u32> = (0..tris.len() as u32).collect();
+            let (mut got, mut want) = (fresh(w, h), fresh(w, h));
+            let what = format!("{w}x{h} persp {persp:?}");
+            assert_matches_reference(&tris, &indices, &mvp, &mut got, &mut want, &what);
         }
     }
 

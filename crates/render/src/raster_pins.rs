@@ -85,29 +85,44 @@ fn city_renderer() -> Renderer {
     Renderer::new(Arc::new(Scene::city(CityConfig::default())))
 }
 
-/// The standard-city cases, as the render stage feeds the rasteriser:
-/// strip view-projection, octree cull order.
+/// One strip of the standard city as the render stage feeds the
+/// rasteriser: strip view-projection, octree cull order.
+fn city_case(
+    renderer: &Renderer,
+    tris: &Arc<Vec<Triangle>>,
+    name: String,
+    frame: u64,
+    (w, full_h): (u32, u32),
+    (pipelines, strip): (u32, u32),
+) -> Case {
+    let (y0, h) = Image::strip_bounds(full_h, pipelines)[strip as usize];
+    let mvp = Walkthrough::standard(w as f32 / full_h as f32)
+        .camera(frame)
+        .strip_view_projection(full_h, y0, h);
+    let mut indices = Vec::new();
+    renderer
+        .octree()
+        .cull(&Frustum::from_matrix(&mvp), &mut indices);
+    Case {
+        name,
+        tris: Arc::clone(tris),
+        indices,
+        mvp,
+        w,
+        h,
+    }
+}
+
+/// The standard-city cases at 400×400.
 pub(crate) fn city_cases() -> Vec<Case> {
     let renderer = city_renderer();
     let tris = Arc::new(renderer.scene().triangles.clone());
-    let walk = Walkthrough::standard(1.0);
     CITY_STRIPS
         .iter()
         .map(|&(frame, pipelines, strip)| {
-            let (y0, h) = Image::strip_bounds(CITY_SIDE, pipelines)[strip as usize];
-            let mvp = walk.camera(frame).strip_view_projection(CITY_SIDE, y0, h);
-            let mut indices = Vec::new();
-            renderer
-                .octree()
-                .cull(&Frustum::from_matrix(&mvp), &mut indices);
-            Case {
-                name: format!("city f{frame} p{pipelines} s{strip}"),
-                tris: Arc::clone(&tris),
-                indices,
-                mvp,
-                w: CITY_SIDE,
-                h,
-            }
+            let name = format!("city f{frame} p{pipelines} s{strip}");
+            let side = (CITY_SIDE, CITY_SIDE);
+            city_case(&renderer, &tris, name, frame, side, (pipelines, strip))
         })
         .collect()
 }
@@ -123,29 +138,22 @@ const SERVING_STRIPS: [(u64, u32, u32, u32, u32); 5] = [
     (200, 32, 24, 1, 0),
 ];
 
-/// The standard city at the serving sizes, fed as [`city_cases`] feeds it.
+/// The standard city at the serving sizes.
 pub(crate) fn serving_cases() -> Vec<Case> {
     let renderer = city_renderer();
     let tris = Arc::new(renderer.scene().triangles.clone());
     SERVING_STRIPS
         .iter()
         .map(|&(frame, w, full_h, pipelines, strip)| {
-            let (y0, h) = Image::strip_bounds(full_h, pipelines)[strip as usize];
-            let mvp = Walkthrough::standard(w as f32 / full_h as f32)
-                .camera(frame)
-                .strip_view_projection(full_h, y0, h);
-            let mut indices = Vec::new();
-            renderer
-                .octree()
-                .cull(&Frustum::from_matrix(&mvp), &mut indices);
-            Case {
-                name: format!("city {w}x{full_h} f{frame} p{pipelines} s{strip}"),
-                tris: Arc::clone(&tris),
-                indices,
-                mvp,
-                w,
-                h,
-            }
+            let name = format!("city {w}x{full_h} f{frame} p{pipelines} s{strip}");
+            city_case(
+                &renderer,
+                &tris,
+                name,
+                frame,
+                (w, full_h),
+                (pipelines, strip),
+            )
         })
         .collect()
 }

@@ -16,7 +16,11 @@ pub const FNV_PRIME: u64 = 0x100_0000_01B3;
 
 /// FNV-1a over a byte slice (same parameters as `scc-verify`).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a state `h` over `bytes`.
+fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -43,17 +47,17 @@ pub struct StripKey {
 }
 
 impl StripKey {
-    /// FNV-1a over the key's canonical little-endian encoding.
+    /// FNV-1a over the key's canonical little-endian encoding: the
+    /// fields in declaration order, 33 bytes, folded without building
+    /// them into a buffer.
     pub fn hash(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(37);
-        bytes.push(self.mode);
-        bytes.extend_from_slice(&self.width.to_le_bytes());
-        bytes.extend_from_slice(&self.height.to_le_bytes());
-        bytes.extend_from_slice(&self.pipelines.to_le_bytes());
-        bytes.extend_from_slice(&self.run_seed.to_le_bytes());
-        bytes.extend_from_slice(&self.pose.to_le_bytes());
-        bytes.extend_from_slice(&self.strip.to_le_bytes());
-        fnv1a(&bytes)
+        let mut h = fnv1a_fold(FNV_OFFSET, &[self.mode]);
+        h = fnv1a_fold(h, &self.width.to_le_bytes());
+        h = fnv1a_fold(h, &self.height.to_le_bytes());
+        h = fnv1a_fold(h, &self.pipelines.to_le_bytes());
+        h = fnv1a_fold(h, &self.run_seed.to_le_bytes());
+        h = fnv1a_fold(h, &self.pose.to_le_bytes());
+        fnv1a_fold(h, &self.strip.to_le_bytes())
     }
 }
 

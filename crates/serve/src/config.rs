@@ -51,8 +51,9 @@ pub struct ServeConfig {
     /// Frontend shards (thread-per-core model); sessions are assigned
     /// round-robin by id. Each shard spends `batch_frames` slots/round.
     pub shards: u32,
-    /// Pipeline-pool instances render jobs are charged against (and the
-    /// fan-out width of the round's render burst).
+    /// Pipeline-pool instances a round's work is charged against. The
+    /// host threads a round's pixels are produced on number at most this
+    /// many and at most the host's CPUs; that never shows in a report.
     pub pool: u32,
     /// Strip-cache capacity in strips; `0` disables the cache.
     pub cache_capacity: u32,

@@ -4,10 +4,12 @@
 //! allocation, cache hits/misses/evictions, the session ledger, frame
 //! latencies — are made by a deterministic virtual-time control loop, so
 //! two runs of one config agree bit-for-bit. Pixel production inside a
-//! round may fan out over real threads (the `Renderer` is `&self`-only
-//! over `Arc`s), but every job writes into a pre-assigned slot and the
-//! results are folded back in job order, so parallelism never leaks into
-//! the decisions.
+//! round — rendering and filtering the missing strips, assembling and
+//! checksumming the scheduled frames — fans out over host threads through
+//! `burst` (the `Renderer` is `&self`-only over `Arc`s), which hands the
+//! results back in job order; every decision is then taken on the control
+//! thread in that order, so the host's thread count never shows in a
+//! report or a film (DESIGN.md §17, "Host execution of a round").
 //!
 //! One round:
 //!  1. **admit** this round's arrivals (per-tenant queue bound, global
@@ -18,9 +20,9 @@
 //!  3. **resolve** each scheduled frame's strips against the
 //!     content-addressed cache; misses become render jobs, de-duplicated
 //!     across sessions (two viewers at one pose render once);
-//!  4. **render** the job burst on up to `pool` threads, charge each
-//!     pool instance virtual cycles from the shared [`CostModel`], and
-//!     advance virtual time by the slowest instance;
+//!  4. **render** the job burst, charge each of the `pool` instances
+//!     virtual cycles from the shared [`CostModel`], and advance virtual
+//!     time by the slowest instance;
 //!  5. **deliver**: insert new strips (LRU-bounded), assemble frames,
 //!     record ready→delivered latency, retire finished sessions into the
 //!     ledger.
@@ -35,6 +37,7 @@ use scc_filters::{standard_chain, FrameCtx, Image, StripInfo};
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_telemetry::{names, TelemetrySink, SECONDS_BUCKETS};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The SCC's P54C cores run at 533 MHz (§II); all pool cost charging is
@@ -198,6 +201,39 @@ pub fn wfq_allocate(slots: u64, pending: &[u64], weights: &[u32]) -> Vec<u64> {
     alloc
 }
 
+/// `f(0), f(1), .., f(n - 1)`, in index order, computed on up to `threads`
+/// host threads of which the calling thread is one. Jobs are claimed from
+/// a shared counter, so a thread that draws a cheap job takes the next
+/// one rather than idling behind a static deal. A panic in a job is
+/// re-raised on the caller once the other threads have run out of jobs.
+fn burst<T: Send>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    // Relaxed: the counter only deals out indices. The results reach the
+    // caller through `join`, which is the synchronisation.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let helpers = threads.min(n).saturating_sub(1);
+    let mut done = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for h in handles {
+            done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        done
+    });
+    debug_assert_eq!(done.len(), n, "burst: every index is claimed exactly once");
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, v)| v).collect()
+}
+
 /// Serve the configured workload against `scene`.
 ///
 /// Panics on an invalid config, and — via the core invariant machinery —
@@ -212,8 +248,15 @@ pub fn serve(cfg: &ServeConfig, scene: &Arc<Scene>) -> ServeOutcome {
     let renderer = Renderer::new(scene.clone());
     let walk = Walkthrough::standard(run.width as f32 / run.height as f32);
     let chain = standard_chain();
+    let backend = run.tuning.kernel.resolve();
     let bounds = Image::strip_bounds(run.height, run.pipelines);
     let model = CostModel::default();
+    // A burst wider than the host only queues threads behind each other:
+    // `pool` is how many modelled instances the round is charged over,
+    // the host decides how many threads can actually run.
+    let host_threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(cfg.pool as usize);
     let mut cache = StripCache::new(cfg.cache_capacity, cfg.cache_buckets);
 
     let arrivals = generate_sessions(cfg);
@@ -377,8 +420,9 @@ pub fn serve(cfg: &ServeConfig, scene: &Arc<Scene>) -> ServeOutcome {
         };
         unique_renders += jobs.len() as u64;
 
-        // ---- 4. render burst (parallel, deterministic fold) -----------
-        let run_job = |&(pose, strip): &(u64, Option<u32>)| -> Vec<(u32, StripInfo, Image)> {
+        // ---- 4. render burst (parallel, results in job order) ---------
+        let outputs = burst(host_threads, jobs.len(), |j| {
+            let (pose, strip) = jobs[j];
             let cam = walk.camera(pose);
             let raw: Vec<(StripInfo, Image)> = match strip {
                 Some(si) => {
@@ -399,8 +443,7 @@ pub fn serve(cfg: &ServeConfig, scene: &Arc<Scene>) -> ServeOutcome {
                 }
             };
             raw.into_iter()
-                .map(|(mut info, mut img)| {
-                    let si = info.index;
+                .map(|(info, mut img)| {
                     let ctx = FrameCtx {
                         frame_id: pose,
                         run_seed: run.seed,
@@ -408,44 +451,23 @@ pub fn serve(cfg: &ServeConfig, scene: &Arc<Scene>) -> ServeOutcome {
                         full_width: run.width,
                     };
                     for f in &chain {
-                        f.apply(&mut img, &ctx);
+                        f.apply_vectored(&mut img, &ctx, backend, 1);
                     }
-                    info = scc_filters::vswap::mirrored_info(info);
-                    (si, info, img)
+                    (info.index, scc_filters::vswap::mirrored_info(info), img)
                 })
-                .collect()
-        };
-        let threads = (cfg.pool as usize).min(jobs.len());
-        let mut outputs: Vec<(usize, Vec<(u32, StripInfo, Image)>)> = if threads <= 1 {
-            jobs.iter().enumerate().map(|(j, job)| (j, run_job(job))).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|tid| {
-                        let jobs = &jobs;
-                        let run_job = &run_job;
-                        scope.spawn(move || {
-                            jobs.iter()
-                                .enumerate()
-                                .skip(tid)
-                                .step_by(threads)
-                                .map(|(j, job)| (j, run_job(job)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("serve: render worker panicked"))
-                    .collect()
-            })
-        };
-        outputs.sort_by_key(|&(j, _)| j);
+                .collect::<Vec<(u32, StripInfo, Image)>>()
+        });
 
         // ---- virtual-time charging ------------------------------------
-        let mut busy = vec![0.0f64; cfg.pool as usize];
-        for (j, strips) in outputs.iter() {
-            let (pose, strip) = jobs[*j];
+        // Jobs, hits and frames are each dealt round-robin over the pool
+        // and the round takes the busiest instance, so instances past the
+        // longest of the three lists would only ever hold zeros.
+        let charged = (jobs.len() as u64)
+            .max(hit_count_this_round)
+            .max(scheduled.len() as u64);
+        let mut busy = vec![0.0f64; charged.min(cfg.pool as u64) as usize];
+        for (j, strips) in outputs.iter().enumerate() {
+            let (pose, strip) = jobs[j];
             let render_cycles = match strip {
                 Some(si) => {
                     let (_, h) = bounds[si as usize];
@@ -478,7 +500,7 @@ pub fn serve(cfg: &ServeConfig, scene: &Arc<Scene>) -> ServeOutcome {
                     filter_cycles += model.filter_cycles(f.as_ref(), &ctx);
                 }
             }
-            busy[*j % cfg.pool as usize] += render_secs + cycles_to_secs(filter_cycles, P54C_HZ);
+            busy[j % cfg.pool as usize] += render_secs + cycles_to_secs(filter_cycles, P54C_HZ);
         }
         // Cache hits cost one strip transfer each; delivered frames cost
         // one assemble each. Both are charged round-robin over the pool.
@@ -497,8 +519,7 @@ pub fn serve(cfg: &ServeConfig, scene: &Arc<Scene>) -> ServeOutcome {
         vtime += round_secs;
 
         // ---- 5. delivery ----------------------------------------------
-        for (j, strips) in outputs {
-            let (pose, _) = jobs[j];
+        for (&(pose, _), strips) in jobs.iter().zip(outputs) {
             for (si, info, img) in strips {
                 // Only strips a session asked for enter the cache; the
                 // split of a full frame also yields strips nobody missed.
@@ -520,17 +541,21 @@ pub fn serve(cfg: &ServeConfig, scene: &Arc<Scene>) -> ServeOutcome {
                 store.entry((pose, si)).or_insert((info, img));
             }
         }
-        for &ai in &scheduled {
-            let pose = active[ai].pose();
+        // A frame's bytes depend only on the round's strip store, so the
+        // frames assemble and checksum side by side; the ledger below
+        // takes them in dispatch order.
+        let frames = burst(host_threads, scheduled.len(), |i| {
+            let pose = active[scheduled[i]].pose();
             let strips: Vec<(StripInfo, Image)> = (0..bounds.len() as u32)
                 .map(|si| store.get(&(pose, si)).expect("strip resolved").clone())
                 .collect();
             let frame = Image::assemble(&strips);
+            (fnv1a(frame.as_bytes()), cfg.keep_films.then_some(frame))
+        });
+        for (&ai, (checksum, frame)) in scheduled.iter().zip(frames) {
             let s = &mut active[ai];
-            s.checksums.push(fnv1a(frame.as_bytes()));
-            if cfg.keep_films {
-                s.film.push(frame);
-            }
+            s.checksums.push(checksum);
+            s.film.extend(frame);
             latencies.push(vtime - s.ready_vtime);
             s.ready_vtime = vtime;
             s.next_frame += 1;
@@ -785,6 +810,110 @@ mod tests {
             .find(|c| c.name == names::SERVE_SESSIONS_ADMITTED_TOTAL)
             .expect("admitted counter");
         assert_eq!(admitted.value, out.report.admitted);
+    }
+
+    #[test]
+    fn hostile_pool_width_serves_like_any_pool_wider_than_its_busiest_round() {
+        // A round of the tiny config charges at most 2 shards × 3 frames
+        // × 2 strips = 12 items, so every pool from there up is the same
+        // run; `u32::MAX` instances must not be 32 GiB of ledger a round.
+        let scene = tiny_scene();
+        let serve_with_pool = |pool: u32| {
+            let mut cfg = tiny_cfg();
+            cfg.pool = pool;
+            serve(&cfg, &scene)
+        };
+        let (wide, hostile) = (serve_with_pool(12), serve_with_pool(u32::MAX));
+        assert_eq!(hostile.report, wide.report);
+        let sums = |o: &ServeOutcome| -> Vec<Vec<u64>> {
+            o.films.iter().map(|f| f.checksums.clone()).collect()
+        };
+        assert_eq!(sums(&hostile), sums(&wide));
+    }
+
+    #[test]
+    fn burst_runs_every_index_once_and_answers_in_index_order() {
+        for threads in [1, 2, 5] {
+            for n in [0, 1, 2, 9] {
+                let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let out = burst(threads, n, |i| {
+                    calls[i].fetch_add(1, Ordering::SeqCst);
+                    i * i
+                });
+                let want: Vec<usize> = (0..n).map(|i| i * i).collect();
+                assert_eq!(out, want, "threads {threads} n {n}");
+                assert!(
+                    calls.iter().all(|c| c.load(Ordering::SeqCst) == 1),
+                    "threads {threads} n {n}: an index ran twice or not at all"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn burst_spawns_no_thread_it_has_no_job_for() {
+        // `min(threads, n) − 1` helpers: none for an empty burst, and a
+        // single job runs on the thread that asked.
+        let me = std::thread::current().id();
+        assert!(burst(5, 0, |_| std::thread::current().id()).is_empty());
+        assert_eq!(burst(5, 1, |_| std::thread::current().id()), [me]);
+    }
+
+    /// Count this job in and wait until `n` jobs are inside the burst at
+    /// once; false if they never are (a burst that ran them one after the
+    /// other), so a regression fails instead of hanging.
+    fn rendezvous(arrived: &AtomicUsize, n: usize) -> bool {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while arrived.load(Ordering::SeqCst) < n {
+            if std::time::Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    #[test]
+    fn burst_runs_jobs_side_by_side_with_the_caller_as_a_worker() {
+        let me = std::thread::current().id();
+        let arrived = AtomicUsize::new(0);
+        let out = burst(2, 2, |_| {
+            (rendezvous(&arrived, 2), std::thread::current().id() == me)
+        });
+        assert!(out.iter().all(|&(met, _)| met), "jobs never overlapped");
+        assert_eq!(
+            out.iter().filter(|&&(_, on_caller)| on_caller).count(),
+            1,
+            "the calling thread takes exactly one of two overlapping jobs"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "job on a helper failed")]
+    fn burst_reraises_a_helper_panic_on_the_caller() {
+        let me = std::thread::current().id();
+        let arrived = AtomicUsize::new(0);
+        burst(2, 2, |_| {
+            // Both threads hold a job before either decides.
+            assert!(rendezvous(&arrived, 2));
+            if std::thread::current().id() != me {
+                panic!("job on a helper failed");
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "job on the caller failed")]
+    fn burst_lets_a_caller_panic_through_once_the_helpers_are_done() {
+        let me = std::thread::current().id();
+        let arrived = AtomicUsize::new(0);
+        burst(2, 2, |_| {
+            assert!(rendezvous(&arrived, 2));
+            if std::thread::current().id() == me {
+                panic!("job on the caller failed");
+            }
+        });
     }
 
     #[test]

@@ -517,7 +517,7 @@ pub fn serving_burst_digest() -> String {
         batch_frames: 4,
         pose_span: 1_000_000,
         arrival_burst: 8,
-        seed: 0x5EC5_E55,
+        seed: 0x05EC_5E55,
         keep_films: false,
     };
     let r = serve(&cfg, &verify_scene()).report;

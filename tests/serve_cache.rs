@@ -11,7 +11,7 @@ mod common;
 use common::scene;
 use proptest::prelude::*;
 use scc_core::reference::reference_frames;
-use scc_core::{Fidelity, RendererMode, RunConfig};
+use scc_core::{Fidelity, KernelChoice, RendererMode, RunConfig};
 use scc_serve::{serve, ServeConfig, ServeOutcome, TenantSpec};
 
 const MODES: [RendererMode; 3] = [
@@ -79,6 +79,34 @@ fn cache_is_transparent_in_every_renderer_mode() {
             "{mode:?}: cache changed film bytes"
         );
         assert_eq!(on.report.film_hash, off.report.film_hash);
+    }
+}
+
+#[test]
+fn kernel_choice_never_moves_a_served_pixel() {
+    // `serve` runs the filter chain through the backend `tuning.kernel`
+    // resolves to, as the three runners do. 36 columns leave the 8-pixel
+    // block kernels a tail on every row of every 8-row strip.
+    for mode in MODES {
+        let films = [KernelChoice::Scalar, KernelChoice::Simd, KernelChoice::Auto].map(|kernel| {
+            let mut cfg = serve_cfg(mode);
+            cfg.run.width = 36;
+            cfg.run.height = 24;
+            cfg.run.pipelines = 3;
+            cfg.run.tuning.kernel = kernel;
+            cfg.keep_films = false;
+            cfg.validate().expect("valid serve config");
+            let out = run(&cfg);
+            let sums: Vec<(u32, Vec<u64>)> = out
+                .films
+                .iter()
+                .map(|f| (f.id, f.checksums.clone()))
+                .collect();
+            (out.report.film_hash, sums)
+        });
+        assert!(!films[0].1.is_empty(), "{mode:?}: no session completed");
+        assert_eq!(films[1], films[0], "{mode:?}: simd differs from scalar");
+        assert_eq!(films[2], films[0], "{mode:?}: auto differs from scalar");
     }
 }
 
