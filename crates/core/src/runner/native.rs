@@ -23,6 +23,7 @@ use scc_sim::fault::{FaultConfig, FaultPlan};
 use scc_sim::stats::Quartiles;
 use scc_sim::{CoreId, SimTime};
 use scc_telemetry::{names, TelemetrySink, IDLE_MS_BUCKETS};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -41,6 +42,9 @@ pub struct NativeReport {
     pub host: HostTiming,
     /// Buffer-pool reuse counters (all zero when pooling is off).
     pub pool_stats: PoolStats,
+    /// `(messages, wire bytes)` each source thread's endpoint sent, in
+    /// rank order.
+    pub source_sent: Vec<(u64, u64)>,
     /// Wall-clock phase spans per stage thread, present when
     /// [`RunConfig::trace`] is set. Times are nanoseconds since the run
     /// started, expressed on the same [`SimTime`] axis the simulator
@@ -199,6 +203,15 @@ fn recv_bytes(ep: &Endpoint, reliable: bool, src: usize) -> Bytes {
     }
 }
 
+/// What `ep` has sent so far: `(messages, bytes)`.
+fn sent(ep: &Endpoint) -> (u64, u64) {
+    let stats = ep.stats();
+    (
+        stats.sent_messages.load(Ordering::Relaxed),
+        stats.sent_bytes.load(Ordering::Relaxed),
+    )
+}
+
 /// Rank layout of the native communicator.
 ///
 /// The scheduler plan shapes the interior: one rank (one OS thread) per
@@ -314,7 +327,8 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
     // trace in the report.
     let tracing = cfg.trace || tel.is_enabled();
     let start = Instant::now();
-    let mut handles: Vec<thread::JoinHandle<TraceLog>> = Vec::new();
+    // Span log and the endpoint's sent (messages, bytes).
+    let mut handles: Vec<thread::JoinHandle<(TraceLog, (u64, u64))>> = Vec::new();
     // Wait samples, assembled frames (transfer only), span log, and the
     // number of frames this thread actually handled (a replica sees only
     // its stride's share).
@@ -360,7 +374,7 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                     rec.span(f, Phase::Send, c1, Instant::now());
                     pool.release(img);
                 }
-                rec.into_log()
+                (rec.into_log(), sent(&ep))
             }));
         }
         RendererMode::PerPipelineRenderer => {
@@ -399,7 +413,7 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                         rec.span(f, Phase::Send, c1, Instant::now());
                         pool.release(frame.image.expect("strip pixels"));
                     }
-                    rec.into_log()
+                    (rec.into_log(), sent(&ep))
                 }));
             }
         }
@@ -547,8 +561,10 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
     }
 
     let mut trace = tracing.then(TraceLog::new);
+    let mut source_sent = Vec::with_capacity(handles.len());
     for h in handles {
-        let log = h.join().expect("source thread panicked");
+        let (log, sent) = h.join().expect("source thread panicked");
+        source_sent.push(sent);
         if let Some(t) = trace.as_mut() {
             t.merge(log);
         }
@@ -614,6 +630,7 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
         idle_ms,
         host,
         pool_stats,
+        source_sent,
         trace,
         telemetry: tel.snapshot(),
     }
@@ -878,6 +895,44 @@ mod tests {
         ref_cfg.renderer = RendererMode::SingleRenderer;
         let reference = reference_frames(&ref_cfg, scene());
         assert_eq!(native.frames, reference);
+    }
+
+    /// What a change to how strips move between threads must not move: a
+    /// 64x48, 3-frame film equals the sequential reference checksum for
+    /// checksum in every renderer mode, pool on and off, and each source
+    /// puts `payload + 36` bytes a strip on the wire.
+    #[test]
+    fn film_checksums_and_source_traffic_are_pinned() {
+        use crate::viz::frame_checksum;
+        // (mode, pipelines, sources, (messages, bytes) per source).
+        let cases = [
+            (RendererMode::SingleRenderer, 2, 1, (6, 37_080)),
+            (RendererMode::PerPipelineRenderer, 3, 3, (3, 12_396)),
+            (RendererMode::McpcRenderer, 2, 1, (6, 37_080)),
+        ];
+        for (mode, p, sources, sent) in cases {
+            let mut c = cfg(mode, p, 3);
+            c.height = 48;
+            let mut ref_cfg = c.clone();
+            if mode == RendererMode::McpcRenderer {
+                ref_cfg.renderer = RendererMode::SingleRenderer;
+            }
+            let want: Vec<u64> = reference_frames(&ref_cfg, scene())
+                .iter()
+                .map(frame_checksum)
+                .collect();
+            for pooled in [true, false] {
+                c.tuning.buffer_pool = pooled;
+                let report = run_native(&c, scene());
+                let got: Vec<u64> = report.frames.iter().map(frame_checksum).collect();
+                assert_eq!(got, want, "{mode:?} pooled={pooled}");
+                assert_eq!(
+                    report.source_sent,
+                    vec![sent; sources],
+                    "{mode:?} pooled={pooled}"
+                );
+            }
+        }
     }
 
     #[test]

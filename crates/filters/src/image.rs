@@ -304,6 +304,25 @@ mod tests {
         assert_eq!(Image::assemble(&strips), img);
     }
 
+    /// Pinned before `assemble` changed how it builds the frame: every
+    /// strip count of a 7x11 gradient, one row a strip included, with the
+    /// strips handed over in a shuffled order.
+    #[test]
+    fn assemble_of_shuffled_strips_is_the_frame() {
+        let img = gradient(7, 11);
+        let orders: [&[usize]; 4] = [
+            &[0],
+            &[1, 0],
+            &[1, 2, 0],
+            &[4, 9, 0, 7, 2, 10, 5, 1, 8, 3, 6],
+        ];
+        for order in orders {
+            let strips = img.split_strips(order.len() as u32);
+            let shuffled: Vec<_> = order.iter().map(|&i| strips[i].clone()).collect();
+            assert_eq!(Image::assemble(&shuffled), img, "{} strips", order.len());
+        }
+    }
+
     #[test]
     fn rows_are_contiguous() {
         let img = gradient(5, 4);

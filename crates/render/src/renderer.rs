@@ -239,6 +239,23 @@ mod tests {
         assert_eq!(sa.cull, sb.cull);
     }
 
+    /// The property a recycled render target must keep: what a renderer
+    /// drew before — another pose, another size — leaves no trace in the
+    /// next strip.
+    #[test]
+    fn render_strip_does_not_depend_on_the_previous_render() {
+        let r = small_renderer();
+        let w = Walkthrough::standard(64.0 / 48.0);
+        let cam = w.camera(21);
+        let (first, s1) = r.render_strip(&cam, 64, 48, 16, 16);
+        let _ = r.render_full(&w.camera(300), 96, 80);
+        let _ = r.render_strip(&w.camera(5), 32, 48, 40, 8);
+        let (again, s2) = r.render_strip(&cam, 64, 48, 16, 16);
+        assert_eq!(first, again);
+        assert_eq!(s1.raster, s2.raster);
+        assert_eq!(s1.cull, s2.cull);
+    }
+
     #[test]
     fn shared_clone_uses_same_octree() {
         let r = small_renderer();
