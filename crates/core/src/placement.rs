@@ -133,7 +133,9 @@ impl Placement {
         // core may repeat, but only across *contiguous* stage slots of
         // the same lane (a scheduler merge), never between lanes or
         // with an endpoint.
-        let mut singular: HashSet<CoreId> = HashSet::new();
+        // Indexed by core: this runs in every `place`, and two hash
+        // tables with fresh random states cost more than the rest of it.
+        let mut singular = [false; NUM_CORES as usize];
         for &c in self
             .renderers
             .iter()
@@ -141,25 +143,21 @@ impl Placement {
             .chain(self.replicas.iter().flat_map(|r| r.extras.iter()))
             .chain(std::iter::once(&self.transfer))
         {
-            assert!(singular.insert(c), "placement assigns {c} twice");
+            assert!(!singular[c.index()], "placement assigns {c} twice");
+            singular[c.index()] = true;
         }
-        let mut lane_owner: std::collections::HashMap<CoreId, (usize, usize)> =
-            std::collections::HashMap::new();
+        let mut lane_owner: [Option<(usize, usize)>; NUM_CORES as usize] =
+            [None; NUM_CORES as usize];
         for (i, lane) in self.pipelines.iter().enumerate() {
             for (j, &c) in lane.iter().enumerate() {
-                assert!(!singular.contains(&c), "placement assigns {c} twice");
-                match lane_owner.get(&c) {
-                    None => {
-                        lane_owner.insert(c, (i, j));
-                    }
-                    Some(&(li, lj)) => {
-                        assert!(
-                            li == i && lj + 1 == j,
-                            "placement assigns {c} twice (non-contiguous reuse)"
-                        );
-                        lane_owner.insert(c, (i, j));
-                    }
+                assert!(!singular[c.index()], "placement assigns {c} twice");
+                if let Some((li, lj)) = lane_owner[c.index()] {
+                    assert!(
+                        li == i && lj + 1 == j,
+                        "placement assigns {c} twice (non-contiguous reuse)"
+                    );
                 }
+                lane_owner[c.index()] = Some((i, j));
             }
         }
     }

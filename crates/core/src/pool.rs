@@ -1,23 +1,26 @@
 //! Recycled frame/strip buffer pool.
 //!
-//! Every hop of the native pipeline used to allocate a fresh RGBA buffer
-//! (decode, filter output, assembly) — hundreds of megabytes of churn per
-//! walkthrough. The pool keeps released buffers on a bounded free list and
-//! hands their allocations back out, independent of geometry (a `Vec` is
-//! re-sized to whatever the next acquire needs). Only the native runner
-//! has pixels to pool: a timing-only run prices its filters from strip
-//! geometry and allocates no image at all.
+//! A strip of the native film lives in one buffer from the source thread
+//! that fills it to the transfer stage that assembles it: every hop seals
+//! and decodes that same allocation. The pool closes the loop — transfer
+//! releases a frame's strips, the source's next acquire finds them — on a
+//! bounded free list independent of geometry (a `Vec` is re-sized to what
+//! the next acquire needs). A timing-only run allocates no image at all.
 //!
 //! Invariants (property-tested in `tests/pool_props.rs`):
 //!
 //! * **No aliasing** — an acquired [`Image`] owns its buffer exclusively;
 //!   the pool never hands the same live allocation to two callers.
 //! * **No stale pixels** — [`BufferPool::acquire_filled`] overwrites every
-//!   byte from the given payload. Pooled and unpooled runs therefore
-//!   produce identical output.
+//!   byte from the given payload; [`BufferPool::acquire_stale`] promises
+//!   geometry only, and its caller overwrites every pixel itself. Pooled
+//!   and unpooled runs therefore produce identical output.
+//! * **Room for a trailer** — every buffer handed out has the hop codec's
+//!   36 bytes of spare capacity, so sealing it never reallocates.
 //! * **Bounded** — at most `max_free` buffers are retained; extra
 //!   releases simply drop their allocation.
 
+use crate::runner::native::FRAME_TRAILER;
 use parking_lot::Mutex;
 use scc_filters::{Image, BYTES_PER_PIXEL};
 use std::sync::Arc;
@@ -86,19 +89,22 @@ impl BufferPool {
         self.inner.is_some()
     }
 
-    /// A buffer of `len` bytes whose contents the caller overwrites in
-    /// full: a recycled one keeps whatever bytes it held.
+    /// A buffer with room for `len` bytes and a hop trailer; a recycled
+    /// one keeps the length and contents its last holder left.
     fn take_buffer(&self, len: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
         if let Some(inner) = &self.inner {
             let mut inner = inner.lock();
-            if let Some(mut buf) = inner.free.pop() {
-                inner.stats.recycled += 1;
-                buf.resize(len, 0);
-                return buf;
+            match inner.free.pop() {
+                Some(recycled) => {
+                    inner.stats.recycled += 1;
+                    buf = recycled;
+                }
+                None => inner.stats.fresh += 1,
             }
-            inner.stats.fresh += 1;
         }
-        vec![0u8; len]
+        buf.reserve_exact((len + FRAME_TRAILER).saturating_sub(buf.len()));
+        buf
     }
 
     /// An image whose every byte comes from `payload` (which must match
@@ -109,7 +115,17 @@ impl BufferPool {
             .and_then(|px| px.checked_mul(BYTES_PER_PIXEL));
         assert_eq!(Some(payload.len()), len, "payload size mismatch");
         let mut data = self.take_buffer(payload.len());
-        data.copy_from_slice(payload);
+        data.clear();
+        data.extend_from_slice(payload);
+        Image::from_raw(width, height, data)
+    }
+
+    /// An image of this geometry for a caller that overwrites every pixel:
+    /// the contents are unspecified (a recycled buffer keeps its old ones).
+    pub fn acquire_stale(&self, width: u32, height: u32) -> Image {
+        let len = width as usize * height as usize * BYTES_PER_PIXEL;
+        let mut data = self.take_buffer(len);
+        data.resize(len, 0);
         Image::from_raw(width, height, data)
     }
 

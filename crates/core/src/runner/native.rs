@@ -15,7 +15,7 @@ use crate::partition::StagePlan;
 use crate::pool::{BufferPool, PoolStats};
 use crate::spec::{RendererMode, RunConfig, StageKind};
 use crate::trace::{Phase, TraceLog};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use scc_filters::{standard_chain, Image, StripInfo, BYTES_PER_PIXEL};
 use scc_rcce::{communicator, crc32, Endpoint, MpbConfig, RcceError, Reliability};
 use scc_render::{Renderer, Scene, Walkthrough};
@@ -23,7 +23,7 @@ use scc_sim::fault::{FaultConfig, FaultPlan};
 use scc_sim::stats::Quartiles;
 use scc_sim::{CoreId, SimTime};
 use scc_telemetry::{names, TelemetrySink, IDLE_MS_BUCKETS};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -42,8 +42,7 @@ pub struct NativeReport {
     pub host: HostTiming,
     /// Buffer-pool reuse counters (all zero when pooling is off).
     pub pool_stats: PoolStats,
-    /// `(messages, wire bytes)` each source thread's endpoint sent, in
-    /// rank order.
+    /// `(messages, bytes)` each source's endpoint sent, in rank order.
     pub source_sent: Vec<(u64, u64)>,
     /// Wall-clock phase spans per stage thread, present when
     /// [`RunConfig::trace`] is set. Times are nanoseconds since the run
@@ -101,32 +100,40 @@ impl SpanRecorder {
     }
 }
 
-/// Bytes before the pixels: the CRC field plus the 32-byte header.
-const FRAME_HEADER: usize = 36;
+/// Bytes after the pixels: the 32-byte header plus the CRC field.
+pub(crate) const FRAME_TRAILER: usize = 36;
 
-/// Wire format: `crc32(rest) || header || RGBA payload`. The checksum
-/// covers everything after itself, so a flipped bit anywhere — header or
-/// pixels — is detected (a flip inside the CRC field itself simply makes
-/// the stored value wrong).
-///
-/// The message is built once, in its final buffer: the CRC field is
-/// reserved up front and patched after header and pixels are in place,
-/// so the pixels are copied exactly once per hop.
+/// Finish a hop message in the buffer that holds the strip's pixels.
+/// Wire format: `RGBA payload || header || crc32(payload || header)`,
+/// big-endian — the checksum covers everything before itself, so a flipped
+/// bit anywhere is detected. The pixels stay at offset 0 of their
+/// allocation, and a buffer with [`FRAME_TRAILER`] bytes of spare capacity
+/// (every [`BufferPool`] buffer, every decoded one) is not reallocated.
+fn seal(mut buf: Vec<u8>, id: u64, s: StripInfo, full_width: u32) -> Bytes {
+    buf.reserve_exact(FRAME_TRAILER);
+    buf.extend_from_slice(&id.to_be_bytes());
+    for v in [s.index, s.count, s.y0, s.height, s.full_height, full_width] {
+        buf.extend_from_slice(&v.to_be_bytes());
+    }
+    let crc = crc32(&buf);
+    buf.extend_from_slice(&crc.to_be_bytes());
+    Bytes::from(buf)
+}
+
+/// The hop message of a frame the caller keeps: one copy of the pixels
+/// into a message-sized buffer, then [`seal`].
 pub fn encode_frame(frame: &Frame) -> Bytes {
-    let img = frame.image.as_ref().expect("native frames carry pixels");
-    let mut buf = BytesMut::with_capacity(FRAME_HEADER + img.as_bytes().len());
-    buf.put_u32(0);
-    buf.put_u64(frame.id);
-    buf.put_u32(frame.strip.index);
-    buf.put_u32(frame.strip.count);
-    buf.put_u32(frame.strip.y0);
-    buf.put_u32(frame.strip.height);
-    buf.put_u32(frame.strip.full_height);
-    buf.put_u32(frame.full_width);
-    buf.put_slice(img.as_bytes());
-    let crc = crc32(&buf[4..]);
-    buf[..4].copy_from_slice(&crc.to_be_bytes());
-    buf.freeze()
+    let pixels = frame.image.as_ref().expect("native frames carry pixels");
+    let mut buf = Vec::with_capacity(pixels.as_bytes().len() + FRAME_TRAILER);
+    buf.extend_from_slice(pixels.as_bytes());
+    seal(buf, frame.id, frame.strip, frame.full_width)
+}
+
+/// The hop message of a frame the caller is done with: its pixel buffer
+/// becomes the message, no copy.
+pub fn encode_frame_owned(frame: Frame) -> Bytes {
+    let pixels = frame.image.expect("native frames carry pixels");
+    seal(pixels.into_raw(), frame.id, frame.strip, frame.full_width)
 }
 
 enum DecodeFailure {
@@ -135,42 +142,43 @@ enum DecodeFailure {
     Crc,
 }
 
-fn try_decode_pooled(mut b: Bytes, pool: &BufferPool) -> Result<Frame, DecodeFailure> {
-    if b.len() < FRAME_HEADER {
+fn try_decode_pooled(b: Bytes, _pool: &BufferPool) -> Result<Frame, DecodeFailure> {
+    let Some(pixels) = b.len().checked_sub(FRAME_TRAILER) else {
         return Err(DecodeFailure::Truncated);
-    }
-    let crc = b.get_u32();
-    if crc32(&b) != crc {
+    };
+    let (body, crc) = b.split_at(b.len() - 4);
+    if crc32(body).to_be_bytes() != crc {
         return Err(DecodeFailure::Crc);
     }
-    let id = b.get_u64();
-    let index = b.get_u32();
-    let count = b.get_u32();
-    let y0 = b.get_u32();
-    let height = b.get_u32();
-    let full_height = b.get_u32();
-    let full_width = b.get_u32();
+    let mut header = &body[pixels..];
+    let id = header.get_u64();
+    let mut field = || header.get_u32();
     let strip = StripInfo {
-        index,
-        count,
-        y0,
-        height,
-        full_height,
+        index: field(),
+        count: field(),
+        y0: field(),
+        height: field(),
+        full_height: field(),
     };
+    let full_width = field();
     // The header is outside input: an empty strip or a geometry whose
     // byte count does not fit `usize` cannot match any payload.
     let expect = (full_width as usize)
-        .checked_mul(height as usize)
+        .checked_mul(strip.height as usize)
         .and_then(|px| px.checked_mul(BYTES_PER_PIXEL))
         .filter(|&bytes| bytes > 0);
-    if expect != Some(b.len()) {
+    if expect != Some(pixels) {
         return Err(DecodeFailure::SizeMismatch);
     }
+    // The message's buffer becomes the image — a copy only if a
+    // retransmit clone or a consumed envelope prefix shares it.
+    let mut data = Vec::from(b);
+    data.truncate(pixels);
     Ok(Frame {
         id,
         strip,
         full_width,
-        image: Some(pool.acquire_filled(full_width, height, &b)),
+        image: Some(Image::from_raw(full_width, strip.height, data)),
     })
 }
 
@@ -181,8 +189,8 @@ pub fn decode_frame_checked(b: Bytes, src: usize) -> Result<Frame, RcceError> {
     decode_frame_pooled(b, src, &BufferPool::disabled())
 }
 
-/// [`decode_frame_checked`] drawing the frame's pixel buffer from a
-/// [`BufferPool`] instead of the allocator.
+/// [`decode_frame_checked`]: the frame's pixel buffer is the message's
+/// own, so nothing is drawn from `pool`, only released into it later.
 pub fn decode_frame_pooled(b: Bytes, src: usize, pool: &BufferPool) -> Result<Frame, RcceError> {
     try_decode_pooled(b, pool).map_err(|_| RcceError::Corrupt { rank: src })
 }
@@ -203,13 +211,22 @@ fn recv_bytes(ep: &Endpoint, reliable: bool, src: usize) -> Bytes {
     }
 }
 
-/// What `ep` has sent so far: `(messages, bytes)`.
-fn sent(ep: &Endpoint) -> (u64, u64) {
-    let stats = ep.stats();
-    (
-        stats.sent_messages.load(Ordering::Relaxed),
-        stats.sent_bytes.load(Ordering::Relaxed),
-    )
+/// Strip `i` of frame `f` — rows `y0..y0 + height`, rendered into `image`
+/// — sealed for its first hop.
+fn first_hop(cfg: &RunConfig, f: u64, i: usize, (y0, height): (u32, u32), image: Image) -> Bytes {
+    let strip = StripInfo {
+        index: i as u32,
+        count: cfg.pipelines,
+        y0,
+        height,
+        full_height: cfg.height,
+    };
+    encode_frame_owned(Frame {
+        id: f,
+        strip,
+        full_width: cfg.width,
+        image: Some(image),
+    })
 }
 
 /// Rank layout of the native communicator.
@@ -318,8 +335,8 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
 
     let renderer = Arc::new(Renderer::new(scene));
     let bounds = Image::strip_bounds(cfg.height, cfg.pipelines);
-    // One shared pool: a stage releasing its sent frame feeds the next
-    // stage's decode, so steady state runs with a fixed set of buffers.
+    // A strip keeps one buffer from the source's acquire to the transfer
+    // stage's release, where the source's next acquire finds it.
     let pool = BufferPool::from_enabled(cfg.tuning.buffer_pool);
     let kernel_threads = cfg.tuning.kernel_threads as usize;
     // Telemetry mirrors the span log into its event stream, so an
@@ -327,8 +344,8 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
     // trace in the report.
     let tracing = cfg.trace || tel.is_enabled();
     let start = Instant::now();
-    // Span log and the endpoint's sent (messages, bytes).
-    let mut handles: Vec<thread::JoinHandle<(TraceLog, (u64, u64))>> = Vec::new();
+    // A source returns its span log and its endpoint, for the counters.
+    let mut handles: Vec<thread::JoinHandle<(TraceLog, Endpoint)>> = Vec::new();
     // Wait samples, assembled frames (transfer only), span log, and the
     // number of frames this thread actually handled (a replica sees only
     // its stride's share).
@@ -352,29 +369,26 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
             handles.push(thread::spawn(move || {
                 let mut rec = SpanRecorder::new(tracing, start, rank, StageKind::Render, None);
                 let walkthrough = Walkthrough::standard(cfg.width as f32 / cfg.height as f32);
+                // One render target and z-buffer for the whole film; each
+                // strip is cut out of its rows into a pooled buffer.
+                let mut target = Image::new(cfg.width, cfg.height);
+                let mut zbuf = Vec::new();
+                let row_bytes = cfg.width as usize * BYTES_PER_PIXEL;
                 for f in 0..cfg.frames {
                     let c0 = Instant::now();
                     let cam = walkthrough.camera(f);
-                    let (img, _) = renderer.render_full(&cam, cfg.width, cfg.height);
+                    renderer.render_strip_into(&cam, cfg.height, 0, &mut target, &mut zbuf);
                     let c1 = Instant::now();
-                    for (i, (info, strip)) in
-                        img.split_strips(cfg.pipelines).into_iter().enumerate()
-                    {
-                        let frame = Frame {
-                            id: f,
-                            strip: info,
-                            full_width: cfg.width,
-                            image: Some(strip),
-                        };
+                    for (i, &(y0, h)) in bounds.iter().enumerate() {
+                        let rows = y0 as usize * row_bytes..(y0 + h) as usize * row_bytes;
+                        let strip = pool.acquire_filled(cfg.width, h, &target.as_bytes()[rows]);
                         let dst = filters0[i][(f % filters0[i].len() as u64) as usize];
-                        send_bytes(&ep, reliable, dst, encode_frame(&frame));
-                        pool.release(frame.image.expect("strip pixels"));
+                        send_bytes(&ep, reliable, dst, first_hop(&cfg, f, i, (y0, h), strip));
                     }
                     rec.span(f, Phase::Compute, c0, c1);
                     rec.span(f, Phase::Send, c1, Instant::now());
-                    pool.release(img);
                 }
-                (rec.into_log(), sent(&ep))
+                (rec.into_log(), ep)
             }));
         }
         RendererMode::PerPipelineRenderer => {
@@ -384,36 +398,26 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                 let cfg = cfg.clone();
                 let (y0, h) = bounds[i];
                 let dsts: Vec<usize> = layout.groups[i][0].clone();
-                let count = cfg.pipelines;
                 let pool = pool.clone();
                 handles.push(thread::spawn(move || {
                     let mut rec =
                         SpanRecorder::new(tracing, start, rank, StageKind::Render, Some(i as u32));
                     let walkthrough = Walkthrough::standard(cfg.width as f32 / cfg.height as f32);
+                    let mut zbuf = Vec::new();
                     for f in 0..cfg.frames {
                         let c0 = Instant::now();
                         let cam = walkthrough.camera(f);
-                        let (strip, _) = renderer.render_strip(&cam, cfg.width, cfg.height, y0, h);
+                        // A recycled buffer holds some earlier strip: the
+                        // render overwrites every pixel of it.
+                        let mut strip = pool.acquire_stale(cfg.width, h);
+                        renderer.render_strip_into(&cam, cfg.height, y0, &mut strip, &mut zbuf);
                         let c1 = Instant::now();
-                        let frame = Frame {
-                            id: f,
-                            strip: StripInfo {
-                                index: i as u32,
-                                count,
-                                y0,
-                                height: h,
-                                full_height: cfg.height,
-                            },
-                            full_width: cfg.width,
-                            image: Some(strip),
-                        };
                         let dst = dsts[(f % dsts.len() as u64) as usize];
-                        send_bytes(&ep, reliable, dst, encode_frame(&frame));
+                        send_bytes(&ep, reliable, dst, first_hop(&cfg, f, i, (y0, h), strip));
                         rec.span(f, Phase::Compute, c0, c1);
                         rec.span(f, Phase::Send, c1, Instant::now());
-                        pool.release(frame.image.expect("strip pixels"));
                     }
-                    (rec.into_log(), sent(&ep))
+                    (rec.into_log(), ep)
                 }));
             }
         }
@@ -445,7 +449,6 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                 };
                 let stages: Vec<usize> = group.stages().collect();
                 let kind = StageKind::PIPELINE_FILTERS[group.start];
-                let pool = pool.clone();
                 stage_handles.push((
                     kind,
                     i as u32,
@@ -462,8 +465,8 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                             let src = src_ranks[(f % src_ranks.len() as u64) as usize];
                             let raw = recv_bytes(&ep, reliable, src);
                             let r0 = Instant::now();
-                            let mut frame = decode_frame_pooled(raw, src, &pool)
-                                .expect("frame survived transport");
+                            let mut frame =
+                                decode_frame_checked(raw, src).expect("frame survived transport");
                             let ctx = frame.ctx(cfg.seed);
                             rec.span(frame.id, Phase::Wait, w0, r0);
                             // A merged group's stages run back-to-back on
@@ -488,10 +491,10 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                                 );
                                 prev = now;
                             }
+                            let id = frame.id;
                             let dst = dst_ranks[(f % dst_ranks.len() as u64) as usize];
-                            send_bytes(&ep, reliable, dst, encode_frame(&frame));
-                            rec.span(frame.id, Phase::Send, prev, Instant::now());
-                            pool.release(frame.image.expect("pixels"));
+                            send_bytes(&ep, reliable, dst, encode_frame_owned(frame));
+                            rec.span(id, Phase::Send, prev, Instant::now());
                             handled += 1;
                             f += r as u64;
                         }
@@ -531,7 +534,7 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
                     let mut strips = Vec::with_capacity(swap_ranks.len());
                     for lane in &swap_ranks {
                         let r = lane[(f % lane.len() as u64) as usize];
-                        let frame = decode_frame_pooled(recv_bytes(&ep, reliable, r), r, &pool)
+                        let frame = decode_frame_checked(recv_bytes(&ep, reliable, r), r)
                             .expect("frame survived transport");
                         strips.push((frame.strip, frame.image.expect("pixels")));
                     }
@@ -560,19 +563,32 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
         ));
     }
 
+    let sources: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("source thread panicked"))
+        .collect();
+    let stages: Vec<_> = stage_handles
+        .into_iter()
+        .map(|(kind, pl, h)| (kind, pl, h.join().expect("stage thread panicked")))
+        .collect();
+    // The film is done here; merging the span logs below is bookkeeping.
+    let wall = start.elapsed();
+
     let mut trace = tracing.then(TraceLog::new);
-    let mut source_sent = Vec::with_capacity(handles.len());
-    for h in handles {
-        let (log, sent) = h.join().expect("source thread panicked");
-        source_sent.push(sent);
+    let mut source_sent = Vec::with_capacity(sources.len());
+    for (log, ep) in sources {
+        let sent = ep.stats();
+        source_sent.push((
+            sent.sent_messages.load(Relaxed),
+            sent.sent_bytes.load(Relaxed),
+        ));
         if let Some(t) = trace.as_mut() {
             t.merge(log);
         }
     }
     let mut frames = Vec::new();
     let mut idle_ms = Vec::new();
-    for (kind, pl, h) in stage_handles {
-        let (waits, out, log, handled) = h.join().expect("stage thread panicked");
+    for (kind, pl, (waits, out, log, handled)) in stages {
         if let Some(out) = out {
             frames = out;
         }
@@ -602,7 +618,6 @@ pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
         t.sort_by_time();
     }
 
-    let wall = start.elapsed();
     let host = HostTiming::from_wall(
         wall.as_secs_f64(),
         frames.len() as u64,
@@ -686,6 +701,32 @@ mod tests {
         assert_eq!(decoded.image.unwrap(), img);
     }
 
+    /// The wire layout written out longhand, for the tests to hold the
+    /// codec against: payload, frame id and six strip fields big-endian
+    /// (index, count, y0, height, full height, full width), CRC-32 of
+    /// everything before it.
+    fn reference_wire(id: u64, fields: [u32; 6], payload: &[u8]) -> Vec<u8> {
+        let mut wire = payload.to_vec();
+        wire.extend_from_slice(&id.to_be_bytes());
+        for v in fields {
+            wire.extend_from_slice(&v.to_be_bytes());
+        }
+        let crc = crc32(&wire);
+        wire.extend_from_slice(&crc.to_be_bytes());
+        wire
+    }
+
+    /// A frame's only strip, `h` rows.
+    fn whole(h: u32) -> StripInfo {
+        StripInfo {
+            index: 0,
+            count: 1,
+            y0: 0,
+            height: h,
+            full_height: h,
+        }
+    }
+
     /// FNV-1a 64, as `tests/filter_golden.rs` hashes pixels.
     fn fnv1a(bytes: &[u8]) -> u64 {
         let mut acc: u64 = 0xcbf2_9ce4_8422_2325;
@@ -725,19 +766,14 @@ mod tests {
         }
     }
 
-    /// The exact bytes `encode_frame` puts on the wire, pinned by length
-    /// and FNV-1a hash for three fixed frames: a 2x2 single strip, strip 1
-    /// of 2 of a 400x400 frame, and a 1-pixel-wide strip whose 28-byte
-    /// payload is not a multiple of 16.
+    /// The exact bytes `encode_frame` puts on the wire, checked against a
+    /// reference writer of the layout (payload, eight big-endian fields,
+    /// CRC-32 of both) and pinned by length and FNV-1a hash for three
+    /// fixed frames: a 2x2 single strip, strip 1 of 2 of a 400x400 frame,
+    /// and a 1-pixel-wide strip whose 28-byte payload is not a multiple
+    /// of 16.
     #[test]
     fn encode_frame_wire_bytes_are_pinned() {
-        let whole = |h: u32| StripInfo {
-            index: 0,
-            count: 1,
-            y0: 0,
-            height: h,
-            full_height: h,
-        };
         let lower_half = StripInfo {
             index: 1,
             count: 2,
@@ -754,13 +790,24 @@ mod tests {
             .iter()
             .map(|f| {
                 let wire = encode_frame(f);
+                let s = f.strip;
+                let fields = [
+                    s.index,
+                    s.count,
+                    s.y0,
+                    s.height,
+                    s.full_height,
+                    f.full_width,
+                ];
+                let pixels = f.image.as_ref().unwrap().as_bytes();
+                assert_eq!(wire, reference_wire(f.id, fields, pixels)[..]);
                 (wire.len(), fnv1a(&wire))
             })
             .collect();
         let want = [
-            (52, 0xae7f_56f6_8e0f_8e02),
-            (320_036, 0x77b4_2b5f_13cd_a639),
-            (64, 0xbf78_aa23_0277_ba2e),
+            (52, 0xa44a_2acd_467e_9145),
+            (320_036, 0x2ddb_fa30_c7cf_f1a4),
+            (64, 0xd12b_92f1_10a2_a46f),
         ];
         assert_eq!(got, want);
     }
@@ -768,17 +815,8 @@ mod tests {
     /// A correctly-checksummed message of frame 0, strip 0 of 1 at row 0,
     /// claiming `full_width` x `height` pixels over `payload`.
     fn checksummed(full_width: u32, height: u32, payload: &[u8]) -> Bytes {
-        let mut content = BytesMut::new();
-        content.put_u64(0);
-        // index, count, y0, height, full_height, full_width.
-        for v in [0u32, 1, 0, height, height, full_width] {
-            content.put_u32(v);
-        }
-        content.put_slice(payload);
-        let mut b = BytesMut::new();
-        b.put_u32(crc32(&content));
-        b.put_slice(&content);
-        b.freeze()
+        let fields = [0, 1, 0, height, height, full_width];
+        Bytes::from(reference_wire(0, fields, payload))
     }
 
     #[test]
@@ -814,6 +852,79 @@ mod tests {
                 "{full_width} x {height} over {} bytes",
                 payload.len()
             );
+        }
+    }
+
+    /// The point of the trailer layout: a strip sent through five
+    /// consuming hops stays in the allocation its first hop sealed.
+    #[test]
+    fn a_strip_keeps_one_allocation_across_hops() {
+        let strip = StripInfo {
+            index: 1,
+            count: 2,
+            y0: 9,
+            height: 9,
+            full_height: 18,
+        };
+        let first = patterned_frame(5, strip, 67, 0xBEEF);
+        let pixels = first.image.clone().unwrap();
+        // An image from `Image::new` has no spare capacity: the first
+        // seal may move it, none after that.
+        let mut frame = decode_frame_checked(encode_frame_owned(first), 0).unwrap();
+        let home = frame.image.as_ref().unwrap().as_bytes().as_ptr();
+        let mut capacity = None;
+        for hop in 1..5 {
+            let wire = encode_frame_owned(frame);
+            assert_eq!(wire.as_ptr(), home, "hop {hop}: seal moved the strip");
+            assert_eq!(wire.len(), pixels.as_bytes().len() + FRAME_TRAILER);
+            frame = decode_frame_checked(wire, 0).unwrap();
+            let raw = frame.image.take().unwrap().into_raw();
+            assert_eq!(raw.as_ptr(), home, "hop {hop}: decode moved the strip");
+            assert!(raw.capacity() >= raw.len() + FRAME_TRAILER);
+            assert_eq!(*capacity.get_or_insert(raw.capacity()), raw.capacity());
+            frame.image = Some(Image::from_raw(67, strip.height, raw));
+        }
+        assert_eq!((frame.id, frame.strip, frame.full_width), (5, strip, 67));
+        assert_eq!(frame.image.unwrap(), pixels);
+    }
+
+    /// A handle something else still holds — `send_reliable`'s retransmit
+    /// clone, an envelope whose prefix was consumed — decodes to the same
+    /// frame from a copy, and the other holder's bytes are untouched.
+    #[test]
+    fn shared_or_consumed_message_decodes_from_a_copy() {
+        let frame = patterned_frame(3, whole(5), 6, 11);
+        let wire = encode_frame(&frame);
+        let held = wire.clone();
+        let decoded = decode_frame_checked(wire, 0).expect("shared handle");
+        assert_eq!(decoded.image, frame.image);
+        assert_ne!(
+            decoded.image.as_ref().unwrap().as_bytes().as_ptr(),
+            held.as_ptr()
+        );
+        assert_eq!(held, encode_frame(&frame));
+
+        let mut envelope = vec![0xEE; 12];
+        envelope.extend_from_slice(&held);
+        let mut payload = Bytes::from(envelope);
+        let _ = (payload.get_u64(), payload.get_u32());
+        let decoded = decode_frame_checked(payload, 0).expect("consumed prefix");
+        assert_eq!((decoded.id, decoded.strip), (3, frame.strip));
+        assert_eq!(decoded.image, frame.image);
+    }
+
+    #[test]
+    fn every_message_shorter_than_the_trailer_is_corrupt() {
+        let frame = patterned_frame(1, whole(1), 1, 2);
+        let wire = encode_frame(&frame).to_vec();
+        for len in 0..FRAME_TRAILER {
+            // Both ends of a real message, and zeros.
+            for short in [&wire[..len], &wire[wire.len() - len..], &[0u8; 36][..len]] {
+                assert!(matches!(
+                    decode_frame_checked(Bytes::copy_from_slice(short), 4),
+                    Err(RcceError::Corrupt { rank: 4 })
+                ));
+            }
         }
     }
 
@@ -1016,12 +1127,18 @@ mod tests {
 
     #[test]
     fn pool_recycles_and_host_timing_is_populated() {
-        let c = cfg(RendererMode::SingleRenderer, 2, 5);
+        // The pool serves the two ends of the pipeline: a buffer comes
+        // back when the transfer stage is done with a frame. A lane holds
+        // at most 18 strips past its source (six windows of 2, five
+        // filter threads, the transfer stage), so the 20th frame's
+        // acquire follows the first frame's release however the threads
+        // are scheduled; a shorter film may finish on fresh buffers.
+        let c = cfg(RendererMode::SingleRenderer, 2, 24);
         let report = run_native(&c, scene());
         let s = report.pool_stats;
         assert!(s.recycled > 0, "steady state must reuse buffers: {s:?}");
         assert!(s.returned > 0);
-        assert_eq!(report.host.frames, 5);
+        assert_eq!(report.host.frames, 24);
         assert!(report.host.frames_per_sec > 0.0);
         assert!(report.host.wall_secs > 0.0);
 
@@ -1134,5 +1251,28 @@ mod tests {
             native.frames, reference,
             "retry protocol must hide injected message faults"
         );
+    }
+
+    /// Reliable hops re-frame every message, so a strip's buffer does not
+    /// survive them: drops, corruption and delays together, over the
+    /// per-pipeline sources' recycled targets, still deliver the film.
+    #[test]
+    fn native_strips_survive_drops_corruption_and_delays() {
+        use crate::spec::FaultSpec;
+        let mut c = cfg(RendererMode::PerPipelineRenderer, 2, 4);
+        c.verify = true;
+        c.fault = Some(FaultSpec {
+            seed: 0xD1A7,
+            drop_rate: 0.05,
+            corrupt_rate: 0.05,
+            delay_rate: 0.1,
+            timeout_us: 100_000,
+            retry_budget: 5,
+            ..FaultSpec::default()
+        });
+        let native = run_native(&c, scene());
+        let mut clean = c.clone();
+        clean.fault = None;
+        assert_eq!(native.frames, reference_frames(&clean, scene()));
     }
 }

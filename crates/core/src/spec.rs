@@ -426,8 +426,8 @@ pub struct NativeTuning {
     /// *inside* a stage, on top of the one-thread-per-stage macro
     /// pipelining.
     pub kernel_threads: u32,
-    /// Recycle frame/strip allocations through `scc-core`'s buffer pool
-    /// instead of hitting the allocator every hop.
+    /// Recycle strip allocations through `scc-core`'s buffer pool: the
+    /// transfer stage releases a frame's strips, the source reuses them.
     pub buffer_pool: bool,
     /// Filter-kernel backend (scalar reference loops vs lane-vectorized
     /// kernels; `Auto` is vectorized).

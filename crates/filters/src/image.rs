@@ -189,35 +189,50 @@ impl Image {
             .collect()
     }
 
+    /// The strips in `y0` order, checked to tile one frame: each starts on
+    /// the row the one above it ends on, the last ends on the last row.
+    fn tiled(strips: &[(StripInfo, Image)]) -> Vec<&(StripInfo, Image)> {
+        assert!(!strips.is_empty(), "no strips to assemble");
+        let full_height = strips[0].0.full_height;
+        let width = strips[0].1.width();
+        assert_eq!(strips.len() as u32, strips[0].0.count, "missing strips");
+        let mut order: Vec<&(StripInfo, Image)> = strips.iter().collect();
+        order.sort_by_key(|(info, _)| info.y0);
+        let mut placed = 0;
+        for (info, img) in &order {
+            assert_eq!(info.full_height, full_height, "inconsistent strip set");
+            assert_eq!(img.width(), width, "strip width mismatch");
+            assert_eq!(img.height(), info.height, "strip height mismatch");
+            assert_eq!(info.y0, placed, "strips do not tile the frame");
+            placed += info.height;
+        }
+        assert_eq!(placed, full_height, "strips do not tile the frame");
+        order
+    }
+
     /// Reassemble strips produced by [`Image::split_strips`] (any order).
     pub fn assemble(strips: &[(StripInfo, Image)]) -> Image {
-        assert!(!strips.is_empty(), "no strips to assemble");
-        let mut out = Image::new(strips[0].1.width(), strips[0].0.full_height);
-        Image::assemble_into(strips, &mut out);
-        out
+        let rows = Image::tiled(strips);
+        let (width, full_height) = (rows[0].1.width, rows[0].0.full_height);
+        let mut data = Vec::with_capacity(width as usize * full_height as usize * BYTES_PER_PIXEL);
+        for (_, img) in rows {
+            data.extend_from_slice(&img.data);
+        }
+        Image::from_raw(width, full_height, data)
     }
 
     /// Reassemble strips into a caller-provided full-frame image (the
     /// pool-friendly variant of [`Image::assemble`]): `out` must already
     /// have the full-frame geometry, and every pixel of it is overwritten.
     pub fn assemble_into(strips: &[(StripInfo, Image)], out: &mut Image) {
-        assert!(!strips.is_empty(), "no strips to assemble");
-        let full_height = strips[0].0.full_height;
-        let width = strips[0].1.width();
-        let count = strips[0].0.count;
-        assert_eq!(strips.len() as u32, count, "missing strips");
-        assert_eq!(out.width, width, "output width mismatch");
-        assert_eq!(out.height, full_height, "output height mismatch");
-        let mut covered = 0;
-        for (info, img) in strips {
-            assert_eq!(info.full_height, full_height, "inconsistent strip set");
-            assert_eq!(img.width(), width, "strip width mismatch");
-            assert_eq!(img.height(), info.height, "strip height mismatch");
-            let start = out.offset(0, info.y0);
+        let rows = Image::tiled(strips);
+        assert_eq!(out.width, rows[0].1.width, "output width mismatch");
+        assert_eq!(out.height, rows[0].0.full_height, "output height mismatch");
+        let mut start = 0;
+        for (_, img) in rows {
             out.data[start..start + img.data.len()].copy_from_slice(&img.data);
-            covered += info.height;
+            start += img.data.len();
         }
-        assert_eq!(covered, full_height, "strips do not tile the frame");
     }
 }
 
@@ -362,6 +377,25 @@ mod tests {
         strips[0].0.count = 1;
         strips[0].0.full_height = 8;
         Image::assemble(&strips);
+    }
+
+    /// Two strips at the same `y0` whose heights add up to the frame's
+    /// used to pass the height sum and leave the rows below unwritten.
+    #[test]
+    #[should_panic(expected = "strips do not tile")]
+    fn assemble_rejects_overlapping_strips() {
+        let mut strips = gradient(4, 8).split_strips(2);
+        strips[1].0.y0 = 0;
+        Image::assemble(&strips);
+    }
+
+    #[test]
+    #[should_panic(expected = "strips do not tile")]
+    fn assemble_into_rejects_a_gap() {
+        let mut strips = gradient(4, 9).split_strips(3);
+        // Rows 0..3, 4..7 and 6..9: the heights still sum to nine.
+        strips[1].0.y0 = 4;
+        Image::assemble_into(&strips, &mut Image::new(4, 9));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::camera::Camera;
 use crate::frustum::Frustum;
 use crate::octree::{CullStats, Octree};
 use crate::probe::ProbeKey;
-use crate::raster::{estimate_coverage, new_zbuf, rasterize, RasterStats};
+use crate::raster::{estimate_coverage, rasterize, RasterStats};
 use crate::scene::Scene;
 use scc_filters::Image;
 use std::sync::Arc;
@@ -128,12 +128,28 @@ impl Renderer {
         y0: u32,
         h: u32,
     ) -> (Image, RenderStats) {
+        let mut img = Image::new(width, h);
+        let stats = self.render_strip_into(camera, full_height, y0, &mut img, &mut Vec::new());
+        (img, stats)
+    }
+
+    /// [`Renderer::render_strip`] into a target the caller keeps: `img`
+    /// gives the strip's width and height and is overwritten whole, `zbuf`
+    /// is re-sized and re-filled — neither has to hold anything on entry.
+    pub fn render_strip_into(
+        &self,
+        camera: &Camera,
+        full_height: u32,
+        y0: u32,
+        img: &mut Image,
+        zbuf: &mut Vec<f32>,
+    ) -> RenderStats {
+        let h = img.height();
         let mvp = camera.strip_view_projection(full_height, y0, h);
         let mut visible = Vec::new();
         let cull = self
             .octree()
             .cull(&Frustum::from_matrix(&mvp), &mut visible);
-        let mut img = Image::new(width, h);
         // Sky gradient background so the silent film has something to
         // flicker over even where no geometry lands.
         for y in 0..h {
@@ -141,13 +157,14 @@ impl Renderer {
             let r = (150.0 - 60.0 * t) as u8;
             let g = (170.0 - 50.0 * t) as u8;
             let b = (200.0 - 40.0 * t) as u8;
-            for x in 0..width {
-                img.set(x, y, [r, g, b, 255]);
+            for px in img.row_mut(y).chunks_exact_mut(4) {
+                px.copy_from_slice(&[r, g, b, 255]);
             }
         }
-        let mut zbuf = new_zbuf(width, h);
-        let raster = rasterize(&self.scene.triangles, &visible, &mvp, &mut img, &mut zbuf);
-        (img, RenderStats { cull, raster })
+        zbuf.clear();
+        zbuf.resize(img.pixel_count() as usize, f32::INFINITY);
+        let raster = rasterize(&self.scene.triangles, &visible, &mvp, img, zbuf);
+        RenderStats { cull, raster }
     }
 
     /// Render a complete frame (a single strip covering every row).
@@ -254,6 +271,75 @@ mod tests {
         assert_eq!(first, again);
         assert_eq!(s1.raster, s2.raster);
         assert_eq!(s1.cull, s2.cull);
+    }
+
+    /// `render_strip_into` over a target full of `0xAB` and a z-buffer of
+    /// the wrong length full of `-1.0` (nearer than anything) equals
+    /// `render_strip`, on the geometries `raster_pins` pins: the standard
+    /// city at 400x400 and at the serving sizes.
+    #[test]
+    fn render_strip_into_overwrites_a_dirty_target() {
+        let r = Renderer::new(Arc::new(Scene::city(CityConfig::default())));
+        // (frame, width, full height, pipelines, strip).
+        let cases = [
+            (0, 400, 400, 1, 0),
+            (133, 400, 400, 1, 0),
+            (266, 400, 400, 1, 0),
+            (57, 400, 400, 2, 1),
+            (200, 400, 400, 3, 0),
+            (200, 400, 400, 3, 2),
+            (311, 400, 400, 7, 3),
+            (399, 400, 400, 7, 6),
+            (0, 64, 64, 1, 0),
+            (133, 64, 64, 1, 0),
+            (266, 64, 64, 1, 0),
+            (57, 64, 64, 2, 1),
+            (200, 32, 24, 1, 0),
+        ];
+        for (frame, w, full_h, pipelines, strip) in cases {
+            let (y0, h) = Image::strip_bounds(full_h, pipelines)[strip];
+            let cam = Walkthrough::standard(w as f32 / full_h as f32).camera(frame);
+            let (want, want_stats) = r.render_strip(&cam, w, full_h, y0, h);
+            let mut img = Image::new(w, h);
+            img.fill([0xAB; 4]);
+            let mut zbuf = vec![-1.0f32; (w * h) as usize / 2 + frame as usize];
+            let stats = r.render_strip_into(&cam, full_h, y0, &mut img, &mut zbuf);
+            let name = format!("f{frame} {w}x{full_h} p{pipelines} s{strip}");
+            assert_eq!(img, want, "{name}");
+            assert_eq!(stats.raster, want_stats.raster, "{name}");
+            assert_eq!(stats.cull, want_stats.cull, "{name}");
+            assert_eq!(zbuf.len(), (w * h) as usize, "{name}");
+        }
+    }
+
+    /// One target and one z-buffer through ten consecutive poses, as a
+    /// source thread keeps them, with the strip geometry changing twice
+    /// on the way (the buffer keeps its stale bytes, as a pooled one
+    /// does).
+    #[test]
+    fn render_strip_into_recycles_one_target_across_poses_and_sizes() {
+        let r = small_renderer();
+        let mut img = Image::new(64, 48);
+        let mut zbuf = Vec::new();
+        for frame in 0..10u64 {
+            // (width, full height, y0, rows).
+            let (w, full_h, y0, h) = match frame {
+                0..=3 => (64, 48, 0, 48),
+                4..=6 => (32, 48, 24, 24),
+                _ => (96, 64, 16, 40),
+            };
+            if (img.width(), img.height()) != (w, h) {
+                let mut raw = img.into_raw();
+                raw.resize((w * h) as usize * 4, 0xAB);
+                img = Image::from_raw(w, h, raw);
+            }
+            let cam = Walkthrough::standard(w as f32 / full_h as f32).camera(frame * 37);
+            let stats = r.render_strip_into(&cam, full_h, y0, &mut img, &mut zbuf);
+            let (want, want_stats) = r.render_strip(&cam, w, full_h, y0, h);
+            assert_eq!(img, want, "frame {frame}");
+            assert_eq!(stats.raster, want_stats.raster, "frame {frame}");
+            assert_eq!(stats.cull, want_stats.cull, "frame {frame}");
+        }
     }
 
     #[test]

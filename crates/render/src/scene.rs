@@ -87,8 +87,26 @@ impl Scene {
     pub fn city(cfg: CityConfig) -> Scene {
         assert!(cfg.side >= 1);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut tris = Vec::with_capacity(12 * (cfg.side * cfg.side) as usize + 2);
         let half = cfg.side as f32 * cfg.spacing * 0.5;
+        // Cell (i, j)'s centre, or `None` inside the plaza left at the
+        // middle so the camera orbit stays outside the buildings.
+        let building_at = |i: u32, j: u32| {
+            let cx = i as f32 * cfg.spacing - half + cfg.spacing * 0.5;
+            let cz = j as f32 * cfg.spacing - half + cfg.spacing * 0.5;
+            if cx * cx + cz * cz < (cfg.spacing * 2.5) * (cfg.spacing * 2.5) {
+                None
+            } else {
+                Some((cx, cz))
+            }
+        };
+        // Reserve what the city will hold — a box is 12 triangles — and
+        // not a box for every cell: a ground-only scene then allocates
+        // 96 bytes rather than kilobytes it never fills.
+        let buildings = (0..cfg.side)
+            .flat_map(|i| (0..cfg.side).map(move |j| (i, j)))
+            .filter(|&(i, j)| building_at(i, j).is_some())
+            .count();
+        let mut tris = Vec::with_capacity(12 * buildings + 2);
 
         // Ground plane (two big triangles).
         let g = 1.2 * half;
@@ -108,14 +126,9 @@ impl Scene {
 
         for i in 0..cfg.side {
             for j in 0..cfg.side {
-                let cx = i as f32 * cfg.spacing - half + cfg.spacing * 0.5;
-                let cz = j as f32 * cfg.spacing - half + cfg.spacing * 0.5;
-                // Leave a plaza at the centre so the camera orbit stays
-                // outside the buildings.
-                let r2 = cx * cx + cz * cz;
-                if r2 < (cfg.spacing * 2.5) * (cfg.spacing * 2.5) {
+                let Some((cx, cz)) = building_at(i, j) else {
                     continue;
-                }
+                };
                 let w = rng.gen_range(0.25..0.45) * cfg.spacing;
                 let d = rng.gen_range(0.25..0.45) * cfg.spacing;
                 let h = rng.gen_range(4.0..28.0);
@@ -152,6 +165,22 @@ mod tests {
         let b = Scene::city(CityConfig::default());
         assert_eq!(a.triangle_count(), b.triangle_count());
         assert_eq!(a.triangles[100], b.triangles[100]);
+    }
+
+    #[test]
+    fn city_reserves_exactly_what_it_holds() {
+        // The plaza swallows all of a 4x4 city: two ground triangles, and
+        // no kilobytes reserved for buildings that are never placed.
+        let flat = Scene::city(CityConfig {
+            side: 4,
+            ..Default::default()
+        });
+        assert_eq!((flat.triangles.len(), flat.triangles.capacity()), (2, 2));
+        let city = Scene::city(CityConfig::default());
+        assert_eq!(
+            (city.triangles.len(), city.triangles.capacity()),
+            (6722, 6722)
+        );
     }
 
     #[test]

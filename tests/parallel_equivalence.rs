@@ -150,7 +150,13 @@ fn kernel_choice_is_invisible_on_every_backend() {
 
 #[test]
 fn pool_stats_reflect_the_knob() {
-    let pooled = run_native(&cfg(RendererMode::SingleRenderer, baseline()), scene());
+    // Long enough that a strip must come back before the film ends: a
+    // lane holds at most 18 strips between its source and the transfer
+    // stage's release (six windows of 2, five filters, transfer), and the
+    // source is the pool's only taker.
+    let mut long = cfg(RendererMode::SingleRenderer, baseline());
+    long.frames = 24;
+    let pooled = run_native(&long, scene());
     assert!(
         pooled.pool_stats.recycled + pooled.pool_stats.fresh > 0,
         "pooled run recorded no acquisitions"
