@@ -9,7 +9,7 @@
 //! `scc_telemetry::Json`, flat like the other bench documents.
 
 use scc_core::viz::frame_checksum;
-use scc_core::{auto_place, Arrangement, RunConfig, SimRunner};
+use scc_core::{auto_place, Arrangement, RunConfig};
 use scc_render::Scene;
 use scc_telemetry::Json;
 use std::fmt::Write as _;
@@ -57,7 +57,7 @@ pub fn measure_autoplace(base: &RunConfig, scene: &Arc<Scene>) -> AutoplaceRepor
     let mut auto_cfg = base.clone();
     auto_cfg.auto_place = true;
     let decision_table = auto_place(&auto_cfg).decision_table();
-    let auto_report = SimRunner::new(auto_cfg.clone(), Arc::clone(scene)).run();
+    let auto_report = crate::run(auto_cfg.clone(), Arc::clone(scene));
     let auto_sum = checksum_fold(auto_report.outputs.as_ref().expect("full fidelity"));
     let mut points = vec![PlacementPoint {
         label: "auto".into(),
@@ -75,7 +75,7 @@ pub fn measure_autoplace(base: &RunConfig, scene: &Arc<Scene>) -> AutoplaceRepor
         let mut fixed = base.clone();
         fixed.auto_place = false;
         fixed.arrangement = arr;
-        let report = SimRunner::new(fixed, Arc::clone(scene)).run();
+        let report = crate::run(fixed, Arc::clone(scene));
         let sum = checksum_fold(report.outputs.as_ref().expect("full fidelity"));
         consistent &= sum == auto_sum;
         best_fixed = best_fixed.min(report.total_secs);

@@ -120,7 +120,7 @@ fn main() {
                 .trace(true)
                 .build()
                 .expect("valid config");
-            let r = scc_core::SimRunner::new(config, std::sync::Arc::clone(&scene)).run();
+            let r = scc_bench::run(config, std::sync::Arc::clone(&scene));
             let log = r.trace.expect("trace enabled");
             let path = "target/pipeline_trace.json";
             std::fs::create_dir_all("target").ok();

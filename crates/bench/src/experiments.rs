@@ -1,8 +1,9 @@
 //! One entry point per paper table/figure.
 
 use scc_core::{
-    place, place_dvfs_single_pipeline, run_baseline, Arrangement, BaselineReport, CostModel,
-    PowerConfig, RendererMode, RunConfig, SimRunner, StageKind, WalkthroughReport,
+    place, place_dvfs_single_pipeline, run_baseline, run_with_scene, Arrangement, Backend,
+    BaselineReport, CostModel, PowerConfig, RendererMode, RunConfig, SimRunner, StageKind,
+    WalkthroughReport,
 };
 use scc_render::Scene;
 use scc_sim::power::McpcPower;
@@ -24,9 +25,12 @@ fn cfg(mode: RendererMode, arr: Arrangement, p: u32) -> RunConfig {
         .expect("valid config")
 }
 
-/// Run one walkthrough and return the report.
+/// Run one film walkthrough on the sim backend and return its report.
 pub fn run(config: RunConfig, scene: Arc<Scene>) -> WalkthroughReport {
-    SimRunner::new(config, scene).run()
+    run_with_scene(&config, Backend::Sim, scene)
+        .report
+        .sim()
+        .expect("a sim film run")
 }
 
 // ---------------------------------------------------------------- Fig. 8
@@ -319,6 +323,7 @@ pub fn dvfs_run(variant: DvfsVariant, scene: &Arc<Scene>) -> WalkthroughReport {
         SccPlatform::new(SccConfig::default()),
         CostModel::default(),
     )
+    .expect("a valid static film config")
     .run()
 }
 
@@ -492,6 +497,7 @@ pub fn whatif(scene: &Arc<Scene>) -> Vec<WhatIfRow> {
             SccPlatform::new(scc_cfg),
             CostModel::default(),
         )
+        .expect("a valid static film config")
         .run()
         .total_secs
     };
@@ -590,6 +596,7 @@ pub fn sensitivity(scene: &Arc<Scene>) -> Vec<SensitivityRow> {
             SccPlatform::new(scc_cfg),
             CostModel::default(),
         )
+        .expect("a valid static film config")
         .run()
         .total_secs
     };
@@ -650,7 +657,7 @@ pub fn freq_sweep(scene: &Arc<Scene>) -> Vec<FreqRow> {
             let mut config = cfg(RendererMode::McpcRenderer, Arrangement::Ordered, 5);
             config.power =
                 PowerConfig::Static(TileId::all().map(|t| (t.cores()[0], freq)).collect());
-            let r = SimRunner::new(config, Arc::clone(scene)).run();
+            let r = run(config, Arc::clone(scene));
             FreqRow {
                 freq,
                 secs: r.total_secs,

@@ -11,7 +11,7 @@
 //! metric snapshot is embedded under a `telemetry` key.
 
 use scc_core::viz::frame_checksum;
-use scc_core::{run_native, HostTiming, NativeTuning, PoolStats, RunConfig};
+use scc_core::{run_with_scene, Backend, HostTiming, NativeTuning, PoolStats, RunConfig};
 use scc_render::Scene;
 use scc_telemetry::{snapshot_to_tree, Json, Snapshot};
 use std::fmt::Write as _;
@@ -91,7 +91,8 @@ pub fn measure_native_throughput(
     for tuning in variants {
         let mut cfg = base.clone();
         cfg.tuning = tuning;
-        let report = run_native(&cfg, Arc::clone(scene));
+        let out = run_with_scene(&cfg, Backend::Native, Arc::clone(scene));
+        let report = out.report.native().expect("a native run");
         if telemetry.is_none() {
             telemetry = report.telemetry.clone();
         }

@@ -12,7 +12,7 @@
 //! misses, migrations, replayed frames) embeds under a `telemetry` key.
 
 use scc_core::viz::frame_checksum;
-use scc_core::{Arrangement, FaultSpec, KillSpec, RunConfig, SimRunner};
+use scc_core::{Arrangement, FaultSpec, KillSpec, RunConfig};
 use scc_render::Scene;
 use scc_telemetry::{snapshot_to_tree, Json, Snapshot};
 use std::fmt::Write as _;
@@ -72,7 +72,7 @@ pub fn measure_recovery(
         let mut clean = base.clone();
         clean.arrangement = arr;
         clean.fault = None;
-        let clean_report = SimRunner::new(clean.clone(), Arc::clone(scene)).run();
+        let clean_report = crate::run(clean.clone(), Arc::clone(scene));
         let clean_frames: Vec<u64> = clean_report
             .outputs
             .as_ref()
@@ -93,7 +93,7 @@ pub fn measure_recovery(
                 phi_dead: PHI_DEAD,
                 ..FaultSpec::default()
             });
-            let report = SimRunner::new(killed, Arc::clone(scene)).run();
+            let report = crate::run(killed, Arc::clone(scene));
             if telemetry.is_none() {
                 telemetry = report.telemetry.clone();
             }

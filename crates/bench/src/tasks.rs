@@ -17,7 +17,7 @@
 
 use scc_core::spec::{RendererMode, Runtime, StageKind};
 use scc_core::viz::frame_checksum;
-use scc_core::{RunConfig, SimRunner, WalkthroughReport};
+use scc_core::{RunConfig, WalkthroughReport};
 use scc_render::Scene;
 use scc_telemetry::Json;
 use std::fmt::Write as _;
@@ -126,7 +126,7 @@ pub fn measure_tasks(base: &RunConfig, scene: &Arc<Scene>) -> TasksReport {
         st.renderer = mode;
         st.runtime = Runtime::Static;
         st.trace = false;
-        let static_report = SimRunner::new(st.clone(), Arc::clone(scene)).run();
+        let static_report = crate::run(st.clone(), Arc::clone(scene));
         let static_film: Vec<u64> = static_report
             .outputs
             .as_ref()
@@ -137,7 +137,7 @@ pub fn measure_tasks(base: &RunConfig, scene: &Arc<Scene>) -> TasksReport {
 
         let mut tk = st.clone();
         tk.runtime = Runtime::Tasks;
-        let tasks_report = SimRunner::new(tk, Arc::clone(scene)).run();
+        let tasks_report = crate::run(tk, Arc::clone(scene));
         let tasks_film: Vec<u64> = tasks_report
             .outputs
             .as_ref()

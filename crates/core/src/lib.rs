@@ -5,6 +5,8 @@
 //! a core, connected by messages — on the SCC + MCPC heterogeneous system,
 //! evaluated with the silent-film rendering case study.
 //!
+//! * [`facade`] — the front door: [`try_run`] / [`run`] over a
+//!   [`Backend`], the typed [`RunError`], the one support table;
 //! * [`spec`] — run configurations: renderer mode (§V's three scenarios),
 //!   pipeline arrangement (§IV-A), geometry, fidelity;
 //! * [`placement`] — stage→core mapping for the unordered / ordered /
@@ -23,8 +25,9 @@
 //! * [`metrics`] — walkthrough reports: times, speed-ups, per-stage idle
 //!   quartiles (Figure 15), power traces and energy (Figures 14/17,
 //!   §VI-B), host wall-clock throughput;
-//! * [`pool`] — the recycled frame/strip buffer pool both runners draw
-//!   from (no per-frame heap churn);
+//! * [`pool`] — the recycled strip buffer pool of the native runner: its
+//!   sources acquire, its transfer stage releases (no per-frame heap
+//!   churn);
 //! * [`generic`] — user-defined macro pipelines on the same substrate
 //!   (the §I claim that the results translate to other domains);
 //! * [`supervise`] — the recovery plane every virtual-time executor
@@ -61,7 +64,10 @@ pub mod wavefront;
 
 pub use baseline::{run_baseline, BaselineReport};
 pub use cost::CostModel;
-pub use facade::{default_scene, run, run_with_scene, Backend, BackendReport, RunOutcome};
+pub use facade::{
+    check_support, default_scene, run, run_with_scene, try_run, try_run_with_scene, Backend,
+    BackendReport, RunError, RunOutcome,
+};
 pub use frame::Frame;
 pub use generic::{GenericReport, GenericStageReport, StageWork, WAVEFRONT_STAGES};
 pub use governor::{
@@ -77,8 +83,8 @@ pub use metrics::{
 pub use partition::{auto_place, partition, placement_for, plan_for, AutoPlacement, StagePlan};
 pub use placement::{place, place_dvfs_single_pipeline, Placement, ReplicaSlot};
 pub use pool::{BufferPool, PoolStats};
-pub use runner::des::{run_des, DesReport};
-pub use runner::native::{run_native, NativeReport};
+pub use runner::des::DesReport;
+pub use runner::native::NativeReport;
 pub use runner::sim::SimRunner;
 pub use spec::{
     Arrangement, FaultSpec, Fidelity, GenericChainSpec, GenericStageSpec, GovernorTuning,

@@ -18,19 +18,19 @@
 //! scheduling — when a stage may start, and in what order the platform
 //! sees the bookings — is written twice on purpose. `tests/` asserts they
 //! agree within a small tolerance, which guards both implementations
-//! against scheduling bugs. (Single-renderer configurations only — enough
-//! to exercise every rendezvous pattern: fan-out, chains, fan-in.)
+//! against scheduling bugs. (The single-renderer mode is enough to
+//! exercise every rendezvous pattern: fan-out, chains, fan-in.)
 
 use super::sim::StageState;
 use super::source::FilmSource;
 use super::stage::FilmStages;
 use crate::cost::CostModel;
 use crate::frame::Frame;
-use crate::metrics::RecoveryEvent;
+use crate::metrics::{RecoveryEvent, WalkthroughReport};
 use crate::partition::StagePlan;
 use crate::placement::Placement;
 use crate::power_plane::PowerPlane;
-use crate::spec::{Fidelity, RendererMode, RunConfig, StageKind};
+use crate::spec::{Fidelity, RunConfig, StageKind};
 use crate::supervise::{Episode, RecoveryPlane};
 use scc_filters::Image;
 use scc_render::{Renderer, Scene, Walkthrough};
@@ -87,37 +87,24 @@ fn kill_time(kills: &[CoreKill], core: CoreId) -> Option<SimTime> {
     kills.iter().find(|k| k.core == core.raw()).map(|k| k.at)
 }
 
-/// Execute `cfg` (must be `SingleRenderer`) event-wise.
-///
-/// Deprecated in favour of the facade: new code should call
-/// [`crate::run`] with [`crate::Backend::Des`], which wraps this entry
-/// point unchanged and returns the backend-independent
-/// [`crate::RunOutcome`] view. Kept public for callers that want the
-/// raw [`DesReport`] alone.
-pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
-    if cfg.runtime == crate::spec::Runtime::Tasks {
-        // The task runtime has one engine; the DES flavor drives it with a
-        // different schedule (steal-RNG stream, idle-scan order) so the
-        // differential suite can prove the film and the conservation
-        // ledgers are schedule-independent.
-        let report = crate::taskrt::run_tasks(
-            super::sim::SimRunner::new(cfg.clone(), scene),
-            crate::taskrt::ScheduleFlavor::Des,
-        );
-        return DesReport {
+impl From<WalkthroughReport> for DesReport {
+    /// A task-runtime run under the DES-flavored schedule reports in the
+    /// sim's shape; this is its DES view.
+    fn from(report: WalkthroughReport) -> DesReport {
+        DesReport {
             total_secs: report.total_secs,
             frames: report.outputs,
             recoveries: report.recoveries,
             telemetry: report.telemetry,
             dvfs_decisions: report.dvfs_decisions,
-        };
+        }
     }
-    assert_eq!(
-        cfg.renderer,
-        RendererMode::SingleRenderer,
-        "the DES validator covers the single-renderer configuration"
-    );
-    cfg.validate().expect("invalid configuration");
+}
+
+/// Execute the static film pipeline of `cfg` event-wise. What it
+/// covers — single renderer, fail-stop kills with a spare each — is
+/// [`crate::facade::check_support`]'s to decide, before this runs.
+pub(crate) fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
     let cost = CostModel::default();
     let mut platform = SccPlatform::new(SccConfig::default());
     let placement: Placement = crate::partition::placement_for(cfg);
@@ -129,16 +116,6 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
     // only — message-level faults, stalls, and the spare-exhausted
     // degradation fallback are the frame-major executor's domain — and
     // it does not install the schedule on the platform.
-    if let Some(s) = &cfg.fault {
-        assert!(
-            s.stall.is_none()
-                && s.drop_rate == 0.0
-                && s.corrupt_rate == 0.0
-                && s.delay_rate == 0.0
-                && s.degraded_links == 0,
-            "the DES validator models supervised fail-stop kills only"
-        );
-    }
     let mut recovery = RecoveryPlane::arm(cfg, &placement, &mut platform, tel.clone());
     // The governed plane closes the loop on the event timeline with the
     // frame-major executor's control law and epoch mapping (one shared
@@ -396,7 +373,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
                                 frames_replayed: 1,
                             },
                         )
-                        .expect("the DES validator requires a spare for every kill");
+                        .expect("the support check counted a spare for every kill");
                     // A merged group lives and dies with its one core:
                     // every sibling stage re-homes to the spare with it.
                     for sib in plan.groups[plan.group_of(j)].stages() {
@@ -587,7 +564,7 @@ pub fn run_des(cfg: &RunConfig, scene: Arc<Scene>) -> DesReport {
 mod tests {
     use super::*;
     use crate::runner::sim::SimRunner;
-    use crate::spec::{Arrangement, Fidelity};
+    use crate::spec::{Arrangement, Fidelity, RendererMode};
     use scc_render::CityConfig;
 
     fn scene() -> Arc<Scene> {
@@ -745,6 +722,6 @@ mod tests {
     fn rejects_other_modes() {
         let mut c = cfg(2, 2);
         c.renderer = RendererMode::McpcRenderer;
-        run_des(&c, scene());
+        crate::run_with_scene(&c, crate::Backend::Des, scene());
     }
 }

@@ -142,7 +142,7 @@ enum DecodeFailure {
     Crc,
 }
 
-fn try_decode_pooled(b: Bytes, _pool: &BufferPool) -> Result<Frame, DecodeFailure> {
+fn try_decode(b: Bytes) -> Result<Frame, DecodeFailure> {
     let Some(pixels) = b.len().checked_sub(FRAME_TRAILER) else {
         return Err(DecodeFailure::Truncated);
     };
@@ -186,13 +186,13 @@ fn try_decode_pooled(b: Bytes, _pool: &BufferPool) -> Result<Frame, DecodeFailur
 /// any malformation — truncation, a size lie, or a CRC mismatch — comes
 /// back as [`RcceError::Corrupt`] attributed to `src`.
 pub fn decode_frame_checked(b: Bytes, src: usize) -> Result<Frame, RcceError> {
-    decode_frame_pooled(b, src, &BufferPool::disabled())
+    try_decode(b).map_err(|_| RcceError::Corrupt { rank: src })
 }
 
 /// [`decode_frame_checked`]: the frame's pixel buffer is the message's
-/// own, so nothing is drawn from `pool`, only released into it later.
-pub fn decode_frame_pooled(b: Bytes, src: usize, pool: &BufferPool) -> Result<Frame, RcceError> {
-    try_decode_pooled(b, pool).map_err(|_| RcceError::Corrupt { rank: src })
+/// own, so nothing is drawn from `_pool`, only released into it later.
+pub fn decode_frame_pooled(b: Bytes, src: usize, _pool: &BufferPool) -> Result<Frame, RcceError> {
+    decode_frame_checked(b, src)
 }
 
 fn send_bytes(ep: &Endpoint, reliable: bool, dst: usize, payload: Bytes) {
@@ -272,22 +272,9 @@ fn ranks(mode: RendererMode, p: usize, plan: &StagePlan) -> Ranks {
     }
 }
 
-/// Run the walkthrough natively. Frames always carry pixels (the
-/// `fidelity` field of the config is ignored).
-///
-/// Deprecated in favour of the facade: new code should call
-/// [`crate::run`] with [`crate::Backend::Native`], which wraps this
-/// entry point unchanged and returns the backend-independent
-/// [`crate::RunOutcome`] view. Kept public for callers that want the
-/// raw [`NativeReport`] alone.
-pub fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
-    cfg.validate().expect("invalid run configuration");
-    assert_eq!(
-        cfg.runtime,
-        crate::spec::Runtime::Static,
-        "the native backend runs the static pipeline only; \
-         Runtime::Tasks is a sim/DES execution model"
-    );
+/// Run the film's static pipeline natively. Frames always carry pixels
+/// (the `fidelity` field of the config is ignored).
+pub(crate) fn run_native(cfg: &RunConfig, scene: Arc<Scene>) -> NativeReport {
     let p = cfg.pipelines as usize;
     let plan = crate::partition::plan_for(cfg);
     let layout = ranks(cfg.renderer, p, &plan);
@@ -824,7 +811,7 @@ mod tests {
         // The payload length lies about the geometry: the CRC passes, the
         // size check must still fire.
         assert!(matches!(
-            try_decode_pooled(checksummed(8, 4, &[0u8; 3]), &BufferPool::disabled()),
+            try_decode(checksummed(8, 4, &[0u8; 3])),
             Err(DecodeFailure::SizeMismatch)
         ));
     }
@@ -946,7 +933,7 @@ mod tests {
         let last = raw.len() - 1;
         raw[last] ^= 0x40;
         assert!(matches!(
-            try_decode_pooled(Bytes::from(raw), &BufferPool::disabled()),
+            try_decode(Bytes::from(raw)),
             Err(DecodeFailure::Crc)
         ));
     }

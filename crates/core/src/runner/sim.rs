@@ -26,6 +26,7 @@
 use super::source::FilmSource;
 use super::stage::FilmStages;
 use crate::cost::CostModel;
+use crate::facade::{Backend, RunError};
 use crate::frame::Frame;
 use crate::metrics::{StageReport, TaskStats, WalkthroughReport};
 use crate::partition::StagePlan;
@@ -99,12 +100,14 @@ pub struct SimRunner {
 }
 
 impl SimRunner {
-    /// Build a runner with the default platform, cost model, scene and the
+    /// The default parts: default platform and cost model, and the
     /// placement implied by the configuration — the scheduler's when
     /// [`RunConfig::auto_place`] is set, else the fixed arrangement.
-    pub fn new(cfg: RunConfig, scene: Arc<Scene>) -> SimRunner {
+    /// [`crate::try_run_with_scene`] has checked `cfg` by the time it
+    /// assembles a runner.
+    pub(crate) fn new(cfg: RunConfig, scene: Arc<Scene>) -> SimRunner {
         let placement = crate::partition::placement_for(&cfg);
-        SimRunner::with_parts(
+        SimRunner::assemble(
             cfg,
             scene,
             placement,
@@ -113,16 +116,36 @@ impl SimRunner {
         )
     }
 
-    /// Full control over every part (placement overrides for the DVFS
-    /// experiment, alternative platforms or cost calibrations).
+    /// The parts-override constructor: what [`crate::try_run`] cannot
+    /// take — a placement (the DVFS experiment's), another platform,
+    /// another cost calibration — for the static sim pipeline, which
+    /// [`SimRunner::run`] then executes. `cfg` passes the same check as
+    /// through the front door.
     pub fn with_parts(
         cfg: RunConfig,
         scene: Arc<Scene>,
         placement: Placement,
         platform: SccPlatform,
         cost: CostModel,
+    ) -> Result<SimRunner, RunError> {
+        crate::facade::check(&cfg, Backend::Sim)?;
+        if cfg.runtime != crate::spec::Runtime::Static || !cfg.workload.is_film() {
+            return Err(RunError::Unsupported {
+                backend: Backend::Sim,
+                why: "SimRunner::with_parts assembles the static film pipeline; \
+                      the task runtime and the workload plane take the default parts",
+            });
+        }
+        Ok(SimRunner::assemble(cfg, scene, placement, platform, cost))
+    }
+
+    fn assemble(
+        cfg: RunConfig,
+        scene: Arc<Scene>,
+        placement: Placement,
+        platform: SccPlatform,
+        cost: CostModel,
     ) -> SimRunner {
-        cfg.validate().expect("invalid run configuration");
         let plan = crate::partition::plan_for(&cfg);
         let walkthrough = Walkthrough::standard(cfg.width as f32 / cfg.height as f32);
         // One sink for the whole run: the frame loop, the ARQ retry
@@ -149,21 +172,10 @@ impl SimRunner {
         }
     }
 
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    /// Execute the walkthrough; consumes the runner.
-    ///
-    /// Deprecated as a front door: new code should call [`crate::run`]
-    /// with [`crate::Backend::Sim`], which constructs the runner and
-    /// returns the backend-independent [`crate::RunOutcome`] view.
-    /// Constructing a `SimRunner` directly remains the right move for
-    /// sim-only knobs such as [`SimRunner::with_parts`] placements.
+    /// Execute the static frame-major walkthrough on these parts;
+    /// consumes the runner.
     pub fn run(mut self) -> WalkthroughReport {
-        if self.cfg.runtime == crate::spec::Runtime::Tasks {
-            return crate::taskrt::run_tasks(self, crate::taskrt::ScheduleFlavor::Sim);
-        }
+        debug_assert_eq!(self.cfg.runtime, crate::spec::Runtime::Static);
         let mut power = PowerPlane::arm(
             &self.cfg,
             &mut self.platform,

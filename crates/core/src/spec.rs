@@ -669,6 +669,13 @@ pub struct GenericChainSpec {
 }
 
 impl GenericChainSpec {
+    /// Cap on `stages x items`. The workload engine keeps 42 bytes per
+    /// (stage, item) node for the whole run — three virtual times, the
+    /// output size, two dependency counters, one idle sample — so 2^20
+    /// nodes is ~44 MB; a chain past it is refused instead of asking the
+    /// allocator for whatever `items` says.
+    pub const MAX_NODES: u64 = 1 << 20;
+
     pub fn validate(&self) -> Result<(), String> {
         if self.stages.is_empty() {
             return Err("generic chain has no stages".into());
@@ -681,6 +688,15 @@ impl GenericChainSpec {
         }
         if self.items == 0 {
             return Err("generic chain needs at least one item".into());
+        }
+        if self.items > Self::MAX_NODES / self.stages.len() as u64 {
+            return Err(format!(
+                "generic chain of {} stages x {} items exceeds the {} (stage, item) nodes \
+                 the engine keeps resident",
+                self.stages.len(),
+                self.items,
+                Self::MAX_NODES
+            ));
         }
         if self.source_bytes == 0 {
             return Err("generic chain needs a non-empty source payload".into());
@@ -874,7 +890,9 @@ impl Default for RunConfig {
 impl RunConfig {
     /// Start a fluent [`RunConfigBuilder`] seeded with the defaults.
     /// `build()` runs [`RunConfig::validate`] once, so a successfully
-    /// built config is known-runnable on every backend.
+    /// built config runs on [`crate::Backend::Sim`]; which of them the
+    /// other two backends execute is [`crate::check_support`]'s table,
+    /// and [`crate::try_run`] answers with a typed error, not a panic.
     pub fn builder() -> RunConfigBuilder {
         RunConfigBuilder::default()
     }
@@ -1729,5 +1747,31 @@ mod tests {
         assert_eq!(cfg.workload.name(), "wavefront");
         assert!(!cfg.workload.is_film());
         assert_eq!(cfg.power.name(), "governed");
+    }
+
+    #[test]
+    fn generic_chain_is_capped_at_the_engines_node_budget() {
+        let chain = |stages: usize, items: u64| GenericChainSpec {
+            stages: (0..stages)
+                .map(|_| GenericStageSpec::compute("s", 1.0))
+                .collect(),
+            items,
+            source_bytes: 1024,
+        };
+        let max = GenericChainSpec::MAX_NODES;
+        // At the bound, one stage and three (3 does not divide 2^20).
+        chain(1, max).validate().expect("exactly the budget");
+        chain(3, max / 3).validate().expect("largest fit");
+        // One past it.
+        for spec in [chain(1, max + 1), chain(3, max / 3 + 1)] {
+            let err = spec.validate().unwrap_err();
+            assert!(err.contains("(stage, item) nodes"), "{err}");
+        }
+        // A hostile value is refused by `build()`, before anything allocates.
+        let err = RunConfig::builder()
+            .workload(Workload::Generic(chain(2, u64::MAX / 2)))
+            .build()
+            .unwrap_err();
+        assert!(err.contains("(stage, item) nodes"), "{err}");
     }
 }

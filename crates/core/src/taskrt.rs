@@ -1038,6 +1038,14 @@ mod tests {
         }))
     }
 
+    /// Through the front door, which dispatches on `c.runtime`.
+    fn sim(c: RunConfig, scene: Arc<Scene>) -> WalkthroughReport {
+        crate::run_with_scene(&c, crate::Backend::Sim, scene)
+            .report
+            .sim()
+            .expect("sim report")
+    }
+
     fn cfg(mode: RendererMode, pipelines: u32, frames: u64) -> RunConfig {
         RunConfig::builder()
             .renderer(mode)
@@ -1061,7 +1069,7 @@ mod tests {
         ] {
             let mut c = cfg(mode, 2, 8);
             c.verify = true;
-            let report = SimRunner::new(c, tiny_scene()).run();
+            let report = sim(c, tiny_scene());
             let stats = report.task_stats.expect("task ledger present");
             assert_eq!(stats.completed + stats.degraded, stats.spawned);
             assert!(stats.executed >= stats.completed);
@@ -1077,8 +1085,8 @@ mod tests {
         st.fidelity = Fidelity::Full;
         let mut tk = st.clone();
         tk.runtime = Runtime::Tasks;
-        let a = SimRunner::new(st, Arc::clone(&scene)).run();
-        let b = SimRunner::new(tk, scene).run();
+        let a = sim(st, Arc::clone(&scene));
+        let b = sim(tk, scene);
         assert_eq!(
             a.outputs.expect("static frames"),
             b.outputs.expect("task frames"),
@@ -1091,7 +1099,7 @@ mod tests {
         // With one renderer feeding three lanes, cheap stages go hungry
         // and the runtime must actually steal.
         let c = cfg(RendererMode::SingleRenderer, 3, 16);
-        let report = SimRunner::new(c, tiny_scene()).run();
+        let report = sim(c, tiny_scene());
         let stats = report.task_stats.expect("ledger");
         assert!(stats.steal_attempts > 0, "no steal attempts at all");
         assert!(stats.steals > 0, "no successful steals: {stats:?}");
@@ -1104,7 +1112,7 @@ mod tests {
         let mut clean = cfg(RendererMode::SingleRenderer, 2, 6);
         clean.fidelity = Fidelity::Full;
         clean.runtime = Runtime::Static;
-        let reference = SimRunner::new(clean.clone(), Arc::clone(&scene)).run();
+        let reference = sim(clean.clone(), Arc::clone(&scene));
 
         let mut c = clean.clone();
         c.runtime = Runtime::Tasks;
@@ -1124,7 +1132,7 @@ mod tests {
             phi_dead: 2.0,
             ..FaultSpec::default()
         });
-        let report = SimRunner::new(c, scene).run();
+        let report = sim(c, scene);
         let stats = report.task_stats.expect("ledger");
         assert_eq!(
             stats.completed + stats.degraded,
@@ -1161,7 +1169,7 @@ mod tests {
         let mut clean = cfg(RendererMode::SingleRenderer, 2, 4);
         clean.fidelity = Fidelity::Full;
         clean.runtime = Runtime::Static;
-        let reference = SimRunner::new(clean.clone(), Arc::clone(&scene)).run();
+        let reference = sim(clean.clone(), Arc::clone(&scene));
 
         let mut c = clean.clone();
         c.runtime = Runtime::Tasks;
@@ -1177,7 +1185,7 @@ mod tests {
             phi_dead: 2.0,
             ..FaultSpec::default()
         });
-        let report = SimRunner::new(c, scene).run();
+        let report = sim(c, scene);
         let stats = report.task_stats.expect("ledger");
         assert_eq!(
             stats.completed + stats.degraded,
@@ -1231,7 +1239,7 @@ mod tests {
     fn bounded_queues_never_exceed_capacity() {
         let mut c = cfg(RendererMode::SingleRenderer, 2, 12);
         c.task_tuning.queue_capacity = 2;
-        let report = SimRunner::new(c, tiny_scene()).run();
+        let report = sim(c, tiny_scene());
         let stats = report.task_stats.expect("ledger");
         assert!(
             stats.max_queue_depth <= 2,

@@ -10,13 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use scc_core::runner::sim::SimRunner;
 use scc_core::spec::{
     Arrangement, FaultSpec, Fidelity, GovernorTuning, KernelChoice, KillSpec, PowerConfig,
     RendererMode, RunConfig, Runtime, StallSpec, TaskTuning, WavefrontSpec, Workload,
 };
 use scc_core::viz::frame_checksum;
-use scc_core::{Backend, BackendReport, GovernorAction};
+use scc_core::{run_with_scene, Backend, BackendReport, GovernorAction};
 use scc_serve::{serve, ServeConfig, TenantSpec};
 use scc_sim::fault::{FaultConfig, FaultPlan, MessageOutcome};
 use scc_sim::{CoreId, FreqMHz, SimTime};
@@ -1013,39 +1012,19 @@ pub struct CoverageEvents {
     pub dvfs_cap_blocks: u64,
 }
 
-/// Is this configuration inside the DES validator's supported envelope?
-/// The static pipeline's cross-validator covers single-renderer,
-/// kills-only fault plans with enough spares; the task runtime runs the
-/// same engine under both backends (DES-flavored schedule), so it covers
-/// every renderer mode, kills without spares, and lossy transport —
-/// stalls stay out for both.
+/// Does the DES differential apply to this configuration? Whatever
+/// `scc_core::check_support` lets `Backend::Des` run, minus two *policy*
+/// exclusions of this oracle.
 fn des_eligible(cfg: &RunConfig) -> bool {
-    if cfg.runtime == Runtime::Tasks {
-        return cfg.fault.as_ref().is_none_or(|f| f.stall.is_none());
-    }
-    if cfg.renderer != RendererMode::SingleRenderer {
-        return false;
-    }
-    // Governed power over an auto-placed graph sits outside the film
-    // cross-validator's envelope: replicated/merged groups give the
-    // frame-major and pipelined executors structurally different idle
-    // profiles, so near a governor threshold the two can legitimately
-    // pick different moves. Default-placement governed runs stay in —
-    // their decision traces must match epoch for epoch.
-    if matches!(cfg.power, PowerConfig::Governed(_)) && cfg.auto_place {
-        return false;
-    }
-    match &cfg.fault {
-        None => true,
-        Some(f) => {
-            f.stall.is_none()
-                && f.drop_rate == 0.0
-                && f.corrupt_rate == 0.0
-                && f.delay_rate == 0.0
-                && f.degraded_links == 0
-                && f.kills.len() as u32 <= f.max_spares
-        }
-    }
+    // ROADMAP 4a: replicated/merged groups give the frame-major and
+    // pipelined executors different idle profiles, so near a governor
+    // threshold the two can legitimately pick different moves (default
+    // placements stay in: their traces must match epoch for epoch).
+    let governed_auto = matches!(cfg.power, PowerConfig::Governed(_)) && cfg.auto_place;
+    // A stalled worker is fenced at a schedule-dependent instant, so the
+    // two task-runtime flavors have no common timeline to compare.
+    let stalled = cfg.fault.as_ref().is_some_and(|f| f.stall.is_some());
+    scc_core::check_support(cfg, Backend::Des).is_ok() && !governed_auto && !stalled
 }
 
 /// Run one case through every oracle that applies:
@@ -1069,7 +1048,12 @@ pub fn run_oracle(case: &FuzzCase) -> Outcome {
     let mut sim_cfg = case.cfg.clone();
     sim_cfg.trace = true; // the trace invariants need spans
     sim_cfg.verify = false; // collect violations instead of panicking
-    let report = match run_caught(|| SimRunner::new(sim_cfg.clone(), crate::verify_scene()).run()) {
+    let report = match run_caught(|| {
+        run_with_scene(&sim_cfg, Backend::Sim, crate::verify_scene())
+            .report
+            .sim()
+            .expect("a sim film run")
+    }) {
         Ok(r) => r,
         Err(msg) if msg.contains("no surviving pipeline") => {
             // Every lane dead is a *modelled* fatal outcome (the sim
@@ -1135,7 +1119,12 @@ pub fn run_oracle(case: &FuzzCase) -> Outcome {
         let mut des_cfg = case.cfg.clone();
         des_cfg.trace = false;
         des_cfg.verify = false;
-        let des = match run_caught(|| scc_core::run_des(&des_cfg, crate::verify_scene())) {
+        let des = match run_caught(|| {
+            run_with_scene(&des_cfg, Backend::Des, crate::verify_scene())
+                .report
+                .des()
+                .expect("a DES film run")
+        }) {
             Ok(d) => d,
             Err(msg) => {
                 failures.push(Failure {

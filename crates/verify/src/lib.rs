@@ -24,10 +24,9 @@
 
 #![forbid(unsafe_code)]
 
-use scc_core::runner::sim::SimRunner;
 use scc_core::spec::{Fidelity, RunConfig};
 use scc_core::viz::frame_checksum;
-use scc_core::WalkthroughReport;
+use scc_core::{run_with_scene, Backend, WalkthroughReport};
 use scc_render::{CityConfig, Scene};
 use std::sync::{Arc, OnceLock};
 
@@ -317,7 +316,8 @@ pub fn digest_report(r: &WalkthroughReport) -> String {
 /// Run one golden case through the simulator (invariant-checked) and
 /// render its digest block, headed by the case name and config.
 pub fn digest_case(case: &GoldenCase) -> String {
-    let report = SimRunner::new(case.cfg.clone(), verify_scene()).run();
+    let out = run_with_scene(&case.cfg, Backend::Sim, verify_scene());
+    let report = out.report.sim().expect("a sim film run");
     format!(
         "== {}\nconfig={}\n{}",
         case.name,
@@ -404,7 +404,6 @@ pub fn config_line(cfg: &RunConfig) -> String {
 /// and equal to the sequential reference — wall-clock timings are
 /// excluded, so the digest is byte-stable across machines.
 pub fn native_tuning_digest() -> String {
-    use scc_core::run_native;
     use scc_core::spec::NativeTuning;
     let mut cfg = base_cfg();
     cfg.width = 48;
@@ -421,7 +420,8 @@ pub fn native_tuning_digest() -> String {
             buffer_pool: pool,
             ..NativeTuning::default()
         };
-        let report = run_native(&c, verify_scene());
+        let run = run_with_scene(&c, Backend::Native, verify_scene());
+        let report = run.report.native().expect("a native run");
         out.push_str(&format!(
             "threads={} pool={} film={:016x}\n",
             threads,
@@ -629,7 +629,7 @@ pub fn workload_goldens() -> Vec<GoldenCase> {
 /// the governor's full decision trace. There is no film to hash, so this
 /// is the workload plane's only byte-exact pin.
 pub fn workload_digest(case: &GoldenCase) -> String {
-    use scc_core::{Backend, BackendReport, GovernorTuning, PowerConfig};
+    use scc_core::{BackendReport, GovernorTuning, PowerConfig};
     let mut out = format!("== {}\n", case.name);
     for backend in [Backend::Sim, Backend::Des] {
         for power in [
@@ -706,7 +706,8 @@ pub fn des_recovered_digest() -> String {
             phi_dead: 2.0,
             ..FaultSpec::default()
         });
-        let r = scc_core::run_des(&cfg, verify_scene());
+        let run = run_with_scene(&cfg, Backend::Des, verify_scene());
+        let r = run.report.des().expect("a DES film run");
         out.push_str(&format!(
             "-- {tag} config={}\ntotal_secs={:016x} film={:016x} frames={}\n",
             config_line(&cfg),

@@ -7,7 +7,6 @@
 //! digest (deliberately) wrong.
 #![cfg(not(feature = "verify-selftest"))]
 
-use scc_core::runner::sim::SimRunner;
 use scc_core::{run_with_scene, Backend};
 use scc_telemetry::names;
 use scc_verify::telemetry::{check_idle_quartiles, check_snapshot_schema, with_telemetry};
@@ -48,7 +47,8 @@ fn telemetry_on_leaves_every_golden_digest_unchanged() {
 fn matrix_snapshots_pass_schema_and_reproduce_idle_quartiles() {
     for case in golden_matrix().iter().take(9) {
         let cfg = with_telemetry(case).cfg;
-        let report = SimRunner::new(cfg, verify_scene()).run();
+        let out = run_with_scene(&cfg, Backend::Sim, verify_scene());
+        let report = out.report.sim().unwrap();
         let snap = report.telemetry.as_ref().expect("telemetry enabled");
         check_snapshot_schema(snap).unwrap_or_else(|e| panic!("{}: {e}", case.name));
         assert!(

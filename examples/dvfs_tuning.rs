@@ -14,9 +14,10 @@ use scc_sim::{FreqMHz, IslandId, SccConfig, SccPlatform};
 use std::sync::Arc;
 
 fn main() {
-    // The island-aware placement is a sim-backend-specific knob, so this
-    // example stays on `SimRunner::with_parts` rather than the
-    // `scc_core::run` facade; the frequency plan itself is plain
+    // The island-aware placement is a part `scc_core::try_run` does not
+    // take, so this example uses the one parts-override constructor,
+    // `SimRunner::with_parts` — same config check as the front door, a
+    // `Result` back; the frequency plan itself is plain
     // `RunConfig::power`.
     let scene = default_scene();
     let config = RunConfig::builder()
@@ -56,6 +57,7 @@ fn main() {
             SccPlatform::new(SccConfig::default()),
             CostModel::default(),
         )
+        .expect("a valid static film config")
         .run();
         println!(
             "{:<44} {:>9.1}s {:>8.1} W {:>8.0} J",

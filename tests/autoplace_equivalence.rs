@@ -10,10 +10,10 @@
 
 mod common;
 
-use common::{cfg_with, checksums, scene, MODES};
+use common::{cfg_with, film, scene, MODES};
 use scc_core::{
-    reference::reference_frames, run_des, run_native, Arrangement, FaultSpec, Fidelity,
-    RendererMode, RunConfig, SimRunner,
+    reference::reference_frames, run_with_scene, Arrangement, Backend, FaultSpec, Fidelity,
+    RendererMode, RunConfig,
 };
 
 fn cfg(mode: RendererMode, pipelines: u32) -> RunConfig {
@@ -27,11 +27,9 @@ fn sim_auto_equals_fixed_in_every_renderer_mode() {
         let mut auto = fixed.clone();
         auto.auto_place = true;
         auto.verify = true; // every invariant checked on the auto run
-        let a = SimRunner::new(fixed, scene()).run();
-        let b = SimRunner::new(auto, scene()).run();
         assert_eq!(
-            checksums(&a.outputs.expect("fixed film")),
-            checksums(&b.outputs.expect("auto film")),
+            film(&fixed, Backend::Sim),
+            film(&auto, Backend::Sim),
             "{mode:?}: auto placement changed the film"
         );
     }
@@ -43,11 +41,11 @@ fn native_auto_equals_fixed_in_every_renderer_mode() {
         let fixed = cfg(mode, 2);
         let mut auto = fixed.clone();
         auto.auto_place = true;
-        let a = run_native(&fixed, scene());
-        let b = run_native(&auto, scene());
+        let out = run_with_scene(&auto, Backend::Native, scene());
+        let b = out.report.native().unwrap();
         assert_eq!(
-            checksums(&a.frames),
-            checksums(&b.frames),
+            film(&fixed, Backend::Native),
+            common::checksums(&b.frames),
             "{mode:?}: native auto placement changed the film"
         );
         // And both equal the sequential oracle.
@@ -61,16 +59,14 @@ fn native_auto_equals_fixed_in_every_renderer_mode() {
 
 #[test]
 fn des_auto_equals_fixed_single_renderer() {
-    // The DES validator covers the single-renderer configuration.
+    // Static DES covers the single renderer (`check_support`).
     let fixed = cfg(RendererMode::SingleRenderer, 2);
     let mut auto = fixed.clone();
     auto.auto_place = true;
     auto.verify = true;
-    let a = run_des(&fixed, scene());
-    let b = run_des(&auto, scene());
     assert_eq!(
-        checksums(&a.frames.expect("fixed film")),
-        checksums(&b.frames.expect("auto film")),
+        film(&fixed, Backend::Des),
+        film(&auto, Backend::Des),
         "DES: auto placement changed the film"
     );
 }
@@ -89,7 +85,8 @@ fn sim_auto_survives_kills_bit_identical() {
         let mut auto = cfg(RendererMode::SingleRenderer, 2);
         auto.auto_place = true;
         auto.fault = Some(kill_spec(stage));
-        let report = SimRunner::new(auto.clone(), scene()).run();
+        let out = run_with_scene(&auto, Backend::Sim, scene());
+        let report = out.report.sim().unwrap();
         assert!(
             !report.recoveries.is_empty(),
             "stage {stage}: the kill must be detected and migrated"
@@ -110,7 +107,8 @@ fn des_auto_survives_kills_bit_identical() {
     auto.auto_place = true;
     auto.verify = true;
     auto.fault = Some(kill_spec(3));
-    let report = run_des(&auto, scene());
+    let out = run_with_scene(&auto, Backend::Des, scene());
+    let report = out.report.des().unwrap();
     assert_eq!(report.recoveries.len(), 1);
     let mut clean = auto.clone();
     clean.fault = None;
@@ -133,7 +131,8 @@ fn native_auto_survives_message_faults_bit_identical() {
         retry_budget: 5,
         ..FaultSpec::default()
     });
-    let report = run_native(&auto, scene());
+    let out = run_with_scene(&auto, Backend::Native, scene());
+    let report = out.report.native().unwrap();
     let mut clean = auto.clone();
     clean.fault = None;
     assert_eq!(report.frames, reference_frames(&clean, scene()));
@@ -156,7 +155,7 @@ fn auto_throughput_dominates_every_fixed_arrangement() {
         .expect("valid config");
     let mut auto = base.clone();
     auto.auto_place = true;
-    let auto_secs = SimRunner::new(auto, scene()).run().total_secs;
+    let auto_secs = run_with_scene(&auto, Backend::Sim, scene()).total_secs;
     for arr in [
         Arrangement::Unordered,
         Arrangement::Ordered,
@@ -164,7 +163,7 @@ fn auto_throughput_dominates_every_fixed_arrangement() {
     ] {
         let mut fixed = base.clone();
         fixed.arrangement = arr;
-        let fixed_secs = SimRunner::new(fixed, scene()).run().total_secs;
+        let fixed_secs = run_with_scene(&fixed, Backend::Sim, scene()).total_secs;
         assert!(
             auto_secs <= fixed_secs * 1.01,
             "{arr:?}: auto {auto_secs:.3}s must not lose to fixed {fixed_secs:.3}s"

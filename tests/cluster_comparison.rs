@@ -3,7 +3,7 @@
 //! (what is slowest on the SCC is fastest on the cluster).
 
 use scc_cluster::{cluster_walkthrough, ClusterMode};
-use scc_core::{RendererMode, RunConfig, SimRunner};
+use scc_core::{run_with_scene, Backend, RendererMode, RunConfig};
 use scc_render::{CityConfig, Scene};
 use std::sync::Arc;
 
@@ -29,16 +29,16 @@ fn cluster_is_several_times_faster_than_the_scc() {
     let s = scene();
     let scc_best = (1..=8u32)
         .map(|p| {
-            SimRunner::new(
-                RunConfig::builder()
+            run_with_scene(
+                &RunConfig::builder()
                     .renderer(RendererMode::McpcRenderer)
                     .pipelines(p)
                     .frames(60)
                     .build()
                     .expect("valid config"),
+                Backend::Sim,
                 Arc::clone(&s),
             )
-            .run()
             .total_secs
         })
         .fold(f64::INFINITY, f64::min);
@@ -55,16 +55,16 @@ fn seven_pipeline_cluster_is_an_order_of_magnitude_faster() {
     // "Using seven pipelines, the cluster is 13.5 times faster than the
     // SCC system."
     let s = scene();
-    let scc7 = SimRunner::new(
-        RunConfig::builder()
+    let scc7 = run_with_scene(
+        &RunConfig::builder()
             .renderer(RendererMode::PerPipelineRenderer)
             .pipelines(7)
             .frames(60)
             .build()
             .expect("valid config"),
+        Backend::Sim,
         Arc::clone(&s),
     )
-    .run()
     .total_secs;
     let hpc7 = cluster_secs(ClusterMode::ParallelRenderer, 7, &s);
     let ratio = scc7 / hpc7;

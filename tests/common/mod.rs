@@ -12,8 +12,8 @@
 
 use scc_core::viz::frame_checksum;
 use scc_core::{
-    reference::reference_frames, Arrangement, FaultSpec, Fidelity, KillSpec, RendererMode,
-    RunConfig,
+    reference::reference_frames, run_with_scene, Arrangement, Backend, BackendReport, FaultSpec,
+    Fidelity, KillSpec, RendererMode, RunConfig,
 };
 use scc_filters::Image;
 use scc_render::{CityConfig, Scene};
@@ -62,6 +62,17 @@ pub fn cfg_with(mode: RendererMode, arr: Arrangement, pipelines: u32, frames: u6
 /// Per-frame FNV checksums of a film.
 pub fn checksums(frames: &[Image]) -> Vec<u64> {
     frames.iter().map(frame_checksum).collect()
+}
+
+/// Per-frame checksums of the film `c` (full fidelity) delivers on
+/// `backend` over the shared [`scene`].
+pub fn film(c: &RunConfig, backend: Backend) -> Vec<u64> {
+    match run_with_scene(c, backend, scene()).report {
+        BackendReport::Sim(r) => checksums(&r.outputs.expect("full fidelity")),
+        BackendReport::Des(r) => checksums(&r.frames.expect("full fidelity")),
+        BackendReport::Native(r) => checksums(&r.frames),
+        BackendReport::Generic(_) => panic!("the workload plane delivers no film"),
+    }
 }
 
 /// The reference data path for a config: MCPC mode renders full frames

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use scc_core::{
-    reference::reference_frames, Arrangement, Fidelity, RendererMode, RunConfig, SimRunner,
+    reference::reference_frames, run_with_scene, Arrangement, Backend, Fidelity, RendererMode,
+    RunConfig,
 };
 use scc_render::{CityConfig, Scene};
 use std::sync::Arc;
@@ -59,7 +60,7 @@ proptest! {
             .fidelity(Fidelity::Full)
             .build()
             .expect("every swept configuration fits the machine");
-        let report = SimRunner::new(cfg.clone(), scene(scene_seed)).run();
+        let report = run_with_scene(&cfg, Backend::Sim, scene(scene_seed)).report.sim().unwrap();
         // The per-pipeline-renderer reference renders strips with band
         // frusta; the others split a full-frame render.
         let mut ref_cfg = cfg.clone();
@@ -85,10 +86,10 @@ proptest! {
             .fidelity(Fidelity::TimingOnly)
             .build()
             .expect("valid config");
-        let t1 = SimRunner::new(cfg.clone(), scene(1)).run().total_secs;
+        let t1 = run_with_scene(&cfg, Backend::Sim, scene(1)).total_secs;
         cfg.fidelity = Fidelity::Full;
-        let t2 = SimRunner::new(cfg.clone(), scene(1)).run().total_secs;
-        let t3 = SimRunner::new(cfg, scene(1)).run().total_secs;
+        let t2 = run_with_scene(&cfg, Backend::Sim, scene(1)).total_secs;
+        let t3 = run_with_scene(&cfg, Backend::Sim, scene(1)).total_secs;
         prop_assert_eq!(t1, t2);
         prop_assert_eq!(t2, t3);
     }
@@ -111,9 +112,9 @@ proptest! {
                 .build()
                 .expect("valid config")
         };
-        let one = SimRunner::new(mk(1), scene(2)).run();
-        let many = SimRunner::new(mk(pipelines), scene(2)).run();
-        let total = |r: &scc_core::WalkthroughReport| -> f64 {
+        let one = run_with_scene(&mk(1), Backend::Sim, scene(2));
+        let many = run_with_scene(&mk(pipelines), Backend::Sim, scene(2));
+        let total = |r: &scc_core::RunOutcome| -> f64 {
             r.stage_reports
                 .iter()
                 .filter(|s| s.pipeline.is_some())
@@ -148,8 +149,8 @@ proptest! {
                 .build()
                 .expect("valid config")
         };
-        let t2 = SimRunner::new(mk(2), scene(0)).run().total_secs;
-        let t4 = SimRunner::new(mk(4), scene(0)).run().total_secs;
+        let t2 = run_with_scene(&mk(2), Backend::Sim, scene(0)).total_secs;
+        let t4 = run_with_scene(&mk(4), Backend::Sim, scene(0)).total_secs;
         prop_assert!(t4 <= t2 * 1.15, "t2={t2} t4={t4}");
     }
 }

@@ -1,8 +1,8 @@
 //! §VI-B (power/energy) and §VI-D (DVFS) invariants.
 
 use scc_core::{
-    place_dvfs_single_pipeline, CostModel, PowerConfig, RendererMode, RunConfig, SimRunner,
-    WalkthroughReport,
+    place_dvfs_single_pipeline, run_with_scene, Backend, CostModel, PowerConfig, RendererMode,
+    RunConfig, SimRunner, WalkthroughReport,
 };
 use scc_render::{CityConfig, Scene};
 use scc_sim::power::McpcPower;
@@ -33,6 +33,7 @@ fn dvfs_run(settings: Vec<(CoreId, FreqMHz)>, scene: &Arc<Scene>) -> Walkthrough
         SccPlatform::new(SccConfig::default()),
         CostModel::default(),
     )
+    .expect("a valid static film config")
     .run()
 }
 
@@ -109,9 +110,15 @@ fn power_rises_roughly_linearly_with_pipelines() {
     let powers: Vec<f64> = [1u32, 3, 5, 7]
         .iter()
         .map(|&p| {
-            SimRunner::new(cfg(RendererMode::McpcRenderer, p), Arc::clone(&s))
-                .run()
-                .mean_power()
+            run_with_scene(
+                &cfg(RendererMode::McpcRenderer, p),
+                Backend::Sim,
+                Arc::clone(&s),
+            )
+            .report
+            .sim()
+            .unwrap()
+            .mean_power()
         })
         .collect();
     for w in powers.windows(2) {
@@ -141,13 +148,21 @@ fn running_power_lands_in_the_papers_band() {
     // §VI-B anchors: MCPC config with 5 pipelines ≈ 50 W; n-renderer
     // with 7 pipelines ≈ 58 W.
     let s = scene();
-    let hybrid = SimRunner::new(cfg(RendererMode::McpcRenderer, 5), Arc::clone(&s)).run();
+    let hybrid = run_with_scene(
+        &cfg(RendererMode::McpcRenderer, 5),
+        Backend::Sim,
+        Arc::clone(&s),
+    )
+    .report
+    .sim()
+    .unwrap();
     assert!(
         (45.0..56.0).contains(&hybrid.mean_power()),
         "hybrid power {:.1} W (paper ~50 W)",
         hybrid.mean_power()
     );
-    let nrend = SimRunner::new(cfg(RendererMode::PerPipelineRenderer, 7), s).run();
+    let out = run_with_scene(&cfg(RendererMode::PerPipelineRenderer, 7), Backend::Sim, s);
+    let nrend = out.report.sim().unwrap();
     assert!(
         (53.0..68.0).contains(&nrend.mean_power()),
         "n-rend power {:.1} W (paper ~58 W)",
@@ -162,8 +177,16 @@ fn hybrid_beats_nrend_on_energy() {
     // applications for a better performance/power consumption ratio".
     let s = scene();
     let mcpc = McpcPower::default();
-    let hybrid = SimRunner::new(cfg(RendererMode::McpcRenderer, 5), Arc::clone(&s)).run();
-    let nrend = SimRunner::new(cfg(RendererMode::PerPipelineRenderer, 7), s).run();
+    let hybrid = run_with_scene(
+        &cfg(RendererMode::McpcRenderer, 5),
+        Backend::Sim,
+        Arc::clone(&s),
+    )
+    .report
+    .sim()
+    .unwrap();
+    let out = run_with_scene(&cfg(RendererMode::PerPipelineRenderer, 7), Backend::Sim, s);
+    let nrend = out.report.sim().unwrap();
     let he = hybrid.active_energy_joules(&mcpc);
     let ne = nrend.active_energy_joules(&mcpc);
     assert!(he < ne, "hybrid {he:.0} J should beat n-rend {ne:.0} J");
@@ -174,7 +197,8 @@ fn mcpc_render_time_is_seconds_not_minutes() {
     // §VI-B: "The rendering of all images took only about 3.3 seconds" —
     // scaled to this test's 60-frame walkthrough, ~0.5 s.
     let s = scene();
-    let hybrid = SimRunner::new(cfg(RendererMode::McpcRenderer, 5), s).run();
+    let out = run_with_scene(&cfg(RendererMode::McpcRenderer, 5), Backend::Sim, s);
+    let hybrid = out.report.sim().unwrap();
     let full_walkthrough_equiv = hybrid.mcpc_busy_secs * 400.0 / 60.0;
     assert!(
         (2.0..5.0).contains(&full_walkthrough_equiv),

@@ -3,8 +3,8 @@
 //! bit-identical frames for every renderer configuration.
 
 use scc_core::{
-    reference::reference_frames, run_native, Arrangement, Fidelity, RendererMode, RunConfig,
-    SimRunner,
+    reference::reference_frames, run_with_scene, Arrangement, Backend, Fidelity, RendererMode,
+    RunConfig,
 };
 use scc_render::{CityConfig, Scene};
 use std::sync::Arc;
@@ -32,7 +32,8 @@ fn cfg(mode: RendererMode, pipelines: u32) -> RunConfig {
 #[test]
 fn simulated_pipeline_matches_reference_single_renderer() {
     let c = cfg(RendererMode::SingleRenderer, 3);
-    let report = SimRunner::new(c.clone(), scene()).run();
+    let out = run_with_scene(&c, Backend::Sim, scene());
+    let report = out.report.sim().unwrap();
     let reference = reference_frames(&c, scene());
     assert_eq!(report.outputs.unwrap(), reference);
 }
@@ -40,7 +41,8 @@ fn simulated_pipeline_matches_reference_single_renderer() {
 #[test]
 fn simulated_pipeline_matches_reference_per_pipeline_renderer() {
     let c = cfg(RendererMode::PerPipelineRenderer, 2);
-    let report = SimRunner::new(c.clone(), scene()).run();
+    let out = run_with_scene(&c, Backend::Sim, scene());
+    let report = out.report.sim().unwrap();
     let reference = reference_frames(&c, scene());
     assert_eq!(report.outputs.unwrap(), reference);
 }
@@ -48,7 +50,8 @@ fn simulated_pipeline_matches_reference_per_pipeline_renderer() {
 #[test]
 fn simulated_pipeline_matches_reference_mcpc_renderer() {
     let c = cfg(RendererMode::McpcRenderer, 4);
-    let report = SimRunner::new(c.clone(), scene()).run();
+    let out = run_with_scene(&c, Backend::Sim, scene());
+    let report = out.report.sim().unwrap();
     // The MCPC data path renders full frames and splits, like the
     // single-renderer reference.
     let mut rc = c.clone();
@@ -60,8 +63,17 @@ fn simulated_pipeline_matches_reference_mcpc_renderer() {
 #[test]
 fn native_and_simulated_pipelines_agree() {
     let c = cfg(RendererMode::SingleRenderer, 2);
-    let sim = SimRunner::new(c.clone(), scene()).run().outputs.unwrap();
-    let native = run_native(&c, scene()).frames;
+    let sim = run_with_scene(&c, Backend::Sim, scene())
+        .report
+        .sim()
+        .unwrap()
+        .outputs
+        .unwrap();
+    let native = run_with_scene(&c, Backend::Native, scene())
+        .report
+        .native()
+        .unwrap()
+        .frames;
     assert_eq!(sim, native, "the two execution back-ends diverged");
 }
 
@@ -72,7 +84,14 @@ fn every_arrangement_produces_the_same_images() {
     for arr in Arrangement::all() {
         let mut c = cfg(RendererMode::SingleRenderer, 3);
         c.arrangement = arr;
-        images.push(SimRunner::new(c, scene()).run().outputs.unwrap());
+        images.push(
+            run_with_scene(&c, Backend::Sim, scene())
+                .report
+                .sim()
+                .unwrap()
+                .outputs
+                .unwrap(),
+        );
     }
     assert_eq!(images[0], images[1]);
     assert_eq!(images[1], images[2]);
@@ -85,8 +104,18 @@ fn run_seed_changes_scratches_but_not_geometry() {
     b.seed = a.seed + 1;
     a.frames = 8;
     b.frames = 8;
-    let fa = SimRunner::new(a, scene()).run().outputs.unwrap();
-    let fb = SimRunner::new(b, scene()).run().outputs.unwrap();
+    let fa = run_with_scene(&a, Backend::Sim, scene())
+        .report
+        .sim()
+        .unwrap()
+        .outputs
+        .unwrap();
+    let fb = run_with_scene(&b, Backend::Sim, scene())
+        .report
+        .sim()
+        .unwrap()
+        .outputs
+        .unwrap();
     // Same walkthrough, different film damage: the randomised filters
     // (scratch columns / flicker offsets) must differ somewhere.
     assert_ne!(fa, fb, "seeds should change the randomised filters");
@@ -99,7 +128,7 @@ fn walkthrough_time_is_identical_between_fidelities() {
     let mut timing = cfg(RendererMode::McpcRenderer, 3);
     timing.fidelity = Fidelity::TimingOnly;
     let full = cfg(RendererMode::McpcRenderer, 3);
-    let t1 = SimRunner::new(timing, scene()).run().total_secs;
-    let t2 = SimRunner::new(full, scene()).run().total_secs;
+    let t1 = run_with_scene(&timing, Backend::Sim, scene()).total_secs;
+    let t2 = run_with_scene(&full, Backend::Sim, scene()).total_secs;
     assert_eq!(t1, t2);
 }

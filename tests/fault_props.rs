@@ -11,8 +11,8 @@ use scc_core::runner::native::{decode_frame_checked, encode_frame};
 use scc_core::viz::frame_checksum;
 use scc_core::Frame;
 use scc_core::{
-    reference::reference_frames, run_native, FaultSpec, Fidelity, NativeTuning, RunConfig,
-    SimRunner, StallSpec,
+    reference::reference_frames, run_with_scene, Backend, FaultSpec, Fidelity, NativeTuning,
+    RunConfig, StallSpec,
 };
 use scc_filters::{Image, StripInfo};
 use scc_render::{CityConfig, Scene};
@@ -163,7 +163,7 @@ proptest! {
             .iter()
             .map(frame_checksum)
             .collect();
-        let report = SimRunner::new(cfg, scene()).run();
+        let report = run_with_scene(&cfg, Backend::Sim, scene()).report.sim().unwrap();
         let got: Vec<u64> = report
             .outputs
             .expect("full fidelity")
@@ -217,7 +217,7 @@ proptest! {
             .iter()
             .map(frame_checksum)
             .collect();
-        let report = run_native(&cfg, scene());
+        let report = run_with_scene(&cfg, Backend::Native, scene()).report.native().unwrap();
         let got: Vec<u64> = report.frames.iter().map(frame_checksum).collect();
         prop_assert_eq!(got, want, "native lost or damaged a frame");
     }

@@ -4,7 +4,7 @@
 //! analytic bounds that hold for any pipeline schedule.
 
 use scc_core::cost::{CostModel, RenderWork};
-use scc_core::{place, RendererMode, RunConfig, SimRunner, StageKind};
+use scc_core::{place, run_with_scene, Backend, RendererMode, RunConfig, SimRunner, StageKind};
 use scc_render::{CityConfig, Renderer, Scene, Walkthrough};
 use scc_sim::{SccConfig, SccPlatform, SimTime};
 use std::sync::Arc;
@@ -35,6 +35,7 @@ fn run_with_bucket(config: RunConfig, bucket: SimTime, scene: &Arc<Scene>) -> f6
         SccPlatform::new(scc),
         CostModel::default(),
     )
+    .expect("a valid static film config")
     .run()
     .total_secs
 }
@@ -122,9 +123,7 @@ fn walkthrough_respects_analytic_bounds() {
         (RendererMode::McpcRenderer, 3),
     ] {
         let config = cfg(mode, p);
-        let t = SimRunner::new(config.clone(), Arc::clone(&s))
-            .run()
-            .total_secs;
+        let t = run_with_scene(&config, Backend::Sim, Arc::clone(&s)).total_secs;
         let lower = bottleneck_lower_bound(&config, &s);
         assert!(
             t >= lower * 0.999,
@@ -146,7 +145,7 @@ fn walkthrough_respects_analytic_bounds() {
 #[test]
 fn busy_time_never_exceeds_wall_time_per_stage() {
     let s = scene();
-    let r = SimRunner::new(cfg(RendererMode::PerPipelineRenderer, 5), s).run();
+    let r = run_with_scene(&cfg(RendererMode::PerPipelineRenderer, 5), Backend::Sim, s);
     for st in &r.stage_reports {
         assert!(
             st.busy_secs <= r.total_secs * 1.001,
@@ -172,7 +171,8 @@ fn busy_time_never_exceeds_wall_time_per_stage() {
 #[test]
 fn energy_is_at_least_idle_energy() {
     let s = scene();
-    let r = SimRunner::new(cfg(RendererMode::McpcRenderer, 4), s).run();
+    let out = run_with_scene(&cfg(RendererMode::McpcRenderer, 4), Backend::Sim, s);
+    let r = out.report.sim().unwrap();
     let idle_floor = r.scc_idle_power * r.total_secs;
     assert!(
         r.scc_energy_joules >= idle_floor,

@@ -8,8 +8,8 @@
 //! scalar reference meet.
 
 use scc_core::{
-    reference::reference_frames, run_native, run_with_scene, Backend, BackendReport, Fidelity,
-    KernelChoice, NativeTuning, RendererMode, RunConfig,
+    reference::reference_frames, run_with_scene, Backend, BackendReport, Fidelity, KernelChoice,
+    NativeTuning, RendererMode, RunConfig,
 };
 use scc_filters::{Image, KernelBackend};
 use scc_render::{CityConfig, Scene};
@@ -84,10 +84,12 @@ fn raw_frames(frames: &[Image]) -> Vec<&[u8]> {
 #[test]
 fn tuning_is_invisible_in_every_renderer_mode() {
     for mode in MODES {
-        let base = run_native(&cfg(mode, baseline()), scene());
+        let out = run_with_scene(&cfg(mode, baseline()), Backend::Native, scene());
+        let base = out.report.native().unwrap();
         assert_eq!(base.frames.len(), 4, "{mode:?}: baseline frame count");
         for tuning in TUNINGS {
-            let variant = run_native(&cfg(mode, tuning), scene());
+            let out = run_with_scene(&cfg(mode, tuning), Backend::Native, scene());
+            let variant = out.report.native().unwrap();
             assert_eq!(
                 variant.frames.len(),
                 base.frames.len(),
@@ -113,7 +115,8 @@ fn threaded_pooled_native_matches_sequential_reference() {
             ref_cfg.renderer = RendererMode::SingleRenderer;
         }
         let want = reference_frames(&ref_cfg, scene());
-        let native = run_native(&c, scene());
+        let out = run_with_scene(&c, Backend::Native, scene());
+        let native = out.report.native().unwrap();
         assert_eq!(
             raw_frames(&native.frames),
             raw_frames(&want),
@@ -156,7 +159,8 @@ fn pool_stats_reflect_the_knob() {
     // source is the pool's only taker.
     let mut long = cfg(RendererMode::SingleRenderer, baseline());
     long.frames = 24;
-    let pooled = run_native(&long, scene());
+    let out = run_with_scene(&long, Backend::Native, scene());
+    let pooled = out.report.native().unwrap();
     assert!(
         pooled.pool_stats.recycled + pooled.pool_stats.fresh > 0,
         "pooled run recorded no acquisitions"
@@ -166,7 +170,14 @@ fn pool_stats_reflect_the_knob() {
         "pooled run never recycled a buffer"
     );
 
-    let unpooled = run_native(&cfg(RendererMode::SingleRenderer, tune(1, false)), scene());
+    let unpooled = run_with_scene(
+        &cfg(RendererMode::SingleRenderer, tune(1, false)),
+        Backend::Native,
+        scene(),
+    )
+    .report
+    .native()
+    .unwrap();
     assert_eq!(
         unpooled.pool_stats.recycled, 0,
         "disabled pool must not recycle"

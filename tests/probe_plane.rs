@@ -8,8 +8,8 @@ mod common;
 use common::{scene as fresh_scene, MODES};
 use scc_cluster::{cluster_walkthrough, ClusterMode};
 use scc_core::{
-    run_baseline, run_with_scene, Backend, BackendReport, Fidelity, GovernorTuning, RendererMode,
-    RunConfig, Runtime,
+    check_support, run_baseline, run_with_scene, Backend, BackendReport, Fidelity, GovernorTuning,
+    RendererMode, RunConfig, Runtime,
 };
 use scc_render::Scene;
 use std::sync::{Arc, Barrier};
@@ -34,13 +34,11 @@ fn cfg(mode: RendererMode, runtime: Runtime, pipelines: u32) -> RunConfig {
     .expect("valid config")
 }
 
-/// The static-pipeline DES validator covers the single renderer; the task
-/// runtime runs every mode on both backends.
+/// Both virtual-time backends, where the support table lets DES run.
 fn backends(c: &RunConfig) -> &'static [Backend] {
-    if c.runtime == Runtime::Tasks || c.renderer == RendererMode::SingleRenderer {
-        &[Backend::Sim, Backend::Des]
-    } else {
-        &[Backend::Sim]
+    match check_support(c, Backend::Des) {
+        Ok(()) => &[Backend::Sim, Backend::Des],
+        Err(_) => &[Backend::Sim],
     }
 }
 

@@ -12,7 +12,7 @@ mod common;
 use common::{cfg_with, checksums, kill_spec, oracle, scene, ARRANGEMENTS, MODES};
 use proptest::prelude::*;
 use scc_core::{
-    place, run_des, Arrangement, FaultSpec, Fidelity, RendererMode, RunConfig, SimRunner,
+    place, run_with_scene, Arrangement, Backend, FaultSpec, Fidelity, RendererMode, RunConfig,
     StageKind, StallSpec,
 };
 
@@ -31,7 +31,8 @@ fn kill_with_spare_is_bit_identical_in_every_mode_and_arrangement() {
             let mut c = cfg(mode, arr, 2);
             let want = oracle(&c);
             c.fault = Some(kill_spec(0, 2, 1));
-            let report = SimRunner::new(c.clone(), scene()).run();
+            let out = run_with_scene(&c, Backend::Sim, scene());
+            let report = out.report.sim().unwrap();
             assert!(
                 !report.recoveries.is_empty(),
                 "no recovery in {mode:?}/{arr:?}"
@@ -86,8 +87,10 @@ fn spare_exhausted_kill_degrades_exactly_like_pr1() {
         }),
         ..FaultSpec::default()
     });
-    let k = SimRunner::new(killed, scene()).run();
-    let s = SimRunner::new(stalled, scene()).run();
+    let out = run_with_scene(&killed, Backend::Sim, scene());
+    let k = out.report.sim().unwrap();
+    let out = run_with_scene(&stalled, Backend::Sim, scene());
+    let s = out.report.sim().unwrap();
     assert!(k.recoveries.is_empty(), "no spare, no migration");
     assert!(!k.degradations.is_empty(), "the kill must fail over");
     assert_eq!(
@@ -109,8 +112,8 @@ fn des_and_sim_agree_on_the_recovery_timeline() {
     c.fidelity = Fidelity::TimingOnly;
     c.frames = 10;
     c.fault = Some(kill_spec(0, 2, 1));
-    let sim = SimRunner::new(c.clone(), scene()).run();
-    let des = run_des(&c, scene());
+    let sim = run_with_scene(&c, Backend::Sim, scene());
+    let des = run_with_scene(&c, Backend::Des, scene());
     assert_eq!(sim.recoveries.len(), 1, "sim recovers once");
     assert_eq!(des.recoveries.len(), 1, "DES recovers once");
     let (a, b) = (&sim.recoveries[0], &des.recoveries[0]);
@@ -165,7 +168,7 @@ proptest! {
                 phi_dead: phi as f64,
                 ..kill_spec(0, stage, at_ms)
             });
-            SimRunner::new(c, scene()).run()
+            run_with_scene(&c, Backend::Sim, scene())
         };
         let fast = run(period_us);
         let slow = run(period_us * 2);

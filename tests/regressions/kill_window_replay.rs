@@ -10,6 +10,7 @@
 //! raw counts still diverge, but no more `differential-replay` failure)
 //! and the guard rail (an early kill is still compared strictly).
 
+use scc_core::{Backend, RunOutcome};
 use scc_verify::fuzz::{run_oracle, FuzzCase, DES_TIMING_TOLERANCE};
 
 /// A minimal divergent schedule, found by replaying fuzzer mutants
@@ -27,21 +28,15 @@ kill p=0 s=1 at_ms=34
 kill p=0 s=1 at_ms=23
 ";
 
-/// Run both executors directly (the raw comparison the old oracle made).
-fn raw_runs(case: &FuzzCase) -> (scc_core::WalkthroughReport, scc_core::DesReport) {
-    let sim =
-        scc_core::runner::sim::SimRunner::new(case.cfg.clone(), scc_verify::verify_scene()).run();
-    let des = scc_core::run_des(&case.cfg, scc_verify::verify_scene());
-    (sim, des)
+/// Run both executors (the raw comparison the old oracle made).
+fn raw_runs(case: &FuzzCase) -> (RunOutcome, RunOutcome) {
+    let on = |backend| scc_core::run_with_scene(&case.cfg, backend, scc_verify::verify_scene());
+    (on(Backend::Sim), on(Backend::Des))
 }
 
 /// The oracle's boundary-window start: end-to-end timing skew plus one
 /// *lane* frame period of per-stage drain skew (mirrors `run_oracle`).
-fn window_start(
-    case: &FuzzCase,
-    sim: &scc_core::WalkthroughReport,
-    des: &scc_core::DesReport,
-) -> f64 {
+fn window_start(case: &FuzzCase, sim: &RunOutcome, des: &RunOutcome) -> f64 {
     let min_total = sim.total_secs.min(des.total_secs);
     let lane_frames = case
         .cfg

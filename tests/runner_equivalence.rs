@@ -6,9 +6,9 @@
 
 mod common;
 
-use common::{cfg_with, checksums, oracle, scene, ARRANGEMENTS, MODES};
+use common::{cfg_with, checksums, film, oracle, scene, ARRANGEMENTS, MODES};
 use scc_core::{
-    run_des, run_native, Arrangement, FaultSpec, RendererMode, RunConfig, SimRunner, StallSpec,
+    run_with_scene, Arrangement, Backend, FaultSpec, RendererMode, RunConfig, StallSpec,
 };
 
 fn cfg(mode: RendererMode, arr: Arrangement, pipelines: u32) -> RunConfig {
@@ -20,13 +20,8 @@ fn sim_matches_reference_in_every_mode_and_arrangement() {
     for mode in MODES {
         for arr in ARRANGEMENTS {
             let c = cfg(mode, arr, 2);
-            let want = oracle(&c);
-            let report = SimRunner::new(c, scene()).run();
-            assert_eq!(
-                checksums(&report.outputs.expect("full fidelity")),
-                want,
-                "sim diverged: {mode:?}/{arr:?}"
-            );
+            let sim = film(&c, Backend::Sim);
+            assert_eq!(sim, oracle(&c), "sim diverged: {mode:?}/{arr:?}");
         }
     }
 }
@@ -36,45 +31,29 @@ fn native_matches_reference_in_every_mode_and_arrangement() {
     for mode in MODES {
         for arr in ARRANGEMENTS {
             let c = cfg(mode, arr, 2);
-            let want = oracle(&c);
-            let native = run_native(&c, scene());
-            assert_eq!(
-                checksums(&native.frames),
-                want,
-                "native diverged: {mode:?}/{arr:?}"
-            );
+            let native = film(&c, Backend::Native);
+            assert_eq!(native, oracle(&c), "native diverged: {mode:?}/{arr:?}");
         }
     }
 }
 
 #[test]
 fn des_matches_reference_in_every_arrangement() {
-    // The DES validator covers the single-renderer configuration; the
+    // Static DES covers the single renderer (`check_support`); the
     // arrangement only moves stages between cores, so the data path must
     // be byte-stable across all three.
     for arr in ARRANGEMENTS {
         let c = cfg(RendererMode::SingleRenderer, arr, 3);
-        let want = oracle(&c);
-        let des = run_des(&c, scene());
-        assert_eq!(
-            checksums(&des.frames.expect("full fidelity")),
-            want,
-            "DES diverged: {arr:?}"
-        );
+        assert_eq!(film(&c, Backend::Des), oracle(&c), "DES diverged: {arr:?}");
     }
 }
 
 #[test]
 fn all_three_runners_agree_with_each_other() {
     let c = cfg(RendererMode::SingleRenderer, Arrangement::Ordered, 2);
-    let sim = SimRunner::new(c.clone(), scene()).run();
-    let des = run_des(&c, scene());
-    let native = run_native(&c, scene());
-    let a = checksums(&sim.outputs.expect("frames"));
-    let b = checksums(&des.frames.expect("frames"));
-    let n = checksums(&native.frames);
-    assert_eq!(a, b, "sim vs DES");
-    assert_eq!(a, n, "sim vs native");
+    let a = film(&c, Backend::Sim);
+    assert_eq!(a, film(&c, Backend::Des), "sim vs DES");
+    assert_eq!(a, film(&c, Backend::Native), "sim vs native");
 
     // The native runner's host tuning (chunked kernels + buffer pool) is
     // a pure perf knob; the agreement must hold at any setting.
@@ -84,8 +63,7 @@ fn all_three_runners_agree_with_each_other() {
         buffer_pool: true,
         ..scc_core::NativeTuning::default()
     };
-    let native_tuned = run_native(&tuned, scene());
-    assert_eq!(a, checksums(&native_tuned.frames), "sim vs tuned native");
+    assert_eq!(a, film(&tuned, Backend::Native), "sim vs tuned native");
 }
 
 #[test]
@@ -105,13 +83,13 @@ fn chaos_walkthrough_delivers_every_frame() {
         }),
         ..FaultSpec::default()
     });
-    let report = SimRunner::new(c.clone(), scene()).run();
+    let sim = run_with_scene(&c, Backend::Sim, scene());
     assert!(
-        !report.degradations.is_empty(),
+        !sim.degradations.is_empty(),
         "the stalled blur core must be failed over"
     );
     assert_eq!(
-        checksums(&report.outputs.expect("frames")),
+        checksums(&sim.report.sim().unwrap().outputs.expect("frames")),
         want,
         "sim lost or damaged a frame under faults"
     );
@@ -132,9 +110,8 @@ fn chaos_walkthrough_delivers_every_frame() {
         buffer_pool: true,
         ..scc_core::NativeTuning::default()
     };
-    let native = run_native(&nc, scene());
     assert_eq!(
-        checksums(&native.frames),
+        film(&nc, Backend::Native),
         want,
         "native lost or damaged a frame under faults"
     );
@@ -157,7 +134,12 @@ fn same_fault_seed_reports_are_byte_identical() {
         }),
         ..FaultSpec::default()
     });
-    let a = SimRunner::new(c.clone(), scene()).run();
-    let b = SimRunner::new(c, scene()).run();
-    assert_eq!(a.fingerprint(), b.fingerprint());
+    let print = || {
+        run_with_scene(&c, Backend::Sim, scene())
+            .report
+            .sim()
+            .unwrap()
+            .fingerprint()
+    };
+    assert_eq!(print(), print());
 }

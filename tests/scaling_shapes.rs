@@ -3,7 +3,7 @@
 //! paper's frame geometry but with a shortened walkthrough — the pipeline
 //! reaches steady state within a few frames, so the shapes are identical.
 
-use scc_core::{Arrangement, RendererMode, RunConfig, SimRunner, StageKind};
+use scc_core::{run_with_scene, Arrangement, Backend, RendererMode, RunConfig, StageKind};
 use scc_render::{CityConfig, Scene};
 use std::sync::Arc;
 
@@ -19,7 +19,7 @@ fn secs(mode: RendererMode, arr: Arrangement, pipelines: u32, scene: &Arc<Scene>
         frames: 60,
         ..RunConfig::default()
     };
-    SimRunner::new(cfg, Arc::clone(scene)).run().total_secs
+    run_with_scene(&cfg, Backend::Sim, Arc::clone(scene)).total_secs
 }
 
 #[test]
@@ -174,7 +174,8 @@ fn blur_is_the_bottleneck_of_a_single_pipeline() {
         frames: 60,
         ..RunConfig::default()
     };
-    let r = SimRunner::new(cfg, scene()).run();
+    let out = run_with_scene(&cfg, Backend::Sim, scene());
+    let r = out.report.sim().unwrap();
     let blur = r.utilisation(StageKind::Blur, Some(0)).unwrap();
     assert!(blur > 0.85, "blur utilisation {blur:.2} should be ~1");
     for kind in [
@@ -201,7 +202,8 @@ fn idle_time_ordering_matches_figure_15() {
         frames: 80,
         ..RunConfig::default()
     };
-    let r = SimRunner::new(cfg, scene()).run();
+    let out = run_with_scene(&cfg, Backend::Sim, scene());
+    let r = out.report.sim().unwrap();
     let median = |k: StageKind| r.stage(k, Some(0)).unwrap().idle_ms.unwrap().median;
     let blur = median(StageKind::Blur);
     let scratch = median(StageKind::Scratch);

@@ -6,8 +6,8 @@
 //! refused by the backend — and then with which key phrase.
 
 use scc_core::{
-    run, Backend, FaultSpec, Fidelity, GenericChainSpec, GenericStageSpec, KillSpec, RendererMode,
-    RunConfig, Runtime, StallSpec, WavefrontSpec, Workload,
+    run, try_run, Backend, FaultSpec, Fidelity, GenericChainSpec, GenericStageSpec, KillSpec,
+    RendererMode, RunConfig, RunError, Runtime, StallSpec, WavefrontSpec, Workload,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -190,4 +190,26 @@ fn run_accepts_and_refuses_exactly_the_pinned_cells() {
         wrong.len(),
         wrong.join("\n")
     );
+}
+
+/// The same cells through `try_run`: `ok` is `Ok`, every refusal is
+/// `Err(Unsupported)` naming the backend and carrying the pinned phrase,
+/// and nothing panics.
+#[test]
+fn try_run_answers_every_pinned_cell_without_panicking() {
+    for (label, backend, cfg, token) in cells() {
+        let Some(cfg) = cfg else { continue };
+        let got = catch_unwind(AssertUnwindSafe(|| try_run(&cfg, backend)))
+            .unwrap_or_else(|p| panic!("{label}: try_run panicked: {}", panic_text(p)));
+        match (token, got) {
+            ("ok", Ok(out)) => assert_eq!(out.backend, backend, "{label}"),
+            ("ok", Err(e)) => panic!("{label}: pinned ok, refused: {e}"),
+            (_, Ok(_)) => panic!("{label}: pinned {token:?}, ran"),
+            (_, Err(RunError::Unsupported { backend: b, why })) => {
+                assert_eq!(b, backend, "{label}");
+                assert!(why.contains(key_phrase(token)), "{label}: {why}");
+            }
+            (_, Err(e)) => panic!("{label}: pinned {token:?}, got {e}"),
+        }
+    }
 }

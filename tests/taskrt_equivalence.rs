@@ -12,10 +12,10 @@
 
 mod common;
 
-use common::{cfg_with, checksums, scene, MODES};
+use common::{cfg_with, checksums, film, scene, MODES};
 use proptest::prelude::*;
 use scc_core::{
-    run_des, Arrangement, FaultSpec, KillSpec, RendererMode, RunConfig, Runtime, SimRunner,
+    run_with_scene, Arrangement, Backend, FaultSpec, KillSpec, RendererMode, RunConfig, Runtime,
 };
 
 fn cfg(mode: RendererMode, pipelines: u32, frames: u64) -> RunConfig {
@@ -28,16 +28,12 @@ fn cfg(mode: RendererMode, pipelines: u32, frames: u64) -> RunConfig {
 fn tasks_film_is_bit_identical_in_every_mode_on_both_backends() {
     for mode in MODES {
         let st = cfg(mode, 2, 4);
-        let want = checksums(
-            &SimRunner::new(st.clone(), scene())
-                .run()
-                .outputs
-                .expect("static film"),
-        );
+        let want = film(&st, Backend::Sim);
 
         let mut tk = st.clone();
         tk.runtime = Runtime::Tasks;
-        let sim = SimRunner::new(tk.clone(), scene()).run();
+        let out = run_with_scene(&tk, Backend::Sim, scene());
+        let sim = out.report.sim().unwrap();
         assert_eq!(
             checksums(&sim.outputs.expect("tasks sim film")),
             want,
@@ -50,9 +46,8 @@ fn tasks_film_is_bit_identical_in_every_mode_on_both_backends() {
             "ledger unbalanced in {mode:?}: {stats:?}"
         );
 
-        let des = run_des(&tk, scene());
         assert_eq!(
-            checksums(des.frames.as_ref().expect("tasks DES film")),
+            film(&tk, Backend::Des),
             want,
             "tasks/DES film diverged in {mode:?}"
         );
@@ -67,12 +62,7 @@ fn tasks_film_is_bit_identical_in_every_mode_on_both_backends() {
 fn kills_and_lossy_transport_leave_the_film_identical() {
     for mode in MODES {
         let clean = cfg(mode, 2, 4);
-        let want = checksums(
-            &SimRunner::new(clean.clone(), scene())
-                .run()
-                .outputs
-                .expect("static film"),
-        );
+        let want = film(&clean, Backend::Sim);
 
         let mut tk = clean.clone();
         tk.runtime = Runtime::Tasks;
@@ -89,7 +79,8 @@ fn kills_and_lossy_transport_leave_the_film_identical() {
             phi_dead: 2.0,
             ..FaultSpec::default()
         });
-        let sim = SimRunner::new(tk.clone(), scene()).run();
+        let out = run_with_scene(&tk, Backend::Sim, scene());
+        let sim = out.report.sim().unwrap();
         let stats = sim.task_stats.expect("task ledger");
         assert_eq!(
             stats.completed + stats.degraded,
@@ -102,9 +93,8 @@ fn kills_and_lossy_transport_leave_the_film_identical() {
             "chaos moved a pixel in {mode:?} (sim)"
         );
 
-        let des = run_des(&tk, scene());
         assert_eq!(
-            checksums(des.frames.as_ref().expect("tasks DES film")),
+            film(&tk, Backend::Des),
             want,
             "chaos moved a pixel in {mode:?} (DES)"
         );
@@ -137,12 +127,12 @@ proptest! {
 
         let mut st = base.clone();
         st.fault = Some(fault.clone());
-        let static_report = SimRunner::new(st, scene()).run();
+        let static_report = run_with_scene(&st, Backend::Sim, scene());
 
         let mut tk = base;
         tk.runtime = Runtime::Tasks;
         tk.fault = Some(FaultSpec { max_spares: 0, ..fault });
-        let tasks_report = SimRunner::new(tk, scene()).run();
+        let tasks_report = run_with_scene(&tk, Backend::Sim, scene()).report.sim().unwrap();
         let stats = tasks_report.task_stats.expect("task ledger");
         prop_assert_eq!(stats.completed + stats.degraded, stats.spawned);
 
