@@ -221,6 +221,25 @@ proptest! {
         );
     }
 
+    /// Blur's vectored kernel equals the scalar gather byte for byte,
+    /// alpha included, at every radius either side of the r = 7 edge of
+    /// the vectored envelope and at fan-outs down to one-row chunks,
+    /// where a chunk's halo reaches across several neighbouring chunks.
+    #[test]
+    fn blur_vectored_equals_scalar_gather(
+        radius in 0u32..=9,
+        img in arb_image(47, 47),
+        workers in 1usize..=12,
+    ) {
+        let blur = Blur { radius };
+        let ctx = whole(&img, 0, 0);
+        let mut want = img.clone();
+        blur.apply(&mut want, &ctx);
+        let mut got = img;
+        blur.apply_vectored(&mut got, &ctx, KernelBackend::Simd, workers);
+        prop_assert_eq!(got, want, "r={} workers={}", radius, workers);
+    }
+
     #[test]
     fn work_units_are_finite_and_nonnegative(
         img in arb_image(12, 12),

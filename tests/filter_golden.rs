@@ -265,7 +265,7 @@ fn golden_hashes_lane_widths() {
     // The pinned table itself comes from the scalar path; both backends
     // and every worker fan-out must land on the same bytes.
     for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-        for workers in [1usize, 3] {
+        for workers in [1usize, 3, 16] {
             for &(w, ref filters) in GOLDEN_LANES {
                 let ctx = FrameCtx::whole_frame(FRAME_ID, RUN_SEED, w, LANE_H);
                 for (f, &want) in standard_chain().iter().zip(filters.iter()) {
