@@ -1,23 +1,31 @@
-//! Kernel backend selection: scalar reference loops vs the lane-
-//! vectorized kernels of [`crate::lanes`].
+//! Kernel backend selection: scalar reference loops vs kernels shaped
+//! for the compiler's auto-vectorizer.
 //!
 //! There is one build and both backends are in it. The vectorized
 //! kernels are what runs unless a caller asks otherwise
-//! ([`KernelBackend::default_backend`]): their lanes are plain
-//! `[f32; 8]` arrays, so there is no platform they cannot run on. The
-//! scalar loops are the reference the vectorized kernels are tested
-//! against, and stay selectable for that. Every vectorized kernel is
-//! bit-identical to its scalar twin — the backend is a *speed* knob,
-//! never a *pixels* knob (DESIGN.md §15).
+//! ([`KernelBackend::default_backend`]). They are plain safe Rust over
+//! arrays and slices at the default target, so there is no platform
+//! they cannot run on. The scalar loops are the reference the
+//! vectorized kernels are tested against, and stay selectable for that.
+//! Every vectorized kernel is bit-identical to its scalar twin — the
+//! backend is a *speed* knob, never a *pixels* knob (DESIGN.md §15).
 
 /// Which kernel implementation a filter stage runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KernelBackend {
     /// The paper-literal per-pixel loops — the reference semantics.
     Scalar,
-    /// Lane-vectorized kernels: `[f32; 8]` lane arithmetic for the
-    /// float-formula stages (sepia), an exact per-frame lookup table
-    /// for flicker, and an exact sliding-window reformulation for blur.
+    /// The vectorized kernels:
+    ///
+    /// * sepia — 8-pixel blocks: `mix` from per-channel product tables,
+    ///   then the formula's float arithmetic with an exact
+    ///   round-half-away quantizer, written back as whole words;
+    /// * blur — an in-place sliding window: `u16` column sums per byte
+    ///   lane, an `(r+1)`-row ring of originals, and one exact
+    ///   multiply-shift reciprocal per row (radii up to 7; wider blurs
+    ///   run the scalar gather);
+    /// * flicker — a per-frame 256-entry lookup table.
+    ///
     /// Scratch and vswap are copy/paint kernels already bound by
     /// `memcpy` bandwidth; they run the same code under both backends.
     Simd,

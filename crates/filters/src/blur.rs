@@ -5,9 +5,16 @@
 //! original data, a second buffer is required" (§IV). This is the most
 //! expensive filter stage in the paper's measurements — the 3×3 (or
 //! larger) gather makes it both compute- and memory-heavy.
+//!
+//! The modelled SCC pays that second buffer: `traffic` charges a full
+//! read of the strip and a full write of its copy. The host does not
+//! allocate it on the vectorized path. That kernel blurs in place and
+//! keeps only what it still needs of the original: `r + 1` rows in a
+//! ring, plus, under a worker fan-out, each chunk's ≤ `r` halo rows on
+//! either side. The scalar reference still gathers from a full clone.
 
 use crate::backend::KernelBackend;
-use crate::chunk::par_row_chunks;
+use crate::chunk::{chunk_rows, par_row_chunks};
 use crate::filter::{FrameCtx, ImageFilter, Traffic};
 use crate::image::{Image, BYTES_PER_PIXEL};
 
@@ -29,8 +36,12 @@ impl Blur {
         Blur { radius }
     }
 
-    fn window(&self) -> u64 {
-        let d = (2 * self.radius + 1) as u64;
+    /// Pixels in a full window, `(2r+1)²`. The side is taken in `u64`
+    /// (it overflows `u32` from `r = 2³¹`) and squared in `f64` (its
+    /// square overflows `u64` there too); both are exact for any radius
+    /// a frame can hold.
+    fn window(&self) -> f64 {
+        let d = (2 * u64::from(self.radius) + 1) as f64;
         d * d
     }
 }
@@ -68,136 +79,251 @@ fn blur_row(src: &Image, y: u32, out_row: &mut [u8], r: i64) {
     }
 }
 
-/// Exact unsigned division by a small run-time constant via the
-/// round-up multiply-shift (Granlund–Montgomery): `q = (a·m) >> 32`
-/// with `m = ⌊2³²/n⌋ + 1` equals `a / n` for every `a ≤ 255·n` as long
-/// as `255·n² < 2³²` (windows up to 63×63). Outside that envelope it
-/// falls back to the hardware divide — same quotient either way.
-#[derive(Clone, Copy)]
-struct ExactDiv {
-    n: u32,
-    m: u64,
-    exact: bool,
+/// Widest radius the in-place kernel runs: a full window's sum,
+/// `(2r+1)²·255`, must fit a `u16` lane (57 375 at r = 7, 73 695 at
+/// r = 8). Wider blurs run the scalar gather.
+const LANE_RADIUS: u32 = 7;
+
+/// Exact division of a window sum `s ≤ 255·n` by the window's pixel
+/// count `n`, one reciprocal per row: `q = (s·m) >> k` with
+/// `m = ⌊2ᵏ/n⌋ + 1`. The round-up error stays below one quotient step
+/// while `255·n² < 2ᵏ`, so `k = 16` is exact for `n ≤ 16` (a `u16 × u16`
+/// high-half multiply) and `k = 24` for `n ≤ 256`, where `s·m` still
+/// fits a `u32`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Recip {
+    /// `k = 16`, for `2 ≤ n ≤ 16` (`m` fits a `u16` from `n = 2`).
+    Narrow(u16),
+    /// `k = 24`, for `16 < n ≤ 256`.
+    Wide(u32),
 }
 
-impl ExactDiv {
-    fn new(n: u32) -> ExactDiv {
-        ExactDiv {
-            n,
-            m: (1u64 << 32) / n as u64 + 1,
-            exact: 255 * (n as u64) * (n as u64) < (1u64 << 32),
-        }
-    }
-
-    #[inline]
-    fn div(self, a: u32) -> u32 {
-        if self.exact {
-            ((a as u64 * self.m) >> 32) as u32
+impl Recip {
+    fn new(n: u32) -> Recip {
+        debug_assert!((2..=256).contains(&n), "no reciprocal for n = {n}");
+        if n <= 16 {
+            Recip::Narrow(((1 << 16) / n + 1) as u16)
         } else {
-            a / self.n
+            Recip::Wide((1 << 24) / n + 1)
+        }
+    }
+
+    /// `s / n`.
+    #[cfg(test)]
+    fn div(self, s: u16) -> u8 {
+        match self {
+            Recip::Narrow(m) => narrow(m, s),
+            Recip::Wide(m) => wide(m, s),
+        }
+    }
+
+    /// `out[j] = (sums[j] + last[j]) / n` on the RGB lanes, `out[j]`
+    /// kept on the alpha lanes: the window's last column joins the sum,
+    /// and alpha is masked back, in the divide's own pass. One loop per
+    /// shift, so each vectorizes.
+    fn divide_into(self, sums: &[u16], last: &[u16], out: &mut [u8]) {
+        match self {
+            Recip::Narrow(m) => blend_lanes(sums, last, out, |s| narrow(m, s)),
+            Recip::Wide(m) => blend_lanes(sums, last, out, |s| wide(m, s)),
         }
     }
 }
 
-fn add_row(src: &Image, y: u32, cr: &mut [u32], cg: &mut [u32], cb: &mut [u32]) {
-    let row = src.row(y);
-    for (x, px) in row.chunks_exact(BYTES_PER_PIXEL).enumerate() {
-        cr[x] += px[0] as u32;
-        cg[x] += px[1] as u32;
-        cb[x] += px[2] as u32;
+#[inline(always)]
+fn narrow(m: u16, s: u16) -> u8 {
+    ((u32::from(s) * u32::from(m)) >> 16) as u8
+}
+
+#[inline(always)]
+fn wide(m: u32, s: u16) -> u8 {
+    ((u32::from(s) * m) >> 24) as u8
+}
+
+/// Lanes per [`RGB`] mask: sixteen pixels.
+const MASK_LANES: usize = 16 * BYTES_PER_PIXEL;
+
+/// `0xFF` on the RGB lanes of [`MASK_LANES`] bytes, `0` on alpha.
+const RGB: [u8; MASK_LANES] = {
+    let mut m = [0xFF; MASK_LANES];
+    let mut l = 3;
+    while l < MASK_LANES {
+        m[l] = 0;
+        l += BYTES_PER_PIXEL;
+    }
+    m
+};
+
+#[inline(always)]
+fn blend_lanes(sums: &[u16], last: &[u16], out: &mut [u8], div: impl Fn(u16) -> u8) {
+    let blocks = out
+        .chunks_mut(MASK_LANES)
+        .zip(sums.chunks(MASK_LANES))
+        .zip(last.chunks(MASK_LANES));
+    for ((out, sums), last) in blocks {
+        for (((o, &s), &c), &m) in out.iter_mut().zip(sums).zip(last).zip(&RGB) {
+            *o = (div(s + c) & m) | (*o & !m);
+        }
     }
 }
 
-fn sub_row(src: &Image, y: u32, cr: &mut [u32], cg: &mut [u32], cb: &mut [u32]) {
-    let row = src.row(y);
-    for (x, px) in row.chunks_exact(BYTES_PER_PIXEL).enumerate() {
-        cr[x] -= px[0] as u32;
-        cg[x] -= px[1] as u32;
-        cb[x] -= px[2] as u32;
-    }
-}
+/// The vectorized backend's kernel: blur rows `y0..` of an `h`-row
+/// image in place, `rows` being that chunk's bytes. `above` and `below`
+/// hold the pristine rows just outside the chunk that its windows reach
+/// (≤ `r` each, both empty for a whole image).
+///
+/// The box average is computed separably. Column sums — one `u16` lane
+/// per byte of the row, alpha lane included and discarded — slide down
+/// the chunk, adding the entering row and subtracting the leaving one
+/// in one pass. Each row's original is saved into an `(r+1)`-row ring
+/// just before it is overwritten, which is where it comes back from
+/// when it leaves the window `r + 1` rows later. Interior pixels sum
+/// their `2r+1` column lanes directly and divide through one [`Recip`]
+/// per row; the `r` border pixels each side divide the plain way. Every
+/// sum is the same exact integer the scalar gather forms, so the
+/// quotient is bit-identical to `blur_row` at every pixel.
+fn blur_chunk_in_place(
+    rows: &mut [u8],
+    row_bytes: usize,
+    y0: usize,
+    h: usize,
+    above: &[u8],
+    below: &[u8],
+    r: usize,
+) {
+    let rb = row_bytes;
+    let w = rb / BYTES_PER_PIXEL;
+    let end = y0 + rows.len() / rb;
+    let top = y0 - above.len() / rb;
+    let outside = |sy: usize| -> &[u8] {
+        if sy < y0 {
+            &above[(sy - top) * rb..][..rb]
+        } else {
+            &below[(sy - end) * rb..][..rb]
+        }
+    };
+    // Interior pixels x ∈ r..w−r see all 2r+1 columns; their `span`
+    // lanes start `lead` bytes into the row. The rest are borders.
+    let lead = r * BYTES_PER_PIXEL;
+    let span = rb.saturating_sub(2 * lead);
+    let left = r.min(w);
+    let borders = (0..left).chain(left.max(w.saturating_sub(r))..w);
+    let mut col = vec![0u16; rb];
+    let mut sums = vec![0u16; span];
+    // Only rows that leave the window inside the chunk come back out of
+    // the ring: the first `ch − r − 1`, at most `r + 1` at a time.
+    let ch = end - y0;
+    let mut ring = vec![0u8; (r + 1).min(ch.saturating_sub(r + 1)) * rb];
 
-/// The vectorized backend's kernel: the same box average computed as a
-/// separable sliding window. Per-column vertical sums slide down the
-/// chunk (add the entering row, subtract the leaving row) and a
-/// horizontal running sum slides across each output row, so the
-/// per-pixel cost is O(1) instead of O((2r+1)²). All partial sums are
-/// exact u32 integers and u32 addition is associative and commutative,
-/// so `acc` and `n` — and therefore `acc / n` — are bit-identical to
-/// the naive gather of [`blur_row`] for every pixel, including partial
-/// windows at all four borders.
-fn blur_chunk_sliding(src: &Image, y0: u32, out_rows: &mut [u8], r: i64) {
-    let w = src.width() as usize;
-    let h = src.height() as i64;
-    let row_bytes = w * BYTES_PER_PIXEL;
-    let mut cr = vec![0u32; w];
-    let mut cg = vec![0u32; w];
-    let mut cb = vec![0u32; w];
-    // Vertical window of the chunk's first output row.
-    let lo = (y0 as i64 - r).max(0);
-    let hi = (y0 as i64 + r).min(h - 1);
+    // Vertical window of the chunk's first row: nothing is written yet.
+    let (lo, hi) = (y0.saturating_sub(r), (y0 + r).min(h - 1));
     for sy in lo..=hi {
-        add_row(src, sy as u32, &mut cr, &mut cg, &mut cb);
-    }
-    let mut ny = (hi - lo + 1) as u32;
-    let full_nx = ((2 * r + 1) as u64).min(w as u64) as u32;
-    for (dy, out_row) in out_rows.chunks_exact_mut(row_bytes).enumerate() {
-        let y = y0 as i64 + dy as i64;
-        if dy > 0 {
-            let leave = y - 1 - r;
-            if leave >= 0 {
-                sub_row(src, leave as u32, &mut cr, &mut cg, &mut cb);
-                ny -= 1;
-            }
-            let enter = y + r;
-            if enter < h {
-                add_row(src, enter as u32, &mut cr, &mut cg, &mut cb);
-                ny += 1;
-            }
-        }
-        // Horizontal window of x = 0.
-        let mut ar = 0u32;
-        let mut ag = 0u32;
-        let mut ab = 0u32;
-        let mut nx = 0u32;
-        for cx in 0..=(r.min(w as i64 - 1) as usize) {
-            ar += cr[cx];
-            ag += cg[cx];
-            ab += cb[cx];
-            nx += 1;
-        }
-        // One divider for the (constant) interior window, hoisted out
-        // of the loop; border pixels with partial windows divide the
-        // plain way.
-        let interior = ExactDiv::new(ny * full_nx);
-        for x in 0..w {
-            let (qr, qg, qb) = if nx == full_nx {
-                (interior.div(ar), interior.div(ag), interior.div(ab))
-            } else {
-                let n = ny * nx;
-                (ar / n, ag / n, ab / n)
-            };
-            let o = x * BYTES_PER_PIXEL;
-            out_row[o] = qr as u8;
-            out_row[o + 1] = qg as u8;
-            out_row[o + 2] = qb as u8;
-            // Alpha stays whatever the destination row held.
-            let enter = x as i64 + 1 + r;
-            if enter < w as i64 {
-                ar += cr[enter as usize];
-                ag += cg[enter as usize];
-                ab += cb[enter as usize];
-                nx += 1;
-            }
-            let leave = x as i64 - r;
-            if leave >= 0 {
-                ar -= cr[leave as usize];
-                ag -= cg[leave as usize];
-                ab -= cb[leave as usize];
-                nx -= 1;
-            }
+        let src = if sy < y0 || sy >= end {
+            outside(sy)
+        } else {
+            &rows[(sy - y0) * rb..][..rb]
+        };
+        for (c, &p) in col.iter_mut().zip(src) {
+            *c += u16::from(p);
         }
     }
+    let mut ny = hi + 1 - lo;
+
+    for y in y0..end {
+        if y > y0 {
+            let leave = (y > r).then(|| {
+                let sy = y - 1 - r;
+                if sy < y0 {
+                    outside(sy)
+                } else {
+                    &ring[(sy - y0) % (r + 1) * rb..][..rb]
+                }
+            });
+            let enter = (y + r < h).then(|| {
+                let sy = y + r;
+                if sy < end {
+                    &rows[(sy - y0) * rb..][..rb]
+                } else {
+                    outside(sy)
+                }
+            });
+            match (enter, leave) {
+                (Some(e), Some(l)) => {
+                    for ((c, &a), &b) in col.iter_mut().zip(e).zip(l) {
+                        *c = *c + u16::from(a) - u16::from(b);
+                    }
+                }
+                (Some(e), None) => {
+                    for (c, &a) in col.iter_mut().zip(e) {
+                        *c += u16::from(a);
+                    }
+                    ny += 1;
+                }
+                (None, Some(l)) => {
+                    for (c, &b) in col.iter_mut().zip(l) {
+                        *c -= u16::from(b);
+                    }
+                    ny -= 1;
+                }
+                (None, None) => {}
+            }
+        }
+        let row = &mut rows[(y - y0) * rb..][..rb];
+        if y + 1 + r < end {
+            ring[(y - y0) % (r + 1) * rb..][..rb].copy_from_slice(row);
+        }
+
+        if span > 0 {
+            // Lane j sums col[j + 4k] for k = 0..=2r: the first two
+            // columns in one pass, the last one inside the divide.
+            let step = |k: usize| &col[k * BYTES_PER_PIXEL..][..span];
+            for ((s, &a), &b) in sums.iter_mut().zip(step(0)).zip(step(1)) {
+                *s = a + b;
+            }
+            for k in 2..2 * r {
+                for (s, &c) in sums.iter_mut().zip(step(k)) {
+                    *s += c;
+                }
+            }
+            let out = &mut row[lead..lead + span];
+            Recip::new((ny * (2 * r + 1)) as u32).divide_into(&sums, step(2 * r), out);
+        }
+        for x in borders.clone() {
+            let (sx0, sx1) = (x.saturating_sub(r), (x + r).min(w - 1));
+            let n = (ny * (sx1 + 1 - sx0)) as u32;
+            for c in 0..3 {
+                let s: u32 = (sx0..=sx1)
+                    .map(|sx| u32::from(col[sx * BYTES_PER_PIXEL + c]))
+                    .sum();
+                row[x * BYTES_PER_PIXEL + c] = (s / n) as u8;
+            }
+        }
+    }
+}
+
+/// [`blur_chunk_in_place`] over `par_row_chunks`: each chunk's halo —
+/// the ≤ `r` rows above and below it that neighbouring chunks
+/// overwrite — is copied before the fan-out. A lone chunk has none.
+fn blur_in_place(img: &mut Image, r: usize, workers: usize) {
+    let rb = img.width() as usize * BYTES_PER_PIXEL;
+    let h = img.height() as usize;
+    let chunks = chunk_rows(img.height(), workers);
+    let src = img.as_bytes();
+    let mut halos = Vec::new();
+    let mut starts = Vec::with_capacity(chunks.len() + 1);
+    for &(y0, ch) in &chunks {
+        let (y0, end) = (y0 as usize, (y0 + ch) as usize);
+        starts.push(halos.len());
+        halos.extend_from_slice(&src[y0.saturating_sub(r) * rb..y0 * rb]);
+        halos.extend_from_slice(&src[end * rb..(end + r).min(h) * rb]);
+    }
+    starts.push(halos.len());
+    par_row_chunks(img, workers, |y0, rows| {
+        let i = chunks.partition_point(|&(c0, _)| c0 < y0);
+        let y0 = y0 as usize;
+        let halo = &halos[starts[i]..starts[i + 1]];
+        let (above, below) = halo.split_at((y0 - y0.saturating_sub(r)) * rb);
+        blur_chunk_in_place(rows, rb, y0, h, above, below, r);
+    });
 }
 
 impl ImageFilter for Blur {
@@ -230,15 +356,13 @@ impl ImageFilter for Blur {
         backend: KernelBackend,
         workers: usize,
     ) {
-        match backend {
-            KernelBackend::Scalar => self.apply_chunked(img, ctx, workers),
-            KernelBackend::Simd => {
-                let r = self.radius as i64;
-                let src = img.clone();
-                par_row_chunks(img, workers, |y0, rows| {
-                    blur_chunk_sliding(&src, y0, rows, r)
-                });
+        match (backend, self.radius) {
+            // A 1×1 window: every pixel is its own average.
+            (KernelBackend::Simd, 0) => {}
+            (KernelBackend::Simd, 1..=LANE_RADIUS) => {
+                blur_in_place(img, self.radius as usize, workers)
             }
+            _ => self.apply_chunked(img, ctx, workers),
         }
     }
 
@@ -246,7 +370,7 @@ impl ImageFilter for Blur {
         // One unit per pixel per window element gathered: a 3×3 blur is
         // ~9 units/pixel, several times the 1 unit/pixel of sepia —
         // matching its rank as the slowest filter stage (Figure 8).
-        ctx.pixel_count() as f64 * self.window() as f64 * 0.45
+        ctx.pixel_count() as f64 * self.window() * 0.45
     }
 
     fn traffic(&self, img: &Image, _ctx: &FrameCtx) -> Traffic {
@@ -330,6 +454,23 @@ mod tests {
     }
 
     #[test]
+    fn window_does_not_overflow_past_two_to_the_31() {
+        // 2r+1 used to be formed in u32: a panic in debug, a 1-pixel
+        // window (and a near-zero work_units) in release.
+        let huge = Blur {
+            radius: u32::MAX / 2 + 1,
+        };
+        let side = ((1u64 << 32) + 1) as f64;
+        assert_eq!(huge.window(), side * side);
+        let c = ctx(10, 10);
+        let below = Blur {
+            radius: u32::MAX / 2,
+        };
+        assert!(huge.work_units(&c) > below.work_units(&c));
+        assert_eq!(Blur::new(1).window(), 9.0);
+    }
+
+    #[test]
     fn alpha_preserved() {
         let mut img = Image::new(3, 3);
         img.set(1, 1, [10, 20, 30, 42]);
@@ -343,28 +484,45 @@ mod tests {
         Blur::new(0);
     }
 
+    /// `recip.div(a) == a / n` for every dividend `a ≤ 255·n`.
+    fn divides_exactly(recip: Recip, n: u32) -> bool {
+        (0..=255 * n).all(|a| u32::from(recip.div(a as u16)) == a / n)
+    }
+
     #[test]
-    fn exact_div_matches_hardware_divide_over_the_full_range() {
-        // Every divisor a blur window can produce (ny·nx for windows up
-        // to 7×7) across the whole dividend envelope a ≤ 255·n.
-        for n in 1u32..=49 {
-            let d = ExactDiv::new(n);
-            assert!(d.exact);
-            for a in 0..=255 * n {
-                assert_eq!(d.div(a), a / n, "n={n} a={a}");
-            }
+    fn reciprocal_matches_hardware_divide_over_the_full_range() {
+        // Every window the in-place kernel can divide by is ny·(2r+1)
+        // for r ≤ LANE_RADIUS and ny ≤ 2r+1: 3..=225. Both shifts are
+        // checked over everything they claim, which covers it.
+        for n in 2u32..=16 {
+            assert_eq!(Recip::new(n), Recip::Narrow(((1 << 16) / n + 1) as u16));
+            assert!(divides_exactly(Recip::new(n), n), "narrow n={n}");
         }
-        // Beyond the envelope the fallback path must still divide.
-        let big = ExactDiv::new(5000);
-        assert!(!big.exact);
-        assert_eq!(big.div(1_275_000), 255);
+        for n in 2u32..=256 {
+            assert!(
+                divides_exactly(Recip::Wide((1 << 24) / n + 1), n),
+                "wide n={n}"
+            );
+        }
+        let widest = 2 * LANE_RADIUS + 1;
+        assert!(widest * widest <= 256);
+    }
+
+    #[test]
+    fn window_of_17_takes_the_wide_shift() {
+        // The 16-bit reciprocal of 17 is off by one somewhere below
+        // 255·17, so 17 must not get it.
+        let narrow = Recip::Narrow(((1 << 16) / 17 + 1) as u16);
+        assert!(!divides_exactly(narrow, 17));
+        assert!(matches!(Recip::new(17), Recip::Wide(_)));
+        assert!(divides_exactly(Recip::new(17), 17));
     }
 
     #[test]
     fn sliding_window_is_bit_identical_to_naive_gather() {
         // Degenerate and remainder-heavy geometries × radii, sequential
-        // and chunked: the sliding reformulation must match the scalar
-        // gather byte for byte.
+        // and chunked: the in-place kernel must match the scalar gather
+        // byte for byte.
         for (w, h) in [
             (1u32, 1u32),
             (1, 9),
