@@ -14,6 +14,31 @@ fn arb_image(max_w: u32, max_h: u32) -> impl Strategy<Value = Image> {
     })
 }
 
+/// An image filled the way a flat-shaded render fills one: runs of 1..=40
+/// pixels with one RGB each (from a four-colour palette half the time, so
+/// a colour comes back after other runs) and alpha varying inside a run.
+fn arb_run_image(max_w: u32, max_h: u32) -> impl Strategy<Value = Image> {
+    (1..=max_w, 1..=max_h).prop_flat_map(|(w, h)| {
+        let n = (w * h) as usize;
+        let rgb = prop_oneof![any::<u32>(), 0u32..4];
+        (
+            prop::collection::vec((1usize..=40, rgb), 1..=n),
+            prop::collection::vec(any::<u8>(), n),
+        )
+            .prop_map(move |(runs, alpha)| {
+                let rgbs = runs
+                    .iter()
+                    .flat_map(|&(len, rgb)| std::iter::repeat_n(rgb, len))
+                    .cycle();
+                let data = rgbs
+                    .zip(alpha)
+                    .flat_map(|(rgb, a)| (rgb & 0x00FF_FFFF | u32::from(a) << 24).to_le_bytes())
+                    .collect();
+                Image::from_raw(w, h, data)
+            })
+    })
+}
+
 fn whole(img: &Image, frame: u64, seed: u64) -> FrameCtx {
     FrameCtx::whole_frame(frame, seed, img.width(), img.height())
 }
@@ -238,6 +263,31 @@ proptest! {
         let mut got = img;
         blur.apply_vectored(&mut got, &ctx, KernelBackend::Simd, workers);
         prop_assert_eq!(got, want, "r={} workers={}", radius, workers);
+    }
+
+    /// The pointwise stages' vectored kernels equal `apply` byte for byte
+    /// on flat-shaded input: runs straddle 8-pixel block edges, row ends
+    /// and the `< 8`-pixel tail of every row chunk, and a run's colour
+    /// comes back after other runs.
+    #[test]
+    fn pointwise_vectored_equals_apply_on_flat_runs(
+        img in arb_run_image(70, 24),
+        workers in 1usize..=12,
+        frame in 0u64..1000,
+        seed in any::<u64>(),
+    ) {
+        let ctx = whole(&img, frame, seed);
+        let filters: [&dyn ImageFilter; 2] = [&Sepia, &Flicker::default()];
+        for filter in filters {
+            let mut want = img.clone();
+            filter.apply(&mut want, &ctx);
+            let mut got = img.clone();
+            filter.apply_vectored(&mut got, &ctx, KernelBackend::Simd, workers);
+            prop_assert_eq!(
+                got, want,
+                "{} {}x{} workers={}", filter.name(), img.width(), img.height(), workers
+            );
+        }
     }
 
     #[test]
