@@ -10,9 +10,9 @@
 use crate::backend::KernelBackend;
 use crate::chunk::par_row_chunks;
 use crate::filter::{FrameCtx, ImageFilter};
-use crate::frame_rng::frame_rng;
+use crate::frame_rng::{draw_between, frame_rng};
 use crate::image::{from_unit, to_unit, Image, BYTES_PER_PIXEL};
-use rand::Rng;
+use crate::uniform::per_uniform_block;
 
 /// Flicker filter parameters.
 #[derive(Debug, Clone, Copy)]
@@ -28,10 +28,11 @@ impl Default for Flicker {
 }
 
 impl Flicker {
-    /// The frame's brightness offset in [−amplitude, +amplitude].
+    /// The frame's brightness offset in [−|amplitude|, +|amplitude|]; a
+    /// NaN amplitude gives 0.
     pub fn offset(&self, ctx: &FrameCtx) -> f32 {
         let mut rng = frame_rng(ctx.run_seed, ctx.frame_id.wrapping_add(0x5F1C_7E11));
-        rng.gen_range(-self.amplitude..=self.amplitude)
+        draw_between(&mut rng, -self.amplitude, self.amplitude)
     }
 }
 
@@ -67,6 +68,19 @@ fn shift_bytes_lut(bytes: &mut [u8], lut: &[u8; 256]) {
     }
 }
 
+/// The vectorized kernel: [`shift_bytes_lut`] once per uniform 8-pixel
+/// block (see [`per_uniform_block`]), on every pixel of any other block
+/// and of the `< 8`-pixel tail.
+fn shift_bytes_blocks(bytes: &mut [u8], lut: &[u8; 256]) {
+    let rgb = |key: u32| {
+        let mut px = key.to_le_bytes();
+        shift_bytes_lut(&mut px, lut);
+        u32::from_le_bytes(px)
+    };
+    let tail = per_uniform_block(bytes, rgb, |block| shift_bytes_lut(block, lut));
+    shift_bytes_lut(tail, lut);
+}
+
 impl ImageFilter for Flicker {
     fn name(&self) -> &'static str {
         "flicker"
@@ -97,7 +111,7 @@ impl ImageFilter for Flicker {
             KernelBackend::Scalar => par_row_chunks(img, workers, |_, rows| shift_bytes(rows, d)),
             KernelBackend::Simd => {
                 let lut = shift_lut(d);
-                par_row_chunks(img, workers, |_, rows| shift_bytes_lut(rows, &lut));
+                par_row_chunks(img, workers, |_, rows| shift_bytes_blocks(rows, &lut));
             }
         }
     }
@@ -113,9 +127,36 @@ impl ImageFilter for Flicker {
 mod tests {
     use super::*;
     use crate::image::StripInfo;
+    use rand::Rng;
 
     fn ctx(frame: u64) -> FrameCtx {
         FrameCtx::whole_frame(frame, 7, 16, 16)
+    }
+
+    #[test]
+    fn negative_amplitude_draws_as_its_magnitude() {
+        let (neg, pos) = (Flicker { amplitude: -0.1 }, Flicker::default());
+        for frame in 0..64 {
+            assert_eq!(
+                neg.offset(&ctx(frame)).to_bits(),
+                pos.offset(&ctx(frame)).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn nan_amplitude_gives_no_offset() {
+        let f = Flicker {
+            amplitude: f32::NAN,
+        };
+        for frame in 0..64 {
+            assert_eq!(f.offset(&ctx(frame)), 0.0);
+        }
+        let mut img = Image::new(3, 2);
+        img.set(1, 1, [10, 200, 30, 40]);
+        let before = img.clone();
+        f.apply(&mut img, &ctx(5));
+        assert_eq!(img, before);
     }
 
     #[test]

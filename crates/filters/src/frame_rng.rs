@@ -10,7 +10,7 @@
 //! reproducible.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// SplitMix64 step — a tiny, well-distributed 64-bit mixer.
 #[inline]
@@ -27,10 +27,22 @@ pub fn frame_rng(run_seed: u64, frame_id: u64) -> StdRng {
     StdRng::seed_from_u64(mixed)
 }
 
+/// A uniform draw from the closed interval between `a` and `b`, taken in
+/// either order, with a NaN bound read as 0. The bounds come from public
+/// filter parameters, and `gen_range` panics on an empty or NaN range;
+/// whenever `a <= b` this is exactly `rng.gen_range(a..=b)`.
+pub(crate) fn draw_between(rng: &mut impl Rng, a: f32, b: f32) -> f32 {
+    let [a, b] = [a, b].map(|v| if v.is_nan() { 0.0 } else { v });
+    if a <= b {
+        rng.gen_range(a..=b)
+    } else {
+        rng.gen_range(b..=a)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn same_inputs_same_stream() {

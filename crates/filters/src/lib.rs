@@ -29,6 +29,7 @@ pub mod image;
 pub mod oriented_scratch;
 pub mod scratch;
 pub mod sepia;
+mod uniform;
 pub mod vswap;
 
 pub use backend::KernelBackend;

@@ -6,7 +6,7 @@
 //! processed strips still compose into continuous scratch lines.
 
 use crate::filter::{FrameCtx, ImageFilter, Traffic};
-use crate::frame_rng::frame_rng;
+use crate::frame_rng::{draw_between, frame_rng};
 use crate::image::Image;
 use rand::Rng;
 
@@ -49,7 +49,9 @@ pub struct OrientedPlan {
 
 impl OrientedScratch {
     /// Derive the frame's scratch segments from the per-frame RNG
-    /// (domain-separated from the classic scratch filter).
+    /// (domain-separated from the classic scratch filter). A negative
+    /// `max_tilt` counts as its magnitude, `length_range` is taken in
+    /// either order, and a NaN in either counts as 0.
     pub fn plan(&self, ctx: &FrameCtx) -> OrientedPlan {
         let mut rng = frame_rng(ctx.run_seed, ctx.frame_id.wrapping_add(0x0511_E17E));
         let count = rng.gen_range(0..=self.max_scratches);
@@ -60,8 +62,9 @@ impl OrientedScratch {
             .map(|_| {
                 let cx = rng.gen_range(0.0..w);
                 let cy = rng.gen_range(0.0..h);
-                let tilt = rng.gen_range(-self.max_tilt..=self.max_tilt);
-                let len = rng.gen_range(self.length_range.0..=self.length_range.1) * h;
+                let tilt = draw_between(&mut rng, -self.max_tilt, self.max_tilt);
+                let (shortest, longest) = self.length_range;
+                let len = draw_between(&mut rng, shortest, longest) * h;
                 // Angle measured from vertical.
                 let (dx, dy) = (tilt.sin(), tilt.cos());
                 Segment {
@@ -228,6 +231,53 @@ mod tests {
             }
         }
         assert!(painted > 4, "only {painted} scratch pixels");
+    }
+
+    /// `s` and `t` draw the same plan for each of 64 frames of a 64x64 film.
+    fn same_plans(s: OrientedScratch, t: OrientedScratch) {
+        for f in 0..64 {
+            assert_eq!(
+                s.plan(&ctx(f, 64, 64)),
+                t.plan(&ctx(f, 64, 64)),
+                "frame {f}"
+            );
+        }
+    }
+
+    #[test]
+    fn negative_tilt_draws_as_its_magnitude() {
+        let s = OrientedScratch::default();
+        same_plans(
+            OrientedScratch {
+                max_tilt: -s.max_tilt,
+                ..s
+            },
+            s,
+        );
+    }
+
+    #[test]
+    fn nan_tilt_draws_vertical_scratches() {
+        let s = OrientedScratch::default();
+        same_plans(
+            OrientedScratch {
+                max_tilt: f32::NAN,
+                ..s
+            },
+            OrientedScratch { max_tilt: 0.0, ..s },
+        );
+    }
+
+    #[test]
+    fn reversed_length_range_draws_as_ordered() {
+        let s = OrientedScratch::default();
+        same_plans(
+            OrientedScratch {
+                length_range: (s.length_range.1, s.length_range.0),
+                ..s
+            },
+            s,
+        );
     }
 
     #[test]
