@@ -13,7 +13,10 @@
 //! failure reproduces exactly.
 
 use proptest::prelude::*;
-use scc_core::{auto_place, partition, RunConfig, StageClass, StageKind, StageNode};
+use scc_core::{
+    auto_place, partition, place, Arrangement, Placement, RendererMode, RunConfig, StageClass,
+    StageKind, StageNode,
+};
 
 /// Interior stage classes the partitioner can encounter (sources and
 /// sinks are stripped before partitioning).
@@ -149,4 +152,93 @@ proptest! {
         prop_assert_eq!(auto.decision_table(), again.decision_table());
         prop_assert_eq!(auto.plan, again.plan);
     }
+}
+
+/// FNV-1a 64 over a text rendering.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One placement as core-id text: renderers, connector, transfer, each
+/// lane's five stage cores, then every replica slot.
+fn core_text(pl: &Placement) -> String {
+    let ids = |cores: &mut dyn Iterator<Item = u8>| {
+        cores.map(|c| c.to_string()).collect::<Vec<_>>().join(",")
+    };
+    let mut out = format!(
+        "r={} c={:?} t={}",
+        ids(&mut pl.renderers.iter().map(|c| c.raw())),
+        pl.connector.map(|c| c.raw()),
+        pl.transfer.raw()
+    );
+    for lane in &pl.pipelines {
+        out += &format!(" [{}]", ids(&mut lane.iter().map(|c| c.raw())));
+    }
+    for slot in &pl.replicas {
+        let extras = ids(&mut slot.extras.iter().map(|c| c.raw()));
+        out += &format!(" x{}.{}={extras}", slot.pipeline, slot.stage);
+    }
+    out
+}
+
+/// Every mesh layout the two placers produce, pinned as text: each fixed
+/// `place(mode, arrangement, p)` for every valid `p`, and each
+/// `auto_place` plan and placement under the static weights and three
+/// explicit vectors that force merges (`[5,5,0.1,0.1,0.1]`) and replicas
+/// of a front (`[1,9,1,1,1]`) or tail (`[1,1,1,1,30]`) stage.
+#[test]
+fn every_placement_is_pinned() {
+    const MODES: [RendererMode; 3] = [
+        RendererMode::SingleRenderer,
+        RendererMode::PerPipelineRenderer,
+        RendererMode::McpcRenderer,
+    ];
+    let mut text = String::new();
+    let mut count = 0;
+    for mode in MODES {
+        for p in 1..=mode.max_pipelines() {
+            for arr in Arrangement::all() {
+                text += &format!(
+                    "{mode:?} {arr:?} {p}: {}\n",
+                    core_text(&place(mode, arr, p))
+                );
+                count += 1;
+            }
+            for weights in [
+                None,
+                Some(vec![1.0, 9.0, 1.0, 1.0, 1.0]),
+                Some(vec![5.0, 5.0, 0.1, 0.1, 0.1]),
+                Some(vec![1.0, 1.0, 1.0, 1.0, 30.0]),
+            ] {
+                let cfg = RunConfig::builder()
+                    .renderer(mode)
+                    .pipelines(p)
+                    .auto_place(true)
+                    .stage_weights(weights.clone())
+                    .build()
+                    .expect("valid config");
+                let auto = auto_place(&cfg);
+                let groups: Vec<String> = auto
+                    .plan
+                    .groups
+                    .iter()
+                    .map(|g| format!("{}+{}x{}", g.start, g.len, g.replicas))
+                    .collect();
+                text += &format!(
+                    "{mode:?} auto {weights:?} {p}: {} | {}\n",
+                    groups.join(" "),
+                    core_text(&auto.placement)
+                );
+                count += 1;
+            }
+        }
+    }
+    assert_eq!(count, 175);
+    assert_eq!(
+        fnv1a(&text),
+        0x5129_845e_07fb_fa96,
+        "placements moved:\n{text}"
+    );
 }
