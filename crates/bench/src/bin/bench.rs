@@ -1,12 +1,10 @@
-//! Wall-clock benchmark runner: measures host-native pipeline throughput
-//! and writes `BENCH_native_pipeline.json` so every PR has a perf
-//! trajectory to compare against. The `recovery` mode instead sweeps the
-//! supervised fail-stop scenario (kill time × arrangement, virtual time)
-//! and writes `BENCH_recovery.json`.
+//! Sweep runner for the committed `BENCH_*.json` documents: each mode
+//! runs one sweep, prints its table, writes its JSON and exits 1 if one
+//! of its gates fails. Host-native frame throughput is not measured
+//! here; the standalone `benchmark/` crate's native workloads time it.
 //!
-//! Usage:
-//!   bench [--smoke] [--out PATH] [--frames N] [--size WxH]
-//!         [--pipelines P] [--threads 1,2,4,8]
+//! Usage (a mode is required; with none, or an unknown one, `bench`
+//! prints the mode list and exits 2):
 //!   bench recovery [--smoke] [--out PATH] [--frames N] [--size WxH]
 //!                  [--pipelines P] [--kills 10,50,150]
 //!   bench autoplace [--smoke] [--out PATH] [--frames N] [--size WxH]
@@ -19,15 +17,15 @@
 //!
 //! `--smoke` shrinks everything to a seconds-long configuration for CI;
 //! the defaults measure the paper's 400×400 silent-film geometry.
-//! `autoplace` sweeps the stage-graph scheduler's placement against the
-//! three fixed arrangements in virtual time and writes
-//! `BENCH_autoplace.json`.
+//! `recovery` sweeps the supervised fail-stop scenario (kill time ×
+//! arrangement, virtual time) into `BENCH_recovery.json`; `autoplace`
+//! sweeps the stage-graph scheduler's placement against the three fixed
+//! arrangements in virtual time into `BENCH_autoplace.json`.
 
 #![forbid(unsafe_code)]
 
 use scc_bench::autoplace::measure_autoplace;
 use scc_bench::dvfs::measure_dvfs;
-use scc_bench::native_throughput::measure_native_throughput;
 use scc_bench::recovery::measure_recovery;
 use scc_bench::serving::measure_serving;
 use scc_bench::tasks::measure_tasks;
@@ -83,29 +81,6 @@ struct Measured {
 
 fn gate(passed: bool, fatal: &str) -> (bool, String) {
     (passed, fatal.to_string())
-}
-
-fn native(o: &Opts) -> Measured {
-    let threads: Vec<u32> = parse_list(&o.args, "--threads").unwrap_or_else(|| {
-        if o.smoke {
-            vec![1, 2]
-        } else {
-            vec![1, 2, 4]
-        }
-    });
-    eprintln!(
-        "measuring native throughput: {}x{} f={} p={} threads={threads:?}{}",
-        o.width, o.height, o.frames, o.pipelines, o.smoke_tag,
-    );
-    let report = measure_native_throughput(&o.cfg(), &default_scene(), &threads);
-    Measured {
-        text: report.render_text(),
-        json: report.to_json(),
-        gates: vec![gate(
-            report.output_consistent,
-            "tuning variants produced different pixels",
-        )],
-    }
 }
 
 fn recovery(o: &Opts) -> Measured {
@@ -257,18 +232,19 @@ const MODES: [Mode; 5] = [
     ("dvfs", "BENCH_dvfs.json", dvfs),
 ];
 
-/// No subcommand: host-native pipeline throughput.
-const NATIVE: Mode = ("native", "BENCH_native_pipeline.json", native);
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let named = MODES
+    let Some(&(name, default_out, measure)) = MODES
         .iter()
-        .find(|(name, _, _)| args.first().is_some_and(|a| a == name));
-    if named.is_some() {
-        args.remove(0);
-    }
-    let (name, default_out, measure) = *named.unwrap_or(&NATIVE);
+        .find(|(name, _, _)| args.first().is_some_and(|a| a == name))
+    else {
+        eprintln!("usage: bench <mode> [--smoke] [--out PATH] [flags]; modes:");
+        for (name, default_out, _) in MODES {
+            eprintln!("  {name:<10} writes {default_out}");
+        }
+        std::process::exit(2);
+    };
+    args.remove(0);
 
     let smoke = args.iter().any(|a| a == "--smoke");
     let out_path = parse_flag(&args, "--out").unwrap_or_else(|| default_out.into());

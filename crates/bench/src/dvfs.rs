@@ -96,7 +96,10 @@ fn not_dominated(points: &[DvfsPoint], workload: &str) -> bool {
 
 /// Run the sweep. `film_base` supplies geometry/frames/seed; the film
 /// leg forces the §VI-D configuration (MCPC renderer, one pipeline).
-pub fn measure_dvfs(film_base: &RunConfig, scene: &std::sync::Arc<scc_render::Scene>) -> DvfsReport {
+pub fn measure_dvfs(
+    film_base: &RunConfig,
+    scene: &std::sync::Arc<scc_render::Scene>,
+) -> DvfsReport {
     let film_cfg = |power: PowerConfig| -> RunConfig {
         let mut c = film_base.clone();
         c.renderer = RendererMode::McpcRenderer;
@@ -194,10 +197,15 @@ pub fn measure_dvfs(film_base: &RunConfig, scene: &std::sync::Arc<scc_render::Sc
         Backend::Sim,
     );
     points.push(wave_point("expand800+commit400", &expand_commit));
-    let governed_wave = wave_run(PowerConfig::Governed(GovernorTuning::default()), Backend::Sim);
+    let governed_wave = wave_run(
+        PowerConfig::Governed(GovernorTuning::default()),
+        Backend::Sim,
+    );
     points.push(wave_point("governed", &governed_wave));
-    let governed_wave_des =
-        wave_run(PowerConfig::Governed(GovernorTuning::default()), Backend::Des);
+    let governed_wave_des = wave_run(
+        PowerConfig::Governed(GovernorTuning::default()),
+        Backend::Des,
+    );
     points.push(wave_point("governed-des", &governed_wave_des));
 
     let wave_sum = wave_default.output_digest;
@@ -225,7 +233,10 @@ impl DvfsReport {
     pub fn to_json(&self) -> String {
         let config = Json::obj()
             .field("renderer", Json::str(self.film_config.renderer.name()))
-            .field("pipelines", Json::U64(u64::from(self.film_config.pipelines)))
+            .field(
+                "pipelines",
+                Json::U64(u64::from(self.film_config.pipelines)),
+            )
             .field("width", Json::U64(u64::from(self.film_config.width)))
             .field("height", Json::U64(u64::from(self.film_config.height)))
             .field("frames", Json::U64(self.film_config.frames))
@@ -295,7 +306,12 @@ impl DvfsReport {
             let _ = writeln!(
                 out,
                 "{:>10} {:>20} {:>11.4} {:>10.2} {:>8.2} {:>7} {:>9}",
-                p.workload, p.plan, p.total_secs, p.energy_joules, p.mean_power, p.raises,
+                p.workload,
+                p.plan,
+                p.total_secs,
+                p.energy_joules,
+                p.mean_power,
+                p.raises,
                 p.throttles
             );
         }
@@ -312,7 +328,11 @@ impl DvfsReport {
             } else {
                 "DRIFTED"
             },
-            if self.decision_parity { "sim==des" } else { "SPLIT" },
+            if self.decision_parity {
+                "sim==des"
+            } else {
+                "SPLIT"
+            },
             if self.governed_not_dominated {
                 "competitive"
             } else {

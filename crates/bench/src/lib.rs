@@ -9,7 +9,6 @@
 pub mod autoplace;
 pub mod dvfs;
 pub mod experiments;
-pub mod native_throughput;
 pub mod recovery;
 pub mod report;
 pub mod serving;

@@ -73,7 +73,7 @@ pub fn sweep_config(
         batch_frames: 4,
         pose_span,
         arrival_burst: (sessions / 4).max(2),
-        seed: 0x5EC5_E55 ^ u64::from(sessions),
+        seed: 0x05EC_5E55 ^ u64::from(sessions),
         keep_films: false,
     }
 }
@@ -90,7 +90,14 @@ pub fn measure_serving(
     let mut points = Vec::new();
     for &sessions in session_counts {
         for cache in [false, true] {
-            let cfg = sweep_config(base, sessions, cache, frames_per_session, pool, cache_capacity);
+            let cfg = sweep_config(
+                base,
+                sessions,
+                cache,
+                frames_per_session,
+                pool,
+                cache_capacity,
+            );
             let out = serve(&cfg, scene);
             points.push(ServingPoint {
                 sessions,
@@ -173,7 +180,7 @@ impl ServingReport {
                         .field("frames_per_sec", Json::F64(r.frames_per_sec))
                         .field("latency_p50_ms", Json::F64(r.latency.p50 * 1e3))
                         .field("latency_p99_ms", Json::F64(r.latency.p99 * 1e3))
-                        .field("film_hash", Json::str(&format!("{:#018x}", r.film_hash)))
+                        .field("film_hash", Json::str(format!("{:#018x}", r.film_hash)))
                 })
                 .collect(),
         );

@@ -510,8 +510,7 @@ mod tests {
     #[test]
     fn decision_trace_is_deterministic_and_legal() {
         let mk = || {
-            let mut g =
-                Governor::new(tuning(), PowerCalibration::default(), DvfsState::default());
+            let mut g = Governor::new(tuning(), PowerCalibration::default(), DvfsState::default());
             for _ in 0..16 {
                 g.observe_epoch(&film_epoch());
             }

@@ -23,8 +23,7 @@ pub struct StageReport {
     pub frames: u64,
 }
 
-/// Wall-clock throughput of a host-native run — the quantity the bench
-/// trajectory tracks (`BENCH_native_pipeline.json`). Virtual-time reports
+/// Wall-clock throughput of a host-native run. Virtual-time reports
 /// measure the *simulated* SCC; this measures the host that ran it.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct HostTiming {
@@ -57,22 +56,6 @@ impl HostTiming {
             frames,
             frames_per_sec: fps,
             mpixels_per_sec: fps * width as f64 * height as f64 / 1e6,
-        }
-    }
-
-    /// Throughput ratio of this timing over a baseline (speedup when the
-    /// baseline is the 1-thread run).
-    ///
-    /// Returns 0.0 — never NaN or infinity — when either side is
-    /// degenerate: a baseline with zero (or non-finite) throughput has
-    /// no meaningful ratio, and a non-finite numerator is itself a
-    /// measurement failure.
-    pub fn speedup_over(&self, baseline: &HostTiming) -> f64 {
-        let base_ok = baseline.frames_per_sec.is_finite() && baseline.frames_per_sec > 0.0;
-        if base_ok && self.frames_per_sec.is_finite() {
-            self.frames_per_sec / baseline.frames_per_sec
-        } else {
-            0.0
         }
     }
 }
@@ -483,11 +466,8 @@ mod tests {
         let t = HostTiming::from_wall(2.0, 100, 400, 400);
         assert_eq!(t.frames_per_sec, 50.0);
         assert_eq!(t.mpixels_per_sec, 8.0);
-        let base = HostTiming::from_wall(8.0, 100, 400, 400);
-        assert_eq!(t.speedup_over(&base), 4.0);
         let degenerate = HostTiming::from_wall(0.0, 10, 4, 4);
         assert_eq!(degenerate.frames_per_sec, 0.0);
-        assert_eq!(t.speedup_over(&degenerate), 0.0);
     }
 
     #[test]
@@ -505,28 +485,6 @@ mod tests {
         let idle = HostTiming::from_wall(2.0, 0, 4, 4);
         assert_eq!(idle.frames_per_sec, 0.0);
         assert!(idle.mpixels_per_sec == 0.0 && !idle.mpixels_per_sec.is_nan());
-    }
-
-    #[test]
-    fn speedup_over_degenerate_baselines_is_nan_free() {
-        let good = HostTiming::from_wall(2.0, 100, 4, 4);
-        let zero = HostTiming::from_wall(0.0, 100, 4, 4);
-        // Zero baseline, zero numerator, both zero: all 0.0, never NaN.
-        assert_eq!(good.speedup_over(&zero), 0.0);
-        assert_eq!(zero.speedup_over(&good), 0.0);
-        assert_eq!(zero.speedup_over(&zero), 0.0);
-        // A hand-built non-finite baseline cannot leak through either.
-        let poisoned = HostTiming {
-            wall_secs: 1.0,
-            frames: 1,
-            frames_per_sec: f64::NAN,
-            mpixels_per_sec: f64::NAN,
-        };
-        assert_eq!(good.speedup_over(&poisoned), 0.0);
-        assert_eq!(poisoned.speedup_over(&good), 0.0);
-        // And the healthy path still measures.
-        let base = HostTiming::from_wall(8.0, 100, 4, 4);
-        assert_eq!(good.speedup_over(&base), 4.0);
     }
 
     #[test]

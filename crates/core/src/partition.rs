@@ -18,10 +18,10 @@
 //! property suite (`tests/partition_props.rs`) and the golden decision
 //! tables rely on.
 
-use crate::placement::{Placement, ReplicaSlot};
+use crate::placement::Placement;
 use crate::spec::{RendererMode, RunConfig, StageKind};
 use crate::stage_graph::{StageGraph, StageNode, StageWeights};
-use scc_sim::topology::{CoreId, TileId, CORES_PER_TILE, MESH_H, MESH_W, NUM_CORES};
+use scc_sim::topology::NUM_CORES;
 use serde::Serialize;
 
 /// Spare cores the partitioner always leaves unclaimed so the
@@ -305,7 +305,10 @@ pub fn auto_place(cfg: &RunConfig) -> AutoPlacement {
     };
     let interior_budget = NUM_CORES as u32 - endpoint_cores;
     let plan = partition(&interior, p, interior_budget).expect("validated config fits");
-    let placement = realize(cfg, &plan);
+    // Lanes along rows (the ordered arrangement's one-way flow), like
+    // the fixed row placements.
+    let placement = crate::placement::place_rows(cfg.renderer, p, false, &plan);
+    placement.assert_valid();
     AutoPlacement {
         graph,
         weights,
@@ -332,140 +335,6 @@ pub fn plan_for(cfg: &RunConfig) -> StagePlan {
     } else {
         StagePlan::fixed(StageKind::PIPELINE_FILTERS.len())
     }
-}
-
-/// Realize a plan on the mesh: lanes along rows (the ordered
-/// arrangement's one-way flow), one core per group, replica cores
-/// chosen nearest the primary; source/sink in the spare east column
-/// like the fixed row placements.
-fn realize(cfg: &RunConfig, plan: &StagePlan) -> Placement {
-    let p = cfg.pipelines;
-    let mut used = [false; NUM_CORES as usize];
-    let core_at = |x: u8, y: u8, slot: u8| -> CoreId {
-        CoreId::new(TileId::from_xy(x, y).raw() * CORES_PER_TILE + slot)
-    };
-    let claim = |used: &mut [bool; NUM_CORES as usize], c: CoreId| -> CoreId {
-        assert!(!used[c.index()], "double booking {c}");
-        used[c.index()] = true;
-        c
-    };
-
-    let per_pipeline_render = cfg.renderer == RendererMode::PerPipelineRenderer;
-    let row_len = plan.groups.len() as u8 + per_pipeline_render as u8;
-
-    // Group primaries along rows (renderer first in the n-renderer
-    // mode), wrapping into the spare east column beyond two row layers,
-    // exactly like the fixed row placement.
-    let mut renderers = Vec::new();
-    let mut lane_group_cores: Vec<Vec<CoreId>> = Vec::new();
-    for i in 0..p {
-        let y = (i % MESH_H as u32) as u8;
-        let slot = (i / MESH_H as u32) as u8;
-        let mut cores = Vec::with_capacity(row_len as usize);
-        for j in 0..row_len {
-            let c = if slot < CORES_PER_TILE {
-                core_at(j, y, slot)
-            } else {
-                core_at(MESH_W - 1, j % MESH_H, j / MESH_H)
-            };
-            cores.push(claim(&mut used, c));
-        }
-        if per_pipeline_render {
-            renderers.push(cores.remove(0));
-        }
-        lane_group_cores.push(cores);
-    }
-
-    // Replica extras: nearest free core to the primary by (manhattan
-    // tile distance, core id) — deterministic and NoC-local.
-    let mut replicas: Vec<ReplicaSlot> = Vec::new();
-    for (i, lane_cores) in lane_group_cores.iter().enumerate() {
-        for g in &plan.groups {
-            if g.replicas <= 1 {
-                continue;
-            }
-            let primary = lane_cores[plan.group_of(g.start)];
-            let mut extras = Vec::new();
-            for _ in 1..g.replicas {
-                let (px, py) = (primary.tile().x() as i32, primary.tile().y() as i32);
-                let best = CoreId::all()
-                    .filter(|c| !used[c.index()])
-                    .min_by_key(|c| {
-                        let d = (c.tile().x() as i32 - px).abs() + (c.tile().y() as i32 - py).abs();
-                        (d, c.raw())
-                    })
-                    .expect("partition respects the core budget");
-                extras.push(claim(&mut used, best));
-            }
-            replicas.push(ReplicaSlot {
-                pipeline: i as u32,
-                stage: g.start,
-                extras,
-            });
-        }
-    }
-
-    // Source and sink land in the spare east column when free (the
-    // fixed row placements' preference), else the first free core.
-    let fallback = |used: &mut [bool; NUM_CORES as usize], prefer: &[CoreId]| -> CoreId {
-        for c in prefer {
-            if !used[c.index()] {
-                used[c.index()] = true;
-                return *c;
-            }
-        }
-        for i in 0..NUM_CORES {
-            let c = CoreId::new(i);
-            if !used[c.index()] {
-                used[c.index()] = true;
-                return c;
-            }
-        }
-        unreachable!("no free core despite budget check")
-    };
-    let east = MESH_W - 1;
-    let prefer_src = [
-        core_at(east, 0, 0),
-        core_at(east, 0, 1),
-        core_at(east, 1, 0),
-        core_at(east, 1, 1),
-    ];
-    let prefer_sink = [
-        core_at(east, MESH_H - 1, 0),
-        core_at(east, MESH_H - 1, 1),
-        core_at(east, MESH_H - 2, 0),
-        core_at(east, MESH_H - 2, 1),
-    ];
-    let mut connector = None;
-    match cfg.renderer {
-        RendererMode::SingleRenderer => renderers.push(fallback(&mut used, &prefer_src)),
-        RendererMode::McpcRenderer => connector = Some(fallback(&mut used, &prefer_src)),
-        RendererMode::PerPipelineRenderer => {}
-    }
-    let transfer = fallback(&mut used, &prefer_sink);
-
-    // Expand group cores to the per-stage array (merged stages repeat
-    // their group's core).
-    let pipelines = lane_group_cores
-        .iter()
-        .map(|cores| {
-            let mut lane = [cores[0]; 5];
-            for (j, slot) in lane.iter_mut().enumerate() {
-                *slot = cores[plan.group_of(j)];
-            }
-            lane
-        })
-        .collect();
-
-    let placement = Placement {
-        renderers,
-        connector,
-        pipelines,
-        replicas,
-        transfer,
-    };
-    placement.assert_valid();
-    placement
 }
 
 #[cfg(test)]

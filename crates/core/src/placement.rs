@@ -9,6 +9,7 @@
 //!   spread the expensive front stages across both ends (and hence both
 //!   memory-controller columns) of the die (Figure 5).
 
+use crate::partition::StagePlan;
 use crate::spec::{Arrangement, RendererMode, StageKind};
 use scc_sim::topology::{CoreId, TileId, CORES_PER_TILE, MESH_H, MESH_W, NUM_CORES};
 use std::collections::HashSet;
@@ -180,8 +181,10 @@ pub fn place(mode: RendererMode, arrangement: Arrangement, p: u32) -> Placement 
     );
     let placement = match arrangement {
         Arrangement::Unordered => place_unordered(mode, p),
-        Arrangement::Ordered => place_rows(mode, p, false),
-        Arrangement::Flipped => place_rows(mode, p, true),
+        Arrangement::Ordered | Arrangement::Flipped => {
+            let fixed = StagePlan::fixed(StageKind::PIPELINE_FILTERS.len());
+            place_rows(mode, p, arrangement == Arrangement::Flipped, &fixed)
+        }
     };
     placement.assert_valid();
     placement
@@ -227,74 +230,88 @@ fn place_unordered(mode: RendererMode, p: u32) -> Placement {
     }
 }
 
-/// Row-parallel placement, optionally flipping every second pipeline.
-fn place_rows(mode: RendererMode, p: u32, flip: bool) -> Placement {
-    let mut used = [false; NUM_CORES as usize];
-    let mut claim = |c: CoreId| {
-        assert!(!used[c.index()], "double booking {c}");
-        used[c.index()] = true;
-        c
-    };
+/// Claim free core `c` in `used`.
+fn claim(used: &mut [bool; NUM_CORES as usize], c: CoreId) -> CoreId {
+    assert!(!used[c.index()], "double booking {c}");
+    used[c.index()] = true;
+    c
+}
 
-    // Stages per pipeline laid along a row: 6 with a private renderer,
-    // 5 otherwise.
+/// Row-parallel placement of `plan` (the ordered arrangement's one-way
+/// flow, every second lane reversed under `flip`): one core per stage
+/// group, the renderer first in the n-renderer mode, replica extras
+/// nearest their primary, source/sink in the spare east column.
+pub(crate) fn place_rows(mode: RendererMode, p: u32, flip: bool, plan: &StagePlan) -> Placement {
+    let mut used = [false; NUM_CORES as usize];
     let per_pipeline_render = mode == RendererMode::PerPipelineRenderer;
-    let row_len: u8 = if per_pipeline_render { 6 } else { 5 };
+    let row_len = plan.groups.len() as u8 + per_pipeline_render as u8;
 
     let mut renderers = Vec::new();
-    let mut pipelines = Vec::new();
+    let mut pipelines = Vec::with_capacity(p as usize);
     for i in 0..p {
         let y = (i % MESH_H as u32) as u8;
         let slot = (i / MESH_H as u32) as u8;
         let mut cores = Vec::with_capacity(row_len as usize);
-        if slot < CORES_PER_TILE {
-            for j in 0..row_len {
-                let x = if flip && i % 2 == 1 {
-                    row_len - 1 - j
-                } else {
-                    j
-                };
-                cores.push(claim(core_at(x, y, slot)));
-            }
-        } else {
+        for j in 0..row_len {
+            let x = if flip && i % 2 == 1 {
+                row_len - 1 - j
+            } else {
+                j
+            };
             // Beyond two full layers of rows (only reachable for the
             // 9-pipeline corner of the connector/single modes): use the
             // spare east column, wrapping over its tiles.
-            for j in 0..row_len {
-                let jj = if flip && i % 2 == 1 {
-                    row_len - 1 - j
-                } else {
-                    j
-                };
-                let tile_y = jj % MESH_H;
-                let s = jj / MESH_H;
-                cores.push(claim(core_at(MESH_W - 1, tile_y, s)));
-            }
+            let c = if slot < CORES_PER_TILE {
+                core_at(x, y, slot)
+            } else {
+                core_at(MESH_W - 1, x % MESH_H, x / MESH_H)
+            };
+            cores.push(claim(&mut used, c));
         }
         if per_pipeline_render {
             renderers.push(cores.remove(0));
         }
-        pipelines.push([cores[0], cores[1], cores[2], cores[3], cores[4]]);
+        // Merged stages repeat their group's core.
+        pipelines.push(std::array::from_fn(|j| cores[plan.group_of(j)]));
+    }
+
+    // Replica extras: nearest free core to the primary by (manhattan
+    // tile distance, core id) — deterministic and NoC-local.
+    let mut replicas = Vec::new();
+    for (i, lane) in pipelines.iter().enumerate() {
+        for g in plan.groups.iter().filter(|g| g.replicas > 1) {
+            let primary = lane[g.start].tile();
+            let (px, py) = (primary.x() as i32, primary.y() as i32);
+            let extras = (1..g.replicas)
+                .map(|_| {
+                    let best = CoreId::all()
+                        .filter(|c| !used[c.index()])
+                        .min_by_key(|c| {
+                            let (x, y) = (c.tile().x() as i32, c.tile().y() as i32);
+                            ((x - px).abs() + (y - py).abs(), c.raw())
+                        })
+                        .expect("partition respects the core budget");
+                    claim(&mut used, best)
+                })
+                .collect();
+            replicas.push(ReplicaSlot {
+                pipeline: i as u32,
+                stage: g.start,
+                extras,
+            });
+        }
     }
 
     // Place source/sink in the spare east column if free, else scan.
-    let fallback = move |used: &mut [bool; NUM_CORES as usize], prefer: &[CoreId]| -> CoreId {
-        for c in prefer {
-            if !used[c.index()] {
-                used[c.index()] = true;
-                return *c;
-            }
-        }
-        for i in 0..NUM_CORES {
-            let c = CoreId::new(i);
-            if !used[c.index()] {
-                used[c.index()] = true;
-                return c;
-            }
-        }
-        unreachable!("no free core despite budget check")
+    let mut fallback = |prefer: &[CoreId]| -> CoreId {
+        let free = prefer
+            .iter()
+            .copied()
+            .chain(CoreId::all())
+            .find(|c| !used[c.index()])
+            .expect("no free core despite budget check");
+        claim(&mut used, free)
     };
-
     let east = MESH_W - 1;
     let prefer_src = [
         core_at(east, 0, 0),
@@ -308,24 +325,19 @@ fn place_rows(mode: RendererMode, p: u32, flip: bool) -> Placement {
         core_at(east, MESH_H - 2, 0),
         core_at(east, MESH_H - 2, 1),
     ];
-
     let mut connector = None;
     match mode {
-        RendererMode::SingleRenderer => {
-            renderers.push(fallback(&mut used, &prefer_src));
-        }
-        RendererMode::McpcRenderer => {
-            connector = Some(fallback(&mut used, &prefer_src));
-        }
+        RendererMode::SingleRenderer => renderers.push(fallback(&prefer_src)),
+        RendererMode::McpcRenderer => connector = Some(fallback(&prefer_src)),
         RendererMode::PerPipelineRenderer => {}
     }
-    let transfer = fallback(&mut used, &prefer_sink);
+    let transfer = fallback(&prefer_sink);
 
     Placement {
         renderers,
         connector,
         pipelines,
-        replicas: Vec::new(),
+        replicas,
         transfer,
     }
 }

@@ -839,9 +839,7 @@ pub struct RunConfig {
     /// Explicit per-stage weights for the scheduler, in
     /// [`StageKind::PIPELINE_FILTERS`] order (five finite, non-negative
     /// values; relative scale only). `None` uses the static cost-model
-    /// estimate. Telemetry-driven placement extracts weights from a
-    /// previous run's `scc_stage_idle_ms` histograms and feeds them in
-    /// here.
+    /// estimate.
     pub stage_weights: Option<Vec<f64>>,
     /// Execution model: static stage-to-core placement (default) or the
     /// dependency-driven work-stealing task runtime. Film output is

@@ -6,13 +6,13 @@
 //! of the scheduler that removes the hard-coding: it describes *what*
 //! the pipeline is — stage kinds, parallelism classes, dependencies —
 //! and *how heavy* each stage is, either from the calibrated cost model
-//! or from `scc_stage_idle_ms` telemetry histograms of a previous run.
+//! or from weights the caller supplies in the config.
 //! [`mod@crate::partition`] consumes both to compute a placement.
 //!
 //! Weight semantics: weights are **relative** costs (P54C cycles per
-//! strip for the static estimator; rendezvous-derived pseudo-cycles for
-//! the telemetry estimator). Only ratios matter to the partitioner, so
-//! the two sources never need a common unit.
+//! strip for the static estimator; any scale for explicit weights). Only
+//! ratios matter to the partitioner, so the two sources never need a
+//! common unit.
 
 use crate::cost::CostModel;
 use crate::spec::{RunConfig, StageKind};
@@ -161,13 +161,11 @@ impl StageGraph {
 }
 
 /// Where a weight vector came from — pinned in the decision table so the
-/// golden digests distinguish static from telemetry-driven placements.
+/// golden digests distinguish static from explicit placements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum WeightSource {
-    /// Calibrated [`CostModel`] estimate (no telemetry available).
+    /// Calibrated [`CostModel`] estimate.
     StaticModel,
-    /// Extracted from `scc_stage_idle_ms` histograms of a telemetry run.
-    IdleTelemetry,
     /// Supplied explicitly through [`RunConfig::stage_weights`].
     Explicit,
 }
@@ -176,7 +174,6 @@ impl WeightSource {
     pub fn name(self) -> &'static str {
         match self {
             WeightSource::StaticModel => "static-model",
-            WeightSource::IdleTelemetry => "idle-telemetry",
             WeightSource::Explicit => "explicit",
         }
     }
@@ -207,54 +204,8 @@ impl StageWeights {
         }
     }
 
-    /// Telemetry estimator: derive relative stage weights from the
-    /// median per-strip idle time of each stage, pooled across lanes.
-    ///
-    /// Under rendezvous flow control every stage settles to the same
-    /// cadence `T` (the bottleneck's service time), so
-    /// `service_j = T − idle_j`: the stage with the *least* idle is the
-    /// heaviest (exactly Figure 15's reading). We take
-    /// `T = max_j median_idle + ε` so every weight stays strictly
-    /// positive, and return weights in milliseconds of service time.
-    ///
-    /// NaN/zero-safety (the fresh-sink fix): if **any** stage's idle
-    /// histogram is missing or empty — telemetry disabled, a fresh sink,
-    /// or a stage that never sampled — the telemetry estimate is
-    /// unusable as a *relative* vector, so the whole estimator falls
-    /// back to [`StageWeights::from_cost_model`]. The result therefore
-    /// never contains NaN, infinities, negatives or an all-zero vector.
-    pub fn from_idle_telemetry(
-        snap: &scc_telemetry::Snapshot,
-        cfg: &RunConfig,
-        cost: &CostModel,
-    ) -> StageWeights {
-        match idle_medians(snap, cfg.pipelines) {
-            Some(medians) => {
-                let top = medians.iter().cloned().fold(0.0f64, f64::max);
-                if !top.is_finite() {
-                    return StageWeights::from_cost_model(cfg, cost);
-                }
-                // ε keeps the busiest stage's weight > 0 even when its
-                // median idle equals the maximum (p = 1 degenerate runs).
-                let epsilon = (top * 0.05).max(0.5);
-                let cadence = top + epsilon;
-                let mut per_stage = [0.0f64; 5];
-                for (j, m) in medians.iter().enumerate() {
-                    per_stage[j] = (cadence - m).max(epsilon);
-                }
-                StageWeights {
-                    per_stage,
-                    source: WeightSource::IdleTelemetry,
-                }
-            }
-            None => StageWeights::from_cost_model(cfg, cost),
-        }
-    }
-
     /// Resolve the weights a run should use: explicit overrides from the
-    /// config win, else the static model. (Telemetry-driven callers go
-    /// through [`StageWeights::from_idle_telemetry`] and feed the result
-    /// back in via [`crate::spec::RunConfigBuilder::stage_weights`].)
+    /// config win, else the static model.
     pub fn for_config(cfg: &RunConfig) -> StageWeights {
         match &cfg.stage_weights {
             Some(w) => {
@@ -268,40 +219,6 @@ impl StageWeights {
             None => StageWeights::from_cost_model(cfg, &CostModel::default()),
         }
     }
-}
-
-/// Pooled median `scc_stage_idle_ms` per filter stage across all lanes.
-/// `None` unless **every** stage has at least one sample (see
-/// [`StageWeights::from_idle_telemetry`]).
-fn idle_medians(snap: &scc_telemetry::Snapshot, pipelines: u32) -> Option<[f64; 5]> {
-    let mut medians = [0.0f64; 5];
-    for (j, kind) in StageKind::PIPELINE_FILTERS.iter().enumerate() {
-        let mut pooled: Option<scc_telemetry::HistogramSample> = None;
-        for lane in 0..pipelines {
-            let lane_label = lane.to_string();
-            if let Some(h) = snap.histogram(
-                scc_telemetry::names::STAGE_IDLE_MS,
-                &[("pipeline", lane_label.as_str()), ("stage", kind.name())],
-            ) {
-                match &mut pooled {
-                    None => pooled = Some(h.clone()),
-                    Some(acc) => {
-                        if acc.bounds == h.bounds {
-                            for (a, b) in acc.bucket_counts.iter_mut().zip(&h.bucket_counts) {
-                                *a += b;
-                            }
-                            acc.count += h.count;
-                            acc.sum += h.sum;
-                        }
-                    }
-                }
-            }
-        }
-        // quantile() is None exactly when the histogram is empty — the
-        // fresh-sink case the estimator must survive.
-        medians[j] = pooled.as_ref().and_then(|h| h.quantile(0.5))?;
-    }
-    Some(medians)
 }
 
 #[cfg(test)]
@@ -356,58 +273,6 @@ mod tests {
                 assert!(blur > 2.0 * s, "blur must dominate stage {j} ({s})");
             }
         }
-    }
-
-    #[test]
-    fn empty_idle_histograms_fall_back_to_the_static_estimate() {
-        // The NaN/zero-safety pin: a fresh (or absent) telemetry sink
-        // must never yield NaN weights or an all-zero vector — it must
-        // reproduce the static estimator exactly.
-        let c = cfg();
-        let cost = CostModel::default();
-        let fresh = scc_telemetry::Snapshot::default();
-        let w = StageWeights::from_idle_telemetry(&fresh, &c, &cost);
-        assert_eq!(w, StageWeights::from_cost_model(&c, &cost));
-        assert_eq!(w.source, WeightSource::StaticModel);
-        assert!(w.per_stage.iter().all(|s| s.is_finite() && *s > 0.0));
-
-        // Same when only *some* stages sampled: a partially-filled sink
-        // is still not a usable relative vector.
-        let sink = scc_telemetry::TelemetrySink::enabled();
-        sink.observe(
-            scc_telemetry::names::STAGE_IDLE_MS,
-            &[("pipeline", "0"), ("stage", "sepia")],
-            scc_telemetry::IDLE_MS_BUCKETS,
-            3.0,
-        );
-        let partial = sink.snapshot().expect("enabled sink");
-        let w2 = StageWeights::from_idle_telemetry(&partial, &c, &cost);
-        assert_eq!(w2.source, WeightSource::StaticModel);
-    }
-
-    #[test]
-    fn idle_telemetry_ranks_the_least_idle_stage_heaviest() {
-        // A real telemetry run: collect idle histograms from the sim,
-        // then check the estimator inverts Figure 15 — blur (least idle)
-        // comes out heaviest, scratch (most idle) cheapest.
-        let mut c = cfg();
-        c.telemetry = true;
-        let report = crate::runner::sim::SimRunner::new(c.clone(), crate::default_scene()).run();
-        let snap = report.telemetry.expect("telemetry on");
-        let w = StageWeights::from_idle_telemetry(&snap, &c, &CostModel::default());
-        assert_eq!(w.source, WeightSource::IdleTelemetry);
-        assert!(w.per_stage.iter().all(|s| s.is_finite() && *s > 0.0));
-        let blur = w.per_stage[1];
-        let scratch = w.per_stage[2];
-        assert!(
-            blur > scratch,
-            "blur ({blur}) must outweigh scratch ({scratch})"
-        );
-        assert!(
-            (0..5).all(|j| w.per_stage[j] <= blur),
-            "blur is the bottleneck: {:?}",
-            w.per_stage
-        );
     }
 
     #[test]

@@ -26,7 +26,9 @@ use crossbeam::thread;
 /// returned `(first_row, row_count)` pairs tile `0..rows` exactly; fewer
 /// chunks come back when there are fewer rows than workers.
 pub fn chunk_rows(rows: u32, workers: usize) -> Vec<(u32, u32)> {
-    let n = (workers.max(1) as u32).min(rows.max(1));
+    // Clamp before narrowing: a worker count past `u32::MAX` must not
+    // wrap to zero chunks.
+    let n = workers.clamp(1, rows.max(1) as usize) as u32;
     if rows == 0 {
         return Vec::new();
     }
@@ -88,7 +90,7 @@ mod tests {
     #[test]
     fn chunks_tile_rows_exactly() {
         for rows in [1u32, 2, 7, 64, 481] {
-            for workers in [1usize, 2, 3, 4, 9, 100] {
+            for workers in [1usize, 2, 3, 4, 9, 100, 1 << 32, (1 << 32) + 1] {
                 let chunks = chunk_rows(rows, workers);
                 assert!(chunks.len() <= workers.max(1));
                 assert!(chunks.len() as u32 <= rows);

@@ -5,8 +5,6 @@
 //! pipelines process autonomously (§II); [`Image::split_strips`] and
 //! [`Image::assemble`] implement exactly that decomposition and its inverse.
 
-use bytes::Bytes;
-
 /// Bytes per pixel (RGBA8, matching the paper's 4-byte framebuffer).
 pub const BYTES_PER_PIXEL: usize = 4;
 
@@ -91,11 +89,6 @@ impl Image {
     #[inline]
     pub fn as_bytes_mut(&mut self) -> &mut [u8] {
         &mut self.data
-    }
-
-    /// Zero-copy snapshot of the payload for transport.
-    pub fn to_bytes(&self) -> Bytes {
-        Bytes::copy_from_slice(&self.data)
     }
 
     /// Consume the image and recover its raw RGBA buffer (for allocation
@@ -219,20 +212,6 @@ impl Image {
             data.extend_from_slice(&img.data);
         }
         Image::from_raw(width, full_height, data)
-    }
-
-    /// Reassemble strips into a caller-provided full-frame image (the
-    /// pool-friendly variant of [`Image::assemble`]): `out` must already
-    /// have the full-frame geometry, and every pixel of it is overwritten.
-    pub fn assemble_into(strips: &[(StripInfo, Image)], out: &mut Image) {
-        let rows = Image::tiled(strips);
-        assert_eq!(out.width, rows[0].1.width, "output width mismatch");
-        assert_eq!(out.height, rows[0].0.full_height, "output height mismatch");
-        let mut start = 0;
-        for (_, img) in rows {
-            out.data[start..start + img.data.len()].copy_from_slice(&img.data);
-            start += img.data.len();
-        }
     }
 }
 
@@ -391,11 +370,11 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "strips do not tile")]
-    fn assemble_into_rejects_a_gap() {
+    fn assemble_rejects_a_gap() {
         let mut strips = gradient(4, 9).split_strips(3);
         // Rows 0..3, 4..7 and 6..9: the heights still sum to nine.
         strips[1].0.y0 = 4;
-        Image::assemble_into(&strips, &mut Image::new(4, 9));
+        Image::assemble(&strips);
     }
 
     #[test]
@@ -405,25 +384,6 @@ mod tests {
         let raw = img.into_raw();
         assert_eq!(raw.len(), 6 * 5 * BYTES_PER_PIXEL);
         assert_eq!(Image::from_raw(6, 5, raw), copy);
-    }
-
-    #[test]
-    fn assemble_into_overwrites_stale_pixels() {
-        let img = gradient(9, 11);
-        let strips = img.split_strips(3);
-        let mut out = Image::new(9, 11);
-        out.fill([123, 45, 67, 89]); // stale garbage, as a recycled buffer would hold
-        Image::assemble_into(&strips, &mut out);
-        assert_eq!(out, img);
-    }
-
-    #[test]
-    #[should_panic(expected = "output height mismatch")]
-    fn assemble_into_rejects_wrong_geometry() {
-        let img = gradient(4, 8);
-        let strips = img.split_strips(2);
-        let mut out = Image::new(4, 7);
-        Image::assemble_into(&strips, &mut out);
     }
 
     #[test]

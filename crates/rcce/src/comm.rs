@@ -1,7 +1,7 @@
 //! RCCE-style communicator over native threads.
 //!
 //! The real RCCE library gives every core a rank and blocking
-//! `RCCE_send` / `RCCE_recv` matched by source rank, plus barriers. This
+//! `RCCE_send` / `RCCE_recv` matched by source rank. This
 //! module reproduces those semantics with one bounded crossbeam channel per
 //! ordered rank pair: `send` blocks when the receiver's window is full
 //! (MPB backpressure) and `recv(src)` blocks until that source delivers.
@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 use scc_sim::fault::{FaultPlan, MessageOutcome};
 use scc_telemetry::{names, EventKind, TelemetrySink};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-endpoint traffic counters (lock-free reads).
@@ -39,16 +39,6 @@ pub struct CommStats {
     pub corrupt_drops: AtomicU64,
     /// Reliable operations that gave up (timeout or retry exhaustion).
     pub timeouts: AtomicU64,
-}
-
-impl CommStats {
-    pub fn recv_wait(&self) -> Duration {
-        Duration::from_nanos(self.recv_wait_ns.load(Ordering::Relaxed))
-    }
-
-    pub fn send_wait(&self) -> Duration {
-        Duration::from_nanos(self.send_wait_ns.load(Ordering::Relaxed))
-    }
 }
 
 /// Retry/timeout policy for the reliable (`send_reliable`/`recv_reliable`)
@@ -102,7 +92,6 @@ pub struct Endpoint {
     /// Reliable streams to each destination that completed with an ack —
     /// the ARQ audit's ledger against `send_seq` (streams started).
     acked_streams: Vec<AtomicU64>,
-    barrier: Arc<Barrier>,
     mpb: MpbConfig,
     stats: Arc<CommStats>,
     reliability: Reliability,
@@ -123,7 +112,6 @@ pub struct Endpoint {
 pub fn communicator(size: usize, window_msgs: usize, mpb: MpbConfig) -> Vec<Endpoint> {
     assert!(size >= 1, "empty communicator");
     assert!(window_msgs >= 1, "zero-capacity window deadlocks");
-    let barrier = Arc::new(Barrier::new(size));
     // senders[s][d] / receivers[d][s]
     let mut senders: Vec<Vec<Option<Sender<Bytes>>>> = (0..size)
         .map(|_| (0..size).map(|_| None).collect())
@@ -169,7 +157,6 @@ pub fn communicator(size: usize, window_msgs: usize, mpb: MpbConfig) -> Vec<Endp
             send_seq: (0..size).map(|_| AtomicU64::new(0)).collect(),
             recv_seq: (0..size).map(|_| AtomicU64::new(0)).collect(),
             acked_streams: (0..size).map(|_| AtomicU64::new(0)).collect(),
-            barrier: Arc::clone(&barrier),
             mpb,
             stats: Arc::new(CommStats::default()),
             reliability: Reliability::default(),
@@ -290,13 +277,8 @@ impl Endpoint {
         self.tel_base = Instant::now();
     }
 
-    /// The endpoint's telemetry sink (shared with `health` helpers).
-    pub fn telemetry(&self) -> &TelemetrySink {
-        &self.tel
-    }
-
     /// Nanoseconds since the telemetry epoch ([`Endpoint::set_telemetry`]).
-    pub fn telemetry_now_ns(&self) -> u64 {
+    fn telemetry_now_ns(&self) -> u64 {
         self.tel_base.elapsed().as_nanos() as u64
     }
 
@@ -524,19 +506,9 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Synchronise all ranks (RCCE_barrier).
-    pub fn barrier(&self) {
-        self.barrier.wait();
-    }
-
     /// Drain the recorded recv-wait samples (for idle-time statistics).
     pub fn take_wait_samples(&self) -> Vec<Duration> {
         std::mem::take(&mut *self.wait_samples.lock())
-    }
-
-    /// Number of MPB chunks a payload of `bytes` would need on hardware.
-    pub fn chunks_for(&self, bytes: u64) -> u64 {
-        self.mpb.chunks(bytes)
     }
 }
 
@@ -696,27 +668,6 @@ mod tests {
         // Poll until visible (bounded channel send is synchronous here,
         // so it must be immediately visible).
         assert_eq!(&b.try_recv(0).unwrap().unwrap()[..], b"x");
-    }
-
-    #[test]
-    fn barrier_synchronises_all_ranks() {
-        let eps = comm(4);
-        let counter = Arc::new(AtomicU64::new(0));
-        let handles: Vec<_> = eps
-            .into_iter()
-            .map(|ep| {
-                let c = Arc::clone(&counter);
-                thread::spawn(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                    ep.barrier();
-                    // After the barrier every rank's increment is visible.
-                    assert_eq!(c.load(Ordering::SeqCst), 4);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 
     fn fast_reliability() -> Reliability {

@@ -1,133 +1,18 @@
-//! Heartbeat datagrams and phi-style failure suspicion.
+//! Phi-style failure suspicion.
 //!
-//! The supervision control plane (scc-core's `supervise` module) needs a
-//! liveness signal that travels the *same* network as data traffic — on
-//! the real SCC the MCPC can only learn a core died by noticing its
-//! messages stopped. This module supplies both halves:
-//!
-//! * a fixed 16-byte heartbeat datagram (magic, sender rank, sequence
-//!   number) sent over ordinary [`Endpoint`] channels, so heartbeats
-//!   contend, corrupt, and drop exactly like frames do;
-//! * an accrual-style [`PhiDetector`] that converts heartbeat arrival
-//!   times into a dimensionless suspicion level (elapsed silence in
-//!   heartbeat periods). A core is *slow* while suspicion is below the
-//!   `phi_dead` threshold and *dead* once it crosses — the distinction
-//!   the ISSUE's supervisor needs to avoid migrating a stage that was
-//!   merely stalled.
+//! The supervision control plane (scc-core's `supervise` module) decides
+//! a core is dead once its heartbeats have been silent long enough. This
+//! module holds the accrual-style [`PhiDetector`] that rule is written
+//! against: it converts heartbeat arrival times into a dimensionless
+//! suspicion level (elapsed silence in heartbeat periods). A core is
+//! *slow* while suspicion is below the `phi_dead` threshold and *dead*
+//! once it crosses — the distinction that keeps the supervisor from
+//! migrating a stage that was merely stalled. The supervisor evaluates
+//! the same rule in closed form in virtual time, and its tests hold the
+//! closed form to this detector.
 //!
 //! The detector is deterministic: suspicion is a pure function of the
-//! last observed arrival and the queried clock, so the simulated runners
-//! can evaluate it in virtual time while native runs feed it wall-clock
-//! nanoseconds.
-
-use crate::comm::Endpoint;
-use crate::error::RcceError;
-use bytes::Bytes;
-use std::time::{Duration, Instant};
-
-/// Wire size of one heartbeat datagram. Mirrored by the simulator's
-/// ledger charge (`scc_sim::HEARTBEAT_BYTES`) so both execution paths
-/// pay the same traffic for liveness.
-pub const HEARTBEAT_WIRE_BYTES: usize = 16;
-
-/// Magic prefix distinguishing heartbeats from frame payloads ("HBT1").
-const HEARTBEAT_MAGIC: u32 = 0x4842_5431;
-
-/// One liveness datagram: who is alive, and how recent the claim is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Heartbeat {
-    /// Sender's communicator rank.
-    pub rank: u32,
-    /// Monotonically increasing per-sender sequence number (starts at 1).
-    pub seq: u64,
-}
-
-/// Serialise a heartbeat to its 16-byte wire form.
-pub fn encode_heartbeat(hb: Heartbeat) -> Bytes {
-    let mut raw = Vec::with_capacity(HEARTBEAT_WIRE_BYTES);
-    raw.extend_from_slice(&HEARTBEAT_MAGIC.to_le_bytes());
-    raw.extend_from_slice(&hb.rank.to_le_bytes());
-    raw.extend_from_slice(&hb.seq.to_le_bytes());
-    Bytes::from(raw)
-}
-
-/// Parse a wire payload as a heartbeat; `None` if it is anything else
-/// (wrong length or magic).
-pub fn decode_heartbeat(raw: &[u8]) -> Option<Heartbeat> {
-    if raw.len() != HEARTBEAT_WIRE_BYTES {
-        return None;
-    }
-    let magic = u32::from_le_bytes(raw[0..4].try_into().unwrap());
-    if magic != HEARTBEAT_MAGIC {
-        return None;
-    }
-    Some(Heartbeat {
-        rank: u32::from_le_bytes(raw[4..8].try_into().unwrap()),
-        seq: u64::from_le_bytes(raw[8..16].try_into().unwrap()),
-    })
-}
-
-/// Send one heartbeat from `ep` to the supervisor at rank `dst`.
-pub fn send_heartbeat(ep: &Endpoint, dst: usize, seq: u64) -> Result<(), RcceError> {
-    ep.send(
-        dst,
-        encode_heartbeat(Heartbeat {
-            rank: ep.rank() as u32,
-            seq,
-        }),
-    )?;
-    ep.telemetry()
-        .count(scc_telemetry::names::HEARTBEATS_TOTAL, &[], 1);
-    Ok(())
-}
-
-/// Record a phi-detector death verdict on `ep`'s telemetry sink: a
-/// `heartbeat_miss` event plus the miss counter. Call when
-/// [`PhiDetector::is_dead`] first flips for a peer.
-pub fn record_heartbeat_miss(ep: &Endpoint, peer: usize, suspicion: f64) {
-    let tel = ep.telemetry();
-    tel.count(scc_telemetry::names::HEARTBEAT_MISSES_TOTAL, &[], 1);
-    tel.event(
-        ep.telemetry_now_ns(),
-        scc_telemetry::EventKind::HeartbeatMiss {
-            core: peer as u32,
-            suspicion,
-        },
-    );
-}
-
-/// Non-blocking poll for a heartbeat from `src`. `Ok(None)` when nothing
-/// has arrived; a payload that is not a well-formed heartbeat surfaces as
-/// [`RcceError::Corrupt`] — on the health channel, garbage is indis-
-/// tinguishable from corruption.
-pub fn poll_heartbeat(ep: &Endpoint, src: usize) -> Result<Option<Heartbeat>, RcceError> {
-    match ep.try_recv(src)? {
-        None => Ok(None),
-        Some(raw) => decode_heartbeat(&raw)
-            .map(Some)
-            .ok_or(RcceError::Corrupt { rank: src }),
-    }
-}
-
-/// Block until a heartbeat arrives from `src`, or fail with
-/// [`RcceError::Timeout`] after `timeout` of silence. This is the
-/// native-path analogue of the simulated supervisor's detection deadline.
-pub fn await_heartbeat(
-    ep: &Endpoint,
-    src: usize,
-    timeout: Duration,
-) -> Result<Heartbeat, RcceError> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Some(hb) = poll_heartbeat(ep, src)? {
-            return Ok(hb);
-        }
-        if Instant::now() >= deadline {
-            return Err(RcceError::Timeout { rank: src });
-        }
-        std::thread::yield_now();
-    }
-}
+//! last observed arrival and the queried clock.
 
 /// Accrual failure detector over one peer's heartbeat stream.
 ///
@@ -192,57 +77,6 @@ impl PhiDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::communicator;
-    use crate::mpb::MpbConfig;
-    use std::thread;
-
-    #[test]
-    fn codec_round_trips_and_rejects_garbage() {
-        let hb = Heartbeat { rank: 17, seq: 42 };
-        let wire = encode_heartbeat(hb);
-        assert_eq!(wire.len(), HEARTBEAT_WIRE_BYTES);
-        assert_eq!(decode_heartbeat(&wire), Some(hb));
-        assert_eq!(decode_heartbeat(&wire[..15]), None, "short payload");
-        let mut bad = wire.to_vec();
-        bad[0] ^= 0xFF;
-        assert_eq!(decode_heartbeat(&bad), None, "wrong magic");
-    }
-
-    #[test]
-    fn heartbeats_flow_over_a_real_channel() {
-        let mut eps = communicator(2, 4, MpbConfig::default());
-        let supervisor = eps.remove(1);
-        let worker = eps.remove(0);
-        let t = thread::spawn(move || {
-            for seq in 1..=3u64 {
-                send_heartbeat(&worker, 1, seq).unwrap();
-            }
-        });
-        for seq in 1..=3u64 {
-            let hb = await_heartbeat(&supervisor, 0, Duration::from_secs(5)).unwrap();
-            assert_eq!(hb, Heartbeat { rank: 0, seq });
-        }
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn silence_times_out_and_garbage_is_corrupt() {
-        let mut eps = communicator(2, 4, MpbConfig::default());
-        let supervisor = eps.remove(1);
-        let worker = eps.remove(0);
-        assert_eq!(
-            await_heartbeat(&supervisor, 0, Duration::from_millis(20)),
-            Err(RcceError::Timeout { rank: 0 })
-        );
-        // A frame-sized payload on the health channel is corruption.
-        worker
-            .send(1, Bytes::from_static(b"not a heartbeat"))
-            .unwrap();
-        assert_eq!(
-            poll_heartbeat(&supervisor, 0),
-            Err(RcceError::Corrupt { rank: 0 })
-        );
-    }
 
     #[test]
     fn suspicion_accrues_linearly_and_crosses_at_phi() {

@@ -41,12 +41,6 @@ impl MpbConfig {
             bytes.div_ceil(self.payload_per_chunk())
         }
     }
-
-    /// Total bytes that actually cross the interconnect for `bytes` of
-    /// payload (headers included).
-    pub fn wire_bytes(&self, bytes: u64) -> u64 {
-        bytes + self.chunks(bytes) * self.header_bytes
-    }
 }
 
 #[cfg(test)]
@@ -71,16 +65,6 @@ mod tests {
         assert_eq!(m.chunks(1000), 1);
         assert_eq!(m.chunks(1001), 2);
         assert_eq!(m.chunks(10_000), 10);
-    }
-
-    #[test]
-    fn wire_bytes_include_headers() {
-        let m = MpbConfig {
-            window_bytes: 1024,
-            header_bytes: 24,
-        };
-        assert_eq!(m.wire_bytes(1000), 1024);
-        assert_eq!(m.wire_bytes(2000), 2000 + 48);
     }
 
     #[test]

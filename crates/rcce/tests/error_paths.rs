@@ -1,16 +1,15 @@
 //! Integration tests for the communicator's failure surfaces: every way a
 //! reliable operation can give up must end in the *right* [`RcceError`]
 //! variant, in bounded time — the ARQ never spins forever, a corrupted
-//! stream is distinguishable from a silent one, and heartbeat monitoring
-//! reports silence and garbage distinctly. The self-healing supervisor
-//! builds on exactly these guarantees.
+//! stream is distinguishable from a silent one. The self-healing
+//! supervisor builds on exactly these guarantees.
 
 use bytes::Bytes;
 use scc_rcce::{
-    await_heartbeat, communicator, decode_claim_ack, decode_steal_grant, decode_steal_request,
-    decode_task_claim, encode_claim_ack, encode_steal_grant, encode_steal_request,
-    encode_task_claim, poll_heartbeat, send_heartbeat, ClaimAck, ClaimReject, ClaimTable,
-    ClaimVerdict, MpbConfig, RcceError, Reliability, StealGrant, StealRequest, TaskClaim, TaskId,
+    communicator, decode_claim_ack, decode_steal_grant, decode_steal_request, decode_task_claim,
+    encode_claim_ack, encode_steal_grant, encode_steal_request, encode_task_claim, ClaimAck,
+    ClaimReject, ClaimTable, ClaimVerdict, Endpoint, MpbConfig, RcceError, Reliability, StealGrant,
+    StealRequest, TaskClaim, TaskId,
 };
 use scc_sim::{FaultConfig, FaultPlan};
 use std::sync::Arc;
@@ -33,6 +32,17 @@ fn plan(seed: u64, drop: f64, corrupt: f64) -> Arc<FaultPlan> {
     }))
 }
 
+/// Run `send` on its own thread and hand the endpoint back with the
+/// result, so it outlives the call. The sender gives up after the same
+/// backoff budget the receiver waits out; dropping its endpoint then
+/// would disconnect the channel and race the receiver's verdict.
+fn spawn_keeping_endpoint<T: Send + 'static>(
+    ep: Endpoint,
+    send: impl FnOnce(&Endpoint) -> T + Send + 'static,
+) -> thread::JoinHandle<(T, Endpoint)> {
+    thread::spawn(move || (send(&ep), ep))
+}
+
 /// A stream whose every envelope is mangled in flight: the receiver sees
 /// traffic but never an intact CRC, so it must report `Corrupt` (not
 /// `Timeout`), while the sender — acknowledged by nobody — exhausts its
@@ -45,10 +55,11 @@ fn corrupted_stream_surfaces_corrupt_on_both_ends() {
     a.set_reliability(fast());
     b.set_reliability(fast());
     a.set_fault_plan(plan(11, 0.0, 1.0));
-    let sender = thread::spawn(move || a.send_reliable(1, Bytes::from_static(&[0xAB; 256])));
+    let sender =
+        spawn_keeping_endpoint(a, |a| a.send_reliable(1, Bytes::from_static(&[0xAB; 256])));
     assert_eq!(b.recv_reliable(0), Err(RcceError::Corrupt { rank: 0 }));
     assert_eq!(
-        sender.join().expect("sender thread"),
+        sender.join().expect("sender thread").0,
         Err(RcceError::RetriesExhausted {
             rank: 1,
             attempts: 3
@@ -66,10 +77,10 @@ fn dropped_stream_surfaces_timeout_at_the_receiver() {
     a.set_reliability(fast());
     b.set_reliability(fast());
     a.set_fault_plan(plan(23, 1.0, 0.0));
-    let sender = thread::spawn(move || a.send_reliable(1, Bytes::from_static(b"gone")));
+    let sender = spawn_keeping_endpoint(a, |a| a.send_reliable(1, Bytes::from_static(b"gone")));
     assert_eq!(b.recv_reliable(0), Err(RcceError::Timeout { rank: 0 }));
     assert_eq!(
-        sender.join().expect("sender thread"),
+        sender.join().expect("sender thread").0,
         Err(RcceError::RetriesExhausted {
             rank: 1,
             attempts: 3
@@ -105,37 +116,6 @@ fn unacknowledged_send_gives_up_in_bounded_time() {
     );
 }
 
-/// A monitored peer that never beats: `await_heartbeat` reports `Timeout`
-/// against that rank within (roughly) the requested window.
-#[test]
-fn heartbeat_silence_surfaces_timeout() {
-    let mut eps = communicator(2, 4, MpbConfig::default());
-    let b = eps.pop().unwrap();
-    let _a = eps.pop().unwrap(); // silent.
-    let t0 = Instant::now();
-    assert_eq!(
-        await_heartbeat(&b, 0, Duration::from_millis(30)),
-        Err(RcceError::Timeout { rank: 0 })
-    );
-    assert!(t0.elapsed() >= Duration::from_millis(30));
-}
-
-/// Garbage on the heartbeat channel — wrong length or wrong magic — is
-/// reported as `Corrupt`, never silently decoded into a bogus liveness
-/// signal.
-#[test]
-fn undecodable_heartbeat_surfaces_corrupt() {
-    let mut eps = communicator(2, 4, MpbConfig::default());
-    let b = eps.pop().unwrap();
-    let a = eps.pop().unwrap();
-    a.send(1, Bytes::from_static(b"not a heartbeat")).unwrap();
-    assert_eq!(poll_heartbeat(&b, 0), Err(RcceError::Corrupt { rank: 0 }));
-    // An intact beat right after still flows — the error is per-message.
-    send_heartbeat(&a, 1, 7).unwrap();
-    let hb = await_heartbeat(&b, 0, Duration::from_millis(500)).expect("intact beat decodes");
-    assert_eq!((hb.rank, hb.seq), (0, 7));
-}
-
 /// Addressing errors fail fast on every reliable entry point.
 #[test]
 fn invalid_ranks_are_rejected_up_front() {
@@ -152,11 +132,6 @@ fn invalid_ranks_are_rejected_up_front() {
         Err(invalid(9))
     );
     assert_eq!(a.recv_reliable(0).unwrap_err(), invalid(0));
-    assert_eq!(send_heartbeat(&a, 0, 0), Err(invalid(0)));
-    assert_eq!(
-        await_heartbeat(&a, 9, Duration::from_millis(1)),
-        Err(invalid(9))
-    );
 }
 
 // ---- steal/claim wire messages (the task runtime's control plane) ----

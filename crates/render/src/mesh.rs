@@ -63,13 +63,6 @@ impl Aabb {
         }
     }
 
-    pub fn union_point(&self, p: Vec3) -> Aabb {
-        Aabb {
-            min: self.min.min(p),
-            max: self.max.max(p),
-        }
-    }
-
     pub fn contains(&self, p: Vec3) -> bool {
         p.x >= self.min.x
             && p.x <= self.max.x
@@ -96,10 +89,6 @@ impl Aabb {
 
     pub fn center(&self) -> Vec3 {
         (self.min + self.max) * 0.5
-    }
-
-    pub fn half_extent(&self) -> Vec3 {
-        (self.max - self.min) * 0.5
     }
 
     /// The eight corner points.

@@ -61,7 +61,7 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    fn from_samples(samples: &mut Vec<f64>) -> LatencyStats {
+    fn from_samples(samples: &mut [f64]) -> LatencyStats {
         if samples.is_empty() {
             return LatencyStats::default();
         }
@@ -663,11 +663,7 @@ fn record_telemetry(sink: &TelemetrySink, cfg: &ServeConfig, r: &ServeReport, la
     sink.count(names::SERVE_SESSIONS_ADMITTED_TOTAL, &[], r.admitted);
     sink.count(names::SERVE_SESSIONS_COMPLETED_TOTAL, &[], r.completed);
     for reason in [ShedReason::TenantQueueFull, ShedReason::SessionCap] {
-        let n = r
-            .shed_events
-            .iter()
-            .filter(|e| e.reason == reason)
-            .count() as u64;
+        let n = r.shed_events.iter().filter(|e| e.reason == reason).count() as u64;
         if n > 0 {
             sink.count(
                 names::SERVE_SESSIONS_SHED_TOTAL,
@@ -689,12 +685,7 @@ fn record_telemetry(sink: &TelemetrySink, cfg: &ServeConfig, r: &ServeReport, la
         );
     }
     for &v in lat {
-        sink.observe(
-            names::SERVE_FRAME_LATENCY_SECONDS,
-            &[],
-            SECONDS_BUCKETS,
-            v,
-        );
+        sink.observe(names::SERVE_FRAME_LATENCY_SECONDS, &[], SECONDS_BUCKETS, v);
     }
 }
 

@@ -1,25 +1,13 @@
-//! Cache models for the P54C cores.
+//! The cache model for the P54C cores.
 //!
-//! Two levels of fidelity:
-//!
-//! * [`SetAssocCache`] — an exact set-associative LRU simulator, usable on
-//!   an address trace. It backs the unit/property tests and the detailed
-//!   analysis of the Figure 12 experiment.
-//! * [`StreamModel`] — an analytic model for the streaming access patterns
-//!   of the filter stages (touch every byte once or twice per frame). For
-//!   reuse distances beyond the cache size the hit rate is simply the
-//!   spatial locality within a line, independent of the data-set size —
-//!   exactly why the paper observes *no* jump when tiles exceed the 256 KiB
-//!   L2 (§VI-A, Figure 12).
+//! [`StreamModel`] is an analytic model for the streaming access patterns
+//! of the filter stages (touch every byte once or twice per frame). For
+//! reuse distances beyond the cache size every line misses, independent
+//! of the data-set size — exactly why the paper observes *no* jump when
+//! tiles exceed the 256 KiB L2 (§VI-A, Figure 12). The platform books
+//! every stage's memory traffic through it.
 
 use serde::Serialize;
-
-/// Result of a cache lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Access {
-    Hit,
-    Miss,
-}
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, Serialize)]
@@ -33,125 +21,12 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
-    /// The SCC core's 16 KiB L1 data cache (32-byte lines, 4-way).
-    pub const fn scc_l1() -> Self {
-        CacheGeometry {
-            capacity: 16 * 1024,
-            line: 32,
-            ways: 4,
-        }
-    }
-
     /// The per-core 256 KiB L2 (32-byte lines, 4-way).
     pub const fn scc_l2() -> Self {
         CacheGeometry {
             capacity: 256 * 1024,
             line: 32,
             ways: 4,
-        }
-    }
-
-    pub fn sets(&self) -> u64 {
-        self.capacity / (self.line * self.ways as u64)
-    }
-}
-
-/// Exact set-associative cache with true-LRU replacement.
-#[derive(Debug, Clone)]
-pub struct SetAssocCache {
-    geo: CacheGeometry,
-    /// Per set: tags ordered most-recently-used first.
-    sets: Vec<Vec<u64>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl SetAssocCache {
-    pub fn new(geo: CacheGeometry) -> Self {
-        assert!(
-            geo.line.is_power_of_two(),
-            "line size must be a power of two"
-        );
-        assert!(geo.ways >= 1, "need at least one way");
-        let sets = geo.sets();
-        assert!(
-            sets >= 1 && sets.is_power_of_two(),
-            "set count must be a power of two"
-        );
-        SetAssocCache {
-            sets: vec![Vec::with_capacity(geo.ways as usize); sets as usize],
-            geo,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geo
-    }
-
-    /// Access one byte address; returns hit/miss and updates LRU state.
-    pub fn access(&mut self, addr: u64) -> Access {
-        let line_addr = addr / self.geo.line;
-        let set_idx = (line_addr % self.geo.sets()) as usize;
-        let tag = line_addr / self.geo.sets();
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            let t = set.remove(pos);
-            set.insert(0, t);
-            self.hits += 1;
-            Access::Hit
-        } else {
-            if set.len() == self.geo.ways as usize {
-                set.pop();
-            }
-            set.insert(0, tag);
-            self.misses += 1;
-            Access::Miss
-        }
-    }
-
-    /// Access a contiguous byte range, touching each line once.
-    pub fn access_range(&mut self, start: u64, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        let first = start / self.geo.line;
-        let last = (start + bytes - 1) / self.geo.line;
-        for line in first..=last {
-            self.access(line * self.geo.line);
-        }
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    pub fn accesses(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    pub fn hit_rate(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.accesses() as f64
-        }
-    }
-
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Drop all cached lines (e.g. on a context switch).
-    pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
         }
     }
 }
@@ -183,108 +58,16 @@ impl StreamModel {
             working_set.div_ceil(self.geo.line) * self.geo.line
         }
     }
-
-    /// Miss count for one streaming pass over `working_set` bytes.
-    pub fn misses(&self, working_set: u64) -> u64 {
-        self.bytes_from_memory(working_set) / self.geo.line
-    }
-
-    /// Hit rate of a pure streaming pass at 4-byte word granularity:
-    /// one miss per line, hits on the remaining words of the line.
-    pub fn streaming_hit_rate(&self, word: u64) -> f64 {
-        1.0 - word as f64 / self.geo.line as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny() -> CacheGeometry {
-        // 4 sets * 2 ways * 16B lines = 128 B
-        CacheGeometry {
-            capacity: 128,
-            line: 16,
-            ways: 2,
-        }
-    }
-
     #[test]
     fn scc_geometries() {
-        assert_eq!(CacheGeometry::scc_l1().sets(), 128);
-        assert_eq!(CacheGeometry::scc_l2().sets(), 2048);
-    }
-
-    #[test]
-    fn first_access_misses_second_hits() {
-        let mut c = SetAssocCache::new(tiny());
-        assert_eq!(c.access(0), Access::Miss);
-        assert_eq!(c.access(4), Access::Hit); // same 16-byte line
-        assert_eq!(c.access(15), Access::Hit);
-        assert_eq!(c.access(16), Access::Miss); // next line
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
-    }
-
-    #[test]
-    fn lru_eviction_order() {
-        let mut c = SetAssocCache::new(tiny());
-        // Three lines mapping to the same set (stride = sets * line = 64).
-        let a = 0u64;
-        let b = 64;
-        let d = 128;
-        c.access(a); // miss, set = [a]
-        c.access(b); // miss, set = [b, a]
-        c.access(a); // hit,  set = [a, b]
-        c.access(d); // miss, evicts b (LRU), set = [d, a]
-        assert_eq!(c.access(a), Access::Hit);
-        assert_eq!(c.access(b), Access::Miss, "b was the LRU victim");
-    }
-
-    #[test]
-    fn working_set_within_capacity_stays_resident() {
-        let geo = tiny();
-        let mut c = SetAssocCache::new(geo);
-        c.access_range(0, geo.capacity);
-        c.reset_stats();
-        c.access_range(0, geo.capacity);
-        assert_eq!(c.misses(), 0, "second pass over a resident set is all hits");
-        assert_eq!(c.hits(), geo.capacity / geo.line);
-    }
-
-    #[test]
-    fn working_set_beyond_capacity_thrashes() {
-        let geo = tiny();
-        let mut c = SetAssocCache::new(geo);
-        let big = geo.capacity * 4;
-        c.access_range(0, big);
-        c.reset_stats();
-        c.access_range(0, big);
-        // Sequential sweep larger than the cache: everything evicted
-        // before reuse -> all misses again.
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), big / geo.line);
-    }
-
-    #[test]
-    fn flush_empties_cache() {
-        let mut c = SetAssocCache::new(tiny());
-        c.access(0);
-        c.flush();
-        c.reset_stats();
-        assert_eq!(c.access(0), Access::Miss);
-    }
-
-    #[test]
-    fn access_range_line_counting() {
-        let mut c = SetAssocCache::new(tiny());
-        // 1 byte touches 1 line; crossing a boundary touches 2.
-        c.access_range(0, 1);
-        assert_eq!(c.accesses(), 1);
-        c.access_range(15, 2);
-        assert_eq!(c.accesses(), 3); // line 0 (hit) + line 1 (miss)
-        c.access_range(0, 0);
-        assert_eq!(c.accesses(), 3);
+        let l2 = CacheGeometry::scc_l2();
+        assert_eq!((l2.capacity, l2.line, l2.ways), (256 * 1024, 32, 4));
     }
 
     #[test]
@@ -296,6 +79,5 @@ mod tests {
         // Per-byte cost identical once over capacity: all bytes fetched.
         assert_eq!(m.bytes_from_memory(just_over), just_over);
         assert_eq!(m.bytes_from_memory(far_over), far_over);
-        assert!((m.streaming_hit_rate(4) - 0.875).abs() < 1e-12);
     }
 }

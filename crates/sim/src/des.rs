@@ -118,16 +118,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Scheduled { time, seq, payload });
     }
 
-    /// Schedule `payload` `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
-
     /// Pop the earliest event, advancing the virtual clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let s = self.heap.pop()?;
@@ -187,16 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ms(10), 0u32);
-        q.pop();
-        q.schedule_in(SimTime::from_ms(5), 1u32);
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, SimTime::from_ms(15));
-    }
-
-    #[test]
     fn jitter_is_deterministic_and_quiet_plan_is_identity() {
         use crate::fault::{FaultConfig, FaultPlan};
 
@@ -222,14 +202,5 @@ mod tests {
         }
         assert_eq!(a.drain_ordered(), b.drain_ordered());
         assert_eq!(quiet.drain_ordered(), plain.drain_ordered());
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ms(4), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_ms(4)));
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
     }
 }

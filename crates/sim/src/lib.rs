@@ -10,8 +10,8 @@
 //!   memory controllers on the corners, XY routing;
 //! * [`noc`] — per-link FIFO contention on the mesh;
 //! * [`memctrl`] — bandwidth/latency queueing at the four controllers;
-//! * [`cache`] — exact set-associative L1/L2 models plus the streaming
-//!   analytic model (why Figure 12 shows no cache-size cliff);
+//! * [`cache`] — the L2 geometry and the streaming analytic model (why
+//!   Figure 12 shows no cache-size cliff);
 //! * [`dvfs`] — per-tile frequency, per-island (2×2 tiles) voltage;
 //! * [`power`] — analytic chip power calibrated to the paper's numbers;
 //! * [`hostlink`] — the chunked MCPC↔SCC UDP/PCIe path;

@@ -176,11 +176,6 @@ impl Noc {
         SimTime::from_ps(self.stats.iter().map(|s| s.wait_ps).sum())
     }
 
-    /// The most heavily loaded link by bytes, if any traffic has flowed.
-    pub fn hottest_link_bytes(&self) -> u64 {
-        self.stats.iter().map(|s| s.bytes).max().unwrap_or(0)
-    }
-
     /// Flit conservation per link: every message booked on a link must
     /// correspond to exactly one hop of exactly one routed transfer, with
     /// the full payload accounted. Returns a description of the first
@@ -355,7 +350,6 @@ mod tests {
         );
         assert_eq!(noc.total_messages(), 2);
         assert_eq!(noc.total_bytes(), 200);
-        assert!(noc.hottest_link_bytes() >= 123);
     }
 
     #[test]

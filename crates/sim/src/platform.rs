@@ -156,10 +156,6 @@ impl SccPlatform {
         &self.dvfs
     }
 
-    pub fn dvfs_mut(&mut self) -> &mut DvfsState {
-        &mut self.dvfs
-    }
-
     /// Set the frequency of the tile hosting `core` (affects its sibling
     /// and, through the voltage island, six more cores' supply voltage).
     pub fn set_core_frequency(&mut self, core: CoreId, freq: FreqMHz) {
@@ -382,13 +378,15 @@ impl SccPlatform {
         end: SimTime,
         dt: SimTime,
     ) -> Vec<PowerSample> {
-        self.meter.trace_piecewise(&self.cfg.power, schedule, end, dt)
+        self.meter
+            .trace_piecewise(&self.cfg.power, schedule, end, dt)
     }
 
     /// [`SccPlatform::energy_joules`] under a piecewise-constant DVFS
     /// schedule (governed runs).
     pub fn energy_joules_piecewise(&self, schedule: &[(SimTime, DvfsState)], end: SimTime) -> f64 {
-        self.meter.energy_joules_piecewise(&self.cfg.power, schedule, end)
+        self.meter
+            .energy_joules_piecewise(&self.cfg.power, schedule, end)
     }
 
     /// The power-model calibration constants.

@@ -690,8 +690,16 @@ mod tests {
         let mut high = DvfsState::default();
         high.set_core_tile(CoreId::new(8), FreqMHz::F800);
         let m = PowerMeter::new();
-        let schedule = [(SimTime::ZERO, low.clone()), (SimTime::from_secs(2), high.clone())];
-        let trace = m.trace_piecewise(&cfg, &schedule, SimTime::from_secs(4), SimTime::from_secs(1));
+        let schedule = [
+            (SimTime::ZERO, low.clone()),
+            (SimTime::from_secs(2), high.clone()),
+        ];
+        let trace = m.trace_piecewise(
+            &cfg,
+            &schedule,
+            SimTime::from_secs(4),
+            SimTime::from_secs(1),
+        );
         assert_eq!(trace.len(), 4);
         let idle_low = cfg.idle_power(&low);
         let idle_high = cfg.idle_power(&high);

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use scc_sim::bucket::BucketedResource;
-use scc_sim::cache::{CacheGeometry, SetAssocCache};
 use scc_sim::des::EventQueue;
 use scc_sim::dvfs::{DvfsState, FreqMHz, IslandId};
 use scc_sim::topology::{xy_route, CoreId, TileId, MESH_H, MESH_W};
@@ -45,37 +44,6 @@ proptest! {
             }
             seen_vertical |= vertical;
         }
-    }
-
-    #[test]
-    fn cache_matches_reference_lru_model(
-        addrs in prop::collection::vec(0u64..4096, 1..300)
-    ) {
-        // 2 sets x 2 ways x 32-byte lines.
-        let geo = CacheGeometry { capacity: 128, line: 32, ways: 2 };
-        let mut cache = SetAssocCache::new(geo);
-        // Reference: per set, a vector of tags in MRU order.
-        let sets = geo.sets();
-        let mut reference: Vec<Vec<u64>> = vec![Vec::new(); sets as usize];
-        for &addr in &addrs {
-            let line = addr / geo.line;
-            let set = (line % sets) as usize;
-            let tag = line / sets;
-            let expect_hit = reference[set].contains(&tag);
-            let got = cache.access(addr);
-            prop_assert_eq!(
-                got == scc_sim::cache::Access::Hit,
-                expect_hit,
-                "divergence at addr {}", addr
-            );
-            if let Some(pos) = reference[set].iter().position(|&t| t == tag) {
-                reference[set].remove(pos);
-            } else if reference[set].len() == geo.ways as usize {
-                reference[set].pop();
-            }
-            reference[set].insert(0, tag);
-        }
-        prop_assert_eq!(cache.accesses(), addrs.len() as u64);
     }
 
     #[test]

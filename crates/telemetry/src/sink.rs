@@ -8,7 +8,7 @@
 //! drives, and the supervisor all see one sink.
 
 use crate::event::{Event, EventKind};
-use crate::metrics::{Counter, Gauge, Histogram, Registry};
+use crate::metrics::{Counter, Histogram, Registry};
 use crate::snapshot::Snapshot;
 use std::sync::{Arc, Mutex};
 
@@ -54,10 +54,6 @@ impl TelemetrySink {
         self.inner
             .as_ref()
             .map(|i| i.registry.counter(name, labels))
-    }
-
-    pub fn gauge_handle(&self, name: &str, labels: &[(&str, &str)]) -> Option<Gauge> {
-        self.inner.as_ref().map(|i| i.registry.gauge(name, labels))
     }
 
     pub fn histogram(

@@ -484,7 +484,7 @@ pub fn serving_smoke_digest() -> String {
         batch_frames: 3,
         pose_span: 4,
         arrival_burst: 6,
-        seed: 0x5EC5_E55,
+        seed: 0x05EC_5E55,
         keep_films: false,
     };
     serving_doc("serving-smoke", &cfg, &serve(&cfg, &verify_scene()).report)
@@ -765,12 +765,11 @@ fn film_hash(frames: &[scc_filters::Image]) -> u64 {
 }
 
 /// Digest of the *schema* of the bench trajectory's JSON artefacts
-/// (`BENCH_native_pipeline.json`, `BENCH_recovery.json`,
-/// `BENCH_autoplace.json`): the sorted set of JSON keys each document
-/// exposes. Values vary run to run — the shape must not.
+/// (`BENCH_recovery.json`, `BENCH_autoplace.json`, ...): the sorted set
+/// of JSON keys each document exposes. Values vary run to run — the
+/// shape must not.
 pub fn bench_schema_digest() -> String {
     use scc_bench::autoplace::measure_autoplace;
-    use scc_bench::native_throughput::measure_native_throughput;
     use scc_bench::recovery::measure_recovery;
     let mut cfg = base_cfg();
     cfg.width = 48;
@@ -779,7 +778,6 @@ pub fn bench_schema_digest() -> String {
     cfg.trace = false;
     cfg.verify = false;
     let scene = verify_scene();
-    let throughput = measure_native_throughput(&cfg, &scene, &[1]);
     let recovery = measure_recovery(&cfg, &scene, &[1]);
     let autoplace = measure_autoplace(&cfg, &scene);
     let tasks = scc_bench::tasks::measure_tasks(&cfg, &scene);
@@ -787,7 +785,6 @@ pub fn bench_schema_digest() -> String {
     let dvfs = scc_bench::dvfs::measure_dvfs(&cfg, &scene);
     let mut out = String::from("== bench-schema\n");
     for (name, json) in [
-        ("native_pipeline", throughput.to_json()),
         ("recovery", recovery.to_json()),
         ("autoplace", autoplace.to_json()),
         ("tasks", tasks.to_json()),
@@ -836,25 +833,6 @@ pub fn json_keys(json: &str) -> Vec<String> {
         }
     }
     keys.into_iter().collect()
-}
-
-/// The whole golden document: matrix digests, native tuning digest,
-/// the scheduler decision digest, and the bench schema digest, in a
-/// fixed order.
-pub fn golden_document() -> String {
-    let mut out = String::new();
-    for case in golden_matrix() {
-        out.push_str(&digest_case(&case));
-        out.push('\n');
-    }
-    out.push_str(&native_tuning_digest());
-    out.push('\n');
-    out.push_str(&autoplace_decision_digest());
-    out.push('\n');
-    out.push_str(&serving_smoke_digest());
-    out.push('\n');
-    out.push_str(&bench_schema_digest());
-    out
 }
 
 #[cfg(test)]

@@ -71,15 +71,9 @@ fn moved_tiles(decisions: &[GovernorDecision]) -> (Vec<TileId>, Vec<IslandId>) {
     let mut throttled = Vec::new();
     for d in decisions {
         match d.action {
-            GovernorAction::Raise { tile, .. } => {
-                if !raised.contains(&tile) {
-                    raised.push(tile);
-                }
-            }
-            GovernorAction::Throttle { island, .. } => {
-                if !throttled.contains(&island) {
-                    throttled.push(island);
-                }
+            GovernorAction::Raise { tile, .. } if !raised.contains(&tile) => raised.push(tile),
+            GovernorAction::Throttle { island, .. } if !throttled.contains(&island) => {
+                throttled.push(island)
             }
             _ => {}
         }
@@ -244,7 +238,10 @@ fn governor_never_touches_a_pixel() {
 #[test]
 fn wavefront_converges_to_a_different_split_than_the_film() {
     let film = run(&film_cfg(Some(GovernorTuning::default())), Backend::Sim);
-    let wave = run(&wavefront_cfg(Some(GovernorTuning::default())), Backend::Sim);
+    let wave = run(
+        &wavefront_cfg(Some(GovernorTuning::default())),
+        Backend::Sim,
+    );
     let BackendReport::Sim(film_r) = &film.report else {
         unreachable!()
     };
@@ -266,10 +263,8 @@ fn wavefront_converges_to_a_different_split_than_the_film() {
     // Island-major placement: the wavefront's raised tiles sit on
     // different voltage islands, so a raise never drags a neighbour
     // group's voltage up.
-    let islands: std::collections::HashSet<_> = wave_raised
-        .iter()
-        .map(|t| IslandId::of_tile(*t))
-        .collect();
+    let islands: std::collections::HashSet<_> =
+        wave_raised.iter().map(|t| IslandId::of_tile(*t)).collect();
     assert_eq!(islands.len(), wave_raised.len());
 }
 

@@ -132,7 +132,7 @@ proptest! {
     ) {
         // The full scheduler path on the real film pipeline with
         // arbitrary explicit weights: the realized placement must always
-        // validate (realize() asserts core uniqueness internally), keep
+        // validate (auto_place asserts core uniqueness internally), keep
         // supervisor spares, and reproduce byte-identical decision
         // tables on a second run.
         let mut cfg = RunConfig::builder()
