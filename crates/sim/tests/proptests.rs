@@ -48,12 +48,19 @@ proptest! {
 
     #[test]
     fn bucket_bookings_never_finish_early(
-        jobs in prop::collection::vec((0u64..100, 1u64..50), 1..60)
+        jobs in prop::collection::vec((0u64..100, 1u64..50, 0u64..5_000_000), 1..60),
+        near_end in any::<bool>(),
     ) {
+        // Near the end, starts fall within five buckets of `u64::MAX` ps,
+        // where a booking that cannot finish completes at `SimTime::MAX`.
         let mut res = BucketedResource::new(SimTime::from_ms(1));
         let mut total = SimTime::ZERO;
-        for (start_ms, service_ms) in jobs {
-            let start = SimTime::from_ms(start_ms);
+        for (start_ms, service_ms, before_end_ns) in jobs {
+            let start = if near_end {
+                SimTime::MAX - SimTime::from_ns(before_end_ns)
+            } else {
+                SimTime::from_ms(start_ms)
+            };
             let service = SimTime::from_ms(service_ms);
             let booking = res.book(start, service);
             prop_assert!(booking.completion >= start + service);
