@@ -11,7 +11,7 @@
 
 use crate::generic::{run_workload, EventOrder, GenericReport};
 use crate::metrics::{DegradationEvent, HostTiming, RecoveryEvent, StageReport, WalkthroughReport};
-use crate::runner::des::{run_des, DesReport};
+use crate::runner::des::run_des;
 use crate::runner::native::{run_native, NativeReport};
 use crate::runner::sim::SimRunner;
 use crate::spec::{RendererMode, RunConfig, Runtime, StageKind};
@@ -134,8 +134,12 @@ pub(crate) fn check(cfg: &RunConfig, backend: Backend) -> Result<(), RunError> {
 // outcome, so the variant size disparity clippy flags costs nothing.
 #[allow(clippy::large_enum_variant)]
 pub enum BackendReport {
+    /// A sim film run, static or under [`Runtime::Tasks`].
     Sim(WalkthroughReport),
-    Des(DesReport),
+    /// A DES film run: the same report shape — stage reports, energy,
+    /// power trace, recoveries — from the event-driven executor or the
+    /// task runtime's DES-flavored schedule.
+    Des(WalkthroughReport),
     Native(NativeReport),
     /// Workload-plane runs ([`crate::spec::Workload::Generic`] and
     /// [`crate::spec::Workload::Wavefront`]): both virtual-time backends
@@ -153,7 +157,7 @@ impl BackendReport {
     }
 
     /// The DES backend's film report, if that is what this is.
-    pub fn des(self) -> Option<DesReport> {
+    pub fn des(self) -> Option<WalkthroughReport> {
         match self {
             BackendReport::Des(r) => Some(r),
             _ => None,
@@ -180,7 +184,7 @@ pub struct RunOutcome {
     /// workload plane).
     pub frames: u64,
     /// Per-stage ledgers (busy time, idle quartiles, frame counts).
-    /// Populated by sim film runs; empty for DES, native and the
+    /// Populated by sim and DES film runs; empty for native and the
     /// workload plane, which do not keep [`StageReport`] ledgers.
     pub stage_reports: Vec<StageReport>,
     /// Graceful-degradation decisions, in decision order (sim film runs;
@@ -251,13 +255,13 @@ fn film(cfg: &RunConfig, backend: Backend, scene: Arc<Scene>) -> BackendReport {
         (Backend::Sim, Runtime::Tasks) => {
             BackendReport::Sim(run_tasks(sim(scene), ScheduleFlavor::Sim))
         }
-        (Backend::Des, Runtime::Static) => BackendReport::Des(run_des(cfg, scene)),
+        (Backend::Des, Runtime::Static) => BackendReport::Des(run_des(sim(scene))),
         // The task runtime has one engine; the DES flavor drives it with
         // a different schedule (steal-RNG stream, idle-scan order) so the
         // differential suite can prove the film and the conservation
         // ledgers are schedule-independent.
         (Backend::Des, Runtime::Tasks) => {
-            BackendReport::Des(run_tasks(sim(scene), ScheduleFlavor::Des).into())
+            BackendReport::Des(run_tasks(sim(scene), ScheduleFlavor::Des))
         }
         (Backend::Native, _) => BackendReport::Native(run_native(cfg, scene)),
     }
@@ -306,7 +310,7 @@ impl RunOutcome {
             report,
         };
         match &out.report {
-            BackendReport::Sim(r) => {
+            BackendReport::Sim(r) | BackendReport::Des(r) => {
                 out.total_secs = r.total_secs;
                 let transfer = r
                     .stage_reports
@@ -317,11 +321,6 @@ impl RunOutcome {
                 out.degradations = r.degradations.clone();
                 out.recoveries = r.recoveries.clone();
                 out.trace = r.trace.clone();
-                out.telemetry = r.telemetry.clone();
-            }
-            BackendReport::Des(r) => {
-                out.total_secs = r.total_secs;
-                out.recoveries = r.recoveries.clone();
                 out.telemetry = r.telemetry.clone();
             }
             BackendReport::Native(r) => {

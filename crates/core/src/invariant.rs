@@ -24,7 +24,7 @@
 //! config that produced them* ([`enforce`]) so any failure is a
 //! one-paste repro.
 
-use crate::metrics::{RecoveryEvent, WalkthroughReport};
+use crate::metrics::WalkthroughReport;
 use crate::spec::{RendererMode, RunConfig, StageKind};
 use crate::trace::{Phase, TraceEvent};
 use scc_sim::power::McpcPower;
@@ -490,21 +490,17 @@ fn check_events(r: &WalkthroughReport, v: &mut Vec<Violation>) {
             ));
         }
     }
-    let depth = r.config.fault.as_ref().map_or(0, |f| f.checkpoint_depth);
-    check_recoveries(&r.recoveries, depth, p, v);
+    check_recoveries(r, v);
 }
 
-/// Recovery-timeline legality, shared by the walkthrough report and the
-/// event-driven executor's own checks: kill ≤ detect ≤ resume, MTTR is
-/// their span, the replay fits a checkpoint ring of `depth`, and the
-/// lane exists.
-pub(crate) fn check_recoveries(
-    recoveries: &[RecoveryEvent],
-    depth: u32,
-    pipelines: u32,
-    v: &mut Vec<Violation>,
-) {
-    for e in recoveries {
+/// Recovery-timeline legality: kill ≤ detect ≤ resume, MTTR is their
+/// span, the replay fits the checkpoint ring, and the lane exists.
+fn check_recoveries(r: &WalkthroughReport, v: &mut Vec<Violation>) {
+    let (depth, pipelines) = (
+        r.config.fault.as_ref().map_or(0, |f| f.checkpoint_depth),
+        r.config.pipelines,
+    );
+    for e in &r.recoveries {
         if !(e.killed_at_secs <= e.detected_at_secs && e.detected_at_secs <= e.resumed_at_secs) {
             v.push(Violation::new(
                 "recovery-legality",

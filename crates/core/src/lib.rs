@@ -18,7 +18,8 @@
 //! * [`runner::native`] — the same pipeline on real OS threads with
 //!   RCCE-style channels, for actually-parallel runs on the host;
 //! * [`runner::des`] — an independent event-driven executor used to
-//!   cross-validate the frame-major scheduler;
+//!   cross-validate the frame-major scheduler, on the same parts and
+//!   stage ledgers and reporting the same [`WalkthroughReport`];
 //! * [`baseline`] — the single-core Figure 8 reference;
 //! * [`mod@reference`] — the sequential data-path oracle used to verify both
 //!   runners bit-exactly;
@@ -83,7 +84,6 @@ pub use metrics::{
 pub use partition::{auto_place, partition, placement_for, plan_for, AutoPlacement, StagePlan};
 pub use placement::{place, place_dvfs_single_pipeline, Placement, ReplicaSlot};
 pub use pool::{BufferPool, PoolStats};
-pub use runner::des::DesReport;
 pub use runner::native::NativeReport;
 pub use runner::sim::SimRunner;
 pub use spec::{

@@ -41,9 +41,10 @@ use scc_sim::{CoreId, SccConfig, SccPlatform, SimTime};
 use scc_telemetry::{names, EventKind, TelemetrySink, IDLE_MS_BUCKETS};
 use std::sync::Arc;
 
-/// Per-stage runtime state. Shared with the task runtime
-/// ([`crate::taskrt`]), whose ledgers keep the same shape so both
-/// executors produce identical stage-report structures.
+/// Per-stage runtime state. Shared with the event-driven executor
+/// ([`super::des`]) and the task runtime ([`crate::taskrt`]), whose
+/// ledgers keep the same shape, so all three produce identical
+/// stage-report structures.
 pub(crate) struct StageState {
     pub(crate) kind: StageKind,
     pub(crate) core: CoreId,
@@ -66,6 +67,13 @@ impl StageState {
             idle_samples: Vec::new(),
             frames: 0,
         }
+    }
+
+    /// One more frame, the core busy with it from `start` to `done`.
+    pub(crate) fn advance(&mut self, start: SimTime, done: SimTime) {
+        self.busy += done - start;
+        self.free = done;
+        self.frames += 1;
     }
 
     pub(crate) fn report(&self) -> StageReport {
@@ -154,8 +162,8 @@ impl SimRunner {
         let tel = TelemetrySink::from_enabled(cfg.telemetry);
         let mut platform = platform;
         let recovery = RecoveryPlane::arm(&cfg, &placement, &mut platform, tel.clone());
-        // This executor lets the platform apply the schedule too (stall
-        // windows, degraded links, flit delays).
+        // Every film executor on these parts lets the platform apply the
+        // schedule too (stall windows, degraded links, flit delays).
         if let Some(plan) = recovery.fault_plan() {
             platform.set_fault_plan(plan);
         }
@@ -409,9 +417,9 @@ impl SimRunner {
     }
 }
 
-/// Every stage ledger of a film run, in the one shape the static
-/// executor and the task runtime both report from: `extras[lane][j]`
-/// holds replicas `1..r` of stage `j` (scheduler placements only).
+/// Every stage ledger of a film run, in the one shape all three film
+/// executors report from: `extras[lane][j]` holds replicas `1..r` of
+/// stage `j` (scheduler placements only).
 pub(crate) struct StageLedgers {
     pub(crate) source: FilmSource,
     pub(crate) filters: Vec<[StageState; 5]>,
@@ -461,10 +469,10 @@ impl StageLedgers {
     }
 }
 
-/// The tail the static executor and the task runtime share once the
-/// last frame is out: the supervised run's heartbeat traffic, the stage
-/// reports, energy, the run-level telemetry rollup, and — behind
-/// `cfg.verify` — the invariant checker.
+/// The tail the three film executors share once the last frame is out:
+/// the supervised run's heartbeat traffic, the stage reports, energy,
+/// the run-level telemetry rollup, and — behind `cfg.verify` — the
+/// invariant checker.
 pub(crate) fn finish_film_run(
     mut runner: SimRunner,
     ledgers: &StageLedgers,
@@ -839,10 +847,7 @@ fn run_strip_on_lane(
                 }
             }
         };
-        let stage = &mut lane_states[j];
-        stage.busy += resident - start;
-        stage.free = resident;
-        stage.frames += 1;
+        lane_states[j].advance(start, resident);
         avail = resident;
         j += 1;
     }

@@ -199,9 +199,7 @@ impl FilmSource {
     /// has one more frame behind it.
     pub(crate) fn commit(&mut self, unit: usize, t: SimTime) {
         let stage = self.stage_mut(unit);
-        stage.busy += t - stage.free;
-        stage.free = t;
-        stage.frames += 1;
+        stage.advance(stage.free, t);
     }
 }
 

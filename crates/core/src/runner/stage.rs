@@ -142,9 +142,7 @@ impl FilmStages {
         let done = platform.chip_to_host(core, t, full_bytes);
         platform.record_busy(core, start, done);
         stage.idle_samples.push(idle);
-        stage.busy += done - start;
-        stage.free = done;
-        stage.frames += 1;
+        stage.advance(start, done);
         let pixels: Option<Vec<(StripInfo, Image)>> = strips
             .into_iter()
             .map(|(_, fr)| Some((fr.strip, fr.image?)))

@@ -192,10 +192,9 @@ pub(crate) struct RecoveryPlane {
 }
 
 impl RecoveryPlane {
-    /// Attach `cfg.fault` to a run on `placement`. Installing the fault
-    /// plan on the platform is the caller's decision (the frame-major
-    /// executor and the task runtime do, the event-driven validator
-    /// does not): see [`RecoveryPlane::fault_plan`].
+    /// Attach `cfg.fault` to a run on `placement`. The film executors'
+    /// shared parts then install the fault plan on the platform: see
+    /// [`RecoveryPlane::fault_plan`].
     pub(crate) fn arm(
         cfg: &RunConfig,
         placement: &Placement,

@@ -5,11 +5,9 @@
 //! same program always pop events in the same order regardless of the
 //! payload type or host.
 
-use crate::fault::FaultPlan;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 /// An event scheduled at a point in virtual time.
 #[derive(Debug, Clone)]
@@ -48,8 +46,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     now: SimTime,
-    popped: u64,
-    fault: Option<Arc<FaultPlan>>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -64,39 +60,13 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            popped: 0,
-            fault: None,
         }
-    }
-
-    /// Inject deterministic scheduling jitter: each event's timestamp may
-    /// be pushed late by `FaultPlan::event_jitter(seq)`. With a quiet plan
-    /// (the default), behaviour is identical to an unfaulted queue.
-    pub fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
-        self.fault = Some(plan);
     }
 
     /// Current virtual time: the timestamp of the most recently popped event.
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events waiting in the queue.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events processed so far.
-    #[inline]
-    pub fn processed(&self) -> u64 {
-        self.popped
     }
 
     /// Schedule `payload` at absolute time `at`.
@@ -109,12 +79,9 @@ impl<E> EventQueue<E> {
             "event scheduled in the past: {at:?} < now {:?}",
             self.now
         );
-        let mut time = at.max(self.now);
+        let time = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        if let Some(plan) = &self.fault {
-            time += plan.event_jitter(seq);
-        }
         self.heap.push(Scheduled { time, seq, payload });
     }
 
@@ -123,17 +90,7 @@ impl<E> EventQueue<E> {
         let s = self.heap.pop()?;
         debug_assert!(s.time >= self.now, "clock moved backwards");
         self.now = s.time;
-        self.popped += 1;
         Some((s.time, s.payload))
-    }
-
-    /// Drain every remaining event in time order (consumes the queue).
-    pub fn drain_ordered(mut self) -> Vec<(SimTime, E)> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(ev) = self.pop() {
-            out.push(ev);
-        }
-        out
     }
 }
 
@@ -141,14 +98,17 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
 
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<E> {
+        std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_ms(5), "c");
         q.schedule(SimTime::from_ms(1), "a");
         q.schedule(SimTime::from_ms(3), "b");
-        let order: Vec<_> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
-        assert_eq!(order, vec!["a", "b", "c"]);
+        assert_eq!(drain(&mut q), vec!["a", "b", "c"]);
     }
 
     #[test]
@@ -158,8 +118,7 @@ mod tests {
         for i in 0..100 {
             q.schedule(t, i);
         }
-        let order: Vec<_> = q.drain_ordered().into_iter().map(|(_, e)| e).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        assert_eq!(drain(&mut q), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -172,35 +131,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::from_ms(2));
         q.pop();
         assert_eq!(q.now(), SimTime::from_ms(7));
-        assert_eq!(q.processed(), 2);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_quiet_plan_is_identity() {
-        use crate::fault::{FaultConfig, FaultPlan};
-
-        let jittery = FaultConfig {
-            seed: 13,
-            delay_rate: 0.5,
-            max_delay: SimTime::from_ms(2),
-            ..FaultConfig::default()
-        };
-        let mut a = EventQueue::new();
-        a.set_fault_plan(Arc::new(FaultPlan::new(jittery.clone())));
-        let mut b = EventQueue::new();
-        b.set_fault_plan(Arc::new(FaultPlan::new(jittery)));
-        let mut quiet = EventQueue::new();
-        quiet.set_fault_plan(Arc::new(FaultPlan::default()));
-        let mut plain = EventQueue::new();
-        for i in 0..50u32 {
-            let t = SimTime::from_ms(u64::from(i % 7));
-            a.schedule(t, i);
-            b.schedule(t, i);
-            quiet.schedule(t, i);
-            plain.schedule(t, i);
-        }
-        assert_eq!(a.drain_ordered(), b.drain_ordered());
-        assert_eq!(quiet.drain_ordered(), plain.drain_ordered());
+        assert!(q.pop().is_none());
     }
 }

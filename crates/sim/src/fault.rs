@@ -187,8 +187,9 @@ impl FaultPlan {
         SimTime::from_ps((self.cfg.max_delay.as_ps() as f64 * unit(mix(h))) as u64)
     }
 
-    /// Deterministic jitter for event-queue entry `seq` (used by
-    /// [`crate::des::EventQueue`] robustness experiments).
+    /// Deterministic jitter for event `seq`. No executor applies it;
+    /// [`FaultPlan::schedule_digest`] folds it in with the other decision
+    /// families.
     pub fn event_jitter(&self, seq: u64) -> SimTime {
         if self.cfg.delay_rate <= 0.0 {
             return SimTime::ZERO;

@@ -94,7 +94,7 @@ proptest! {
         for (i, t) in times.iter().enumerate() {
             q.schedule(SimTime::from_ns(*t), i);
         }
-        let drained = q.drain_ordered();
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         prop_assert_eq!(drained.len(), times.len());
         for w in drained.windows(2) {
             prop_assert!(w[0].0 <= w[1].0);

@@ -15,12 +15,12 @@ use scc_core::spec::{
     RendererMode, RunConfig, Runtime, StallSpec, TaskTuning, WavefrontSpec, Workload,
 };
 use scc_core::viz::frame_checksum;
-use scc_core::{run_with_scene, Backend, BackendReport, GovernorAction};
+use scc_core::{run_with_scene, Backend, BackendReport, GovernorAction, WalkthroughReport};
 use scc_serve::{serve, ServeConfig, TenantSpec};
 use scc_sim::fault::{FaultConfig, FaultPlan, MessageOutcome};
 use scc_sim::{CoreId, FreqMHz, SimTime};
 use std::cell::Cell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How far apart the frame-major simulator and the DES executor are
 /// allowed to drift on end-to-end virtual time. This skew, *plus one
@@ -1027,6 +1027,53 @@ fn des_eligible(cfg: &RunConfig) -> bool {
     scc_core::check_support(cfg, Backend::Des).is_ok() && !governed_auto && !stalled
 }
 
+/// Frames each (stage kind, pipeline) processed, replicas summed.
+fn frames_per_stage(r: &WalkthroughReport) -> BTreeMap<(&'static str, Option<u32>), u64> {
+    let mut sums = BTreeMap::new();
+    for s in &r.stage_reports {
+        *sums.entry((s.kind.name(), s.pipeline)).or_default() += s.frames;
+    }
+    sums
+}
+
+/// What the sim's report and the DES report of one case must share: the
+/// film, the invariant catalogue (on the DES report too), and on the
+/// static pipeline — which routes every strip the same way on both
+/// executors — the frames each (stage, pipeline) ledger counted.
+fn des_report_checks(
+    case: &FuzzCase,
+    sim: &WalkthroughReport,
+    des: &WalkthroughReport,
+) -> Vec<Failure> {
+    let mut failures = Vec::new();
+    if case.cfg.fidelity == Fidelity::Full {
+        if let (Some(a), Some(b)) = (&sim.outputs, &des.outputs) {
+            let fa: Vec<u64> = a.iter().map(frame_checksum).collect();
+            let fb: Vec<u64> = b.iter().map(frame_checksum).collect();
+            if fa != fb {
+                failures.push(Failure {
+                    check: "differential-film".into(),
+                    detail: "sim and DES output films differ".into(),
+                });
+            }
+        }
+    }
+    for v in scc_core::invariant::check_report(des) {
+        failures.push(Failure {
+            check: format!("des-invariant:{}", v.check),
+            detail: v.detail,
+        });
+    }
+    let (s, d) = (frames_per_stage(sim), frames_per_stage(des));
+    if case.cfg.runtime == Runtime::Static && s != d {
+        failures.push(Failure {
+            check: "differential-ledger".into(),
+            detail: format!("frames per (stage, pipeline): sim {s:?}, DES {d:?}"),
+        });
+    }
+    failures
+}
+
 /// Run one case through every oracle that applies:
 ///
 /// 1. the frame-major simulator with the full invariant catalogue
@@ -1034,7 +1081,10 @@ fn des_eligible(cfg: &RunConfig) -> bool {
 /// 2. the film oracle — `Full`-fidelity output frames must match the
 ///    sequential reference bit for bit, faults or no faults;
 /// 3. the DES differential — when the config is inside the DES envelope,
-///    walkthrough timing (clean runs, ±[`DES_TIMING_TOLERANCE`]), the
+///    the invariant catalogue on the DES report too (as
+///    `des-invariant:<check>`), the same frames per (stage, pipeline) on
+///    the static pipeline (`differential-ledger`), walkthrough timing
+///    (clean runs, ±[`DES_TIMING_TOLERANCE`]), the
 ///    recovery timeline and the output film must agree between the two
 ///    executors. Kills inside the end-of-run boundary window (see
 ///    [`DES_TIMING_TOLERANCE`]) are excluded from the recovery-count
@@ -1244,18 +1294,7 @@ pub fn run_oracle(case: &FuzzCase) -> Outcome {
                 }
             }
         }
-        if case.cfg.fidelity == Fidelity::Full {
-            if let (Some(a), Some(b)) = (&report.outputs, &des.frames) {
-                let fa: Vec<u64> = a.iter().map(frame_checksum).collect();
-                let fb: Vec<u64> = b.iter().map(frame_checksum).collect();
-                if fa != fb {
-                    failures.push(Failure {
-                        check: "differential-film".into(),
-                        detail: "sim and DES output films differ".into(),
-                    });
-                }
-            }
-        }
+        failures.extend(des_report_checks(case, &report, &des));
     }
 
     // Serving oracle: when the case carries a serving workload, the

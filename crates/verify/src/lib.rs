@@ -712,8 +712,8 @@ pub fn des_recovered_digest() -> String {
             "-- {tag} config={}\ntotal_secs={:016x} film={:016x} frames={}\n",
             config_line(&cfg),
             r.total_secs.to_bits(),
-            film_hash(r.frames.as_deref().expect("full fidelity keeps the film")),
-            r.frames.as_ref().map_or(0, Vec::len)
+            film_hash(r.outputs.as_deref().expect("full fidelity keeps the film")),
+            r.outputs.as_ref().map_or(0, Vec::len)
         ));
         for e in &r.recoveries {
             out.push_str(&format!(

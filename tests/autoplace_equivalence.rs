@@ -113,7 +113,7 @@ fn des_auto_survives_kills_bit_identical() {
     let mut clean = auto.clone();
     clean.fault = None;
     assert_eq!(
-        report.frames.expect("killed run film"),
+        report.outputs.expect("killed run film"),
         reference_frames(&clean, scene())
     );
 }

@@ -137,8 +137,9 @@ fn kernel_choice_is_invisible_on_every_backend() {
         for kernel in [KernelChoice::Auto, KernelChoice::Scalar] {
             let c = cfg(RendererMode::SingleRenderer, tune_kernel(1, kernel));
             let film = match run_with_scene(&c, backend, scene()).report {
-                BackendReport::Sim(r) => r.outputs.expect("full fidelity keeps frames"),
-                BackendReport::Des(r) => r.frames.expect("full fidelity keeps frames"),
+                BackendReport::Sim(r) | BackendReport::Des(r) => {
+                    r.outputs.expect("full fidelity keeps frames")
+                }
                 BackendReport::Native(r) => r.frames,
                 BackendReport::Generic(_) => unreachable!("a film run"),
             };

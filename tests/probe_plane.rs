@@ -43,20 +43,15 @@ fn backends(c: &RunConfig) -> &'static [Backend] {
 }
 
 /// Everything deterministic a run reports, floats by bit pattern: total,
-/// energy, stage ledgers and decision trace (sim: `fingerprint` has them
-/// all; DES reports the total and the trace).
+/// stage ledgers and decision trace (`fingerprint` has them all), and
+/// energy.
 fn ledger(c: &RunConfig, backend: Backend, scene: &Arc<Scene>) -> String {
     let out = run_with_scene(c, backend, scene.clone());
     match out.report {
-        BackendReport::Sim(r) => format!(
+        BackendReport::Sim(r) | BackendReport::Des(r) => format!(
             "{}energy={:016x}\n",
             r.fingerprint(),
             r.scc_energy_joules.to_bits()
-        ),
-        BackendReport::Des(r) => format!(
-            "total={:016x} decisions={:?}\n",
-            r.total_secs.to_bits(),
-            r.dvfs_decisions
         ),
         _ => unreachable!("virtual-time film runs"),
     }
