@@ -6,10 +6,12 @@
 
 mod common;
 
-use common::{cfg_with, checksums, film, film_and_decisions, oracle, scene, ARRANGEMENTS, MODES};
+use common::{
+    cfg_with, checksums, film, film_and_decisions, kill_spec, oracle, scene, ARRANGEMENTS, MODES,
+};
 use scc_core::{
-    check_report, run_with_scene, Arrangement, Backend, FaultSpec, GovernorTuning, PowerConfig,
-    RendererMode, RunConfig, Runtime, StageReport, StallSpec,
+    check_report, run_with_scene, Arrangement, Backend, BackendReport, FaultSpec, GovernorTuning,
+    PowerConfig, RendererMode, RunConfig, Runtime, StageReport, StallSpec,
 };
 use std::collections::BTreeMap;
 
@@ -193,6 +195,141 @@ fn des_film_digest_is_pinned() {
         fnv1a(&text),
         0xfd88_08fe_a3f6_1613,
         "DES runs moved:\n{text}"
+    );
+}
+
+/// The frame-major executor and the task runtime, traced and with
+/// telemetry on, over every path their ledgers, sends and recoveries
+/// take: the scheduler's replicas in all three renderer modes, a
+/// permanent stall (source-send failover, walk abort, in a lane and in
+/// the merged tail), a lossy send to a dead receiver (handoff give-up), a
+/// kill at each detection site (source send, resident strip, handoff;
+/// on a replicated primary and inside the merged tail), the
+/// spare-exhausted fallback at a handoff and at a resident strip, and the
+/// task runtime on the scheduler's placement, clean and with a kill, on
+/// both schedules. 48×40, six frames: a frame takes ~10 ms, and the
+/// kills and stalls at 22, 54 and 61 ms land while a strip is already
+/// resident on (or inside the merged group of) the core they stop. Each
+/// run's fingerprint, trace spans and telemetry snapshot (metrics and
+/// event stream) go into one FNV-1a.
+#[test]
+fn sim_and_tasks_film_digest_is_pinned() {
+    let traced = |mode, p, frames| {
+        let mut c = cfg_with(mode, Arrangement::Ordered, p, frames);
+        c.trace = true;
+        c.telemetry = true;
+        c
+    };
+    let single = |p| traced(RendererMode::SingleRenderer, p, 6);
+    let auto = |p| {
+        let mut c = single(p);
+        c.auto_place = true;
+        c
+    };
+    let faulted = |mut c: RunConfig, fault: FaultSpec| {
+        c.fault = Some(fault);
+        c
+    };
+    let stall = |pipeline, stage, at_ms| FaultSpec {
+        stall: Some(StallSpec {
+            pipeline,
+            stage,
+            at_ms,
+            for_ms: u64::MAX,
+        }),
+        ..FaultSpec::default()
+    };
+    let mut runs: Vec<(String, RunConfig, Backend)> = Vec::new();
+    for mode in MODES {
+        for p in [2, 3] {
+            let mut c = traced(mode, p, 6);
+            c.auto_place = true;
+            runs.push((format!("auto {mode:?} p={p}"), c, Backend::Sim));
+        }
+    }
+    let no_spares = |fault: FaultSpec| FaultSpec {
+        max_spares: 0,
+        ..fault
+    };
+    let sim_runs = [
+        ("stall source send", faulted(single(3), stall(1, 0, 0))),
+        ("stall mid-walk", faulted(single(3), stall(1, 1, 22))),
+        ("stall merged tail", faulted(auto(2), stall(1, 2, 54))),
+        (
+            "lossy send to a stalled receiver",
+            faulted(
+                single(3),
+                FaultSpec {
+                    drop_rate: 0.05,
+                    ..stall(1, 2, 0)
+                },
+            ),
+        ),
+        ("kill source send", faulted(single(3), kill_spec(0, 0, 0))),
+        (
+            "kill resident strip",
+            faulted(single(3), kill_spec(1, 1, 22)),
+        ),
+        ("kill handoff", faulted(single(3), kill_spec(2, 3, 0))),
+        (
+            "kill replicated primary",
+            faulted(auto(2), kill_spec(0, 1, 61)),
+        ),
+        (
+            "kill handoff merged tail",
+            faulted(auto(2), kill_spec(1, 4, 3)),
+        ),
+        (
+            "kill resident merged tail",
+            faulted(auto(2), kill_spec(1, 4, 54)),
+        ),
+        (
+            "kill handoff without spares",
+            faulted(single(3), no_spares(kill_spec(1, 2, 0))),
+        ),
+        (
+            "kill merged tail without spares",
+            faulted(auto(2), no_spares(kill_spec(1, 4, 54))),
+        ),
+    ];
+    for (label, c) in sim_runs {
+        runs.push((label.into(), c, Backend::Sim));
+    }
+    for backend in [Backend::Sim, Backend::Des] {
+        let mut tasks = auto(2);
+        tasks.runtime = Runtime::Tasks;
+        runs.push((format!("tasks {backend:?}"), tasks.clone(), backend));
+        let killed = faulted(tasks, kill_spec(0, 1, 3));
+        runs.push((format!("tasks {backend:?} kill"), killed, backend));
+    }
+
+    let mut text = String::new();
+    for (label, c, backend) in &runs {
+        let out = run_with_scene(c, *backend, scene());
+        let report = match out.report {
+            BackendReport::Sim(r) | BackendReport::Des(r) => r,
+            _ => panic!("{label}: not a virtual-time film run"),
+        };
+        text += &format!("== {label}\n{}", report.fingerprint());
+        for e in out.trace.as_ref().map_or(&[][..], |t| t.events()) {
+            text += &format!(
+                "span {} {} {:?} {:?} {} {:x} {:x}\n",
+                e.core,
+                e.kind.name(),
+                e.pipeline,
+                e.phase,
+                e.frame,
+                e.t0.as_ps(),
+                e.t1.as_ps()
+            );
+        }
+        text += &format!("{:?}\n", out.telemetry.expect("telemetry on"));
+    }
+    assert_eq!(runs.len(), 22);
+    assert_eq!(
+        fnv1a(&text),
+        0x9aba_e33a_998d_ae93,
+        "sim / tasks runs moved:\n{text}"
     );
 }
 
