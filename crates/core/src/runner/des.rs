@@ -9,32 +9,30 @@
 //! downstream readiness) resolve and executed in nondecreasing start-time
 //! order, so the platform sees its bookings almost exactly in time order.
 //!
-//! Everything else is shared (DESIGN.md §13): the [`SimRunner`] parts,
-//! the power plane, the [`StageLedgers`], what a stage books
-//! ([`super::source`], [`super::stage`]) and the report tail
-//! ([`finish_film_run`]). This executor owns the event order, arrival-order
-//! delivery to the transfer stage, where a kill is observed (a filter
-//! node's start, against the first listed kill of its core), the merged
-//! group's replay upstream, the ledger cores a migration re-homes, and
-//! the monotone-clock check. `tests/` holds the two executors to a small
-//! tolerance of each other; the single renderer exercises every
-//! rendezvous pattern (fan-out, chains, fan-in).
+//! Everything else is shared (DESIGN.md §13): the `FilmRun` — the
+//! [`SimRunner`] parts, the power plane, the stage ledgers and their
+//! replica mapping, what a stage books ([`super::source`],
+//! [`super::stage`]) — and its report tail (`FilmRun::finish`). This
+//! executor owns the event order, arrival-order delivery to the transfer
+//! stage, where a kill is observed (a filter node's start, against the
+//! first listed kill of its core), the merged group's replay upstream,
+//! the ledger cores a migration re-homes, and the monotone-clock check.
+//! `tests/` holds the two executors to a small tolerance of each other;
+//! the single renderer exercises every rendezvous pattern (fan-out,
+//! chains, fan-in).
 //!
 //! The parts install the run's fault plan on the platform. Here that is
 //! an identity: [`crate::facade::check_support`] admits no stall, no
 //! degraded link and no message fault, so the plan holds no core, slows
 //! no link and delays no flit. Its kills are observed below.
 
-use super::sim::{finish_film_run, SimRunner, StageLedgers, StageState};
-use super::stage::FilmStages;
+use super::sim::{FilmRun, SimRunner, StageState};
 use crate::frame::Frame;
 use crate::invariant::{enforce, Violation};
 use crate::metrics::WalkthroughReport;
 use crate::partition::StagePlan;
-use crate::power_plane::PowerPlane;
 use crate::spec::{RunConfig, StageKind};
 use crate::supervise::Episode;
-use scc_filters::Image;
 use scc_sim::fault::CoreKill;
 use scc_sim::{CoreId, EventQueue, SimTime};
 use std::collections::HashMap;
@@ -54,22 +52,6 @@ enum Node {
 /// (two kills of one core, later one first) pins the difference.
 fn kill_time(kills: &[CoreKill], core: CoreId) -> Option<SimTime> {
     kills.iter().find(|k| k.core == core.raw()).map(|k| k.at)
-}
-
-/// The ledger of lane `i`'s stage `j` that runs frame `f`: replica
-/// `k = f % r`, the primary for `k = 0` and the scheduler's extra `k - 1`
-/// otherwise, which keeps strips in order within the lane.
-fn replica<'a>(
-    ledgers: &'a mut StageLedgers,
-    plan: &StagePlan,
-    i: usize,
-    j: usize,
-    f: u64,
-) -> &'a mut StageState {
-    match (f % u64::from(plan.replicas_of(j))) as usize {
-        0 => &mut ledgers.filters[i][j],
-        k => &mut ledgers.extras[i][j][k - 1],
-    }
 }
 
 /// Does stage `j` hand its strip to a next stage on the same core?
@@ -133,13 +115,10 @@ fn check_clock(cfg: &RunConfig, s: &StageState, was: SimTime, f: u64) {
     }
 }
 
-/// A run in flight: the shared parts and ledgers, plus what the event
-/// order hands from node to node.
+/// A run in flight: the shared film run, plus what the event order
+/// hands from node to node.
 struct Des {
-    r: SimRunner,
-    ledgers: StageLedgers,
-    power: PowerPlane,
-    stages: FilmStages,
+    run: FilmRun,
     /// The strip each (pipeline, frame) chain is working on; in full
     /// fidelity it carries real pixels alongside the timing.
     strips: HashMap<(usize, u64), Frame>,
@@ -147,8 +126,6 @@ struct Des {
     arrivals: HashMap<Node, SimTime>,
     /// Each frame's strips at the transfer stage: (arrival, pipeline).
     delivered: HashMap<u64, Vec<(SimTime, usize)>>,
-    outputs: Vec<Image>,
-    finish: SimTime,
 }
 
 impl Des {
@@ -156,31 +133,31 @@ impl Des {
     /// read here is its previous node's finish: a ledger's next node
     /// depends on the one before, so it has not run yet.
     fn start_of(&mut self, node: Node) -> SimTime {
+        let (plan, ledgers) = (&self.run.r.plan, &mut self.run.ledgers);
         match node {
-            Node::Render(_) => self.ledgers.source.renderers[0].free,
+            Node::Render(_) => ledgers.source.renderers[0].free,
             Node::Filter(i, j, f) => {
-                let last = self.r.plan.last_of_group(j);
-                let own = replica(&mut self.ledgers, &self.r.plan, i, last, f).free;
+                let own = ledgers.replica(plan, i, plan.last_of_group(j), f).free;
                 self.arrivals[&node].max(own)
             }
-            Node::Transfer(_) => self.ledgers.transfer.free,
+            Node::Transfer(_) => ledgers.transfer.free,
         }
     }
 
     /// Render frame `f` and fan its strips out, serialised on the render
     /// core, each rendezvousing with its receiving replica.
     fn render(&mut self, f: u64) {
-        let cam = self.r.walkthrough.camera(f);
-        let was = self.ledgers.source.renderers[0].free;
-        let (cost, platform) = (&self.r.cost, &mut self.r.platform);
-        let lowered = self
+        let (cam, run) = (self.run.r.walkthrough.camera(f), &mut self.run);
+        let was = run.ledgers.source.renderers[0].free;
+        let (cost, platform) = (&run.r.cost, &mut run.r.platform);
+        let lowered = run
             .ledgers
             .source
-            .lower(cost, &self.r.renderer, &cam, platform, f, 0);
+            .lower(cost, &run.r.renderer, &cam, platform, f, 0);
         let (core, mut t) = (lowered.core, lowered.ready);
         for frame in lowered.strips {
             let (i, bytes) = (frame.strip.index as usize, frame.byte_len());
-            let dst = replica(&mut self.ledgers, &self.r.plan, i, 0, f);
+            let dst = run.ledgers.replica(&run.r.plan, i, 0, f);
             let send_start = t.max(dst.free);
             let resident = platform.send_to_partition(core, dst.core, send_start, bytes);
             platform.record_busy(core, send_start, resident);
@@ -188,34 +165,34 @@ impl Des {
             self.strips.insert((i, f), frame);
             t = resident;
         }
-        self.ledgers.source.commit(0, t);
-        check_clock(&self.r.cfg, &self.ledgers.source.renderers[0], was, f);
+        run.ledgers.source.commit(0, t);
+        check_clock(&run.r.cfg, &run.ledgers.source.renderers[0], was, f);
     }
 
     /// Stage `j` of lane `i` runs frame `f`, then hands it downstream.
     fn filter(&mut self, i: usize, j: usize, f: u64) {
-        let plan = &self.r.plan;
-        let (merged_prev, group) = (plan.merged_with_prev(j), plan.group_of(j));
         let mut start = self.start_of(Node::Filter(i, j, f));
-        let last = self.r.plan.last_of_group(j);
-        let own = replica(&mut self.ledgers, &self.r.plan, i, last, f).free;
+        let run = &mut self.run;
+        let (plan, ledgers) = (&run.r.plan, &mut run.ledgers);
+        let (merged_prev, group) = (plan.merged_with_prev(j), plan.group_of(j));
+        let own = ledgers.replica(plan, i, plan.last_of_group(j), f).free;
         // Same-core input: the stage was never idle, it picked the strip
         // up the instant it appeared.
         let idle = start.saturating_sub(if merged_prev { start } else { own });
-        let stage = replica(&mut self.ledgers, &self.r.plan, i, j, f);
+        let stage = ledgers.replica(plan, i, j, f);
         let (mut core, was) = (stage.core, stage.free);
-        self.power.note_idle(core, f, idle);
+        run.power.note_idle(core, f, idle);
         let strip = self.strips.get_mut(&(i, f)).expect("strip rendered");
         let bytes = strip.byte_len();
-        if let Some(kill_at) = kill_time(self.r.recovery.kills(), core).filter(|&k| k <= start) {
+        if let Some(kill_at) = kill_time(run.r.recovery.kills(), core).filter(|&k| k <= start) {
             // Fail-stop observed with the strip already resident: the
             // frame-major executor's detect → migrate → replay episode,
             // replayed from the merged group's *external* upstream —
             // internal inputs died with the core.
-            let g0 = self.r.plan.groups[group].start;
+            let g0 = plan.groups[group].start;
             let upstream = match g0 {
-                0 => self.r.placement.renderers[0],
-                _ => replica(&mut self.ledgers, &self.r.plan, i, g0 - 1, f).core,
+                0 => run.r.placement.renderers[0],
+                _ => ledgers.replica(plan, i, g0 - 1, f).core,
             };
             let episode = Episode {
                 frame: f,
@@ -229,33 +206,32 @@ impl Des {
                 // No checkpoint ring: exactly the resident strip replays.
                 frames_replayed: 1,
             };
-            let m = self
+            let m = run
                 .r
                 .recovery
-                .migrate(&mut self.r.platform, episode)
+                .migrate(&mut run.r.platform, episode)
                 .expect("the support check counted a spare for every kill");
             // A merged group lives and dies with its one core: every
             // sibling stage re-homes to the spare with it.
-            for sib in self.r.plan.groups[group].stages() {
-                replica(&mut self.ledgers, &self.r.plan, i, sib, f).core = m.spare;
+            for sib in plan.groups[group].stages() {
+                ledgers.replica(plan, i, sib, f).core = m.spare;
             }
             (core, start) = (m.spare, m.resident);
         }
-        let platform = &mut self.r.platform;
+        let platform = &mut run.r.platform;
         // A same-core input is already resident: no MPB fetch.
         let fetch = !merged_prev;
-        let t = self
+        let t = run
             .stages
-            .filter(platform, &self.r.cost, core, j..j + 1, strip, start, fetch)
+            .filter(platform, &run.r.cost, core, j..j + 1, strip, start, fetch)
             .done;
-        let resident = if same_core_hop(&self.r.plan, j) {
+        let resident = if same_core_hop(plan, j) {
             // The strip stays put: no send, no rendezvous.
             t
         } else {
-            let next = if j + 1 < 5 {
-                replica(&mut self.ledgers, &self.r.plan, i, j + 1, f)
-            } else {
-                &mut self.ledgers.transfer
+            let next = match j + 1 {
+                5 => &mut ledgers.transfer,
+                next => ledgers.replica(plan, i, next, f),
             };
             let send_start = t.max(next.free);
             let resident = platform.send_to_partition(core, next.core, send_start, bytes);
@@ -267,10 +243,10 @@ impl Des {
         } else {
             self.delivered.entry(f).or_default().push((resident, i));
         }
-        let stage = replica(&mut self.ledgers, &self.r.plan, i, j, f);
+        let stage = ledgers.replica(plan, i, j, f);
         stage.idle_samples.push(idle);
         stage.advance(start, resident);
-        check_clock(&self.r.cfg, stage, was, f);
+        check_clock(&run.r.cfg, stage, was, f);
     }
 
     /// Collect frame `f`'s strips in the order they arrived, each at its
@@ -282,38 +258,31 @@ impl Des {
             .into_iter()
             .map(|(at, i)| (at, self.strips.remove(&(i, f)).expect("strip processed")))
             .collect();
-        let (platform, stage) = (&mut self.r.platform, &mut self.ledgers.transfer);
-        let was = stage.free;
-        let out = self.stages.transfer(platform, &self.r.cost, stage, strips);
-        self.power.note_idle(stage.core, f, out.idle);
-        self.outputs.extend(out.image);
-        self.finish = out.done;
+        let (was, run) = (self.run.ledgers.transfer.free, &mut self.run);
+        let (platform, stage) = (&mut run.r.platform, &mut run.ledgers.transfer);
+        let out = run.stages.transfer(platform, &run.r.cost, stage, strips);
+        run.power.note_idle(stage.core, f, out.idle);
+        run.outputs.extend(out.image);
+        run.finish = out.done;
         // The epoch's last transfer is its close: every filter node of
         // its frames is a transitive dependency.
-        self.power.delivered(f, out.done);
-        check_clock(&self.r.cfg, stage, was, f);
+        run.power.delivered(f, out.done);
+        check_clock(&run.r.cfg, stage, was, f);
     }
 }
 
 /// Execute the static film pipeline on `runner`'s parts event-wise. What
 /// it covers — single renderer, fail-stop kills with a spare each — is
 /// [`crate::facade::check_support`]'s to decide, before this runs.
-pub(crate) fn run_des(mut runner: SimRunner) -> WalkthroughReport {
+pub(crate) fn run_des(runner: SimRunner) -> WalkthroughReport {
     // The governor closes the loop with the frame-major executor's law
     // and epochs: a frame's state is decided before lookahead reaches it.
-    let (cfg, sources) = (&runner.cfg, runner.placement.source_cores());
-    let power = PowerPlane::arm(cfg, &mut runner.platform, cfg.frames, sources);
-    let (p, frames) = (cfg.pipelines as usize, cfg.frames);
+    let (p, frames) = (runner.cfg.pipelines as usize, runner.cfg.frames);
     let mut des = Des {
-        ledgers: StageLedgers::new(cfg, &runner.placement),
-        stages: FilmStages::new(cfg),
-        power,
+        run: FilmRun::new(runner),
         strips: HashMap::new(),
         arrivals: HashMap::new(),
         delivered: HashMap::new(),
-        outputs: Vec::new(),
-        finish: SimTime::ZERO,
-        r: runner,
     };
 
     // Dependency counts per node (schedulable at 0), and whom each
@@ -324,7 +293,7 @@ pub(crate) fn run_des(mut runner: SimRunner) -> WalkthroughReport {
         let filters = (0..p).flat_map(|i| (0..5).map(move |j| Node::Filter(i, j, f)));
         let frame = [Node::Render(f)].into_iter().chain(filters);
         for n in frame.chain([Node::Transfer(f)]) {
-            let deps = deps_of(&des.r.plan, p, n);
+            let deps = deps_of(&des.run.r.plan, p, n);
             pending.insert(n, deps.len() as u32);
             for d in deps {
                 dependents.entry(d).or_default().push(n);
@@ -340,7 +309,7 @@ pub(crate) fn run_des(mut runner: SimRunner) -> WalkthroughReport {
         // The platform reads the DVFS state at call time: every node runs
         // under its frame's epoch state, as in the frame-major executor.
         let (Node::Render(f) | Node::Filter(_, _, f) | Node::Transfer(f)) = node;
-        des.power.apply_for_item(&mut des.r.platform, f);
+        des.run.power.apply_for_item(&mut des.run.r.platform, f);
         match node {
             Node::Render(f) => des.render(f),
             Node::Filter(i, j, f) => des.filter(i, j, f),
@@ -357,15 +326,7 @@ pub(crate) fn run_des(mut runner: SimRunner) -> WalkthroughReport {
         }
     }
     assert_eq!(executed, pending.len(), "deadlock: unexecuted nodes");
-    let Des {
-        r,
-        ledgers,
-        power,
-        outputs,
-        finish,
-        ..
-    } = des;
-    finish_film_run(r, &ledgers, &power, finish, None, outputs, None)
+    des.run.finish(None, None)
 }
 
 #[cfg(test)]

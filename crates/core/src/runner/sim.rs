@@ -16,12 +16,18 @@
 //! processing (`SccPlatform::{send_to_partition, fetch_from_partition}`) —
 //! the overhead the paper identifies as the platform's key weakness.
 //!
-//! Everything a run does about faults goes through the one
-//! [`RecoveryPlane`] the runner holds (reliable send, supervisor, rings,
-//! the migrate episode, failover state). This file keeps what is the
-//! frame-major executor's own: where a failed send or a dead stage is
-//! observed, which `lane_states` slots a migration re-homes, the
-//! failover + re-send policy, the span log.
+//! All three film executors — this one, the event-driven [`super::des`]
+//! validator and the task runtime (`crate::taskrt`) — run on one
+//! `FilmRun`: the [`SimRunner`] parts, the `StageLedgers` (whose
+//! `replica` is the one mapping from a frame to the replica ledger that
+//! runs it), the power plane, the stage lowering and the delivered
+//! frames, ending in the shared `FilmRun::finish`. Everything a run does
+//! about faults goes through the one [`RecoveryPlane`] the parts hold.
+//! `FrameMajor` keeps what is this executor's own: where a failed send
+//! or a dead stage is observed (one `send_or_heal` for the source send
+//! and every handoff, the walk's resident-strip check), which ledger
+//! slots a migration re-homes, the failover + re-send policy, the span
+//! log and the degradation telemetry.
 
 use super::source::FilmSource;
 use super::stage::FilmStages;
@@ -182,238 +188,24 @@ impl SimRunner {
 
     /// Execute the static frame-major walkthrough on these parts;
     /// consumes the runner.
-    pub fn run(mut self) -> WalkthroughReport {
+    pub fn run(self) -> WalkthroughReport {
         debug_assert_eq!(self.cfg.runtime, crate::spec::Runtime::Static);
-        let mut power = PowerPlane::arm(
-            &self.cfg,
-            &mut self.platform,
-            self.cfg.frames,
-            self.placement.source_cores(),
-        );
         // The invariant checker walks the span log even when the caller
         // did not ask for a trace: collect internally and strip it from
         // the report afterwards. Span collection never feeds back into
         // the virtual timeline, so `verify` cannot change results. The
         // telemetry event stream is fed from the same log, so an enabled
         // sink also forces internal collection.
-        let mut trace =
+        let trace =
             (self.cfg.trace || self.cfg.verify || self.tel.is_enabled()).then(TraceLog::new);
-
-        let p = self.cfg.pipelines as usize;
-        // Replica stage states sit beyond each primary (scheduler
-        // placements only): frame `f` runs on replica `f mod r`, swapped
-        // into the primary slot for the duration of the frame — the
-        // frame-major loop then executes the replicated pipeline without
-        // further changes, and strip ordering is preserved by
-        // construction.
-        let mut ledgers = StageLedgers::new(&self.cfg, &self.placement);
-        let plan = self.plan.clone();
-
-        let stages = FilmStages::new(&self.cfg);
-
-        let mut outputs: Vec<Image> = Vec::new();
-        let mut finish = SimTime::ZERO;
-
-        for f in 0..self.cfg.frames {
-            let cam = self.walkthrough.camera(f);
-            power.apply_for_item(&mut self.platform, f);
-            route_replicas(&plan, &mut ledgers.filters, &mut ledgers.extras, f);
-
-            // ---- source: produce the P strips of frame f ----
-            // For each pipeline: the time its strip is resident in the
-            // sepia core's partition, plus (optionally) the pixels.
-            let mut strip_arrivals: Vec<SimTime> = vec![SimTime::ZERO; p];
-            let mut strip_frames: Vec<Frame> = Vec::with_capacity(p);
-            // Who produced each strip — the failover path re-sends from here.
-            let mut strip_sources: Vec<CoreId> = Vec::with_capacity(p);
-            for unit in 0..ledgers.source.units() {
-                let lowered = ledgers.source.lower(
-                    &self.cost,
-                    &self.renderer,
-                    &cam,
-                    &mut self.platform,
-                    f,
-                    unit,
-                );
-                // Fan the strips out, serialised on the producing core.
-                let mut t = lowered.ready;
-                for frame in lowered.strips {
-                    let i = frame.strip.index as usize;
-                    self.recovery.checkpoint(i, f, &frame);
-                    let (start, resident) = send_strip(
-                        &mut self.platform,
-                        &plan,
-                        &mut self.recovery,
-                        &mut ledgers.filters,
-                        &mut trace,
-                        i,
-                        f,
-                        lowered.core,
-                        t,
-                        frame.byte_len(),
-                    );
-                    self.platform.record_busy(lowered.core, start, resident);
-                    strip_arrivals[i] = resident;
-                    strip_frames.push(frame);
-                    strip_sources.push(lowered.core);
-                    t = resident;
-                }
-                ledgers.source.commit(unit, t);
-            }
-
-            // ---- the five filter stages of each pipeline ----
-            let mut swap_arrivals: Vec<SimTime> = vec![SimTime::ZERO; p];
-            for i in 0..p {
-                let mut avail = strip_arrivals[i];
-                let frame = &mut strip_frames[i];
-                let in_flight = self.recovery.in_flight(i);
-                loop {
-                    let lane = self.recovery.owner(i);
-                    let walked = run_strip_on_lane(
-                        &mut self.platform,
-                        &plan,
-                        &self.cost,
-                        &stages,
-                        &mut self.recovery,
-                        &mut ledgers.filters[lane],
-                        lane as u32,
-                        strip_sources[i],
-                        ledgers.transfer.core,
-                        ledgers.transfer.free,
-                        &mut trace,
-                        f,
-                        frame,
-                        avail,
-                        in_flight,
-                    );
-                    // The walk pushed one idle sample per stage it
-                    // entered: all five, or those before the stage it
-                    // aborted at.
-                    let entered = match walked {
-                        Ok(_) => 5,
-                        Err((j, _)) => j.min(5),
-                    };
-                    for s in &ledgers.filters[lane][..entered] {
-                        let wait = *s.idle_samples.last().expect("entered stages sampled idle");
-                        power.note_idle(s.core, f, wait);
-                    }
-                    match walked {
-                        Ok(done) => {
-                            swap_arrivals[i] = done;
-                            break;
-                        }
-                        Err((j, at)) => {
-                            mark_failed(
-                                &mut self.recovery,
-                                &mut trace,
-                                &ledgers.filters,
-                                i,
-                                f,
-                                at,
-                                j,
-                            );
-                            // The source re-sends the checkpointed strip
-                            // to the adopting lane and processing restarts
-                            // there from scratch (the filters are
-                            // deterministic in the strip's identity, so
-                            // the pixels come out bit-identical).
-                            *frame = self.recovery.restore(i, f);
-                            let (_, resident) = send_strip(
-                                &mut self.platform,
-                                &plan,
-                                &mut self.recovery,
-                                &mut ledgers.filters,
-                                &mut trace,
-                                i,
-                                f,
-                                strip_sources[i],
-                                at,
-                                frame.byte_len(),
-                            );
-                            avail = resident;
-                        }
-                    }
-                }
-            }
-
-            // ---- transfer: collect strips, assemble, ship to the client ----
-            {
-                let transfer = &mut ledgers.transfer;
-                let was_free = transfer.free;
-                let out = stages.transfer(
-                    &mut self.platform,
-                    &self.cost,
-                    transfer,
-                    swap_arrivals.into_iter().zip(strip_frames).collect(),
-                );
-                power.note_idle(transfer.core, f, out.idle);
-                if let Some(log) = trace.as_mut() {
-                    log.span(
-                        transfer.core,
-                        StageKind::Transfer,
-                        None,
-                        f,
-                        Phase::Wait,
-                        was_free,
-                        out.start,
-                    );
-                    log.span(
-                        transfer.core,
-                        StageKind::Transfer,
-                        None,
-                        f,
-                        Phase::Compute,
-                        out.start,
-                        out.done,
-                    );
-                }
-                // Mutation smoke test: a planted off-by-one in the
-                // transfer frame ledger the invariant checker must catch.
-                #[cfg(feature = "verify-selftest")]
-                if f == 0 {
-                    transfer.frames -= 1;
-                }
-                finish = out.done;
-                outputs.extend(out.image);
-            }
-
-            // Frame f delivered end-to-end: release its checkpoints.
-            #[cfg(not(feature = "verify-selftest"))]
-            let acked = f;
-            // Mutation smoke test: acknowledge one frame too few, so the
-            // checkpoint ring keeps a delivered strip in flight and the
-            // replay ledger drifts from the DES executor's.
-            #[cfg(feature = "verify-selftest")]
-            let acked = f.saturating_sub(1);
-            self.recovery.ack(acked);
-            // Return the frame's replicas to their pool slots (swap is an
-            // involution), so frame f + 1 routes from a clean layout.
-            route_replicas(&plan, &mut ledgers.filters, &mut ledgers.extras, f);
-            power.delivered(f, finish);
+        let mut fm = FrameMajor {
+            run: FilmRun::new(self),
+            trace,
+        };
+        for f in 0..fm.run.r.cfg.frames {
+            fm.frame(f);
         }
-        // Pure observation of state the report already carries, recorded
-        // after the frame loop so nothing here can perturb the timeline.
-        if self.tel.is_enabled() {
-            let degradations = &self.recovery.degradations;
-            self.tel
-                .count(names::DEGRADATIONS_TOTAL, &[], degradations.len() as u64);
-            // Degradations retire lanes one at a time, so the k-th event
-            // leaves p - (k + 1) survivors.
-            for (k, d) in degradations.iter().enumerate() {
-                self.tel.event(
-                    (d.at_secs * 1e9) as u64,
-                    EventKind::Degradation {
-                        pipeline: d.pipeline,
-                        frame: d.frame,
-                        survivors: p as u32 - (k as u32 + 1),
-                    },
-                );
-            }
-            if let Some(log) = trace.as_ref() {
-                log.record_into(&self.tel);
-            }
-        }
-        finish_film_run(self, &ledgers, &power, finish, None, outputs, trace)
+        fm.finish()
     }
 }
 
@@ -455,6 +247,31 @@ impl StageLedgers {
         }
     }
 
+    /// The ledger of replica `k` of lane `i`'s stage `j`: the primary for
+    /// `k = 0`, the scheduler's extra `k - 1` otherwise.
+    pub(crate) fn slot(&mut self, i: usize, j: usize, k: usize) -> &mut StageState {
+        match k {
+            0 => &mut self.filters[i][j],
+            k => &mut self.extras[i][j][k - 1],
+        }
+    }
+
+    /// The ledger that runs frame `f` at lane `i`'s stage `j`: replica
+    /// `f % r`, which keeps strips in order within the lane. A stage
+    /// without replica ledgers (every fixed placement) is its primary.
+    pub(crate) fn replica(
+        &mut self,
+        plan: &StagePlan,
+        i: usize,
+        j: usize,
+        f: u64,
+    ) -> &mut StageState {
+        if self.extras[i][j].is_empty() {
+            return &mut self.filters[i][j];
+        }
+        self.slot(i, j, (f % u64::from(plan.replicas_of(j))) as usize)
+    }
+
     /// Every ledger in report order. Replica clones report alongside
     /// their primaries, so the frame ledger still sums to pipelines x
     /// frames per stage position.
@@ -469,67 +286,95 @@ impl StageLedgers {
     }
 }
 
-/// The tail the three film executors share once the last frame is out:
-/// the supervised run's heartbeat traffic, the stage reports, energy,
-/// the run-level telemetry rollup, and — behind `cfg.verify` — the
-/// invariant checker.
-pub(crate) fn finish_film_run(
-    mut runner: SimRunner,
-    ledgers: &StageLedgers,
-    power: &PowerPlane,
-    finish: SimTime,
-    task_stats: Option<TaskStats>,
-    outputs: Vec<Image>,
-    trace: Option<TraceLog>,
-) -> WalkthroughReport {
-    // Every placed core heartbeats the MCPC once per period for the
-    // whole walkthrough (killed cores go silent at their fail-stop).
-    // Booked after the run so the charges appear in the ledgers as real
-    // NoC and host-link messages without re-timing completed stage work.
-    runner
-        .recovery
-        .finish(&mut runner.platform, &runner.placement, finish);
-    let tel = &runner.tel;
-    let totals = power.finish(&runner.platform, finish, tel);
-    if tel.is_enabled() {
-        for s in ledgers.all() {
-            record_stage_telemetry(tel, s);
+/// A film run in flight — what the three film executors share: the
+/// parts, every stage ledger, the power plane, the stage lowering, the
+/// delivered frames and the instant the last one left the chip.
+pub(crate) struct FilmRun {
+    pub(crate) r: SimRunner,
+    pub(crate) ledgers: StageLedgers,
+    pub(crate) power: PowerPlane,
+    pub(crate) stages: FilmStages,
+    pub(crate) outputs: Vec<Image>,
+    pub(crate) finish: SimTime,
+}
+
+impl FilmRun {
+    /// Lay the ledgers out on `r`'s placement and arm its power
+    /// configuration. The source cores never report idle, so a governor
+    /// must not read their silence as coasting; the task runtime, which
+    /// reports no idle at all, is never governed (`validate` refuses it).
+    pub(crate) fn new(mut r: SimRunner) -> FilmRun {
+        let (cfg, sources) = (&r.cfg, r.placement.source_cores());
+        let power = PowerPlane::arm(cfg, &mut r.platform, cfg.frames, sources);
+        FilmRun {
+            ledgers: StageLedgers::new(cfg, &r.placement),
+            stages: FilmStages::new(cfg),
+            power,
+            outputs: Vec::new(),
+            finish: SimTime::ZERO,
+            r,
         }
-        tel.count(names::FRAMES_TOTAL, &[], ledgers.transfer.frames);
-        tel.gauge(names::WALKTHROUGH_SECONDS, &[], finish.as_secs_f64());
-        let stats = runner.platform.stats();
-        tel.count(names::NOC_MESSAGES_TOTAL, &[], stats.noc_messages);
-        tel.count(names::NOC_BYTES_TOTAL, &[], stats.noc_bytes);
     }
 
-    let mut report = WalkthroughReport {
-        config: runner.cfg.clone(),
-        total_secs: finish.as_secs_f64(),
-        stage_reports: ledgers.all().map(StageState::report).collect(),
-        power_trace: power.power_trace(&runner.platform, finish),
-        scc_energy_joules: totals.energy_joules,
-        scc_idle_power: totals.idle_floor_watts,
-        dvfs_decisions: power.decisions(),
-        mcpc_busy_secs: ledgers.source.mcpc_busy.as_secs_f64(),
-        platform: runner.platform.stats(),
-        degradations: std::mem::take(&mut runner.recovery.degradations),
-        recoveries: std::mem::take(&mut runner.recovery.recoveries),
-        task_stats,
-        outputs: (runner.cfg.fidelity == Fidelity::Full).then_some(outputs),
-        trace,
-        telemetry: tel.snapshot(),
-    };
-    if runner.cfg.verify {
-        let mut violations = crate::invariant::check_report(&report);
-        if let Err(e) = runner.platform.audit_noc() {
-            violations.push(crate::invariant::Violation::new("noc-conservation", e));
+    /// The tail once the last frame is out: the supervised run's
+    /// heartbeat traffic, the stage reports, energy, the run-level
+    /// telemetry rollup, and — behind `cfg.verify` — the invariant
+    /// checker.
+    pub(crate) fn finish(
+        self,
+        task_stats: Option<TaskStats>,
+        trace: Option<TraceLog>,
+    ) -> WalkthroughReport {
+        let (mut runner, ledgers, power, finish) = (self.r, self.ledgers, self.power, self.finish);
+        // Every placed core heartbeats the MCPC once per period for the
+        // whole walkthrough (killed cores go silent at their fail-stop).
+        // Booked after the run so the charges appear in the ledgers as real
+        // NoC and host-link messages without re-timing completed stage work.
+        runner
+            .recovery
+            .finish(&mut runner.platform, &runner.placement, finish);
+        let tel = &runner.tel;
+        let totals = power.finish(&runner.platform, finish, tel);
+        if tel.is_enabled() {
+            for s in ledgers.all() {
+                record_stage_telemetry(tel, s);
+            }
+            tel.count(names::FRAMES_TOTAL, &[], ledgers.transfer.frames);
+            tel.gauge(names::WALKTHROUGH_SECONDS, &[], finish.as_secs_f64());
+            let stats = runner.platform.stats();
+            tel.count(names::NOC_MESSAGES_TOTAL, &[], stats.noc_messages);
+            tel.count(names::NOC_BYTES_TOTAL, &[], stats.noc_bytes);
         }
-        crate::invariant::enforce(&report.config, &violations);
+
+        let mut report = WalkthroughReport {
+            config: runner.cfg.clone(),
+            total_secs: finish.as_secs_f64(),
+            stage_reports: ledgers.all().map(StageState::report).collect(),
+            power_trace: power.power_trace(&runner.platform, finish),
+            scc_energy_joules: totals.energy_joules,
+            scc_idle_power: totals.idle_floor_watts,
+            dvfs_decisions: power.decisions(),
+            mcpc_busy_secs: ledgers.source.mcpc_busy.as_secs_f64(),
+            platform: runner.platform.stats(),
+            degradations: std::mem::take(&mut runner.recovery.degradations),
+            recoveries: std::mem::take(&mut runner.recovery.recoveries),
+            task_stats,
+            outputs: (runner.cfg.fidelity == Fidelity::Full).then_some(self.outputs),
+            trace,
+            telemetry: tel.snapshot(),
+        };
+        if runner.cfg.verify {
+            let mut violations = crate::invariant::check_report(&report);
+            if let Err(e) = runner.platform.audit_noc() {
+                violations.push(crate::invariant::Violation::new("noc-conservation", e));
+            }
+            crate::invariant::enforce(&report.config, &violations);
+        }
+        if !runner.cfg.trace {
+            report.trace = None;
+        }
+        report
     }
-    if !runner.cfg.trace {
-        report.trace = None;
-    }
-    report
 }
 
 /// Record one stage's per-run ledgers — the Figure 15 idle distribution,
@@ -551,432 +396,501 @@ fn record_stage_telemetry(tel: &TelemetrySink, s: &StageState) {
     tel.count(names::STAGE_FRAMES_TOTAL, &labels, s.frames);
 }
 
-/// One supervised recovery episode for stage `j` of a lane, as observed
-/// by this executor: run the plane's detect → migrate → replay
-/// ([`RecoveryPlane::migrate`]), then re-home the lane's ledger slots
-/// onto the spare and log the `Migrate` span.
-///
-/// Returns the replayed strip's residency time on the migrated core, or
-/// `None` when no supervisor is armed, the spare pool is exhausted, or
-/// the replay itself dies — the caller then falls back to PR-1 graceful
-/// degradation with its exact timing.
-fn try_recover(
-    platform: &mut SccPlatform,
-    plan: &StagePlan,
-    rec: &mut RecoveryPlane,
-    lane_states: &mut [StageState; 5],
-    j: usize,
-    ep: Episode,
-    trace: &mut Option<TraceLog>,
-) -> Option<SimTime> {
-    let (failed_core, lane, f) = (ep.failed_core, ep.pipeline, ep.frame);
-    let m = rec.migrate(platform, ep)?;
-    // A merged group lives and dies with its one core: every sibling
-    // stage it hosted migrates to the spare alongside stage `j`.
-    for sib in plan.groups[plan.group_of(j)].stages() {
-        if lane_states[sib].core == failed_core {
-            lane_states[sib].core = m.spare;
-            lane_states[sib].free = m.ready;
-        }
-    }
-    lane_states[j].core = m.spare;
-    lane_states[j].free = m.ready;
-    if let Some(log) = trace.as_mut() {
-        log.span(
-            m.spare,
-            lane_states[j].kind,
-            Some(lane),
-            f,
-            Phase::Migrate,
-            m.detected,
-            m.resident,
-        );
-    }
-    Some(m.resident)
+/// The frame-major walkthrough in flight: the shared run and the span
+/// log.
+struct FrameMajor {
+    run: FilmRun,
+    trace: Option<TraceLog>,
 }
 
-/// Declare `strip`'s lane failed at stage position `failed_stage` and
-/// hand the strip to the adopting lane, logging the `Degrade` marker.
-fn mark_failed(
-    rec: &mut RecoveryPlane,
-    trace: &mut Option<TraceLog>,
-    filters: &[[StageState; 5]],
-    strip: usize,
-    frame: u64,
-    at: SimTime,
-    failed_stage: usize,
-) {
-    let lane = rec.owner(strip);
-    if let Some(log) = trace.as_mut() {
-        log.span(
-            filters[lane][0].core,
-            StageKind::PIPELINE_FILTERS[0],
-            Some(lane as u32),
-            frame,
-            Phase::Degrade,
-            at,
-            at + SimTime::from_us(1),
-        );
-    }
-    rec.fail_lane(strip, frame, at, failed_stage);
-}
-
-/// Route strip `strip` of frame `f` from `src` into its owner lane's
-/// first filter stage. A send that gives up on a fail-stopped receiver
-/// first tries a supervised recovery (migrate the stage to a spare and
-/// replay); only when that is impossible does the strip fail over to the
-/// next surviving lane. Returns the send's (start, resident-in-partition)
-/// times.
-#[allow(clippy::too_many_arguments)]
-fn send_strip(
-    platform: &mut SccPlatform,
-    plan: &StagePlan,
-    rec: &mut RecoveryPlane,
-    filters: &mut [[StageState; 5]],
-    trace: &mut Option<TraceLog>,
-    strip: usize,
+/// One strip's pass through lane `lane` in frame `f`: its size, and the
+/// checkpointed frames a replay of it re-sends.
+#[derive(Clone, Copy)]
+struct Pass {
     f: u64,
-    src: CoreId,
-    t: SimTime,
+    lane: usize,
     bytes: u64,
-) -> (SimTime, SimTime) {
-    let mut t = t;
-    loop {
-        let lane = rec.owner(strip);
-        let first = &filters[lane][0];
-        let (core, stage) = (first.core, first.kind);
-        let start = t.max(first.free);
-        match rec.send(platform, src, core, start, bytes) {
-            Ok(resident) => return (start, resident),
-            Err(at) => {
-                if let Some(kill_at) = rec.kill_seen(core, at) {
-                    // The supervisor's redirect pre-empts the sender's
-                    // remaining retry patience: the replay is gated on
-                    // detection + provisioning, not on ARQ exhaustion —
-                    // so the observation point is the send's start.
-                    let ep = Episode {
-                        frame: f,
-                        pipeline: lane as u32,
-                        stage,
-                        failed_core: core,
-                        kill_at,
-                        observed: start,
-                        upstream: src,
-                        bytes,
-                        frames_replayed: rec.in_flight(strip),
-                    };
-                    if let Some(resident) =
-                        try_recover(platform, plan, rec, &mut filters[lane], 0, ep, trace)
-                    {
-                        return (start, resident);
-                    }
+    in_flight: u32,
+}
+
+impl FrameMajor {
+    /// The ledger running `pass`'s frame at stage `j` of its lane.
+    fn stage(&mut self, pass: Pass, j: usize) -> &mut StageState {
+        let run = &mut self.run;
+        run.ledgers.replica(&run.r.plan, pass.lane, j, pass.f)
+    }
+
+    /// Frame `f` end to end: render and send its strips, walk each
+    /// through its lane, deliver the frame.
+    fn frame(&mut self, f: u64) {
+        let run = &mut self.run;
+        let cam = run.r.walkthrough.camera(f);
+        run.power.apply_for_item(&mut run.r.platform, f);
+
+        // ---- source: produce the P strips of frame f ----
+        // Each strip with its producer — the failover path re-sends from
+        // there — and the instant it is resident in its first filter
+        // core's partition.
+        let mut strips = Vec::with_capacity(run.r.cfg.pipelines as usize);
+        for unit in 0..run.ledgers.source.units() {
+            let run = &mut self.run;
+            let lowered = run.ledgers.source.lower(
+                &run.r.cost,
+                &run.r.renderer,
+                &cam,
+                &mut run.r.platform,
+                f,
+                unit,
+            );
+            // Fan the strips out, serialised on the producing core.
+            let (core, mut t) = (lowered.core, lowered.ready);
+            for frame in lowered.strips {
+                let i = frame.strip.index as usize;
+                self.run.r.recovery.checkpoint(i, f, &frame);
+                let (start, resident) = self.send_strip(i, f, core, t, frame.byte_len());
+                self.run.r.platform.record_busy(core, start, resident);
+                strips.push((frame, core, resident));
+                t = resident;
+            }
+            self.run.ledgers.source.commit(unit, t);
+        }
+
+        // ---- the five filter stages of each pipeline ----
+        let mut arrivals = Vec::with_capacity(strips.len());
+        for (i, (frame, source, avail)) in strips.iter_mut().enumerate() {
+            arrivals.push(self.walk(i, f, frame, *source, *avail));
+        }
+
+        // ---- transfer: collect strips, assemble, ship to the client ----
+        let run = &mut self.run;
+        let transfer = &mut run.ledgers.transfer;
+        let was_free = transfer.free;
+        let strips = arrivals.into_iter().zip(strips.into_iter().map(|s| s.0));
+        let out = run
+            .stages
+            .transfer(&mut run.r.platform, &run.r.cost, transfer, strips.collect());
+        run.power.note_idle(transfer.core, f, out.idle);
+        if let Some(log) = self.trace.as_mut() {
+            let mut span = |phase, from, to| {
+                log.span(transfer.core, StageKind::Transfer, None, f, phase, from, to);
+            };
+            span(Phase::Wait, was_free, out.start);
+            span(Phase::Compute, out.start, out.done);
+        }
+        // Mutation smoke test: a planted off-by-one in the transfer frame
+        // ledger the invariant checker must catch.
+        #[cfg(feature = "verify-selftest")]
+        if f == 0 {
+            transfer.frames -= 1;
+        }
+        run.finish = out.done;
+        run.outputs.extend(out.image);
+
+        // Frame f delivered end-to-end: release its checkpoints.
+        #[cfg(not(feature = "verify-selftest"))]
+        let acked = f;
+        // Mutation smoke test: acknowledge one frame too few, so the
+        // checkpoint ring keeps a delivered strip in flight and the
+        // replay ledger drifts from the DES executor's.
+        #[cfg(feature = "verify-selftest")]
+        let acked = f.saturating_sub(1);
+        run.r.recovery.ack(acked);
+        run.power.delivered(f, out.done);
+    }
+
+    /// Walk strip `i` of frame `f`, resident from `avail`, through its
+    /// owner lane's five filter stages. A walk that aborts fails the lane
+    /// over: `source` re-sends the checkpointed strip to the adopting
+    /// lane and processing restarts there from scratch (the filters are
+    /// deterministic in the strip's identity, so the pixels come out
+    /// bit-identical). Returns the strip's residency at the transfer
+    /// stage.
+    fn walk(
+        &mut self,
+        i: usize,
+        f: u64,
+        frame: &mut Frame,
+        source: CoreId,
+        mut avail: SimTime,
+    ) -> SimTime {
+        let in_flight = self.run.r.recovery.in_flight(i);
+        loop {
+            let pass = Pass {
+                f,
+                lane: self.run.r.recovery.owner(i),
+                bytes: frame.byte_len(),
+                in_flight,
+            };
+            let walked = self.run_strip_on_lane(pass, source, frame, avail);
+            // The walk pushed one idle sample per stage it entered: all
+            // five, or those before the stage it aborted at.
+            let entered = match walked {
+                Ok(_) => 5,
+                Err((j, _)) => j.min(5),
+            };
+            for j in 0..entered {
+                let run = &mut self.run;
+                let s = run.ledgers.replica(&run.r.plan, pass.lane, j, f);
+                let wait = *s.idle_samples.last().expect("entered stages sampled idle");
+                run.power.note_idle(s.core, f, wait);
+            }
+            match walked {
+                Ok(done) => return done,
+                Err((j, at)) => {
+                    self.mark_failed(i, f, at, j);
+                    *frame = self.run.r.recovery.restore(i, f);
+                    avail = self.send_strip(i, f, source, at, frame.byte_len()).1;
                 }
-                mark_failed(rec, trace, filters, strip, f, at, 0);
-                t = at;
             }
         }
     }
-}
 
-/// A walk that aborts mid-chain skips the end-of-walk clock sync in
-/// [`run_strip_on_lane`], but the core time it already spent is real:
-/// re-align every multi-stage group to its latest member clock, and
-/// floor the group of `active` — the stage whose core was still busy
-/// (retrying a dead handoff) when the abort was detected — at the
-/// detection time `at`. Without this, the next strip walked on this
-/// lane pipelines into busy spans the merged core has already emitted,
-/// which a single core cannot do (the trace-overlap invariant catches
-/// exactly that).
-fn sync_group_clocks_on_abort(
-    plan: &StagePlan,
-    lane_states: &mut [StageState; 5],
-    active: usize,
-    at: SimTime,
-) {
-    for g in &plan.groups {
-        if g.len > 1 {
-            let mut group_free = if g.stages().contains(&active) {
+    /// Roll the degradation log into telemetry and feed it the span log
+    /// — pure observation of state the report already carries, recorded
+    /// after the frame loop so nothing here can perturb the timeline —
+    /// then end on the shared tail.
+    fn finish(self) -> WalkthroughReport {
+        let FrameMajor { run, trace } = self;
+        let tel = &run.r.tel;
+        if tel.is_enabled() {
+            let degradations = &run.r.recovery.degradations;
+            tel.count(names::DEGRADATIONS_TOTAL, &[], degradations.len() as u64);
+            // Degradations retire lanes one at a time, so the k-th event
+            // leaves p - (k + 1) survivors.
+            for (k, d) in degradations.iter().enumerate() {
+                tel.event(
+                    (d.at_secs * 1e9) as u64,
+                    EventKind::Degradation {
+                        pipeline: d.pipeline,
+                        frame: d.frame,
+                        survivors: run.r.cfg.pipelines - (k as u32 + 1),
+                    },
+                );
+            }
+            if let Some(log) = trace.as_ref() {
+                log.record_into(tel);
+            }
+        }
+        run.finish(None, trace)
+    }
+
+    /// The reliable send of `pass`'s strip from `from` into stage `j`'s
+    /// core (`j == 5`: the transfer stage's) from `start`. A send that
+    /// gives up on a fail-stopped filter stage runs a recovery episode:
+    /// the supervisor's redirect pre-empts the sender's remaining retry
+    /// patience — the replay is gated on detection + provisioning, not on
+    /// ARQ exhaustion — so it is observed from the send's start. Returns
+    /// the strip's residency, or the give-up instant when no spare took
+    /// over; what happens then is the caller's policy.
+    fn send_or_heal(
+        &mut self,
+        pass: Pass,
+        j: usize,
+        from: CoreId,
+        start: SimTime,
+    ) -> Result<SimTime, SimTime> {
+        let (to, stage) = match j {
+            5 => (self.run.ledgers.transfer.core, StageKind::Transfer),
+            _ => {
+                let s = self.stage(pass, j);
+                (s.core, s.kind)
+            }
+        };
+        let (rec, platform) = (&mut self.run.r.recovery, &mut self.run.r.platform);
+        let at = match rec.send(platform, from, to, start, pass.bytes) {
+            Ok(resident) => return Ok(resident),
+            Err(at) => at,
+        };
+        // The transfer stage is never a kill target.
+        let Some(kill_at) = rec.kill_seen(to, at).filter(|_| j < 5) else {
+            return Err(at);
+        };
+        let ep = Episode {
+            frame: pass.f,
+            pipeline: pass.lane as u32,
+            stage,
+            failed_core: to,
+            kill_at,
+            observed: start,
+            upstream: from,
+            bytes: pass.bytes,
+            frames_replayed: pass.in_flight,
+        };
+        self.try_recover(j, ep).ok_or(at)
+    }
+
+    /// One supervised recovery episode for stage `j` of a lane, as
+    /// observed by this executor: run the plane's detect → migrate →
+    /// replay ([`RecoveryPlane::migrate`]), then re-home the lane's
+    /// ledger slots onto the spare and log the `Migrate` span.
+    ///
+    /// Returns the replayed strip's residency time on the migrated core,
+    /// or `None` when no supervisor is armed, the spare pool is
+    /// exhausted, or the replay itself dies — the caller then falls back
+    /// to PR-1 graceful degradation with its exact timing.
+    fn try_recover(&mut self, j: usize, ep: Episode) -> Option<SimTime> {
+        let (failed_core, lane, f) = (ep.failed_core, ep.pipeline, ep.frame);
+        let run = &mut self.run;
+        let m = run.r.recovery.migrate(&mut run.r.platform, ep)?;
+        // A merged group lives and dies with its one core: every sibling
+        // stage it hosted migrates to the spare alongside stage `j`.
+        let (plan, ledgers) = (&run.r.plan, &mut run.ledgers);
+        for sib in plan.groups[plan.group_of(j)].stages() {
+            let s = ledgers.replica(plan, lane as usize, sib, f);
+            if sib == j || s.core == failed_core {
+                s.core = m.spare;
+                s.free = m.ready;
+            }
+        }
+        let kind = ledgers.replica(plan, lane as usize, j, f).kind;
+        if let Some(log) = self.trace.as_mut() {
+            log.span(
+                m.spare,
+                kind,
+                Some(lane),
+                f,
+                Phase::Migrate,
+                m.detected,
+                m.resident,
+            );
+        }
+        Some(m.resident)
+    }
+
+    /// Declare `strip`'s lane failed at stage position `failed_stage` and
+    /// hand the strip to the adopting lane, logging the `Degrade` marker.
+    fn mark_failed(&mut self, strip: usize, f: u64, at: SimTime, failed_stage: usize) {
+        let run = &mut self.run;
+        let lane = run.r.recovery.owner(strip);
+        let core = run.ledgers.replica(&run.r.plan, lane, 0, f).core;
+        if let Some(log) = self.trace.as_mut() {
+            log.span(
+                core,
+                StageKind::PIPELINE_FILTERS[0],
+                Some(lane as u32),
+                f,
+                Phase::Degrade,
+                at,
+                at + SimTime::from_us(1),
+            );
+        }
+        run.r.recovery.fail_lane(strip, f, at, failed_stage);
+    }
+
+    /// Route strip `strip` of frame `f` from `src` into its owner lane's
+    /// first filter stage. A send that gives up on a fail-stopped
+    /// receiver first tries a supervised recovery (migrate the stage to a
+    /// spare and replay); only when that is impossible does the strip
+    /// fail over to the next surviving lane. Returns the send's (start,
+    /// resident-in-partition) times.
+    fn send_strip(
+        &mut self,
+        strip: usize,
+        f: u64,
+        src: CoreId,
+        mut t: SimTime,
+        bytes: u64,
+    ) -> (SimTime, SimTime) {
+        loop {
+            let pass = Pass {
+                f,
+                lane: self.run.r.recovery.owner(strip),
+                bytes,
+                in_flight: self.run.r.recovery.in_flight(strip),
+            };
+            let start = t.max(self.stage(pass, 0).free);
+            match self.send_or_heal(pass, 0, src, start) {
+                Ok(resident) => return (start, resident),
+                Err(at) => {
+                    self.mark_failed(strip, f, at, 0);
+                    t = at;
+                }
+            }
+        }
+    }
+
+    /// Re-align every multi-stage group of `pass`'s lane to its latest
+    /// member clock, and floor the group of `active` at `at`. A walk that
+    /// aborts mid-chain still spent real core time: `active` is the stage
+    /// whose core was still busy (retrying a dead handoff) when the abort
+    /// was detected at `at`. Without this, the next strip walked on this
+    /// lane pipelines into busy spans the merged core has already
+    /// emitted, which a single core cannot do (the trace-overlap invariant
+    /// catches exactly that).
+    fn sync_group_clocks(&mut self, pass: Pass, active: usize, at: SimTime) {
+        let run = &mut self.run;
+        let (plan, ledgers) = (&run.r.plan, &mut run.ledgers);
+        for g in plan.groups.iter().filter(|g| g.len > 1) {
+            let floor = if g.stages().contains(&active) {
                 at
             } else {
                 SimTime::ZERO
             };
-            for j in g.stages() {
-                group_free = group_free.max(lane_states[j].free);
-            }
-            for j in g.stages() {
-                lane_states[j].free = group_free;
-            }
-        }
-    }
-}
-
-/// Run one strip through the five filter stages of `lane_states`,
-/// charging virtual time exactly like the healthy inline path. Under
-/// faults, sends use the retry protocol; a fail-stopped stage triggers a
-/// supervised in-place migration to a spare core (the loop re-enters the
-/// same stage on its new core), while a stage stalled beyond the full
-/// retry horizon — or a kill with the spare pool exhausted — aborts with
-/// `Err((stage index, detection time))` so the caller can fail the lane
-/// over. `source` is the strip's producer, the replay upstream for a
-/// stage-0 migration.
-#[allow(clippy::too_many_arguments)]
-fn run_strip_on_lane(
-    platform: &mut SccPlatform,
-    plan: &StagePlan,
-    cost: &CostModel,
-    stages: &FilmStages,
-    rec: &mut RecoveryPlane,
-    lane_states: &mut [StageState; 5],
-    lane: u32,
-    source: CoreId,
-    transfer_core: CoreId,
-    transfer_free: SimTime,
-    trace: &mut Option<TraceLog>,
-    f: u64,
-    frame: &mut Frame,
-    avail_in: SimTime,
-    in_flight: u32,
-) -> Result<SimTime, (usize, SimTime)> {
-    let bytes = frame.byte_len();
-    let mut avail = avail_in;
-    let mut j = 0;
-    while j < 5 {
-        let (stage_core, stage_free, stage_kind) = (
-            lane_states[j].core,
-            lane_states[j].free,
-            lane_states[j].kind,
-        );
-        // Inside a merged group the strip never leaves the core: the
-        // previous stage's output is already local, so there is no idle
-        // wait, no fetch, and (below) no send for the handoff.
-        let merged_prev = plan.merged_with_prev(j);
-        let start = avail.max(stage_free);
-        // A fail-stopped stage with a strip already resident: migrate
-        // and re-enter this stage index on the spare core.
-        if let Some(kill_at) = rec.kill_seen(stage_core, start) {
-            let ep = Episode {
-                frame: f,
-                pipeline: lane,
-                stage: stage_kind,
-                failed_core: stage_core,
-                kill_at,
-                observed: start,
-                upstream: if j == 0 {
-                    source
-                } else {
-                    lane_states[j - 1].core
-                },
-                bytes,
-                frames_replayed: in_flight,
-            };
-            if let Some(resident) = try_recover(platform, plan, rec, lane_states, j, ep, trace) {
-                avail = resident;
-                continue;
-            }
-        }
-        // The upstream sender's retransmissions go unanswered while this
-        // core is dead (no spare took over) or stalled; past the full
-        // horizon it is given up on before any more virtual time is sunk
-        // into it.
-        if rec.dead_equivalent(stage_core, start) {
-            let at = start + rec.horizon();
-            sync_group_clocks_on_abort(plan, lane_states, j, at);
-            return Err((j, at));
-        }
-        lane_states[j].idle_samples.push(if merged_prev {
-            SimTime::ZERO
-        } else {
-            avail.saturating_sub(stage_free)
-        });
-        // Fetch the strip out of this core's DRAM partition (a merged
-        // stage's input is already resident from its in-group
-        // predecessor), apply the stage, charge compute and its traffic.
-        let run = stages.filter(
-            platform,
-            cost,
-            stage_core,
-            j..j + 1,
-            frame,
-            start,
-            !merged_prev,
-        );
-        let t = run.done;
-        if let Some(log) = trace.as_mut() {
-            let mut span = |phase, from, to| {
-                log.span(stage_core, stage_kind, Some(lane), f, phase, from, to);
-            };
-            if !merged_prev {
-                span(Phase::Wait, stage_free, start);
-                span(Phase::Fetch, start, run.fetched);
-            }
-            span(Phase::Compute, run.fetched, run.computed);
-            span(Phase::Memory, run.computed, t);
-        }
-
-        // Hand over to the next stage (or the transfer stage),
-        // rendezvous-paced. A handoff to the next stage of the same
-        // merged group stays on-core: no rendezvous, no message, nothing
-        // for the fault plan to touch.
-        let resident = if j + 1 < 5 && plan.merged_with_prev(j + 1) {
-            t
-        } else {
-            match run_strip_handoff(
-                platform,
-                rec,
-                lane_states,
-                lane,
-                transfer_core,
-                transfer_free,
-                trace,
-                f,
-                bytes,
-                plan,
-                in_flight,
-                j,
-                stage_core,
-                stage_kind,
-                start,
-                t,
-            ) {
-                Ok(resident) => resident,
-                Err((failed, at)) => {
-                    // The *sender* (stage j) burned the retry horizon on
-                    // its core before the receiver was declared dead.
-                    sync_group_clocks_on_abort(plan, lane_states, j, at);
-                    return Err((failed, at));
-                }
-            }
-        };
-        lane_states[j].advance(start, resident);
-        avail = resident;
-        j += 1;
-    }
-    // Merged groups share one core: once the frame clears the group,
-    // every member is next free when the group's last stage is — without
-    // this, the group's first stage could start frame f + 1 while the
-    // core is still finishing frame f's tail stages.
-    for g in &plan.groups {
-        if g.len > 1 {
-            let group_free = lane_states[g.start + g.len - 1].free;
-            for j in g.stages() {
-                lane_states[j].free = group_free;
-            }
-        }
-    }
-    Ok(avail)
-}
-
-/// The rendezvous-paced handoff of stage `j`'s finished strip to its
-/// downstream — the next stage's core for this frame, or the transfer
-/// stage. Extracted from [`run_strip_on_lane`] so merged groups can skip
-/// it wholesale; returns the strip's residency downstream, or the
-/// degradation abort `(failed stage, detection time)`.
-#[allow(clippy::too_many_arguments)]
-fn run_strip_handoff(
-    platform: &mut SccPlatform,
-    rec: &mut RecoveryPlane,
-    lane_states: &mut [StageState; 5],
-    lane: u32,
-    transfer_core: CoreId,
-    transfer_free: SimTime,
-    trace: &mut Option<TraceLog>,
-    f: u64,
-    bytes: u64,
-    plan: &StagePlan,
-    in_flight: u32,
-    j: usize,
-    stage_core: CoreId,
-    stage_kind: StageKind,
-    start: SimTime,
-    t: SimTime,
-) -> Result<SimTime, (usize, SimTime)> {
-    let (next_core, next_free) = if j + 1 < 5 {
-        (lane_states[j + 1].core, lane_states[j + 1].free)
-    } else {
-        (transfer_core, transfer_free)
-    };
-    let send_start = t.max(next_free);
-    let resident = match rec.send(platform, stage_core, next_core, send_start, bytes) {
-        Ok(r) => r,
-        Err(at) => {
-            // A fail-stopped downstream filter stage: migrate it and
-            // land the replayed strip on the spare. (The transfer stage,
-            // j+1 == 5, is never a kill target.) Otherwise blame the
-            // receiving stage — it is the one not acking. As in
-            // `send_strip`, the redirect pre-empts the remaining ARQ
-            // patience, so the replay is observed from the send's start.
-            let kill = rec.kill_seen(next_core, at).filter(|_| j + 1 < 5);
-            let recovered = kill.and_then(|kill_at| {
-                let ep = Episode {
-                    frame: f,
-                    pipeline: lane,
-                    stage: lane_states[j + 1].kind,
-                    failed_core: next_core,
-                    kill_at,
-                    observed: send_start,
-                    upstream: stage_core,
-                    bytes,
-                    frames_replayed: in_flight,
-                };
-                try_recover(platform, plan, rec, lane_states, j + 1, ep, trace)
+            let group_free = g.stages().fold(floor, |t, j| {
+                t.max(ledgers.replica(plan, pass.lane, j, pass.f).free)
             });
-            match recovered {
-                Some(r) => r,
-                None => {
-                    // This stage finished its pass — only the handoff
-                    // failed — so it books the strip, and it stays
-                    // occupied through the futile retransmission window:
-                    // `free` must reach the ARQ's give-up time or the
-                    // lane's next strip would overlap this one on the
-                    // same core. `failed_stage` is j+1 and the ledger
-                    // stays uniform across both detection sites.
-                    let stage = &mut lane_states[j];
-                    stage.frames += 1;
-                    stage.busy += at.saturating_sub(start);
-                    stage.free = at;
-                    platform.record_busy(stage_core, send_start, at);
-                    if let Some(log) = trace.as_mut() {
-                        log.span(stage_core, stage_kind, Some(lane), f, Phase::Send, t, at);
-                    }
-                    return Err((j + 1, at));
-                }
+            for j in g.stages() {
+                ledgers.replica(plan, pass.lane, j, pass.f).free = group_free;
             }
         }
-    };
-    platform.record_busy(stage_core, send_start, resident);
-    if let Some(log) = trace.as_mut() {
-        log.span(
-            stage_core,
-            stage_kind,
-            Some(lane),
-            f,
-            Phase::Send,
-            t,
-            resident,
-        );
     }
-    Ok(resident)
-}
 
-/// Swap the frame's replica (`f mod r`) of every replicated stage into
-/// the primary slot. The swap is an involution: calling it again at the
-/// end of the frame restores the pool layout.
-fn route_replicas(
-    plan: &StagePlan,
-    filters: &mut [[StageState; 5]],
-    extras: &mut [[Vec<StageState>; 5]],
-    f: u64,
-) {
-    for (lane, ex) in filters.iter_mut().zip(extras.iter_mut()) {
-        for j in 0..5 {
-            let r = u64::from(plan.replicas_of(j));
-            if r > 1 {
-                let k = (f % r) as usize;
-                if k > 0 {
-                    std::mem::swap(&mut lane[j], &mut ex[j][k - 1]);
+    /// Run `pass`'s strip through the five filter stages of its lane,
+    /// charging virtual time exactly like the healthy inline path. Under
+    /// faults, sends use the retry protocol; a fail-stopped stage
+    /// triggers a supervised in-place migration to a spare core (the loop
+    /// re-enters the same stage on its new core), while a stage stalled
+    /// beyond the full retry horizon — or a kill with the spare pool
+    /// exhausted — aborts with `Err((stage index, detection time))` so
+    /// the caller can fail the lane over. `source` is the strip's
+    /// producer, the replay upstream for a stage-0 migration.
+    fn run_strip_on_lane(
+        &mut self,
+        pass: Pass,
+        source: CoreId,
+        frame: &mut Frame,
+        mut avail: SimTime,
+    ) -> Result<SimTime, (usize, SimTime)> {
+        let mut j = 0;
+        while j < 5 {
+            let s = self.stage(pass, j);
+            let (core, free, kind) = (s.core, s.free, s.kind);
+            // Inside a merged group the strip never leaves the core: the
+            // previous stage's output is already local, so there is no
+            // idle wait, no fetch, and (below) no send for the handoff.
+            let merged_prev = self.run.r.plan.merged_with_prev(j);
+            let start = avail.max(free);
+            // A fail-stopped stage with a strip already resident: migrate
+            // and re-enter this stage index on the spare core.
+            if let Some(kill_at) = self.run.r.recovery.kill_seen(core, start) {
+                let ep = Episode {
+                    frame: pass.f,
+                    pipeline: pass.lane as u32,
+                    stage: kind,
+                    failed_core: core,
+                    kill_at,
+                    observed: start,
+                    upstream: match j {
+                        0 => source,
+                        _ => self.stage(pass, j - 1).core,
+                    },
+                    bytes: pass.bytes,
+                    frames_replayed: pass.in_flight,
+                };
+                if let Some(resident) = self.try_recover(j, ep) {
+                    avail = resident;
+                    continue;
                 }
             }
+            // The upstream sender's retransmissions go unanswered while
+            // this core is dead (no spare took over) or stalled; past the
+            // full horizon it is given up on before any more virtual time
+            // is sunk into it.
+            let rec = &self.run.r.recovery;
+            if rec.dead_equivalent(core, start) {
+                let at = start + rec.horizon();
+                self.sync_group_clocks(pass, j, at);
+                return Err((j, at));
+            }
+            let idle = match merged_prev {
+                true => SimTime::ZERO,
+                false => avail.saturating_sub(free),
+            };
+            self.stage(pass, j).idle_samples.push(idle);
+            // Fetch the strip out of this core's DRAM partition (a merged
+            // stage's input is already resident from its in-group
+            // predecessor), apply the stage, charge compute and its
+            // traffic.
+            let (run, fetch) = (&mut self.run, !merged_prev);
+            let (stages, platform) = (&run.stages, &mut run.r.platform);
+            let times = stages.filter(platform, &run.r.cost, core, j..j + 1, frame, start, fetch);
+            let t = times.done;
+            if let Some(log) = self.trace.as_mut() {
+                let lane = Some(pass.lane as u32);
+                let mut span =
+                    |phase, from, to| log.span(core, kind, lane, pass.f, phase, from, to);
+                if !merged_prev {
+                    span(Phase::Wait, free, start);
+                    span(Phase::Fetch, start, times.fetched);
+                }
+                span(Phase::Compute, times.fetched, times.computed);
+                span(Phase::Memory, times.computed, t);
+            }
+
+            // Hand over to the next stage (or the transfer stage),
+            // rendezvous-paced. A handoff to the next stage of the same
+            // merged group stays on-core: no rendezvous, no message,
+            // nothing for the fault plan to touch.
+            let resident = if j + 1 < 5 && self.run.r.plan.merged_with_prev(j + 1) {
+                t
+            } else {
+                match self.run_strip_handoff(pass, j, start, t) {
+                    Ok(resident) => resident,
+                    Err((failed, at)) => {
+                        // The *sender* (stage j) burned the retry horizon
+                        // on its core before the receiver was declared
+                        // dead.
+                        self.sync_group_clocks(pass, j, at);
+                        return Err((failed, at));
+                    }
+                }
+            };
+            self.stage(pass, j).advance(start, resident);
+            avail = resident;
+            j += 1;
         }
+        // Merged groups share one core: once the frame clears the group,
+        // every member is next free when the group's last stage is (the
+        // latest member clock) — without this, the group's first stage
+        // could start frame f + 1 while the core is still finishing frame
+        // f's tail stages. No stage is still active.
+        self.sync_group_clocks(pass, 5, SimTime::ZERO);
+        Ok(avail)
+    }
+
+    /// The rendezvous-paced handoff of the strip stage `j` worked on from
+    /// `start` to `t` to its downstream — the next stage's core for this
+    /// frame, or the transfer stage.
+    /// Extracted from [`FrameMajor::run_strip_on_lane`] so merged groups
+    /// can skip it wholesale; returns the strip's residency downstream,
+    /// or the degradation abort `(failed stage, detection time)`.
+    fn run_strip_handoff(
+        &mut self,
+        pass: Pass,
+        j: usize,
+        start: SimTime,
+        t: SimTime,
+    ) -> Result<SimTime, (usize, SimTime)> {
+        let s = self.stage(pass, j);
+        let (core, kind) = (s.core, s.kind);
+        let next_free = match j + 1 {
+            5 => self.run.ledgers.transfer.free,
+            next => self.stage(pass, next).free,
+        };
+        let send_start = t.max(next_free);
+        // A fail-stopped downstream filter stage is migrated and the
+        // replayed strip lands on the spare; otherwise the receiving
+        // stage is blamed — it is the one not acking.
+        let sent = self.send_or_heal(pass, j + 1, core, send_start);
+        let resident = sent.unwrap_or_else(|at| at);
+        if sent.is_err() {
+            // This stage finished its pass — only the handoff failed — so
+            // it books the strip, and it stays occupied through the futile
+            // retransmission window: `free` must reach the ARQ's give-up
+            // time or the lane's next strip would overlap this one on the
+            // same core. `failed_stage` is j+1 and the ledger stays
+            // uniform across both detection sites.
+            let stage = self.stage(pass, j);
+            stage.frames += 1;
+            stage.busy += resident.saturating_sub(start);
+            stage.free = resident;
+        }
+        self.run.r.platform.record_busy(core, send_start, resident);
+        if let Some(log) = self.trace.as_mut() {
+            let lane = Some(pass.lane as u32);
+            log.span(core, kind, lane, pass.f, Phase::Send, t, resident);
+        }
+        sent.map_err(|at| (j + 1, at))
     }
 }
 

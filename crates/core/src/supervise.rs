@@ -117,11 +117,7 @@ impl FaultCtx {
             .map(|s| CoreStall {
                 core: placement.pipelines[s.pipeline as usize][s.stage as usize].raw(),
                 at: SimTime::from_ms(s.at_ms),
-                duration: if s.for_ms == u64::MAX {
-                    SimTime::MAX
-                } else {
-                    SimTime::from_ms(s.for_ms)
-                },
+                duration: SimTime::from_ms(s.for_ms),
             })
             .collect();
         FaultCtx {

@@ -48,12 +48,8 @@
 
 use crate::frame::Frame;
 use crate::metrics::{RecoveryEvent, TaskStats, WalkthroughReport};
-use crate::partition::StagePlan;
-use crate::power_plane::PowerPlane;
-use crate::runner::sim::{finish_film_run, SimRunner, StageLedgers};
-use crate::runner::stage::FilmStages;
+use crate::runner::sim::{FilmRun, SimRunner};
 use crate::spec::{RendererMode, StageKind};
-use scc_filters::Image;
 use scc_rcce::{
     decode_claim_ack, decode_steal_grant, decode_steal_request, decode_task_claim,
     encode_claim_ack, encode_steal_grant, encode_steal_request, encode_task_claim, ClaimAck,
@@ -107,18 +103,12 @@ struct Pending {
     ready: SimTime,
 }
 
-/// Where a worker's busy/idle ledgers land in the stage-report grid.
-#[derive(Clone, Copy)]
-enum Slot {
-    /// `filters[lane][stage]`.
-    Primary(usize, usize),
-    /// `extras[lane][stage][k]` — replica `k + 1` of the stage.
-    Extra(usize, usize, usize),
-}
-
 struct Worker {
     core: CoreId,
-    slot: Slot,
+    /// Where the worker's busy/idle ledgers land in the stage-report
+    /// grid: replica `k` of lane `i`'s stage `j`, as `(i, j, k)`
+    /// ([`crate::runner::sim::StageLedgers::slot`]).
+    slot: (usize, usize, usize),
     free: SimTime,
     /// Start time of the most recent pop — the earliest instant a parked
     /// handoff could have been admitted.
@@ -136,16 +126,13 @@ pub(crate) fn run_tasks(runner: SimRunner, flavor: ScheduleFlavor) -> Walkthroug
 }
 
 struct Engine {
-    r: SimRunner,
+    /// The shared film run: its stage-report ledgers are shaped exactly
+    /// like the static executors'.
+    run: FilmRun,
     flavor: ScheduleFlavor,
-    plan: StagePlan,
-    stages: FilmStages,
 
     workers: Vec<Worker>,
     worker_of: HashMap<u8, usize>,
-
-    // Stage-report ledgers, shaped exactly like the static executor's.
-    ledgers: StageLedgers,
 
     window: u32,
     cap: usize,
@@ -156,21 +143,17 @@ struct Engine {
     delivered: HashMap<(u64, usize), (SimTime, Frame)>,
 
     stats: TaskStats,
-    outputs: Vec<Image>,
     rng: u64,
     nonce: u64,
 
     next_out: u64,
     f_src: u64,
-    finish: SimTime,
 }
 
 impl Engine {
     fn new(runner: SimRunner, flavor: ScheduleFlavor) -> Engine {
-        let cfg = &runner.cfg;
+        let (cfg, plan) = (&runner.cfg, &runner.plan);
         let p = cfg.pipelines as usize;
-        let plan = runner.plan.clone();
-        let ledgers = StageLedgers::new(cfg, &runner.placement);
 
         // Workers: one per distinct core hosting a stage group (primary or
         // replica). The slot maps the worker's busy/idle ledgers back to
@@ -178,7 +161,7 @@ impl Engine {
         let mut workers: Vec<Worker> = Vec::new();
         let mut worker_of: HashMap<u8, usize> = HashMap::new();
         let add = |core: CoreId,
-                   slot: Slot,
+                   slot: (usize, usize, usize),
                    workers: &mut Vec<Worker>,
                    worker_of: &mut HashMap<u8, usize>| {
             worker_of.entry(core.raw()).or_insert_with(|| {
@@ -201,7 +184,7 @@ impl Engine {
                 let j0 = g.start;
                 add(
                     runner.placement.pipelines[i][j0],
-                    Slot::Primary(i, j0),
+                    (i, j0, 0),
                     &mut workers,
                     &mut worker_of,
                 );
@@ -211,7 +194,7 @@ impl Engine {
                     .iter()
                     .enumerate()
                 {
-                    add(c, Slot::Extra(i, j0, k), &mut workers, &mut worker_of);
+                    add(c, (i, j0, k + 1), &mut workers, &mut worker_of);
                 }
             }
         }
@@ -233,11 +216,8 @@ impl Engine {
 
         Engine {
             flavor,
-            plan,
-            stages: FilmStages::new(cfg),
             workers,
             worker_of,
-            ledgers,
             window,
             cap,
             chain_epoch: HashMap::new(),
@@ -245,13 +225,11 @@ impl Engine {
             completed_stage: HashSet::new(),
             delivered: HashMap::new(),
             stats,
-            outputs: Vec::new(),
-            rng: runner.cfg.seed ^ salt,
+            rng: cfg.seed ^ salt,
             nonce: 0,
             next_out: 0,
             f_src: 0,
-            finish: SimTime::ZERO,
-            r: runner,
+            run: FilmRun::new(runner),
         }
     }
 
@@ -266,20 +244,34 @@ impl Engine {
         z ^ (z >> 31)
     }
 
+    /// Count one more `name` event in the run's telemetry.
+    fn bump(&self, name: &'static str) {
+        self.run.r.tel.count(name, &[], 1);
+    }
+
     fn groups(&self) -> usize {
-        self.plan.groups.len()
+        self.run.r.plan.groups.len()
+    }
+
+    /// The `k`-th worker a scan over the workers visits: ascending under
+    /// the sim flavor, descending under the DES one.
+    fn scan(&self, k: usize) -> usize {
+        match self.flavor {
+            ScheduleFlavor::Sim => k,
+            ScheduleFlavor::Des => self.workers.len() - 1 - k,
+        }
     }
 
     /// The home worker of `(strip, group)` for `frame` — the static
     /// placement's core with the frame-rotated replica choice.
     fn home(&self, strip: usize, group: usize, frame: u64) -> usize {
-        let g = &self.plan.groups[group];
+        let g = &self.run.r.plan.groups[group];
         let r = u64::from(g.replicas.max(1));
         let k = (frame % r) as usize;
         let core = if k == 0 {
-            self.r.placement.pipelines[strip][g.start]
+            self.run.r.placement.pipelines[strip][g.start]
         } else {
-            self.r.placement.replica_extras(strip as u32, g.start)[k - 1]
+            self.run.r.placement.replica_extras(strip as u32, g.start)[k - 1]
         };
         self.worker_of[&core.raw()]
     }
@@ -299,8 +291,8 @@ impl Engine {
     /// The core that produced (and checkpointed) strip `i` — re-queues
     /// replay from here.
     fn source_core(&self, strip: usize) -> CoreId {
-        let source = &self.ledgers.source;
-        match self.r.cfg.renderer {
+        let source = &self.run.ledgers.source;
+        match self.run.r.cfg.renderer {
             RendererMode::SingleRenderer => source.renderers[0].core,
             RendererMode::PerPipelineRenderer => source.renderers[strip].core,
             RendererMode::McpcRenderer => source.connector.as_ref().expect("MCPC connector").core,
@@ -326,9 +318,8 @@ impl Engine {
             // Continuation hand-off: the strip is already resident.
             return Ok(t);
         }
-        self.r
-            .recovery
-            .send(&mut self.r.platform, from, to, t, bytes)
+        let r = &mut self.run.r;
+        r.recovery.send(&mut r.platform, from, to, t, bytes)
     }
 
     /// Enqueue a task at worker `widx` (push to the deque, or park on a
@@ -344,9 +335,7 @@ impl Engine {
             }
             if self.workers[widx].deque.len() >= self.cap {
                 self.stats.backpressure_stalls += 1;
-                self.r
-                    .tel
-                    .count(names::TASK_BACKPRESSURE_STALLS_TOTAL, &[], 1);
+                self.bump(names::TASK_BACKPRESSURE_STALLS_TOTAL);
                 self.workers[widx].parked.push_back(p);
                 return;
             }
@@ -398,30 +387,30 @@ impl Engine {
     /// lowering); strips are injected at the home worker of the first
     /// stage group.
     fn produce_source(&mut self) -> bool {
-        let frames = self.r.cfg.frames;
+        let frames = self.run.r.cfg.frames;
         if self.f_src >= frames || self.f_src - self.next_out >= u64::from(self.window) {
             return false;
         }
         let f = self.f_src;
         self.f_src += 1;
-        let cam = self.r.walkthrough.camera(f);
-        for unit in 0..self.ledgers.source.units() {
-            let lowered = self.ledgers.source.lower(
-                &self.r.cost,
-                &self.r.renderer,
+        let cam = self.run.r.walkthrough.camera(f);
+        for unit in 0..self.run.ledgers.source.units() {
+            let lowered = self.run.ledgers.source.lower(
+                &self.run.r.cost,
+                &self.run.r.renderer,
                 &cam,
-                &mut self.r.platform,
+                &mut self.run.r.platform,
                 f,
                 unit,
             );
             for frame in lowered.strips {
                 let i = frame.strip.index as usize;
-                self.r.recovery.checkpoint(i, f, &frame);
+                self.run.r.recovery.checkpoint(i, f, &frame);
                 self.inject_strip(i, f, frame, lowered.core, lowered.ready);
             }
             // Injection is asynchronous: the payload send is booked when
             // the deque admits the task, not on the producing core.
-            self.ledgers.source.commit(unit, lowered.ready);
+            self.run.ledgers.source.commit(unit, lowered.ready);
         }
         true
     }
@@ -431,7 +420,7 @@ impl Engine {
         // heavy stages spread evenly by construction and stealing only
         // has to absorb the residual imbalance (chains are not all the
         // same length, and the transfer fan-in skews the tail).
-        let p = self.r.cfg.pipelines as usize;
+        let p = self.run.r.cfg.pipelines as usize;
         let mut widx = (f as usize * p + strip) % self.workers.len();
         let mut probe = 0;
         while self.workers[widx].dead {
@@ -463,11 +452,8 @@ impl Engine {
     /// front). Returns false when no worker holds a task.
     fn execute_one(&mut self) -> bool {
         let mut best: Option<(SimTime, usize)> = None;
-        let iter: Box<dyn Iterator<Item = usize>> = match self.flavor {
-            ScheduleFlavor::Sim => Box::new(0..self.workers.len()),
-            ScheduleFlavor::Des => Box::new((0..self.workers.len()).rev()),
-        };
-        for widx in iter {
+        for k in 0..self.workers.len() {
+            let widx = self.scan(k);
             let w = &self.workers[widx];
             if w.dead {
                 continue;
@@ -484,17 +470,13 @@ impl Engine {
         };
         // A worker that is dead (or stalled beyond the whole ARQ horizon)
         // by the time it would run: fence it instead of executing.
-        if self
-            .r
-            .recovery
-            .dead_equivalent(self.workers[widx].core, start)
-        {
+        let core = self.workers[widx].core;
+        if self.run.r.recovery.dead_equivalent(core, start) {
             self.fence(widx, start);
             return true;
         }
 
         let mut task = self.workers[widx].deque.pop_front().expect("non-empty");
-        let core = self.workers[widx].core;
         let wfree = self.workers[widx].free;
         self.workers[widx].room_at = start;
         let idle = start.saturating_sub(wfree);
@@ -503,37 +485,19 @@ impl Engine {
         // static lane walk: one fetch at group entry, then per stage
         // compute + cache-model traffic; merged siblings stay on-core.
         let bytes = task.data.byte_len();
-        let group = self.plan.groups[task.group].clone();
-        let t = self
-            .stages
-            .filter(
-                &mut self.r.platform,
-                &self.r.cost,
-                core,
-                group.stages(),
-                &mut task.data,
-                start,
-                true,
-            )
-            .done;
+        let group = self.run.r.plan.groups[task.group].clone();
+        let (r, stages) = (&mut self.run.r, &self.run.stages);
+        let (platform, data) = (&mut r.platform, &mut task.data);
+        let walked = stages.filter(platform, &r.cost, core, group.stages(), data, start, true);
+        let t = walked.done;
         self.workers[widx].free = t;
         self.stats.executed += 1;
 
         // Busy/idle land on the executing worker's home report.
-        {
-            let (busy_ref, idle_ref) = match self.workers[widx].slot {
-                Slot::Primary(i, j) => {
-                    let s = &mut self.ledgers.filters[i][j];
-                    (&mut s.busy, &mut s.idle_samples)
-                }
-                Slot::Extra(i, j, k) => {
-                    let s = &mut self.ledgers.extras[i][j][k];
-                    (&mut s.busy, &mut s.idle_samples)
-                }
-            };
-            *busy_ref += t - start;
-            idle_ref.push(idle);
-        }
+        let (i, j, k) = self.workers[widx].slot;
+        let home = self.run.ledgers.slot(i, j, k);
+        home.busy += t - start;
+        home.idle_samples.push(idle);
 
         // Stale-epoch completions (a steal that raced a fence, or a chain
         // restarted underneath the thief) are discarded: no frame counts,
@@ -552,7 +516,7 @@ impl Engine {
             self.stats.completed += 1;
             for j in group.stages() {
                 if self.completed_stage.insert((task.frame, task.strip, j)) {
-                    self.ledgers.filters[task.strip][j].frames += 1;
+                    self.run.ledgers.filters[task.strip][j].frames += 1;
                 }
             }
         }
@@ -575,15 +539,15 @@ impl Engine {
             );
         } else {
             // Final group: ship the finished strip to the transfer stage.
-            let tcore = self.ledgers.transfer.core;
-            let resident = self
-                .r
+            let tcore = self.run.ledgers.transfer.core;
+            let r = &mut self.run.r;
+            let resident = r
                 .recovery
-                .send(&mut self.r.platform, core, tcore, t, bytes)
+                .send(&mut r.platform, core, tcore, t, bytes)
                 .unwrap_or_else(|at| {
                     // The transfer core is never a kill target; worst
                     // case the ARQ burned its horizon.
-                    self.r.platform.send_to_partition(core, tcore, at, bytes)
+                    r.platform.send_to_partition(core, tcore, at, bytes)
                 });
             self.delivered
                 .insert((task.frame, task.strip), (resident, task.data));
@@ -598,12 +562,9 @@ impl Engine {
     /// are real encoded wire frames rolled against the fault plan; a lost
     /// or corrupted leg leaves no net deque change.
     fn steal_pass(&mut self) {
-        let retries = self.r.cfg.task_tuning.steal_retries.max(1);
-        let order: Vec<usize> = match self.flavor {
-            ScheduleFlavor::Sim => (0..self.workers.len()).collect(),
-            ScheduleFlavor::Des => (0..self.workers.len()).rev().collect(),
-        };
-        for widx in order {
+        let retries = self.run.r.cfg.task_tuning.steal_retries.max(1);
+        for k in 0..self.workers.len() {
+            let widx = self.scan(k);
             let w = &self.workers[widx];
             if w.dead || !w.deque.is_empty() || !w.parked.is_empty() || w.idle_attempts >= retries {
                 continue;
@@ -612,7 +573,7 @@ impl Engine {
             // handshake: the platform would push its legs past the stall
             // window (forever, for a permanent stall) and the "steal"
             // would book unbounded time. Fence it — its chains re-queue.
-            if self.r.recovery.dead_equivalent(w.core, w.free) {
+            if self.run.r.recovery.dead_equivalent(w.core, w.free) {
                 let at = self.workers[widx].free;
                 self.fence(widx, at);
                 continue;
@@ -633,7 +594,7 @@ impl Engine {
                     // chains instead.
                     v != widx
                         && !w.dead
-                        && !self.r.recovery.dead_equivalent(w.core, w.free)
+                        && !self.run.r.recovery.dead_equivalent(w.core, w.free)
                         && w.deque.back().is_some_and(|t| w.free > t.avail)
                         && w.free > thief_free
                 })
@@ -663,12 +624,12 @@ impl Engine {
     /// moves (with its payload) into the thief's deque.
     fn attempt_steal(&mut self, thief: usize, victim: usize) {
         self.stats.steal_attempts += 1;
-        self.r.tel.count(names::TASK_STEAL_ATTEMPTS_TOTAL, &[], 1);
+        self.bump(names::TASK_STEAL_ATTEMPTS_TOTAL);
         let attempt = self.workers[thief].idle_attempts;
         let tcore = self.workers[thief].core;
         let vcore = self.workers[victim].core;
         let t0 = self.workers[thief].free;
-        let timeout = SimTime::from_us(self.r.cfg.task_tuning.steal_timeout_us.max(1));
+        let timeout = SimTime::from_us(self.run.r.cfg.task_tuning.steal_timeout_us.max(1));
         let backoff = timeout * (1u64 << attempt.min(16));
         self.nonce += 1;
         let nonce = self.nonce;
@@ -695,7 +656,7 @@ impl Engine {
         let Some(t1) = self.leg(tcore, vcore, t0, wire.len() as u64) else {
             return fail(self, false, true);
         };
-        if self.r.recovery.kill_seen(vcore, t1).is_some() {
+        if self.run.r.recovery.kill_seen(vcore, t1).is_some() {
             self.stats.midsteal_kills += 1;
             return fail(self, false, false);
         }
@@ -734,7 +695,7 @@ impl Engine {
         let Some(t3) = self.leg(tcore, vcore, t2, wire.len() as u64) else {
             return fail(self, true, true);
         };
-        if self.r.recovery.kill_seen(vcore, t3).is_some() {
+        if self.run.r.recovery.kill_seen(vcore, t3).is_some() {
             // The victim fail-stopped between grant and claim: fence it
             // (bumping its claim epoch) and watch the straggling claim be
             // rejected — the task went back with the fence's re-queue.
@@ -783,7 +744,7 @@ impl Engine {
         let mut task = self.workers[victim].deque.pop_back().expect("claimed task");
         let vcore = self.workers[victim].core;
         let tcore = self.workers[thief].core;
-        let resident = self.r.platform.send_to_partition(
+        let resident = self.run.r.platform.send_to_partition(
             vcore,
             tcore,
             t.max(task.avail),
@@ -798,16 +759,16 @@ impl Engine {
             .max_queue_depth
             .max(self.workers[thief].deque.len() as u64);
         self.stats.steals += 1;
-        self.r.tel.count(names::TASK_STEALS_TOTAL, &[], 1);
+        self.bump(names::TASK_STEALS_TOTAL);
     }
 
     /// Book one control-frame leg; `None` means the leg was lost or
     /// corrupted (a corrupted leg is round-tripped through the codec to
     /// prove the CRC rejects it).
     fn leg(&mut self, from: CoreId, to: CoreId, t: SimTime, bytes: u64) -> Option<SimTime> {
-        match self.r.recovery.roll(from, to) {
-            MessageOutcome::Deliver => Some(self.r.platform.message(from, to, t, bytes)),
-            MessageOutcome::Delay(d) => Some(self.r.platform.message(from, to, t + d, bytes)),
+        match self.run.r.recovery.roll(from, to) {
+            MessageOutcome::Deliver => Some(self.run.r.platform.message(from, to, t, bytes)),
+            MessageOutcome::Delay(d) => Some(self.run.r.platform.message(from, to, t + d, bytes)),
             MessageOutcome::Corrupt { .. } => {
                 // Prove the wire layer rejects the mangled frame instead
                 // of smuggling garbage into the handshake.
@@ -819,7 +780,7 @@ impl Engine {
                 .to_vec();
                 mangled[4] ^= 0x5A;
                 debug_assert_eq!(decode_steal_request(&mangled), None);
-                self.r.tel.count(names::ARQ_CORRUPT_DROPS_TOTAL, &[], 1);
+                self.bump(names::ARQ_CORRUPT_DROPS_TOTAL);
                 None
             }
             MessageOutcome::Drop => None,
@@ -839,9 +800,9 @@ impl Engine {
             return;
         }
         let core = self.workers[widx].core;
-        let rec = &self.r.recovery;
+        let rec = &self.run.r.recovery;
         let killed_at = rec.kill_seen(core, SimTime::MAX).unwrap_or(observed);
-        let detected = rec.detect(&self.r.platform, core, killed_at);
+        let detected = rec.detect(&self.run.r.platform, core, killed_at);
         self.workers[widx].dead = true;
         let epoch = self.workers[widx].claims.epoch();
         self.workers[widx].claims.fence(epoch + 1);
@@ -865,7 +826,7 @@ impl Engine {
         }
 
         if chains.is_empty() {
-            self.r.tel.count(names::HEARTBEAT_MISSES_TOTAL, &[], 1);
+            self.bump(names::HEARTBEAT_MISSES_TOTAL);
             return;
         }
         let frames_replayed = chains
@@ -879,8 +840,8 @@ impl Engine {
         for (k, (f, i)) in chains.into_iter().enumerate() {
             *self.chain_epoch.entry((f, i)).or_insert(0) += 1;
             self.stats.requeued += 1;
-            self.r.tel.count(names::TASK_REQUEUES_TOTAL, &[], 1);
-            let data = self.r.recovery.restore(i, f);
+            self.bump(names::TASK_REQUEUES_TOTAL);
+            let data = self.run.r.recovery.restore(i, f);
             let src = self.source_core(i);
             let target = {
                 let home = self.home(i, 0, f);
@@ -918,12 +879,10 @@ impl Engine {
                 first_resident = resumed.max(detected);
             }
         }
-        let kind = match self.workers[widx].slot {
-            Slot::Primary(_, j) | Slot::Extra(_, j, _) => StageKind::PIPELINE_FILTERS[j],
-        };
+        let kind = StageKind::PIPELINE_FILTERS[self.workers[widx].slot.1];
         // Re-queued on a survivor, not migrated to a spare: the plane logs
         // the episode without a `Migration`.
-        self.r.recovery.record(
+        self.run.r.recovery.record(
             RecoveryEvent {
                 frame: first_f,
                 pipeline: first_i as u32,
@@ -947,24 +906,24 @@ impl Engine {
     /// static transfer booking; acks the checkpoint rings as frames leave
     /// the chip (which re-opens the source window).
     fn drain_transfer(&mut self) -> bool {
-        let p = self.r.cfg.pipelines as usize;
+        let p = self.run.r.cfg.pipelines as usize;
         let mut any = false;
-        while self.next_out < self.r.cfg.frames {
+        while self.next_out < self.run.r.cfg.frames {
             let f = self.next_out;
             if !(0..p).all(|i| self.delivered.contains_key(&(f, i))) {
                 break;
             }
-            let out = self.stages.transfer(
-                &mut self.r.platform,
-                &self.r.cost,
-                &mut self.ledgers.transfer,
+            let out = self.run.stages.transfer(
+                &mut self.run.r.platform,
+                &self.run.r.cost,
+                &mut self.run.ledgers.transfer,
                 (0..p)
                     .map(|i| self.delivered.remove(&(f, i)).expect("checked"))
                     .collect(),
             );
-            self.finish = self.finish.max(out.done);
-            self.outputs.extend(out.image);
-            self.r.recovery.ack(f);
+            self.run.finish = self.run.finish.max(out.done);
+            self.run.outputs.extend(out.image);
+            self.run.r.recovery.ack(f);
             self.next_out += 1;
             any = true;
         }
@@ -974,9 +933,7 @@ impl Engine {
     // ---- the run -------------------------------------------------------
 
     fn run(mut self) -> WalkthroughReport {
-        let power = PowerPlane::arm(&self.r.cfg, &mut self.r.platform, self.r.cfg.frames, []);
-
-        while self.next_out < self.r.cfg.frames {
+        while self.next_out < self.run.r.cfg.frames {
             self.admit_parked();
             if self.drain_transfer() {
                 continue;
@@ -992,34 +949,22 @@ impl Engine {
             // Nothing ran: with tasks outstanding this is a lost-task bug
             // (the deques, parked lists and source window are all empty
             // but the film is incomplete).
-            if self.next_out < self.r.cfg.frames {
+            if self.next_out < self.run.r.cfg.frames {
                 panic!(
                     "task runtime wedged at frame {} of {}: no actionable work",
-                    self.next_out, self.r.cfg.frames
+                    self.next_out, self.run.r.cfg.frames
                 );
             }
         }
 
-        self.r
-            .tel
-            .count(names::TASK_SPAWNED_TOTAL, &[], self.stats.spawned);
-        self.r.tel.gauge(
-            names::TASK_QUEUE_DEPTH_MAX,
-            &[],
-            self.stats.max_queue_depth as f64,
-        );
+        let (tel, stats) = (&self.run.r.tel, &self.stats);
+        tel.count(names::TASK_SPAWNED_TOTAL, &[], stats.spawned);
+        let depth = stats.max_queue_depth as f64;
+        tel.gauge(names::TASK_QUEUE_DEPTH_MAX, &[], depth);
         // The steal scheduler interleaves strips across cores, so the
         // static trace invariants (per-stage frame monotonicity) do not
         // apply: no trace, the task ledger is the runtime's audit trail.
-        finish_film_run(
-            self.r,
-            &self.ledgers,
-            &power,
-            self.finish,
-            Some(self.stats),
-            self.outputs,
-            None,
-        )
+        self.run.finish(Some(self.stats), None)
     }
 }
 

@@ -41,24 +41,26 @@ impl SimTime {
         SimTime(ps)
     }
 
+    /// Whole nanoseconds. This and `from_us`, `from_ms` and `from_secs`
+    /// saturate at [`SimTime::MAX`], as `+` and `*` do.
     #[inline]
     pub const fn from_ns(ns: u64) -> Self {
-        SimTime(ns * PS_PER_NS)
+        SimTime(ns.saturating_mul(PS_PER_NS))
     }
 
     #[inline]
     pub const fn from_us(us: u64) -> Self {
-        SimTime(us * PS_PER_US)
+        SimTime(us.saturating_mul(PS_PER_US))
     }
 
     #[inline]
     pub const fn from_ms(ms: u64) -> Self {
-        SimTime(ms * PS_PER_MS)
+        SimTime(ms.saturating_mul(PS_PER_MS))
     }
 
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * PS_PER_SEC)
+        SimTime(s.saturating_mul(PS_PER_SEC))
     }
 
     /// Convert from fractional seconds, saturating at the representable
@@ -259,5 +261,14 @@ mod tests {
         let max = SimTime::MAX;
         assert_eq!(max + SimTime::from_secs(1), SimTime::MAX);
         assert_eq!(max * 2, SimTime::MAX);
+        // Just past u64::MAX ps in each unit.
+        assert_eq!(SimTime::from_ns(u64::MAX / PS_PER_NS + 1), SimTime::MAX);
+        assert_eq!(SimTime::from_us(u64::MAX / PS_PER_US + 1), SimTime::MAX);
+        assert_eq!(SimTime::from_ms(18_446_744_074), SimTime::MAX);
+        assert_eq!(SimTime::from_secs(u64::MAX), SimTime::MAX);
+        assert_eq!(
+            SimTime::from_ms(18_446_744_073).as_ps(),
+            18_446_744_073 * PS_PER_MS
+        );
     }
 }

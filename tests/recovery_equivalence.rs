@@ -191,3 +191,51 @@ proptest! {
         }
     }
 }
+
+/// A kill and a stall scheduled past the end of virtual time (`at_ms`
+/// just beyond `u64::MAX` picoseconds) never fire: the instant saturates
+/// at `SimTime::MAX` instead of wrapping to a fraction of a millisecond.
+/// No recovery, no degradation, and the clean film — on the static sim
+/// and DES executors and on the task runtime's two schedules.
+#[test]
+fn faults_past_the_end_of_virtual_time_never_fire() {
+    const PAST_THE_END_MS: u64 = 18_446_744_074;
+    let kill = kill_spec(0, 1, PAST_THE_END_MS);
+    let stall = FaultSpec {
+        stall: Some(StallSpec {
+            pipeline: 1,
+            stage: 2,
+            at_ms: PAST_THE_END_MS,
+            for_ms: 5,
+        }),
+        ..FaultSpec::default()
+    };
+    let both = FaultSpec {
+        stall: stall.stall,
+        ..kill.clone()
+    };
+    let base = cfg(RendererMode::SingleRenderer, Arrangement::Ordered, 2);
+    let mut tasks = base.clone();
+    tasks.runtime = scc_core::Runtime::Tasks;
+    let runs = [
+        (Backend::Sim, &base, kill.clone()),
+        (Backend::Des, &base, kill),
+        (Backend::Sim, &base, stall),
+        (Backend::Sim, &tasks, both.clone()),
+        (Backend::Des, &tasks, both),
+    ];
+    let want = oracle(&base);
+    for (backend, c, fault) in runs {
+        let mut c = c.clone();
+        let what = format!("{backend:?} {:?} {fault:?}", c.runtime);
+        c.fault = Some(fault);
+        let out = run_with_scene(&c, backend, scene());
+        assert!(out.recoveries.is_empty(), "{what}: a recovery fired");
+        assert!(out.degradations.is_empty(), "{what}: a lane degraded");
+        let film = match out.report {
+            scc_core::BackendReport::Sim(r) | scc_core::BackendReport::Des(r) => r.outputs,
+            _ => None,
+        };
+        assert_eq!(checksums(&film.expect("full fidelity")), want, "{what}");
+    }
+}
