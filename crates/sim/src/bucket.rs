@@ -128,7 +128,7 @@ impl BucketedResource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::{PS_PER_MS, PS_PER_SEC};
+    use crate::time::{PS_PER_MS, PS_PER_NS, PS_PER_SEC, PS_PER_US};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -235,6 +235,65 @@ mod tests {
         out
     }
 
+    /// Whole frames as `(start, service)` pairs in ps, sized in `unit`s
+    /// (the simulator's 1 ms, or a shorter stand-in for finer buckets
+    /// that keeps the per-bucket oracle fast). Controller (6.4 units) and
+    /// host-link (13 units) frames land in the empty space past a window
+    /// that moves past everything they book; long services from a unit
+    /// boundary and stacks of 3/5-unit bookings leave stretches of
+    /// saturated buckets; far-back bookings and heartbeat sweeps from
+    /// t = 0 then fill the gaps between them and cross them.
+    fn frames_script(ops: &[(u8, u64, u64)], unit: u64) -> Vec<(u64, u64)> {
+        let frame = |b: u64| [64 * unit / 10, 13 * unit][b as usize & 1];
+        let mut window = 0u64;
+        let mut out = Vec::new();
+        for &(kind, a, b) in ops {
+            match kind % 16 {
+                // A frame into the empty space past the window.
+                0..=4 => {
+                    let start = window + a % (3 * unit);
+                    out.push((start, frame(b)));
+                    window = start + frame(b);
+                }
+                // A frame that overlaps the last one and queues behind it.
+                5 | 6 => {
+                    out.push((window.saturating_sub(a % (8 * unit)), frame(b)));
+                    window += frame(b);
+                }
+                // Saturated buckets from a unit boundary, in one booking...
+                7 => {
+                    let start = window.next_multiple_of(unit);
+                    let service = (2 + b % 40) * unit;
+                    out.push((start, service));
+                    window = start + service;
+                }
+                // ...or as a stack of bookings on one start.
+                8 => {
+                    let start = window + a % unit;
+                    let n = 4 + b % 12;
+                    out.extend((0..n).map(|_| (start, 3 * unit / 5)));
+                    window = start + n * 3 * unit / 5;
+                }
+                // Far back, sub-unit or a whole frame.
+                9..=12 => {
+                    let service = if b & 2 == 0 {
+                        (b >> 8) % unit
+                    } else {
+                        frame(b)
+                    };
+                    out.push((a % (window + 1), service));
+                }
+                // A heartbeat sweep from t = 0 across everything booked.
+                _ => {
+                    let n = 8 + (b >> 32) % 24;
+                    let step = window / n + a % unit + 1;
+                    out.extend((0..n).map(|i| (i * step, (b >> 8) % (unit / 4))));
+                }
+            }
+        }
+        out
+    }
+
     fn fnv1a(h: u64, v: u64) -> u64 {
         v.to_le_bytes()
             .iter()
@@ -268,6 +327,53 @@ mod tests {
         assert_eq!((bookings.len(), h), (19_435, 0xcc16_a7de_25b5_5534));
     }
 
+    /// `n` ops drawn from a splitmix64 stream seeded with `seed`.
+    fn splitmix_ops(seed: u64, n: usize) -> Vec<(u8, u64, u64)> {
+        let mut state = seed;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        (0..n)
+            .map(|_| ((next() >> 56) as u8, next(), next()))
+            .collect()
+    }
+
+    /// Every `(completion, wait)` of `bookings` on one fresh resource, and
+    /// both totals, folded into one FNV-1a.
+    fn ledger_digest(bucket: SimTime, bookings: &[(u64, u64)]) -> u64 {
+        let mut r = BucketedResource::new(bucket);
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for &(start, service) in bookings {
+            let b = r.book(SimTime::from_ps(start), SimTime::from_ps(service));
+            h = fnv1a(fnv1a(h, b.completion.as_ps()), b.wait.as_ps());
+        }
+        fnv1a(fnv1a(h, r.total_busy().as_ps()), r.total_wait().as_ps())
+    }
+
+    /// The frame traffic at the simulator's 1 ms buckets (frames of 6.4
+    /// and 13 buckets), and its first 500 ops at 1 ns buckets with a
+    /// 10 ns unit (frames of 64 and 130 buckets): any change to what the
+    /// ledger answers across saturated stretches and empty gaps moves one
+    /// of them.
+    #[test]
+    fn frames_script_digest_is_pinned() {
+        let ops = splitmix_ops(0x00f2_a3e5_c01e_d6e2, 1_500);
+        let coarse = frames_script(&ops, PS_PER_MS);
+        let fine = frames_script(&ops[..500], 10 * PS_PER_NS);
+        assert_eq!(
+            (coarse.len(), ledger_digest(SimTime::from_ms(1), &coarse)),
+            (7_867, 0xdb34_15ae_ac27_0d18)
+        );
+        assert_eq!(
+            (fine.len(), ledger_digest(SimTime::from_ns(1), &fine)),
+            (2_559, 0xce6c_9842_ac87_afe6)
+        );
+    }
+
     proptest! {
         // `PROPTEST_CASES` can only raise the count (CI does).
         #![proptest_config(ProptestConfig {
@@ -275,14 +381,31 @@ mod tests {
             ..ProptestConfig::default()
         })]
 
+        /// Both scripts at 1 ms, any width from 1 us to 3 ms, and the
+        /// 1 ns and 1 ps extremes (every 1 ps bucket is empty or
+        /// saturated). Below 1 us a script millisecond shrinks to 100
+        /// buckets, and a frame unit is never more than 4 buckets, so the
+        /// oracle's per-bucket walks stay short at every width.
         #[test]
         fn ledger_matches_the_per_bucket_map(
             ops in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..160),
-            bucket_us in prop_oneof![Just(1_000u64), 1u64..=3_000],
+            bucket_ps in prop_oneof![
+                Just(PS_PER_MS),
+                (1u64..=3_000).prop_map(|us| us * PS_PER_US),
+                Just(PS_PER_NS),
+                Just(1u64),
+            ],
+            frames in any::<bool>(),
         ) {
-            let bucket = SimTime::from_us(bucket_us);
+            let shrink = if bucket_ps < PS_PER_US { 10 * PS_PER_US / bucket_ps } else { 1 };
+            let bookings = if frames {
+                frames_script(&ops, PS_PER_MS.min(4 * bucket_ps))
+            } else {
+                script(&ops).into_iter().map(|(s, v)| (s / shrink, v / shrink)).collect()
+            };
+            let bucket = SimTime::from_ps(bucket_ps);
             let (mut got, mut want) = (BucketedResource::new(bucket), Reference::new(bucket));
-            for (i, &(start, service)) in script(&ops).iter().enumerate() {
+            for (i, &(start, service)) in bookings.iter().enumerate() {
                 let (start, service) = (SimTime::from_ps(start), SimTime::from_ps(service));
                 prop_assert_eq!(
                     got.book(start, service),
@@ -358,6 +481,53 @@ mod tests {
         let at_end = r.book(SimTime::MAX, SimTime::from_ps(1));
         assert_eq!(at_end.completion, SimTime::MAX);
         assert_eq!(r.total_busy(), SimTime::from_ms(2) + SimTime::from_ps(4));
+    }
+
+    /// The last bucket below `u64::MAX` ps (index `last`) is short: its
+    /// 709 551 615 ps end virtual time. Three saturated buckets sit in
+    /// front of it.
+    fn saturated_before_the_end() -> (BucketedResource, u64) {
+        let mut r = res();
+        let last = u64::MAX / PS_PER_MS;
+        let b = r.book(
+            SimTime::from_ps((last - 3) * PS_PER_MS),
+            SimTime::from_ms(3),
+        );
+        assert_eq!(b.completion, SimTime::from_ps(last * PS_PER_MS));
+        (r, last)
+    }
+
+    #[test]
+    fn a_booking_across_a_saturated_stretch_ends_in_the_last_bucket() {
+        let (mut r, last) = saturated_before_the_end();
+        let start = (last - 4) * PS_PER_MS + PS_PER_MS / 2;
+        let b = r.book(SimTime::from_ps(start), SimTime::from_us(800));
+        // 0.5 ms in bucket last - 4, none in the stretch, 0.3 ms in the last.
+        let completion = last * PS_PER_MS + 300 * PS_PER_US;
+        assert_eq!(b.completion, SimTime::from_ps(completion));
+        assert_eq!(
+            b.wait,
+            SimTime::from_ps(completion - start - 800 * PS_PER_US)
+        );
+        // The last bucket's 0.3 ms is booked: the next one queues after it.
+        let next = r.book(SimTime::from_ps(last * PS_PER_MS), SimTime::from_us(1));
+        assert_eq!(next.completion, SimTime::from_ps(completion + PS_PER_US));
+        assert_eq!(r.total_busy(), SimTime::from_us(3_801));
+    }
+
+    #[test]
+    fn a_booking_across_a_saturated_stretch_runs_past_the_end_of_time() {
+        let (mut r, last) = saturated_before_the_end();
+        let start = (last - 4) * PS_PER_MS;
+        let service = PS_PER_MS + (u64::MAX - last * PS_PER_MS);
+        // One ps more than the free bucket and the last bucket hold.
+        let b = r.book(SimTime::from_ps(start), SimTime::from_ps(service + 1));
+        assert_eq!(b.completion, SimTime::MAX);
+        assert_eq!(b.wait, SimTime::from_ps(u64::MAX - start - service - 1));
+        // Exactly what they hold would have ended at `u64::MAX` itself.
+        let (mut r, _) = saturated_before_the_end();
+        let b = r.book(SimTime::from_ps(start), SimTime::from_ps(service));
+        assert_eq!((b.completion, b.wait), (SimTime::MAX, SimTime::from_ms(3)));
     }
 
     #[test]
