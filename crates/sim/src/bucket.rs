@@ -13,21 +13,34 @@
 //! deterministic.
 //!
 //! The ledger is ordered by bucket and split at a cursor, so the entries on
-//! either side of it are each a vector's last element. A booking seeks the
-//! cursor to its start bucket, then steps it one bucket at a time: amortized
-//! O(1) per bucket for a booking near the previous one, O(entries crossed)
-//! for a jump.
+//! either side of it are each a vector's last element. An entry is one
+//! partly booked bucket or a run of consecutive saturated ones, and a
+//! bucket no entry holds is empty. A booking seeks the cursor to its start
+//! bucket, then steps it: over a saturated run in one step, and over a
+//! partly booked or empty bucket in one step together with the whole empty
+//! buckets after it, up to the next entry, which it books as one run. A
+//! gap is a head partial, one run and a tail partial in two steps, so a
+//! booking costs O(entries crossed), whatever its length in buckets.
 
 use crate::time::SimTime;
+
+/// Buckets `lo..=hi`, each with `used` ps booked. Only saturated buckets
+/// (`used` is the bucket width) form runs of more than one.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    lo: u64,
+    hi: u64,
+    used: u64,
+}
 
 /// A resource with 1 unit of capacity per unit time, tracked per bucket.
 #[derive(Debug, Clone)]
 pub struct BucketedResource {
     bucket_ps: u64,
-    /// `(bucket index, busy ps already booked)` below the cursor, ascending.
-    before: Vec<(u64, u64)>,
+    /// The entries below the cursor, ascending.
+    before: Vec<Entry>,
     /// The entries at or above the cursor, descending.
-    after: Vec<(u64, u64)>,
+    after: Vec<Entry>,
     total_busy_ps: u64,
     total_wait_ps: u64,
 }
@@ -66,44 +79,83 @@ impl BucketedResource {
                 wait: SimTime::ZERO,
             };
         }
+        let bucket_ps = self.bucket_ps;
+        // The last bucket is short: it ends virtual time at `u64::MAX`, so
+        // it is never saturated and never joins a run. Every bucket below
+        // it holds `bucket_ps`.
+        let last = u64::MAX / bucket_ps;
         let mut remaining = service.as_ps();
         let mut t = start.as_ps();
-        let first = t / self.bucket_ps;
-        while let Some(e) = self.before.pop_if(|e| e.0 >= first) {
+        let first = t / bucket_ps;
+        while let Some(e) = self.before.pop_if(|e| e.hi >= first) {
             self.after.push(e);
         }
-        while let Some(e) = self.after.pop_if(|e| e.0 < first) {
-            self.before.push(e);
+        while let Some(e) = self.after.pop_if(|e| e.hi < first) {
+            self.push_before(e);
         }
-        let mut completion;
-        loop {
-            let b = t / self.bucket_ps;
-            let bucket_start = b * self.bucket_ps;
-            let bucket_end = bucket_start.saturating_add(self.bucket_ps);
-            // Step the cursor over bucket `b`, entering it if it is new.
-            let entry = self.after.pop_if(|e| e.0 == b).unwrap_or((b, 0));
-            self.before.push(entry);
-            let used = &mut self.before.last_mut().expect("pushed above").1;
+        let completion = loop {
+            let b = t / bucket_ps;
+            if let Some(run) = self.after.pop_if(|e| e.lo <= b && e.used == bucket_ps) {
+                // Nothing fits before the run's end.
+                self.push_before(run);
+                t = (run.hi + 1) * bucket_ps;
+                if t == u64::MAX {
+                    break u64::MAX;
+                }
+                continue;
+            }
+            // Bucket `b` on its own: partly booked, or the head of a gap.
+            let bucket_start = b * bucket_ps;
+            let bucket_end = bucket_start.saturating_add(bucket_ps);
+            let mut entry = self.after.pop_if(|e| e.lo == b).unwrap_or(Entry {
+                lo: b,
+                hi: b,
+                used: 0,
+            });
             // Earlier bookings occupy the bucket's head; this request can
             // run from whichever is later: its own arrival or the end of
             // the already-booked portion.
-            let avail_from = (bucket_start + *used).max(t);
+            let avail_from = (bucket_start + entry.used).max(t);
+            let mut done = None;
             if avail_from < bucket_end {
                 let take = remaining.min(bucket_end - avail_from);
-                *used += take;
+                entry.used += take;
                 remaining -= take;
-                completion = avail_from + take;
                 if remaining == 0 {
-                    break;
+                    done = Some(avail_from + take);
                 }
+            }
+            if entry.used > 0 {
+                self.push_before(entry);
+            }
+            if let Some(completion) = done {
+                break completion;
             }
             if bucket_end == u64::MAX {
                 // The last bucket ends virtual time: no later one exists.
-                completion = u64::MAX;
-                break;
+                break u64::MAX;
             }
             t = bucket_end;
-        }
+            // The empty buckets up to the next entry: fill whole ones as
+            // one run.
+            let next = self.after.last().map_or(last, |e| e.lo.min(last));
+            let whole = (remaining / bucket_ps).min(next - (b + 1));
+            if whole > 0 {
+                self.push_before(Entry {
+                    lo: b + 1,
+                    hi: b + whole,
+                    used: bucket_ps,
+                });
+                remaining -= whole * bucket_ps;
+                t += whole * bucket_ps;
+                if remaining == 0 {
+                    break t;
+                }
+                if t == u64::MAX {
+                    break u64::MAX;
+                }
+            }
+        };
         self.total_busy_ps += service.as_ps();
         let uncontended = start + service;
         let wait = SimTime::from_ps(completion).saturating_sub(uncontended);
@@ -112,6 +164,18 @@ impl BucketedResource {
             completion: SimTime::from_ps(completion),
             wait,
         }
+    }
+
+    /// Step the cursor over `e`, the next entry above it, joining it to a
+    /// saturated run that ends just below.
+    fn push_before(&mut self, e: Entry) {
+        if let Some(prev) = self.before.last_mut() {
+            if e.used == self.bucket_ps && prev.used == self.bucket_ps && prev.hi + 1 == e.lo {
+                prev.hi = e.hi;
+                return;
+            }
+        }
+        self.before.push(e);
     }
 
     /// Total service time booked.

@@ -12,7 +12,7 @@
 use crate::bucket::BucketedResource;
 use crate::fault::FaultPlan;
 use crate::time::SimTime;
-use crate::topology::{xy_route, Link, TileId};
+use crate::topology::{Link, Route, TileId};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -120,13 +120,14 @@ impl Noc {
             t += plan.flit_delay(msg_idx);
         }
         // Register what this route *should* book before booking anything.
+        let route = Route::xy(from, to);
         self.routed_messages += 1;
-        for link in xy_route(from, to) {
+        for link in &route {
             let idx = link.dense_index();
             self.expected_msgs[idx] += 1;
             self.expected_bytes[idx] += bytes;
         }
-        for link in xy_route(from, to) {
+        for link in &route {
             let idx = link.dense_index();
             // A degraded link transmits at a fraction of nominal bandwidth,
             // so the same payload occupies it proportionally longer.

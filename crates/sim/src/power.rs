@@ -133,6 +133,26 @@ impl PowerConfig {
     }
 }
 
+/// One DVFS state priced once: the idle chip's watts and each core's
+/// dynamic watts while busy, so a span or a sample looks them up instead
+/// of walking its island's tiles for the supply voltage.
+struct Prices {
+    idle: f64,
+    dyn_w: [f64; NUM_CORES as usize],
+}
+
+impl Prices {
+    fn new(cfg: &PowerConfig, dvfs: &DvfsState) -> Self {
+        Prices {
+            idle: cfg.idle_power(dvfs),
+            dyn_w: std::array::from_fn(|i| {
+                let core = CoreId::new(i as u8);
+                cfg.core_dyn(dvfs.core_freq(core).mhz() as f64, dvfs.core_volts(core))
+            }),
+        }
+    }
+}
+
 /// A busy interval of one core, recorded by the runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusySpan {
@@ -206,8 +226,13 @@ impl PowerMeter {
         end: SimTime,
         dt: SimTime,
     ) -> Vec<PowerSample> {
+        let prices = Prices::new(cfg, dvfs);
+        self.render(cfg, end, dt, |_| &prices)
+    }
+
+    /// Per-core busy time in each `dt` bucket over `[0, end)`.
+    fn busy_per_bucket(&self, end: SimTime, dt: SimTime) -> Vec<[u64; NUM_CORES as usize]> {
         assert!(!dt.is_zero(), "zero sample interval");
-        // Per-core busy time per bucket.
         let buckets = (end.as_ps().div_ceil(dt.as_ps())).max(1) as usize;
         let mut busy_ps = vec![[0u64; NUM_CORES as usize]; buckets];
         for s in &self.spans {
@@ -217,72 +242,85 @@ impl PowerMeter {
                 if b >= buckets {
                     break;
                 }
-                let bucket_end = SimTime::from_ps((b as u64 + 1) * dt.as_ps());
+                // The last bucket's end can lie past `u64::MAX` ps.
+                let bucket_end = SimTime::from_ps((b as u64 + 1).saturating_mul(dt.as_ps()));
                 let seg_end = s.to.min(bucket_end);
                 busy_ps[b][s.core.index()] += (seg_end - t).as_ps();
                 t = seg_end;
             }
         }
+        busy_ps
+    }
+
+    /// One sample per `dt` bucket, priced by the state `prices_at` gives
+    /// for the bucket's start.
+    fn render<'p>(
+        &self,
+        cfg: &PowerConfig,
+        end: SimTime,
+        dt: SimTime,
+        prices_at: impl Fn(SimTime) -> &'p Prices,
+    ) -> Vec<PowerSample> {
         // Precompute the two extreme chip powers per core-busy pattern is
         // exponential; instead compose the sample from the model's linear
         // structure: idle chip + per-core dynamic * busy_fraction +
         // uncore_active * (any busy fraction, approximated by the max core
         // fraction in the bucket).
-        let idle = cfg.idle_power(dvfs);
-        let mut is_spinning = [false; NUM_CORES as usize];
-        for c in &self.spinning {
-            is_spinning[c.index()] = true;
-        }
-        let mut out = Vec::with_capacity(buckets);
+        let is_spinning = self.spin_table();
+        let busy_ps = self.busy_per_bucket(end, dt);
+        let mut out = Vec::with_capacity(busy_ps.len());
         for (b, per_core) in busy_ps.iter().enumerate() {
-            let mut watts = idle;
+            let t = SimTime::from_ps(b as u64 * dt.as_ps());
+            let prices = prices_at(t);
+            let mut watts = prices.idle;
             let mut max_frac = 0.0f64;
-            for core in CoreId::all() {
-                let frac = (per_core[core.index()] as f64 / dt.as_ps() as f64).min(1.0);
-                let v = dvfs.core_volts(core);
-                let f = dvfs.core_freq(core).mhz() as f64;
-                let dyn_w = cfg.core_dyn(f, v);
+            for core in 0..NUM_CORES as usize {
+                let frac = (per_core[core] as f64 / dt.as_ps() as f64).min(1.0);
+                let dyn_w = prices.dyn_w[core];
                 if frac > 0.0 {
                     watts += dyn_w * frac;
                     max_frac = max_frac.max(frac);
                 }
-                if is_spinning[core.index()] {
+                if is_spinning[core] {
                     watts += dyn_w * cfg.spin_factor * (1.0 - frac);
                     max_frac = 1.0;
                 }
             }
             watts += cfg.uncore_active * max_frac.min(1.0);
-            out.push(PowerSample {
-                t: SimTime::from_ps(b as u64 * dt.as_ps()),
-                watts,
-            });
+            out.push(PowerSample { t, watts });
         }
         out
+    }
+
+    /// `is_spinning[i]`: core `i` participates in the run.
+    fn spin_table(&self) -> [bool; NUM_CORES as usize] {
+        let mut is_spinning = [false; NUM_CORES as usize];
+        for c in &self.spinning {
+            is_spinning[c.index()] = true;
+        }
+        is_spinning
     }
 
     /// Total energy in joules over `[0, end]`, integrating exactly over the
     /// recorded spans (not the sampled trace).
     pub fn energy_joules(&self, cfg: &PowerConfig, dvfs: &DvfsState, end: SimTime) -> f64 {
-        let idle = cfg.idle_power(dvfs);
-        let mut joules = idle * end.as_secs_f64();
+        let prices = Prices::new(cfg, dvfs);
+        let is_spinning = self.spin_table();
+        let mut joules = prices.idle * end.as_secs_f64();
         for s in &self.spans {
             let dur = (s.to.min(end)).saturating_sub(s.from).as_secs_f64();
-            let v = dvfs.core_volts(s.core);
-            let f = dvfs.core_freq(s.core).mhz() as f64;
             // A spinning core's busy time upgrades it from spin power to
             // full dynamic power; charge the difference here and the spin
             // floor below.
-            let spin = if self.spinning.contains(&s.core) {
+            let spin = if is_spinning[s.core.index()] {
                 cfg.spin_factor
             } else {
                 0.0
             };
-            joules += cfg.core_dyn(f, v) * dur * (1.0 - spin);
+            joules += prices.dyn_w[s.core.index()] * dur * (1.0 - spin);
         }
         for core in &self.spinning {
-            let v = dvfs.core_volts(*core);
-            let f = dvfs.core_freq(*core).mhz() as f64;
-            joules += cfg.core_dyn(f, v) * cfg.spin_factor * end.as_secs_f64();
+            joules += prices.dyn_w[core.index()] * cfg.spin_factor * end.as_secs_f64();
         }
         // Uncore-active term: spinning cores keep the mesh awake for the
         // whole run; otherwise integrate over the union of busy spans.
@@ -305,30 +343,39 @@ impl PowerMeter {
         from: SimTime,
         to: SimTime,
     ) -> f64 {
+        let prices = Prices::new(cfg, dvfs);
+        self.priced_window(cfg, &prices, &self.spin_table(), from, to)
+    }
+
+    /// [`PowerMeter::energy_in_window`] with the state already priced.
+    fn priced_window(
+        &self,
+        cfg: &PowerConfig,
+        prices: &Prices,
+        is_spinning: &[bool; NUM_CORES as usize],
+        from: SimTime,
+        to: SimTime,
+    ) -> f64 {
         if to <= from {
             return 0.0;
         }
         let dur = (to - from).as_secs_f64();
-        let mut joules = cfg.idle_power(dvfs) * dur;
+        let mut joules = prices.idle * dur;
         for s in &self.spans {
             let a = s.from.max(from);
             let b = s.to.min(to);
             if b <= a {
                 continue;
             }
-            let v = dvfs.core_volts(s.core);
-            let f = dvfs.core_freq(s.core).mhz() as f64;
-            let spin = if self.spinning.contains(&s.core) {
+            let spin = if is_spinning[s.core.index()] {
                 cfg.spin_factor
             } else {
                 0.0
             };
-            joules += cfg.core_dyn(f, v) * (b - a).as_secs_f64() * (1.0 - spin);
+            joules += prices.dyn_w[s.core.index()] * (b - a).as_secs_f64() * (1.0 - spin);
         }
         for core in &self.spinning {
-            let v = dvfs.core_volts(*core);
-            let f = dvfs.core_freq(*core).mhz() as f64;
-            joules += cfg.core_dyn(f, v) * cfg.spin_factor * dur;
+            joules += prices.dyn_w[core.index()] * cfg.spin_factor * dur;
         }
         if self.spinning.is_empty() {
             joules += cfg.uncore_active * self.union_busy_in(from, to).as_secs_f64();
@@ -351,10 +398,12 @@ impl PowerMeter {
     ) -> f64 {
         assert!(!schedule.is_empty(), "empty DVFS schedule");
         assert!(schedule[0].0.is_zero(), "schedule must start at t=0");
+        let is_spinning = self.spin_table();
         let mut joules = 0.0;
         for (k, (from, dvfs)) in schedule.iter().enumerate() {
             let to = schedule.get(k + 1).map_or(end, |(t, _)| *t).min(end);
-            joules += self.energy_in_window(cfg, dvfs, *from, to);
+            let prices = Prices::new(cfg, dvfs);
+            joules += self.priced_window(cfg, &prices, &is_spinning, *from, to);
         }
         joules
     }
@@ -370,56 +419,10 @@ impl PowerMeter {
         dt: SimTime,
     ) -> Vec<PowerSample> {
         assert!(!schedule.is_empty(), "empty DVFS schedule");
-        assert!(!dt.is_zero(), "zero sample interval");
-        let buckets = (end.as_ps().div_ceil(dt.as_ps())).max(1) as usize;
-        let mut busy_ps = vec![[0u64; NUM_CORES as usize]; buckets];
-        for s in &self.spans {
-            let mut t = s.from;
-            while t < s.to {
-                let b = (t.as_ps() / dt.as_ps()) as usize;
-                if b >= buckets {
-                    break;
-                }
-                let bucket_end = SimTime::from_ps((b as u64 + 1) * dt.as_ps());
-                let seg_end = s.to.min(bucket_end);
-                busy_ps[b][s.core.index()] += (seg_end - t).as_ps();
-                t = seg_end;
-            }
-        }
-        let mut is_spinning = [false; NUM_CORES as usize];
-        for c in &self.spinning {
-            is_spinning[c.index()] = true;
-        }
-        let mut out = Vec::with_capacity(buckets);
-        for (b, per_core) in busy_ps.iter().enumerate() {
-            let t = SimTime::from_ps(b as u64 * dt.as_ps());
-            let dvfs = &schedule
-                .iter()
-                .rev()
-                .find(|(at, _)| *at <= t)
-                .unwrap_or(&schedule[0])
-                .1;
-            let idle = cfg.idle_power(dvfs);
-            let mut watts = idle;
-            let mut max_frac = 0.0f64;
-            for core in CoreId::all() {
-                let frac = (per_core[core.index()] as f64 / dt.as_ps() as f64).min(1.0);
-                let v = dvfs.core_volts(core);
-                let f = dvfs.core_freq(core).mhz() as f64;
-                let dyn_w = cfg.core_dyn(f, v);
-                if frac > 0.0 {
-                    watts += dyn_w * frac;
-                    max_frac = max_frac.max(frac);
-                }
-                if is_spinning[core.index()] {
-                    watts += dyn_w * cfg.spin_factor * (1.0 - frac);
-                    max_frac = 1.0;
-                }
-            }
-            watts += cfg.uncore_active * max_frac.min(1.0);
-            out.push(PowerSample { t, watts });
-        }
-        out
+        let prices: Vec<Prices> = schedule.iter().map(|(_, s)| Prices::new(cfg, s)).collect();
+        self.render(cfg, end, dt, |t| {
+            &prices[schedule.iter().rposition(|(at, _)| *at <= t).unwrap_or(0)]
+        })
     }
 
     /// Length of the union of all busy intervals clipped to `[from, to]`.
@@ -613,6 +616,33 @@ mod tests {
         assert!((trace[0].watts - idle).abs() < 1e-9);
         assert!(trace[1].watts > idle + cfg.uncore_active * 0.9);
         assert!((trace[2].watts - idle).abs() < 1e-9);
+    }
+
+    #[test]
+    fn traces_end_at_the_end_of_time() {
+        // Two samples of 2^63 ps: the second one's end lies past
+        // `u64::MAX` ps, and the span runs to 5 ps before it.
+        let cfg = PowerConfig::default();
+        let dvfs = DvfsState::default();
+        let dt = SimTime::from_ps(1 << 63);
+        let mut m = PowerMeter::new();
+        m.record(
+            CoreId::new(0),
+            SimTime::from_ps((1 << 63) + 10),
+            SimTime::from_ps(u64::MAX - 5),
+        );
+        let idle = cfg.idle_power(&dvfs);
+        let frac = ((1u64 << 63) - 16) as f64 / dt.as_ps() as f64;
+        let busy = idle + cfg.core_dyn_nom * frac + cfg.uncore_active * frac;
+        for trace in [
+            m.trace(&cfg, &dvfs, SimTime::MAX, dt),
+            m.trace_piecewise(&cfg, &[(SimTime::ZERO, dvfs.clone())], SimTime::MAX, dt),
+        ] {
+            assert_eq!(trace.len(), 2);
+            assert_eq!((trace[0].t, trace[1].t), (SimTime::ZERO, dt));
+            assert_eq!(trace[0].watts, idle);
+            assert!((trace[1].watts - busy).abs() < 1e-9, "{}", trace[1].watts);
+        }
     }
 
     #[test]

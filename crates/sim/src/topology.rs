@@ -218,38 +218,77 @@ impl Link {
     pub const DENSE_COUNT: usize = NUM_TILES as usize * 4;
 }
 
-/// The XY (dimension-ordered) route between two tiles: first travel along
-/// x, then along y. Returns the links traversed, in order. Deadlock-free
-/// and deterministic, matching the SCC's mesh routing.
-pub fn xy_route(from: TileId, to: TileId) -> Vec<Link> {
-    let mut links = Vec::with_capacity(from.hops_to(to) as usize);
-    let mut x = from.x();
-    let mut y = from.y();
-    while x != to.x() {
-        let dir = if to.x() > x {
-            Direction::East
-        } else {
-            Direction::West
+/// The links of one XY route, in order, held inline: the longest route on
+/// the mesh crosses `MESH_W - 1 + MESH_H - 1` links. Derefs to `[Link]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    links: [Link; Route::MAX_HOPS],
+    len: u8,
+}
+
+impl Route {
+    /// Links on the longest route: corner to opposite corner.
+    pub const MAX_HOPS: usize = (MESH_W - 1 + MESH_H - 1) as usize;
+
+    /// The XY (dimension-ordered) route between two tiles: first travel
+    /// along x, then along y. Deadlock-free and deterministic, matching
+    /// the SCC's mesh routing.
+    pub fn xy(from: TileId, to: TileId) -> Route {
+        let mut route = Route {
+            links: [Link {
+                from,
+                dir: Direction::East,
+            }; Route::MAX_HOPS],
+            len: 0,
         };
-        links.push(Link {
-            from: TileId::from_xy(x, y),
-            dir,
-        });
-        x = if to.x() > x { x + 1 } else { x - 1 };
+        let (mut x, mut y) = (from.x(), from.y());
+        while x != to.x() {
+            let (dir, next) = if to.x() > x {
+                (Direction::East, x + 1)
+            } else {
+                (Direction::West, x - 1)
+            };
+            route.push(TileId::from_xy(x, y), dir);
+            x = next;
+        }
+        while y != to.y() {
+            let (dir, next) = if to.y() > y {
+                (Direction::North, y + 1)
+            } else {
+                (Direction::South, y - 1)
+            };
+            route.push(TileId::from_xy(x, y), dir);
+            y = next;
+        }
+        route
     }
-    while y != to.y() {
-        let dir = if to.y() > y {
-            Direction::North
-        } else {
-            Direction::South
-        };
-        links.push(Link {
-            from: TileId::from_xy(x, y),
-            dir,
-        });
-        y = if to.y() > y { y + 1 } else { y - 1 };
+
+    fn push(&mut self, from: TileId, dir: Direction) {
+        self.links[self.len as usize] = Link { from, dir };
+        self.len += 1;
     }
-    links
+}
+
+impl std::ops::Deref for Route {
+    type Target = [Link];
+
+    fn deref(&self) -> &[Link] {
+        &self.links[..self.len as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a Route {
+    type Item = &'a Link;
+    type IntoIter = std::slice::Iter<'a, Link>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// [`Route::xy`]: the links traversed from `from` to `to`, in order.
+pub fn xy_route(from: TileId, to: TileId) -> Route {
+    Route::xy(from, to)
 }
 
 #[cfg(test)]
@@ -331,6 +370,52 @@ mod tests {
         }
         assert_eq!(cur, b);
         assert!(matches!(route[0].dir, Direction::East));
+    }
+
+    /// The walk `xy_route` was before it returned an inline [`Route`]:
+    /// one `Vec` push per hop.
+    fn vec_route(from: TileId, to: TileId) -> Vec<Link> {
+        let mut links = Vec::with_capacity(from.hops_to(to) as usize);
+        let mut x = from.x();
+        let mut y = from.y();
+        while x != to.x() {
+            let dir = if to.x() > x {
+                Direction::East
+            } else {
+                Direction::West
+            };
+            links.push(Link {
+                from: TileId::from_xy(x, y),
+                dir,
+            });
+            x = if to.x() > x { x + 1 } else { x - 1 };
+        }
+        while y != to.y() {
+            let dir = if to.y() > y {
+                Direction::North
+            } else {
+                Direction::South
+            };
+            links.push(Link {
+                from: TileId::from_xy(x, y),
+                dir,
+            });
+            y = if to.y() > y { y + 1 } else { y - 1 };
+        }
+        links
+    }
+
+    #[test]
+    fn route_matches_the_vec_walk_for_every_tile_pair() {
+        let mut longest = 0;
+        for a in TileId::all() {
+            for b in TileId::all() {
+                let route = Route::xy(a, b);
+                assert_eq!(*route, *vec_route(a, b), "{a} -> {b}");
+                longest = longest.max(route.len());
+            }
+        }
+        assert_eq!(longest, Route::MAX_HOPS);
     }
 
     #[test]
