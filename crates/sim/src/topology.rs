@@ -220,7 +220,7 @@ impl Link {
 
 /// The links of one XY route, in order, held inline: the longest route on
 /// the mesh crosses `MESH_W - 1 + MESH_H - 1` links. Derefs to `[Link]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Route {
     links: [Link; Route::MAX_HOPS],
     len: u8,
@@ -228,7 +228,7 @@ pub struct Route {
 
 impl Route {
     /// Links on the longest route: corner to opposite corner.
-    pub const MAX_HOPS: usize = (MESH_W - 1 + MESH_H - 1) as usize;
+    const MAX_HOPS: usize = (MESH_W - 1 + MESH_H - 1) as usize;
 
     /// The XY (dimension-ordered) route between two tiles: first travel
     /// along x, then along y. Deadlock-free and deterministic, matching
