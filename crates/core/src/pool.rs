@@ -11,10 +11,10 @@
 //!
 //! * **No aliasing** — an acquired [`Image`] owns its buffer exclusively;
 //!   the pool never hands the same live allocation to two callers.
-//! * **No stale pixels** — [`BufferPool::acquire_filled`] overwrites every
-//!   byte from the given payload; [`BufferPool::acquire_stale`] promises
-//!   geometry only, and its caller overwrites every pixel itself. Pooled
-//!   and unpooled runs therefore produce identical output.
+//! * **Geometry, not contents** — [`BufferPool::acquire_stale`] promises
+//!   the geometry only, and its caller, a source thread rendering into
+//!   it, overwrites every pixel itself. Pooled and unpooled runs therefore
+//!   produce identical output.
 //! * **Room for a trailer** — every buffer handed out has the hop codec's
 //!   36 bytes of spare capacity, so sealing it never reallocates.
 //! * **Bounded** — at most `max_free` buffers are retained; extra
@@ -107,19 +107,6 @@ impl BufferPool {
         buf
     }
 
-    /// An image whose every byte comes from `payload` (which must match
-    /// the geometry), reusing a pooled allocation when one is free.
-    pub fn acquire_filled(&self, width: u32, height: u32, payload: &[u8]) -> Image {
-        let len = (width as usize)
-            .checked_mul(height as usize)
-            .and_then(|px| px.checked_mul(BYTES_PER_PIXEL));
-        assert_eq!(Some(payload.len()), len, "payload size mismatch");
-        let mut data = self.take_buffer(payload.len());
-        data.clear();
-        data.extend_from_slice(payload);
-        Image::from_raw(width, height, data)
-    }
-
     /// An image of this geometry for a caller that overwrites every pixel:
     /// the contents are unspecified (a recycled buffer keeps its old ones).
     pub fn acquire_stale(&self, width: u32, height: u32) -> Image {
@@ -165,36 +152,26 @@ impl BufferPool {
 mod tests {
     use super::*;
 
-    /// A blank `width`×`height` image through the pool.
-    fn blank(pool: &BufferPool, width: u32, height: u32) -> Image {
-        pool.acquire_filled(width, height, Image::new(width, height).as_bytes())
-    }
-
     #[test]
     fn recycling_works_across_geometries() {
         let pool = BufferPool::new(8);
-        let mut big = blank(&pool, 16, 16);
+        let mut big = pool.acquire_stale(16, 16);
         big.fill([200, 100, 50, 25]);
+        let home = big.as_bytes().as_ptr();
         pool.release(big);
-        let small = blank(&pool, 2, 3);
-        assert_eq!(small, Image::new(2, 3));
+        let small = pool.acquire_stale(2, 3);
+        assert_eq!((small.width(), small.height()), (2, 3));
+        assert_eq!(small.as_bytes().len(), 2 * 3 * BYTES_PER_PIXEL);
+        assert_eq!(
+            small.as_bytes().as_ptr(),
+            home,
+            "shrinking keeps the allocation"
+        );
         assert_eq!(pool.stats().recycled, 1);
         pool.release(small);
-        let large = blank(&pool, 20, 20);
-        assert_eq!(large, Image::new(20, 20));
+        let large = pool.acquire_stale(20, 20);
+        assert_eq!(large.as_bytes().len(), 20 * 20 * BYTES_PER_PIXEL);
         assert_eq!(pool.stats().recycled, 2);
-    }
-
-    #[test]
-    fn acquire_filled_copies_payload() {
-        let pool = BufferPool::new(4);
-        let mut stale = Image::new(2, 2);
-        stale.fill([9, 9, 9, 9]);
-        pool.release(stale);
-        let payload: Vec<u8> = (0u8..16).collect();
-        let img = pool.acquire_filled(2, 2, &payload);
-        assert_eq!(img.as_bytes(), &payload[..]);
-        assert_eq!(pool.stats().recycled, 1);
     }
 
     #[test]
@@ -213,8 +190,8 @@ mod tests {
     fn disabled_pool_is_transparent() {
         let pool = BufferPool::disabled();
         assert!(!pool.is_enabled());
-        let img = blank(&pool, 3, 3);
-        assert_eq!(img, Image::new(3, 3));
+        let img = pool.acquire_stale(3, 3);
+        assert_eq!(img.as_bytes().len(), 3 * 3 * BYTES_PER_PIXEL);
         pool.release(img);
         assert_eq!(pool.free_len(), 0);
         assert_eq!(pool.stats(), PoolStats::default());
@@ -228,7 +205,7 @@ mod tests {
         let b = a.clone();
         b.release(Image::new(4, 4));
         assert_eq!(a.free_len(), 1);
-        let _ = blank(&a, 4, 4);
+        let _ = a.acquire_stale(4, 4);
         assert_eq!(b.stats().recycled, 1);
     }
 }

@@ -14,14 +14,17 @@
 //! Plus the [`image::Image`] RGBA8 buffer, its sort-first horizontal
 //! strip decomposition, the deterministic per-frame RNG that keeps
 //! independently processed strips consistent with a single-pipeline run,
-//! and the [`chunk`] row-chunk decomposition that lets a single stage
-//! spread its kernel over spare cores without changing a pixel.
+//! the [`chunk`] row-chunk decomposition that lets a single stage
+//! spread its kernel over spare cores without changing a pixel, and the
+//! [`fanout`] helper that spreads a batch of independent jobs over host
+//! threads.
 
 #![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod blur;
 pub mod chunk;
+pub mod fanout;
 pub mod filter;
 pub mod flicker;
 pub mod frame_rng;
@@ -35,6 +38,7 @@ pub mod vswap;
 pub use backend::KernelBackend;
 pub use blur::Blur;
 pub use chunk::{chunk_rows, par_row_chunks};
+pub use fanout::{burst, fan_out};
 pub use filter::{FrameCtx, ImageFilter, Traffic};
 pub use flicker::Flicker;
 pub use image::{Image, StripInfo, BYTES_PER_PIXEL};

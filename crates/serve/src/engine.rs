@@ -6,7 +6,7 @@
 //! two runs of one config agree bit-for-bit. Pixel production inside a
 //! round — rendering and filtering the missing strips, assembling and
 //! checksumming the scheduled frames — fans out over host threads through
-//! `burst` (the `Renderer` is `&self`-only over `Arc`s), which hands the
+//! [`scc_filters::burst`] (the `Renderer` is `&self`-only over `Arc`s), which hands the
 //! results back in job order; every decision is then taken on the control
 //! thread in that order, so the host's thread count never shows in a
 //! report or a film (DESIGN.md §17, "Host execution of a round").
@@ -33,11 +33,10 @@ use crate::session::{ActiveSession, SessionFilm, ShedEvent, ShedReason};
 use scc_core::cost::cycles_to_secs;
 use scc_core::spec::RendererMode;
 use scc_core::CostModel;
-use scc_filters::{standard_chain, FrameCtx, Image, StripInfo};
+use scc_filters::{burst, standard_chain, FrameCtx, Image, StripInfo};
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_telemetry::{names, TelemetrySink, SECONDS_BUCKETS};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The SCC's P54C cores run at 533 MHz (§II); all pool cost charging is
@@ -199,39 +198,6 @@ pub fn wfq_allocate(slots: u64, pending: &[u64], weights: &[u32]) -> Vec<u64> {
         }
     }
     alloc
-}
-
-/// `f(0), f(1), .., f(n - 1)`, in index order, computed on up to `threads`
-/// host threads of which the calling thread is one. Jobs are claimed from
-/// a shared counter, so a thread that draws a cheap job takes the next
-/// one rather than idling behind a static deal. A panic in a job is
-/// re-raised on the caller once the other threads have run out of jobs.
-fn burst<T: Send>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    // Relaxed: the counter only deals out indices. The results reach the
-    // caller through `join`, which is the synchronisation.
-    let next = AtomicUsize::new(0);
-    let work = || {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                return done;
-            }
-            done.push((i, f(i)));
-        }
-    };
-    let helpers = threads.min(n).saturating_sub(1);
-    let mut done = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
-        let mut done = work();
-        for h in handles {
-            done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-        done
-    });
-    debug_assert_eq!(done.len(), n, "burst: every index is claimed exactly once");
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, v)| v).collect()
 }
 
 /// Serve the configured workload against `scene`.
@@ -820,91 +786,6 @@ mod tests {
             o.films.iter().map(|f| f.checksums.clone()).collect()
         };
         assert_eq!(sums(&hostile), sums(&wide));
-    }
-
-    #[test]
-    fn burst_runs_every_index_once_and_answers_in_index_order() {
-        for threads in [1, 2, 5] {
-            for n in [0, 1, 2, 9] {
-                let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                let out = burst(threads, n, |i| {
-                    calls[i].fetch_add(1, Ordering::SeqCst);
-                    i * i
-                });
-                let want: Vec<usize> = (0..n).map(|i| i * i).collect();
-                assert_eq!(out, want, "threads {threads} n {n}");
-                assert!(
-                    calls.iter().all(|c| c.load(Ordering::SeqCst) == 1),
-                    "threads {threads} n {n}: an index ran twice or not at all"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn burst_spawns_no_thread_it_has_no_job_for() {
-        // `min(threads, n) − 1` helpers: none for an empty burst, and a
-        // single job runs on the thread that asked.
-        let me = std::thread::current().id();
-        assert!(burst(5, 0, |_| std::thread::current().id()).is_empty());
-        assert_eq!(burst(5, 1, |_| std::thread::current().id()), [me]);
-    }
-
-    /// Count this job in and wait until `n` jobs are inside the burst at
-    /// once; false if they never are (a burst that ran them one after the
-    /// other), so a regression fails instead of hanging.
-    fn rendezvous(arrived: &AtomicUsize, n: usize) -> bool {
-        arrived.fetch_add(1, Ordering::SeqCst);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while arrived.load(Ordering::SeqCst) < n {
-            if std::time::Instant::now() > deadline {
-                return false;
-            }
-            std::thread::yield_now();
-        }
-        true
-    }
-
-    #[test]
-    fn burst_runs_jobs_side_by_side_with_the_caller_as_a_worker() {
-        let me = std::thread::current().id();
-        let arrived = AtomicUsize::new(0);
-        let out = burst(2, 2, |_| {
-            (rendezvous(&arrived, 2), std::thread::current().id() == me)
-        });
-        assert!(out.iter().all(|&(met, _)| met), "jobs never overlapped");
-        assert_eq!(
-            out.iter().filter(|&&(_, on_caller)| on_caller).count(),
-            1,
-            "the calling thread takes exactly one of two overlapping jobs"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "job on a helper failed")]
-    fn burst_reraises_a_helper_panic_on_the_caller() {
-        let me = std::thread::current().id();
-        let arrived = AtomicUsize::new(0);
-        burst(2, 2, |_| {
-            // Both threads hold a job before either decides.
-            assert!(rendezvous(&arrived, 2));
-            if std::thread::current().id() != me {
-                panic!("job on a helper failed");
-            }
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "job on the caller failed")]
-    fn burst_lets_a_caller_panic_through_once_the_helpers_are_done() {
-        let me = std::thread::current().id();
-        let arrived = AtomicUsize::new(0);
-        burst(2, 2, |_| {
-            assert!(rendezvous(&arrived, 2));
-            if std::thread::current().id() == me {
-                panic!("job on the caller failed");
-            }
-        });
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests for the buffer pool, the hop codec's two encoders and
 //! the row-chunk decomposition — the pieces of host machinery that must
 //! be *invisible* to the pipeline's output. The pool may never hand out
-//! an aliased live buffer or leak a stale pixel, and every buffer it
-//! hands out has room for a hop trailer; sealing a frame's own buffer
+//! an aliased live buffer, and every buffer it hands out has the geometry
+//! asked for and room for a hop trailer (its pixels are the renderer's to
+//! overwrite, which the render tests check); sealing a frame's own buffer
 //! writes the bytes copying it would; `chunk_rows` must tile any strip
 //! exactly.
 
@@ -18,11 +19,6 @@ const FRAME_TRAILER: usize = 36;
 
 fn arb_geometry() -> impl Strategy<Value = (u32, u32)> {
     (1u32..20, 1u32..20)
-}
-
-/// A blank `w`×`h` image through the pool.
-fn blank(pool: &BufferPool, w: u32, h: u32) -> Image {
-    pool.acquire_filled(w, h, Image::new(w, h).as_bytes())
 }
 
 proptest! {
@@ -42,7 +38,7 @@ proptest! {
         let pool = BufferPool::new(max_free);
         let mut live: Vec<Image> = Vec::new();
         for (i, &(w, h)) in geoms.iter().enumerate() {
-            live.push(blank(&pool, w, h));
+            live.push(pool.acquire_stale(w, h));
             if i % release_every == release_every - 1 {
                 let img = live.remove(0);
                 pool.release(img);
@@ -57,36 +53,6 @@ proptest! {
         }
     }
 
-    /// A recycled buffer is fully overwritten: whatever junk the previous
-    /// holder left behind, at whatever size, `acquire_filled` equals its
-    /// payload — byte for byte.
-    #[test]
-    fn recycled_buffers_leak_no_stale_pixels(
-        junk_geom in arb_geometry(),
-        geom in arb_geometry(),
-        junk in any::<u32>(),
-        payload_seed in any::<u8>(),
-    ) {
-        let (jw, jh) = junk_geom;
-        let (w, h) = geom;
-        let pool = BufferPool::new(4);
-        let mut dirty = Image::new(jw, jh);
-        dirty.fill(junk.to_le_bytes());
-        pool.release(dirty);
-
-        let len = w as usize * h as usize * BYTES_PER_PIXEL;
-        let payload: Vec<u8> = (0..len)
-            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(payload_seed))
-            .collect();
-        let filled = pool.acquire_filled(w, h, &payload);
-        prop_assert_eq!(
-            filled.as_bytes(),
-            &payload[..],
-            "stale pixels leaked into acquire_filled"
-        );
-        prop_assert_eq!(pool.stats().recycled, 1);
-    }
-
     /// `acquire_stale` promises geometry only — and, like every acquire,
     /// a buffer nobody else holds with room for a hop trailer, whether it
     /// is fresh or was released at another size.
@@ -99,7 +65,7 @@ proptest! {
         for pool in [BufferPool::new(max_free), BufferPool::disabled()] {
             let mut live: Vec<Image> = Vec::new();
             for (i, &(w, h)) in geoms.iter().enumerate() {
-                let img = if i % 2 == 0 { pool.acquire_stale(w, h) } else { blank(&pool, w, h) };
+                let img = pool.acquire_stale(w, h);
                 prop_assert_eq!((img.width(), img.height()), (w, h));
                 let raw = img.into_raw();
                 prop_assert_eq!(raw.len(), w as usize * h as usize * BYTES_PER_PIXEL);
@@ -159,8 +125,8 @@ proptest! {
         let mut acquires = 0u64;
         let mut releases = 0u64;
         for &(w, h) in &geoms {
-            let a = blank(&pool, w, h);
-            let b = blank(&pool, w, h);
+            let a = pool.acquire_stale(w, h);
+            let b = pool.acquire_stale(w, h);
             acquires += 2;
             pool.release(a);
             releases += 1;
@@ -183,8 +149,9 @@ proptest! {
     ) {
         let pool = BufferPool::disabled();
         for &(w, h) in &geoms {
-            let img = blank(&pool, w, h);
-            prop_assert_eq!(&img, &Image::new(w, h));
+            let img = pool.acquire_stale(w, h);
+            prop_assert_eq!((img.width(), img.height()), (w, h));
+            prop_assert_eq!(img.as_bytes().len(), w as usize * h as usize * BYTES_PER_PIXEL);
             pool.release(img);
             prop_assert_eq!(pool.free_len(), 0);
         }
