@@ -127,12 +127,6 @@ impl Image {
         &self.data[o..o + self.width as usize * BYTES_PER_PIXEL]
     }
 
-    pub fn row_mut(&mut self, y: u32) -> &mut [u8] {
-        let o = self.offset(0, y);
-        let w = self.width as usize * BYTES_PER_PIXEL;
-        &mut self.data[o..o + w]
-    }
-
     /// Fill the whole image with one colour.
     pub fn fill(&mut self, rgba: [u8; 4]) {
         for px in self.data.chunks_exact_mut(BYTES_PER_PIXEL) {
