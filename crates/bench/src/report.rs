@@ -139,61 +139,6 @@ pub fn render_energy(e: &EnergyComparison) -> String {
     )
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use scc_core::StageKind;
-    use scc_sim::stats::Quartiles;
-
-    #[test]
-    fn scaling_table_renders_all_points() {
-        let pts = vec![
-            ScalePoint {
-                pipelines: 1,
-                arrangement: Arrangement::Ordered,
-                secs: 100.0,
-            },
-            ScalePoint {
-                pipelines: 2,
-                arrangement: Arrangement::Flipped,
-                secs: 55.0,
-            },
-        ];
-        let s = render_scaling("t", &pts);
-        assert!(s.contains("100.0s"));
-        assert!(s.contains("55.0s"));
-        assert!(s.contains("-"), "missing cells dashed");
-    }
-
-    #[test]
-    fn table1_handles_nan() {
-        let rows = vec![TableRow {
-            label: "n rend., ordered".into(),
-            secs: vec![100.0, 50.0, f64::NAN],
-        }];
-        let s = render_table1(&rows);
-        assert!(s.contains("100s"));
-        assert!(s.contains("-"));
-    }
-
-    #[test]
-    fn fig15_renders_quartiles() {
-        let rows = vec![IdleRow {
-            stage: StageKind::Blur,
-            quartiles: Quartiles {
-                min: 1.0,
-                q1: 2.0,
-                median: 3.0,
-                q3: 4.0,
-                max: 5.0,
-            },
-        }];
-        let s = render_fig15(&rows);
-        assert!(s.contains("blur"));
-        assert!(s.contains("3.0"));
-    }
-}
-
 /// CSV rendering of a scaling figure: `pipelines,unordered,ordered,flipped`.
 pub fn csv_scaling(points: &[ScalePoint]) -> String {
     let mut s = String::from("pipelines,unordered,ordered,flipped\n");
@@ -251,6 +196,61 @@ pub fn csv_fig15(rows: &[IdleRow]) -> String {
         ));
     }
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scc_core::StageKind;
+    use scc_sim::stats::Quartiles;
+
+    #[test]
+    fn scaling_table_renders_all_points() {
+        let pts = vec![
+            ScalePoint {
+                pipelines: 1,
+                arrangement: Arrangement::Ordered,
+                secs: 100.0,
+            },
+            ScalePoint {
+                pipelines: 2,
+                arrangement: Arrangement::Flipped,
+                secs: 55.0,
+            },
+        ];
+        let s = render_scaling("t", &pts);
+        assert!(s.contains("100.0s"));
+        assert!(s.contains("55.0s"));
+        assert!(s.contains("-"), "missing cells dashed");
+    }
+
+    #[test]
+    fn table1_handles_nan() {
+        let rows = vec![TableRow {
+            label: "n rend., ordered".into(),
+            secs: vec![100.0, 50.0, f64::NAN],
+        }];
+        let s = render_table1(&rows);
+        assert!(s.contains("100s"));
+        assert!(s.contains("-"));
+    }
+
+    #[test]
+    fn fig15_renders_quartiles() {
+        let rows = vec![IdleRow {
+            stage: StageKind::Blur,
+            quartiles: Quartiles {
+                min: 1.0,
+                q1: 2.0,
+                median: 3.0,
+                q3: 4.0,
+                max: 5.0,
+            },
+        }];
+        let s = render_fig15(&rows);
+        assert!(s.contains("blur"));
+        assert!(s.contains("3.0"));
+    }
 }
 
 #[cfg(test)]

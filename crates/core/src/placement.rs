@@ -418,6 +418,45 @@ pub fn place_dvfs_single_pipeline(mode: RendererMode) -> Placement {
     p
 }
 
+impl Placement {
+    /// ASCII map of the die: 6×4 tile grid, two characters per tile (one
+    /// per core). `R` render, `C` connector, `T` transfer, `s b c f w`
+    /// the filter stages, `.` unused — the textual cousin of the paper's
+    /// Figures 3–5.
+    pub fn ascii_map(&self) -> String {
+        let mut grid = vec!['.'; NUM_CORES as usize];
+        for c in CoreId::all() {
+            if let Some((kind, _)) = self.stage_at(c) {
+                grid[c.index()] = match kind {
+                    StageKind::Render => 'R',
+                    StageKind::Connect => 'C',
+                    StageKind::Sepia => 's',
+                    StageKind::Blur => 'b',
+                    StageKind::Scratch => 'c',
+                    StageKind::Flicker => 'f',
+                    StageKind::Swap => 'w',
+                    StageKind::Transfer => 'T',
+                };
+            }
+        }
+        // Row y=MESH_H-1 on top (north up), like the paper's figures.
+        let mut out = String::new();
+        for y in (0..MESH_H).rev() {
+            for x in 0..MESH_W {
+                let t = TileId::from_xy(x, y);
+                let cores = t.cores();
+                out.push(grid[cores[0].index()]);
+                out.push(grid[cores[1].index()]);
+                if x + 1 < MESH_W {
+                    out.push(' ');
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -598,45 +637,6 @@ mod tests {
             .map(|c| IslandId::of_tile(c.tile()))
             .collect();
         assert_eq!(islands.len(), 1, "downstream stages span {islands:?}");
-    }
-}
-
-impl Placement {
-    /// ASCII map of the die: 6×4 tile grid, two characters per tile (one
-    /// per core). `R` render, `C` connector, `T` transfer, `s b c f w`
-    /// the filter stages, `.` unused — the textual cousin of the paper's
-    /// Figures 3–5.
-    pub fn ascii_map(&self) -> String {
-        let mut grid = vec!['.'; NUM_CORES as usize];
-        for c in CoreId::all() {
-            if let Some((kind, _)) = self.stage_at(c) {
-                grid[c.index()] = match kind {
-                    StageKind::Render => 'R',
-                    StageKind::Connect => 'C',
-                    StageKind::Sepia => 's',
-                    StageKind::Blur => 'b',
-                    StageKind::Scratch => 'c',
-                    StageKind::Flicker => 'f',
-                    StageKind::Swap => 'w',
-                    StageKind::Transfer => 'T',
-                };
-            }
-        }
-        // Row y=MESH_H-1 on top (north up), like the paper's figures.
-        let mut out = String::new();
-        for y in (0..MESH_H).rev() {
-            for x in 0..MESH_W {
-                let t = TileId::from_xy(x, y);
-                let cores = t.cores();
-                out.push(grid[cores[0].index()]);
-                out.push(grid[cores[1].index()]);
-                if x + 1 < MESH_W {
-                    out.push(' ');
-                }
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 

@@ -155,86 +155,6 @@ impl Scene {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn generation_is_deterministic() {
-        let a = Scene::city(CityConfig::default());
-        let b = Scene::city(CityConfig::default());
-        assert_eq!(a.triangle_count(), b.triangle_count());
-        assert_eq!(a.triangles[100], b.triangles[100]);
-    }
-
-    #[test]
-    fn city_reserves_exactly_what_it_holds() {
-        // The plaza swallows all of a 4x4 city: two ground triangles, and
-        // no kilobytes reserved for buildings that are never placed.
-        let flat = Scene::city(CityConfig {
-            side: 4,
-            ..Default::default()
-        });
-        assert_eq!((flat.triangles.len(), flat.triangles.capacity()), (2, 2));
-        let city = Scene::city(CityConfig::default());
-        assert_eq!(
-            (city.triangles.len(), city.triangles.capacity()),
-            (6722, 6722)
-        );
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let a = Scene::city(CityConfig {
-            seed: 1,
-            ..Default::default()
-        });
-        let b = Scene::city(CityConfig {
-            seed: 2,
-            ..Default::default()
-        });
-        assert_eq!(a.triangle_count(), b.triangle_count());
-        assert!(a.triangles.iter().zip(&b.triangles).any(|(x, y)| x != y));
-    }
-
-    #[test]
-    fn size_scales_with_side() {
-        let small = Scene::city(CityConfig {
-            side: 8,
-            ..Default::default()
-        });
-        let large = Scene::city(CityConfig {
-            side: 24,
-            ..Default::default()
-        });
-        assert!(large.triangle_count() > small.triangle_count() * 4);
-    }
-
-    #[test]
-    fn buildings_stand_on_the_ground() {
-        let s = Scene::city(CityConfig::default());
-        assert!(s.bounds.min.y >= -1e-3, "geometry below ground");
-        assert!(s.bounds.max.y > 4.0, "no building has height");
-    }
-
-    #[test]
-    fn plaza_is_clear_for_the_camera() {
-        // No building triangle within the central plaza radius (ground
-        // triangles excluded by their y extent).
-        let cfg = CityConfig::default();
-        let s = Scene::city(cfg);
-        let clear_r = cfg.spacing * 2.0;
-        for t in &s.triangles[2..] {
-            let c = t.centroid();
-            let r = (c.x * c.x + c.z * c.z).sqrt();
-            assert!(
-                r > clear_r - cfg.spacing * 0.5,
-                "building at radius {r} blocks the plaza"
-            );
-        }
-    }
-}
-
 /// Parameters for the Manhattan-style variant.
 #[derive(Debug, Clone, Copy)]
 pub struct ManhattanConfig {
@@ -323,6 +243,86 @@ impl Scene {
         }
 
         Scene::from_triangles(tris)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn generation_is_deterministic() {
+        let a = Scene::city(CityConfig::default());
+        let b = Scene::city(CityConfig::default());
+        assert_eq!(a.triangle_count(), b.triangle_count());
+        assert_eq!(a.triangles[100], b.triangles[100]);
+    }
+
+    #[test]
+    fn city_reserves_exactly_what_it_holds() {
+        // The plaza swallows all of a 4x4 city: two ground triangles, and
+        // no kilobytes reserved for buildings that are never placed.
+        let flat = Scene::city(CityConfig {
+            side: 4,
+            ..Default::default()
+        });
+        assert_eq!((flat.triangles.len(), flat.triangles.capacity()), (2, 2));
+        let city = Scene::city(CityConfig::default());
+        assert_eq!(
+            (city.triangles.len(), city.triangles.capacity()),
+            (6722, 6722)
+        );
+    }
+
+    #[test]
+    fn different_seeds_differ() {
+        let a = Scene::city(CityConfig {
+            seed: 1,
+            ..Default::default()
+        });
+        let b = Scene::city(CityConfig {
+            seed: 2,
+            ..Default::default()
+        });
+        assert_eq!(a.triangle_count(), b.triangle_count());
+        assert!(a.triangles.iter().zip(&b.triangles).any(|(x, y)| x != y));
+    }
+
+    #[test]
+    fn size_scales_with_side() {
+        let small = Scene::city(CityConfig {
+            side: 8,
+            ..Default::default()
+        });
+        let large = Scene::city(CityConfig {
+            side: 24,
+            ..Default::default()
+        });
+        assert!(large.triangle_count() > small.triangle_count() * 4);
+    }
+
+    #[test]
+    fn buildings_stand_on_the_ground() {
+        let s = Scene::city(CityConfig::default());
+        assert!(s.bounds.min.y >= -1e-3, "geometry below ground");
+        assert!(s.bounds.max.y > 4.0, "no building has height");
+    }
+
+    #[test]
+    fn plaza_is_clear_for_the_camera() {
+        // No building triangle within the central plaza radius (ground
+        // triangles excluded by their y extent).
+        let cfg = CityConfig::default();
+        let s = Scene::city(cfg);
+        let clear_r = cfg.spacing * 2.0;
+        for t in &s.triangles[2..] {
+            let c = t.centroid();
+            let r = (c.x * c.x + c.z * c.z).sqrt();
+            assert!(
+                r > clear_r - cfg.spacing * 0.5,
+                "building at radius {r} blocks the plaza"
+            );
+        }
     }
 }
 

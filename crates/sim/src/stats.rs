@@ -87,6 +87,63 @@ impl Running {
     }
 }
 
+/// Fixed-bin histogram over a closed value range; out-of-range samples
+/// clamp to the edge bins.
+#[derive(Debug, Clone, Serialize)]
+pub struct Histogram {
+    lo: f64,
+    hi: f64,
+    bins: Vec<u64>,
+    total: u64,
+}
+
+impl Histogram {
+    pub fn new(lo: f64, hi: f64, bins: usize) -> Histogram {
+        assert!(hi > lo, "empty range");
+        assert!(bins >= 1, "need at least one bin");
+        Histogram {
+            lo,
+            hi,
+            bins: vec![0; bins],
+            total: 0,
+        }
+    }
+
+    pub fn push(&mut self, x: f64) {
+        let frac = (x - self.lo) / (self.hi - self.lo);
+        let idx = ((frac * self.bins.len() as f64) as isize).clamp(0, self.bins.len() as isize - 1)
+            as usize;
+        self.bins[idx] += 1;
+        self.total += 1;
+    }
+
+    pub fn bins(&self) -> &[u64] {
+        &self.bins
+    }
+
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// Centre value of bin `i`.
+    pub fn bin_center(&self, i: usize) -> f64 {
+        let w = (self.hi - self.lo) / self.bins.len() as f64;
+        self.lo + w * (i as f64 + 0.5)
+    }
+
+    /// The fullest bin, if any samples were recorded.
+    pub fn mode_bin(&self) -> Option<usize> {
+        if self.total == 0 {
+            return None;
+        }
+        self.bins
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, &c)| c)
+            .map(|(i, _)| i)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,63 +199,6 @@ mod tests {
         assert_eq!(r.min, 2.0);
         assert_eq!(r.max, 6.0);
         assert_eq!(r.n, 3);
-    }
-}
-
-/// Fixed-bin histogram over a closed value range; out-of-range samples
-/// clamp to the edge bins.
-#[derive(Debug, Clone, Serialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Histogram {
-        assert!(hi > lo, "empty range");
-        assert!(bins >= 1, "need at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    pub fn push(&mut self, x: f64) {
-        let frac = (x - self.lo) / (self.hi - self.lo);
-        let idx = ((frac * self.bins.len() as f64) as isize).clamp(0, self.bins.len() as isize - 1)
-            as usize;
-        self.bins[idx] += 1;
-        self.total += 1;
-    }
-
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Centre value of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
-
-    /// The fullest bin, if any samples were recorded.
-    pub fn mode_bin(&self) -> Option<usize> {
-        if self.total == 0 {
-            return None;
-        }
-        self.bins
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
     }
 }
 
