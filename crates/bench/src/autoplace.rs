@@ -12,7 +12,6 @@ use scc_core::viz::frame_checksum;
 use scc_core::{auto_place, Arrangement, RunConfig};
 use scc_render::Scene;
 use scc_telemetry::Json;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// One measured placement point (the auto plan or a fixed arrangement).
@@ -137,44 +136,6 @@ impl AutoplaceReport {
             .field("decision_table", Json::str(self.decision_table.clone()))
             .render()
     }
-
-    /// Plain-text table for the terminal.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "auto-placement vs fixed — {} p={} {}x{} f={}",
-            self.config.renderer.name(),
-            self.config.pipelines,
-            self.config.width,
-            self.config.height,
-            self.config.frames,
-        );
-        let _ = writeln!(
-            out,
-            "{:>10} {:>12} {:>10}",
-            "placement", "total_secs", "fps"
-        );
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{:>10} {:>12.4} {:>10.2}",
-                p.label, p.total_secs, p.fps
-            );
-        }
-        let _ = writeln!(
-            out,
-            "auto speedup over best fixed: {:.3}x; output {}",
-            self.speedup_vs_best_fixed,
-            if self.output_consistent {
-                "bit-identical across every placement"
-            } else {
-                "DIVERGED — the scheduler changed a pixel!"
-            }
-        );
-        out.push_str(&self.decision_table);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -219,8 +180,6 @@ mod tests {
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(report
-            .render_text()
-            .contains("auto speedup over best fixed"));
+        crate::tests::assert_keys_match_committed("autoplace", &json);
     }
 }

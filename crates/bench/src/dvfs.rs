@@ -21,7 +21,6 @@ use scc_core::{
 };
 use scc_sim::{CoreId, FreqMHz};
 use scc_telemetry::Json;
-use std::fmt::Write as _;
 
 /// One measured operating point of one workload.
 #[derive(Debug, Clone)]
@@ -285,62 +284,6 @@ impl DvfsReport {
             )
             .render()
     }
-
-    /// Plain-text table for the terminal.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "power-plane sweep — film {}x{} f={} / wavefront seed={:#x}",
-            self.film_config.width,
-            self.film_config.height,
-            self.film_config.frames,
-            self.wavefront_seed,
-        );
-        let _ = writeln!(
-            out,
-            "{:>10} {:>20} {:>11} {:>10} {:>8} {:>7} {:>9}",
-            "workload", "plan", "total_secs", "energy_J", "mean_W", "raises", "throttles"
-        );
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{:>10} {:>20} {:>11.4} {:>10.2} {:>8.2} {:>7} {:>9}",
-                p.workload,
-                p.plan,
-                p.total_secs,
-                p.energy_joules,
-                p.mean_power,
-                p.raises,
-                p.throttles
-            );
-        }
-        let _ = writeln!(
-            out,
-            "film output {}; wavefront digest {}; decision parity {}; governed {}",
-            if self.film_output_consistent {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            },
-            if self.wavefront_digest_consistent {
-                "stable"
-            } else {
-                "DRIFTED"
-            },
-            if self.decision_parity {
-                "sim==des"
-            } else {
-                "SPLIT"
-            },
-            if self.governed_not_dominated {
-                "competitive"
-            } else {
-                "DOMINATED by every static split"
-            },
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -373,6 +316,6 @@ mod tests {
         let json = report.to_json();
         assert!(json.contains("\"bench\": \"dvfs\""));
         assert!(json.contains("governed-des"));
-        assert!(report.render_text().contains("sim==des"));
+        crate::tests::assert_keys_match_committed("dvfs", &json);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (§VI) from
 //! the simulated platform. Each `figN` function returns plain data the
-//! `experiments` binary prints.
+//! `experiments` binary prints; the sweep modules build the committed
+//! `BENCH_*.json` documents, which `tests/bench_documents.rs` regenerates
+//! and checks.
 
 #![forbid(unsafe_code)]
 
@@ -15,3 +17,52 @@ pub mod serving;
 pub mod tasks;
 
 pub use experiments::*;
+
+#[cfg(test)]
+mod tests {
+    /// Extract the sorted, deduplicated set of object keys from a JSON
+    /// document (string-scan; the vendored serde has no parser).
+    fn json_keys(json: &str) -> Vec<String> {
+        let mut keys = std::collections::BTreeSet::new();
+        let bytes = json.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == b'"' {
+                let start = i + 1;
+                let mut j = start;
+                while j < bytes.len() && bytes[j] != b'"' {
+                    if bytes[j] == b'\\' {
+                        j += 1;
+                    }
+                    j += 1;
+                }
+                let mut k = j + 1;
+                while k < bytes.len() && (bytes[k] as char).is_whitespace() {
+                    k += 1;
+                }
+                if k < bytes.len() && bytes[k] == b':' {
+                    keys.insert(json[start..j].to_string());
+                }
+                i = j + 1;
+            } else {
+                i += 1;
+            }
+        }
+        keys.into_iter().collect()
+    }
+
+    /// Assert that `json` exposes the key set of the committed
+    /// `BENCH_{name}.json` at the repository root, whose values the
+    /// release-only `bench_documents` test checks.
+    pub(crate) fn assert_keys_match_committed(name: &str, json: &str) {
+        let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read_to_string(&path).expect("committed bench document");
+        assert_eq!(json_keys(json), json_keys(&committed), "key set of {path}");
+    }
+
+    #[test]
+    fn json_keys_extracts_object_keys_only() {
+        let json = r#"{"a":1,"nested":{"b":[{"c":"not:a:key"},2]},"a":3}"#;
+        assert_eq!(json_keys(json), vec!["a", "b", "c", "nested"]);
+    }
+}

@@ -7,15 +7,12 @@
 //! of replayed strips, and delivered throughput before/after the repair —
 //! and verifying the healed film is bit-identical to the clean one. The
 //! JSON is built on `scc_telemetry::Json` (the vendored serde shim is a
-//! no-op marker), deliberately flat — and when the base config enables
-//! telemetry, the first healed run's full metric snapshot (heartbeat
-//! misses, migrations, replayed frames) embeds under a `telemetry` key.
+//! no-op marker), deliberately flat.
 
 use scc_core::viz::frame_checksum;
 use scc_core::{Arrangement, FaultSpec, KillSpec, RunConfig};
 use scc_render::Scene;
-use scc_telemetry::{snapshot_to_tree, Json, Snapshot};
-use std::fmt::Write as _;
+use scc_telemetry::Json;
 use std::sync::Arc;
 
 /// One (arrangement, kill time) sweep point.
@@ -47,9 +44,6 @@ pub struct RecoveryReport {
     pub heartbeat_period_us: u64,
     pub phi_dead: f64,
     pub points: Vec<RecoveryPoint>,
-    /// Metric snapshot of the first killed-and-healed run, captured when
-    /// the base config enables telemetry; embedded in the JSON document.
-    pub telemetry: Option<Snapshot>,
 }
 
 /// Run the sweep: every arrangement × every kill time, one supervised
@@ -63,7 +57,6 @@ pub fn measure_recovery(
     const HEARTBEAT_PERIOD_US: u64 = 10_000;
     const PHI_DEAD: f64 = 3.0;
     let mut points = Vec::new();
-    let mut telemetry = None;
     for arr in [
         Arrangement::Unordered,
         Arrangement::Ordered,
@@ -94,9 +87,6 @@ pub fn measure_recovery(
                 ..FaultSpec::default()
             });
             let report = crate::run(killed, Arc::clone(scene));
-            if telemetry.is_none() {
-                telemetry = report.telemetry.clone();
-            }
             let ev = report
                 .recoveries
                 .first()
@@ -126,7 +116,6 @@ pub fn measure_recovery(
         heartbeat_period_us: HEARTBEAT_PERIOD_US,
         phi_dead: PHI_DEAD,
         points,
-        telemetry,
     }
 }
 
@@ -157,7 +146,7 @@ impl RecoveryReport {
                 })
                 .collect(),
         );
-        let mut doc = Json::obj()
+        Json::obj()
             .field("bench", Json::str("recovery"))
             .field("config", config)
             .field("heartbeat_period_us", Json::U64(self.heartbeat_period_us))
@@ -170,64 +159,8 @@ impl RecoveryReport {
                      provisioning + checkpointed replay",
                 ),
             )
-            .field("points", points);
-        if let Some(snap) = &self.telemetry {
-            doc = doc.field("telemetry", snapshot_to_tree(snap));
-        }
-        doc.render()
-    }
-
-    /// Plain-text table for the terminal.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "self-healing recovery — {} p={} {}x{} f={} (heartbeat {} us, phi {})",
-            self.config.renderer.name(),
-            self.config.pipelines,
-            self.config.width,
-            self.config.height,
-            self.config.frames,
-            self.heartbeat_period_us,
-            self.phi_dead,
-        );
-        let _ = writeln!(
-            out,
-            "{:>10} {:>8} {:>10} {:>9} {:>8} {:>10} {:>10} {:>9}",
-            "arrange",
-            "kill_ms",
-            "detect_ms",
-            "mttr_ms",
-            "replays",
-            "clean_fps",
-            "healed_fps",
-            "overhead"
-        );
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{:>10} {:>8} {:>10.2} {:>9.2} {:>8} {:>10.2} {:>10.2} {:>8.2}%",
-                format!("{:?}", p.arrangement),
-                p.kill_at_ms,
-                p.detect_latency_secs * 1e3,
-                p.mttr_secs * 1e3,
-                p.frames_replayed,
-                p.clean_fps,
-                p.healed_fps,
-                p.overhead_pct,
-            );
-        }
-        let all_intact = self.points.iter().all(|p| p.bit_identical);
-        let _ = writeln!(
-            out,
-            "healed output {}",
-            if all_intact {
-                "bit-identical to the clean run at every point"
-            } else {
-                "DIVERGED — recovery damaged a frame!"
-            }
-        );
-        out
+            .field("points", points)
+            .render()
     }
 }
 
@@ -274,6 +207,6 @@ mod tests {
         // Balanced braces/brackets — cheap malformation guard.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(report.render_text().contains("bit-identical"));
+        crate::tests::assert_keys_match_committed("recovery", &json);
     }
 }

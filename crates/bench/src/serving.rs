@@ -20,7 +20,6 @@ use scc_core::RunConfig;
 use scc_render::Scene;
 use scc_serve::{serve, ServeConfig, ServeReport, TenantSpec};
 use scc_telemetry::Json;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// One (session count, cache on/off) measurement.
@@ -200,62 +199,6 @@ impl ServingReport {
             .field("points", points)
             .render()
     }
-
-    /// Plain-text table for the terminal.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "serving sweep — p={} {}x{} f/sess={} pool={} cache_cap={}",
-            self.config.pipelines,
-            self.config.width,
-            self.config.height,
-            self.frames_per_session,
-            self.pool,
-            self.cache_capacity,
-        );
-        let _ = writeln!(
-            out,
-            "{:>9} {:>6} {:>9} {:>6} {:>8} {:>8} {:>10} {:>9} {:>9}",
-            "sessions", "cache", "complete", "shed", "renders", "hit%", "sess/s", "p50ms", "p99ms"
-        );
-        for p in &self.points {
-            let r = &p.report;
-            let _ = writeln!(
-                out,
-                "{:>9} {:>6} {:>9} {:>6} {:>8} {:>7.1}% {:>10.2} {:>9.2} {:>9.2}",
-                p.sessions,
-                if p.cache { "on" } else { "off" },
-                r.completed,
-                r.shed,
-                r.unique_renders,
-                100.0 * r.cache.hit_ratio(),
-                r.sessions_per_sec,
-                r.latency.p50 * 1e3,
-                r.latency.p99 * 1e3,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "films {}; cache {}; ledger {}",
-            if self.cache_transparent() {
-                "byte-identical cache on/off at every point"
-            } else {
-                "DIVERGED — the cache moved a pixel!"
-            },
-            if self.cache_speeds_up() {
-                "strictly faster at every point"
-            } else {
-                "NOT faster — overlap failed to pay"
-            },
-            if self.ledger_balanced() {
-                "balanced (completed + shed == admitted)"
-            } else {
-                "UNBALANCED — sessions lost silently!"
-            },
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -278,10 +221,10 @@ mod tests {
         }));
         let report = measure_serving(&cfg, &scene, &[4, 8]);
         assert_eq!(report.points.len(), 4);
-        assert!(report.cache_transparent(), "{}", report.render_text());
-        assert!(report.cache_speeds_up(), "{}", report.render_text());
-        assert!(report.ledger_balanced(), "{}", report.render_text());
         let json = report.to_json();
+        assert!(report.cache_transparent(), "{json}");
+        assert!(report.cache_speeds_up(), "{json}");
+        assert!(report.ledger_balanced(), "{json}");
         for key in [
             "\"bench\": \"serving\"",
             "\"sessions_per_sec\"",
@@ -294,5 +237,6 @@ mod tests {
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+        crate::tests::assert_keys_match_committed("serving", &json);
     }
 }

@@ -20,7 +20,6 @@ use scc_core::viz::frame_checksum;
 use scc_core::{RunConfig, WalkthroughReport};
 use scc_render::Scene;
 use scc_telemetry::Json;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Quartiles of the per-filter-core idle fraction of one run.
@@ -232,68 +231,6 @@ impl TasksReport {
             .field("points", points)
             .render()
     }
-
-    /// Plain-text table for the terminal.
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "task runtime vs static — p={} {}x{} f={} (qcap={} steal={}us retries={})",
-            self.config.pipelines,
-            self.config.width,
-            self.config.height,
-            self.config.frames,
-            self.config.task_tuning.queue_capacity,
-            self.config.task_tuning.steal_timeout_us,
-            self.config.task_tuning.steal_retries,
-        );
-        let _ = writeln!(
-            out,
-            "{:>8} {:>10} {:>10} {:>12} {:>12} {:>9} {:>7} {:>8}",
-            "mode",
-            "static_s",
-            "tasks_s",
-            "static_iqr",
-            "tasks_iqr",
-            "reduce%",
-            "steals",
-            "requeue"
-        );
-        for p in &self.points {
-            let _ = writeln!(
-                out,
-                "{:>8} {:>10.3} {:>10.3} {:>12.4} {:>12.4} {:>8.1}% {:>7} {:>8}",
-                p.mode.name(),
-                p.static_secs,
-                p.tasks_secs,
-                p.static_idle.spread(),
-                p.tasks_idle.spread(),
-                p.spread_reduction_pct(),
-                p.stats.steals,
-                p.stats.requeued,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "film {}; idle spread {}; tasks {}",
-            if self.output_consistent() {
-                "bit-identical in every mode"
-            } else {
-                "DIVERGED — the steal scheduler moved a pixel!"
-            },
-            if self.spread_reduced() {
-                "strictly reduced in every mode"
-            } else {
-                "NOT reduced — stealing failed to balance the cores"
-            },
-            if self.no_lost_tasks() {
-                "all conserved"
-            } else {
-                "LOST — the ledger does not balance!"
-            },
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -321,11 +258,7 @@ mod tests {
         assert_eq!(report.points.len(), 3);
         assert!(report.output_consistent(), "a mode moved a pixel");
         assert!(report.no_lost_tasks(), "a mode lost a task");
-        assert!(
-            report.spread_reduced(),
-            "idle spread not reduced: {}",
-            report.render_text()
-        );
+        assert!(report.spread_reduced(), "idle spread not reduced");
         let json = report.to_json();
         for key in [
             "\"bench\": \"tasks\"",
@@ -338,5 +271,6 @@ mod tests {
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+        crate::tests::assert_keys_match_committed("tasks", &json);
     }
 }

@@ -17,7 +17,8 @@
 //! and [`WavefrontTrace::digest`] fingerprints the reconstructed grid.
 //! Both virtual-time backends therefore see the identical wave profile,
 //! and any output drift — across backends, power plans, or code changes —
-//! trips the digest gate in `bench dvfs` and the differential fuzzer.
+//! trips the digest gate of the `BENCH_dvfs.json` sweep and the
+//! differential fuzzer.
 
 use crate::spec::WavefrontSpec;
 use serde::Serialize;

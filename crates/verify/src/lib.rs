@@ -764,77 +764,6 @@ fn film_hash(frames: &[scc_filters::Image]) -> u64 {
     h
 }
 
-/// Digest of the *schema* of the bench trajectory's JSON artefacts
-/// (`BENCH_recovery.json`, `BENCH_autoplace.json`, ...): the sorted set
-/// of JSON keys each document exposes. Values vary run to run — the
-/// shape must not.
-pub fn bench_schema_digest() -> String {
-    use scc_bench::autoplace::measure_autoplace;
-    use scc_bench::recovery::measure_recovery;
-    let mut cfg = base_cfg();
-    cfg.width = 48;
-    cfg.height = 32;
-    cfg.frames = 2;
-    cfg.trace = false;
-    cfg.verify = false;
-    let scene = verify_scene();
-    let recovery = measure_recovery(&cfg, &scene, &[1]);
-    let autoplace = measure_autoplace(&cfg, &scene);
-    let tasks = scc_bench::tasks::measure_tasks(&cfg, &scene);
-    let serving = scc_bench::serving::measure_serving(&cfg, &scene, &[2]);
-    let dvfs = scc_bench::dvfs::measure_dvfs(&cfg, &scene);
-    let mut out = String::from("== bench-schema\n");
-    for (name, json) in [
-        ("recovery", recovery.to_json()),
-        ("autoplace", autoplace.to_json()),
-        ("tasks", tasks.to_json()),
-        ("serving", serving.to_json()),
-        ("dvfs", dvfs.to_json()),
-    ] {
-        let keys = json_keys(&json);
-        out.push_str(&format!(
-            "BENCH_{name}.json keys={} digest={:016x}\n",
-            keys.len(),
-            fnv1a_str(&keys.join(","))
-        ));
-        for k in keys {
-            out.push_str(&format!("  {k}\n"));
-        }
-    }
-    out
-}
-
-/// Extract the sorted, deduplicated set of object keys from a JSON
-/// document (string-scan; the vendored serde has no parser).
-pub fn json_keys(json: &str) -> Vec<String> {
-    let mut keys = std::collections::BTreeSet::new();
-    let bytes = json.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'"' {
-            let start = i + 1;
-            let mut j = start;
-            while j < bytes.len() && bytes[j] != b'"' {
-                if bytes[j] == b'\\' {
-                    j += 1;
-                }
-                j += 1;
-            }
-            let mut k = j + 1;
-            while k < bytes.len() && (bytes[k] as char).is_whitespace() {
-                k += 1;
-            }
-            if k < bytes.len() && bytes[k] == b':' {
-                keys.insert(json[start..j].to_string());
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-    keys.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -845,12 +774,6 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn json_keys_extracts_object_keys_only() {
-        let json = r#"{"a":1,"nested":{"b":[{"c":"not:a:key"},2]},"a":3}"#;
-        assert_eq!(json_keys(json), vec!["a", "b", "c", "nested"]);
     }
 
     #[test]

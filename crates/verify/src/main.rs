@@ -66,7 +66,6 @@ fn cmd_golden(update: bool) -> i32 {
         blocks.push((case.name.clone(), scc_verify::workload_digest(&case)));
     }
     blocks.push(("des-recovered".into(), scc_verify::des_recovered_digest()));
-    blocks.push(("bench-schema".into(), scc_verify::bench_schema_digest()));
     if update {
         std::fs::create_dir_all(&dir).expect("create golden dir");
     }

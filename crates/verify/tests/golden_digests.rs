@@ -1,16 +1,17 @@
 //! Golden run-digests: the full renderer × arrangement matrix plus the
-//! fault, tuning and bench-schema variants, pinned as diff-friendly text
-//! under `tests/golden/`. Regenerate after an intentional behaviour
-//! change with `UPDATE_GOLDEN=1 cargo test -p scc-verify golden`.
+//! fault, tuning, scheduler, serving and workload variants, pinned as
+//! diff-friendly text under `tests/golden/`. Regenerate after an
+//! intentional behaviour change with
+//! `UPDATE_GOLDEN=1 cargo test -p scc-verify golden`.
 //!
 //! Disabled under `verify-selftest`: the planted mutants make every
 //! digest (deliberately) wrong.
 #![cfg(not(feature = "verify-selftest"))]
 
 use scc_verify::{
-    autoplace_decision_digest, bench_schema_digest, des_recovered_digest, digest_case,
-    golden_matrix, native_tuning_digest, serving_burst_digest, serving_smoke_digest,
-    workload_digest, workload_goldens,
+    autoplace_decision_digest, des_recovered_digest, digest_case, golden_matrix,
+    native_tuning_digest, serving_burst_digest, serving_smoke_digest, workload_digest,
+    workload_goldens,
 };
 use std::path::PathBuf;
 
@@ -57,13 +58,6 @@ fn golden_matrix_digests_match_the_pinned_files() {
 #[test]
 fn native_tuning_digest_matches_the_pinned_file() {
     if let Err(e) = check_or_update("native-tuning", &native_tuning_digest()) {
-        panic!("{e}");
-    }
-}
-
-#[test]
-fn bench_schema_digest_matches_the_pinned_file() {
-    if let Err(e) = check_or_update("bench-schema", &bench_schema_digest()) {
         panic!("{e}");
     }
 }
@@ -124,5 +118,4 @@ fn consecutive_matrix_runs_are_byte_identical() {
     assert_eq!(serving_smoke_digest(), serving_smoke_digest());
     assert_eq!(serving_burst_digest(), serving_burst_digest());
     assert_eq!(des_recovered_digest(), des_recovered_digest());
-    assert_eq!(bench_schema_digest(), bench_schema_digest());
 }
