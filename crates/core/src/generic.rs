@@ -25,6 +25,7 @@
 use crate::governor::GovernorDecision;
 use crate::power_plane::PowerPlane;
 use crate::spec::{RunConfig, Workload};
+use scc_filters::{fnv1a_fold, FNV_OFFSET};
 use scc_sim::platform::MemOp;
 use scc_sim::stats::Quartiles;
 use scc_sim::{CoreId, IslandId, SccConfig, SccPlatform, SimTime};
@@ -91,15 +92,8 @@ impl GenericReport {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 fn fnv_fold(digest: u64, value: u64) -> u64 {
-    let mut d = digest;
-    for byte in value.to_le_bytes() {
-        d = (d ^ byte as u64).wrapping_mul(FNV_PRIME);
-    }
-    d
+    fnv1a_fold(digest, &value.to_le_bytes())
 }
 
 /// Per-cell cost constants of the wavefront chain (cycles and bytes as

@@ -7,17 +7,12 @@
 //! checksums, the brightness series (the visible flicker), scratch-column
 //! detection, and delivery statistics.
 
-use scc_filters::Image;
+use scc_filters::{fnv1a, Image};
 use serde::Serialize;
 
 /// FNV-1a, for cheap content-addressing of frames.
 pub fn frame_checksum(img: &Image) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in img.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a(img.as_bytes())
 }
 
 /// Mean luminance of a frame in [0, 1] (Rec.601 weights, like the sepia

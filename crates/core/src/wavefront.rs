@@ -21,6 +21,7 @@
 //! differential fuzzer.
 
 use crate::spec::WavefrontSpec;
+use scc_filters::fnv1a;
 use serde::Serialize;
 
 /// The wave profile and output fingerprint of one reconstruction.
@@ -48,13 +49,6 @@ fn xorshift(s: &mut u64) -> u64 {
     *s ^= *s >> 7;
     *s ^= *s << 17;
     *s
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(digest: u64, byte: u8) -> u64 {
-    (digest ^ byte as u64).wrapping_mul(FNV_PRIME)
 }
 
 /// Run the reconstruction: seed the marker, then repeatedly dilate it
@@ -138,14 +132,10 @@ pub fn propagate(spec: &WavefrontSpec, seed: u64) -> WavefrontTrace {
         frontier = next;
     }
 
-    let mut digest = FNV_OFFSET;
-    for &v in &marker {
-        digest = fnv1a(digest, v);
-    }
     WavefrontTrace {
         waves,
         total_updates,
-        digest,
+        digest: fnv1a(&marker),
     }
 }
 

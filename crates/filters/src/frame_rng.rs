@@ -21,6 +21,24 @@ pub fn splitmix64(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The FNV-1a 64 offset basis, the state of an empty hash.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64 prime.
+pub const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// FNV-1a 64 over `bytes`: the one content hash of the workspace (frame
+/// checksums, cache keys, golden digests).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
+/// Continue the FNV-1a state `h` over `bytes`.
+pub fn fnv1a_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
+
 /// A reproducible RNG for one frame of one run.
 pub fn frame_rng(run_seed: u64, frame_id: u64) -> StdRng {
     let mixed = splitmix64(run_seed ^ splitmix64(frame_id));

@@ -9,24 +9,7 @@
 //! bucket (a colliding hash can never alias pixels) and bounded by a
 //! deterministic tick-based LRU.
 
-use scc_filters::{Image, StripInfo};
-
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub const FNV_PRIME: u64 = 0x100_0000_01B3;
-
-/// FNV-1a over a byte slice (same parameters as `scc-verify`).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_fold(FNV_OFFSET, bytes)
-}
-
-/// Continue an FNV-1a state `h` over `bytes`.
-fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+use scc_filters::{fnv1a_fold, Image, StripInfo, FNV_OFFSET};
 
 /// Full provenance of one cached strip.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

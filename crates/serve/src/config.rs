@@ -8,6 +8,7 @@
 //! same config observe byte-identical admissions, sheds and cache events.
 
 use scc_core::RunConfig;
+use scc_filters::splitmix64;
 
 /// One tenant: a weight class plus its offered load.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,16 +156,6 @@ impl ServeConfig {
         }
         Ok(())
     }
-}
-
-/// SplitMix64 — the workload's only randomness source. Pure function of
-/// the seed, so workloads are reproducible by construction.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One generated session: a window into the shared walkthrough.

@@ -34,9 +34,11 @@ pub mod config;
 pub mod engine;
 pub mod session;
 
-pub use cache::{fnv1a, CacheStats, StripCache, StripKey};
-pub use config::{generate_sessions, splitmix64, ServeConfig, SessionSpec, TenantSpec};
+pub use cache::{CacheStats, StripCache, StripKey};
+pub use config::{generate_sessions, ServeConfig, SessionSpec, TenantSpec};
 pub use engine::{
     serve, serve_default, wfq_allocate, LatencyStats, ServeOutcome, ServeReport, TenantReport,
 };
+/// SplitMix64, the workload generator's only randomness source.
+pub use scc_filters::splitmix64;
 pub use session::{ActiveSession, SessionFilm, ShedEvent, ShedReason};

@@ -27,27 +27,12 @@
 use scc_core::spec::{Fidelity, RunConfig};
 use scc_core::viz::frame_checksum;
 use scc_core::{run_with_scene, Backend, WalkthroughReport};
+use scc_filters::{fnv1a, fnv1a_fold, FNV_OFFSET};
 use scc_render::{CityConfig, Scene};
 use std::sync::{Arc, OnceLock};
 
 pub mod fuzz;
 pub mod telemetry;
-
-/// FNV-1a offset basis (the same constants `viz::frame_checksum` uses,
-/// so every hash in the harness speaks one dialect).
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-pub const FNV_PRIME: u64 = 0x100_0000_01B3;
-
-/// FNV-1a over a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// FNV-1a over a string's UTF-8 bytes.
 pub fn fnv1a_str(s: &str) -> u64 {
@@ -263,13 +248,7 @@ pub fn digest_report(r: &WalkthroughReport) -> String {
     ));
     match &r.outputs {
         Some(frames) => {
-            let mut h = FNV_OFFSET;
-            for f in frames {
-                for b in frame_checksum(f).to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(FNV_PRIME);
-                }
-            }
+            let h = film_hash(frames);
             out.push_str(&format!("film={:016x} frames={}\n", h, frames.len()));
         }
         None => out.push_str("film=none\n"),
@@ -754,14 +733,8 @@ pub fn des_recovered_digest() -> String {
 }
 
 fn film_hash(frames: &[scc_filters::Image]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for f in frames {
-        for b in frame_checksum(f).to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    let sums = frames.iter().map(|f| frame_checksum(f).to_le_bytes());
+    sums.fold(FNV_OFFSET, |h, bytes| fnv1a_fold(h, &bytes))
 }
 
 #[cfg(test)]
