@@ -1,8 +1,9 @@
-//! The `scc-verify` binary: golden-digest maintenance and the
-//! coverage-guided fault-space fuzzer.
+//! The `scc-verify` binary: the coverage-guided fault-space fuzzer and its
+//! repro replayer. The golden digests are checked (and, under
+//! `UPDATE_GOLDEN=1`, regenerated) by `cargo test -p scc-verify --test
+//! golden_digests`.
 //!
 //! ```text
-//! scc-verify golden [--update]       check (or regenerate) tests/golden/
 //! scc-verify fuzz [--budget 60s] [--seed N] [--cases K]
 //! scc-verify replay <repro.txt>      run the oracle on one repro file
 //! ```
@@ -11,95 +12,32 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use scc_verify::fnv1a_str;
 use scc_verify::fuzz::{run_oracle, shrink, FuzzCase};
-use scc_verify::{digest_case, fnv1a_str, golden_matrix};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-fn repo_dir(env_override: &str, default_rel: &str) -> PathBuf {
-    if let Ok(dir) = std::env::var(env_override) {
-        return PathBuf::from(dir);
-    }
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(default_rel)
-}
-
-fn golden_dir() -> PathBuf {
-    repo_dir("SCC_GOLDEN_DIR", "../../tests/golden")
-}
-
 fn regressions_dir() -> PathBuf {
-    repo_dir("SCC_REGRESSIONS_DIR", "../../tests/regressions")
+    match std::env::var("SCC_REGRESSIONS_DIR") {
+        Ok(dir) => PathBuf::from(dir),
+        Err(_) => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/regressions"),
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("golden") => cmd_golden(args.iter().any(|a| a == "--update")),
         Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("replay") => cmd_replay(args.get(1).map(String::as_str)),
         _ => {
-            eprintln!("usage: scc-verify golden [--update] | fuzz [--budget 60s] [--seed N] [--cases K] | replay <file>");
+            eprintln!(
+                "usage: scc-verify fuzz [--budget 60s] [--seed N] [--cases K] | replay <file>"
+            );
             2
         }
     };
     std::process::exit(code);
-}
-
-/// Check every golden case digest against `tests/golden/<name>.txt`, or
-/// rewrite the files with `--update` (the CLI twin of `UPDATE_GOLDEN=1`).
-fn cmd_golden(update: bool) -> i32 {
-    let dir = golden_dir();
-    let mut drift = 0;
-    let mut blocks: Vec<(String, String)> = golden_matrix()
-        .iter()
-        .map(|case| (case.name.clone(), digest_case(case)))
-        .collect();
-    blocks.push(("native-tuning".into(), scc_verify::native_tuning_digest()));
-    blocks.push((
-        "autoplace-decision".into(),
-        scc_verify::autoplace_decision_digest(),
-    ));
-    blocks.push(("serving-smoke".into(), scc_verify::serving_smoke_digest()));
-    blocks.push(("serving-burst".into(), scc_verify::serving_burst_digest()));
-    for case in scc_verify::workload_goldens() {
-        blocks.push((case.name.clone(), scc_verify::workload_digest(&case)));
-    }
-    blocks.push(("des-recovered".into(), scc_verify::des_recovered_digest()));
-    if update {
-        std::fs::create_dir_all(&dir).expect("create golden dir");
-    }
-    for (name, digest) in blocks {
-        let path = dir.join(format!("{name}.txt"));
-        if update {
-            std::fs::write(&path, &digest).expect("write golden file");
-            println!("wrote {}", path.display());
-            continue;
-        }
-        match std::fs::read_to_string(&path) {
-            Ok(want) if want == digest => println!("ok   {name}"),
-            Ok(want) => {
-                drift += 1;
-                eprintln!("FAIL {name}: digest drifted");
-                for (l, (a, b)) in digest.lines().zip(want.lines()).enumerate() {
-                    if a != b {
-                        eprintln!("  line {}: got  {a}", l + 1);
-                        eprintln!("  line {}: want {b}", l + 1);
-                    }
-                }
-            }
-            Err(e) => {
-                drift += 1;
-                eprintln!("FAIL {name}: {e} (run `scc-verify golden --update`)");
-            }
-        }
-    }
-    if drift > 0 {
-        eprintln!("{drift} golden digest(s) drifted");
-        1
-    } else {
-        0
-    }
 }
 
 fn parse_budget(s: &str) -> Duration {

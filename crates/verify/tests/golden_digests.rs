@@ -2,7 +2,7 @@
 //! fault, tuning, scheduler, serving and workload variants, pinned as
 //! diff-friendly text under `tests/golden/`. Regenerate after an
 //! intentional behaviour change with
-//! `UPDATE_GOLDEN=1 cargo test -p scc-verify golden`.
+//! `UPDATE_GOLDEN=1 cargo test -p scc-verify --test golden_digests`.
 //!
 //! Disabled under `verify-selftest`: the planted mutants make every
 //! digest (deliberately) wrong.
