@@ -21,7 +21,7 @@ pub use experiments::*;
 #[cfg(test)]
 mod tests {
     /// Extract the sorted, deduplicated set of object keys from a JSON
-    /// document (string-scan; the vendored serde has no parser).
+    /// document (string-scan; the workspace has no JSON parser).
     fn json_keys(json: &str) -> Vec<String> {
         let mut keys = std::collections::BTreeSet::new();
         let bytes = json.as_bytes();

@@ -6,8 +6,7 @@
 //! killed-with-spare run, recording detection latency, MTTR, the number
 //! of replayed strips, and delivered throughput before/after the repair —
 //! and verifying the healed film is bit-identical to the clean one. The
-//! JSON is built on `scc_telemetry::Json` (the vendored serde shim is a
-//! no-op marker), deliberately flat.
+//! JSON is built on `scc_telemetry::Json`, deliberately flat.
 
 use scc_core::viz::frame_checksum;
 use scc_core::{Arrangement, FaultSpec, KillSpec, RunConfig};

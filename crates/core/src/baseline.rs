@@ -8,11 +8,10 @@ use scc_filters::standard_chain;
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_sim::platform::MemOp;
 use scc_sim::{CoreId, SccConfig, SccPlatform, SimTime};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Figure 8's content: per-stage accumulated time over the walkthrough.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BaselineReport {
     /// (stage, total seconds) in pipeline order.
     pub stage_secs: Vec<(StageKind, f64)>,

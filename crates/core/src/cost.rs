@@ -19,10 +19,9 @@
 use crate::spec::StageKind;
 use scc_filters::{FrameCtx, ImageFilter};
 use scc_render::{Camera, Renderer};
-use serde::Serialize;
 
 /// Cycle and traffic coefficients (see module docs for provenance).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     /// P54C cycles per abstract filter work unit (sepia ≡ 1 unit/pixel).
     pub cycles_per_unit: f64,

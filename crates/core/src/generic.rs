@@ -30,7 +30,6 @@ use scc_sim::platform::MemOp;
 use scc_sim::stats::Quartiles;
 use scc_sim::{CoreId, IslandId, SccConfig, SccPlatform, SimTime};
 use scc_telemetry::{names, TelemetrySink, IDLE_MS_BUCKETS};
-use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -49,7 +48,7 @@ pub struct StageWork {
 }
 
 /// Per-stage outcome of a generic run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GenericStageReport {
     pub name: String,
     pub core_id: u8,
@@ -59,7 +58,7 @@ pub struct GenericStageReport {
 }
 
 /// Result of a generic pipeline run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GenericReport {
     pub total_secs: f64,
     pub items: u64,
@@ -77,7 +76,6 @@ pub struct GenericReport {
     /// power plans.
     pub dvfs_decisions: Vec<GovernorDecision>,
     /// Metrics recorded during the run when `cfg.telemetry` was set.
-    #[serde(skip)]
     pub telemetry: Option<scc_telemetry::Snapshot>,
 }
 

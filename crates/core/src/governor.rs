@@ -41,7 +41,6 @@ use crate::spec::GovernorTuning;
 use scc_sim::dvfs::NUM_ISLANDS;
 use scc_sim::power::PowerConfig as PowerCalibration;
 use scc_sim::{CoreId, DvfsState, FreqMHz, IslandId, TileId};
-use serde::Serialize;
 
 /// One sampled station: a placed stage and the fraction of the epoch it
 /// spent waiting for input.
@@ -59,7 +58,7 @@ impl StationSample {
 }
 
 /// What the governor did with one epoch's samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GovernorAction {
     /// No candidate, or a candidate still accumulating hysteresis.
     Hold,
@@ -80,7 +79,7 @@ pub enum GovernorAction {
 }
 
 /// One line of the governor's decision trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GovernorDecision {
     pub epoch: u32,
     pub action: GovernorAction,

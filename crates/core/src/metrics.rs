@@ -5,10 +5,9 @@ use scc_filters::Image;
 use scc_sim::platform::PlatformStats;
 use scc_sim::power::{McpcPower, PowerSample};
 use scc_sim::stats::Quartiles;
-use serde::Serialize;
 
 /// Per-stage outcome of a simulated walkthrough.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StageReport {
     pub kind: StageKind,
     /// Pipeline index for per-pipeline stages.
@@ -25,7 +24,7 @@ pub struct StageReport {
 
 /// Wall-clock throughput of a host-native run. Virtual-time reports
 /// measure the *simulated* SCC; this measures the host that ran it.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HostTiming {
     /// Wall-clock seconds for the whole walkthrough.
     pub wall_secs: f64,
@@ -62,7 +61,7 @@ impl HostTiming {
 
 /// One graceful-degradation decision: a pipeline exceeded its retry
 /// budget and its strip was re-assigned to a surviving neighbour.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradationEvent {
     /// Frame being processed when the failure was detected.
     pub frame: u64,
@@ -85,7 +84,7 @@ pub struct DegradationEvent {
 /// stage migrated to a spare, and the in-flight work replayed from the
 /// checkpoint. The timeline (kill → detect → resume) is the MTTR the
 /// recovery benchmark sweeps.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryEvent {
     /// Frame being processed when the failure surfaced.
     pub frame: u64,
@@ -115,7 +114,7 @@ pub struct RecoveryEvent {
 /// the task runtime's whole ledger, checked by the invariant checker's
 /// `task-conservation` audit (`completed + degraded == spawned`, with
 /// re-queued tasks re-entering the same chain rather than forking it).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TaskStats {
     /// Tasks created from the stage plan (strips × stage groups).
     pub spawned: u64,
@@ -146,7 +145,6 @@ pub struct TaskStats {
 }
 
 /// Everything measured in one walkthrough run.
-#[derive(Serialize)]
 pub struct WalkthroughReport {
     pub config: RunConfig,
     /// Virtual seconds from start to the last frame reaching the
@@ -176,15 +174,12 @@ pub struct WalkthroughReport {
     /// [`crate::spec::PowerConfig::Governed`]).
     pub dvfs_decisions: Vec<crate::governor::GovernorDecision>,
     /// Final assembled frames (full fidelity only).
-    #[serde(skip)]
     pub outputs: Option<Vec<Image>>,
     /// Stage phase spans (when `RunConfig::trace` was set).
-    #[serde(skip)]
     pub trace: Option<crate::trace::TraceLog>,
     /// Telemetry snapshot (when `RunConfig::telemetry` was set).
     /// Deliberately excluded from [`WalkthroughReport::fingerprint`]:
     /// observation must never move a golden digest.
-    #[serde(skip)]
     pub telemetry: Option<scc_telemetry::Snapshot>,
 }
 

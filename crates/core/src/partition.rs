@@ -22,7 +22,6 @@ use crate::placement::Placement;
 use crate::spec::{RendererMode, RunConfig, StageKind};
 use crate::stage_graph::{StageGraph, StageNode, StageWeights};
 use scc_sim::topology::NUM_CORES;
-use serde::Serialize;
 
 /// Spare cores the partitioner always leaves unclaimed so the
 /// supervisor's migration path (PR 3) keeps working under auto
@@ -31,7 +30,7 @@ pub const SPARE_RESERVE: u32 = 2;
 
 /// A contiguous run of chain stages sharing one core (per lane),
 /// optionally replicated.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageGroup {
     /// First stage index of the run (into the interior chain).
     pub start: usize,
@@ -49,7 +48,7 @@ impl StageGroup {
 }
 
 /// The partitioner's output: an ordered partition of the stage chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StagePlan {
     pub groups: Vec<StageGroup>,
 }

@@ -21,9 +21,12 @@
 //!   releases simply drop their allocation.
 
 use crate::runner::native::FRAME_TRAILER;
-use parking_lot::Mutex;
 use scc_filters::{Image, BYTES_PER_PIXEL};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Every critical section is a push, a pop or a stats copy, none of
+/// which can panic, so the pool's lock is never poisoned.
+const POISONED: &str = "no buffer pool critical section panics";
 
 /// Counters describing how much reuse a pool achieved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,7 +97,7 @@ impl BufferPool {
     fn take_buffer(&self, len: usize) -> Vec<u8> {
         let mut buf = Vec::new();
         if let Some(inner) = &self.inner {
-            let mut inner = inner.lock();
+            let mut inner = inner.lock().expect(POISONED);
             match inner.free.pop() {
                 Some(recycled) => {
                     inner.stats.recycled += 1;
@@ -121,7 +124,7 @@ impl BufferPool {
     pub fn release(&self, img: Image) {
         let buf = img.into_raw();
         if let Some(inner) = &self.inner {
-            let mut inner = inner.lock();
+            let mut inner = inner.lock().expect(POISONED);
             if inner.free.len() < inner.max_free {
                 inner.stats.returned += 1;
                 inner.free.push(buf);
@@ -134,7 +137,7 @@ impl BufferPool {
     /// Snapshot of the reuse counters (all zero for a disabled pool).
     pub fn stats(&self) -> PoolStats {
         match &self.inner {
-            Some(inner) => inner.lock().stats,
+            Some(inner) => inner.lock().expect(POISONED).stats,
             None => PoolStats::default(),
         }
     }
@@ -142,7 +145,7 @@ impl BufferPool {
     /// Buffers currently sitting on the free list.
     pub fn free_len(&self) -> usize {
         match &self.inner {
-            Some(inner) => inner.lock().free.len(),
+            Some(inner) => inner.lock().expect(POISONED).free.len(),
             None => 0,
         }
     }

@@ -1,10 +1,9 @@
 //! Pipeline configuration: renderer mode, arrangement, geometry, fidelity.
 
 use scc_sim::{CoreId, FreqMHz};
-use serde::Serialize;
 
 /// The stage types of the paper's macro pipeline (§IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageKind {
     /// RS — renders a strip (or the full frame) from the CAD data.
     Render,
@@ -49,7 +48,7 @@ impl StageKind {
 }
 
 /// Who renders (§V's three scenarios).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RendererMode {
     /// One SCC core renders full frames and splits them among pipelines.
     SingleRenderer,
@@ -92,7 +91,7 @@ impl RendererMode {
 }
 
 /// Physical placement strategies for the pipeline stages (§IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arrangement {
     /// Stages assigned in SCC core-id order.
     Unordered,
@@ -121,7 +120,7 @@ impl Arrangement {
 }
 
 /// Whether frames carry real pixels through the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// Process real images (output comparable to the reference).
     Full,
@@ -132,7 +131,7 @@ pub enum Fidelity {
 
 /// A core stall injected into the simulated run, addressed by pipeline
 /// position rather than raw core id so it survives placement changes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallSpec {
     /// Which pipeline's stage stalls (0-based).
     pub pipeline: u32,
@@ -148,7 +147,7 @@ pub struct StallSpec {
 /// pipeline position. Unlike a stall the core never comes back; with a
 /// spare core available the supervisor *migrates* the stage instead of
 /// failing the whole lane over.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KillSpec {
     /// Which pipeline's stage dies (0-based).
     pub pipeline: u32,
@@ -160,7 +159,7 @@ pub struct KillSpec {
 
 /// Fault-injection knobs for a run. All rates are per transmission
 /// attempt; the same seed always produces the same fault schedule.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Seed of the deterministic fault schedule.
     pub seed: u64,
@@ -312,7 +311,7 @@ impl FaultSpec {
 /// are tested against. Both backends are always compiled and
 /// bit-identical, so this knob — like the rest of [`NativeTuning`] —
 /// can never move a pixel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelChoice {
     #[default]
     Auto,
@@ -352,7 +351,7 @@ impl KernelChoice {
 /// bit-identical across both runtimes; only *when and where* a strip is
 /// processed changes, which is exactly what flattens the paper's
 /// Figure 15 idle-time spread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Runtime {
     /// Fixed stage-to-core placement (the paper's execution model).
     #[default]
@@ -375,7 +374,7 @@ impl Runtime {
 /// Knobs of the dependency-driven task runtime ([`Runtime::Tasks`]).
 /// Like [`NativeTuning`] these are performance/robustness knobs only:
 /// the output film is bit-identical for every legal setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskTuning {
     /// Bounded per-core deque capacity. A producer whose target deque is
     /// full *stalls* (backpressure) instead of growing the queue — the
@@ -419,7 +418,7 @@ impl TaskTuning {
 /// management). These knobs affect performance only: output is guaranteed
 /// bit-identical across every setting, which `tests/parallel_equivalence.rs`
 /// enforces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NativeTuning {
     /// Worker threads one filter stage may spread its row-chunked kernel
     /// over (1 = plain sequential kernels). This is data parallelism
@@ -464,7 +463,7 @@ impl NativeTuning {
 /// `power_cap_watts`. A candidate move must repeat for
 /// `hysteresis_epochs` consecutive epochs before it is applied, which
 /// bounds frequency flips (the no-oscillation invariant).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GovernorTuning {
     /// Frames (or generic work items) per control epoch. Decisions made
     /// at the end of epoch `e` take effect in epoch `e + 2`, so both
@@ -536,7 +535,7 @@ impl GovernorTuning {
 /// paper's open-loop experiment (a fixed frequency per listed core's
 /// tile, everything else at the 533 MHz default); `Governed` closes the
 /// loop with the [`GovernorTuning`] controller.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PowerConfig {
     /// Fixed per-tile settings applied before the run starts. The empty
     /// list is the uniform-533 default.
@@ -607,7 +606,7 @@ impl PowerConfig {
 /// function of the item's input payload, so the whole chain's work
 /// profile is a pure function of the spec (deterministic across
 /// backends).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenericStageSpec {
     /// Stage name for reports.
     pub name: String,
@@ -659,7 +658,7 @@ impl GenericStageSpec {
 }
 
 /// A declarative generic chain, routable through `scc_core::run`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenericChainSpec {
     pub stages: Vec<GenericStageSpec>,
     /// Work items streamed through the chain.
@@ -716,7 +715,7 @@ impl GenericChainSpec {
 /// The grids, the wave profile, and the reconstructed-grid digest are
 /// pure functions of `(width, height, seeds, seed)`, so the workload is
 /// deterministic across backends and the digest gates output drift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WavefrontSpec {
     /// Grid width in cells.
     pub width: u32,
@@ -771,7 +770,7 @@ impl WavefrontSpec {
 /// workload. Non-film workloads run on the sim and DES virtual-time
 /// backends through the same `scc_core::run` facade, with the same
 /// telemetry, power plane, and invariant checking.
-#[derive(Debug, Clone, PartialEq, Serialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Workload {
     /// The paper's render → 5-filter → transfer silent-film pipeline.
     #[default]
@@ -798,7 +797,7 @@ impl Workload {
 }
 
 /// A complete experiment description.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RunConfig {
     pub renderer: RendererMode,
     pub arrangement: Arrangement,

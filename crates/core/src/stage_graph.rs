@@ -17,11 +17,10 @@
 use crate::cost::CostModel;
 use crate::spec::{RunConfig, StageKind};
 use scc_filters::{standard_chain, FrameCtx};
-use serde::Serialize;
 
 /// Parallelism class of a stage — what the partitioner may legally do
 /// with it (PS-DSWP's DOALL-vs-sequential distinction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageClass {
     /// Produces frames (render / connector). Endpoint: never merged or
     /// replicated.
@@ -64,7 +63,7 @@ impl StageClass {
 }
 
 /// One node of the stage graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageNode {
     pub kind: StageKind,
     pub class: StageClass,
@@ -91,7 +90,7 @@ pub fn class_of(kind: StageKind) -> StageClass {
 /// (source → five filters → sink, one chain instance per lane), but the
 /// representation keeps explicit edges so user-defined graphs from
 /// [`crate::generic`] fit the same scheduler.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StageGraph {
     pub nodes: Vec<StageNode>,
     /// `(from, to)` indices into `nodes`.
@@ -162,7 +161,7 @@ impl StageGraph {
 
 /// Where a weight vector came from — pinned in the decision table so the
 /// golden digests distinguish static from explicit placements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightSource {
     /// Calibrated [`CostModel`] estimate.
     StaticModel,
@@ -180,7 +179,7 @@ impl WeightSource {
 }
 
 /// Per-filter-stage weights in [`StageKind::PIPELINE_FILTERS`] order.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageWeights {
     pub per_stage: [f64; 5],
     pub source: WeightSource,

@@ -10,10 +10,9 @@
 use crate::spec::StageKind;
 use scc_sim::{CoreId, SimTime};
 use scc_telemetry::{ChromeSpan, EventKind, TelemetrySink};
-use serde::Serialize;
 
 /// What a core was doing during a span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Blocked waiting for the previous stage's frame.
     Wait,
@@ -48,7 +47,7 @@ impl Phase {
 }
 
 /// One traced span.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceEvent {
     pub core: u8,
     pub kind: StageKind,

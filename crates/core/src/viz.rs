@@ -8,7 +8,6 @@
 //! detection, and delivery statistics.
 
 use scc_filters::{fnv1a, Image};
-use serde::Serialize;
 
 /// FNV-1a, for cheap content-addressing of frames.
 pub fn frame_checksum(img: &Image) -> u64 {
@@ -46,7 +45,7 @@ pub fn detect_scratch_columns(img: &Image) -> Vec<u32> {
 }
 
 /// Per-run delivery report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VizReport {
     pub frames: usize,
     pub checksums: Vec<u64>,

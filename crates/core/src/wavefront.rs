@@ -22,10 +22,9 @@
 
 use crate::spec::WavefrontSpec;
 use scc_filters::fnv1a;
-use serde::Serialize;
 
 /// The wave profile and output fingerprint of one reconstruction.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WavefrontTrace {
     /// Frontier size (cells updated) per propagation wave; one pipeline
     /// item per entry.

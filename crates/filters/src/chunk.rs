@@ -19,7 +19,7 @@
 //! dominate; it stays sequential by choice.
 
 use crate::image::{Image, BYTES_PER_PIXEL};
-use crossbeam::thread;
+use std::thread;
 
 /// Split `rows` rows into at most `workers` contiguous chunks of
 /// near-equal height (earlier chunks take the remainder rows). The

@@ -71,7 +71,7 @@ impl ImageFilter for VSwap {
         // every other, so the swaps can run concurrently.
         let (mut top, rest) = data.split_at_mut(half * row_bytes);
         let mut bottom = &mut rest[(h as usize - 2 * half) * row_bytes..];
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for &(_, rows) in &chunks {
                 let bytes = rows as usize * row_bytes;
                 let (t, t_rest) = top.split_at_mut(bytes);

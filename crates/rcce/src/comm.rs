@@ -2,7 +2,7 @@
 //!
 //! The real RCCE library gives every core a rank and blocking
 //! `RCCE_send` / `RCCE_recv` matched by source rank. This
-//! module reproduces those semantics with one bounded crossbeam channel per
+//! module reproduces those semantics with one bounded std `sync_channel` per
 //! ordered rank pair: `send` blocks when the receiver's window is full
 //! (MPB backpressure) and `recv(src)` blocks until that source delivers.
 //!
@@ -14,11 +14,11 @@ use crate::crc::crc32;
 use crate::error::RcceError;
 use crate::mpb::MpbConfig;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use scc_sim::fault::{FaultPlan, MessageOutcome};
 use scc_telemetry::{names, EventKind, TelemetrySink};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,11 +78,11 @@ pub struct Endpoint {
     rank: usize,
     size: usize,
     /// `outs[d]` sends to rank d.
-    outs: Vec<Option<Sender<Bytes>>>,
+    outs: Vec<Option<SyncSender<Bytes>>>,
     /// `ins[s]` receives from rank s.
     ins: Vec<Option<Receiver<Bytes>>>,
     /// `ack_outs[s]` acknowledges data received from rank s.
-    ack_outs: Vec<Option<Sender<u64>>>,
+    ack_outs: Vec<Option<SyncSender<u64>>>,
     /// `ack_ins[d]` carries acknowledgements from rank d for our sends.
     ack_ins: Vec<Option<Receiver<u64>>>,
     /// Next sequence number for reliable sends to each destination.
@@ -97,8 +97,9 @@ pub struct Endpoint {
     reliability: Reliability,
     /// Deterministic fault schedule applied to reliable sends.
     fault: Option<Arc<FaultPlan>>,
-    /// Per-source wait samples, for idle-time quartiles.
-    wait_samples: Mutex<Vec<Duration>>,
+    /// Per-source wait samples, for idle-time quartiles. An endpoint
+    /// lives on one thread (std's `Receiver` is not `Sync`), so no lock.
+    wait_samples: RefCell<Vec<Duration>>,
     /// Shared telemetry sink (disabled by default): the ARQ protocol
     /// records retries, corrupt drops, and timeouts as they happen.
     tel: TelemetrySink,
@@ -113,7 +114,7 @@ pub fn communicator(size: usize, window_msgs: usize, mpb: MpbConfig) -> Vec<Endp
     assert!(size >= 1, "empty communicator");
     assert!(window_msgs >= 1, "zero-capacity window deadlocks");
     // senders[s][d] / receivers[d][s]
-    let mut senders: Vec<Vec<Option<Sender<Bytes>>>> = (0..size)
+    let mut senders: Vec<Vec<Option<SyncSender<Bytes>>>> = (0..size)
         .map(|_| (0..size).map(|_| None).collect())
         .collect();
     let mut receivers: Vec<Vec<Option<Receiver<Bytes>>>> = (0..size)
@@ -123,7 +124,7 @@ pub fn communicator(size: usize, window_msgs: usize, mpb: MpbConfig) -> Vec<Endp
     // sender -> receiver. Sized generously so a receiver's ack never
     // blocks (a full ack channel is treated as a lost ack; the protocol
     // recovers via retransmission either way).
-    let mut ack_senders: Vec<Vec<Option<Sender<u64>>>> = (0..size)
+    let mut ack_senders: Vec<Vec<Option<SyncSender<u64>>>> = (0..size)
         .map(|_| (0..size).map(|_| None).collect())
         .collect();
     let mut ack_receivers: Vec<Vec<Option<Receiver<u64>>>> = (0..size)
@@ -134,10 +135,10 @@ pub fn communicator(size: usize, window_msgs: usize, mpb: MpbConfig) -> Vec<Endp
             if s == d {
                 continue;
             }
-            let (tx, rx) = bounded(window_msgs);
+            let (tx, rx) = sync_channel(window_msgs);
             senders[s][d] = Some(tx);
             receivers[d][s] = Some(rx);
-            let (ack_tx, ack_rx) = bounded(window_msgs * 4 + 4);
+            let (ack_tx, ack_rx) = sync_channel(window_msgs * 4 + 4);
             ack_senders[d][s] = Some(ack_tx);
             ack_receivers[s][d] = Some(ack_rx);
         }
@@ -161,7 +162,7 @@ pub fn communicator(size: usize, window_msgs: usize, mpb: MpbConfig) -> Vec<Endp
             stats: Arc::new(CommStats::default()),
             reliability: Reliability::default(),
             fault: None,
-            wait_samples: Mutex::new(Vec::new()),
+            wait_samples: RefCell::new(Vec::new()),
             tel: TelemetrySink::disabled(),
             tel_base: Instant::now(),
         })
@@ -224,7 +225,7 @@ impl Endpoint {
         self.stats
             .recv_wait_ns
             .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-        self.wait_samples.lock().push(waited);
+        self.wait_samples.borrow_mut().push(waited);
         self.stats.recv_messages.fetch_add(1, Ordering::Relaxed);
         self.stats
             .recv_bytes
@@ -249,10 +250,8 @@ impl Endpoint {
                     .fetch_add(p.len() as u64, Ordering::Relaxed);
                 Ok(Some(p))
             }
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                Err(RcceError::Disconnected { rank: src })
-            }
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(RcceError::Disconnected { rank: src }),
         }
     }
 
@@ -456,7 +455,7 @@ impl Endpoint {
             self.stats
                 .recv_wait_ns
                 .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-            self.wait_samples.lock().push(waited);
+            self.wait_samples.borrow_mut().push(waited);
             self.stats.recv_messages.fetch_add(1, Ordering::Relaxed);
             self.stats
                 .recv_bytes
@@ -508,7 +507,7 @@ impl Endpoint {
 
     /// Drain the recorded recv-wait samples (for idle-time statistics).
     pub fn take_wait_samples(&self) -> Vec<Duration> {
-        std::mem::take(&mut *self.wait_samples.lock())
+        self.wait_samples.take()
     }
 }
 

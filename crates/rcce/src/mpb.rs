@@ -7,10 +7,8 @@
 //! the per-message software overhead, and is the reason large frames are
 //! "divided into multiple sub-images and sent one after another" (§VI-A).
 
-use serde::Serialize;
-
 /// MPB geometry and protocol constants.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MpbConfig {
     /// Usable payload bytes per core's MPB window.
     pub window_bytes: u64,

@@ -7,10 +7,8 @@
 //! tiles exceed the 256 KiB L2 (§VI-A, Figure 12). The platform books
 //! every stage's memory traffic through it.
 
-use serde::Serialize;
-
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub capacity: u64,
@@ -32,7 +30,7 @@ impl CacheGeometry {
 }
 
 /// Analytic miss model for streaming stage workloads.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StreamModel {
     pub geo: CacheGeometry,
 }

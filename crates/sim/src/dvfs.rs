@@ -7,11 +7,10 @@
 //! higher amount of energy than necessary", Figure 18).
 
 use crate::topology::{CoreId, TileId, MESH_H, MESH_W, NUM_TILES};
-use serde::Serialize;
 
 /// Supported core frequencies (MHz). The RCCE API exposes steps between
 /// 400 and 1198 MHz; the paper uses exactly these three.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FreqMHz {
     F400,
     F533,
@@ -48,7 +47,7 @@ impl FreqMHz {
 }
 
 /// One of the six 2×2-tile voltage islands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IslandId(u8);
 
 /// Islands per row / column of the island grid.
@@ -89,7 +88,7 @@ impl IslandId {
 
 /// The chip-wide DVFS state: one frequency per tile, voltages derived per
 /// island as the minimum that supports the island's fastest tile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DvfsState {
     tile_freq: [FreqMHz; NUM_TILES as usize],
 }

@@ -24,10 +24,9 @@
 
 use crate::time::SimTime;
 use crate::topology::Link;
-use serde::Serialize;
 
 /// What happens to one transmission attempt of one message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageOutcome {
     /// The payload arrives intact.
     Deliver,
@@ -41,7 +40,7 @@ pub enum MessageOutcome {
 }
 
 /// One core stall: the core issues nothing during `[at, at + duration)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreStall {
     pub core: u8,
     pub at: SimTime,
@@ -60,14 +59,14 @@ impl CoreStall {
 /// nothing, acknowledges nothing, and emits no heartbeats — fail-stop.
 /// Unlike a [`CoreStall`] it never ends, which is what makes supervised
 /// *migration* (rather than patience) the right response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreKill {
     pub core: u8,
     pub at: SimTime,
 }
 
 /// Seeded description of every fault the plan may inject.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Master seed; all decisions derive from it.
     pub seed: u64,
@@ -136,7 +135,7 @@ fn unit(h: u64) -> f64 {
 
 /// The resolved, immutable fault schedule. Cheap to share (`Arc`) between
 /// the platform, the NoC, the event queue and native endpoints.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FaultPlan {
     cfg: FaultConfig,
     /// Bandwidth factor per dense link index (1.0 = healthy).

@@ -9,9 +9,8 @@
 
 use crate::bucket::BucketedResource;
 use crate::time::SimTime;
-use serde::Serialize;
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HostLinkConfig {
     /// Sustained payload bandwidth, bytes/second.
     pub bandwidth: u64,
@@ -37,7 +36,7 @@ impl Default for HostLinkConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HostLinkStats {
     pub transfers: u64,
     pub packets: u64,

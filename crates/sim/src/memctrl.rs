@@ -11,10 +11,9 @@
 use crate::bucket::BucketedResource;
 use crate::time::SimTime;
 use crate::topology::{McId, NUM_MCS};
-use serde::Serialize;
 
 /// DDR3 controller timing parameters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemConfig {
     /// Fixed DRAM access latency per request (row activation etc.).
     pub access_latency: SimTime,
@@ -36,7 +35,7 @@ impl Default for MemConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct McStats {
     pub requests: u64,
     pub bytes: u64,
@@ -143,7 +142,8 @@ mod tests {
         let d1 = mem.access(SimTime::ZERO, McId::new(0), 10_000);
         let d2 = mem.access(SimTime::ZERO, McId::new(0), 10_000);
         assert!(d2 > d1);
-        assert!(mem.stats(McId::new(0)).wait_ps > 0);
+        assert_eq!(mem.stats(McId::new(0)).wait_ps, (d2 - d1).as_ps());
+        assert_eq!(mem.total_wait(), d2 - d1);
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::noc::{Noc, NocConfig};
 use crate::power::{PowerConfig, PowerMeter, PowerSample};
 use crate::time::SimTime;
 use crate::topology::{CoreId, McId, TileId};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Wire size of one heartbeat datagram (magic + rank + sequence number —
@@ -26,7 +25,7 @@ use std::sync::Arc;
 pub const HEARTBEAT_BYTES: u64 = 16;
 
 /// Full platform configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SccConfig {
     pub noc: NocConfig,
     pub mem: MemConfig,
@@ -67,7 +66,7 @@ impl Default for SccConfig {
     }
 }
 
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct L2Config {
     pub geometry: CacheGeometry,
 }
@@ -88,7 +87,7 @@ pub enum MemOp {
 }
 
 /// Aggregated platform counters for reports.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PlatformStats {
     pub noc_messages: u64,
     pub noc_bytes: u64,

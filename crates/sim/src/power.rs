@@ -21,7 +21,6 @@
 use crate::dvfs::{DvfsState, IslandId};
 use crate::time::SimTime;
 use crate::topology::{CoreId, TileId, NUM_CORES};
-use serde::Serialize;
 
 /// Nominal supply voltage (533 MHz operating point).
 pub const V_NOM: f64 = 1.1;
@@ -29,7 +28,7 @@ pub const V_NOM: f64 = 1.1;
 pub const F_NOM: f64 = 533.0;
 
 /// Calibration constants for the analytic model. All values in watts.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PowerConfig {
     /// Fixed uncore power (clock distribution, I/O, MCs idling).
     pub uncore_idle: f64,
@@ -173,7 +172,7 @@ pub struct PowerMeter {
 }
 
 /// One sample of the rendered power trace.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PowerSample {
     pub t: SimTime,
     pub watts: f64,
@@ -488,7 +487,7 @@ impl PowerMeter {
 
 /// The paper's MCPC (Xeon X3440 host) power figures: 52 W idle, 80 W while
 /// rendering (§II, §VI-B).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct McpcPower {
     pub idle: f64,
     pub rendering: f64,

@@ -2,10 +2,9 @@
 //! over collected samples (for the Figure 15 idle-time box plot).
 
 use crate::time::SimTime;
-use serde::Serialize;
 
 /// Median and quartiles of a sample set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quartiles {
     pub min: f64,
     pub q1: f64,

@@ -7,7 +7,6 @@
 //! quadrant of the die is served by the memory controller on its corner,
 //! which is the default private-memory mapping used by sccKit.
 
-use serde::Serialize;
 use std::fmt;
 
 /// Mesh width in tiles.
@@ -25,11 +24,11 @@ pub const NUM_MCS: u8 = 4;
 
 /// One of the 48 cores, numbered 0..48 in SCC order (core `2t` and `2t+1`
 /// live on tile `t`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CoreId(u8);
 
 /// One of the 24 tiles / mesh routers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TileId(u8);
 
 /// One of the four memory controllers.

@@ -1,7 +1,7 @@
 //! Hand-rolled JSON document tree and the snapshot's JSON exporter.
 //!
-//! The vendored serde shim is a no-op marker, so every JSON document in
-//! the workspace is rendered by hand. [`Json`] centralises that: an
+//! The workspace has no serialisation crate, so every JSON document is
+//! rendered by hand. [`Json`] centralises that: an
 //! insertion-ordered object/array tree with deterministic rendering,
 //! used for the telemetry snapshot itself and as the substrate the
 //! `BENCH_*.json` writers build on.

@@ -19,8 +19,8 @@
 //! * [`snapshot`] — [`Snapshot`], the immutable, deterministically
 //!   ordered view a finished run exports;
 //! * [`prometheus`] — text exposition rendering of a snapshot;
-//! * [`json`] — a hand-rolled JSON document tree (the vendored serde
-//!   shim is a no-op marker) plus the snapshot's JSON exporter, the
+//! * [`json`] — a hand-rolled JSON document tree (the workspace has no
+//!   serialisation crate) plus the snapshot's JSON exporter, the
 //!   backing store for the `BENCH_*.json` documents;
 //! * [`chrome`] — the Chrome-trace (`chrome://tracing`) exporter, now
 //!   the single renderer for both `TraceLog` spans and the event stream.
