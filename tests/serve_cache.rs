@@ -12,6 +12,7 @@ use common::scene;
 use proptest::prelude::*;
 use scc_core::reference::reference_frames;
 use scc_core::{Fidelity, KernelChoice, RendererMode, RunConfig};
+use scc_filters::{fnv1a, FNV_OFFSET, FNV_PRIME};
 use scc_serve::{serve, ServeConfig, ServeOutcome, TenantSpec};
 
 const MODES: [RendererMode; 3] = [
@@ -195,6 +196,48 @@ fn eviction_under_tiny_capacity_still_completes_every_session() {
             films_bytes(&off),
             "{mode:?}: eviction pressure changed film bytes"
         );
+    }
+}
+
+#[test]
+fn delivered_checksums_are_the_fnv1a_of_the_delivered_frames() {
+    // The property by meaning, not by digest: every checksum a session
+    // receives is the FNV-1a of the frame it received, and `film_hash`
+    // folds those checksums word by word in session id order. 31 rows
+    // leave p = 2 and p = 3 strips of unequal height; 2 shards x 3 frames
+    // make rounds of up to six frames, not a multiple of four.
+    for mode in MODES {
+        for p in [1u32, 2, 3] {
+            let mut cfg = serve_cfg(mode);
+            cfg.run.width = 40;
+            cfg.run.height = 31;
+            cfg.run.pipelines = p;
+            cfg.validate().expect("valid serve config");
+            let out = run(&cfg);
+            assert!(
+                !out.films.is_empty(),
+                "{mode:?} p={p}: no session completed"
+            );
+            let mut film_hash = FNV_OFFSET;
+            for f in &out.films {
+                assert_eq!(
+                    f.checksums.len(),
+                    f.film.len(),
+                    "{mode:?} p={p}: session {}",
+                    f.id
+                );
+                for (i, (sum, frame)) in f.checksums.iter().zip(&f.film).enumerate() {
+                    assert_eq!(
+                        *sum,
+                        fnv1a(frame.as_bytes()),
+                        "{mode:?} p={p}: session {} frame {i}",
+                        f.id
+                    );
+                    film_hash = (film_hash ^ sum).wrapping_mul(FNV_PRIME);
+                }
+            }
+            assert_eq!(out.report.film_hash, film_hash, "{mode:?} p={p}: film_hash");
+        }
     }
 }
 
