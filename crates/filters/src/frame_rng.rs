@@ -39,6 +39,23 @@ pub fn fnv1a_fold(h: u64, bytes: &[u8]) -> u64 {
         .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
+/// Continue `N` FNV-1a states, lane `k`'s state over `lanes[k]`: exactly
+/// `N` calls of [`fnv1a_fold`], in one loop. One FNV-1a is a serial chain
+/// of multiplies; interleaving `N` independent chains lets the core
+/// overlap them. Panics unless every lane has the same length.
+pub fn fnv1a_fold_lanes<const N: usize>(h: [u64; N], lanes: [&[u8]; N]) -> [u64; N] {
+    let len = lanes.first().map_or(0, |l| l.len());
+    assert!(
+        lanes.iter().all(|l| l.len() == len),
+        "fnv1a lanes of unequal length"
+    );
+    // Cut to `len` so the byte reads need no bounds check.
+    let lanes = lanes.map(|l| &l[..len]);
+    (0..len).fold(h, |h, i| {
+        std::array::from_fn(|k| (h[k] ^ lanes[k][i] as u64).wrapping_mul(FNV_PRIME))
+    })
+}
+
 /// A reproducible RNG for one frame of one run.
 pub fn frame_rng(run_seed: u64, frame_id: u64) -> StdRng {
     let mixed = splitmix64(run_seed ^ splitmix64(frame_id));
@@ -87,6 +104,25 @@ mod tests {
         let a: u64 = frame_rng(1, 0).gen();
         let b: u64 = frame_rng(2, 0).gen();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn one_lane_gives_the_known_answers() {
+        // The FNV-1a 64 test vectors.
+        for (input, want) in [
+            ("", 0xcbf2_9ce4_8422_2325),
+            ("a", 0xaf63_dc4c_8601_ec8c),
+            ("foobar", 0x8594_4171_f739_67e8),
+        ] {
+            assert_eq!(fnv1a(input.as_bytes()), want, "{input:?}");
+            assert_eq!(fnv1a_fold_lanes([FNV_OFFSET], [input.as_bytes()]), [want]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal length")]
+    fn lanes_of_unequal_length_panic() {
+        fnv1a_fold_lanes([FNV_OFFSET; 2], [b"ab".as_slice(), b"abc"]);
     }
 
     #[test]

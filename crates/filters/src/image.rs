@@ -176,14 +176,15 @@ impl Image {
             .collect()
     }
 
-    /// The strips in `y0` order, checked to tile one frame: each starts on
-    /// the row the one above it ends on, the last ends on the last row.
-    fn tiled(strips: &[(StripInfo, Image)]) -> Vec<&(StripInfo, Image)> {
-        assert!(!strips.is_empty(), "no strips to assemble");
-        let full_height = strips[0].0.full_height;
-        let width = strips[0].1.width();
-        assert_eq!(strips.len() as u32, strips[0].0.count, "missing strips");
-        let mut order: Vec<&(StripInfo, Image)> = strips.iter().collect();
+    /// The strips' images in `y0` order (any order in), checked to tile
+    /// one frame: each starts on the row the one above it ends on, the
+    /// last ends on the last row. Reading them in turn reads the frame's
+    /// bytes without assembling it.
+    pub fn tiled<'a>(strips: impl IntoIterator<Item = &'a (StripInfo, Image)>) -> Vec<&'a Image> {
+        let mut order: Vec<&(StripInfo, Image)> = strips.into_iter().collect();
+        assert!(!order.is_empty(), "no strips to assemble");
+        let (full_height, width) = (order[0].0.full_height, order[0].1.width());
+        assert_eq!(order.len() as u32, order[0].0.count, "missing strips");
         order.sort_by_key(|(info, _)| info.y0);
         let mut placed = 0;
         for (info, img) in &order {
@@ -194,18 +195,25 @@ impl Image {
             placed += info.height;
         }
         assert_eq!(placed, full_height, "strips do not tile the frame");
-        order
+        order.into_iter().map(|(_, img)| img).collect()
+    }
+
+    /// Stack images of one width top to bottom into one.
+    pub fn vstack(rows: &[&Image]) -> Image {
+        assert!(!rows.is_empty(), "no images to stack");
+        let width = rows[0].width;
+        let height = rows.iter().map(|img| img.height).sum();
+        let mut data = Vec::with_capacity(width as usize * height as usize * BYTES_PER_PIXEL);
+        for img in rows {
+            assert_eq!(img.width, width, "stacked width mismatch");
+            data.extend_from_slice(&img.data);
+        }
+        Image::from_raw(width, height, data)
     }
 
     /// Reassemble strips produced by [`Image::split_strips`] (any order).
     pub fn assemble(strips: &[(StripInfo, Image)]) -> Image {
-        let rows = Image::tiled(strips);
-        let (width, full_height) = (rows[0].1.width, rows[0].0.full_height);
-        let mut data = Vec::with_capacity(width as usize * full_height as usize * BYTES_PER_PIXEL);
-        for (_, img) in rows {
-            data.extend_from_slice(&img.data);
-        }
-        Image::from_raw(width, full_height, data)
+        Image::vstack(&Image::tiled(strips))
     }
 }
 
@@ -309,6 +317,17 @@ mod tests {
             let shuffled: Vec<_> = order.iter().map(|&i| strips[i].clone()).collect();
             assert_eq!(Image::assemble(&shuffled), img, "{} strips", order.len());
         }
+    }
+
+    #[test]
+    fn tiled_reads_the_frame_in_row_order() {
+        let img = gradient(5, 11);
+        let mut strips = img.split_strips(3);
+        strips.swap(0, 2);
+        let rows = Image::tiled(&strips);
+        let bytes: Vec<u8> = rows.iter().flat_map(|r| r.as_bytes()).copied().collect();
+        assert_eq!(bytes, img.as_bytes());
+        assert_eq!(Image::vstack(&rows), img);
     }
 
     #[test]

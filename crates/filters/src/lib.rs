@@ -41,7 +41,7 @@ pub use chunk::{chunk_rows, par_row_chunks};
 pub use fanout::{burst, fan_out};
 pub use filter::{FrameCtx, ImageFilter, Traffic};
 pub use flicker::Flicker;
-pub use frame_rng::{fnv1a, fnv1a_fold, splitmix64, FNV_OFFSET, FNV_PRIME};
+pub use frame_rng::{fnv1a, fnv1a_fold, fnv1a_fold_lanes, splitmix64, FNV_OFFSET, FNV_PRIME};
 pub use image::{Image, StripInfo, BYTES_PER_PIXEL};
 pub use oriented_scratch::OrientedScratch;
 pub use scratch::Scratch;

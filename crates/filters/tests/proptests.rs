@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use scc_filters::{
-    sepia::sepia_pixel, standard_chain, vswap, Blur, Flicker, FrameCtx, Image, ImageFilter,
-    KernelBackend, Scratch, Sepia, StripInfo, VSwap,
+    fnv1a_fold, fnv1a_fold_lanes, sepia::sepia_pixel, standard_chain, vswap, Blur, Flicker,
+    FrameCtx, Image, ImageFilter, KernelBackend, Scratch, Sepia, StripInfo, VSwap,
 };
 
 /// An arbitrary small image with arbitrary pixels.
@@ -37,6 +37,17 @@ fn arb_run_image(max_w: u32, max_h: u32) -> impl Strategy<Value = Image> {
                 Image::from_raw(w, h, data)
             })
     })
+}
+
+/// `fnv1a_fold_lanes::<N>` over the first `N` lanes of `lanes` and
+/// states of `starts`, next to `N` separate `fnv1a_fold`s.
+fn lanes_and_folds<const N: usize>(starts: &[u64], lanes: &[&[u8]]) -> ([u64; N], [u64; N]) {
+    let folds = std::array::from_fn(|k| fnv1a_fold(starts[k], lanes[k]));
+    let h = fnv1a_fold_lanes(
+        std::array::from_fn(|k| starts[k]),
+        std::array::from_fn(|k| lanes[k]),
+    );
+    (h, folds)
 }
 
 fn whole(img: &Image, frame: u64, seed: u64) -> FrameCtx {
@@ -123,6 +134,25 @@ proptest! {
                 prop_assert_eq!(a[3], b[3], "alpha changed");
             }
         }
+    }
+
+    #[test]
+    fn fnv1a_lanes_equal_separate_folds(
+        len_bytes in (0usize..=257).prop_flat_map(|len| {
+            (Just(len), prop::collection::vec(any::<u8>(), len * 8))
+        }),
+        starts in prop::collection::vec(any::<u64>(), 8),
+    ) {
+        let (len, bytes) = len_bytes;
+        let lanes: Vec<&[u8]> = (0..8).map(|k| &bytes[k * len..(k + 1) * len]).collect();
+        let (h, folds) = lanes_and_folds::<1>(&starts, &lanes);
+        prop_assert_eq!(h, folds);
+        let (h, folds) = lanes_and_folds::<2>(&starts, &lanes);
+        prop_assert_eq!(h, folds);
+        let (h, folds) = lanes_and_folds::<4>(&starts, &lanes);
+        prop_assert_eq!(h, folds);
+        let (h, folds) = lanes_and_folds::<8>(&starts, &lanes);
+        prop_assert_eq!(h, folds);
     }
 
     #[test]

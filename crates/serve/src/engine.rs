@@ -3,13 +3,14 @@
 //! All *observable decisions* — admission, shedding, weighted-fair slot
 //! allocation, cache hits/misses/evictions, the session ledger, frame
 //! latencies — are made by a deterministic virtual-time control loop, so
-//! two runs of one config agree bit-for-bit. Pixel production inside a
-//! round — rendering and filtering the missing strips, assembling and
-//! checksumming the scheduled frames — fans out over host threads through
-//! [`scc_filters::burst`] (the `Renderer` is `&self`-only over `Arc`s), which hands the
-//! results back in job order; every decision is then taken on the control
-//! thread in that order, so the host's thread count never shows in a
-//! report or a film (DESIGN.md §17, "Host execution of a round").
+//! two runs of one config agree bit-for-bit. A round's render jobs —
+//! rendering and filtering the missing strips — fan out over host threads
+//! through [`scc_filters::burst`] (the `Renderer` is `&self`-only over
+//! `Arc`s), which hands the results back in job order; the control thread
+//! then checksums the scheduled frames itself, several at a time, and
+//! takes every decision in that order, so the host's thread count never
+//! shows in a report or a film (DESIGN.md §17, "Host execution of a
+//! round").
 //!
 //! One round:
 //!  1. **admit** this round's arrivals (per-tenant queue bound, global
@@ -23,9 +24,10 @@
 //!  4. **render** the job burst, charge each of the `pool` instances
 //!     virtual cycles from the shared [`CostModel`], and advance virtual
 //!     time by the slowest instance;
-//!  5. **deliver**: insert new strips (LRU-bounded), assemble frames,
-//!     record ready→delivered latency, retire finished sessions into the
-//!     ledger.
+//!  5. **deliver**: insert new strips (LRU-bounded), checksum each frame
+//!     straight from its strips in row order (assembling it only under
+//!     `keep_films`), record ready→delivered latency, retire finished
+//!     sessions into the ledger.
 
 use crate::cache::{CacheStats, StripCache, StripKey};
 use crate::config::{generate_sessions, ServeConfig, SessionSpec};
@@ -34,8 +36,8 @@ use scc_core::cost::cycles_to_secs;
 use scc_core::spec::RendererMode;
 use scc_core::CostModel;
 use scc_filters::{
-    burst, fnv1a, standard_chain, vswap, FrameCtx, Image, ImageFilter, KernelBackend, StripInfo,
-    FNV_OFFSET, FNV_PRIME,
+    burst, fnv1a_fold, fnv1a_fold_lanes, standard_chain, vswap, FrameCtx, Image, ImageFilter,
+    KernelBackend, StripInfo, FNV_OFFSET, FNV_PRIME,
 };
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_telemetry::{names, TelemetrySink, SECONDS_BUCKETS};
@@ -67,7 +69,7 @@ impl LatencyStats {
         if samples.is_empty() {
             return LatencyStats::default();
         }
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        samples.sort_by(f64::total_cmp);
         let n = samples.len();
         LatencyStats {
             count: n as u64,
@@ -518,8 +520,9 @@ impl<'a> Engine<'a> {
         self.vtime += busy.iter().cloned().fold(0.0f64, f64::max) + ROUND_OVERHEAD_SECS;
     }
 
-    /// Phase 6: cache the strips sessions missed, then assemble and
-    /// checksum the scheduled frames and hand each to its session.
+    /// Phase 6: cache the strips sessions missed, then checksum the
+    /// scheduled frames and hand each to its session (assembled too under
+    /// `keep_films`).
     fn deliver(
         &mut self,
         scheduled: &[usize],
@@ -538,22 +541,23 @@ impl<'a> Engine<'a> {
                 store.entry(at).or_insert((info, img));
             }
         }
-        // A frame's bytes depend only on the round's strip store, so the
-        // frames assemble and checksum side by side; the sessions take
-        // them in dispatch order.
-        let (active, strips, keep) = (&self.active, self.bounds.len() as u32, self.cfg.keep_films);
-        let frames = burst(self.host_threads, scheduled.len(), |i| {
-            let pose = active[scheduled[i]].pose();
-            let strips: Vec<(StripInfo, Image)> = (0..strips)
-                .map(|si| store.get(&(pose, si)).expect("strip resolved").clone())
-                .collect();
-            let frame = Image::assemble(&strips);
-            (fnv1a(frame.as_bytes()), keep.then_some(frame))
-        });
-        for (&ai, (checksum, frame)) in scheduled.iter().zip(frames) {
+        // Each frame is read in place, its strips in row order; the
+        // sessions take the frames in dispatch order.
+        let strips = self.bounds.len() as u32;
+        let frames: Vec<Vec<&Image>> = scheduled
+            .iter()
+            .map(|&ai| {
+                let pose = self.active[ai].pose();
+                Image::tiled((0..strips).map(|si| store.get(&(pose, si)).expect("strip resolved")))
+            })
+            .collect();
+        let checksums = frame_checksums(&frames);
+        for ((&ai, rows), checksum) in scheduled.iter().zip(&frames).zip(checksums) {
             let s = &mut self.active[ai];
             s.checksums.push(checksum);
-            s.film.extend(frame);
+            if self.cfg.keep_films {
+                s.film.push(Image::vstack(rows));
+            }
             self.latencies.push(self.vtime - s.ready_vtime);
             s.ready_vtime = self.vtime;
             s.next_frame += 1;
@@ -620,6 +624,30 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// Frames hashed side by side: one FNV-1a chain is a serial multiply per
+/// byte, and this many independent chains keep the core busy instead.
+const HASH_LANES: usize = 4;
+
+/// The FNV-1a of each frame, every frame given as its strips in row
+/// order. Groups of [`HASH_LANES`] frames are hashed together; every
+/// frame of a round has one geometry, so lane `k`'s strip `s` is as long
+/// as every other lane's (`fnv1a_fold_lanes` asserts it).
+fn frame_checksums(frames: &[Vec<&Image>]) -> Vec<u64> {
+    let groups = frames.chunks_exact(HASH_LANES);
+    let rest = groups.remainder().iter().map(|rows| {
+        rows.iter()
+            .fold(FNV_OFFSET, |h, img| fnv1a_fold(h, img.as_bytes()))
+    });
+    groups
+        .flat_map(|group| {
+            (0..group[0].len()).fold([FNV_OFFSET; HASH_LANES], |h, s| {
+                fnv1a_fold_lanes(h, std::array::from_fn(|k| group[k][s].as_bytes()))
+            })
+        })
+        .chain(rest)
+        .collect()
+}
+
 /// Serve against the facade's default city scene.
 pub fn serve_default(cfg: &ServeConfig) -> ServeOutcome {
     serve(cfg, &scc_core::default_scene())
@@ -657,6 +685,7 @@ mod tests {
     use super::*;
     use crate::config::TenantSpec;
     use scc_core::RunConfig;
+    use scc_filters::fnv1a;
     use scc_render::CityConfig;
 
     fn tiny_scene() -> Arc<Scene> {
@@ -851,6 +880,22 @@ histogram scc_serve_frame_latency_seconds [] [0.0005, 0.001, 0.0025, 0.005, 0.01
             o.films.iter().map(|f| f.checksums.clone()).collect()
         };
         assert_eq!(sums(&hostile), sums(&wide));
+    }
+
+    #[test]
+    fn frame_checksums_are_each_frames_fnv1a_at_any_frame_count() {
+        // Three strips of 5, 4 and 4 rows; 0..=9 frames leave every
+        // remainder after the groups of four.
+        let frames: Vec<Image> = (0..9u8)
+            .map(|f| Image::from_raw(3, 13, (0..156).map(|i| i ^ f.wrapping_mul(37)).collect()))
+            .collect();
+        let strips: Vec<Vec<(StripInfo, Image)>> =
+            frames.iter().map(|f| f.split_strips(3)).collect();
+        for n in 0..=frames.len() {
+            let rows: Vec<Vec<&Image>> = strips[..n].iter().map(Image::tiled).collect();
+            let want: Vec<u64> = frames[..n].iter().map(|f| fnv1a(f.as_bytes())).collect();
+            assert_eq!(frame_checksums(&rows), want, "{n} frames");
+        }
     }
 
     #[test]
