@@ -241,6 +241,76 @@ fn delivered_checksums_are_the_fnv1a_of_the_delivered_frames() {
     }
 }
 
+#[test]
+fn serve_is_pinned_across_cache_windows() {
+    // Capacity 0 turns the cache off, 2 evicts a strip and misses it again
+    // rounds later, 6 keeps a strip long enough for a hit many rounds after
+    // its render, 256 never evicts. Every mode at p = 1..=3 over 40x31;
+    // each run's film_hash, virtual time bits and cache counters are
+    // folded into one FNV-1a digest, in that order.
+    let mut digest = FNV_OFFSET;
+    let mut fold = |word: u64| {
+        for b in word.to_le_bytes() {
+            digest = (digest ^ b as u64).wrapping_mul(FNV_PRIME);
+        }
+    };
+    for mode in MODES {
+        for p in [1u32, 2, 3] {
+            for capacity in [0u32, 2, 6, 256] {
+                let mut cfg = serve_cfg(mode);
+                cfg.run.width = 40;
+                cfg.run.height = 31;
+                cfg.run.pipelines = p;
+                cfg.cache_capacity = capacity;
+                cfg.keep_films = false;
+                cfg.validate().expect("valid serve config");
+                let r = run(&cfg).report;
+                assert_eq!(r.completed, r.admitted, "{mode:?} p={p} cap={capacity}");
+                let c = r.cache;
+                if capacity > 0 {
+                    assert!(c.hits > 0, "{mode:?} p={p} cap={capacity}: no hit");
+                }
+                if capacity == 2 {
+                    assert!(
+                        c.evictions > 0,
+                        "{mode:?} p={p} cap={capacity}: no eviction"
+                    );
+                }
+                for word in [
+                    r.film_hash,
+                    r.virtual_secs.to_bits(),
+                    c.hits,
+                    c.misses,
+                    c.evictions,
+                    c.collisions,
+                    c.insertions,
+                ] {
+                    fold(word);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        digest, 0xa524_4e9d_006c_48b1,
+        "serve moved: digest {digest:#018x}"
+    );
+
+    // Films kept under a thrashing cache: each frame hashes to its checksum.
+    let mut cfg = serve_cfg(RendererMode::McpcRenderer);
+    cfg.run.width = 40;
+    cfg.run.height = 31;
+    cfg.run.pipelines = 3;
+    cfg.cache_capacity = 2;
+    let out = run(&cfg);
+    assert!(!out.films.is_empty(), "no session completed");
+    for f in &out.films {
+        assert_eq!(f.checksums.len(), f.film.len(), "session {}", f.id);
+        for (i, (sum, frame)) in f.checksums.iter().zip(&f.film).enumerate() {
+            assert_eq!(*sum, fnv1a(frame.as_bytes()), "session {} frame {i}", f.id);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 6, // each case serves two full (small) workloads
