@@ -9,7 +9,7 @@ use crate::camera::Camera;
 use crate::frustum::Frustum;
 use crate::octree::{CullStats, Octree};
 use crate::probe::ProbeKey;
-use crate::raster::{estimate_coverage, rasterize, FrameSetup, RasterStats};
+use crate::raster::{estimate_coverage, rasterize_skipping, FrameSetup, RasterStats};
 use crate::scene::Scene;
 use scc_filters::{fan_out, Image, BYTES_PER_PIXEL};
 use std::sync::Arc;
@@ -161,7 +161,7 @@ impl Renderer {
         draw_sky(img.as_bytes_mut(), width, y0, full_height);
         zbuf.clear();
         zbuf.resize(img.pixel_count() as usize, f32::INFINITY);
-        let raster = rasterize(&self.scene.triangles, &visible, &mvp, img, zbuf);
+        let raster = rasterize_skipping(&self.scene.triangles, &visible, &mvp, img, zbuf);
         RenderStats { cull, raster }
     }
 
@@ -289,6 +289,7 @@ mod tests {
     use super::*;
     use crate::camera::Walkthrough;
     use crate::frame_pins::{Geometry, GEOMETRIES};
+    use crate::frustum::Frustum;
     use crate::scene::CityConfig;
 
     fn small_renderer() -> Renderer {
@@ -483,12 +484,30 @@ mod tests {
         (Image::from_raw(g.width, g.height, rows), stats)
     }
 
+    /// The painter's counters for the whole frame `cam` sees at `g`:
+    /// [`rasterize`](crate::raster::rasterize) over the same cull, every
+    /// set-up triangle filled.
+    fn painter(g: &Geometry, r: &Renderer, cam: &Camera) -> RasterStats {
+        let mvp = cam.strip_view_projection(g.height, 0, g.height);
+        let mut visible = Vec::new();
+        r.octree().cull(&Frustum::from_matrix(&mvp), &mut visible);
+        let mut img = Image::new(g.width, g.height);
+        let mut z = crate::raster::new_zbuf(g.width, g.height);
+        crate::raster::rasterize(&r.scene().triangles, &visible, &mvp, &mut img, &mut z)
+    }
+
     /// The band path draws the full render: for `frames` (indices into
     /// the pinned frames) of every pinned geometry, bands of 1, 7, 25 and
     /// 64 rows and of the whole frame, over the strips of 1, 2, 3 and 7
     /// pipelines in turn, equal `render_strip_into` of the whole frame in
-    /// every image byte and z-buffer bit and in all four raster counters.
-    /// A row that differs would mean the fill is not row-independent.
+    /// every image byte and z-buffer bit and in `triangles_in`,
+    /// `triangles_filled` and `pixels_written`. A row that differs would
+    /// mean the fill is not row-independent.
+    ///
+    /// `pixels_covered` depends on the band tiling, because each band
+    /// decides on its own depth tiles which triangles it can skip. It lies
+    /// between `pixels_written` and the painter's count, and equals the
+    /// full render's when one band covers the whole frame.
     fn bands_equal_the_full_render(frames: impl Iterator<Item = u64> + Clone) {
         for g in &GEOMETRIES {
             let r = g.renderer();
@@ -499,6 +518,15 @@ mod tests {
                 let mut want = Image::new(g.width, g.height);
                 let mut want_z = Vec::new();
                 let want_stats = r.render_strip_into(&cam, g.height, 0, &mut want, &mut want_z);
+                let painted = painter(g, &r, &cam);
+                let want_stats = want_stats.raster;
+                assert_eq!(
+                    (want_stats.pixels_written, want_stats.triangles_filled),
+                    (painted.pixels_written, painted.triangles_filled),
+                    "{} f{frame}: full render against the painter",
+                    g.name
+                );
+                assert!(want_stats.pixels_covered <= painted.pixels_covered);
                 let pipelines = [1, 2, 3, 7][k % 4];
                 for band_rows in [1, 7, 25, 64, g.height] {
                     let name = format!("{} f{frame} p{pipelines} bands of {band_rows}", g.name);
@@ -515,7 +543,19 @@ mod tests {
                     });
                     assert_eq!(bad_row, None, "{name}: first row that differs");
                     assert_eq!(zbuf.len(), want_z.len(), "{name}");
-                    assert_eq!(stats, want_stats.raster, "{name}");
+                    let exact =
+                        |s: &RasterStats| (s.triangles_in, s.triangles_filled, s.pixels_written);
+                    assert_eq!(exact(&stats), exact(&want_stats), "{name}");
+                    let covered = stats.pixels_covered;
+                    assert!(
+                        stats.pixels_written <= covered && covered <= painted.pixels_covered,
+                        "{name}: {covered} covered, {} written, painter {}",
+                        stats.pixels_written,
+                        painted.pixels_covered
+                    );
+                    if pipelines == 1 && band_rows == g.height {
+                        assert_eq!(covered, want_stats.pixels_covered, "{name}: one band");
+                    }
                 }
             }
         }
