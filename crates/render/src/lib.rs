@@ -6,9 +6,10 @@
 //! z-buffered rasteriser ([`raster`]), a deterministic procedural city
 //! ([`scene`]) and the 400-frame walkthrough [`camera`] path. The
 //! [`renderer::Renderer`] renders horizontal image strips for the
-//! sort-first parallel decomposition, reporting the workload statistics
-//! (octree nodes visited, triangles rasterised, pixels filled) that drive
-//! the render-stage cost model in `scc-core`.
+//! sort-first parallel decomposition, reporting workload statistics
+//! (octree nodes visited, triangles set up, pixels tested and written).
+//! The render-stage cost model in `scc-core` prices the cull's statistics
+//! and an analytic coverage estimate, not the fill's counters.
 
 #![forbid(unsafe_code)]
 
