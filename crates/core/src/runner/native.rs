@@ -15,7 +15,6 @@ use crate::partition::StagePlan;
 use crate::pool::{BufferPool, PoolStats};
 use crate::spec::{RendererMode, RunConfig, StageKind};
 use crate::trace::{Phase, TraceLog};
-use bytes::{Buf, Bytes};
 use scc_filters::{standard_chain, Image, StripInfo, BYTES_PER_PIXEL};
 use scc_rcce::{communicator, crc32, Endpoint, MpbConfig, RcceError, Reliability};
 use scc_render::{Camera, FrameSetup, Renderer, Scene, Walkthrough, BAND_ROWS};
@@ -23,11 +22,11 @@ use scc_sim::fault::{FaultConfig, FaultPlan};
 use scc_sim::stats::Quartiles;
 use scc_sim::{CoreId, SimTime};
 use scc_telemetry::{names, TelemetrySink, IDLE_MS_BUCKETS};
-use std::slice;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+use std::{array, slice};
 
 /// Outcome of a native run.
 #[derive(Debug)]
@@ -95,7 +94,7 @@ pub(crate) const FRAME_TRAILER: usize = 36;
 /// bit anywhere is detected. The pixels stay at offset 0 of their
 /// allocation, and a buffer with [`FRAME_TRAILER`] bytes of spare capacity
 /// (every [`BufferPool`] buffer, every decoded one) is not reallocated.
-fn seal(mut buf: Vec<u8>, id: u64, s: StripInfo, full_width: u32) -> Bytes {
+fn seal(mut buf: Vec<u8>, id: u64, s: StripInfo, full_width: u32) -> Vec<u8> {
     buf.reserve_exact(FRAME_TRAILER);
     buf.extend_from_slice(&id.to_be_bytes());
     for v in [s.index, s.count, s.y0, s.height, s.full_height, full_width] {
@@ -103,12 +102,12 @@ fn seal(mut buf: Vec<u8>, id: u64, s: StripInfo, full_width: u32) -> Bytes {
     }
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_be_bytes());
-    Bytes::from(buf)
+    buf
 }
 
 /// The hop message of a frame the caller keeps: one copy of the pixels
 /// into a message-sized buffer, then [`seal`].
-pub fn encode_frame(frame: &Frame) -> Bytes {
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let pixels = frame.image.as_ref().expect("native frames carry pixels");
     let mut buf = Vec::with_capacity(pixels.as_bytes().len() + FRAME_TRAILER);
     buf.extend_from_slice(pixels.as_bytes());
@@ -117,7 +116,7 @@ pub fn encode_frame(frame: &Frame) -> Bytes {
 
 /// The hop message of a frame the caller is done with: its pixel buffer
 /// becomes the message, no copy.
-pub fn encode_frame_owned(frame: Frame) -> Bytes {
+pub fn encode_frame_owned(frame: Frame) -> Vec<u8> {
     let pixels = frame.image.expect("native frames carry pixels");
     seal(pixels.into_raw(), frame.id, frame.strip, frame.full_width)
 }
@@ -128,7 +127,7 @@ enum DecodeFailure {
     Crc,
 }
 
-fn try_decode(b: Bytes) -> Result<Frame, DecodeFailure> {
+fn try_decode(mut b: Vec<u8>) -> Result<Frame, DecodeFailure> {
     let Some(pixels) = b.len().checked_sub(FRAME_TRAILER) else {
         return Err(DecodeFailure::Truncated);
     };
@@ -136,17 +135,17 @@ fn try_decode(b: Bytes) -> Result<Frame, DecodeFailure> {
     if crc32(body).to_be_bytes() != crc {
         return Err(DecodeFailure::Crc);
     }
-    let mut header = &body[pixels..];
-    let id = header.get_u64();
-    let mut field = || header.get_u32();
+    let header = &body[pixels..];
+    let id = u64::from_be_bytes(header[..8].try_into().unwrap());
+    let [index, count, y0, height, full_height, full_width] =
+        array::from_fn(|i| u32::from_be_bytes(header[8 + 4 * i..][..4].try_into().unwrap()));
     let strip = StripInfo {
-        index: field(),
-        count: field(),
-        y0: field(),
-        height: field(),
-        full_height: field(),
+        index,
+        count,
+        y0,
+        height,
+        full_height,
     };
-    let full_width = field();
     // The header is outside input: an empty strip or a geometry whose
     // byte count does not fit `usize` cannot match any payload.
     let expect = (full_width as usize)
@@ -156,28 +155,26 @@ fn try_decode(b: Bytes) -> Result<Frame, DecodeFailure> {
     if expect != Some(pixels) {
         return Err(DecodeFailure::SizeMismatch);
     }
-    // The message's buffer becomes the image — a copy only if a
-    // retransmit clone or a consumed envelope prefix shares it.
-    let mut data = Vec::from(b);
-    data.truncate(pixels);
+    // The message's buffer becomes the image.
+    b.truncate(pixels);
     Ok(Frame {
         id,
         strip,
         full_width,
-        image: Some(Image::from_raw(full_width, strip.height, data)),
+        image: Some(Image::from_raw(full_width, strip.height, b)),
     })
 }
 
 /// Non-panicking decode for transports that may hand over damaged bytes:
 /// any malformation — truncation, a size lie, or a CRC mismatch — comes
 /// back as [`RcceError::Corrupt`] attributed to `src`.
-pub fn decode_frame_checked(b: Bytes, src: usize) -> Result<Frame, RcceError> {
+pub fn decode_frame_checked(b: Vec<u8>, src: usize) -> Result<Frame, RcceError> {
     try_decode(b).map_err(|_| RcceError::Corrupt { rank: src })
 }
 
 /// [`decode_frame_checked`]: the frame's pixel buffer is the message's
 /// own, so nothing is drawn from `_pool`, only released into it later.
-pub fn decode_frame_pooled(b: Bytes, src: usize, _pool: &BufferPool) -> Result<Frame, RcceError> {
+pub fn decode_frame_pooled(b: Vec<u8>, src: usize, _pool: &BufferPool) -> Result<Frame, RcceError> {
     decode_frame_checked(b, src)
 }
 
@@ -248,7 +245,7 @@ impl Shared<'_> {
         }
     }
 
-    fn send(&self, ep: &Endpoint, dst: usize, payload: Bytes) {
+    fn send(&self, ep: &Endpoint, dst: usize, payload: Vec<u8>) {
         if self.reliable {
             ep.send_reliable(dst, payload).expect("reliable send");
         } else {
@@ -256,7 +253,7 @@ impl Shared<'_> {
         }
     }
 
-    fn recv(&self, ep: &Endpoint, src: usize) -> Bytes {
+    fn recv(&self, ep: &Endpoint, src: usize) -> Vec<u8> {
         if self.reliable {
             ep.recv_reliable(src).expect("reliable recv")
         } else {
@@ -784,9 +781,9 @@ mod tests {
 
     /// A correctly-checksummed message of frame 0, strip 0 of 1 at row 0,
     /// claiming `full_width` x `height` pixels over `payload`.
-    fn checksummed(full_width: u32, height: u32, payload: &[u8]) -> Bytes {
+    fn checksummed(full_width: u32, height: u32, payload: &[u8]) -> Vec<u8> {
         let fields = [0, 1, 0, height, height, full_width];
-        Bytes::from(reference_wire(0, fields, payload))
+        reference_wire(0, fields, payload)
     }
 
     #[test]
@@ -858,40 +855,37 @@ mod tests {
         assert_eq!(frame.image.unwrap(), pixels);
     }
 
-    /// A handle something else still holds — `send_reliable`'s retransmit
-    /// clone, an envelope whose prefix was consumed — decodes to the same
-    /// frame from a copy, and the other holder's bytes are untouched.
+    /// A reliable hop decodes in place like a plain one: `recv_reliable`
+    /// truncates the envelope trailer off the buffer the message arrived
+    /// in, and that buffer becomes the strip's image, with room left to
+    /// seal the next hop.
     #[test]
-    fn shared_or_consumed_message_decodes_from_a_copy() {
+    fn a_reliable_hop_decodes_in_the_buffer_it_arrived_in() {
         let frame = patterned_frame(3, whole(5), 6, 11);
         let wire = encode_frame(&frame);
-        let held = wire.clone();
-        let decoded = decode_frame_checked(wire, 0).expect("shared handle");
-        assert_eq!(decoded.image, frame.image);
-        assert_ne!(
-            decoded.image.as_ref().unwrap().as_bytes().as_ptr(),
-            held.as_ptr()
-        );
-        assert_eq!(held, encode_frame(&frame));
-
-        let mut envelope = vec![0xEE; 12];
-        envelope.extend_from_slice(&held);
-        let mut payload = Bytes::from(envelope);
-        let _ = (payload.get_u64(), payload.get_u32());
-        let decoded = decode_frame_checked(payload, 0).expect("consumed prefix");
-        assert_eq!((decoded.id, decoded.strip), (3, frame.strip));
-        assert_eq!(decoded.image, frame.image);
+        let mut eps = communicator(2, 2, MpbConfig::default());
+        let (rx, tx) = (eps.pop().unwrap(), eps.pop().unwrap());
+        let sender = thread::spawn(move || tx.send_reliable(1, wire));
+        let got = rx.recv_reliable(0).expect("no faults");
+        sender.join().unwrap().expect("acknowledged");
+        assert_eq!(got, encode_frame(&frame));
+        let home = got.as_ptr();
+        let decoded = decode_frame_checked(got, 0).expect("intact");
+        let raw = decoded.image.unwrap().into_raw();
+        assert_eq!(raw.as_ptr(), home, "decode moved the strip");
+        assert!(raw.capacity() >= raw.len() + FRAME_TRAILER);
+        assert_eq!(Some(raw), frame.image.map(Image::into_raw));
     }
 
     #[test]
     fn every_message_shorter_than_the_trailer_is_corrupt() {
         let frame = patterned_frame(1, whole(1), 1, 2);
-        let wire = encode_frame(&frame).to_vec();
+        let wire = encode_frame(&frame);
         for len in 0..FRAME_TRAILER {
             // Both ends of a real message, and zeros.
             for short in [&wire[..len], &wire[wire.len() - len..], &[0u8; 36][..len]] {
                 assert!(matches!(
-                    decode_frame_checked(Bytes::copy_from_slice(short), 4),
+                    decode_frame_checked(short.to_vec(), 4),
                     Err(RcceError::Corrupt { rank: 4 })
                 ));
             }
@@ -912,13 +906,10 @@ mod tests {
             full_width: 2,
             image: Some(Image::new(2, 2)),
         };
-        let mut raw = encode_frame(&frame).to_vec();
+        let mut raw = encode_frame(&frame);
         let last = raw.len() - 1;
         raw[last] ^= 0x40;
-        assert!(matches!(
-            try_decode(Bytes::from(raw)),
-            Err(DecodeFailure::Crc)
-        ));
+        assert!(matches!(try_decode(raw), Err(DecodeFailure::Crc)));
     }
 
     #[test]
@@ -937,14 +928,14 @@ mod tests {
         };
         let good = encode_frame(&frame);
         assert!(decode_frame_checked(good.clone(), 3).is_ok());
-        let mut bad = good.to_vec();
+        let mut bad = good.clone();
         bad[20] ^= 1; // somewhere in the header
         assert!(matches!(
-            decode_frame_checked(Bytes::from(bad), 3),
+            decode_frame_checked(bad, 3),
             Err(RcceError::Corrupt { rank: 3 })
         ));
         assert!(matches!(
-            decode_frame_checked(Bytes::from(vec![1u8; 10]), 5),
+            decode_frame_checked(vec![1u8; 10], 5),
             Err(RcceError::Corrupt { rank: 5 })
         ));
     }

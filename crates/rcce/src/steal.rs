@@ -31,7 +31,6 @@
 //! (e.g. the simulator's virtual-time wire).
 
 use crate::crc::crc32;
-use bytes::Bytes;
 use std::collections::BTreeMap;
 
 /// Wire size of a [`StealRequest`] (magic, thief, epoch, nonce, crc).
@@ -104,10 +103,10 @@ pub struct ClaimAck {
     pub nonce: u64,
 }
 
-fn finish(mut raw: Vec<u8>) -> Bytes {
+fn finish(mut raw: Vec<u8>) -> Vec<u8> {
     let crc = crc32(&raw);
     raw.extend_from_slice(&crc.to_le_bytes());
-    Bytes::from(raw)
+    raw
 }
 
 /// Check length, magic, and trailing CRC; return the body between them.
@@ -136,7 +135,7 @@ fn u64_at(body: &[u8], off: usize) -> u64 {
 }
 
 /// Serialise a steal request to its 28-byte wire form.
-pub fn encode_steal_request(msg: StealRequest) -> Bytes {
+pub fn encode_steal_request(msg: StealRequest) -> Vec<u8> {
     let mut raw = Vec::with_capacity(STEAL_REQUEST_WIRE_BYTES);
     raw.extend_from_slice(&STEAL_REQUEST_MAGIC.to_le_bytes());
     raw.extend_from_slice(&msg.thief.to_le_bytes());
@@ -157,7 +156,7 @@ pub fn decode_steal_request(raw: &[u8]) -> Option<StealRequest> {
 }
 
 /// Serialise a steal grant to its 40-byte wire form.
-pub fn encode_steal_grant(msg: StealGrant) -> Bytes {
+pub fn encode_steal_grant(msg: StealGrant) -> Vec<u8> {
     let mut raw = Vec::with_capacity(STEAL_GRANT_WIRE_BYTES);
     raw.extend_from_slice(&STEAL_GRANT_MAGIC.to_le_bytes());
     raw.extend_from_slice(&msg.victim.to_le_bytes());
@@ -186,7 +185,7 @@ pub fn decode_steal_grant(raw: &[u8]) -> Option<StealGrant> {
 }
 
 /// Serialise a task claim to its 28-byte wire form.
-pub fn encode_task_claim(msg: TaskClaim) -> Bytes {
+pub fn encode_task_claim(msg: TaskClaim) -> Vec<u8> {
     let mut raw = Vec::with_capacity(TASK_CLAIM_WIRE_BYTES);
     raw.extend_from_slice(&TASK_CLAIM_MAGIC.to_le_bytes());
     raw.extend_from_slice(&msg.thief.to_le_bytes());
@@ -207,7 +206,7 @@ pub fn decode_task_claim(raw: &[u8]) -> Option<TaskClaim> {
 }
 
 /// Serialise a claim ack to its 20-byte wire form.
-pub fn encode_claim_ack(msg: ClaimAck) -> Bytes {
+pub fn encode_claim_ack(msg: ClaimAck) -> Vec<u8> {
     let mut raw = Vec::with_capacity(CLAIM_ACK_WIRE_BYTES);
     raw.extend_from_slice(&CLAIM_ACK_MAGIC.to_le_bytes());
     raw.extend_from_slice(&u32::from(msg.accepted).to_le_bytes());

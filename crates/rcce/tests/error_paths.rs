@@ -4,7 +4,6 @@
 //! stream is distinguishable from a silent one. The self-healing
 //! supervisor builds on exactly these guarantees.
 
-use bytes::Bytes;
 use scc_rcce::{
     communicator, decode_claim_ack, decode_steal_grant, decode_steal_request, decode_task_claim,
     encode_claim_ack, encode_steal_grant, encode_steal_request, encode_task_claim, ClaimAck,
@@ -55,8 +54,7 @@ fn corrupted_stream_surfaces_corrupt_on_both_ends() {
     a.set_reliability(fast());
     b.set_reliability(fast());
     a.set_fault_plan(plan(11, 0.0, 1.0));
-    let sender =
-        spawn_keeping_endpoint(a, |a| a.send_reliable(1, Bytes::from_static(&[0xAB; 256])));
+    let sender = spawn_keeping_endpoint(a, |a| a.send_reliable(1, vec![0xAB; 256]));
     assert_eq!(b.recv_reliable(0), Err(RcceError::Corrupt { rank: 0 }));
     assert_eq!(
         sender.join().expect("sender thread").0,
@@ -77,7 +75,7 @@ fn dropped_stream_surfaces_timeout_at_the_receiver() {
     a.set_reliability(fast());
     b.set_reliability(fast());
     a.set_fault_plan(plan(23, 1.0, 0.0));
-    let sender = spawn_keeping_endpoint(a, |a| a.send_reliable(1, Bytes::from_static(b"gone")));
+    let sender = spawn_keeping_endpoint(a, |a| a.send_reliable(1, b"gone".to_vec()));
     assert_eq!(b.recv_reliable(0), Err(RcceError::Timeout { rank: 0 }));
     assert_eq!(
         sender.join().expect("sender thread").0,
@@ -99,7 +97,7 @@ fn unacknowledged_send_gives_up_in_bounded_time() {
     let mut a = eps.pop().unwrap();
     a.set_reliability(fast());
     let t0 = Instant::now();
-    let got = a.send_reliable(1, Bytes::from_static(&[1; 64]));
+    let got = a.send_reliable(1, vec![1; 64]);
     let elapsed = t0.elapsed();
     assert_eq!(
         got,
@@ -123,14 +121,8 @@ fn invalid_ranks_are_rejected_up_front() {
     let _b = eps.pop().unwrap();
     let a = eps.pop().unwrap();
     let invalid = |rank| RcceError::InvalidRank { rank, size: 2 };
-    assert_eq!(
-        a.send_reliable(0, Bytes::from_static(b"self")),
-        Err(invalid(0))
-    );
-    assert_eq!(
-        a.send_reliable(9, Bytes::from_static(b"oob")),
-        Err(invalid(9))
-    );
+    assert_eq!(a.send_reliable(0, b"self".to_vec()), Err(invalid(0)));
+    assert_eq!(a.send_reliable(9, b"oob".to_vec()), Err(invalid(9)));
     assert_eq!(a.recv_reliable(0).unwrap_err(), invalid(0));
 }
 
@@ -148,7 +140,7 @@ fn steal_task() -> TaskId {
 /// decodes to `None` rather than a bogus message.
 #[test]
 fn truncated_steal_frames_are_rejected() {
-    let frames: Vec<Bytes> = vec![
+    let frames: Vec<Vec<u8>> = vec![
         encode_steal_request(StealRequest {
             thief: 1,
             epoch: 0,

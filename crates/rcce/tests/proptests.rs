@@ -1,7 +1,6 @@
 //! Property-based tests of the RCCE-style communicator: ordering and
 //! payload integrity under random traffic, and the MPB chunk model.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use scc_rcce::{communicator, MpbConfig};
 use std::thread;
@@ -19,7 +18,7 @@ proptest! {
         let expect = msgs.clone();
         let sender = thread::spawn(move || {
             for m in msgs {
-                a.send(1, Bytes::from(m)).unwrap();
+                a.send(1, m).unwrap();
             }
         });
         for e in &expect {
@@ -41,12 +40,12 @@ proptest! {
         let (ea, eb) = (from_a.clone(), from_b.clone());
         let ta = thread::spawn(move || {
             for &x in &ea {
-                a.send(2, Bytes::from(vec![x])).unwrap();
+                a.send(2, vec![x]).unwrap();
             }
         });
         let tb = thread::spawn(move || {
             for &x in &eb {
-                b.send(2, Bytes::from(vec![x])).unwrap();
+                b.send(2, vec![x]).unwrap();
             }
         });
         // Receive from each source in its own order, interleaved.

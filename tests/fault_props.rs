@@ -113,11 +113,11 @@ proptest! {
         prop_assert_eq!(back.image.unwrap(), frame.image.clone().unwrap());
         // Any single flipped byte — header, payload or the CRC field
         // itself — must be rejected.
-        let mut mutated = wire.to_vec();
+        let mut mutated = wire.clone();
         let at = (victim % mutated.len() as u64) as usize;
         mutated[at] ^= xor;
         prop_assert!(
-            decode_frame_checked(bytes::Bytes::from(mutated), 0).is_err(),
+            decode_frame_checked(mutated, 0).is_err(),
             "mutation at byte {} (of {}) slipped through", at, wire.len()
         );
     }
