@@ -1,8 +1,10 @@
 //! # scc-bench — experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation (§VI) from
-//! the simulated platform. Each `figN` function returns plain data the
-//! `experiments` binary prints; the sweep modules build the committed
+//! the simulated platform. Each `figN` function returns plain data,
+//! `paper_text` renders it as the `experiments` binary prints it (the
+//! committed `docs/sample_experiments_output.txt`, which
+//! `tests/bench_documents.rs` checks); the sweep modules build the committed
 //! `BENCH_*.json` documents, which `tests/bench_documents.rs` regenerates
 //! and checks.
 

@@ -2,8 +2,9 @@
 //! each test below re-runs one virtual-time sweep at the committed
 //! geometry (400×400, 48 frames, full fidelity), asserts that sweep's
 //! hard gates and compares the rendered JSON byte for byte with the file
-//! at the repository root. After an intentional change, rewrite the
-//! files with
+//! at the repository root. `docs/sample_experiments_output.txt` is one
+//! more: the paper's evaluation as `experiments all` prints it. After an
+//! intentional change, rewrite the files with
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --release -p scc-bench --test bench_documents -- --ignored
@@ -14,6 +15,7 @@
 
 use scc_bench::autoplace::measure_autoplace;
 use scc_bench::dvfs::measure_dvfs;
+use scc_bench::paper_text;
 use scc_bench::recovery::measure_recovery;
 use scc_bench::serving::measure_serving;
 use scc_bench::tasks::measure_tasks;
@@ -32,13 +34,12 @@ fn cfg(pipelines: u32) -> RunConfig {
         .expect("document configuration")
 }
 
-/// Compare `json` with the committed `BENCH_{name}.json`, or rewrite the
-/// file when `UPDATE_GOLDEN` is set.
-fn check_document(name: &str, json: &str) {
-    let file = format!("BENCH_{name}.json");
+/// Compare `json` with the committed `file` (a path from the repository
+/// root), or rewrite the file when `UPDATE_GOLDEN` is set.
+fn check_document(file: &str, json: &str) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
-        .join(&file);
+        .join(file);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         std::fs::write(&path, json).expect("write bench document");
         return;
@@ -71,7 +72,7 @@ fn recovery_document_is_current() {
         report.points.iter().all(|p| p.bit_identical),
         "recovery damaged a frame"
     );
-    check_document("recovery", &report.to_json());
+    check_document("BENCH_recovery.json", &report.to_json());
 }
 
 #[test]
@@ -87,7 +88,7 @@ fn autoplace_document_is_current() {
         "auto placement lost to a fixed arrangement ({:.3}x)",
         report.speedup_vs_best_fixed
     );
-    check_document("autoplace", &report.to_json());
+    check_document("BENCH_autoplace.json", &report.to_json());
 }
 
 #[test]
@@ -106,7 +107,7 @@ fn tasks_document_is_current() {
         report.spread_reduced(),
         "idle-quartile spread not reduced vs static"
     );
-    check_document("tasks", &report.to_json());
+    check_document("BENCH_tasks.json", &report.to_json());
 }
 
 #[test]
@@ -125,7 +126,7 @@ fn serving_document_is_current() {
         report.ledger_balanced(),
         "the session ledger does not balance (silent shed)"
     );
-    check_document("serving", &report.to_json());
+    check_document("BENCH_serving.json", &report.to_json());
 }
 
 #[test]
@@ -148,5 +149,12 @@ fn dvfs_document_is_current() {
         report.governed_not_dominated,
         "the governor lost to every static split on time and energy"
     );
-    check_document("dvfs", &report.to_json());
+    check_document("BENCH_dvfs.json", &report.to_json());
+}
+
+#[test]
+#[ignore = "every paper figure; run in release with --ignored"]
+fn paper_text_is_current() {
+    let text = paper_text("all", &default_scene()).expect("a known section");
+    check_document("docs/sample_experiments_output.txt", &text);
 }
