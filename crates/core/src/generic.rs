@@ -485,8 +485,8 @@ pub(crate) fn run_workload(cfg: &RunConfig, order: EventOrder) -> GenericReport 
     )
 }
 
-/// The engine's tail: energy accounting (piecewise when the governor
-/// moved a frequency), telemetry rollups, the report, and — behind
+/// The engine's tail: energy accounting over the power plane's DVFS
+/// schedule, telemetry rollups, the report, and — behind
 /// `cfg.verify` — the invariant checker.
 #[allow(clippy::too_many_arguments)]
 fn finish_workload_report(

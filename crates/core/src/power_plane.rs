@@ -43,8 +43,9 @@ pub(crate) struct PowerPlane {
     states: Vec<DvfsState>,
     /// Idle per station core, indexed by the epoch of the waiting item.
     idle: Vec<BTreeMap<CoreId, SimTime>>,
-    /// Piecewise-energy boundaries: the state in force from each instant.
-    /// A single entry means the whole run had one operating point.
+    /// The DVFS schedule every energy and power figure is priced over:
+    /// the state in force from each instant. A static run (or a governed
+    /// one whose frequencies never moved) has its one entry at zero.
     schedule: Vec<(SimTime, DvfsState)>,
     epoch_mark: SimTime,
 }
@@ -176,29 +177,22 @@ impl PowerPlane {
             .unwrap_or_default()
     }
 
-    /// Energy over `[0, end]` — piecewise over the schedule once a
-    /// frequency moved, the whole-run path otherwise — and, when `tel` is
-    /// enabled, the energy gauge and the `scc_dvfs_*` rollup.
+    /// Energy over `[0, end]`, priced over the schedule, the idle floor
+    /// of the cheapest state in it, and, when `tel` is enabled, the energy
+    /// gauge and the `scc_dvfs_*` rollup.
     pub(crate) fn finish(
         &self,
         platform: &SccPlatform,
         end: SimTime,
         tel: &TelemetrySink,
     ) -> PowerTotals {
-        let totals = if self.schedule.len() > 1 {
-            PowerTotals {
-                energy_joules: platform.energy_joules_piecewise(&self.schedule, end),
-                idle_floor_watts: self
-                    .schedule
-                    .iter()
-                    .map(|(_, s)| platform.idle_power_for(s))
-                    .fold(f64::INFINITY, f64::min),
-            }
-        } else {
-            PowerTotals {
-                energy_joules: platform.energy_joules(end),
-                idle_floor_watts: platform.idle_power(),
-            }
+        let totals = PowerTotals {
+            energy_joules: platform.energy_joules(&self.schedule, end),
+            idle_floor_watts: self
+                .schedule
+                .iter()
+                .map(|(_, s)| platform.idle_power_for(s))
+                .fold(f64::INFINITY, f64::min),
         };
         tel.gauge(names::ENERGY_JOULES, &[], totals.energy_joules);
         if let Some(gov) = self.governor.as_ref().filter(|_| tel.is_enabled()) {
@@ -222,15 +216,10 @@ impl PowerPlane {
         totals
     }
 
-    /// Chip power over `[0, end]` in 1 s samples, under the same
-    /// whole-run / piecewise split as [`PowerPlane::finish`].
+    /// Chip power over `[0, end]` in 1 s samples, priced over the
+    /// schedule.
     pub(crate) fn power_trace(&self, platform: &SccPlatform, end: SimTime) -> Vec<PowerSample> {
-        let dt = SimTime::from_secs(1);
-        if self.schedule.len() > 1 {
-            platform.power_trace_piecewise(&self.schedule, end, dt)
-        } else {
-            platform.power_trace(end, dt)
-        }
+        platform.power_trace(&self.schedule, end, SimTime::from_secs(1))
     }
 }
 
@@ -305,7 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn static_plan_keeps_the_whole_run_energy_path() {
+    fn static_plan_is_a_one_entry_schedule() {
         let cfg = RunConfig::builder()
             .power_static([(BOTTLENECK, FreqMHz::F800)])
             .build()
@@ -314,11 +303,15 @@ mod tests {
         let mut plane = PowerPlane::arm(&cfg, &mut platform, 16, []);
         let seen = drive(&mut plane, &mut platform, 16);
         assert!(seen.iter().all(|f| *f == FreqMHz::F800));
-        assert_eq!(plane.schedule.len(), 1);
+        let one_state = [(SimTime::ZERO, platform.dvfs().clone())];
+        assert_eq!(plane.schedule, one_state);
         assert!(plane.decisions().is_empty());
         let end = SimTime::from_ms(160);
         let totals = plane.finish(&platform, end, &TelemetrySink::from_enabled(false));
-        assert_eq!(totals.energy_joules, platform.energy_joules(end));
+        assert_eq!(
+            totals.energy_joules,
+            platform.energy_joules(&one_state, end)
+        );
         assert_eq!(totals.idle_floor_watts, platform.idle_power());
     }
 

@@ -348,14 +348,21 @@ impl SccPlatform {
         &self.meter
     }
 
-    /// Render the power trace for the recorded activity.
-    pub fn power_trace(&self, end: SimTime, dt: SimTime) -> Vec<PowerSample> {
-        self.meter.trace(&self.cfg.power, &self.dvfs, end, dt)
+    /// Render the power trace for the recorded activity under a
+    /// piecewise-constant DVFS schedule (a static run's has one entry).
+    pub fn power_trace(
+        &self,
+        schedule: &[(SimTime, DvfsState)],
+        end: SimTime,
+        dt: SimTime,
+    ) -> Vec<PowerSample> {
+        self.meter.trace(&self.cfg.power, schedule, end, dt)
     }
 
-    /// Total chip energy over `[0, end]` in joules.
-    pub fn energy_joules(&self, end: SimTime) -> f64 {
-        self.meter.energy_joules(&self.cfg.power, &self.dvfs, end)
+    /// Total chip energy over `[0, end]` in joules under a
+    /// piecewise-constant DVFS schedule.
+    pub fn energy_joules(&self, schedule: &[(SimTime, DvfsState)], end: SimTime) -> f64 {
+        self.meter.energy_joules(&self.cfg.power, schedule, end)
     }
 
     /// Chip idle power at the current DVFS state, watts.
@@ -363,29 +370,10 @@ impl SccPlatform {
         self.cfg.power.idle_power(&self.dvfs)
     }
 
-    /// Chip idle power at an arbitrary DVFS state, watts. Governed runs
-    /// report the minimum across their schedule as the power floor.
+    /// Chip idle power at an arbitrary DVFS state, watts. A run reports
+    /// the minimum across its schedule as the power floor.
     pub fn idle_power_for(&self, dvfs: &DvfsState) -> f64 {
         self.cfg.power.idle_power(dvfs)
-    }
-
-    /// [`SccPlatform::power_trace`] under a piecewise-constant DVFS
-    /// schedule (governed runs).
-    pub fn power_trace_piecewise(
-        &self,
-        schedule: &[(SimTime, DvfsState)],
-        end: SimTime,
-        dt: SimTime,
-    ) -> Vec<PowerSample> {
-        self.meter
-            .trace_piecewise(&self.cfg.power, schedule, end, dt)
-    }
-
-    /// [`SccPlatform::energy_joules`] under a piecewise-constant DVFS
-    /// schedule (governed runs).
-    pub fn energy_joules_piecewise(&self, schedule: &[(SimTime, DvfsState)], end: SimTime) -> f64 {
-        self.meter
-            .energy_joules_piecewise(&self.cfg.power, schedule, end)
     }
 
     /// The power-model calibration constants.
@@ -563,7 +551,7 @@ mod tests {
     #[test]
     fn energy_accumulates_idle_floor() {
         let p = platform();
-        let e = p.energy_joules(SimTime::from_secs(10));
+        let e = p.energy_joules(&[(SimTime::ZERO, p.dvfs().clone())], SimTime::from_secs(10));
         // Idle chip for 10 s ≈ 220 J.
         assert!((e - p.idle_power() * 10.0).abs() < 1e-6);
     }

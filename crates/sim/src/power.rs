@@ -213,7 +213,10 @@ impl PowerMeter {
             .sum()
     }
 
-    /// Render the trace by sampling every `dt` from 0 to `end`.
+    /// Render the trace by sampling every `dt` from 0 to `end` under a
+    /// piecewise-constant DVFS schedule (see
+    /// [`PowerMeter::energy_joules`]): each bucket is priced by the state
+    /// in effect at its start.
     ///
     /// Within one `dt` bucket each core contributes its busy *fraction*, so
     /// the sample is the average power over the bucket — which is what a
@@ -221,12 +224,41 @@ impl PowerMeter {
     pub fn trace(
         &self,
         cfg: &PowerConfig,
-        dvfs: &DvfsState,
+        schedule: &[(SimTime, DvfsState)],
         end: SimTime,
         dt: SimTime,
     ) -> Vec<PowerSample> {
-        let prices = Prices::new(cfg, dvfs);
-        self.render(cfg, end, dt, |_| &prices)
+        assert!(!schedule.is_empty(), "empty DVFS schedule");
+        let prices: Vec<Prices> = schedule.iter().map(|(_, s)| Prices::new(cfg, s)).collect();
+        // Precompute the two extreme chip powers per core-busy pattern is
+        // exponential; instead compose the sample from the model's linear
+        // structure: idle chip + per-core dynamic * busy_fraction +
+        // uncore_active * (any busy fraction, approximated by the max core
+        // fraction in the bucket).
+        let is_spinning = self.spin_table();
+        let busy_ps = self.busy_per_bucket(end, dt);
+        let mut out = Vec::with_capacity(busy_ps.len());
+        for (b, per_core) in busy_ps.iter().enumerate() {
+            let t = SimTime::from_ps(b as u64 * dt.as_ps());
+            let prices = &prices[schedule.iter().rposition(|(at, _)| *at <= t).unwrap_or(0)];
+            let mut watts = prices.idle;
+            let mut max_frac = 0.0f64;
+            for core in 0..NUM_CORES as usize {
+                let frac = (per_core[core] as f64 / dt.as_ps() as f64).min(1.0);
+                let dyn_w = prices.dyn_w[core];
+                if frac > 0.0 {
+                    watts += dyn_w * frac;
+                    max_frac = max_frac.max(frac);
+                }
+                if is_spinning[core] {
+                    watts += dyn_w * cfg.spin_factor * (1.0 - frac);
+                    max_frac = 1.0;
+                }
+            }
+            watts += cfg.uncore_active * max_frac.min(1.0);
+            out.push(PowerSample { t, watts });
+        }
+        out
     }
 
     /// Per-core busy time in each `dt` bucket over `[0, end)`.
@@ -251,46 +283,6 @@ impl PowerMeter {
         busy_ps
     }
 
-    /// One sample per `dt` bucket, priced by the state `prices_at` gives
-    /// for the bucket's start.
-    fn render<'p>(
-        &self,
-        cfg: &PowerConfig,
-        end: SimTime,
-        dt: SimTime,
-        prices_at: impl Fn(SimTime) -> &'p Prices,
-    ) -> Vec<PowerSample> {
-        // Precompute the two extreme chip powers per core-busy pattern is
-        // exponential; instead compose the sample from the model's linear
-        // structure: idle chip + per-core dynamic * busy_fraction +
-        // uncore_active * (any busy fraction, approximated by the max core
-        // fraction in the bucket).
-        let is_spinning = self.spin_table();
-        let busy_ps = self.busy_per_bucket(end, dt);
-        let mut out = Vec::with_capacity(busy_ps.len());
-        for (b, per_core) in busy_ps.iter().enumerate() {
-            let t = SimTime::from_ps(b as u64 * dt.as_ps());
-            let prices = prices_at(t);
-            let mut watts = prices.idle;
-            let mut max_frac = 0.0f64;
-            for core in 0..NUM_CORES as usize {
-                let frac = (per_core[core] as f64 / dt.as_ps() as f64).min(1.0);
-                let dyn_w = prices.dyn_w[core];
-                if frac > 0.0 {
-                    watts += dyn_w * frac;
-                    max_frac = max_frac.max(frac);
-                }
-                if is_spinning[core] {
-                    watts += dyn_w * cfg.spin_factor * (1.0 - frac);
-                    max_frac = 1.0;
-                }
-            }
-            watts += cfg.uncore_active * max_frac.min(1.0);
-            out.push(PowerSample { t, watts });
-        }
-        out
-    }
-
     /// `is_spinning[i]`: core `i` participates in the run.
     fn spin_table(&self) -> [bool; NUM_CORES as usize] {
         let mut is_spinning = [false; NUM_CORES as usize];
@@ -300,53 +292,32 @@ impl PowerMeter {
         is_spinning
     }
 
-    /// Total energy in joules over `[0, end]`, integrating exactly over the
-    /// recorded spans (not the sampled trace).
-    pub fn energy_joules(&self, cfg: &PowerConfig, dvfs: &DvfsState, end: SimTime) -> f64 {
-        let prices = Prices::new(cfg, dvfs);
+    /// Total energy in joules over `[0, end]` under a piecewise-constant
+    /// DVFS schedule: `schedule[k]` = (instant the state takes effect,
+    /// state), sorted by instant with the first entry at 0. A static run
+    /// is a one-entry schedule. The chip is in exactly one state at any
+    /// instant, and each segment integrates exactly over the recorded
+    /// spans (not the sampled trace).
+    pub fn energy_joules(
+        &self,
+        cfg: &PowerConfig,
+        schedule: &[(SimTime, DvfsState)],
+        end: SimTime,
+    ) -> f64 {
+        assert!(!schedule.is_empty(), "empty DVFS schedule");
+        assert!(schedule[0].0.is_zero(), "schedule must start at t=0");
         let is_spinning = self.spin_table();
-        let mut joules = prices.idle * end.as_secs_f64();
-        for s in &self.spans {
-            let dur = (s.to.min(end)).saturating_sub(s.from).as_secs_f64();
-            // A spinning core's busy time upgrades it from spin power to
-            // full dynamic power; charge the difference here and the spin
-            // floor below.
-            let spin = if is_spinning[s.core.index()] {
-                cfg.spin_factor
-            } else {
-                0.0
-            };
-            joules += prices.dyn_w[s.core.index()] * dur * (1.0 - spin);
-        }
-        for core in &self.spinning {
-            joules += prices.dyn_w[core.index()] * cfg.spin_factor * end.as_secs_f64();
-        }
-        // Uncore-active term: spinning cores keep the mesh awake for the
-        // whole run; otherwise integrate over the union of busy spans.
-        if self.spinning.is_empty() {
-            joules += cfg.uncore_active * self.union_busy_time(end).as_secs_f64();
-        } else {
-            joules += cfg.uncore_active * end.as_secs_f64();
+        let mut joules = 0.0;
+        for (k, (from, dvfs)) in schedule.iter().enumerate() {
+            let to = schedule.get(k + 1).map_or(end, |(t, _)| *t).min(end);
+            let prices = Prices::new(cfg, dvfs);
+            joules += self.priced_window(cfg, &prices, &is_spinning, *from, to);
         }
         joules
     }
 
     /// Energy in joules over the window `[from, to)` with the chip held
-    /// in one DVFS state — the building block of the piecewise
-    /// (governed) accounting. `energy_in_window(cfg, dvfs, 0, end)` is
-    /// arithmetic-identical to [`PowerMeter::energy_joules`].
-    pub fn energy_in_window(
-        &self,
-        cfg: &PowerConfig,
-        dvfs: &DvfsState,
-        from: SimTime,
-        to: SimTime,
-    ) -> f64 {
-        let prices = Prices::new(cfg, dvfs);
-        self.priced_window(cfg, &prices, &self.spin_table(), from, to)
-    }
-
-    /// [`PowerMeter::energy_in_window`] with the state already priced.
+    /// in the state `prices` priced.
     fn priced_window(
         &self,
         cfg: &PowerConfig,
@@ -366,6 +337,9 @@ impl PowerMeter {
             if b <= a {
                 continue;
             }
+            // A spinning core's busy time upgrades it from spin power to
+            // full dynamic power; charge the difference here and the spin
+            // floor below.
             let spin = if is_spinning[s.core.index()] {
                 cfg.spin_factor
             } else {
@@ -376,6 +350,8 @@ impl PowerMeter {
         for core in &self.spinning {
             joules += prices.dyn_w[core.index()] * cfg.spin_factor * dur;
         }
+        // Uncore-active term: spinning cores keep the mesh awake for the
+        // whole window; otherwise integrate over the union of busy spans.
         if self.spinning.is_empty() {
             joules += cfg.uncore_active * self.union_busy_in(from, to).as_secs_f64();
         } else {
@@ -384,82 +360,12 @@ impl PowerMeter {
         joules
     }
 
-    /// Total energy over `[0, end]` under a piecewise-constant DVFS
-    /// schedule: `schedule[k]` = (instant the state takes effect, state),
-    /// sorted by instant with the first entry at 0. This is how a
-    /// governed run integrates energy — the chip is in exactly one state
-    /// at any instant, and each segment is an exact span integral.
-    pub fn energy_joules_piecewise(
-        &self,
-        cfg: &PowerConfig,
-        schedule: &[(SimTime, DvfsState)],
-        end: SimTime,
-    ) -> f64 {
-        assert!(!schedule.is_empty(), "empty DVFS schedule");
-        assert!(schedule[0].0.is_zero(), "schedule must start at t=0");
-        let is_spinning = self.spin_table();
-        let mut joules = 0.0;
-        for (k, (from, dvfs)) in schedule.iter().enumerate() {
-            let to = schedule.get(k + 1).map_or(end, |(t, _)| *t).min(end);
-            let prices = Prices::new(cfg, dvfs);
-            joules += self.priced_window(cfg, &prices, &is_spinning, *from, to);
-        }
-        joules
-    }
-
-    /// [`PowerMeter::trace`] under a piecewise-constant DVFS schedule:
-    /// each `dt` bucket is rendered against the state in effect at the
-    /// bucket's start.
-    pub fn trace_piecewise(
-        &self,
-        cfg: &PowerConfig,
-        schedule: &[(SimTime, DvfsState)],
-        end: SimTime,
-        dt: SimTime,
-    ) -> Vec<PowerSample> {
-        assert!(!schedule.is_empty(), "empty DVFS schedule");
-        let prices: Vec<Prices> = schedule.iter().map(|(_, s)| Prices::new(cfg, s)).collect();
-        self.render(cfg, end, dt, |t| {
-            &prices[schedule.iter().rposition(|(at, _)| *at <= t).unwrap_or(0)]
-        })
-    }
-
     /// Length of the union of all busy intervals clipped to `[from, to]`.
     fn union_busy_in(&self, from: SimTime, to: SimTime) -> SimTime {
         let mut intervals: Vec<(SimTime, SimTime)> = self
             .spans
             .iter()
             .map(|s| (s.from.max(from).min(to), s.to.max(from).min(to)))
-            .filter(|(a, b)| b > a)
-            .collect();
-        intervals.sort();
-        let mut total = SimTime::ZERO;
-        let mut cur: Option<(SimTime, SimTime)> = None;
-        for (a, b) in intervals {
-            match cur {
-                None => cur = Some((a, b)),
-                Some((ca, cb)) => {
-                    if a <= cb {
-                        cur = Some((ca, cb.max(b)));
-                    } else {
-                        total += cb - ca;
-                        cur = Some((a, b));
-                    }
-                }
-            }
-        }
-        if let Some((ca, cb)) = cur {
-            total += cb - ca;
-        }
-        total
-    }
-
-    /// Length of the union of all busy intervals clipped to `[0, end]`.
-    pub fn union_busy_time(&self, end: SimTime) -> SimTime {
-        let mut intervals: Vec<(SimTime, SimTime)> = self
-            .spans
-            .iter()
-            .map(|s| (s.from.min(end), s.to.min(end)))
             .filter(|(a, b)| b > a)
             .collect();
         intervals.sort();
@@ -579,27 +485,27 @@ mod tests {
         let mut m = PowerMeter::new();
         // One core busy for the first half of a 10 s run.
         m.record(CoreId::new(0), SimTime::ZERO, SimTime::from_secs(5));
-        let e = m.energy_joules(&cfg, &dvfs, SimTime::from_secs(10));
+        let e = m.energy_joules(
+            &cfg,
+            &[(SimTime::ZERO, dvfs.clone())],
+            SimTime::from_secs(10),
+        );
         let idle = cfg.idle_power(&dvfs);
         let expect = idle * 10.0 + (cfg.core_dyn_nom + cfg.uncore_active) * 5.0;
         assert!((e - expect).abs() < 1e-6, "{e} vs {expect}");
     }
 
     #[test]
-    fn union_busy_time_merges_overlaps() {
+    fn union_busy_in_merges_overlaps() {
         let mut m = PowerMeter::new();
         m.record(CoreId::new(0), SimTime::from_secs(1), SimTime::from_secs(4));
         m.record(CoreId::new(1), SimTime::from_secs(2), SimTime::from_secs(6));
         m.record(CoreId::new(2), SimTime::from_secs(8), SimTime::from_secs(9));
-        assert_eq!(
-            m.union_busy_time(SimTime::from_secs(10)),
-            SimTime::from_secs(6)
-        );
-        // Clipping at end.
-        assert_eq!(
-            m.union_busy_time(SimTime::from_secs(5)),
-            SimTime::from_secs(4)
-        );
+        let union = |from, to| m.union_busy_in(SimTime::from_secs(from), SimTime::from_secs(to));
+        assert_eq!(union(0, 10), SimTime::from_secs(6));
+        // Clipping at both ends of the window.
+        assert_eq!(union(0, 5), SimTime::from_secs(4));
+        assert_eq!(union(3, 9), SimTime::from_secs(4));
     }
 
     #[test]
@@ -609,7 +515,13 @@ mod tests {
         let mut m = PowerMeter::new();
         // Busy exactly during the second 1 s bucket.
         m.record(CoreId::new(3), SimTime::from_secs(1), SimTime::from_secs(2));
-        let trace = m.trace(&cfg, &dvfs, SimTime::from_secs(3), SimTime::from_secs(1));
+        let schedule = [(SimTime::ZERO, dvfs.clone())];
+        let trace = m.trace(
+            &cfg,
+            &schedule,
+            SimTime::from_secs(3),
+            SimTime::from_secs(1),
+        );
         assert_eq!(trace.len(), 3);
         let idle = cfg.idle_power(&dvfs);
         assert!((trace[0].watts - idle).abs() < 1e-9);
@@ -633,22 +545,21 @@ mod tests {
         let idle = cfg.idle_power(&dvfs);
         let frac = ((1u64 << 63) - 16) as f64 / dt.as_ps() as f64;
         let busy = idle + cfg.core_dyn_nom * frac + cfg.uncore_active * frac;
-        for trace in [
-            m.trace(&cfg, &dvfs, SimTime::MAX, dt),
-            m.trace_piecewise(&cfg, &[(SimTime::ZERO, dvfs.clone())], SimTime::MAX, dt),
-        ] {
-            assert_eq!(trace.len(), 2);
-            assert_eq!((trace[0].t, trace[1].t), (SimTime::ZERO, dt));
-            assert_eq!(trace[0].watts, idle);
-            assert!((trace[1].watts - busy).abs() < 1e-9, "{}", trace[1].watts);
-        }
+        let trace = m.trace(&cfg, &[(SimTime::ZERO, dvfs.clone())], SimTime::MAX, dt);
+        assert_eq!(trace.len(), 2);
+        assert_eq!((trace[0].t, trace[1].t), (SimTime::ZERO, dt));
+        assert_eq!(trace[0].watts, idle);
+        assert!((trace[1].watts - busy).abs() < 1e-9, "{}", trace[1].watts);
     }
 
     #[test]
     fn empty_meter_reports_zero_busy() {
         let m = PowerMeter::new();
         assert_eq!(m.busy_time(CoreId::new(0)), SimTime::ZERO);
-        assert_eq!(m.union_busy_time(SimTime::from_secs(1)), SimTime::ZERO);
+        assert_eq!(
+            m.union_busy_in(SimTime::ZERO, SimTime::from_secs(1)),
+            SimTime::ZERO
+        );
     }
 
     #[test]
@@ -665,17 +576,43 @@ mod tests {
         m
     }
 
+    /// The energies the whole-run integral (deleted once every run was
+    /// priced over its schedule) gave these meters, as bits: a one-entry
+    /// schedule must reproduce them exactly. The second meter has no
+    /// spinning core, so its uncore term is the union of its spans, one
+    /// of which crosses the end and one of which lies past it.
     #[test]
     fn single_state_piecewise_matches_legacy_integral() {
         let cfg = PowerConfig::default();
-        let dvfs = DvfsState::default();
-        let m = busy_meter();
         let end = SimTime::from_secs(10);
-        let legacy = m.energy_joules(&cfg, &dvfs, end);
-        let windowed = m.energy_in_window(&cfg, &dvfs, SimTime::ZERO, end);
-        let piecewise = m.energy_joules_piecewise(&cfg, &[(SimTime::ZERO, dvfs)], end);
-        assert!((legacy - windowed).abs() < 1e-9, "{legacy} vs {windowed}");
-        assert!((legacy - piecewise).abs() < 1e-9, "{legacy} vs {piecewise}");
+        let e = busy_meter().energy_joules(&cfg, &[(SimTime::ZERO, DvfsState::default())], end);
+        assert_eq!(e.to_bits(), 0x4077_74cc_cccc_ccc5, "{e}");
+
+        let mut m = PowerMeter::new();
+        m.record(
+            CoreId::new(0),
+            SimTime::from_ms(1500),
+            SimTime::from_ms(4250),
+        );
+        m.record(
+            CoreId::new(8),
+            SimTime::from_ms(2125),
+            SimTime::from_ms(9500),
+        );
+        m.record(
+            CoreId::new(20),
+            SimTime::from_ms(9750),
+            SimTime::from_secs(12),
+        );
+        m.record(
+            CoreId::new(21),
+            SimTime::from_secs(11),
+            SimTime::from_secs(12),
+        );
+        let mut high = DvfsState::default();
+        high.set_core_tile(CoreId::new(8), FreqMHz::F800);
+        let e = m.energy_joules(&cfg, &[(SimTime::ZERO, high)], end);
+        assert_eq!(e.to_bits(), 0x4078_22f5_517a_f7f5, "{e}");
     }
 
     #[test]
@@ -684,10 +621,16 @@ mod tests {
         let dvfs = DvfsState::default();
         let m = busy_meter();
         let end = SimTime::from_secs(10);
-        let total = m.energy_in_window(&cfg, &dvfs, SimTime::ZERO, end);
-        let split = m.energy_in_window(&cfg, &dvfs, SimTime::ZERO, SimTime::from_secs(3))
-            + m.energy_in_window(&cfg, &dvfs, SimTime::from_secs(3), SimTime::from_secs(7))
-            + m.energy_in_window(&cfg, &dvfs, SimTime::from_secs(7), end);
+        let total = m.energy_joules(&cfg, &[(SimTime::ZERO, dvfs.clone())], end);
+        let split = m.energy_joules(
+            &cfg,
+            &[
+                (SimTime::ZERO, dvfs.clone()),
+                (SimTime::from_secs(3), dvfs.clone()),
+                (SimTime::from_secs(7), dvfs),
+            ],
+            end,
+        );
         assert!((total - split).abs() < 1e-9, "{total} vs {split}");
     }
 
@@ -699,9 +642,9 @@ mod tests {
         high.set_core_tile(CoreId::new(8), FreqMHz::F800);
         let m = busy_meter();
         let end = SimTime::from_secs(10);
-        let e_low = m.energy_joules(&cfg, &low, end);
-        let e_high = m.energy_joules(&cfg, &high, end);
-        let mixed = m.energy_joules_piecewise(
+        let e_low = m.energy_joules(&cfg, &[(SimTime::ZERO, low.clone())], end);
+        let e_high = m.energy_joules(&cfg, &[(SimTime::ZERO, high.clone())], end);
+        let mixed = m.energy_joules(
             &cfg,
             &[(SimTime::ZERO, low), (SimTime::from_secs(5), high)],
             end,
@@ -723,7 +666,7 @@ mod tests {
             (SimTime::ZERO, low.clone()),
             (SimTime::from_secs(2), high.clone()),
         ];
-        let trace = m.trace_piecewise(
+        let trace = m.trace(
             &cfg,
             &schedule,
             SimTime::from_secs(4),
