@@ -11,9 +11,9 @@
 //! * **trace causality** — per core, the busy phases (fetch → compute →
 //!   memory → send) appear in cycle order with strictly advancing,
 //!   non-overlapping virtual-time spans inside `[0, total]`;
-//! * **energy identity** — `total == scc_active + scc_idle + mcpc`, with
-//!   a non-negative active component and no power sample below the idle
-//!   floor;
+//! * **energy identity** — the SCC energy is finite and not below the
+//!   idle floor (idle power × run length), and no power sample dips
+//!   below that floor;
 //! * **recovery legality** — every self-healing episode is ordered
 //!   (killed ≤ detected ≤ resumed), its MTTR is the closed difference,
 //!   and the replay never exceeds the checkpoint ring's depth.
@@ -27,7 +27,6 @@
 use crate::metrics::WalkthroughReport;
 use crate::spec::{RendererMode, RunConfig, StageKind};
 use crate::trace::{Phase, TraceEvent};
-use scc_sim::power::McpcPower;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -185,17 +184,8 @@ pub fn check_generic_report(r: &crate::generic::GenericReport) -> Vec<Violation>
             ));
         }
     }
-    let idle_floor = r.scc_idle_power * r.total_secs;
+    check_energy_floor(r.energy_joules, r.scc_idle_power, r.total_secs, &mut v);
     let eps = 1e-6 * r.energy_joules.abs().max(1.0);
-    if !(r.energy_joules.is_finite() && r.energy_joules + eps >= idle_floor) {
-        v.push(Violation::new(
-            "energy-identity",
-            format!(
-                "energy {} J below the idle floor {} J ({} W x {} s)",
-                r.energy_joules, idle_floor, r.scc_idle_power, r.total_secs
-            ),
-        ));
-    }
     if (r.mean_power * r.total_secs - r.energy_joules).abs() > eps {
         v.push(Violation::new(
             "energy-identity",
@@ -417,29 +407,23 @@ fn check_frame_conservation(r: &WalkthroughReport, v: &mut Vec<Violation>) {
     }
 }
 
-/// `total == scc_active + scc_idle + mcpc`, with a physical (non-negative)
-/// active component and the power trace never dipping below idle.
+/// A run's energy is finite and not below its idle floor: the idle power
+/// of the cheapest DVFS state it visited times its length, less a
+/// relative ε. Both report kinds check their energy here.
+fn check_energy_floor(joules: f64, idle_watts: f64, secs: f64, v: &mut Vec<Violation>) {
+    let floor = idle_watts * secs;
+    if !(joules.is_finite() && joules + 1e-6 * joules.abs().max(1.0) >= floor) {
+        v.push(Violation::new(
+            "energy-identity",
+            format!("energy {joules} J not finite or below the idle floor {floor} J ({idle_watts} W x {secs} s)"),
+        ));
+    }
+}
+
+/// The SCC energy against its idle floor, a sane MCPC busy time, and the
+/// power trace never dipping below idle.
 fn check_energy_identity(r: &WalkthroughReport, v: &mut Vec<Violation>) {
-    let scc_idle = r.scc_idle_power * r.total_secs;
-    let scc_active = r.scc_energy_joules - scc_idle;
-    let mcpc = r.mcpc_energy_joules(&McpcPower::default());
-    let total = r.scc_energy_joules + mcpc;
-    let eps = 1e-6 * total.abs().max(1.0);
-    if scc_active < -eps {
-        v.push(Violation::new(
-            "energy-identity",
-            format!(
-                "active SCC energy negative: total {} J below idle floor {} J",
-                r.scc_energy_joules, scc_idle
-            ),
-        ));
-    }
-    if (total - (scc_active + scc_idle + mcpc)).abs() > eps {
-        v.push(Violation::new(
-            "energy-identity",
-            format!("total {total} J != active {scc_active} + idle {scc_idle} + mcpc {mcpc}"),
-        ));
-    }
+    check_energy_floor(r.scc_energy_joules, r.scc_idle_power, r.total_secs, v);
     if !(r.mcpc_busy_secs.is_finite() && r.mcpc_busy_secs >= 0.0) {
         v.push(Violation::new(
             "energy-identity",
@@ -779,6 +763,23 @@ mod tests {
         .expect_err("enforce must panic on violations");
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("seed=0xb"), "repro context missing: {msg}");
+    }
+
+    #[test]
+    fn non_finite_energy_breaks_the_energy_identity() {
+        let mut c = cfg(RendererMode::McpcRenderer, 2);
+        c.verify = false;
+        let mut report = SimRunner::new(c, scene()).run();
+        assert!(check_report(&report).is_empty());
+        for joules in [f64::NAN, f64::INFINITY] {
+            report.scc_energy_joules = joules;
+            assert!(
+                check_report(&report)
+                    .iter()
+                    .any(|v| v.check == "energy-identity"),
+                "energy {joules} passed the energy identity"
+            );
+        }
     }
 
     #[cfg(feature = "verify-selftest")]
