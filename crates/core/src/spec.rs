@@ -1018,16 +1018,6 @@ impl RunConfigBuilder {
         self
     }
 
-    pub fn width(mut self, width: u32) -> Self {
-        self.cfg.width = width;
-        self
-    }
-
-    pub fn height(mut self, height: u32) -> Self {
-        self.cfg.height = height;
-        self
-    }
-
     /// Set both frame dimensions at once.
     pub fn size(mut self, width: u32, height: u32) -> Self {
         self.cfg.width = width;
@@ -1090,23 +1080,6 @@ impl RunConfigBuilder {
         self
     }
 
-    pub fn kernel_threads(mut self, kernel_threads: u32) -> Self {
-        self.cfg.tuning.kernel_threads = kernel_threads;
-        self
-    }
-
-    pub fn buffer_pool(mut self, buffer_pool: bool) -> Self {
-        self.cfg.tuning.buffer_pool = buffer_pool;
-        self
-    }
-
-    /// Pick the filter-kernel backend (default `Auto`, the vectorized
-    /// kernels).
-    pub fn kernel(mut self, kernel: KernelChoice) -> Self {
-        self.cfg.tuning.kernel = kernel;
-        self
-    }
-
     /// Pick the execution model (default [`Runtime::Static`]).
     pub fn runtime(mut self, runtime: Runtime) -> Self {
         self.cfg.runtime = runtime;
@@ -1116,32 +1089,6 @@ impl RunConfigBuilder {
     /// Replace the whole task-runtime tuning block.
     pub fn task_tuning(mut self, task_tuning: TaskTuning) -> Self {
         self.cfg.task_tuning = task_tuning;
-        self
-    }
-
-    /// Bounded per-core task deque capacity (task runtime only).
-    pub fn task_queue_capacity(mut self, queue_capacity: u32) -> Self {
-        self.cfg.task_tuning.queue_capacity = queue_capacity;
-        self
-    }
-
-    /// Per-attempt steal-request timeout in microseconds (task runtime
-    /// only; attempts back off exponentially).
-    pub fn steal_timeout_us(mut self, steal_timeout_us: u64) -> Self {
-        self.cfg.task_tuning.steal_timeout_us = steal_timeout_us;
-        self
-    }
-
-    /// Steal attempts per hunger episode (task runtime only).
-    pub fn steal_retries(mut self, steal_retries: u32) -> Self {
-        self.cfg.task_tuning.steal_retries = steal_retries;
-        self
-    }
-
-    /// Set the whole power plane at once.
-    pub fn power(mut self, power: PowerConfig) -> Self {
-        self.cfg.power = power;
-        self.raw_power = None;
         self
     }
 
@@ -1461,14 +1408,19 @@ mod tests {
             .verify(true)
             .telemetry(true)
             .fault(FaultSpec::default())
-            .kernel_threads(2)
-            .buffer_pool(false)
+            .tuning(NativeTuning {
+                kernel_threads: 2,
+                buffer_pool: false,
+                kernel: KernelChoice::Scalar,
+            })
             .auto_place(true)
             .stage_weights(vec![1.0, 5.0, 1.0, 1.0, 1.0])
             .runtime(Runtime::Tasks)
-            .task_queue_capacity(16)
-            .steal_timeout_us(500)
-            .steal_retries(5)
+            .task_tuning(TaskTuning {
+                queue_capacity: 16,
+                steal_timeout_us: 500,
+                steal_retries: 5,
+            })
             .power_static([(8, FreqMHz::F800)])
             .build()
             .expect("valid config");
@@ -1483,6 +1435,7 @@ mod tests {
         assert!(cfg.fault.is_some());
         assert_eq!(cfg.tuning.kernel_threads, 2);
         assert!(!cfg.tuning.buffer_pool);
+        assert_eq!(cfg.tuning.kernel, KernelChoice::Scalar);
         assert!(cfg.auto_place);
         assert_eq!(
             cfg.stage_weights.as_deref(),
@@ -1509,28 +1462,35 @@ mod tests {
             (8, 200, 3)
         );
         // Every zero knob is rejected through build().
-        let err = RunConfig::builder()
-            .task_queue_capacity(0)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("queue_capacity"), "{err}");
-        let err = RunConfig::builder()
-            .steal_timeout_us(0)
-            .build()
-            .unwrap_err();
-        assert!(err.contains("steal_timeout_us"), "{err}");
-        let err = RunConfig::builder().steal_retries(0).build().unwrap_err();
-        assert!(err.contains("steal_retries"), "{err}");
-        // Whole-block setter.
-        let cfg = RunConfig::builder()
-            .task_tuning(TaskTuning {
-                queue_capacity: 4,
-                steal_timeout_us: 50,
-                steal_retries: 2,
-            })
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.task_tuning.queue_capacity, 4);
+        for (zeroed, knob) in [
+            (
+                TaskTuning {
+                    queue_capacity: 0,
+                    ..d
+                },
+                "queue_capacity",
+            ),
+            (
+                TaskTuning {
+                    steal_timeout_us: 0,
+                    ..d
+                },
+                "steal_timeout_us",
+            ),
+            (
+                TaskTuning {
+                    steal_retries: 0,
+                    ..d
+                },
+                "steal_retries",
+            ),
+        ] {
+            let err = RunConfig::builder()
+                .task_tuning(zeroed)
+                .build()
+                .unwrap_err();
+            assert!(err.contains(knob), "{err}");
+        }
     }
 
     #[test]
@@ -1595,7 +1555,13 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("rate"), "{err}");
         // Invalid tuning propagates through build().
-        let err = RunConfig::builder().kernel_threads(0).build().unwrap_err();
+        let err = RunConfig::builder()
+            .tuning(NativeTuning {
+                kernel_threads: 0,
+                ..NativeTuning::default()
+            })
+            .build()
+            .unwrap_err();
         assert!(err.contains("kernel_threads"), "{err}");
         // fault(None) clears a previously set plan.
         let cfg = RunConfig::builder()
@@ -1645,13 +1611,13 @@ mod tests {
             .build()
             .expect("valid static plan");
         assert!(matches!(cfg.power, PowerConfig::Static(ref s) if s.len() == 2));
-        // power() replaces a pending raw plan entirely.
+        // power_governed() replaces a pending raw plan entirely.
         let cfg = RunConfig::builder()
             .power_static([(55, FreqMHz::F800)])
-            .power(PowerConfig::default())
+            .power_governed(GovernorTuning::default())
             .build()
             .expect("replaced plan is valid");
-        assert!(cfg.power.is_default());
+        assert!(cfg.power.governed());
     }
 
     #[test]
