@@ -332,27 +332,13 @@ impl ImageFilter for Blur {
     }
 
     fn apply(&self, img: &mut Image, ctx: &FrameCtx) {
-        self.apply_chunked(img, ctx, 1);
-    }
-
-    fn apply_chunked(&self, img: &mut Image, _ctx: &FrameCtx, workers: usize) {
-        let r = self.radius as i64;
-        let row_bytes = img.width() as usize * BYTES_PER_PIXEL;
-        // The second buffer the paper describes: blur must read original
-        // values, not partially blurred ones — and it is what makes the
-        // row decomposition race-free (workers share `src` read-only).
-        let src = img.clone();
-        par_row_chunks(img, workers, |y0, rows| {
-            for (dy, row) in rows.chunks_exact_mut(row_bytes).enumerate() {
-                blur_row(&src, y0 + dy as u32, row, r);
-            }
-        });
+        self.apply_vectored(img, ctx, KernelBackend::Scalar, 1);
     }
 
     fn apply_vectored(
         &self,
         img: &mut Image,
-        ctx: &FrameCtx,
+        _ctx: &FrameCtx,
         backend: KernelBackend,
         workers: usize,
     ) {
@@ -362,7 +348,20 @@ impl ImageFilter for Blur {
             (KernelBackend::Simd, 1..=LANE_RADIUS) => {
                 blur_in_place(img, self.radius as usize, workers)
             }
-            _ => self.apply_chunked(img, ctx, workers),
+            _ => {
+                let r = self.radius as i64;
+                let row_bytes = img.width() as usize * BYTES_PER_PIXEL;
+                // The second buffer the paper describes: the scalar
+                // gather must read original values, not partially blurred
+                // ones — and it is what makes the row decomposition
+                // race-free (workers share `src` read-only).
+                let src = img.clone();
+                par_row_chunks(img, workers, |y0, rows| {
+                    for (dy, row) in rows.chunks_exact_mut(row_bytes).enumerate() {
+                        blur_row(&src, y0 + dy as u32, row, r);
+                    }
+                });
+            }
         }
     }
 

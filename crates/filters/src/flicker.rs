@@ -91,14 +91,6 @@ impl ImageFilter for Flicker {
         shift_bytes(img.as_bytes_mut(), d);
     }
 
-    fn apply_chunked(&self, img: &mut Image, ctx: &FrameCtx, workers: usize) {
-        // The single RNG draw happens once, before the fan-out: the offset
-        // is a frame property, so every worker shifts by the same amount
-        // regardless of how rows are distributed (chunk-rule 2).
-        let d = self.offset(ctx);
-        par_row_chunks(img, workers, |_, rows| shift_bytes(rows, d));
-    }
-
     fn apply_vectored(
         &self,
         img: &mut Image,
@@ -106,6 +98,9 @@ impl ImageFilter for Flicker {
         backend: KernelBackend,
         workers: usize,
     ) {
+        // The single RNG draw happens once, before the fan-out: the offset
+        // is a frame property, so every worker shifts by the same amount
+        // regardless of how rows are distributed (chunk-rule 2).
         let d = self.offset(ctx);
         match backend {
             KernelBackend::Scalar => par_row_chunks(img, workers, |_, rows| shift_bytes(rows, d)),

@@ -149,9 +149,9 @@ mod tests {
 
     #[test]
     fn chunked_kernels_match_sequential_bit_exactly() {
-        // The tentpole invariant: every filter of the standard chain must
-        // produce byte-identical output from `apply` and `apply_chunked`
-        // at any worker count — including the RNG-bearing stages, whose
+        // Every filter of the standard chain must produce byte-identical
+        // output from `apply` and the scalar kernel over row chunks at
+        // any worker count — including the RNG-bearing stages, whose
         // draws are keyed per frame, never per draw-order.
         let mut img = Image::new(37, 29);
         for y in 0..29 {
@@ -166,7 +166,7 @@ mod tests {
                 f.apply(&mut seq, &ctx);
                 for workers in [1usize, 2, 3, 4, 8] {
                     let mut par = img.clone();
-                    f.apply_chunked(&mut par, &ctx, workers);
+                    f.apply_vectored(&mut par, &ctx, KernelBackend::Scalar, workers);
                     assert_eq!(
                         par,
                         seq,

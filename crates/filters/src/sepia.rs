@@ -153,10 +153,6 @@ impl ImageFilter for Sepia {
         sepia_bytes(img.as_bytes_mut());
     }
 
-    fn apply_chunked(&self, img: &mut Image, _ctx: &FrameCtx, workers: usize) {
-        par_row_chunks(img, workers, |_, rows| sepia_bytes(rows));
-    }
-
     fn apply_vectored(
         &self,
         img: &mut Image,

@@ -6,6 +6,7 @@
 //! paper notes the stage exists partly to introduce a different (strided,
 //! two-ended) memory access pattern into the pipeline.
 
+use crate::backend::KernelBackend;
 use crate::chunk::chunk_rows;
 use crate::filter::{FrameCtx, ImageFilter};
 use crate::image::{Image, BYTES_PER_PIXEL};
@@ -52,7 +53,15 @@ impl ImageFilter for VSwap {
         }
     }
 
-    fn apply_chunked(&self, img: &mut Image, ctx: &FrameCtx, workers: usize) {
+    /// Every backend runs the same row swaps; the worker count splits the
+    /// top half into chunks that swap concurrently.
+    fn apply_vectored(
+        &self,
+        img: &mut Image,
+        ctx: &FrameCtx,
+        _backend: KernelBackend,
+        workers: usize,
+    ) {
         if workers <= 1 {
             return self.apply(img, ctx);
         }

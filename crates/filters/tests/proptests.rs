@@ -267,7 +267,7 @@ proptest! {
         };
         let filter = &standard_chain()[stage];
         let mut want = strip.clone();
-        filter.apply_chunked(&mut want, &ctx, workers);
+        filter.apply_vectored(&mut want, &ctx, KernelBackend::Scalar, workers);
         let mut got = strip;
         filter.apply_vectored(&mut got, &ctx, backend, workers);
         prop_assert_eq!(

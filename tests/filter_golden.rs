@@ -135,8 +135,8 @@ fn golden_hashes_sequential() {
 
 #[test]
 fn golden_hashes_chunked() {
-    // The chunked-parallel path must land on the exact same golden
-    // hashes as the sequential one, at every worker count.
+    // The scalar kernel over row chunks must land on the exact same
+    // golden hashes as the sequential one, at every worker count.
     let strip_h = H / 3;
     let strip_input = {
         let full = test_frame();
@@ -146,14 +146,19 @@ fn golden_hashes_chunked() {
         for (f, &(gname, gwhole, gstrip)) in standard_chain().iter().zip(GOLDEN) {
             assert_eq!(f.name(), gname);
             let mut whole = test_frame();
-            f.apply_chunked(&mut whole, &ctx(), workers);
+            f.apply_vectored(&mut whole, &ctx(), KernelBackend::Scalar, workers);
             assert_eq!(
                 fnv1a(whole.as_bytes()),
                 gwhole,
                 "{gname} chunked (workers={workers}) != golden whole-frame hash"
             );
             let mut strip = strip_input.clone();
-            f.apply_chunked(&mut strip, &strip_ctx(strip_h), workers);
+            f.apply_vectored(
+                &mut strip,
+                &strip_ctx(strip_h),
+                KernelBackend::Scalar,
+                workers,
+            );
             assert_eq!(
                 fnv1a(strip.as_bytes()),
                 gstrip,
