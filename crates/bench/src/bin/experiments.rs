@@ -5,7 +5,6 @@
 
 #![forbid(unsafe_code)]
 
-use scc_bench::report;
 use scc_bench::*;
 
 fn main() {
@@ -18,26 +17,11 @@ fn main() {
     if what == "csv" {
         let dir = args.get(1).cloned().unwrap_or_else(|| "target/csv".into());
         std::fs::create_dir_all(&dir).expect("create csv dir");
-        let w = |name: &str, data: String| {
+        for (name, data) in paper_csv(&scene) {
             let path = format!("{dir}/{name}");
             std::fs::write(&path, data).expect("write csv");
             println!("wrote {path}");
-        };
-        w("fig09.csv", report::csv_scaling(&fig9(&scene)));
-        w("fig10.csv", report::csv_scaling(&fig10(&scene)));
-        w("fig11.csv", report::csv_scaling(&fig11(&scene)));
-        w("fig12.csv", report::csv_fig12(&fig12(&scene)));
-        w("fig15.csv", report::csv_fig15(&fig15(&scene)));
-        let f14: Vec<(String, Vec<(f64, f64)>)> = fig14(&scene, 100.0)
-            .into_iter()
-            .map(|c| (c.label, c.samples))
-            .collect();
-        w("fig14.csv", report::csv_power_curves(&f14));
-        let f17: Vec<(String, Vec<(f64, f64)>)> = fig17(&scene, 100.0)
-            .into_iter()
-            .map(|(v, s)| (v.label().to_string(), s))
-            .collect();
-        w("fig17.csv", report::csv_power_curves(&f17));
+        }
         return;
     }
 

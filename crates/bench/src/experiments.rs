@@ -867,3 +867,27 @@ pub fn paper_text(name: &str, scene: &Arc<Scene>) -> Option<String> {
     }
     Some(s)
 }
+
+/// The machine-readable series `experiments csv <dir>` writes for the
+/// plots of `docs/plots/paper_figures.gp`, as `(file name, text)` pairs:
+/// Figures 9–12, 15, 14 and 17 in that order. `docs/plots/csv/` holds
+/// the committed copy, which `tests/bench_documents.rs` checks.
+pub fn paper_csv(scene: &Arc<Scene>) -> Vec<(&'static str, String)> {
+    let f14: Vec<(String, Vec<(f64, f64)>)> = fig14(scene, 100.0)
+        .into_iter()
+        .map(|c| (c.label, c.samples))
+        .collect();
+    let f17: Vec<(String, Vec<(f64, f64)>)> = fig17(scene, 100.0)
+        .into_iter()
+        .map(|(v, s)| (v.label().to_string(), s))
+        .collect();
+    vec![
+        ("fig09.csv", report::csv_scaling(&fig9(scene))),
+        ("fig10.csv", report::csv_scaling(&fig10(scene))),
+        ("fig11.csv", report::csv_scaling(&fig11(scene))),
+        ("fig12.csv", report::csv_fig12(&fig12(scene))),
+        ("fig15.csv", report::csv_fig15(&fig15(scene))),
+        ("fig14.csv", report::csv_power_curves(&f14)),
+        ("fig17.csv", report::csv_power_curves(&f17)),
+    ]
+}

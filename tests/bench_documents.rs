@@ -3,8 +3,9 @@
 //! geometry (400×400, 48 frames, full fidelity), asserts that sweep's
 //! hard gates and compares the rendered JSON byte for byte with the file
 //! at the repository root. `docs/sample_experiments_output.txt` is one
-//! more: the paper's evaluation as `experiments all` prints it. After an
-//! intentional change, rewrite the files with
+//! more: the paper's evaluation as `experiments all` prints it; so are
+//! the seven plot series under `docs/plots/csv/` that `experiments csv`
+//! writes. After an intentional change, rewrite the files with
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --release -p scc-bench --test bench_documents -- --ignored
@@ -15,10 +16,10 @@
 
 use scc_bench::autoplace::measure_autoplace;
 use scc_bench::dvfs::measure_dvfs;
-use scc_bench::paper_text;
 use scc_bench::recovery::measure_recovery;
 use scc_bench::serving::measure_serving;
 use scc_bench::tasks::measure_tasks;
+use scc_bench::{paper_csv, paper_text};
 use scc_core::{default_scene, Fidelity, RunConfig};
 use std::path::PathBuf;
 
@@ -157,4 +158,12 @@ fn dvfs_document_is_current() {
 fn paper_text_is_current() {
     let text = paper_text("all", &default_scene()).expect("a known section");
     check_document("docs/sample_experiments_output.txt", &text);
+}
+
+#[test]
+#[ignore = "every plotted figure; run in release with --ignored"]
+fn paper_csv_is_current() {
+    for (name, csv) in paper_csv(&default_scene()) {
+        check_document(&format!("docs/plots/csv/{name}"), &csv);
+    }
 }
