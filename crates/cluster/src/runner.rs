@@ -5,9 +5,8 @@
 
 use crate::platform::ClusterConfig;
 use scc_core::cost::{CostModel, RenderWork};
-use scc_core::spec::StageKind;
 use scc_core::RunConfig;
-use scc_filters::{Blur, Flicker, Image, ImageFilter, Scratch, Sepia, VSwap};
+use scc_filters::{standard_chain, Image};
 use scc_render::{Renderer, Scene, Walkthrough};
 use scc_sim::SimTime;
 use std::sync::Arc;
@@ -73,14 +72,7 @@ pub fn cluster_walkthrough_with(
     let full_px = cfg.width as u64 * cfg.height as u64;
     let full_bytes = cfg.frame_bytes();
 
-    let impls: [Box<dyn ImageFilter>; 5] = [
-        Box::new(Sepia),
-        Box::new(Blur::default()),
-        Box::new(Scratch::default()),
-        Box::new(Flicker::default()),
-        Box::new(VSwap),
-    ];
-    let kinds = StageKind::PIPELINE_FILTERS;
+    let impls = standard_chain();
 
     let n_renderers = match mode {
         ClusterMode::ParallelRenderer => p,
@@ -186,7 +178,6 @@ pub fn cluster_walkthrough_with(
                 let arr = send_start + cluster.message_time(strip_bytes);
                 filters[i][j].free = arr;
                 avail = arr;
-                let _ = kinds[j];
             }
             swap_done[i] = avail;
         }

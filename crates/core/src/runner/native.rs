@@ -486,8 +486,7 @@ fn replica(sh: &Shared, ep: Endpoint, lane: usize, g: usize, k: usize) -> StageR
         let mut prev = r0;
         for j in group.stages() {
             let pixels = frame.image.as_mut().expect("pixels");
-            let threads = cfg.tuning.kernel_threads as usize;
-            chain[j].apply_vectored(pixels, &ctx, backend, threads);
+            chain[j].apply_vectored(pixels, &ctx, backend, 1);
             let now = Instant::now();
             let stage = StageKind::PIPELINE_FILTERS[j];
             rec.span_kind(stage, frame.id, Phase::Compute, prev, now);
@@ -631,7 +630,7 @@ fn report(
 mod tests {
     use super::*;
     use crate::reference::reference_frames;
-    use crate::spec::{Arrangement, Fidelity, NativeTuning};
+    use crate::spec::{Arrangement, Fidelity};
     use scc_filters::fnv1a;
     use scc_render::CityConfig;
 
@@ -1138,20 +1137,16 @@ mod tests {
     }
 
     #[test]
-    fn kernel_threads_and_pooling_do_not_change_output() {
+    fn pooling_does_not_change_output() {
         let base = cfg(RendererMode::SingleRenderer, 2, 3);
         let reference = reference_frames(&base, scene());
-        for (threads, pooled) in [(1u32, false), (4, true), (4, false), (2, true)] {
+        for pooled in [false, true] {
             let mut c = base.clone();
-            c.tuning = NativeTuning {
-                kernel_threads: threads,
-                buffer_pool: pooled,
-                ..NativeTuning::default()
-            };
+            c.tuning.buffer_pool = pooled;
             let report = run_native(&c, scene());
             assert_eq!(
                 report.frames, reference,
-                "threads={threads} pooled={pooled} diverged from reference"
+                "pooled={pooled} diverged from reference"
             );
         }
     }

@@ -305,19 +305,18 @@ impl FaultSpec {
     }
 }
 
-/// Which filter-kernel backend the runners execute. `Auto` (the
-/// default, and the only value the golden configs use) resolves to the
+/// Which filter-kernel backend the runners execute. `Simd` (the
+/// default, and the only value the golden configs use) runs the
 /// lane-vectorized kernels; `Scalar` forces the reference loops they
 /// are tested against. Both backends are always compiled and
 /// bit-identical, so this knob — like the rest of [`NativeTuning`] —
 /// can never move a pixel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelChoice {
-    #[default]
-    Auto,
     /// Force the paper-literal scalar loops.
     Scalar,
-    /// Force the lane-vectorized kernels.
+    /// The lane-vectorized kernels.
+    #[default]
     Simd,
 }
 
@@ -325,7 +324,6 @@ impl KernelChoice {
     /// Resolve to a concrete backend.
     pub fn resolve(&self) -> scc_filters::KernelBackend {
         match self {
-            KernelChoice::Auto => scc_filters::KernelBackend::default_backend(),
             KernelChoice::Scalar => scc_filters::KernelBackend::Scalar,
             KernelChoice::Simd => scc_filters::KernelBackend::Simd,
         }
@@ -334,7 +332,6 @@ impl KernelChoice {
     /// Short name for digests and fuzz-repro lines.
     pub fn name(&self) -> &'static str {
         match self {
-            KernelChoice::Auto => "auto",
             KernelChoice::Scalar => "scalar",
             KernelChoice::Simd => "simd",
         }
@@ -420,16 +417,15 @@ impl TaskTuning {
 /// enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NativeTuning {
-    /// Worker threads one filter stage may spread its row-chunked kernel
-    /// over (1 = plain sequential kernels). This is data parallelism
-    /// *inside* a stage, on top of the one-thread-per-stage macro
-    /// pipelining.
+    /// Unused: every filter stage runs its kernel on its own thread.
+    /// The field stays because the standalone benchmark crate reads it;
+    /// fuzz repros still carry it as `threads=`.
     pub kernel_threads: u32,
     /// Recycle strip allocations through `scc-core`'s buffer pool: the
     /// transfer stage releases a frame's strips, the source reuses them.
     pub buffer_pool: bool,
     /// Filter-kernel backend (scalar reference loops vs lane-vectorized
-    /// kernels; `Auto` is vectorized).
+    /// kernels, the default).
     pub kernel: KernelChoice,
 }
 
@@ -438,17 +434,8 @@ impl Default for NativeTuning {
         NativeTuning {
             kernel_threads: 1,
             buffer_pool: true,
-            kernel: KernelChoice::Auto,
+            kernel: KernelChoice::Simd,
         }
-    }
-}
-
-impl NativeTuning {
-    pub fn validate(&self) -> Result<(), String> {
-        if self.kernel_threads == 0 {
-            return Err("kernel_threads must be at least 1".into());
-        }
-        Ok(())
     }
 }
 
@@ -821,7 +808,7 @@ pub struct RunConfig {
     pub verify: bool,
     /// Fault injection; `None` runs the healthy fast path unchanged.
     pub fault: Option<FaultSpec>,
-    /// Host-execution tuning (kernel threads, buffer pooling). Never
+    /// Host-execution tuning (kernel backend, buffer pooling). Never
     /// changes output, only how fast the host produces it.
     pub tuning: NativeTuning,
     /// Record metrics and events into a [`scc_telemetry::TelemetrySink`]
@@ -915,7 +902,6 @@ impl RunConfig {
         if let Some(fault) = &self.fault {
             fault.validate(self.pipelines)?;
         }
-        self.tuning.validate()?;
         self.task_tuning.validate()?;
         if let Some(w) = &self.stage_weights {
             if w.len() != StageKind::PIPELINE_FILTERS.len() {
@@ -1344,8 +1330,6 @@ mod tests {
     fn tuning_validation() {
         let mut cfg = RunConfig::default();
         assert_eq!(cfg.tuning, NativeTuning::default());
-        cfg.tuning.kernel_threads = 0;
-        assert!(cfg.validate().is_err(), "zero kernel threads rejected");
         cfg.tuning = NativeTuning {
             kernel_threads: 8,
             buffer_pool: false,
@@ -1355,12 +1339,8 @@ mod tests {
     }
 
     #[test]
-    fn kernel_choice_resolves_and_defaults_to_auto() {
-        assert_eq!(NativeTuning::default().kernel, KernelChoice::Auto);
-        assert_eq!(
-            KernelChoice::Auto.resolve(),
-            scc_filters::KernelBackend::Simd
-        );
+    fn kernel_choice_resolves_and_defaults_to_simd() {
+        assert_eq!(NativeTuning::default().kernel, KernelChoice::Simd);
         assert_eq!(
             KernelChoice::Scalar.resolve(),
             scc_filters::KernelBackend::Scalar
@@ -1554,15 +1534,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.contains("rate"), "{err}");
-        // Invalid tuning propagates through build().
-        let err = RunConfig::builder()
-            .tuning(NativeTuning {
-                kernel_threads: 0,
-                ..NativeTuning::default()
-            })
-            .build()
-            .unwrap_err();
-        assert!(err.contains("kernel_threads"), "{err}");
         // fault(None) clears a previously set plan.
         let cfg = RunConfig::builder()
             .fault(FaultSpec::default())

@@ -2,8 +2,8 @@
 //! for the compiler's auto-vectorizer.
 //!
 //! There is one build and both backends are in it. The vectorized
-//! kernels are what runs unless a caller asks otherwise
-//! ([`KernelBackend::default_backend`]). They are plain safe Rust over
+//! kernels are what runs unless a caller asks otherwise (`scc-core`'s
+//! `KernelChoice` defaults to them). They are plain safe Rust over
 //! arrays and slices at the default target, so there is no platform
 //! they cannot run on. The scalar loops are the reference the
 //! vectorized kernels are tested against, and stay selectable for that.
@@ -32,12 +32,6 @@ pub enum KernelBackend {
 }
 
 impl KernelBackend {
-    /// The backend that runs when nothing is requested explicitly: the
-    /// vectorized kernels.
-    pub fn default_backend() -> KernelBackend {
-        KernelBackend::Simd
-    }
-
     /// Short name for digests, bench JSON and fuzz-repro lines.
     pub fn name(&self) -> &'static str {
         match self {
@@ -50,11 +44,6 @@ impl KernelBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_backend_is_vectorized() {
-        assert_eq!(KernelBackend::default_backend(), KernelBackend::Simd);
-    }
 
     #[test]
     fn names_are_stable() {

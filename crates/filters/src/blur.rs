@@ -6,16 +6,15 @@
 //! expensive filter stage in the paper's measurements — the 3×3 (or
 //! larger) gather makes it both compute- and memory-heavy.
 //!
-//! The modelled SCC pays that second buffer: `traffic` charges a full
-//! read of the strip and a full write of its copy. The host does not
-//! allocate it on the vectorized path. That kernel blurs in place and
-//! keeps only what it still needs of the original: `r + 1` rows in a
-//! ring, plus, under a worker fan-out, each chunk's ≤ `r` halo rows on
-//! either side. The scalar reference still gathers from a full clone.
+//! The modelled SCC pays that second buffer: the cost model's
+//! `stage_traffic` charges a full read of the strip and a full write of
+//! its copy. The host does not allocate it on the vectorized path. That
+//! kernel blurs in place and keeps only what it still needs of the
+//! original: `r + 1` rows in a ring. The scalar reference still gathers
+//! from a full clone.
 
 use crate::backend::KernelBackend;
-use crate::chunk::{chunk_rows, par_row_chunks};
-use crate::filter::{FrameCtx, ImageFilter, Traffic};
+use crate::filter::{FrameCtx, ImageFilter};
 use crate::image::{Image, BYTES_PER_PIXEL};
 
 /// Box blur with configurable radius (radius 1 = 3×3 window).
@@ -46,11 +45,9 @@ impl Blur {
     }
 }
 
-/// The shared kernel: average the window around every pixel of row `y`,
+/// The scalar kernel: average the window around every pixel of row `y`,
 /// reading the pristine `src` buffer and writing `out_row` (that row's
-/// bytes of the destination). Blur is a pure function of (src, y), so the
-/// sequential path and any row chunk of the parallel one run the exact
-/// same integer arithmetic.
+/// bytes of the destination).
 fn blur_row(src: &Image, y: u32, out_row: &mut [u8], r: i64) {
     let w = src.width();
     let h = src.height();
@@ -166,14 +163,12 @@ fn blend_lanes(sums: &[u16], last: &[u16], out: &mut [u8], div: impl Fn(u16) -> 
     }
 }
 
-/// The vectorized backend's kernel: blur rows `y0..` of an `h`-row
-/// image in place, `rows` being that chunk's bytes. `above` and `below`
-/// hold the pristine rows just outside the chunk that its windows reach
-/// (≤ `r` each, both empty for a whole image).
+/// The vectorized backend's kernel: blur the `h` rows of `rows`, each
+/// `rb` bytes long, in place.
 ///
 /// The box average is computed separably. Column sums — one `u16` lane
 /// per byte of the row, alpha lane included and discarded — slide down
-/// the chunk, adding the entering row and subtracting the leaving one
+/// the image, adding the entering row and subtracting the leaving one
 /// in one pass. Each row's original is saved into an `(r+1)`-row ring
 /// just before it is overwritten, which is where it comes back from
 /// when it leaves the window `r + 1` rows later. Interior pixels sum
@@ -181,26 +176,14 @@ fn blend_lanes(sums: &[u16], last: &[u16], out: &mut [u8], div: impl Fn(u16) -> 
 /// per row; the `r` border pixels each side divide the plain way. Every
 /// sum is the same exact integer the scalar gather forms, so the
 /// quotient is bit-identical to `blur_row` at every pixel.
-fn blur_chunk_in_place(
-    rows: &mut [u8],
-    row_bytes: usize,
-    y0: usize,
-    h: usize,
-    above: &[u8],
-    below: &[u8],
-    r: usize,
-) {
-    let rb = row_bytes;
+///
+/// Kept out of line: inlined into `apply_vectored`, whose match arm
+/// bounds `r` to `1..=7`, the kernel ran 2.4× slower (400×200 noise
+/// strip, r = 1, one thread of a 2-CPU x86-64 Xeon, best of 41: 102 µs
+/// out of line, 245 inlined).
+#[inline(never)]
+fn blur_in_place(rows: &mut [u8], rb: usize, h: usize, r: usize) {
     let w = rb / BYTES_PER_PIXEL;
-    let end = y0 + rows.len() / rb;
-    let top = y0 - above.len() / rb;
-    let outside = |sy: usize| -> &[u8] {
-        if sy < y0 {
-            &above[(sy - top) * rb..][..rb]
-        } else {
-            &below[(sy - end) * rb..][..rb]
-        }
-    };
     // Interior pixels x ∈ r..w−r see all 2r+1 columns; their `span`
     // lanes start `lead` bytes into the row. The rest are borders.
     let lead = r * BYTES_PER_PIXEL;
@@ -209,43 +192,23 @@ fn blur_chunk_in_place(
     let borders = (0..left).chain(left.max(w.saturating_sub(r))..w);
     let mut col = vec![0u16; rb];
     let mut sums = vec![0u16; span];
-    // Only rows that leave the window inside the chunk come back out of
-    // the ring: the first `ch − r − 1`, at most `r + 1` at a time.
-    let ch = end - y0;
-    let mut ring = vec![0u8; (r + 1).min(ch.saturating_sub(r + 1)) * rb];
+    // Only rows that leave the window inside the image come back out of
+    // the ring: the first `h − r − 1`, at most `r + 1` at a time.
+    let mut ring = vec![0u8; (r + 1).min(h.saturating_sub(r + 1)) * rb];
 
-    // Vertical window of the chunk's first row: nothing is written yet.
-    let (lo, hi) = (y0.saturating_sub(r), (y0 + r).min(h - 1));
-    for sy in lo..=hi {
-        let src = if sy < y0 || sy >= end {
-            outside(sy)
-        } else {
-            &rows[(sy - y0) * rb..][..rb]
-        };
-        for (c, &p) in col.iter_mut().zip(src) {
+    // Vertical window of the first row: nothing is written yet.
+    let hi = r.min(h - 1);
+    for sy in 0..=hi {
+        for (c, &p) in col.iter_mut().zip(&rows[sy * rb..][..rb]) {
             *c += u16::from(p);
         }
     }
-    let mut ny = hi + 1 - lo;
+    let mut ny = hi + 1;
 
-    for y in y0..end {
-        if y > y0 {
-            let leave = (y > r).then(|| {
-                let sy = y - 1 - r;
-                if sy < y0 {
-                    outside(sy)
-                } else {
-                    &ring[(sy - y0) % (r + 1) * rb..][..rb]
-                }
-            });
-            let enter = (y + r < h).then(|| {
-                let sy = y + r;
-                if sy < end {
-                    &rows[(sy - y0) * rb..][..rb]
-                } else {
-                    outside(sy)
-                }
-            });
+    for y in 0..h {
+        if y > 0 {
+            let leave = (y > r).then(|| &ring[(y - 1 - r) % (r + 1) * rb..][..rb]);
+            let enter = (y + r < h).then(|| &rows[(y + r) * rb..][..rb]);
             match (enter, leave) {
                 (Some(e), Some(l)) => {
                     for ((c, &a), &b) in col.iter_mut().zip(e).zip(l) {
@@ -267,9 +230,9 @@ fn blur_chunk_in_place(
                 (None, None) => {}
             }
         }
-        let row = &mut rows[(y - y0) * rb..][..rb];
-        if y + 1 + r < end {
-            ring[(y - y0) % (r + 1) * rb..][..rb].copy_from_slice(row);
+        let row = &mut rows[y * rb..][..rb];
+        if y + 1 + r < h {
+            ring[y % (r + 1) * rb..][..rb].copy_from_slice(row);
         }
 
         if span > 0 {
@@ -300,32 +263,6 @@ fn blur_chunk_in_place(
     }
 }
 
-/// [`blur_chunk_in_place`] over `par_row_chunks`: each chunk's halo —
-/// the ≤ `r` rows above and below it that neighbouring chunks
-/// overwrite — is copied before the fan-out. A lone chunk has none.
-fn blur_in_place(img: &mut Image, r: usize, workers: usize) {
-    let rb = img.width() as usize * BYTES_PER_PIXEL;
-    let h = img.height() as usize;
-    let chunks = chunk_rows(img.height(), workers);
-    let src = img.as_bytes();
-    let mut halos = Vec::new();
-    let mut starts = Vec::with_capacity(chunks.len() + 1);
-    for &(y0, ch) in &chunks {
-        let (y0, end) = (y0 as usize, (y0 + ch) as usize);
-        starts.push(halos.len());
-        halos.extend_from_slice(&src[y0.saturating_sub(r) * rb..y0 * rb]);
-        halos.extend_from_slice(&src[end * rb..(end + r).min(h) * rb]);
-    }
-    starts.push(halos.len());
-    par_row_chunks(img, workers, |y0, rows| {
-        let i = chunks.partition_point(|&(c0, _)| c0 < y0);
-        let y0 = y0 as usize;
-        let halo = &halos[starts[i]..starts[i + 1]];
-        let (above, below) = halo.split_at((y0 - y0.saturating_sub(r)) * rb);
-        blur_chunk_in_place(rows, rb, y0, h, above, below, r);
-    });
-}
-
 impl ImageFilter for Blur {
     fn name(&self) -> &'static str {
         "blur"
@@ -340,27 +277,26 @@ impl ImageFilter for Blur {
         img: &mut Image,
         _ctx: &FrameCtx,
         backend: KernelBackend,
-        workers: usize,
+        _workers: usize,
     ) {
+        let row_bytes = img.width() as usize * BYTES_PER_PIXEL;
+        let h = img.height() as usize;
         match (backend, self.radius) {
+            // An empty strip has nothing to blur.
+            _ if h == 0 => {}
             // A 1×1 window: every pixel is its own average.
             (KernelBackend::Simd, 0) => {}
             (KernelBackend::Simd, 1..=LANE_RADIUS) => {
-                blur_in_place(img, self.radius as usize, workers)
+                blur_in_place(img.as_bytes_mut(), row_bytes, h, self.radius as usize)
             }
             _ => {
-                let r = self.radius as i64;
-                let row_bytes = img.width() as usize * BYTES_PER_PIXEL;
                 // The second buffer the paper describes: the scalar
-                // gather must read original values, not partially blurred
-                // ones — and it is what makes the row decomposition
-                // race-free (workers share `src` read-only).
+                // gather must read original values, not partially
+                // blurred ones.
                 let src = img.clone();
-                par_row_chunks(img, workers, |y0, rows| {
-                    for (dy, row) in rows.chunks_exact_mut(row_bytes).enumerate() {
-                        blur_row(&src, y0 + dy as u32, row, r);
-                    }
-                });
+                for (y, row) in img.as_bytes_mut().chunks_exact_mut(row_bytes).enumerate() {
+                    blur_row(&src, y as u32, row, self.radius as i64);
+                }
             }
         }
     }
@@ -370,14 +306,6 @@ impl ImageFilter for Blur {
         // ~9 units/pixel, several times the 1 unit/pixel of sepia —
         // matching its rank as the slowest filter stage (Figure 8).
         ctx.pixel_count() as f64 * self.window() * 0.45
-    }
-
-    fn traffic(&self, img: &Image, _ctx: &FrameCtx) -> Traffic {
-        // Reads the source buffer, writes the second buffer.
-        Traffic {
-            read_bytes: img.byte_len(),
-            write_bytes: img.byte_len(),
-        }
     }
 }
 
@@ -519,9 +447,8 @@ mod tests {
 
     #[test]
     fn sliding_window_is_bit_identical_to_naive_gather() {
-        // Degenerate and remainder-heavy geometries × radii, sequential
-        // and chunked: the in-place kernel must match the scalar gather
-        // byte for byte.
+        // Degenerate and remainder-heavy geometries × radii: the in-place
+        // kernel must match the scalar gather byte for byte.
         for (w, h) in [
             (1u32, 1u32),
             (1, 9),
@@ -546,14 +473,9 @@ mod tests {
                 let ctx = FrameCtx::whole_frame(0, 0, w, h);
                 let mut naive = img.clone();
                 blur.apply(&mut naive, &ctx);
-                for workers in [1usize, 2, 3, 8] {
-                    let mut fast = img.clone();
-                    blur.apply_vectored(&mut fast, &ctx, KernelBackend::Simd, workers);
-                    assert_eq!(
-                        fast, naive,
-                        "diverged at {w}x{h} r={radius} workers={workers}"
-                    );
-                }
+                let mut fast = img.clone();
+                blur.apply_vectored(&mut fast, &ctx, KernelBackend::Simd, 1);
+                assert_eq!(fast, naive, "diverged at {w}x{h} r={radius}");
             }
         }
     }

@@ -38,15 +38,6 @@ impl FrameCtx {
     }
 }
 
-/// Memory traffic generated by one application of a filter to a strip,
-/// used by the simulator's cost model (the stages differ exactly in these
-/// access patterns — §IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Traffic {
-    pub read_bytes: u64,
-    pub write_bytes: u64,
-}
-
 /// An image filter stage of the macro pipeline.
 pub trait ImageFilter: Send + Sync {
     /// Short stage name as used in the paper's figures.
@@ -56,13 +47,13 @@ pub trait ImageFilter: Send + Sync {
     fn apply(&self, img: &mut Image, ctx: &FrameCtx);
 
     /// Transform the strip in place with an explicit kernel backend (see
-    /// [`KernelBackend`]) over up to `workers` OS threads on disjoint row
-    /// chunks (see [`crate::chunk`]). Implementations MUST be
-    /// bit-identical to [`ImageFilter::apply`] for every backend and
-    /// worker count — the backend changes instruction selection and the
-    /// worker count the fan-out, never pixels. The default runs the
-    /// sequential kernel, which is what the scratch stages, whose work is
-    /// a few painted columns, need.
+    /// [`KernelBackend`]), on the calling thread: a stage is one
+    /// sequential process on its own core. Implementations MUST be
+    /// bit-identical to [`ImageFilter::apply`] for every backend — the
+    /// backend changes instruction selection, never pixels. `workers` is
+    /// unused; it stays because the standalone benchmark crate passes
+    /// it. The default runs `apply`, which is what the copy and paint
+    /// stages (scratch, swap) need.
     fn apply_vectored(
         &self,
         img: &mut Image,
@@ -81,42 +72,11 @@ pub trait ImageFilter: Send + Sync {
     /// and the frame's random plan, never on pixel values, so it is priced
     /// without an image — a timing-only run has none.
     fn work_units(&self, ctx: &FrameCtx) -> f64;
-
-    /// Bytes read/written per application.
-    fn traffic(&self, img: &Image, ctx: &FrameCtx) -> Traffic {
-        let b = img.byte_len();
-        let _ = ctx;
-        Traffic {
-            read_bytes: b,
-            write_bytes: b,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Nop;
-    impl ImageFilter for Nop {
-        fn name(&self) -> &'static str {
-            "nop"
-        }
-        fn apply(&self, _img: &mut Image, _ctx: &FrameCtx) {}
-        fn work_units(&self, ctx: &FrameCtx) -> f64 {
-            ctx.pixel_count() as f64
-        }
-    }
-
-    #[test]
-    fn default_traffic_reads_and_writes_whole_buffer() {
-        let img = Image::new(10, 10);
-        let ctx = FrameCtx::whole_frame(0, 0, 10, 10);
-        let t = Nop.traffic(&img, &ctx);
-        assert_eq!(t.read_bytes, 400);
-        assert_eq!(t.write_bytes, 400);
-        assert_eq!(Nop.work_units(&ctx), 100.0);
-    }
 
     #[test]
     fn whole_frame_ctx_covers_image() {

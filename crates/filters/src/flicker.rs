@@ -8,7 +8,6 @@
 //! deterministic per-frame RNG.
 
 use crate::backend::KernelBackend;
-use crate::chunk::par_row_chunks;
 use crate::filter::{FrameCtx, ImageFilter};
 use crate::frame_rng::{draw_between, frame_rng};
 use crate::image::{from_unit, to_unit, Image, BYTES_PER_PIXEL};
@@ -96,18 +95,12 @@ impl ImageFilter for Flicker {
         img: &mut Image,
         ctx: &FrameCtx,
         backend: KernelBackend,
-        workers: usize,
+        _workers: usize,
     ) {
-        // The single RNG draw happens once, before the fan-out: the offset
-        // is a frame property, so every worker shifts by the same amount
-        // regardless of how rows are distributed (chunk-rule 2).
         let d = self.offset(ctx);
         match backend {
-            KernelBackend::Scalar => par_row_chunks(img, workers, |_, rows| shift_bytes(rows, d)),
-            KernelBackend::Simd => {
-                let lut = shift_lut(d);
-                par_row_chunks(img, workers, |_, rows| shift_bytes_blocks(rows, &lut));
-            }
+            KernelBackend::Scalar => shift_bytes(img.as_bytes_mut(), d),
+            KernelBackend::Simd => shift_bytes_blocks(img.as_bytes_mut(), &shift_lut(d)),
         }
     }
 

@@ -14,16 +14,14 @@
 //! Plus the [`image::Image`] RGBA8 buffer, its sort-first horizontal
 //! strip decomposition, the deterministic per-frame RNG that keeps
 //! independently processed strips consistent with a single-pipeline run,
-//! the [`chunk`] row-chunk decomposition that lets a single stage
-//! spread its kernel over spare cores without changing a pixel, and the
-//! [`fanout`] helper that spreads a batch of independent jobs over host
-//! threads.
+//! and the [`fanout`] helper that spreads a batch of independent jobs
+//! over host threads. A filter stage itself runs its kernel on the
+//! calling thread; [`fanout`] is the crate's one place that spawns.
 
 #![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod blur;
-pub mod chunk;
 pub mod fanout;
 pub mod filter;
 pub mod flicker;
@@ -37,9 +35,8 @@ pub mod vswap;
 
 pub use backend::KernelBackend;
 pub use blur::Blur;
-pub use chunk::{chunk_rows, par_row_chunks};
 pub use fanout::{burst, fan_out};
-pub use filter::{FrameCtx, ImageFilter, Traffic};
+pub use filter::{FrameCtx, ImageFilter};
 pub use flicker::Flicker;
 pub use frame_rng::{fnv1a, fnv1a_fold, fnv1a_fold_lanes, splitmix64, FNV_OFFSET, FNV_PRIME};
 pub use image::{Image, StripInfo, BYTES_PER_PIXEL};
@@ -118,8 +115,8 @@ mod tests {
     #[test]
     fn vectored_kernels_match_sequential_bit_exactly() {
         // The backend invariant: `apply_vectored` must equal `apply`
-        // for every filter, backend and worker count — the backend is
-        // an instruction-selection knob, never a pixels knob.
+        // for every filter and backend — the backend is an
+        // instruction-selection knob, never a pixels knob.
         let mut img = Image::new(41, 23);
         for y in 0..23 {
             for x in 0..41 {
@@ -132,45 +129,12 @@ mod tests {
                 let mut seq = img.clone();
                 f.apply(&mut seq, &ctx);
                 for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-                    for workers in [1usize, 2, 4] {
-                        let mut vec = img.clone();
-                        f.apply_vectored(&mut vec, &ctx, backend, workers);
-                        assert_eq!(
-                            vec,
-                            seq,
-                            "{} diverged at {backend:?} workers={workers} frame={frame}",
-                            f.name()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_kernels_match_sequential_bit_exactly() {
-        // Every filter of the standard chain must produce byte-identical
-        // output from `apply` and the scalar kernel over row chunks at
-        // any worker count — including the RNG-bearing stages, whose
-        // draws are keyed per frame, never per draw-order.
-        let mut img = Image::new(37, 29);
-        for y in 0..29 {
-            for x in 0..37 {
-                img.set(x, y, [(x * 7) as u8, (y * 13) as u8, (x ^ y) as u8, 255]);
-            }
-        }
-        for frame in [0u64, 5, 41] {
-            let ctx = FrameCtx::whole_frame(frame, 99, 37, 29);
-            for f in standard_chain() {
-                let mut seq = img.clone();
-                f.apply(&mut seq, &ctx);
-                for workers in [1usize, 2, 3, 4, 8] {
-                    let mut par = img.clone();
-                    f.apply_vectored(&mut par, &ctx, KernelBackend::Scalar, workers);
+                    let mut vec = img.clone();
+                    f.apply_vectored(&mut vec, &ctx, backend, 1);
                     assert_eq!(
-                        par,
+                        vec,
                         seq,
-                        "{} diverged at workers={workers} frame={frame}",
+                        "{} diverged at {backend:?} frame={frame}",
                         f.name()
                     );
                 }

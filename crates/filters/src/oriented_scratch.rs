@@ -5,7 +5,7 @@
 //! drawn with a DDA walk in *full-frame* coordinates, so independently
 //! processed strips still compose into continuous scratch lines.
 
-use crate::filter::{FrameCtx, ImageFilter, Traffic};
+use crate::filter::{FrameCtx, ImageFilter};
 use crate::frame_rng::{draw_between, frame_rng};
 use crate::image::Image;
 use rand::Rng;
@@ -123,14 +123,6 @@ impl ImageFilter for OrientedScratch {
             .sum();
         let strip_share = ctx.strip.height as f64 / ctx.strip.full_height as f64;
         total as f64 * strip_share * 1.5
-    }
-
-    fn traffic(&self, _img: &Image, ctx: &FrameCtx) -> Traffic {
-        let bytes = (self.work_units(ctx) / 1.5 * 4.0) as u64;
-        Traffic {
-            read_bytes: bytes,
-            write_bytes: bytes,
-        }
     }
 }
 

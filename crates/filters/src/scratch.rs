@@ -10,7 +10,7 @@
 //! continuous scratch line — exactly what a single-pipeline run would
 //! paint.
 
-use crate::filter::{FrameCtx, ImageFilter, Traffic};
+use crate::filter::{FrameCtx, ImageFilter};
 use crate::frame_rng::frame_rng;
 use crate::image::Image;
 use rand::Rng;
@@ -76,15 +76,6 @@ impl ImageFilter for Scratch {
         // in Figure 8).
         let plan = self.plan(ctx);
         (ctx.strip.height as u64 * plan.columns.len() as u64) as f64 * 1.5
-    }
-
-    fn traffic(&self, img: &Image, ctx: &FrameCtx) -> Traffic {
-        let plan = self.plan(ctx);
-        let col_bytes = img.height() as u64 * 4 * plan.columns.len() as u64;
-        Traffic {
-            read_bytes: col_bytes,
-            write_bytes: col_bytes,
-        }
     }
 }
 

@@ -17,7 +17,6 @@
 //! vector lanes on every other block.
 
 use crate::backend::KernelBackend;
-use crate::chunk::par_row_chunks;
 use crate::filter::{FrameCtx, ImageFilter};
 use crate::image::{from_unit, to_unit, Image, BYTES_PER_PIXEL};
 use crate::uniform::{per_uniform_block, BLOCK_PIXELS};
@@ -45,8 +44,7 @@ pub fn sepia_pixel(r: f32, g: f32, b: f32) -> [f32; 3] {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sepia;
 
-/// The shared kernel: sepia is strictly per-pixel, so the same byte loop
-/// serves the sequential path and any row chunk of the parallel one.
+/// The scalar kernel: the formula pixel by pixel.
 fn sepia_bytes(bytes: &mut [u8]) {
     for px in bytes.chunks_exact_mut(BYTES_PER_PIXEL) {
         let [r, g, b] = sepia_pixel(to_unit(px[0]), to_unit(px[1]), to_unit(px[2]));
@@ -135,15 +133,6 @@ fn sepia_block(block: &mut [u8]) {
     }
 }
 
-/// Backend dispatch for one row (or any pixel-aligned byte run).
-#[inline]
-fn sepia_row(bytes: &mut [u8], backend: KernelBackend) {
-    match backend {
-        KernelBackend::Scalar => sepia_bytes(bytes),
-        KernelBackend::Simd => sepia_bytes_blocks(bytes),
-    }
-}
-
 impl ImageFilter for Sepia {
     fn name(&self) -> &'static str {
         "sepia"
@@ -158,9 +147,12 @@ impl ImageFilter for Sepia {
         img: &mut Image,
         _ctx: &FrameCtx,
         backend: KernelBackend,
-        workers: usize,
+        _workers: usize,
     ) {
-        par_row_chunks(img, workers, |_, rows| sepia_row(rows, backend));
+        match backend {
+            KernelBackend::Scalar => sepia_bytes(img.as_bytes_mut()),
+            KernelBackend::Simd => sepia_bytes_blocks(img.as_bytes_mut()),
+        }
     }
 
     fn work_units(&self, ctx: &FrameCtx) -> f64 {
@@ -241,20 +233,17 @@ mod tests {
         // first one pixel per colour, then each colour filling one aligned
         // 8-pixel block with a different alpha in every pixel, against the
         // scalar plane's results expanded the same way. The planes are
-        // dealt out over the host's cores.
-        let threads = std::thread::available_parallelism().map_or(1, usize::from);
-        std::thread::scope(|s| {
-            for first in 0..threads {
-                s.spawn(move || {
-                    let mut plane = vec![0u8; 256 * 256 * BYTES_PER_PIXEL];
-                    let mut uniform = vec![0u8; plane.len() * BLOCK_PIXELS];
-                    let mut want = uniform.clone();
-                    for r in (first..256).step_by(threads) {
-                        every_rgb_of_red_plane(r as u8, &mut plane, &mut uniform, &mut want);
-                    }
-                });
+        // dealt out over four host threads.
+        const THREADS: usize = 4;
+        let planes = |_: &mut (), first: usize| {
+            let mut plane = vec![0u8; 256 * 256 * BYTES_PER_PIXEL];
+            let mut uniform = vec![0u8; plane.len() * BLOCK_PIXELS];
+            let mut want = uniform.clone();
+            for r in (first..256).step_by(THREADS) {
+                every_rgb_of_red_plane(r as u8, &mut plane, &mut uniform, &mut want);
             }
-        });
+        };
+        crate::fanout::fan_out(THREADS, 0..THREADS, planes, |_, _| {});
     }
 
     fn every_rgb_of_red_plane(r: u8, plane: &mut [u8], uniform: &mut [u8], want: &mut [u8]) {

@@ -6,10 +6,8 @@
 //! paper notes the stage exists partly to introduce a different (strided,
 //! two-ended) memory access pattern into the pipeline.
 
-use crate::backend::KernelBackend;
-use crate::chunk::chunk_rows;
 use crate::filter::{FrameCtx, ImageFilter};
-use crate::image::{Image, BYTES_PER_PIXEL};
+use crate::image::Image;
 
 /// The vertical-swap (mirror) filter.
 #[derive(Debug, Clone, Copy, Default)]
@@ -51,52 +49,6 @@ impl ImageFilter for VSwap {
             lo.copy_from_slice(hi);
             hi.copy_from_slice(&tmp);
         }
-    }
-
-    /// Every backend runs the same row swaps; the worker count splits the
-    /// top half into chunks that swap concurrently.
-    fn apply_vectored(
-        &self,
-        img: &mut Image,
-        ctx: &FrameCtx,
-        _backend: KernelBackend,
-        workers: usize,
-    ) {
-        if workers <= 1 {
-            return self.apply(img, ctx);
-        }
-        let h = img.height();
-        let half = (h / 2) as usize;
-        if half == 0 {
-            return;
-        }
-        let row_bytes = img.width() as usize * BYTES_PER_PIXEL;
-        let chunks = chunk_rows(half as u32, workers);
-        let data = img.as_bytes_mut();
-        // Row i swaps with row h-1-i: the top half pairs with the bottom
-        // half read back-to-front (the middle row of an odd-height strip
-        // stays put). Peel matching chunks off the front of the top half
-        // and the back of the bottom half; each pair is disjoint from
-        // every other, so the swaps can run concurrently.
-        let (mut top, rest) = data.split_at_mut(half * row_bytes);
-        let mut bottom = &mut rest[(h as usize - 2 * half) * row_bytes..];
-        std::thread::scope(|s| {
-            for &(_, rows) in &chunks {
-                let bytes = rows as usize * row_bytes;
-                let (t, t_rest) = top.split_at_mut(bytes);
-                top = t_rest;
-                let (b_rest, b) = bottom.split_at_mut(bottom.len() - bytes);
-                bottom = b_rest;
-                s.spawn(move || {
-                    for (tr, br) in t
-                        .chunks_exact_mut(row_bytes)
-                        .zip(b.chunks_exact_mut(row_bytes).rev())
-                    {
-                        tr.swap_with_slice(br);
-                    }
-                });
-            }
-        });
     }
 
     fn work_units(&self, ctx: &FrameCtx) -> f64 {

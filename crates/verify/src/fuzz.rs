@@ -243,14 +243,15 @@ impl FuzzCase {
     /// shortest round-trip `Display`, so `from_text` is lossless. The
     /// scheduler fields (`auto=1` on the run line, a `weights` line)
     /// and the kernel choice are emitted only when set / away from
-    /// `Auto`, so older repros stay valid.
+    /// the default, so older repros stay valid. `threads=` is still
+    /// written and read, though no runner uses it.
     pub fn to_text(&self) -> String {
         let c = &self.cfg;
         let mut extras = String::new();
         if c.auto_place {
             extras.push_str(" auto=1");
         }
-        if c.tuning.kernel != KernelChoice::Auto {
+        if c.tuning.kernel != KernelChoice::default() {
             extras.push_str(&format!(" kernel={}", c.tuning.kernel.name()));
         }
         // The task runtime and its knobs ride the run line only when the
@@ -390,7 +391,6 @@ impl FuzzCase {
                     // Optional: absent in pre-kernel-backend repros.
                     if l.has("kernel") {
                         c.tuning.kernel = match l.get("kernel")? {
-                            "auto" => KernelChoice::Auto,
                             "scalar" => KernelChoice::Scalar,
                             "simd" => KernelChoice::Simd,
                             other => return Err(l.err(format!("unknown kernel `{other}`"))),
@@ -578,10 +578,7 @@ impl FuzzCase {
                     Fidelity::TimingOnly
                 }
             }
-            7 => {
-                c.tuning.kernel_threads = rng.gen_range(1u32..=4);
-                c.tuning.buffer_pool = rng.gen();
-            }
+            7 => c.tuning.buffer_pool = rng.gen(),
             8 => c.fault = None,
             9 => {
                 let f = c.fault.get_or_insert_with(FaultSpec::default);
@@ -645,8 +642,11 @@ impl FuzzCase {
             }
             16 => c.auto_place = !c.auto_place,
             19 => {
-                c.tuning.kernel = [KernelChoice::Auto, KernelChoice::Scalar, KernelChoice::Simd]
-                    [rng.gen_range(0usize..3)]
+                c.tuning.kernel = if rng.gen() {
+                    KernelChoice::Scalar
+                } else {
+                    KernelChoice::Simd
+                }
             }
             17 => {
                 // Explicit scheduler weights from a palette spanning the
@@ -804,13 +804,10 @@ pub fn coverage(case: &FuzzCase, outcome_events: &CoverageEvents) -> BTreeSet<St
             "timing"
         }
     ));
-    if c.tuning.kernel_threads > 1 {
-        set.insert("tuning:threads".into());
-    }
     if !c.tuning.buffer_pool {
         set.insert("tuning:no-pool".into());
     }
-    if c.tuning.kernel != KernelChoice::Auto {
+    if c.tuning.kernel != KernelChoice::default() {
         set.insert(format!("kernel:{}", c.tuning.kernel.name()));
     }
     if c.auto_place {
@@ -1552,10 +1549,10 @@ fn cost(case: &FuzzCase) -> u64 {
     if c.arrangement != Arrangement::Unordered {
         k += 5;
     }
-    if c.tuning.kernel_threads != 1 || !c.tuning.buffer_pool {
+    if !c.tuning.buffer_pool {
         k += 5;
     }
-    if c.tuning.kernel != KernelChoice::Auto {
+    if c.tuning.kernel != KernelChoice::default() {
         k += 5;
     }
     if c.auto_place {

@@ -309,7 +309,7 @@ pub fn digest_case(case: &GoldenCase) -> String {
 /// scheduler suffix (`auto=1`, explicit weights) only appears when the
 /// case opts in, so the fixed-arrangement digests are byte-stable
 /// across the scheduler's introduction; likewise the kernel suffix
-/// appears only when a case departs from the `Auto` default.
+/// appears only when a case departs from the default backend.
 pub fn config_line(cfg: &RunConfig) -> String {
     let mut auto = if cfg.auto_place {
         match &cfg.stage_weights {
@@ -319,7 +319,7 @@ pub fn config_line(cfg: &RunConfig) -> String {
     } else {
         String::new()
     };
-    if cfg.tuning.kernel != scc_core::KernelChoice::Auto {
+    if cfg.tuning.kernel != scc_core::KernelChoice::default() {
         auto.push_str(&format!(" kernel={}", cfg.tuning.kernel.name()));
     }
     // Like the scheduler suffix: only non-default runtimes print, so the
@@ -379,9 +379,10 @@ pub fn config_line(cfg: &RunConfig) -> String {
 }
 
 /// Digest of the native runner's output film under several tunings: the
-/// film hash must be identical for every (threads, pooling) combination
-/// and equal to the sequential reference — wall-clock timings are
-/// excluded, so the digest is byte-stable across machines.
+/// film hash must be identical pooled and unpooled and equal to the
+/// sequential reference — wall-clock timings are excluded, so the digest
+/// is byte-stable across machines. The `threads` column is the unused
+/// `kernel_threads` field, kept so the committed digest stays as it was.
 pub fn native_tuning_digest() -> String {
     use scc_core::spec::NativeTuning;
     let mut cfg = base_cfg();

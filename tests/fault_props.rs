@@ -184,12 +184,11 @@ proptest! {
     }
 
     /// The native runner under message faults, with arbitrary host tuning
-    /// (chunked kernels, buffer pool on/off): retransmission recovers
-    /// every frame and the tuning stays invisible in the pixels. No
+    /// (buffer pool on/off): retransmission recovers every frame and the
+    /// tuning stays invisible in the pixels. No
     /// wall-clock assumptions — only delivered bytes are asserted.
     #[test]
     fn native_faults_with_any_tuning_never_lose_a_frame(
-        kernel_threads in 1u32..5,
         buffer_pool in any::<bool>(),
         drop_pct in 0u32..4,
         frames in 1u64..3,
@@ -208,7 +207,7 @@ proptest! {
                 retry_budget: 5,
                 ..FaultSpec::default()
             })
-            .tuning(NativeTuning { kernel_threads, buffer_pool, ..NativeTuning::default() })
+            .tuning(NativeTuning { buffer_pool, ..NativeTuning::default() })
             .build()
             .expect("valid config");
         let mut clean = cfg.clone();

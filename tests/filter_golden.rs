@@ -1,6 +1,6 @@
 //! Golden-image regression tests: pixel-exact FNV-1a hashes of every
 //! filter's output on a fixed, seeded frame — asserted for the sequential
-//! kernel path AND the chunked-parallel one at several worker counts.
+//! `apply` and for both kernel backends at every lane width.
 //!
 //! These constants pin the filters' numerics. If a hash changes, either a
 //! kernel's arithmetic changed (a correctness regression — fix the code)
@@ -133,41 +133,6 @@ fn golden_hashes_sequential() {
     }
 }
 
-#[test]
-fn golden_hashes_chunked() {
-    // The scalar kernel over row chunks must land on the exact same
-    // golden hashes as the sequential one, at every worker count.
-    let strip_h = H / 3;
-    let strip_input = {
-        let full = test_frame();
-        full.split_strips(3)[1].1.clone()
-    };
-    for workers in [2usize, 3, 5, 8] {
-        for (f, &(gname, gwhole, gstrip)) in standard_chain().iter().zip(GOLDEN) {
-            assert_eq!(f.name(), gname);
-            let mut whole = test_frame();
-            f.apply_vectored(&mut whole, &ctx(), KernelBackend::Scalar, workers);
-            assert_eq!(
-                fnv1a(whole.as_bytes()),
-                gwhole,
-                "{gname} chunked (workers={workers}) != golden whole-frame hash"
-            );
-            let mut strip = strip_input.clone();
-            f.apply_vectored(
-                &mut strip,
-                &strip_ctx(strip_h),
-                KernelBackend::Scalar,
-                workers,
-            );
-            assert_eq!(
-                fnv1a(strip.as_bytes()),
-                gstrip,
-                "{gname} chunked (workers={workers}) != golden mid-strip hash"
-            );
-        }
-    }
-}
-
 /// Pinned hashes for the vectorized kernel paths at the widths that
 /// exercise every lane-handling branch of the SIMD backend:
 /// 64 px = 8 full 8-lane blocks, 37 px = 4 blocks + a 5-px scalar
@@ -268,21 +233,19 @@ fn golden_hashes_lane_widths() {
         return;
     }
     // The pinned table itself comes from the scalar path; both backends
-    // and every worker fan-out must land on the same bytes.
+    // must land on the same bytes.
     for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
-        for workers in [1usize, 3, 16] {
-            for &(w, ref filters) in GOLDEN_LANES {
-                let ctx = FrameCtx::whole_frame(FRAME_ID, RUN_SEED, w, LANE_H);
-                for (f, &want) in standard_chain().iter().zip(filters.iter()) {
-                    let mut img = lane_frame(w);
-                    f.apply_vectored(&mut img, &ctx, backend, workers);
-                    assert_eq!(
-                        fnv1a(img.as_bytes()),
-                        want,
-                        "{} w={w} {backend:?} workers={workers} drifted",
-                        f.name()
-                    );
-                }
+        for &(w, ref filters) in GOLDEN_LANES {
+            let ctx = FrameCtx::whole_frame(FRAME_ID, RUN_SEED, w, LANE_H);
+            for (f, &want) in standard_chain().iter().zip(filters.iter()) {
+                let mut img = lane_frame(w);
+                f.apply_vectored(&mut img, &ctx, backend, 1);
+                assert_eq!(
+                    fnv1a(img.as_bytes()),
+                    want,
+                    "{} w={w} {backend:?} drifted",
+                    f.name()
+                );
             }
         }
     }

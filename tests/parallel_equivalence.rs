@@ -1,7 +1,7 @@
 //! Differential suite for the native runner's host tuning knobs: for
-//! every renderer mode, `kernel_threads = 1` vs `N` and pooled vs
-//! unpooled buffers must deliver byte-identical final frames, identical
-//! frame counts, and still match the sequential reference. A tuning knob
+//! every renderer mode, pooled vs unpooled buffers and either kernel
+//! backend must deliver byte-identical final frames, identical frame
+//! counts, and still match the sequential reference. A tuning knob
 //! that changes a pixel is a correctness bug dressed up as a speedup.
 //! The kernel backend gets the same treatment on every executor: there
 //! is one build, so this suite is where the vectorized default and the
@@ -42,39 +42,25 @@ const MODES: [RendererMode; 3] = [
     RendererMode::McpcRenderer,
 ];
 
-const fn tune(kernel_threads: u32, buffer_pool: bool) -> NativeTuning {
+fn tune(buffer_pool: bool, kernel: KernelChoice) -> NativeTuning {
     NativeTuning {
-        kernel_threads,
         buffer_pool,
-        kernel: KernelChoice::Auto,
-    }
-}
-
-const fn tune_kernel(kernel_threads: u32, kernel: KernelChoice) -> NativeTuning {
-    NativeTuning {
-        kernel_threads,
-        buffer_pool: true,
         kernel,
+        ..NativeTuning::default()
     }
 }
 
-/// Every (kernel_threads, buffer_pool, kernel backend) point we sweep
-/// against baseline — the backend knob must be just as invisible in
-/// the pixels as the thread count.
-const TUNINGS: [NativeTuning; 9] = [
-    tune(1, false),
-    tune(2, true),
-    tune(4, true),
-    tune(4, false),
-    tune(7, true),
-    tune_kernel(1, KernelChoice::Simd),
-    tune_kernel(1, KernelChoice::Scalar),
-    tune_kernel(4, KernelChoice::Simd),
-    tune_kernel(4, KernelChoice::Scalar),
+/// Every (buffer_pool, kernel backend) point we sweep against baseline
+/// — the backend knob must be just as invisible in the pixels as the
+/// pool.
+const TUNINGS: [(bool, KernelChoice); 3] = [
+    (false, KernelChoice::Simd),
+    (false, KernelChoice::Scalar),
+    (true, KernelChoice::Scalar),
 ];
 
 fn baseline() -> NativeTuning {
-    tune(1, true)
+    NativeTuning::default()
 }
 
 fn raw_frames(frames: &[Image]) -> Vec<&[u8]> {
@@ -87,7 +73,8 @@ fn tuning_is_invisible_in_every_renderer_mode() {
         let out = run_with_scene(&cfg(mode, baseline()), Backend::Native, scene());
         let base = out.report.native().unwrap();
         assert_eq!(base.frames.len(), 4, "{mode:?}: baseline frame count");
-        for tuning in TUNINGS {
+        for (pool, kernel) in TUNINGS {
+            let tuning = tune(pool, kernel);
             let out = run_with_scene(&cfg(mode, tuning), Backend::Native, scene());
             let variant = out.report.native().unwrap();
             assert_eq!(
@@ -98,7 +85,7 @@ fn tuning_is_invisible_in_every_renderer_mode() {
             assert_eq!(
                 raw_frames(&variant.frames),
                 raw_frames(&base.frames),
-                "{mode:?}/{tuning:?}: pixels diverged from 1-thread pooled baseline"
+                "{mode:?}/{tuning:?}: pixels diverged from the default tuning"
             );
         }
     }
@@ -106,10 +93,10 @@ fn tuning_is_invisible_in_every_renderer_mode() {
 
 #[test]
 fn threaded_pooled_native_matches_sequential_reference() {
-    // Not just self-consistent: the most aggressive tuning still equals
-    // the single-threaded sequential oracle, byte for byte.
+    // Not just self-consistent: the pooled, threaded pipeline still
+    // equals the single-threaded sequential oracle, byte for byte.
     for mode in MODES {
-        let c = cfg(mode, tune(4, true));
+        let c = cfg(mode, baseline());
         let mut ref_cfg = c.clone();
         if mode == RendererMode::McpcRenderer {
             ref_cfg.renderer = RendererMode::SingleRenderer;
@@ -127,15 +114,15 @@ fn threaded_pooled_native_matches_sequential_reference() {
 
 #[test]
 fn kernel_choice_is_invisible_on_every_backend() {
-    // `Auto` is the vectorized kernels and `Scalar` the reference loops:
+    // `Simd` is the vectorized kernels and `Scalar` the reference loops:
     // the film through `run()` is the reference film under both, on
     // every executor, in this one build.
-    assert_eq!(KernelChoice::Auto.resolve(), KernelBackend::Simd);
+    assert_eq!(KernelChoice::Simd.resolve(), KernelBackend::Simd);
     assert_eq!(KernelChoice::Scalar.resolve(), KernelBackend::Scalar);
     let want = reference_frames(&cfg(RendererMode::SingleRenderer, baseline()), scene());
     for backend in [Backend::Sim, Backend::Des, Backend::Native] {
-        for kernel in [KernelChoice::Auto, KernelChoice::Scalar] {
-            let c = cfg(RendererMode::SingleRenderer, tune_kernel(1, kernel));
+        for kernel in [KernelChoice::Simd, KernelChoice::Scalar] {
+            let c = cfg(RendererMode::SingleRenderer, tune(true, kernel));
             let film = match run_with_scene(&c, backend, scene()).report {
                 BackendReport::Sim(r) | BackendReport::Des(r) => {
                     r.outputs.expect("full fidelity keeps frames")
@@ -172,7 +159,10 @@ fn pool_stats_reflect_the_knob() {
     );
 
     let unpooled = run_with_scene(
-        &cfg(RendererMode::SingleRenderer, tune(1, false)),
+        &cfg(
+            RendererMode::SingleRenderer,
+            tune(false, KernelChoice::Simd),
+        ),
         Backend::Native,
         scene(),
     )

@@ -1,17 +1,16 @@
-//! Property tests for the buffer pool, the hop codec's two encoders and
-//! the row-chunk decomposition — the pieces of host machinery that must
-//! be *invisible* to the pipeline's output. The pool may never hand out
+//! Property tests for the buffer pool and the hop codec's two encoders —
+//! the pieces of host machinery that must be *invisible* to the
+//! pipeline's output. The pool may never hand out
 //! an aliased live buffer, and every buffer it hands out has the geometry
 //! asked for and room for a hop trailer (its pixels are the renderer's to
 //! overwrite, which the render tests check); sealing a frame's own buffer
-//! writes the bytes copying it would; `chunk_rows` must tile any strip
-//! exactly.
+//! writes the bytes copying it would.
 
 use proptest::prelude::*;
 use scc_core::pool::BufferPool;
 use scc_core::runner::native::{decode_frame_checked, encode_frame, encode_frame_owned};
 use scc_core::Frame;
-use scc_filters::{chunk_rows, Image, StripInfo, BYTES_PER_PIXEL};
+use scc_filters::{Image, StripInfo, BYTES_PER_PIXEL};
 use std::collections::HashSet;
 
 /// What the hop codec appends to a strip's pixels.
@@ -156,34 +155,5 @@ proptest! {
             prop_assert_eq!(pool.free_len(), 0);
         }
         prop_assert_eq!(pool.stats(), scc_core::PoolStats::default());
-    }
-
-    /// `chunk_rows` tiles `0..rows` exactly for any (rows, workers):
-    /// contiguous, non-empty, near-equal chunks, never more than
-    /// `workers` of them.
-    #[test]
-    fn chunk_rows_tiles_any_strip(rows in 0u32..500, workers in 0usize..24) {
-        let chunks = chunk_rows(rows, workers);
-        if rows == 0 {
-            prop_assert!(chunks.is_empty());
-        } else {
-            prop_assert_eq!(
-                chunks.len() as u32,
-                (workers.max(1) as u32).min(rows),
-                "chunk count"
-            );
-            let mut y = 0u32;
-            let mut min_h = u32::MAX;
-            let mut max_h = 0u32;
-            for &(y0, h) in &chunks {
-                prop_assert_eq!(y0, y, "chunks out of order or overlapping");
-                prop_assert!(h > 0, "empty chunk");
-                min_h = min_h.min(h);
-                max_h = max_h.max(h);
-                y += h;
-            }
-            prop_assert_eq!(y, rows, "chunks do not cover the strip");
-            prop_assert!(max_h - min_h <= 1, "chunks not near-equal");
-        }
     }
 }

@@ -59,12 +59,12 @@ fn all_three_runners_agree_with_each_other() {
     assert_eq!(a, film(&c, Backend::Des), "sim vs DES");
     assert_eq!(a, film(&c, Backend::Native), "sim vs native");
 
-    // The native runner's host tuning (chunked kernels + buffer pool) is
+    // The native runner's host tuning (kernel backend + buffer pool) is
     // a pure perf knob; the agreement must hold at any setting.
     let mut tuned = c.clone();
     tuned.tuning = scc_core::NativeTuning {
-        kernel_threads: 3,
-        buffer_pool: true,
+        buffer_pool: false,
+        kernel: scc_core::KernelChoice::Scalar,
         ..scc_core::NativeTuning::default()
     };
     assert_eq!(a, film(&tuned, Backend::Native), "sim vs tuned native");
@@ -99,8 +99,8 @@ fn chaos_walkthrough_delivers_every_frame() {
     );
 
     // Native: no core stalls (threads are real), message faults only,
-    // with host-friendly timeouts — and the most aggressive host tuning,
-    // so retransmission, chunked kernels and buffer recycling all overlap.
+    // with host-friendly timeouts — and the pooled default tuning, so
+    // retransmission and buffer recycling overlap.
     let mut nc = c.clone();
     nc.fault = Some(FaultSpec {
         drop_rate: 0.02,
@@ -109,11 +109,6 @@ fn chaos_walkthrough_delivers_every_frame() {
         retry_budget: 5,
         ..FaultSpec::default()
     });
-    nc.tuning = scc_core::NativeTuning {
-        kernel_threads: 4,
-        buffer_pool: true,
-        ..scc_core::NativeTuning::default()
-    };
     assert_eq!(
         film(&nc, Backend::Native),
         want,
