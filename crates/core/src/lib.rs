@@ -87,9 +87,9 @@ pub use pool::{BufferPool, PoolStats};
 pub use runner::native::NativeReport;
 pub use runner::sim::SimRunner;
 pub use spec::{
-    Arrangement, FaultSpec, Fidelity, GenericChainSpec, GenericStageSpec, GovernorTuning,
-    KernelChoice, KillSpec, NativeTuning, PowerConfig, RendererMode, RunConfig, RunConfigBuilder,
-    Runtime, StageKind, StallSpec, TaskTuning, WavefrontSpec, Workload,
+    Arrangement, FaultSpec, Fidelity, GenericChainSpec, GenericStageSpec, GovernorTuning, KillSpec,
+    NativeTuning, PowerConfig, RendererMode, RunConfig, RunConfigBuilder, Runtime, StageKind,
+    StallSpec, TaskTuning, WavefrontSpec, Workload,
 };
 pub use stage_graph::{StageClass, StageGraph, StageNode, StageWeights, WeightSource};
 pub use trace::{Phase, TraceEvent, TraceLog};

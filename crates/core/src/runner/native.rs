@@ -473,7 +473,7 @@ fn replica(sh: &Shared, ep: Endpoint, lane: usize, g: usize, k: usize) -> StageR
     let kind = StageKind::PIPELINE_FILTERS[group.start];
     let mut rec = sh.recorder(groups[g][k], kind, Some(lane as u32));
     let chain = standard_chain();
-    let backend = cfg.tuning.kernel.resolve();
+    let backend = cfg.tuning.kernel;
     let mut handled = 0;
     for f in (k as u64..cfg.frames).step_by(group.replicas as usize) {
         let w0 = Instant::now();

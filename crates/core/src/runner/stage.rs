@@ -63,7 +63,7 @@ impl FilmStages {
     pub(crate) fn new(cfg: &RunConfig) -> FilmStages {
         FilmStages {
             chain: standard_chain(),
-            backend: cfg.tuning.kernel.resolve(),
+            backend: cfg.tuning.kernel,
             seed: cfg.seed,
             full_px: cfg.width as u64 * cfg.height as u64,
         }

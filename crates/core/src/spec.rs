@@ -1,5 +1,6 @@
 //! Pipeline configuration: renderer mode, arrangement, geometry, fidelity.
 
+use scc_filters::KernelBackend;
 use scc_sim::{CoreId, FreqMHz};
 
 /// The stage types of the paper's macro pipeline (§IV).
@@ -305,39 +306,6 @@ impl FaultSpec {
     }
 }
 
-/// Which filter-kernel backend the runners execute. `Simd` (the
-/// default, and the only value the golden configs use) runs the
-/// lane-vectorized kernels; `Scalar` forces the reference loops they
-/// are tested against. Both backends are always compiled and
-/// bit-identical, so this knob — like the rest of [`NativeTuning`] —
-/// can never move a pixel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelChoice {
-    /// Force the paper-literal scalar loops.
-    Scalar,
-    /// The lane-vectorized kernels.
-    #[default]
-    Simd,
-}
-
-impl KernelChoice {
-    /// Resolve to a concrete backend.
-    pub fn resolve(&self) -> scc_filters::KernelBackend {
-        match self {
-            KernelChoice::Scalar => scc_filters::KernelBackend::Scalar,
-            KernelChoice::Simd => scc_filters::KernelBackend::Simd,
-        }
-    }
-
-    /// Short name for digests and fuzz-repro lines.
-    pub fn name(&self) -> &'static str {
-        match self {
-            KernelChoice::Scalar => "scalar",
-            KernelChoice::Simd => "simd",
-        }
-    }
-}
-
 /// How strips are scheduled onto cores.
 ///
 /// `Static` is the paper's model: every stage owns a core for the whole
@@ -425,8 +393,9 @@ pub struct NativeTuning {
     /// transfer stage releases a frame's strips, the source reuses them.
     pub buffer_pool: bool,
     /// Filter-kernel backend (scalar reference loops vs lane-vectorized
-    /// kernels, the default).
-    pub kernel: KernelChoice,
+    /// kernels, the default). Both are always compiled and bit-identical,
+    /// so this knob, like the rest of the tuning, never moves a pixel.
+    pub kernel: KernelBackend,
 }
 
 impl Default for NativeTuning {
@@ -434,7 +403,7 @@ impl Default for NativeTuning {
         NativeTuning {
             kernel_threads: 1,
             buffer_pool: true,
-            kernel: KernelChoice::Simd,
+            kernel: KernelBackend::Simd,
         }
     }
 }
@@ -1340,15 +1309,10 @@ mod tests {
 
     #[test]
     fn kernel_choice_resolves_and_defaults_to_simd() {
-        assert_eq!(NativeTuning::default().kernel, KernelChoice::Simd);
-        assert_eq!(
-            KernelChoice::Scalar.resolve(),
-            scc_filters::KernelBackend::Scalar
-        );
-        assert_eq!(
-            KernelChoice::Simd.resolve(),
-            scc_filters::KernelBackend::Simd
-        );
+        assert_eq!(NativeTuning::default().kernel, KernelBackend::Simd);
+        assert_eq!(KernelBackend::default(), KernelBackend::Simd);
+        assert_eq!(KernelBackend::Scalar.resolve(), KernelBackend::Scalar);
+        assert_eq!(KernelBackend::Simd.resolve(), KernelBackend::Simd);
     }
 
     #[test]
@@ -1391,7 +1355,7 @@ mod tests {
             .tuning(NativeTuning {
                 kernel_threads: 2,
                 buffer_pool: false,
-                kernel: KernelChoice::Scalar,
+                kernel: KernelBackend::Scalar,
             })
             .auto_place(true)
             .stage_weights(vec![1.0, 5.0, 1.0, 1.0, 1.0])
@@ -1415,7 +1379,7 @@ mod tests {
         assert!(cfg.fault.is_some());
         assert_eq!(cfg.tuning.kernel_threads, 2);
         assert!(!cfg.tuning.buffer_pool);
-        assert_eq!(cfg.tuning.kernel, KernelChoice::Scalar);
+        assert_eq!(cfg.tuning.kernel, KernelBackend::Scalar);
         assert!(cfg.auto_place);
         assert_eq!(
             cfg.stage_weights.as_deref(),

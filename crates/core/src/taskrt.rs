@@ -50,6 +50,7 @@ use crate::frame::Frame;
 use crate::metrics::{RecoveryEvent, TaskStats, WalkthroughReport};
 use crate::runner::sim::{FilmRun, SimRunner};
 use crate::spec::{RendererMode, StageKind};
+use scc_filters::SplitMix;
 use scc_rcce::{
     decode_claim_ack, decode_steal_grant, decode_steal_request, decode_task_claim,
     encode_claim_ack, encode_steal_grant, encode_steal_request, encode_task_claim, ClaimAck,
@@ -143,7 +144,7 @@ struct Engine {
     delivered: HashMap<(u64, usize), (SimTime, Frame)>,
 
     stats: TaskStats,
-    rng: u64,
+    rng: SplitMix,
     nonce: u64,
 
     next_out: u64,
@@ -225,7 +226,7 @@ impl Engine {
             completed_stage: HashSet::new(),
             delivered: HashMap::new(),
             stats,
-            rng: cfg.seed ^ salt,
+            rng: SplitMix::new(cfg.seed ^ salt),
             nonce: 0,
             next_out: 0,
             f_src: 0,
@@ -234,15 +235,6 @@ impl Engine {
     }
 
     // ---- small helpers -------------------------------------------------
-
-    fn rng_next(&mut self) -> u64 {
-        // splitmix64: deterministic, dependency-free.
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 
     /// Count one more `name` event in the run's telemetry.
     fn bump(&self, name: &'static str) {
@@ -607,8 +599,8 @@ impl Engine {
             // loaded cores almost as fast as a full scan would — and a
             // full scan is exactly what the message-passing mesh cannot
             // afford.
-            let a = victims[(self.rng_next() % victims.len() as u64) as usize];
-            let b = victims[(self.rng_next() % victims.len() as u64) as usize];
+            let a = victims[self.rng.gen_range(0..victims.len())];
+            let b = victims[self.rng.gen_range(0..victims.len())];
             let victim = if self.workers[b].free > self.workers[a].free {
                 b
             } else {

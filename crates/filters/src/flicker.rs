@@ -115,7 +115,6 @@ impl ImageFilter for Flicker {
 mod tests {
     use super::*;
     use crate::image::StripInfo;
-    use rand::Rng;
 
     fn ctx(frame: u64) -> FrameCtx {
         FrameCtx::whole_frame(frame, 7, 16, 16)

@@ -38,7 +38,9 @@ pub use blur::Blur;
 pub use fanout::{burst, fan_out};
 pub use filter::{FrameCtx, ImageFilter};
 pub use flicker::Flicker;
-pub use frame_rng::{fnv1a, fnv1a_fold, fnv1a_fold_lanes, splitmix64, FNV_OFFSET, FNV_PRIME};
+pub use frame_rng::{
+    fnv1a, fnv1a_fold, fnv1a_fold_lanes, splitmix64, SplitMix, FNV_OFFSET, FNV_PRIME,
+};
 pub use image::{Image, StripInfo, BYTES_PER_PIXEL};
 pub use oriented_scratch::OrientedScratch;
 pub use scratch::Scratch;

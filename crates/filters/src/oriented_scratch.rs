@@ -8,7 +8,6 @@
 use crate::filter::{FrameCtx, ImageFilter};
 use crate::frame_rng::{draw_between, frame_rng};
 use crate::image::Image;
-use rand::Rng;
 
 /// One scratch segment in full-frame pixel coordinates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,6 +57,8 @@ impl OrientedScratch {
         let shade: u8 = rng.gen_range(170..=255);
         let w = ctx.full_width as f32;
         let h = ctx.strip.full_height as f32;
+        // A frame with no width or height has nowhere to scratch.
+        let count = if w == 0.0 || h == 0.0 { 0 } else { count };
         let segments = (0..count)
             .map(|_| {
                 let cx = rng.gen_range(0.0..w);
@@ -302,5 +303,19 @@ mod tests {
         };
         let strip_work = s.work_units(&strip_ctx);
         assert!((strip_work - whole_work / 4.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_frame_without_width_or_height_has_no_scratches() {
+        let s = OrientedScratch::default();
+        for frame in 0..8 {
+            for (w, h) in [(0, 16), (16, 0), (0, 0)] {
+                let c = FrameCtx::whole_frame(frame, 1, w, h);
+                assert!(s.plan(&c).segments.is_empty(), "{w}x{h}");
+                let mut img = Image::new(4, 4);
+                s.apply(&mut img, &c);
+                assert_eq!(img, Image::new(4, 4));
+            }
+        }
     }
 }

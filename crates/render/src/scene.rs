@@ -9,8 +9,7 @@ use crate::math::vec3;
 use crate::mesh::{push_box, Aabb, Triangle};
 use crate::octree::{Octree, OctreeConfig};
 use crate::probe::ProbeMemo;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use scc_filters::SplitMix;
 use std::sync::OnceLock;
 
 /// City generation parameters.
@@ -86,7 +85,7 @@ impl Scene {
     /// Generate the procedural city.
     pub fn city(cfg: CityConfig) -> Scene {
         assert!(cfg.side >= 1);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = SplitMix::new(cfg.seed);
         let half = cfg.side as f32 * cfg.spacing * 0.5;
         // Cell (i, j)'s centre, or `None` inside the plaza left at the
         // middle so the camera orbit stays outside the buildings.
@@ -185,7 +184,7 @@ impl Scene {
     /// central avenue kept clear for the camera orbit.
     pub fn manhattan(cfg: ManhattanConfig) -> Scene {
         assert!(cfg.blocks >= 1 && cfg.per_block >= 1);
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = SplitMix::new(cfg.seed);
         let mut tris = Vec::new();
         let half = cfg.blocks as f32 * cfg.block_pitch * 0.5;
 

@@ -339,7 +339,7 @@ impl<'a> Engine<'a> {
             renderer: Renderer::new(scene.clone()),
             walk: Walkthrough::standard(run.width as f32 / run.height as f32),
             chain: standard_chain(),
-            backend: run.tuning.kernel.resolve(),
+            backend: run.tuning.kernel,
             bounds: Image::strip_bounds(run.height, run.pipelines),
             model: CostModel::default(),
             host_threads: host.min(cfg.pool as usize),

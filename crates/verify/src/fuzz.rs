@@ -8,14 +8,13 @@
 //! no earlier case reached. Failures are [`shrink`]-minimised while
 //! preserving the failing check's name.
 
-use rand::rngs::StdRng;
-use rand::Rng;
 use scc_core::spec::{
-    Arrangement, FaultSpec, Fidelity, GovernorTuning, KernelChoice, KillSpec, PowerConfig,
-    RendererMode, RunConfig, Runtime, StallSpec, TaskTuning, WavefrontSpec, Workload,
+    Arrangement, FaultSpec, Fidelity, GovernorTuning, KillSpec, PowerConfig, RendererMode,
+    RunConfig, Runtime, StallSpec, TaskTuning, WavefrontSpec, Workload,
 };
 use scc_core::viz::frame_checksum;
 use scc_core::{run_with_scene, Backend, BackendReport, GovernorAction, WalkthroughReport};
+use scc_filters::{KernelBackend, SplitMix};
 use scc_serve::{serve, ServeConfig, TenantSpec};
 use scc_sim::fault::{FaultConfig, FaultPlan, MessageOutcome};
 use scc_sim::{CoreId, FreqMHz, SimTime};
@@ -251,7 +250,7 @@ impl FuzzCase {
         if c.auto_place {
             extras.push_str(" auto=1");
         }
-        if c.tuning.kernel != KernelChoice::default() {
+        if c.tuning.kernel != KernelBackend::default() {
             extras.push_str(&format!(" kernel={}", c.tuning.kernel.name()));
         }
         // The task runtime and its knobs ride the run line only when the
@@ -391,8 +390,8 @@ impl FuzzCase {
                     // Optional: absent in pre-kernel-backend repros.
                     if l.has("kernel") {
                         c.tuning.kernel = match l.get("kernel")? {
-                            "scalar" => KernelChoice::Scalar,
-                            "simd" => KernelChoice::Simd,
+                            "scalar" => KernelBackend::Scalar,
+                            "simd" => KernelBackend::Simd,
                             other => return Err(l.err(format!("unknown kernel `{other}`"))),
                         };
                     }
@@ -533,7 +532,7 @@ impl FuzzCase {
 
     /// Apply one random, validity-preserving mutation. Mutations that
     /// produce an invalid config are rolled back and retried (bounded).
-    pub fn mutate(&mut self, rng: &mut StdRng) {
+    pub fn mutate(&mut self, rng: &mut SplitMix) {
         for _ in 0..24 {
             let mut next = self.clone();
             next.mutate_once(rng);
@@ -546,7 +545,7 @@ impl FuzzCase {
         }
     }
 
-    fn mutate_once(&mut self, rng: &mut StdRng) {
+    fn mutate_once(&mut self, rng: &mut SplitMix) {
         let c = &mut self.cfg;
         match rng.gen_range(0u32..31) {
             0 => {
@@ -570,19 +569,19 @@ impl FuzzCase {
                 c.height = h;
             }
             4 => c.frames = rng.gen_range(2u64..=5),
-            5 => c.seed = rng.gen(),
+            5 => c.seed = rng.next_u64(),
             6 => {
-                c.fidelity = if rng.gen() {
+                c.fidelity = if rng.coin() {
                     Fidelity::Full
                 } else {
                     Fidelity::TimingOnly
                 }
             }
-            7 => c.tuning.buffer_pool = rng.gen(),
+            7 => c.tuning.buffer_pool = rng.coin(),
             8 => c.fault = None,
             9 => {
                 let f = c.fault.get_or_insert_with(FaultSpec::default);
-                f.seed = rng.gen();
+                f.seed = rng.next_u64();
                 f.drop_rate = [0.0, 0.05, 0.2][rng.gen_range(0usize..3)];
                 f.corrupt_rate = [0.0, 0.05, 0.2][rng.gen_range(0usize..3)];
                 f.delay_rate = [0.0, 0.1, 0.3][rng.gen_range(0usize..3)];
@@ -621,7 +620,7 @@ impl FuzzCase {
                     pipeline: rng.gen_range(0..pipelines),
                     stage: rng.gen_range(0u32..5),
                     at_ms: rng.gen_range(0u64..=2),
-                    for_ms: if rng.gen() {
+                    for_ms: if rng.coin() {
                         rng.gen_range(1u64..=5)
                     } else {
                         u64::MAX
@@ -642,10 +641,10 @@ impl FuzzCase {
             }
             16 => c.auto_place = !c.auto_place,
             19 => {
-                c.tuning.kernel = if rng.gen() {
-                    KernelChoice::Scalar
+                c.tuning.kernel = if rng.coin() {
+                    KernelBackend::Scalar
                 } else {
-                    KernelChoice::Simd
+                    KernelBackend::Simd
                 }
             }
             17 => {
@@ -656,7 +655,7 @@ impl FuzzCase {
                 c.stage_weights = Some((0..5).map(|_| palette[rng.gen_range(0usize..5)]).collect());
             }
             21 => {
-                c.runtime = if rng.gen() {
+                c.runtime = if rng.coin() {
                     Runtime::Tasks
                 } else {
                     Runtime::Static
@@ -729,7 +728,7 @@ impl FuzzCase {
                 // Governor tuning palette: small epochs make decisions
                 // land inside short fuzz runs; a zero watt cap forces the
                 // `dvfs:cap-block` arm.
-                c.power = if rng.gen() {
+                c.power = if rng.coin() {
                     PowerConfig::Governed(GovernorTuning {
                         epoch_frames: [1, 2, 4, 8][rng.gen_range(0usize..4)],
                         hysteresis_epochs: rng.gen_range(1u32..=2),
@@ -747,7 +746,7 @@ impl FuzzCase {
                     CoreId::new(rng.gen_range(0u8..12) * 2),
                     [FreqMHz::F400, FreqMHz::F800][rng.gen_range(0usize..2)],
                 )];
-                if rng.gen() {
+                if rng.coin() {
                     pairs.push((
                         CoreId::new(rng.gen_range(12u8..24) * 2),
                         [FreqMHz::F400, FreqMHz::F800][rng.gen_range(0usize..2)],
@@ -807,7 +806,7 @@ pub fn coverage(case: &FuzzCase, outcome_events: &CoverageEvents) -> BTreeSet<St
     if !c.tuning.buffer_pool {
         set.insert("tuning:no-pool".into());
     }
-    if c.tuning.kernel != KernelChoice::default() {
+    if c.tuning.kernel != KernelBackend::default() {
         set.insert(format!("kernel:{}", c.tuning.kernel.name()));
     }
     if c.auto_place {
@@ -1552,7 +1551,7 @@ fn cost(case: &FuzzCase) -> u64 {
     if !c.tuning.buffer_pool {
         k += 5;
     }
-    if c.tuning.kernel != KernelChoice::default() {
+    if c.tuning.kernel != KernelBackend::default() {
         k += 5;
     }
     if c.auto_place {
@@ -1680,11 +1679,10 @@ pub fn shrink(mut case: FuzzCase, check: &str) -> FuzzCase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn repro_text_round_trips() {
-        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut rng = SplitMix::new(0x5eed);
         let mut case = FuzzCase::base(7);
         for _ in 0..40 {
             case.mutate(&mut rng);
@@ -1826,7 +1824,7 @@ stall p=0 s=4 at_ms=0 for_ms=18446744073709551615
 
     #[test]
     fn mutate_preserves_validity() {
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = SplitMix::new(42);
         let mut case = FuzzCase::base(1);
         for _ in 0..200 {
             case.mutate(&mut rng);

@@ -319,7 +319,7 @@ pub fn config_line(cfg: &RunConfig) -> String {
     } else {
         String::new()
     };
-    if cfg.tuning.kernel != scc_core::KernelChoice::default() {
+    if cfg.tuning.kernel != scc_filters::KernelBackend::default() {
         auto.push_str(&format!(" kernel={}", cfg.tuning.kernel.name()));
     }
     // Like the scheduler suffix: only non-default runtimes print, so the

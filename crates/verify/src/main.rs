@@ -10,8 +10,7 @@
 
 #![forbid(unsafe_code)]
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use scc_filters::SplitMix;
 use scc_verify::fnv1a_str;
 use scc_verify::fuzz::{run_oracle, shrink, FuzzCase};
 use std::collections::BTreeSet;
@@ -70,7 +69,7 @@ fn cmd_fuzz(args: &[String]) -> i32 {
     // default hook so modelled crashes don't spam the fuzz log.
     std::panic::set_hook(Box::new(|_| {}));
 
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix::new(seed);
     let mut corpus: Vec<FuzzCase> = vec![FuzzCase::base(seed)];
     let mut seen = BTreeSet::new();
     let mut failing: Vec<(String, FuzzCase)> = Vec::new();

@@ -8,8 +8,8 @@
 //! scalar reference meet.
 
 use scc_core::{
-    reference::reference_frames, run_with_scene, Backend, BackendReport, Fidelity, KernelChoice,
-    NativeTuning, RendererMode, RunConfig,
+    reference::reference_frames, run_with_scene, Backend, BackendReport, Fidelity, NativeTuning,
+    RendererMode, RunConfig,
 };
 use scc_filters::{Image, KernelBackend};
 use scc_render::{CityConfig, Scene};
@@ -42,7 +42,7 @@ const MODES: [RendererMode; 3] = [
     RendererMode::McpcRenderer,
 ];
 
-fn tune(buffer_pool: bool, kernel: KernelChoice) -> NativeTuning {
+fn tune(buffer_pool: bool, kernel: KernelBackend) -> NativeTuning {
     NativeTuning {
         buffer_pool,
         kernel,
@@ -53,10 +53,10 @@ fn tune(buffer_pool: bool, kernel: KernelChoice) -> NativeTuning {
 /// Every (buffer_pool, kernel backend) point we sweep against baseline
 /// — the backend knob must be just as invisible in the pixels as the
 /// pool.
-const TUNINGS: [(bool, KernelChoice); 3] = [
-    (false, KernelChoice::Simd),
-    (false, KernelChoice::Scalar),
-    (true, KernelChoice::Scalar),
+const TUNINGS: [(bool, KernelBackend); 3] = [
+    (false, KernelBackend::Simd),
+    (false, KernelBackend::Scalar),
+    (true, KernelBackend::Scalar),
 ];
 
 fn baseline() -> NativeTuning {
@@ -117,11 +117,11 @@ fn kernel_choice_is_invisible_on_every_backend() {
     // `Simd` is the vectorized kernels and `Scalar` the reference loops:
     // the film through `run()` is the reference film under both, on
     // every executor, in this one build.
-    assert_eq!(KernelChoice::Simd.resolve(), KernelBackend::Simd);
-    assert_eq!(KernelChoice::Scalar.resolve(), KernelBackend::Scalar);
+    assert_eq!(KernelBackend::Simd.resolve(), KernelBackend::Simd);
+    assert_eq!(KernelBackend::Scalar.resolve(), KernelBackend::Scalar);
     let want = reference_frames(&cfg(RendererMode::SingleRenderer, baseline()), scene());
     for backend in [Backend::Sim, Backend::Des, Backend::Native] {
-        for kernel in [KernelChoice::Simd, KernelChoice::Scalar] {
+        for kernel in [KernelBackend::Simd, KernelBackend::Scalar] {
             let c = cfg(RendererMode::SingleRenderer, tune(true, kernel));
             let film = match run_with_scene(&c, backend, scene()).report {
                 BackendReport::Sim(r) | BackendReport::Des(r) => {
@@ -161,7 +161,7 @@ fn pool_stats_reflect_the_knob() {
     let unpooled = run_with_scene(
         &cfg(
             RendererMode::SingleRenderer,
-            tune(false, KernelChoice::Simd),
+            tune(false, KernelBackend::Simd),
         ),
         Backend::Native,
         scene(),

@@ -64,7 +64,7 @@ fn all_three_runners_agree_with_each_other() {
     let mut tuned = c.clone();
     tuned.tuning = scc_core::NativeTuning {
         buffer_pool: false,
-        kernel: scc_core::KernelChoice::Scalar,
+        kernel: scc_filters::KernelBackend::Scalar,
         ..scc_core::NativeTuning::default()
     };
     assert_eq!(a, film(&tuned, Backend::Native), "sim vs tuned native");

@@ -11,8 +11,8 @@ mod common;
 use common::scene;
 use proptest::prelude::*;
 use scc_core::reference::reference_frames;
-use scc_core::{Fidelity, KernelChoice, RendererMode, RunConfig};
-use scc_filters::{fnv1a, FNV_OFFSET, FNV_PRIME};
+use scc_core::{Fidelity, RendererMode, RunConfig};
+use scc_filters::{fnv1a, KernelBackend, FNV_OFFSET, FNV_PRIME};
 use scc_serve::{serve, ServeConfig, ServeOutcome, TenantSpec};
 
 const MODES: [RendererMode; 3] = [
@@ -89,7 +89,7 @@ fn kernel_choice_never_moves_a_served_pixel() {
     // resolves to, as the three runners do. 36 columns leave the 8-pixel
     // block kernels a tail on every row of every 8-row strip.
     for mode in MODES {
-        let films = [KernelChoice::Scalar, KernelChoice::Simd].map(|kernel| {
+        let films = [KernelBackend::Scalar, KernelBackend::Simd].map(|kernel| {
             let mut cfg = serve_cfg(mode);
             cfg.run.width = 36;
             cfg.run.height = 24;
