@@ -398,13 +398,13 @@ fn frame_source(sh: &Shared, ep: Endpoint) -> (TraceLog, Endpoint) {
 
 /// The source of lane `i` in per-pipeline mode: it renders its own strip.
 fn strip_source(sh: &Shared, ep: Endpoint, i: usize) -> (TraceLog, Endpoint) {
-    let mut zbuf = Vec::new();
+    let (mut setup, mut zbuf) = (FrameSetup::default(), Vec::new());
     let (y0, height) = (sh.bounds[i].0, sh.cfg.height);
     source(sh, ep, Some(i), |cam, strips| {
         // A recycled buffer holds some earlier strip: the render
         // overwrites every pixel of it.
         sh.renderer
-            .render_strip_into(cam, height, y0, &mut strips[0], &mut zbuf);
+            .render_strip_into(cam, height, y0, &mut strips[0], &mut zbuf, &mut setup);
     })
 }
 
