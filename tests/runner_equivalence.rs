@@ -10,9 +10,11 @@ use common::{
     cfg_with, checksums, film, film_and_decisions, kill_spec, oracle, scene, ARRANGEMENTS, MODES,
 };
 use scc_core::{
-    check_report, run_with_scene, Arrangement, Backend, BackendReport, FaultSpec, GovernorTuning,
-    PowerConfig, RendererMode, RunConfig, Runtime, StageReport, StallSpec,
+    check_report, run_with_scene, Arrangement, Backend, BackendReport, FaultSpec, GenericChainSpec,
+    GenericStageSpec, GovernorTuning, PowerConfig, RendererMode, RunConfig, Runtime, StageReport,
+    StallSpec, WavefrontSpec, Workload,
 };
+use scc_telemetry::Snapshot;
 use std::collections::BTreeMap;
 
 fn cfg(mode: RendererMode, arr: Arrangement, pipelines: u32) -> RunConfig {
@@ -400,4 +402,135 @@ fn same_fault_seed_reports_are_byte_identical() {
             .fingerprint()
     };
     assert_eq!(print(), print());
+}
+
+/// FNV-1a of a snapshot's metrics: every counter, the bits of every
+/// gauge, and every histogram's name, labels, bounds, bucket counts,
+/// count and sum. Events are left to the film pins above.
+fn snapshot_digest(snap: &Snapshot) -> u64 {
+    fn series(out: &mut Vec<u8>, name: &str, labels: &[(String, String)]) {
+        out.extend_from_slice(name.as_bytes());
+        for (k, v) in labels {
+            out.extend_from_slice(format!("|{k}={v}").as_bytes());
+        }
+        out.push(b'\n');
+    }
+    let mut bytes = Vec::new();
+    for c in &snap.counters {
+        series(&mut bytes, &c.name, &c.labels);
+        bytes.extend_from_slice(&c.value.to_le_bytes());
+    }
+    for g in &snap.gauges {
+        series(&mut bytes, &g.name, &g.labels);
+        bytes.extend_from_slice(&g.value.to_bits().to_le_bytes());
+    }
+    for h in &snap.histograms {
+        series(&mut bytes, &h.name, &h.labels);
+        for b in &h.bounds {
+            bytes.extend_from_slice(&b.to_bits().to_le_bytes());
+        }
+        for c in h.bucket_counts.iter().chain([&h.count]) {
+            bytes.extend_from_slice(&c.to_le_bytes());
+        }
+        bytes.extend_from_slice(&h.sum.to_bits().to_le_bytes());
+    }
+    scc_filters::fnv1a(&bytes)
+}
+
+/// What every report tail records into telemetry, pinned per run shape:
+/// a sim film in the single-renderer and MCPC modes, a DES film, the
+/// task runtime, a generic workload chain on both event orders and a
+/// governed wavefront, each snapshot hashed on its own so a moved pin
+/// names its run. A native run is pinned only where it does not depend
+/// on wall-clock time or thread timing: the set of (name, labels) series
+/// it records and its frame counters (its gauges, idle histograms and
+/// pool counters vary from run to run).
+#[test]
+fn telemetry_snapshots_are_pinned() {
+    let on = |mut c: RunConfig| {
+        c.telemetry = true;
+        c
+    };
+    let film = |mode, p| on(cfg_with(mode, Arrangement::Ordered, p, 6));
+    let mut tasks = film(RendererMode::SingleRenderer, 2);
+    tasks.auto_place = true;
+    tasks.runtime = Runtime::Tasks;
+    let chain = on(RunConfig::builder()
+        .workload(Workload::Generic(GenericChainSpec {
+            stages: vec![
+                GenericStageSpec::compute("parse", 12.0),
+                GenericStageSpec {
+                    read_factor: 1.0,
+                    out_factor: 1.0 / 3.0,
+                    ..GenericStageSpec::compute("compress", 90.0)
+                },
+                GenericStageSpec::compute("encrypt", 25.0),
+            ],
+            items: 24,
+            source_bytes: 64 * 1024,
+        }))
+        .build()
+        .expect("valid chain config"));
+    let wavefront = on(RunConfig::builder()
+        .seed(11)
+        .workload(Workload::Wavefront(WavefrontSpec::default()))
+        .power_governed(GovernorTuning::default())
+        .build()
+        .expect("valid wavefront config"));
+    let runs = [
+        (
+            "sim single p=3",
+            film(RendererMode::SingleRenderer, 3),
+            Backend::Sim,
+        ),
+        (
+            "sim mcpc p=2",
+            film(RendererMode::McpcRenderer, 2),
+            Backend::Sim,
+        ),
+        (
+            "des single p=2",
+            film(RendererMode::SingleRenderer, 2),
+            Backend::Des,
+        ),
+        ("tasks auto p=2", tasks, Backend::Sim),
+        ("chain sim", chain.clone(), Backend::Sim),
+        ("chain des", chain, Backend::Des),
+        ("governed wavefront", wavefront, Backend::Sim),
+    ];
+    let mut got: Vec<(&str, u64)> = runs
+        .iter()
+        .map(|(label, c, backend)| {
+            let snap = run_with_scene(c, *backend, scene()).telemetry;
+            (*label, snapshot_digest(&snap.expect("telemetry on")))
+        })
+        .collect();
+
+    let native = film(RendererMode::SingleRenderer, 2);
+    let snap = run_with_scene(&native, Backend::Native, scene())
+        .telemetry
+        .expect("telemetry on");
+    let counters = snap.counters.iter().map(|s| (&s.name, &s.labels));
+    let gauges = snap.gauges.iter().map(|s| (&s.name, &s.labels));
+    let histograms = snap.histograms.iter().map(|s| (&s.name, &s.labels));
+    let mut text = String::new();
+    for (name, labels) in counters.chain(gauges).chain(histograms) {
+        text += &format!("{name} {labels:?}\n");
+    }
+    for s in snap.counters.iter().filter(|s| s.name.contains("frames")) {
+        text += &format!("{} {:?} = {}\n", s.name, s.labels, s.value);
+    }
+    got.push(("native series", fnv1a(&text)));
+
+    let want: [(&str, u64); 8] = [
+        ("sim single p=3", 0xab08_767e_50c7_03cf),
+        ("sim mcpc p=2", 0x6fee_d7ed_aa12_3cd2),
+        ("des single p=2", 0xa8a6_9889_542d_e6b6),
+        ("tasks auto p=2", 0xa669_9340_f3d4_07a1),
+        ("chain sim", 0x89b5_be19_387e_3e36),
+        ("chain des", 0xc34b_53eb_4d50_9f64),
+        ("governed wavefront", 0x2940_846b_dc01_0601),
+        ("native series", 0x12c3_6d6e_e09f_ed09),
+    ];
+    assert_eq!(got, want, "telemetry moved; native series:\n{text}");
 }
