@@ -24,12 +24,13 @@
 
 use crate::governor::GovernorDecision;
 use crate::power_plane::PowerPlane;
+use crate::runner::sim::{enforce_audited, record_run, record_stage};
 use crate::spec::{RunConfig, Workload};
 use scc_filters::{fnv1a_fold, FNV_OFFSET};
 use scc_sim::platform::MemOp;
 use scc_sim::stats::Quartiles;
 use scc_sim::{CoreId, IslandId, SccConfig, SccPlatform, SimTime};
-use scc_telemetry::{names, TelemetrySink, IDLE_MS_BUCKETS};
+use scc_telemetry::TelemetrySink;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -308,6 +309,23 @@ pub(crate) enum EventOrder {
     EarliestStart,
 }
 
+/// The send instants node `(g, k)` of an `n`-group chain waits on, read
+/// off `send_done` (zero where the chain has no such node): its input's
+/// arrival (group `g - 1`'s send of item `k`), its own core's previous
+/// send (item `k - 1`) and its receiver's rendezvous (group `g + 1`'s
+/// send of item `k - 1`).
+fn waits(send_done: &[SimTime], n: usize, g: usize, k: usize) -> (SimTime, SimTime, SimTime) {
+    let at = |g: usize, k: usize| send_done[k * n + g];
+    let arrival = if g > 0 { at(g - 1, k) } else { SimTime::ZERO };
+    let own_free = if k > 0 { at(g, k - 1) } else { SimTime::ZERO };
+    let rendezvous = if g + 1 < n && k > 0 {
+        at(g + 1, k - 1)
+    } else {
+        SimTime::ZERO
+    };
+    (arrival, own_free, rendezvous)
+}
+
 /// Execute `cfg`'s workload: the resolved chain as a dependency-counted
 /// event engine, popping ready events in `order`.
 pub(crate) fn run_workload(cfg: &RunConfig, order: EventOrder) -> GenericReport {
@@ -362,24 +380,12 @@ pub(crate) fn run_workload(cfg: &RunConfig, order: EventOrder) -> GenericReport 
         processed += 1;
         let i = idx(g, k);
         let core = cores[g];
+        let (arrival, own_free, rendezvous) = waits(&send_done, n, g, k);
         power.apply_for_item(&mut platform, k as u64);
         if kind == EV_COMPUTE {
-            let arrival = if g > 0 {
-                send_done[idx(g - 1, k)]
-            } else {
-                SimTime::ZERO
-            };
-            let own_free = if k > 0 {
-                send_done[idx(g, k - 1)]
-            } else {
-                SimTime::ZERO
-            };
-            // Items appear at the source as fast as stage 0 takes them.
-            let wait = if g > 0 {
-                arrival.saturating_sub(own_free)
-            } else {
-                SimTime::ZERO
-            };
+            // Items appear at the source as fast as stage 0 takes them
+            // (its arrival is zero).
+            let wait = arrival.saturating_sub(own_free);
             idle[g].push(wait);
             power.note_idle(core, k as u64, wait);
             let range = &groups[g];
@@ -406,30 +412,18 @@ pub(crate) fn run_workload(cfg: &RunConfig, order: EventOrder) -> GenericReport 
             let si = 2 * i + EV_SEND as usize;
             indeg[si] -= 1;
             if indeg[si] == 0 {
-                let rendezvous = if g + 1 < n && k > 0 {
-                    send_done[idx(g + 1, k - 1)]
-                } else {
-                    SimTime::ZERO
-                };
                 heap.push(key(t.max(rendezvous), k, g, EV_SEND));
             }
         } else {
-            let t = comp_done[i];
+            // The last group's rendezvous is zero: it ships off-chip as
+            // soon as its compute is done.
+            let start = comp_done[i].max(rendezvous);
             let r = if g + 1 < n {
-                let rendezvous = if k > 0 {
-                    send_done[idx(g + 1, k - 1)]
-                } else {
-                    SimTime::ZERO
-                };
-                let send_start = t.max(rendezvous);
-                let r = platform.send_to_partition(core, cores[g + 1], send_start, out_bytes[i]);
-                platform.record_busy(core, send_start, r);
-                r
+                platform.send_to_partition(core, cores[g + 1], start, out_bytes[i])
             } else {
-                let r = platform.chip_to_host(core, t, out_bytes[i]);
-                platform.record_busy(core, t, r);
-                r
+                platform.chip_to_host(core, start, out_bytes[i])
             };
+            platform.record_busy(core, start, r);
             busy[g] += r - comp_start[i];
             send_done[i] = r;
 
@@ -444,25 +438,11 @@ pub(crate) fn run_workload(cfg: &RunConfig, order: EventOrder) -> GenericReport 
                 let j = 2 * idx(g2, k2) + kind2 as usize;
                 indeg[j] -= 1;
                 if indeg[j] == 0 {
+                    let (arrival, own_free, rendezvous) = waits(&send_done, n, g2, k2);
                     let est = if kind2 == EV_COMPUTE {
-                        let a = if g2 > 0 {
-                            send_done[idx(g2 - 1, k2)]
-                        } else {
-                            SimTime::ZERO
-                        };
-                        let f = if k2 > 0 {
-                            send_done[idx(g2, k2 - 1)]
-                        } else {
-                            SimTime::ZERO
-                        };
-                        a.max(f)
+                        arrival.max(own_free)
                     } else {
-                        let rv = if g2 + 1 < n && k2 > 0 {
-                            send_done[idx(g2 + 1, k2 - 1)]
-                        } else {
-                            SimTime::ZERO
-                        };
-                        comp_done[idx(g2, k2)].max(rv)
+                        comp_done[idx(g2, k2)].max(rendezvous)
                     };
                     heap.push(key(est, k2, g2, kind2));
                 }
@@ -480,63 +460,26 @@ pub(crate) fn run_workload(cfg: &RunConfig, order: EventOrder) -> GenericReport 
     }
     assert_eq!(processed, 2 * n * items, "the engine drained every event");
 
-    finish_workload_report(
-        cfg, &chain, &groups, &cores, &platform, &tel, &busy, &idle, finish, &power,
-    )
-}
-
-/// The engine's tail: energy accounting over the power plane's DVFS
-/// schedule, telemetry rollups, the report, and — behind
-/// `cfg.verify` — the invariant checker.
-#[allow(clippy::too_many_arguments)]
-fn finish_workload_report(
-    cfg: &RunConfig,
-    chain: &ResolvedChain,
-    groups: &[Range<usize>],
-    cores: &[CoreId],
-    platform: &SccPlatform,
-    tel: &TelemetrySink,
-    busy: &[SimTime],
-    idle: &[Vec<SimTime>],
-    finish: SimTime,
-    power: &PowerPlane,
-) -> GenericReport {
+    // The tail: energy over the power plane's DVFS schedule, the stage
+    // reports and their telemetry, and — behind `cfg.verify` — the
+    // invariant checker.
     let total = finish.as_secs_f64();
-    let totals = power.finish(platform, finish, tel);
-    let group_names: Vec<String> = groups
-        .iter()
-        .map(|r| chain.names[r.clone()].join("+"))
-        .collect();
-    let stages: Vec<GenericStageReport> = group_names
-        .iter()
-        .enumerate()
-        .map(|(g, name)| GenericStageReport {
-            name: name.clone(),
+    let totals = power.finish(&platform, finish, &tel);
+    let mut stages = Vec::with_capacity(n);
+    for (g, range) in groups.iter().enumerate() {
+        let name = chain.names[range.clone()].join("+");
+        let busy_secs = busy[g].as_secs_f64();
+        let idle_ms = idle[g].iter().map(|t| t.as_secs_f64() * 1e3);
+        record_stage(&tel, None, &name, idle_ms, Some(busy_secs), chain.items);
+        stages.push(GenericStageReport {
+            name,
             core_id: cores[g].raw(),
-            busy_secs: busy[g].as_secs_f64(),
+            busy_secs,
             idle_ms: Quartiles::from_times(&idle[g]),
-            utilisation: busy[g].as_secs_f64() / total.max(1e-12),
-        })
-        .collect();
-
-    if tel.is_enabled() {
-        for (g, name) in group_names.iter().enumerate() {
-            let labels = [("pipeline", "-"), ("stage", name.as_str())];
-            if let Some(h) = tel.histogram(names::STAGE_IDLE_MS, &labels, IDLE_MS_BUCKETS) {
-                for t in &idle[g] {
-                    h.observe(t.as_secs_f64() * 1e3);
-                }
-            }
-            tel.gauge(names::STAGE_BUSY_SECONDS, &labels, busy[g].as_secs_f64());
-            tel.count(names::STAGE_FRAMES_TOTAL, &labels, chain.items);
-        }
-        tel.count(names::FRAMES_TOTAL, &[], chain.items);
-        tel.gauge(names::WALKTHROUGH_SECONDS, &[], total);
-        let stats = platform.stats();
-        tel.count(names::NOC_MESSAGES_TOTAL, &[], stats.noc_messages);
-        tel.count(names::NOC_BYTES_TOTAL, &[], stats.noc_bytes);
+            utilisation: busy_secs / total.max(1e-12),
+        });
     }
-
+    record_run(&tel, chain.items, total, Some(&platform));
     let report = GenericReport {
         total_secs: total,
         items: chain.items,
@@ -548,13 +491,9 @@ fn finish_workload_report(
         dvfs_decisions: power.decisions(),
         telemetry: tel.snapshot(),
     };
-    if cfg.verify {
-        let mut violations = crate::invariant::check_generic_report(&report);
-        if let Err(e) = platform.audit_noc() {
-            violations.push(crate::invariant::Violation::new("noc-conservation", e));
-        }
-        crate::invariant::enforce(cfg, &violations);
-    }
+    enforce_audited(cfg, &platform, || {
+        crate::invariant::check_generic_report(&report)
+    });
     report
 }
 

@@ -8,6 +8,7 @@
 //! genuine pipeline parallelism on the host, and per-stage receive-wait
 //! statistics mirror the paper's Figure 15 measurement methodology.
 
+use super::sim::{record_run, record_stage};
 use super::stage::assemble_mirrored;
 use crate::frame::Frame;
 use crate::metrics::HostTiming;
@@ -21,7 +22,7 @@ use scc_render::{Camera, FrameSetup, Renderer, Scene, Walkthrough, BAND_ROWS};
 use scc_sim::fault::{FaultConfig, FaultPlan};
 use scc_sim::stats::Quartiles;
 use scc_sim::{CoreId, SimTime};
-use scc_telemetry::{names, TelemetrySink, IDLE_MS_BUCKETS};
+use scc_telemetry::{names, TelemetrySink};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::thread;
@@ -581,19 +582,10 @@ fn report(
             t.merge(stage.log);
         }
         let ms: Vec<f64> = stage.waits.iter().map(|d| d.as_secs_f64() * 1e3).collect();
-        if tel.is_enabled() {
-            // The transfer stage is unpipelined; "-" matches the other
-            // runners' label convention.
-            let pl = match kind {
-                StageKind::Transfer => "-".to_string(),
-                _ => pl.to_string(),
-            };
-            let labels = [("pipeline", pl.as_str()), ("stage", kind.name())];
-            if let Some(h) = tel.histogram(names::STAGE_IDLE_MS, &labels, IDLE_MS_BUCKETS) {
-                ms.iter().for_each(|&m| h.observe(m));
-            }
-            tel.count(names::STAGE_FRAMES_TOTAL, &labels, stage.handled);
-        }
+        // The transfer stage is unpipelined; native keeps no busy ledger.
+        let pipeline = (kind != StageKind::Transfer).then_some(pl);
+        let waits = ms.iter().copied();
+        record_stage(tel, pipeline, kind.name(), waits, None, stage.handled);
         idle_ms.push((kind, pl, Quartiles::from_samples(&ms)));
     }
     if let Some(t) = trace.as_mut() {
@@ -603,9 +595,8 @@ fn report(
     let n = frames.len() as u64;
     let host = HostTiming::from_wall(wall.as_secs_f64(), n, cfg.width, cfg.height);
     let pool_stats = sh.pool.stats();
+    record_run(tel, n, wall.as_secs_f64(), None);
     if tel.is_enabled() {
-        tel.count(names::FRAMES_TOTAL, &[], n);
-        tel.gauge(names::WALKTHROUGH_SECONDS, &[], wall.as_secs_f64());
         tel.gauge(names::HOST_FRAMES_PER_SEC, &[], host.frames_per_sec);
         tel.gauge(names::HOST_MPIXELS_PER_SEC, &[], host.mpixels_per_sec);
         tel.count(names::POOL_RECYCLED_TOTAL, &[], pool_stats.recycled);

@@ -34,6 +34,7 @@ use super::stage::FilmStages;
 use crate::cost::CostModel;
 use crate::facade::{Backend, RunError};
 use crate::frame::Frame;
+use crate::invariant::Violation;
 use crate::metrics::{StageReport, TaskStats, WalkthroughReport};
 use crate::partition::StagePlan;
 use crate::placement::Placement;
@@ -335,16 +336,13 @@ impl FilmRun {
             .finish(&mut runner.platform, &runner.placement, finish);
         let tel = &runner.tel;
         let totals = power.finish(&runner.platform, finish, tel);
-        if tel.is_enabled() {
-            for s in ledgers.all() {
-                record_stage_telemetry(tel, s);
-            }
-            tel.count(names::FRAMES_TOTAL, &[], ledgers.transfer.frames);
-            tel.gauge(names::WALKTHROUGH_SECONDS, &[], finish.as_secs_f64());
-            let stats = runner.platform.stats();
-            tel.count(names::NOC_MESSAGES_TOTAL, &[], stats.noc_messages);
-            tel.count(names::NOC_BYTES_TOTAL, &[], stats.noc_bytes);
+        for s in ledgers.all() {
+            let idle_ms = s.idle_samples.iter().map(|t| t.as_secs_f64() * 1e3);
+            let busy = Some(s.busy.as_secs_f64());
+            record_stage(tel, s.pipeline, s.kind.name(), idle_ms, busy, s.frames);
         }
+        let platform = Some(&runner.platform);
+        record_run(tel, ledgers.transfer.frames, finish.as_secs_f64(), platform);
 
         let mut report = WalkthroughReport {
             config: runner.cfg.clone(),
@@ -363,13 +361,9 @@ impl FilmRun {
             trace,
             telemetry: tel.snapshot(),
         };
-        if runner.cfg.verify {
-            let mut violations = crate::invariant::check_report(&report);
-            if let Err(e) = runner.platform.audit_noc() {
-                violations.push(crate::invariant::Violation::new("noc-conservation", e));
-            }
-            crate::invariant::enforce(&report.config, &violations);
-        }
+        enforce_audited(&runner.cfg, &runner.platform, || {
+            crate::invariant::check_report(&report)
+        });
         if !runner.cfg.trace {
             report.trace = None;
         }
@@ -377,23 +371,64 @@ impl FilmRun {
     }
 }
 
-/// Record one stage's per-run ledgers — the Figure 15 idle distribution,
-/// busy time, frame count — into the sink under `{stage, pipeline}`
-/// labels (`pipeline="-"` for unpipelined stages, keeping one label set
-/// per metric family).
-fn record_stage_telemetry(tel: &TelemetrySink, s: &StageState) {
-    let pl = s.pipeline.map(|i| i.to_string());
-    let labels = [
-        ("pipeline", pl.as_deref().unwrap_or("-")),
-        ("stage", s.kind.name()),
-    ];
-    if let Some(h) = tel.histogram(names::STAGE_IDLE_MS, &labels, IDLE_MS_BUCKETS) {
-        for idle in &s.idle_samples {
-            h.observe(idle.as_secs_f64() * 1e3);
-        }
+/// Record one stage's per-run ledgers — the Figure 15 idle distribution
+/// (milliseconds), busy time where the executor keeps it, frame count —
+/// into the sink under `{stage, pipeline}` labels (`pipeline="-"` for
+/// unpipelined stages, keeping one label set per metric family). Every
+/// report tail records its stages through this; a disabled sink formats
+/// no label.
+pub(crate) fn record_stage(
+    tel: &TelemetrySink,
+    pipeline: Option<u32>,
+    stage: &str,
+    idle_ms: impl IntoIterator<Item = f64>,
+    busy_secs: Option<f64>,
+    frames: u64,
+) {
+    if !tel.is_enabled() {
+        return;
     }
-    tel.gauge(names::STAGE_BUSY_SECONDS, &labels, s.busy.as_secs_f64());
-    tel.count(names::STAGE_FRAMES_TOTAL, &labels, s.frames);
+    let pl = pipeline.map(|i| i.to_string());
+    let labels = [("pipeline", pl.as_deref().unwrap_or("-")), ("stage", stage)];
+    if let Some(h) = tel.histogram(names::STAGE_IDLE_MS, &labels, IDLE_MS_BUCKETS) {
+        idle_ms.into_iter().for_each(|ms| h.observe(ms));
+    }
+    if let Some(busy) = busy_secs {
+        tel.gauge(names::STAGE_BUSY_SECONDS, &labels, busy);
+    }
+    tel.count(names::STAGE_FRAMES_TOTAL, &labels, frames);
+}
+
+/// Record the run-level rollup: frames delivered, the run's length and,
+/// for a virtual-time run, the mesh's message and byte totals. A
+/// disabled sink gathers no platform stats.
+pub(crate) fn record_run(tel: &TelemetrySink, frames: u64, secs: f64, noc: Option<&SccPlatform>) {
+    if !tel.is_enabled() {
+        return;
+    }
+    tel.count(names::FRAMES_TOTAL, &[], frames);
+    tel.gauge(names::WALKTHROUGH_SECONDS, &[], secs);
+    if let Some(stats) = noc.map(SccPlatform::stats) {
+        tel.count(names::NOC_MESSAGES_TOTAL, &[], stats.noc_messages);
+        tel.count(names::NOC_BYTES_TOTAL, &[], stats.noc_bytes);
+    }
+}
+
+/// Behind `cfg.verify`: the report's invariant violations (`check`) plus
+/// the NoC conservation audit, enforced — the end of both virtual-time
+/// report tails.
+pub(crate) fn enforce_audited(
+    cfg: &RunConfig,
+    platform: &SccPlatform,
+    check: impl FnOnce() -> Vec<Violation>,
+) {
+    if cfg.verify {
+        let mut violations = check();
+        if let Err(e) = platform.audit_noc() {
+            violations.push(Violation::new("noc-conservation", e));
+        }
+        crate::invariant::enforce(cfg, &violations);
+    }
 }
 
 /// The frame-major walkthrough in flight: the shared run and the span
