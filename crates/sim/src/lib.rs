@@ -16,7 +16,12 @@
 //! * [`power`] — analytic chip power calibrated to the paper's numbers;
 //! * [`hostlink`] — the chunked MCPC↔SCC UDP/PCIe path;
 //! * [`platform`] — the façade the macro-pipeline runner drives;
-//! * [`des`]/[`time`] — the deterministic event queue and virtual clock.
+//! * [`bucket`] — the time-bucketed busy ledger every contended resource
+//!   books into, so bookings need not arrive in time order;
+//! * [`time`] — the virtual clock.
+//!
+//! The crate keeps no event queue: each executor in `scc-core` owns its
+//! event order and books its work here.
 //!
 //! Nothing in this crate measures host time: identical inputs produce
 //! identical virtual-time results on any machine.
@@ -25,7 +30,6 @@
 
 pub mod bucket;
 pub mod cache;
-pub mod des;
 pub mod dvfs;
 pub mod fault;
 pub mod hostlink;
@@ -37,7 +41,6 @@ pub mod stats;
 pub mod time;
 pub mod topology;
 
-pub use des::EventQueue;
 pub use dvfs::{DvfsState, FreqMHz, IslandId};
 pub use fault::{CoreKill, CoreStall, FaultConfig, FaultPlan, MessageOutcome};
 pub use platform::{MemOp, SccConfig, SccPlatform, HEARTBEAT_BYTES};

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use scc_sim::bucket::BucketedResource;
-use scc_sim::des::EventQueue;
 use scc_sim::dvfs::{DvfsState, FreqMHz, IslandId};
 use scc_sim::topology::{xy_route, CoreId, TileId, MESH_H, MESH_W};
 use scc_sim::SimTime;
@@ -84,24 +83,6 @@ proptest! {
             .collect();
         prop_assert_eq!(completions[0], service);
         prop_assert!(*completions.last().unwrap() >= service * n as u64);
-    }
-
-    #[test]
-    fn event_queue_pops_sorted(
-        times in prop::collection::vec(0u64..1_000_000u64, 1..200)
-    ) {
-        let mut q = EventQueue::new();
-        for (i, t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_ns(*t), i);
-        }
-        let drained: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        prop_assert_eq!(drained.len(), times.len());
-        for w in drained.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO tie-break violated");
-            }
-        }
     }
 
     #[test]
