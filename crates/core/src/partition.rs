@@ -20,7 +20,7 @@
 
 use crate::placement::Placement;
 use crate::spec::{RendererMode, RunConfig, StageKind};
-use crate::stage_graph::{StageGraph, StageNode, StageWeights};
+use crate::stage_graph::{film_chain, StageNode, StageWeights};
 use scc_sim::topology::NUM_CORES;
 
 /// Spare cores the partitioner always leaves unclaimed so the
@@ -236,11 +236,11 @@ pub fn partition(
     Ok(StagePlan { groups })
 }
 
-/// Everything the scheduler decided for one run: the weighted graph,
-/// the plan, and its realization on the mesh.
+/// Everything the scheduler decided for one run: the weighted stage
+/// chain, the plan, and its realization on the mesh.
 #[derive(Debug, Clone)]
 pub struct AutoPlacement {
-    pub graph: StageGraph,
+    pub chain: Vec<StageNode>,
     pub weights: StageWeights,
     pub plan: StagePlan,
     pub placement: Placement,
@@ -252,10 +252,9 @@ impl AutoPlacement {
     /// replication factor and assigned core(s), plus a plan summary.
     /// Byte-stable for fixed inputs.
     pub fn decision_table(&self) -> String {
-        let interior = self.graph.interior();
         let mut out =
             String::from("stage    class      weight_bits      weight      group replicas cores\n");
-        for (j, node) in interior.iter().enumerate() {
+        for (j, node) in self.chain.iter().enumerate() {
             let g = self.plan.group_of(j);
             let r = self.plan.groups[g].replicas;
             let mut cores: Vec<String> = vec![format!("{}", self.placement.pipelines[0][j])];
@@ -294,8 +293,7 @@ impl AutoPlacement {
 /// Panics when the configuration is invalid; validate first.
 pub fn auto_place(cfg: &RunConfig) -> AutoPlacement {
     let weights = StageWeights::for_config(cfg);
-    let graph = StageGraph::film(cfg, &weights);
-    let interior = graph.interior();
+    let chain = film_chain(&weights);
     let p = cfg.pipelines;
     let endpoint_cores = match cfg.renderer {
         RendererMode::SingleRenderer => 2, // renderer + transfer
@@ -303,13 +301,13 @@ pub fn auto_place(cfg: &RunConfig) -> AutoPlacement {
         RendererMode::McpcRenderer => 2, // connector + transfer
     };
     let interior_budget = NUM_CORES as u32 - endpoint_cores;
-    let plan = partition(&interior, p, interior_budget).expect("validated config fits");
+    let plan = partition(&chain, p, interior_budget).expect("validated config fits");
     // Lanes along rows (the ordered arrangement's one-way flow), like
     // the fixed row placements.
     let placement = crate::placement::place_rows(cfg.renderer, p, false, &plan);
     placement.assert_valid();
     AutoPlacement {
-        graph,
+        chain,
         weights,
         plan,
         placement,
@@ -339,7 +337,7 @@ pub fn plan_for(cfg: &RunConfig) -> StagePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stage_graph::{StageClass, StageWeights};
+    use crate::stage_graph::StageClass;
     use crate::CostModel;
 
     fn film_cfg(p: u32) -> RunConfig {
@@ -355,7 +353,7 @@ mod tests {
 
     fn film_nodes(cfg: &RunConfig) -> Vec<StageNode> {
         let w = StageWeights::from_cost_model(cfg, &CostModel::default());
-        StageGraph::film(cfg, &w).interior()
+        film_chain(&w)
     }
 
     #[test]

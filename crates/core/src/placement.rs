@@ -349,7 +349,7 @@ pub(crate) fn place_rows(mode: RendererMode, p: u32, flip: bool, plan: &StagePla
 /// `placement.pipelines[0][1]` (blur, under the calibrated cost model).
 ///
 /// Which filter earns the isolation is read off the scheduler's own
-/// weight table ([`crate::partition::auto_place`]'s decision graph)
+/// weight table ([`crate::partition::auto_place`]'s decision chain)
 /// rather than hardcoded, so a cost-model recalibration that moves the
 /// bottleneck moves the 1.3 V uplift with it.
 pub fn place_dvfs_single_pipeline(mode: RendererMode) -> Placement {
@@ -358,15 +358,14 @@ pub fn place_dvfs_single_pipeline(mode: RendererMode) -> Placement {
         pipelines: 1,
         ..crate::spec::RunConfig::default()
     };
-    let auto = crate::partition::auto_place(&cfg);
-    let interior = auto.graph.interior();
-    let filters = interior.len();
+    let chain = crate::partition::auto_place(&cfg).chain;
+    let filters = chain.len();
     assert_eq!(filters, 5, "the film chain has five filter stages");
     let hot = (0..filters)
         .max_by(|&a, &b| {
-            interior[a]
+            chain[a]
                 .weight
-                .partial_cmp(&interior[b].weight)
+                .partial_cmp(&chain[b].weight)
                 .expect("finite stage weights")
         })
         .expect("non-empty chain");
