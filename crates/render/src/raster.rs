@@ -1130,12 +1130,51 @@ mod tests {
     fn arb_mvp() -> impl Strategy<Value = Mat4> {
         // Identity passes NDC through, so x = ±1e5 is ~1e7 pixels out at
         // width 400; the perspective puts some vertices near and behind
-        // the w = 1e-4 reject.
-        (0u32..4, -3f32..0.5).prop_map(|(kind, dz)| match kind {
+        // the w = 1e-4 reject; the third keeps a −0 vertex depth −0.
+        (0u32..5, -3f32..0.5).prop_map(|(kind, dz)| match kind {
             0 => Mat4::perspective(1.0, 1.0, 0.5, 50.0)
                 .mul_mat(&Mat4::translation(vec3(0.0, 0.0, dz))),
+            1 => signed_zero_mvp(),
             _ => Mat4::IDENTITY,
         })
+    }
+
+    /// Identity moved by (−2, −2) with −0 in every other entry of the
+    /// depth row. A sum with a +0 term is +0, so this is a matrix that
+    /// keeps a −0 vertex depth −0 through the transform: for x and y ≥ 0
+    /// every term of the depth row is −0.
+    fn signed_zero_mvp() -> Mat4 {
+        let mut mvp = Mat4::IDENTITY;
+        mvp.cols[3] = Vec4 {
+            x: -2.0,
+            y: -2.0,
+            z: -0.0,
+            w: 1.0,
+        };
+        mvp.cols[0].z = -0.0;
+        mvp.cols[1].z = -0.0;
+        mvp
+    }
+
+    /// The skip proptests' strategies reach the fill with −0 depths: over
+    /// 1 000 draws of `arb_soup`, `edit_depths` and `arb_mvp`, some
+    /// triangles survive set-up onto a 400×40 target with a −0 vertex
+    /// depth.
+    #[test]
+    fn arb_mvp_keeps_negative_zero_depths_through_set_up() {
+        let strategy = (arb_soup(), arb_depth_edits(), arb_mvp());
+        let mut hits = 0;
+        for seed in 0..1000 {
+            let rng = &mut proptest::test_runner::TestRng::seed_from_u64(seed);
+            let (mut tris, edits, mvp) = strategy.generate(rng);
+            edit_depths(&mut tris, &edits);
+            hits += tris
+                .iter()
+                .filter_map(|t| TriSetup::new(t, &mvp, 400, 40))
+                .filter(|t| t.z.iter().any(|z| z.to_bits() == (-0f32).to_bits()))
+                .count();
+        }
+        assert!(hits > 0, "no set-up triangle with a −0 depth");
     }
 
     proptest! {
@@ -1533,9 +1572,8 @@ mod tests {
     /// first triangle's colour, at +0.
     #[test]
     fn signed_zero_tie_is_redrawn_in_draw_order() {
-        // A sum with a +0 term is +0, so the −0 has to survive the whole
-        // transform: x and y ≥ 0, moved on screen by the matrix, and −0
-        // in every other entry of the depth row.
+        // The −0 survives the transform: x and y ≥ 0, moved on screen by
+        // the matrix.
         let tri = |z: f32, color| {
             Triangle::new(
                 vec3(0.0, 0.0, z),
@@ -1544,15 +1582,7 @@ mod tests {
                 color,
             )
         };
-        let mut mvp = Mat4::IDENTITY;
-        mvp.cols[3] = Vec4 {
-            x: -2.0,
-            y: -2.0,
-            z: -0.0,
-            w: 1.0,
-        };
-        mvp.cols[0].z = -0.0;
-        mvp.cols[1].z = -0.0;
+        let mvp = signed_zero_mvp();
         let c = Case {
             name: "±0".into(),
             tris: std::sync::Arc::new(vec![tri(0.0, [200, 0, 0]), tri(-0.0, [0, 0, 200])]),
