@@ -10,13 +10,11 @@
 //! [`FaultConfig`] answer every query identically, which is what makes
 //! chaos runs reproducible and bisectable.
 //!
-//! The plan is wired into three layers:
+//! The plan is wired into two layers:
 //! * [`crate::noc`] — per-link bandwidth degradation and per-message
 //!   flit delay;
 //! * [`crate::platform`] — core stall windows (a stalled core issues no
-//!   compute, memory or message operations until the window closes);
-//! * [`crate::des`] — optional deterministic scheduling jitter on the
-//!   event queue.
+//!   compute, memory or message operations until the window closes).
 //!
 //! The retry/timeout *protocol* built on these primitives lives in
 //! `scc-rcce` (native, wall-clock) and `scc-core`'s runner (simulated,
