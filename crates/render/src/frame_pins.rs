@@ -9,8 +9,8 @@
 //! - One FNV-1a hash over its image bytes and z-buffer bits: what the
 //!   frame looks like. It is kept untouched.
 //! - Its four [`RasterStats`] fields: how much work drew it. A change to
-//!   how the fill decides which pixels to test may re-record these, in its
-//!   own commit, saying why.
+//!   how the fill decides which triangles to set up or which pixels to
+//!   test may re-record these, in its own commit, saying why.
 //!
 //! The frames are walkthrough frames 0–23 (the benchmark's film) plus
 //! every 50th. The debug tests check a subset that fits tier-1's budget;
@@ -165,22 +165,22 @@ const PIXEL_PINS: [[u64; 31]; 3] = [
 const COUNTER_PINS: [[[u64; 4]; 31]; 3] = [
     // city 400x400
     [
-        [5500, 1991, 392854, 141186], [5500, 1974, 218704, 169548],
-        [5500, 1978, 176753, 171166], [5506, 1984, 163717, 160203],
-        [5480, 1976, 160037, 160000], [5480, 1973, 160000, 160000],
-        [5480, 1980, 163280, 160000], [5500, 1989, 169012, 160000],
-        [5500, 1995, 176726, 160000], [5500, 1977, 185199, 160000],
-        [5500, 1973, 194785, 160000], [5500, 1984, 160000, 160000],
-        [5500, 1956, 379503, 145179], [5500, 1951, 441935, 144777],
-        [5528, 1957, 397614, 148372], [5522, 1954, 415854, 154804],
-        [5522, 1941, 211143, 211143], [5620, 1943, 193915, 193915],
-        [5620, 1933, 175028, 175028], [5604, 1933, 160000, 160000],
-        [5604, 1930, 160000, 160000], [5604, 1910, 298824, 154620],
-        [5604, 1912, 372787, 158497], [5604, 1896, 354833, 164251],
-        [5576, 1940, 204686, 156054], [5560, 1995, 388298, 127131],
-        [5536, 1938, 202462, 156838], [5488, 1982, 400800, 138306],
-        [5500, 1933, 184843, 150384], [5494, 1964, 532218, 145087],
-        [5524, 1939, 164213, 154123],
+        [5500, 376, 392854, 141186], [5500, 191, 218704, 169548],
+        [5500, 10, 176753, 171166], [5506, 10, 163717, 160203],
+        [5480, 8, 160037, 160000], [5480, 11, 160000, 160000],
+        [5480, 19, 163280, 160000], [5500, 19, 169012, 160000],
+        [5500, 19, 176726, 160000], [5500, 19, 185199, 160000],
+        [5500, 19, 194785, 160000], [5500, 11, 160000, 160000],
+        [5500, 400, 379503, 145179], [5500, 396, 441935, 144777],
+        [5528, 102, 397614, 148372], [5522, 52, 415854, 154804],
+        [5522, 9, 211143, 211143], [5620, 7, 193915, 193915],
+        [5620, 7, 175028, 175028], [5604, 5, 160000, 160000],
+        [5604, 4, 160000, 160000], [5604, 16, 298824, 154620],
+        [5604, 32, 372787, 158497], [5604, 32, 354833, 164251],
+        [5576, 22, 204686, 156054], [5560, 463, 388298, 127131],
+        [5536, 126, 202462, 156838], [5488, 380, 400800, 138306],
+        [5500, 23, 184843, 150384], [5494, 345, 532218, 145087],
+        [5524, 62, 164213, 154123],
     ],
     // flat 800x608
     [
@@ -203,22 +203,22 @@ const COUNTER_PINS: [[[u64; 4]; 31]; 3] = [
     ],
     // city 64x64
     [
-        [5500, 2006, 11439, 3612], [5500, 1998, 6879, 4367],
-        [5500, 1984, 4516, 4382], [5506, 1992, 4178, 4102],
-        [5480, 1996, 4097, 4096], [5480, 2000, 4096, 4096],
-        [5480, 1988, 4198, 4096], [5500, 1989, 4324, 4096],
-        [5500, 1995, 4530, 4096], [5500, 2003, 4737, 4096],
-        [5500, 2001, 5009, 4096], [5500, 1988, 4096, 4096],
-        [5500, 1978, 14960, 3696], [5500, 1984, 11690, 3711],
-        [5528, 1963, 13316, 3756], [5522, 1975, 12164, 3982],
-        [5522, 1964, 5399, 5399], [5620, 1959, 4969, 4969],
-        [5620, 1955, 4480, 4480], [5604, 1950, 4096, 4096],
-        [5604, 1944, 4096, 4096], [5604, 1930, 8245, 3963],
-        [5604, 1934, 10714, 4074], [5604, 1930, 10223, 4184],
-        [5576, 1950, 5250, 3993], [5560, 2006, 13935, 3254],
-        [5536, 1954, 5190, 4016], [5488, 2001, 10818, 3538],
-        [5500, 1957, 6206, 3848], [5494, 1972, 13896, 3717],
-        [5524, 1972, 7313, 3941],
+        [5500, 620, 11439, 3612], [5500, 418, 6879, 4367],
+        [5500, 10, 4516, 4382], [5506, 10, 4178, 4102],
+        [5480, 8, 4097, 4096], [5480, 19, 4096, 4096],
+        [5480, 19, 4198, 4096], [5500, 19, 4324, 4096],
+        [5500, 19, 4530, 4096], [5500, 19, 4737, 4096],
+        [5500, 19, 5009, 4096], [5500, 11, 4096, 4096],
+        [5500, 686, 14960, 3696], [5500, 486, 11690, 3711],
+        [5528, 516, 13316, 3756], [5522, 66, 12164, 3982],
+        [5522, 9, 5399, 5399], [5620, 7, 4969, 4969],
+        [5620, 7, 4480, 4480], [5604, 6, 4096, 4096],
+        [5604, 4, 4096, 4096], [5604, 16, 8245, 3963],
+        [5604, 46, 10714, 4074], [5604, 46, 10223, 4184],
+        [5576, 22, 5250, 3993], [5560, 820, 13935, 3254],
+        [5536, 134, 5190, 4016], [5488, 501, 10818, 3538],
+        [5500, 30, 6206, 3848], [5494, 460, 13896, 3717],
+        [5524, 104, 7313, 3941],
     ],
 ];
 

@@ -40,9 +40,12 @@ use scc_filters::Image;
 pub struct RasterStats {
     /// Triangles submitted after culling.
     pub triangles_in: u64,
-    /// Triangles that survived set-up (near-plane, clip-space, degeneracy
-    /// and viewport tests), whether or not the fill then skipped them as
-    /// hidden.
+    /// Triangles set up that survived set-up (near-plane, clip-space,
+    /// degeneracy and viewport tests), whether or not the fill then skipped
+    /// them as hidden. [`rasterize`] sets up every submitted triangle. The
+    /// render stage's fill sets up only the triangles of chunks it cannot
+    /// prove off its rows or hidden, so its count is far lower. It is
+    /// summed over bands: a triangle set up by two bands counts twice.
     pub triangles_filled: u64,
     /// Pixels passing the edge test (fill-rate work, pre depth test), over
     /// the triangles actually filled. [`rasterize`] fills every set-up

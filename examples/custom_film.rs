@@ -105,7 +105,7 @@ fn main() {
         let path = Path::new(&out_dir).join(format!("frame_{frame:02}.ppm"));
         write_ppm(&img, &path).expect("write frame");
         println!(
-            "frame {frame}: {} triangles drawn, {} pixels -> {}",
+            "frame {frame}: {} triangles set up, {} pixels -> {}",
             stats.raster.triangles_filled,
             stats.raster.pixels_written,
             path.display()
