@@ -18,8 +18,8 @@ use std::sync::Arc;
 /// Rows per band of [`Renderer::render_bands`]: 16 bands of a 400-row
 /// frame, 2 of a 64-row one — enough jobs for two to four host threads to
 /// even out a frame whose buildings crowd a few rows, few enough that each
-/// band's pass over the set-up list stays a small share of its fill
-/// (DESIGN.md §19).
+/// band's pass over the frame's chunk groups stays a small share of its
+/// fill (DESIGN.md §19).
 pub const BAND_ROWS: u32 = 25;
 
 /// Workload statistics of one strip render.
@@ -173,10 +173,10 @@ impl Renderer {
         RenderStats { cull, raster }
     }
 
-    /// Cull the frame `camera` sees at `width`×`height` once and set up
-    /// every visible triangle once, into `setup` (its allocations reused):
-    /// the per-frame half of [`Renderer::render_strip_into`] for a whole
-    /// frame, ahead of [`Renderer::render_bands`].
+    /// Cull the frame `camera` sees at `width`×`height` once and group and
+    /// bound the visible triangles once, into `setup` (its allocations
+    /// reused): the per-frame half of [`Renderer::render_strip_into`] for a
+    /// whole frame, ahead of [`Renderer::render_bands`].
     pub fn set_up_frame(
         &self,
         camera: &Camera,
@@ -188,14 +188,14 @@ impl Renderer {
         self.set_up(&mvp, width, height, setup)
     }
 
-    /// Cull the view `mvp` and set up what it sees onto a `width`×`h`
+    /// Cull the view `mvp` and group what it sees onto a `width`×`h`
     /// target, into `setup`.
     fn set_up(&self, mvp: &Mat4, width: u32, h: u32, setup: &mut FrameSetup) -> CullStats {
         setup.visible.clear();
         let cull = self
             .octree()
             .cull(&Frustum::from_matrix(mvp), &mut setup.visible);
-        setup.set_up(&self.scene.triangles, mvp, width, h);
+        setup.set_up(&self.scene, mvp, width, h);
         cull
     }
 
@@ -213,7 +213,7 @@ impl Renderer {
         band_rows: u32,
         threads: usize,
     ) -> RasterStats {
-        let (w, h) = (setup.width() as usize, setup.height());
+        let (w, h) = (setup.width() as usize, setup.height);
         assert_eq!(
             strips.iter().map(Image::height).sum::<u32>(),
             h,
@@ -221,7 +221,7 @@ impl Renderer {
         );
         assert!(strips.iter().all(|s| s.width() as usize == w));
         assert!(band_rows > 0, "empty bands");
-        let mut stats = setup.stats();
+        let stats = setup.stats();
         if w == 0 {
             return stats;
         }
@@ -243,18 +243,20 @@ impl Renderer {
                 .zip(z.chunks_mut(band_px))
                 .zip((first..).step_by(band_rows as usize))
         });
-        let pixels = fan_out(
+        let filled = fan_out(
             threads.min(bands as usize),
             jobs,
             |acc, ((pix, z), band_top)| render_band(setup, (0, h), band_top, pix, z, acc),
             |acc: &mut RasterStats, theirs| {
+                acc.triangles_filled += theirs.triangles_filled;
                 acc.pixels_covered += theirs.pixels_covered;
                 acc.pixels_written += theirs.pixels_written;
             },
         );
-        stats.pixels_covered = pixels.pixels_covered;
-        stats.pixels_written = pixels.pixels_written;
-        stats
+        RasterStats {
+            triangles_in: stats.triangles_in,
+            ..filled
+        }
     }
 
     /// Render a complete frame (a single strip covering every row).
@@ -266,8 +268,8 @@ impl Renderer {
 /// Render rows `top..` of a set-up strip into a band: `pix` and `zbuf`
 /// hold those rows and nothing has to be in them on entry. The strip's
 /// row 0 is row `y0` of a `full_height`-row frame, whose sky the band is
-/// cleared to, over an empty depth, before the set-up list is filled over
-/// it; its pixel counters are added to `stats`.
+/// cleared to, over an empty depth, before the frame's chunk queue is
+/// filled over it; its set-up and pixel counters are added to `stats`.
 fn render_band(
     setup: &FrameSetup,
     (y0, full_height): (u32, u32),
@@ -524,9 +526,10 @@ mod tests {
     /// `render_strip_into` of the whole frame and the band path (bands of
     /// 1, 7, 25 and 64 rows and of the whole frame, over the strips of 1,
     /// 2, 3 and 7 pipelines in turn) each equal the painter in every image
-    /// byte and z-buffer bit, and in `triangles_in` and
-    /// `triangles_filled`. A row that differs would mean the fill is not
-    /// row-independent, or the nearest-first order changed a pixel.
+    /// byte and z-buffer bit, and in `triangles_in`. A row that differs
+    /// would mean the fill is not row-independent, or the nearest-first
+    /// order changed a pixel. Each band sets up at most the triangles the
+    /// painter sets up, so a run sets up at most that many per band.
     ///
     /// `pixels_written` counts depth-test winners in the fill's order, at
     /// least the pixels the frame drew over the sky. `pixels_covered`
@@ -554,15 +557,20 @@ mod tests {
                     let name = format!("{} f{frame} p{pipelines} bands of {band_rows}", g.name);
                     let (img, stats) =
                         banded(g, &r, frame, (pipelines, band_rows), &mut setup, &mut zbuf);
-                    (name, img, zbuf.clone(), stats)
+                    let bands = Image::strip_bounds(g.height, pipelines)
+                        .iter()
+                        .map(|&(_, h)| h.div_ceil(band_rows) as u64)
+                        .sum();
+                    (name, img, zbuf.clone(), stats, bands)
                 });
                 let full_run = (
                     format!("{} f{frame} full render", g.name),
                     full,
                     full_z,
                     full_stats,
+                    1,
                 );
-                for (name, img, z, stats) in std::iter::once(full_run).chain(runs) {
+                for (name, img, z, stats, bands) in std::iter::once(full_run).chain(runs) {
                     let bad_row = (0..g.height as usize).find(|&y| {
                         let px = y * row_bytes..(y + 1) * row_bytes;
                         let zs = y * g.width as usize..(y + 1) * g.width as usize;
@@ -574,8 +582,13 @@ mod tests {
                     });
                     assert_eq!(bad_row, None, "{name}: first row that differs");
                     assert_eq!(z.len(), want_z.len(), "{name}");
-                    let exact = |s: &RasterStats| (s.triangles_in, s.triangles_filled);
-                    assert_eq!(exact(&stats), exact(&painted), "{name}");
+                    assert_eq!(stats.triangles_in, painted.triangles_in, "{name}");
+                    assert!(
+                        stats.triangles_filled <= bands * painted.triangles_filled,
+                        "{name}: {bands} bands set up {}, painter {}",
+                        stats.triangles_filled,
+                        painted.triangles_filled
+                    );
                     let (covered, written) = (stats.pixels_covered, stats.pixels_written);
                     assert!(
                         drawn <= written && written <= covered && covered <= painted.pixels_covered,

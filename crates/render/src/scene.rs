@@ -9,6 +9,7 @@ use crate::math::vec3;
 use crate::mesh::{push_box, Aabb, Triangle};
 use crate::octree::{Octree, OctreeConfig};
 use crate::probe::ProbeMemo;
+use crate::raster::chunk_boxes;
 use scc_filters::SplitMix;
 use std::sync::OnceLock;
 
@@ -34,9 +35,9 @@ impl Default for CityConfig {
 }
 
 /// The generated scene, with the state derived from its triangles: the
-/// octree (built on first use, then shared by every
-/// [`Renderer`](crate::Renderer) on the scene) and the memo of workload
-/// probe results (DESIGN.md §20).
+/// octree and the fill's chunk boxes (each built on first use, then shared
+/// by every [`Renderer`](crate::Renderer) on the scene) and the memo of
+/// workload probe results (DESIGN.md §20).
 ///
 /// A `Scene` is immutable once a `Renderer` has been built on it:
 /// `triangles` stays a `pub` field for readers, but the octree indexes it
@@ -48,6 +49,7 @@ pub struct Scene {
     pub triangles: Vec<Triangle>,
     pub bounds: Aabb,
     octree: OnceLock<Octree>,
+    chunks: OnceLock<Vec<Aabb>>,
     pub(crate) probes: ProbeMemo,
 }
 
@@ -63,6 +65,7 @@ impl Scene {
             triangles,
             bounds,
             octree: OnceLock::new(),
+            chunks: OnceLock::new(),
             probes: ProbeMemo::default(),
         }
     }
@@ -71,6 +74,11 @@ impl Scene {
     pub fn octree(&self) -> &Octree {
         self.octree
             .get_or_init(|| Octree::build(&self.triangles, OctreeConfig::default()))
+    }
+
+    /// [`chunk_boxes`] of `triangles`, built by the first frame set-up.
+    pub(crate) fn chunk_boxes(&self) -> &[Aabb] {
+        self.chunks.get_or_init(|| chunk_boxes(&self.triangles))
     }
 
     /// Entries in the probe memo (what [`Renderer::cull_stats`] and
