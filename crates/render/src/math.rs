@@ -137,12 +137,31 @@ impl Mat4 {
 
     /// Row `r` as a Vec4 (useful for frustum plane extraction).
     pub fn row(&self, r: usize) -> Vec4 {
-        let c = &self.cols;
         match r {
-            0 => vec4(c[0].x, c[1].x, c[2].x, c[3].x),
-            1 => vec4(c[0].y, c[1].y, c[2].y, c[3].y),
-            2 => vec4(c[0].z, c[1].z, c[2].z, c[3].z),
-            3 => vec4(c[0].w, c[1].w, c[2].w, c[3].w),
+            0 => vec4(
+                self.cols[0].x,
+                self.cols[1].x,
+                self.cols[2].x,
+                self.cols[3].x,
+            ),
+            1 => vec4(
+                self.cols[0].y,
+                self.cols[1].y,
+                self.cols[2].y,
+                self.cols[3].y,
+            ),
+            2 => vec4(
+                self.cols[0].z,
+                self.cols[1].z,
+                self.cols[2].z,
+                self.cols[3].z,
+            ),
+            3 => vec4(
+                self.cols[0].w,
+                self.cols[1].w,
+                self.cols[2].w,
+                self.cols[3].w,
+            ),
             _ => panic!("row index {r} out of range"),
         }
     }

@@ -1903,6 +1903,47 @@ mod tests {
         assert!(4 * set_up <= painted, "{set_up} of {painted}");
     }
 
+    /// A chunk that lies just past the left (or top) edge of a 16×16
+    /// viewport in exact arithmetic but that the f32 transform rounds back
+    /// onto it is kept: its clip x (or y) is `±(v + v.z − 10⁵)` over a `w`
+    /// of 0.01, where the f32 sum rounds to 1/128. Exactly, the right
+    /// edge's clip x is −0.0115, 1.2 pixels left of the viewport; in f32 it
+    /// is −1/128, 1.75 pixels right of its left edge. Only the rounding term
+    /// of [`bound_chunk`]'s rectangle pad covers that.
+    #[test]
+    fn skip_keeps_chunks_the_f32_transform_rounds_onto_the_viewport() {
+        use crate::math::vec4;
+        // Columns: clip x (or −y) = x (or y) + z − 10⁵, the other = 0.01
+        // times its coordinate, depth 0.005 and w 0.01.
+        let views = [
+            [(1.0, 0.0), (0.0, 0.01), (1.0, 0.0), (-1e5, 0.0)],
+            [(0.01, 0.0), (0.0, -1.0), (0.0, -1.0), (0.0, 1e5)],
+        ];
+        for (axis, cols) in views.into_iter().enumerate() {
+            let mut mvp = Mat4 {
+                cols: cols.map(|(x, y)| vec4(x, y, 0.0, 0.0)),
+            };
+            (mvp.cols[3].z, mvp.cols[3].w) = (0.005, 0.01);
+            let at = |edge: f32, across: f32| {
+                let (x, y) = if axis == 0 {
+                    (edge, across)
+                } else {
+                    (across, edge)
+                };
+                vec3(x, y, -0.0115)
+            };
+            let tri = Triangle::new(at(1e5, -0.5), at(1e5, 0.5), at(1e5 - 1.0, -0.5), [9, 9, 9]);
+            let tris = vec![tri; CHUNK];
+            let mut targets = [fresh(16, 16), fresh(16, 16)];
+            let [a, b] = &mut targets;
+            let what = format!("rounded onto the viewport, axis {axis}");
+            assert_skip_matches_painter(&tris, &mvp, 5, [a, b], &what);
+            let mut painted = fresh(16, 16);
+            let kept = rasterize(&tris, &[0], &mvp, &mut painted.0, &mut painted.1);
+            assert_eq!(kept.triangles_filled, 1, "{what}: set-up keeps it");
+        }
+    }
+
     /// The order has to fire as well as be safe: a fill that fell back to
     /// draw order would pass every bit-identity test. Over the pinned
     /// 400×400 city strips, the render stage's fill may count at most 40%
@@ -1920,9 +1961,9 @@ mod tests {
     }
 
     /// Two full-screen triangles at depth zero, +0 at draw index 0 and −0
-    /// at index 1. Nearest first draws the −0 one first; the +0 one then
-    /// ties everywhere, and only the redo gives the painter's frame: the
-    /// first triangle's colour, at +0.
+    /// at index 1. Nearest first draws the −0 one first, so the pass leaves
+    /// its colour at −0; the +0 one then ties everywhere, and only the redo
+    /// gives the painter's frame: the first triangle's colour, at +0.
     #[test]
     fn signed_zero_tie_is_redrawn_in_draw_order() {
         // The −0 survives the transform: x and y ≥ 0, moved on screen by
@@ -1947,10 +1988,12 @@ mod tests {
         let setup = frame_setup(&c.tris, &c.indices, &c.mvp, c.w, c.h);
         let (mut pix, mut z) = (vec![0; 4 * 256], vec![f32::INFINITY; 256]);
         let stats = &mut RasterStats::default();
-        assert!(
-            setup.fill_pass(true, 0, &mut pix, &mut z, stats),
-            "−0 first, then +0 ties"
-        );
+        assert!(setup.fill_pass(true, 0, &mut pix, &mut z, stats), "+0 ties");
+        // Only a pass that drew the −0 triangle first leaves its colour and
+        // its depth everywhere.
+        let second = flat_shade(&c.tris[1], LIGHT_DIR.normalized());
+        assert!(pix.chunks(4).all(|p| p == second), "−0 drawn first");
+        assert!(z.iter().all(|v| v.to_bits() == (-0f32).to_bits()));
 
         let mut painted = fresh(c.w, c.h);
         rasterize(&c.tris, &c.indices, &c.mvp, &mut painted.0, &mut painted.1);
