@@ -24,27 +24,46 @@ fn regressions_dir() -> PathBuf {
     }
 }
 
+const USAGE: &str = "usage: scc-verify fuzz [--budget 60s] [--seed N] [--cases K] | replay <file>";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
+    let run = match args.first().map(String::as_str) {
         Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("replay") => cmd_replay(args.get(1).map(String::as_str)),
-        _ => {
-            eprintln!(
-                "usage: scc-verify fuzz [--budget 60s] [--seed N] [--cases K] | replay <file>"
-            );
-            2
-        }
+        _ => Err(String::new()),
     };
+    let code = run.unwrap_or_else(|e| {
+        if !e.is_empty() {
+            eprintln!("scc-verify: {e}");
+        }
+        eprintln!("{USAGE}");
+        2
+    });
     std::process::exit(code);
 }
 
-fn parse_budget(s: &str) -> Duration {
+fn parse_budget(s: &str) -> Option<Duration> {
     let (num, mult) = match s.strip_suffix('m') {
         Some(m) => (m, 60),
         None => (s.strip_suffix('s').unwrap_or(s), 1),
     };
-    Duration::from_secs(num.parse::<u64>().expect("budget like 60s or 5m") * mult)
+    Some(Duration::from_secs(
+        num.parse::<u64>().ok()?.checked_mul(mult)?,
+    ))
+}
+
+/// A flag's parsed value, its default when absent, or an error naming it.
+fn flag<T>(
+    args: &[String],
+    name: &str,
+    default: T,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, String> {
+    match flag_value(args, name) {
+        None => Ok(default),
+        Some(v) => parse(v).ok_or_else(|| format!("bad {name} value `{v}`")),
+    }
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -59,11 +78,10 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 /// fault-decision branches or recovery phases no earlier case reached
 /// join the corpus; failures are shrunk to minimal repros and written to
 /// `tests/regressions/`.
-fn cmd_fuzz(args: &[String]) -> i32 {
-    let budget = parse_budget(flag_value(args, "--budget").unwrap_or("60s"));
-    let seed: u64 = flag_value(args, "--seed").map_or(0xf022, |s| s.parse().expect("--seed N"));
-    let max_cases: usize =
-        flag_value(args, "--cases").map_or(usize::MAX, |s| s.parse().expect("--cases K"));
+fn cmd_fuzz(args: &[String]) -> Result<i32, String> {
+    let budget = flag(args, "--budget", Duration::from_secs(60), parse_budget)?;
+    let seed: u64 = flag(args, "--seed", 0xf022, |s| s.parse().ok())?;
+    let max_cases: usize = flag(args, "--cases", usize::MAX, |s| s.parse().ok())?;
 
     // The oracle converts target panics into outcomes; silence the
     // default hook so modelled crashes don't spam the fuzz log.
@@ -147,35 +165,22 @@ fn cmd_fuzz(args: &[String]) -> i32 {
     for f in &seen {
         println!("[fuzz]   covered {f}");
     }
-    if failing.is_empty() {
-        0
-    } else {
-        1
-    }
+    Ok(if failing.is_empty() { 0 } else { 1 })
 }
 
 /// Re-run the oracle on a saved repro; exits 0 only if it passes.
-fn cmd_replay(path: Option<&str>) -> i32 {
-    let Some(path) = path else {
-        eprintln!("usage: scc-verify replay <repro.txt>");
-        return 2;
-    };
-    let text = std::fs::read_to_string(path).expect("read repro file");
-    let case = match FuzzCase::from_text(&text) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return 2;
-        }
-    };
+fn cmd_replay(path: Option<&str>) -> Result<i32, String> {
+    let path = path.ok_or("replay needs a repro file")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let case = FuzzCase::from_text(&text).map_err(|e| format!("{path}: {e}"))?;
     let outcome = run_oracle(&case);
     if outcome.failures.is_empty() {
         println!("{path}: ok ({} coverage features)", outcome.coverage.len());
-        0
+        Ok(0)
     } else {
         for f in &outcome.failures {
             eprintln!("{path}: {}: {}", f.check, f.detail);
         }
-        1
+        Ok(1)
     }
 }

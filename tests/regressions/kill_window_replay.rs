@@ -11,7 +11,7 @@
 //! and the guard rail (an early kill is still compared strictly).
 
 use scc_core::{Backend, RunOutcome};
-use scc_verify::fuzz::{run_oracle, FuzzCase, DES_TIMING_TOLERANCE};
+use scc_verify::fuzz::{boundary_window_start, run_oracle, FuzzCase, DES_TIMING_TOLERANCE};
 
 /// A minimal divergent schedule, found by replaying fuzzer mutants
 /// against the raw recovery counts: fixed single-renderer run, p=1,
@@ -35,14 +35,9 @@ fn raw_runs(case: &FuzzCase) -> (RunOutcome, RunOutcome) {
 }
 
 /// The oracle's boundary-window start: end-to-end timing skew plus one
-/// *lane* frame period of per-stage drain skew (mirrors `run_oracle`).
+/// *lane* frame period of per-stage drain skew.
 fn window_start(case: &FuzzCase, sim: &RunOutcome, des: &RunOutcome) -> f64 {
-    let min_total = sim.total_secs.min(des.total_secs);
-    let lane_frames = case
-        .cfg
-        .frames
-        .div_ceil(u64::from(case.cfg.pipelines.max(1)));
-    min_total * (1.0 - DES_TIMING_TOLERANCE) - min_total / lane_frames.max(1) as f64
+    boundary_window_start(&case.cfg, sim.total_secs, des.total_secs)
 }
 
 #[test]
