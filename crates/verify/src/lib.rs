@@ -24,7 +24,8 @@
 
 #![forbid(unsafe_code)]
 
-use scc_core::spec::{Fidelity, RunConfig};
+use fuzz::MODES;
+use scc_core::spec::{Arrangement, FaultSpec, Fidelity, KillSpec, RunConfig};
 use scc_core::viz::frame_checksum;
 use scc_core::{run_with_scene, Backend, WalkthroughReport};
 use scc_filters::{fnv1a, fnv1a_fold, FNV_OFFSET};
@@ -76,35 +77,34 @@ fn base_cfg() -> RunConfig {
         .expect("valid config")
 }
 
+/// The goldens' supervised kill: `stage` of pipeline 0 dies at 1 ms,
+/// under a 2 ms heartbeat and a phi threshold of 2.
+fn one_kill(stage: u32) -> FaultSpec {
+    FaultSpec {
+        kills: vec![KillSpec {
+            pipeline: 0,
+            stage,
+            at_ms: 1,
+        }],
+        heartbeat_period_us: 2_000,
+        phi_dead: 2.0,
+        ..FaultSpec::default()
+    }
+}
+
 /// The golden matrix: every renderer mode × every arrangement, plus a
 /// degraded (permanent stall, no spares), a recovered (kill + spare),
 /// and a lossy-links variant. All run under the invariant checker.
 pub fn golden_matrix() -> Vec<GoldenCase> {
-    use scc_core::spec::{Arrangement, FaultSpec, KillSpec, RendererMode, Runtime, StallSpec};
+    use scc_core::spec::{Runtime, StallSpec};
     let mut cases = Vec::new();
-    for mode in [
-        RendererMode::SingleRenderer,
-        RendererMode::PerPipelineRenderer,
-        RendererMode::McpcRenderer,
-    ] {
-        for arr in [
-            Arrangement::Unordered,
-            Arrangement::Ordered,
-            Arrangement::Flipped,
-        ] {
+    for (tag, mode) in MODES {
+        for arr in Arrangement::all() {
             let mut cfg = base_cfg();
             cfg.renderer = mode;
             cfg.arrangement = arr;
             cases.push(GoldenCase {
-                name: format!(
-                    "{}-{}",
-                    match mode {
-                        RendererMode::SingleRenderer => "single",
-                        RendererMode::PerPipelineRenderer => "perpipe",
-                        RendererMode::McpcRenderer => "mcpc",
-                    },
-                    arr.name()
-                ),
+                name: format!("{tag}-{}", arr.name()),
                 cfg,
             });
         }
@@ -126,16 +126,7 @@ pub fn golden_matrix() -> Vec<GoldenCase> {
         cfg: degraded,
     });
     let mut recovered = base_cfg();
-    recovered.fault = Some(FaultSpec {
-        kills: vec![KillSpec {
-            pipeline: 0,
-            stage: 1,
-            at_ms: 1,
-        }],
-        heartbeat_period_us: 2_000,
-        phi_dead: 2.0,
-        ..FaultSpec::default()
-    });
+    recovered.fault = Some(one_kill(1));
     cases.push(GoldenCase {
         name: "fault-recovered".into(),
         cfg: recovered,
@@ -157,11 +148,7 @@ pub fn golden_matrix() -> Vec<GoldenCase> {
     // plus a kill on the replicated bottleneck's primary — the
     // supervisor must migrate a scheduler placement, group siblings
     // included, without moving the film hash.
-    for (tag, mode) in [
-        ("single", RendererMode::SingleRenderer),
-        ("perpipe", RendererMode::PerPipelineRenderer),
-        ("mcpc", RendererMode::McpcRenderer),
-    ] {
+    for (tag, mode) in MODES {
         let mut cfg = base_cfg();
         cfg.renderer = mode;
         cfg.auto_place = true;
@@ -172,16 +159,7 @@ pub fn golden_matrix() -> Vec<GoldenCase> {
     }
     let mut auto_recovered = base_cfg();
     auto_recovered.auto_place = true;
-    auto_recovered.fault = Some(FaultSpec {
-        kills: vec![KillSpec {
-            pipeline: 0,
-            stage: 1,
-            at_ms: 1,
-        }],
-        heartbeat_period_us: 2_000,
-        phi_dead: 2.0,
-        ..FaultSpec::default()
-    });
+    auto_recovered.fault = Some(one_kill(1));
     cases.push(GoldenCase {
         name: "auto-recovered".into(),
         cfg: auto_recovered,
@@ -200,16 +178,7 @@ pub fn golden_matrix() -> Vec<GoldenCase> {
     let mut tasks_recovered = base_cfg();
     tasks_recovered.runtime = Runtime::Tasks;
     tasks_recovered.trace = false;
-    tasks_recovered.fault = Some(FaultSpec {
-        kills: vec![KillSpec {
-            pipeline: 0,
-            stage: 1,
-            at_ms: 1,
-        }],
-        heartbeat_period_us: 2_000,
-        phi_dead: 2.0,
-        ..FaultSpec::default()
-    });
+    tasks_recovered.fault = Some(one_kill(1));
     cases.push(GoldenCase {
         name: "tasks-recovered".into(),
         cfg: tasks_recovered,
@@ -419,13 +388,8 @@ pub fn native_tuning_digest() -> String {
 /// the core realisation moves this file — reviewers see the new table,
 /// not just a hash.
 pub fn autoplace_decision_digest() -> String {
-    use scc_core::spec::RendererMode;
     let mut out = String::from("== autoplace-decision\n");
-    for (tag, mode) in [
-        ("single", RendererMode::SingleRenderer),
-        ("perpipe", RendererMode::PerPipelineRenderer),
-        ("mcpc", RendererMode::McpcRenderer),
-    ] {
+    for (tag, mode) in MODES {
         let mut cfg = base_cfg();
         cfg.renderer = mode;
         cfg.auto_place = true;
@@ -668,7 +632,6 @@ pub fn workload_digest(case: &GoldenCase) -> String {
 /// bits, the film hash, the four supervision counters and the event
 /// stream.
 pub fn des_recovered_digest() -> String {
-    use scc_core::spec::{FaultSpec, KillSpec};
     use scc_telemetry::names;
     let mut out = String::from("== des-recovered\n");
     for (tag, auto_place, stage) in [("fixed", false, 1u32), ("auto-merged", true, 3)] {
@@ -676,16 +639,7 @@ pub fn des_recovered_digest() -> String {
         cfg.trace = false;
         cfg.telemetry = true;
         cfg.auto_place = auto_place;
-        cfg.fault = Some(FaultSpec {
-            kills: vec![KillSpec {
-                pipeline: 0,
-                stage,
-                at_ms: 1,
-            }],
-            heartbeat_period_us: 2_000,
-            phi_dead: 2.0,
-            ..FaultSpec::default()
-        });
+        cfg.fault = Some(one_kill(stage));
         let run = run_with_scene(&cfg, Backend::Des, verify_scene());
         let r = run.report.des().expect("a DES film run");
         out.push_str(&format!(
