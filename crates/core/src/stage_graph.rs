@@ -22,9 +22,6 @@ use scc_filters::{standard_chain, FrameCtx};
 /// with it (PS-DSWP's DOALL-vs-sequential distinction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageClass {
-    /// Produces frames (render / connector). Endpoint: never merged or
-    /// replicated.
-    Source,
     /// Per-pixel, stateless across frames (sepia, scratch, flicker,
     /// swap). Mergeable with neighbours and replicable DOALL-style.
     Pointwise,
@@ -35,9 +32,6 @@ pub enum StageClass {
     /// and can never be replicated (sequential in PS-DSWP terms). The
     /// film pipeline has none; user-defined pipelines may.
     Stateful,
-    /// Consumes frames (transfer/assemble). Endpoint: never merged or
-    /// replicated.
-    Sink,
 }
 
 impl StageClass {
@@ -53,11 +47,9 @@ impl StageClass {
 
     pub fn name(self) -> &'static str {
         match self {
-            StageClass::Source => "source",
             StageClass::Pointwise => "pointwise",
             StageClass::Stencil => "stencil",
             StageClass::Stateful => "stateful",
-            StageClass::Sink => "sink",
         }
     }
 }
@@ -72,32 +64,23 @@ pub struct StageNode {
     pub weight: f64,
 }
 
-/// The parallelism class of each film-pipeline stage (tentpole contract:
-/// sepia, scratch and flicker are pointwise, blur is the only stencil,
-/// the endpoints are endpoints).
-pub fn class_of(kind: StageKind) -> StageClass {
-    match kind {
-        StageKind::Render | StageKind::Connect => StageClass::Source,
-        StageKind::Blur => StageClass::Stencil,
-        StageKind::Sepia | StageKind::Scratch | StageKind::Flicker | StageKind::Swap => {
-            StageClass::Pointwise
-        }
-        StageKind::Transfer => StageClass::Sink,
-    }
-}
-
 /// One lane's film chain, weighted by `weights` (one entry per
-/// [`StageKind::PIPELINE_FILTERS`] stage): the five filters in order.
-/// The source and the sink are endpoints the partitioner never merges or
-/// replicates, so the chain leaves them out — it is a linear chain of
-/// interior stages, which is all [`crate::partition::partition`] takes.
+/// [`StageKind::PIPELINE_FILTERS`] stage): the five filters in order,
+/// blur the only stencil and the other four pointwise. The source and
+/// the sink are endpoints the partitioner never merges or replicates, so
+/// the chain leaves them out — it is a linear chain of interior stages,
+/// which is all [`crate::partition::partition`] takes.
 pub fn film_chain(weights: &StageWeights) -> Vec<StageNode> {
     StageKind::PIPELINE_FILTERS
         .iter()
         .zip(weights.per_stage)
         .map(|(&kind, weight)| StageNode {
             kind,
-            class: class_of(kind),
+            class: if kind == StageKind::Blur {
+                StageClass::Stencil
+            } else {
+                StageClass::Pointwise
+            },
             weight,
         })
         .collect()
@@ -179,10 +162,6 @@ mod tests {
 
     #[test]
     fn film_graph_is_a_seven_stage_chain() {
-        // Two endpoints around the five-filter chain the scheduler sees.
-        assert_eq!(class_of(StageKind::Render), StageClass::Source);
-        assert_eq!(class_of(StageKind::Connect), StageClass::Source);
-        assert_eq!(class_of(StageKind::Transfer), StageClass::Sink);
         let w = StageWeights::from_cost_model(&cfg(), &CostModel::default());
         let chain = film_chain(&w);
         let kinds: Vec<_> = chain.iter().map(|n| n.kind).collect();
