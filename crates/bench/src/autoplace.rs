@@ -8,7 +8,7 @@
 //! shows *why* the placement won. The JSON is built on
 //! `scc_telemetry::Json`, flat like the other bench documents.
 
-use scc_core::viz::frame_checksum;
+use crate::checksum_fold;
 use scc_core::{auto_place, Arrangement, RunConfig};
 use scc_render::Scene;
 use scc_telemetry::Json;
@@ -39,15 +39,6 @@ pub struct AutoplaceReport {
     /// The scheduler's pinned decision table (stage, class, weight,
     /// group, replicas, cores).
     pub decision_table: String,
-}
-
-fn checksum_fold(frames: &[scc_filters::Image]) -> u64 {
-    frames
-        .iter()
-        .map(frame_checksum)
-        .fold(0xcbf2_9ce4_8422_2325, |acc, c| {
-            (acc ^ c).wrapping_mul(0x1000_0000_01b3)
-        })
 }
 
 /// Run the sweep: one auto-placed run, then the three fixed
@@ -97,13 +88,6 @@ pub fn measure_autoplace(base: &RunConfig, scene: &Arc<Scene>) -> AutoplaceRepor
 impl AutoplaceReport {
     /// Render the report as the `BENCH_autoplace.json` document.
     pub fn to_json(&self) -> String {
-        let config = Json::obj()
-            .field("renderer", Json::str(self.config.renderer.name()))
-            .field("pipelines", Json::U64(u64::from(self.config.pipelines)))
-            .field("width", Json::U64(u64::from(self.config.width)))
-            .field("height", Json::U64(u64::from(self.config.height)))
-            .field("frames", Json::U64(self.config.frames))
-            .field("seed", Json::U64(self.config.seed));
         let points = Json::Arr(
             self.points
                 .iter()
@@ -118,7 +102,7 @@ impl AutoplaceReport {
         );
         Json::obj()
             .field("bench", Json::str("autoplace"))
-            .field("config", config)
+            .field("config", crate::config_json(&self.config))
             .field(
                 "note",
                 Json::str(

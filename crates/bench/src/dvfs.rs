@@ -14,7 +14,7 @@
 //! the sim and DES schedulers, and the governor must not be dominated
 //! (slower *and* hungrier) by every static split it competes with.
 
-use scc_core::viz::frame_checksum;
+use crate::checksum_fold;
 use scc_core::{
     run, Backend, BackendReport, GovernorAction, GovernorTuning, PowerConfig, RendererMode,
     RunConfig, StageKind, WavefrontSpec, Workload,
@@ -55,15 +55,6 @@ pub struct DvfsReport {
     /// Per workload, at least one static split fails to beat the
     /// governor on both time and energy.
     pub governed_not_dominated: bool,
-}
-
-fn film_fold(frames: &[scc_filters::Image]) -> u64 {
-    frames
-        .iter()
-        .map(frame_checksum)
-        .fold(0xcbf2_9ce4_8422_2325, |acc, c| {
-            (acc ^ c).wrapping_mul(0x1000_0000_01b3)
-        })
 }
 
 fn count_actions(decisions: &[scc_core::GovernorDecision]) -> (u64, u64) {
@@ -133,7 +124,7 @@ pub fn measure_dvfs(
         total_secs: r.total_secs,
         energy_joules: r.scc_energy_joules,
         mean_power: r.mean_power(),
-        output_checksum: film_fold(r.outputs.as_ref().expect("full fidelity")),
+        output_checksum: checksum_fold(r.outputs.as_ref().expect("full fidelity")),
         raises: count_actions(&r.dvfs_decisions).0,
         throttles: count_actions(&r.dvfs_decisions).1,
     };
@@ -230,16 +221,7 @@ pub fn measure_dvfs(
 impl DvfsReport {
     /// Render the report as the `BENCH_dvfs.json` document.
     pub fn to_json(&self) -> String {
-        let config = Json::obj()
-            .field("renderer", Json::str(self.film_config.renderer.name()))
-            .field(
-                "pipelines",
-                Json::U64(u64::from(self.film_config.pipelines)),
-            )
-            .field("width", Json::U64(u64::from(self.film_config.width)))
-            .field("height", Json::U64(u64::from(self.film_config.height)))
-            .field("frames", Json::U64(self.film_config.frames))
-            .field("seed", Json::U64(self.film_config.seed))
+        let config = crate::config_json(&self.film_config)
             .field("wavefront_seed", Json::U64(self.wavefront_seed));
         let points = Json::Arr(
             self.points

@@ -20,6 +20,33 @@ pub mod tasks;
 
 pub use experiments::*;
 
+use scc_core::viz::frame_checksum;
+use scc_core::RunConfig;
+use scc_telemetry::Json;
+
+/// FNV-style fold of a film's frame checksums: the `output_checksum` of
+/// the autoplace and dvfs documents.
+pub(crate) fn checksum_fold(frames: &[scc_filters::Image]) -> u64 {
+    frames
+        .iter()
+        .map(frame_checksum)
+        .fold(0xcbf2_9ce4_8422_2325, |acc, c| {
+            (acc ^ c).wrapping_mul(0x1000_0000_01b3)
+        })
+}
+
+/// The `config` object of the autoplace, recovery and dvfs documents:
+/// the film configuration their sweep starts from.
+pub(crate) fn config_json(cfg: &RunConfig) -> Json {
+    Json::obj()
+        .field("renderer", Json::str(cfg.renderer.name()))
+        .field("pipelines", Json::U64(u64::from(cfg.pipelines)))
+        .field("width", Json::U64(u64::from(cfg.width)))
+        .field("height", Json::U64(u64::from(cfg.height)))
+        .field("frames", Json::U64(cfg.frames))
+        .field("seed", Json::U64(cfg.seed))
+}
+
 #[cfg(test)]
 mod tests {
     /// Extract the sorted, deduplicated set of object keys from a JSON

@@ -121,13 +121,6 @@ pub fn measure_recovery(
 impl RecoveryReport {
     /// Render the report as the `BENCH_recovery.json` document.
     pub fn to_json(&self) -> String {
-        let config = Json::obj()
-            .field("renderer", Json::str(self.config.renderer.name()))
-            .field("pipelines", Json::U64(u64::from(self.config.pipelines)))
-            .field("width", Json::U64(u64::from(self.config.width)))
-            .field("height", Json::U64(u64::from(self.config.height)))
-            .field("frames", Json::U64(self.config.frames))
-            .field("seed", Json::U64(self.config.seed));
         let points = Json::Arr(
             self.points
                 .iter()
@@ -147,7 +140,7 @@ impl RecoveryReport {
         );
         Json::obj()
             .field("bench", Json::str("recovery"))
-            .field("config", config)
+            .field("config", crate::config_json(&self.config))
             .field("heartbeat_period_us", Json::U64(self.heartbeat_period_us))
             .field("phi_dead", Json::F64(self.phi_dead))
             .field(
